@@ -33,10 +33,6 @@ class WrongDistance(MedgraphError):
     pass
 
 
-class EmptyInterior(MedgraphError):
-    pass
-
-
 class InteriorTooLarge(MedgraphError):
     pass
 

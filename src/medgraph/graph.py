@@ -150,8 +150,6 @@ def read_graph(text: str, name: str = "") -> Graph:
         edges.append((u, v))
     try:
         return build_graph(n, edges, name=name)
-    except (Disconnected, LoopEdge):
-        raise
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

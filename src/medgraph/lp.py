@@ -5,18 +5,22 @@ homogeneous strict system D^uv pi < 0, pi >= 0 is solvable; by scaling this
 is the closed system D^uv pi <= -1.  Feasibility is decided by a phase-1
 simplex over fractions with Bland's anti-cycling rule, returning either a
 witness profile or a Farkas certificate; both are re-verified exactly.
+
+`solve_pair` is the one per-pair verdict: it builds D^uv and decides it.
+D^uv depends only on the pair, never on p, so `compute_p` solves each pair
+at most once however many levels' bands contain it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import EmptyInterior, InteriorTooLarge, WrongDistance
+from .errors import InteriorTooLarge, WrongDistance
 from .graph import DistMatrix, Graph
-from .medians import Profile, median_value
+from .medians import Profile, _pairs_in_distance_band, median_value
 from .metric import J_set, Jcirc_set, M_set, interior_interval
 
 
@@ -49,8 +53,6 @@ def build_Duv(g: Graph, d: DistMatrix, u: int, v: int,
     if u == v or g.has_edge(u, v):
         raise ValueError(f"pair ({u},{v}) must be nonadjacent and distinct")
     rows = tuple(sorted(interior_interval(g, d, u, v)))
-    if not rows:
-        raise EmptyInterior(f"interval between {u} and {v} has empty interior")
     cols = tuple(sorted(columns)) if columns is not None else tuple(range(g.n))
     duv = d(u, v)
     entries = tuple(
@@ -59,25 +61,33 @@ def build_Duv(g: Graph, d: DistMatrix, u: int, v: int,
     return RationalMatrix(entries, rows, cols, u, v)
 
 
-def _phase1_simplex(tableau, basis, n_cols, artificial):
+def _phase1(tableau, n_free):
     """Minimize the sum of artificial variables with Bland's rule.
 
-    tableau: list of rows, each of length n_cols + 1 (rhs last), Fractions.
-    basis: one column index per row.  artificial: set of column indices with
-    unit cost.  Returns the optimal value; tableau/basis are updated in place.
+    tableau: rows of Fractions [A | rhs] with rhs >= 0 and n_free columns in
+    A.  One artificial column per row is inserted before the rhs, in place,
+    and starts in the basis, so column j is artificial iff j >= n_free.
+    Returns (tableau, basis, z, art_rows): z is the optimal sum of the
+    artificials and art_rows the rows whose basic variable is artificial.
     """
     m = len(tableau)
+    for i, r in enumerate(tableau):
+        rhs = r.pop()
+        r.extend(Fraction(1 if k == i else 0) for k in range(m))
+        r.append(rhs)
+    basis = [n_free + i for i in range(m)]
+    n_cols = n_free + m
     while True:
         # reduced costs: c_j - sum over artificial basic rows of their entries
-        art_rows = [i for i in range(m) if basis[i] in artificial]
+        art_rows = [i for i in range(m) if basis[i] >= n_free]
         entering = -1
         for j in range(n_cols):
-            rc = (1 if j in artificial else 0) - sum(tableau[i][j] for i in art_rows)
+            rc = (1 if j >= n_free else 0) - sum(tableau[i][j] for i in art_rows)
             if rc < 0:
                 entering = j
                 break
         if entering < 0:
-            return sum(tableau[i][-1] for i in art_rows)
+            return tableau, basis, sum(tableau[i][-1] for i in art_rows), art_rows
         leaving, best = -1, None
         for i in range(m):
             if tableau[i][entering] > 0:
@@ -103,17 +113,13 @@ def lp_feasible_strict(mat: RationalMatrix) -> FeasibilityResult:
     """
     m, n = len(mat.entries), len(mat.cols)
     # columns: pi (0..n-1), slacks (n..n+m-1), artificials (n+m..n+2m-1)
-    n_cols = n + 2 * m
-    tableau = []
+    rows = []
     for i in range(m):
         row = [Fraction(-mat.entries[i][j]) for j in range(n)]
         row += [Fraction(-1 if k == i else 0) for k in range(m)]
-        row += [Fraction(1 if k == i else 0) for k in range(m)]
         row.append(Fraction(1))
-        tableau.append(row)
-    basis = [n + m + i for i in range(m)]
-    artificial = set(range(n + m, n + 2 * m))
-    z = _phase1_simplex(tableau, basis, n_cols, artificial)
+        rows.append(row)
+    tableau, basis, z, art_rows = _phase1(rows, n + m)
     if z == 0:
         pi = {}
         for i, b in enumerate(basis):
@@ -121,11 +127,9 @@ def lp_feasible_strict(mat: RationalMatrix) -> FeasibilityResult:
                 pi[mat.cols[b]] = tableau[i][-1]
         res = FeasibilityResult("feasible", witness=pi, matrix=mat)
     else:
-        # dual value y_i = 1 - reduced cost of artificial column i
-        art_rows = [i for i in range(len(tableau)) if basis[i] in artificial]
-        y = tuple(1 - ((1 if (n + m + i) in artificial else 0)
-                       - sum(tableau[r][n + m + i] for r in art_rows))
-                  for i in range(m))
+        # dual value y_i = 1 - reduced cost of artificial column i, i.e. the
+        # sum of that column over the rows with an artificial basic variable
+        y = tuple(sum(tableau[r][n + m + i] for r in art_rows) for i in range(m))
         res = FeasibilityResult("infeasible", certificate=y, matrix=mat)
     if not _check_result(res):
         raise AssertionError("simplex produced an unverifiable result")
@@ -162,30 +166,22 @@ def verify_feasibility_result(g: Graph, d: DistMatrix, u: int, v: int,
     return _check_result(FeasibilityResult(r.status, r.witness, r.certificate, mat))
 
 
-def pair_satisfies_WC_for_all_profiles(g: Graph, d: DistMatrix, u: int, v: int,
-                                       restrict_j: bool = False) -> bool:
-    """True iff no nonnegative profile violates WC at the pair (u,v)."""
-    try:
-        cols = J_set(g, d, u, v) if restrict_j else None
-        mat = build_Duv(g, d, u, v, columns=cols)
-    except EmptyInterior:
-        return False  # WC is existential over the interior; no interior, no hope
-    return not lp_feasible_strict(mat).feasible
+def solve_pair(g: Graph, d: DistMatrix, u: int, v: int,
+               restrict_j: bool = False) -> FeasibilityResult:
+    """Decide D^uv pi < 0, pi >= 0; feasible iff some profile violates WC at (u,v).
 
-
-def _pairs_in_band(g: Graph, d: DistMatrix, p: int):
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if p + 1 <= d(u, v) <= 2 * p:
-                yield u, v
+    The columns are J(u,v) when restrict_j is set and all vertices otherwise.
+    """
+    cols = J_set(g, d, u, v) if restrict_j else None
+    return lp_feasible_strict(build_Duv(g, d, u, v, columns=cols))
 
 
 def has_Gp_connected_medians(g: Graph, d: DistMatrix, p: int,
                              restrict_j: bool = False) -> bool:
     if p < 1:
         raise ValueError("p must be >= 1")
-    return all(pair_satisfies_WC_for_all_profiles(g, d, u, v, restrict_j)
-               for u, v in _pairs_in_band(g, d, p))
+    return not any(solve_pair(g, d, u, v, restrict_j).feasible
+                   for u, v in _pairs_in_distance_band(g, d, p + 1, 2 * p))
 
 
 @dataclass(frozen=True)
@@ -194,7 +190,7 @@ class PairVerdict:
     v: int
     dist: int
     ok: bool
-    result: FeasibilityResult | None = None
+    result: FeasibilityResult
 
 
 @dataclass(frozen=True)
@@ -243,35 +239,29 @@ def compute_p(g: Graph, d: DistMatrix, restrict_j: bool = False) -> PValueReport
     pair and profiles.  Terminates by p = diameter, where the pair band
     p+1 <= d(u,v) <= 2p is empty.
     """
+    solved: dict[tuple[int, int], FeasibilityResult] = {}
     prev_failures: list[PairVerdict] = []
     p = 1
     while True:
         failures = []
-        for u, v in _pairs_in_band(g, d, p):
-            try:
-                cols = J_set(g, d, u, v) if restrict_j else None
-                mat = build_Duv(g, d, u, v, columns=cols)
-            except EmptyInterior:
-                failures.append(PairVerdict(u, v, d(u, v), False))
-                continue
-            res = lp_feasible_strict(mat)
+        for u, v in _pairs_in_distance_band(g, d, p + 1, 2 * p):
+            if (u, v) not in solved:       # D^uv does not depend on p
+                solved[u, v] = solve_pair(g, d, u, v, restrict_j)
+            res = solved[u, v]
             if res.feasible:
                 failures.append(PairVerdict(u, v, d(u, v), False, res))
         if not failures:
             break
         prev_failures = failures
         p += 1
-    if p == 1 or not prev_failures:
+    if p == 1:
         return PValueReport(p=p)
-    first = next((f for f in prev_failures if f.result is not None), None)
-    if first is None:
-        return PValueReport(p=p, failing_verdicts=tuple(prev_failures))
-    wit = Profile(dict(first.result.witness))
+    first = prev_failures[0]
     return PValueReport(
         p=p,
         failing_verdicts=tuple(prev_failures),
         witness_pair=(first.u, first.v),
-        witness_profile=wit,
+        witness_profile=Profile(dict(first.result.witness)),
         disconnecting_profile=disconnecting_profile(g, d, first.u, first.v,
                                                     witness_to_profile(first.result.witness)),
     )
@@ -288,26 +278,16 @@ def lp_feasible(n: int, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> dict[int, Fractio
         else:
             r += [Fraction(0)] * m_ub
         r.append(Fraction(b))
+        if r[-1] < 0:                   # make every rhs nonnegative
+            r = [-x for x in r]
         rows.append(r)
-    m = len(rows)
-    for r in rows:                      # make every rhs nonnegative
-        if r[-1] < 0:
-            for j in range(len(r)):
-                r[j] = -r[j]
-    base = n + m_ub
-    for i, r in enumerate(rows):        # artificial basis
-        rhs = r.pop()
-        r.extend(Fraction(1 if k == i else 0) for k in range(m))
-        r.append(rhs)
-    basis = [base + i for i in range(m)]
-    artificial = set(range(base, base + m))
-    z = _phase1_simplex(rows, basis, base + m, artificial)
+    tableau, basis, z, _ = _phase1(rows, n + m_ub)
     if z != 0:
         return None
     x = {j: Fraction(0) for j in range(n)}
     for i, b in enumerate(basis):
         if b < n:
-            x[b] = rows[i][-1]
+            x[b] = tableau[i][-1]
     return x
 
 

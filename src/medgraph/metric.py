@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import NotEquilateral
 from .graph import DistMatrix, Graph
@@ -177,13 +176,3 @@ def geodesic_vertices_via_dag(g: Graph, d: DistMatrix, u: int, v: int) -> set[in
                 seen.add(x)
                 stack.append(x)
     return seen
-
-
-def induced_subgraph_edges(g: Graph, vertices: list[int]) -> list[tuple[int, int]]:
-    """Edges of the induced subgraph, in the index space of `vertices`."""
-    index = {v: i for i, v in enumerate(vertices)}
-    out = []
-    for a, b in combinations(vertices, 2):
-        if g.has_edge(a, b):
-            out.append((index[a], index[b]))
-    return out

@@ -31,16 +31,16 @@ def brute_force_oracle(g: Graph, d: DistMatrix, p: int, max_weight: int,
     near = dist <= p                       # closed p-balls, used for both tests
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
              if p + 1 <= d(u, v) <= 2 * p]
+    supports = []
     total = 0
     for u, v in pairs:
         support = sorted(J_set(g, d, u, v))
-        count = (max_weight + 1) ** len(support) - 1
-        total += count
+        supports.append(support)
+        total += (max_weight + 1) ** len(support) - 1
         if total > budget:
             raise BudgetExceeded(
                 f"{total} profiles exceed the budget of {budget}")
-    for u, v in pairs:
-        support = sorted(J_set(g, d, u, v))
+    for (u, v), support in zip(pairs, supports):
         hit = _scan_pair(g, dist, near, p, support, max_weight)
         if hit is not None:
             return (u, v), hit

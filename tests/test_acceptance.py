@@ -18,7 +18,8 @@ from medgraph.families import (beta_configuration, cartesian_product,
                                projective_incidence_graph)
 from medgraph.graph import Graph, all_pairs_distances, build_graph, power_graph
 from medgraph.lp import (compute_p, disconnecting_profile,
-                         has_Gp_connected_medians, witness_to_profile)
+                         has_Gp_connected_medians, solve_pair,
+                         witness_to_profile)
 from medgraph.medians import (Profile, VertexFunction, is_p_connected,
                               is_p_isometric, is_p_weakly_peakless,
                               is_p_weakly_peakless_full, is_unimodal_on_power,
@@ -262,9 +263,7 @@ def test_criterion_10_lp_oracle_equivalence(mark):
                     for v in range(u + 1, g.n):
                         if not (p + 1 <= d(u, v) <= 2 * p):
                             continue
-                        from medgraph.lp import pair_satisfies_WC_for_all_profiles, build_Duv, lp_feasible_strict
-                        mat = build_Duv(g, d, u, v)
-                        res = lp_feasible_strict(mat)
+                        res = solve_pair(g, d, u, v)
                         if not res.feasible:
                             continue
                         base = witness_to_profile(res.witness)

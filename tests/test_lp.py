@@ -2,15 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from medgraph.errors import EmptyInterior, InteriorTooLarge, WrongDistance
+from medgraph.errors import InteriorTooLarge, WrongDistance
 from medgraph.families import (beta_configuration, cycle_graph, hypercube,
                                johnson, path_graph)
 from medgraph.graph import all_pairs_distances
+import medgraph.lp as lp
 from medgraph.lp import (FeasibilityResult, RationalMatrix,
                          alpha_beta_certificate, build_Duv, compute_p,
                          disconnecting_profile, has_Gp_connected_medians,
-                         lp_feasible, lp_feasible_strict,
-                         pair_satisfies_WC_for_all_profiles,
+                         lp_feasible, lp_feasible_strict, solve_pair,
                          verify_feasibility_result, witness_to_profile)
 from medgraph.medians import Profile, median_set
 from medgraph.metric import interior_interval
@@ -83,9 +83,10 @@ def test_verify_accepts_certificates():
 def test_pair_wc_examples():
     h3, d3 = _gd(hypercube(3)[0])
     u, v = next((u, v) for u in range(8) for v in range(8) if d3(u, v) == 2)
-    assert pair_satisfies_WC_for_all_profiles(h3, d3, u, v)
+    assert not solve_pair(h3, d3, u, v).feasible
     c7, d7 = _gd(cycle_graph(7))
-    assert not pair_satisfies_WC_for_all_profiles(c7, d7, 0, 3)
+    assert solve_pair(c7, d7, 0, 3).feasible
+    assert solve_pair(c7, d7, 0, 3, restrict_j=True).feasible
 
 
 def test_has_gp_connected_medians():
@@ -103,6 +104,32 @@ def test_compute_p_values():
     rep = compute_p(*_gd(cycle_graph(7)))
     assert rep.witness_pair is not None
     assert rep.failing_verdicts
+
+
+def test_compute_p_solves_each_pair_once(monkeypatch):
+    g, d = _gd(cycle_graph(21))
+    calls = []
+
+    def counting(mat):
+        calls.append((mat.u, mat.v))
+        return lp_feasible_strict(mat)
+
+    monkeypatch.setattr(lp, "lp_feasible_strict", counting)
+    assert compute_p(g, d).p == 10
+    # one solve per pair at distance >= 2: 21 vertices x 9 distances 2..10
+    assert len(calls) == 189 == len(set(calls))
+
+
+def test_failing_verdicts_are_feasible_pairs_of_last_failing_band():
+    for n in (7, 21):
+        g, d = _gd(cycle_graph(n))
+        rep = compute_p(g, d)
+        q = rep.p - 1
+        expected = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                    if q + 1 <= d(u, v) <= 2 * q
+                    and lp_feasible_strict(build_Duv(g, d, u, v)).feasible]
+        assert [(f.u, f.v) for f in rep.failing_verdicts] == expected
+        assert rep.witness_pair == expected[0]
 
 
 def test_monotonicity():
