@@ -3,8 +3,9 @@
 A pair u,v admits a weight function violating the chord condition iff the
 homogeneous strict system D^uv pi < 0, pi >= 0 is solvable; by scaling this
 is the closed system D^uv pi <= -1.  Feasibility is decided by a phase-1
-simplex over fractions with Bland's anti-cycling rule, returning either a
-witness profile or a Farkas certificate; both are re-verified exactly.
+simplex with Bland's anti-cycling rule and fraction-free integer pivots;
+`Fraction` appears only at the API boundary.  It returns either a witness
+profile or a Farkas certificate, and both are re-verified exactly.
 
 `solve_pair` is the one per-pair verdict: it builds D^uv and decides it.
 D^uv depends only on the pair, never on p, so `compute_p` solves each pair
@@ -64,45 +65,64 @@ def build_Duv(g: Graph, d: DistMatrix, u: int, v: int,
 def _phase1(tableau, n_free):
     """Minimize the sum of artificial variables with Bland's rule.
 
-    tableau: rows of Fractions [A | rhs] with rhs >= 0 and n_free columns in
-    A.  One artificial column per row is inserted before the rhs, in place,
-    and starts in the basis, so column j is artificial iff j >= n_free.
-    Returns (tableau, basis, z, art_rows): z is the optimal sum of the
-    artificials and art_rows the rows whose basic variable is artificial.
+    tableau: integer rows [A | rhs] with rhs >= 0 and n_free columns in A.
+    One artificial column per row is inserted before the rhs, in place, and
+    starts in the basis, so column j is artificial iff j >= n_free.
+
+    Pivots are fraction-free (Edmonds 1967; Bareiss 1968): the tableau is
+    kept as integers T = D * R, where R is the rational simplex tableau and
+    D > 0 the determinant of the current basis.  Pivoting on T[r][e] = piv
+    leaves row r as it is and maps every other row to
+    (piv*T[i][j] - T[i][e]*T[r][j]) // D, then sets D = piv; the division
+    is exact because every entry is a minor of the start matrix.  Signs of
+    reduced costs and the cross-multiplied ratio test agree with those of
+    R, so the pivot sequence is the rational one.
+
+    Returns (tableau, D, basis, z, art_rows): z is D times the optimal sum
+    of the artificials and art_rows the rows whose basic variable is
+    artificial.
     """
     m = len(tableau)
     for i, r in enumerate(tableau):
         rhs = r.pop()
-        r.extend(Fraction(1 if k == i else 0) for k in range(m))
+        r.extend(1 if k == i else 0 for k in range(m))
         r.append(rhs)
     basis = [n_free + i for i in range(m)]
     n_cols = n_free + m
+    D = 1
     while True:
-        # reduced costs: c_j - sum over artificial basic rows of their entries
+        # D * reduced cost: D*c_j - sum over artificial basic rows of T[i][j]
         art_rows = [i for i in range(m) if basis[i] >= n_free]
         entering = -1
         for j in range(n_cols):
-            rc = (1 if j >= n_free else 0) - sum(tableau[i][j] for i in art_rows)
+            rc = (D if j >= n_free else 0) - sum(tableau[i][j] for i in art_rows)
             if rc < 0:
                 entering = j
                 break
         if entering < 0:
-            return tableau, basis, sum(tableau[i][-1] for i in art_rows), art_rows
-        leaving, best = -1, None
+            return tableau, D, basis, sum(tableau[i][-1] for i in art_rows), art_rows
+        # ratio rhs_i / a_i, compared as rhs_i * a_l < rhs_l * a_i (a_i, a_l > 0)
+        leaving = -1
         for i in range(m):
-            if tableau[i][entering] > 0:
-                ratio = tableau[i][-1] / tableau[i][entering]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    leaving, best = i, ratio
+            a = tableau[i][entering]
+            if a > 0:
+                if leaving < 0:
+                    leaving = i
+                    continue
+                lhs = tableau[i][-1] * tableau[leaving][entering]
+                rhs = tableau[leaving][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    leaving = i
         if leaving < 0:
             raise AssertionError("phase-1 objective unbounded")  # impossible: bounded by 0
-        piv = tableau[leaving][entering]
-        tableau[leaving] = [x / piv for x in tableau[leaving]]
+        prow = tableau[leaving]
+        piv = prow[entering]
         for i in range(m):
-            if i != leaving and tableau[i][entering] != 0:
+            if i != leaving:
                 c = tableau[i][entering]
-                tableau[i] = [a - c * b for a, b in zip(tableau[i], tableau[leaving])]
+                tableau[i] = [(piv * a - c * b) // D for a, b in zip(tableau[i], prow)]
         basis[leaving] = entering
+        D = piv
 
 
 def lp_feasible_strict(mat: RationalMatrix) -> FeasibilityResult:
@@ -115,48 +135,58 @@ def lp_feasible_strict(mat: RationalMatrix) -> FeasibilityResult:
     # columns: pi (0..n-1), slacks (n..n+m-1), artificials (n+m..n+2m-1)
     rows = []
     for i in range(m):
-        row = [Fraction(-mat.entries[i][j]) for j in range(n)]
-        row += [Fraction(-1 if k == i else 0) for k in range(m)]
-        row.append(Fraction(1))
+        row = [-x for x in mat.entries[i]]
+        row += [-1 if k == i else 0 for k in range(m)]
+        row.append(1)
         rows.append(row)
-    tableau, basis, z, art_rows = _phase1(rows, n + m)
+    tableau, D, basis, z, art_rows = _phase1(rows, n + m)
     if z == 0:
         pi = {}
         for i, b in enumerate(basis):
             if b < n and tableau[i][-1] != 0:
-                pi[mat.cols[b]] = tableau[i][-1]
+                pi[mat.cols[b]] = Fraction(tableau[i][-1], D)
         res = FeasibilityResult("feasible", witness=pi, matrix=mat)
     else:
         # dual value y_i = 1 - reduced cost of artificial column i, i.e. the
         # sum of that column over the rows with an artificial basic variable
-        y = tuple(sum(tableau[r][n + m + i] for r in art_rows) for i in range(m))
+        y = tuple(Fraction(sum(tableau[r][n + m + i] for r in art_rows), D)
+                  for i in range(m))
         res = FeasibilityResult("infeasible", certificate=y, matrix=mat)
     if not _check_result(res):
         raise AssertionError("simplex produced an unverifiable result")
     return res
 
 
+def _scaled(values) -> tuple[int, list[int]]:
+    """Common denominator den of exact rationals and the integers den*value."""
+    den = lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
 def _check_result(r: FeasibilityResult) -> bool:
+    """Exact check of a witness (every row of M pi <= -1, pi >= 0) or a
+    Farkas certificate (y >= 0, y != 0, y^T M >= 0) on the full matrix,
+    in integers after scaling by the common denominator."""
     mat = r.matrix
     if r.status == "feasible":
-        if r.witness is None or not r.witness:
+        if not r.witness:
             return False
         col_index = {x: j for j, x in enumerate(mat.cols)}
-        if any(w < 0 for w in r.witness.values()):
-            return False
         if any(x not in col_index for x in r.witness):
             return False
-        for row in mat.entries:
-            if sum(row[col_index[x]] * w for x, w in r.witness.items()) > -1:
-                return False
-        return True
-    y = r.certificate
-    if y is None or any(yi < 0 for yi in y) or all(yi == 0 for yi in y):
-        return False
-    for j in range(len(mat.cols)):
-        if sum(y[i] * mat.entries[i][j] for i in range(len(y))) < 0:
+        den, weights = _scaled(list(r.witness.values()))
+        if any(w < 0 for w in weights):
             return False
-    return True
+        cols = [col_index[x] for x in r.witness]
+        return all(sum(row[j] * w for j, w in zip(cols, weights)) <= -den
+                   for row in mat.entries)
+    if r.certificate is None or len(r.certificate) != len(mat.entries):
+        return False
+    _, y = _scaled(r.certificate)
+    if any(yi < 0 for yi in y) or not any(y):
+        return False
+    return all(sum(yi * row[j] for yi, row in zip(y, mat.entries)) >= 0
+               for j in range(len(mat.cols)))
 
 
 def verify_feasibility_result(g: Graph, d: DistMatrix, u: int, v: int,
@@ -189,7 +219,6 @@ class PairVerdict:
     u: int
     v: int
     dist: int
-    ok: bool
     result: FeasibilityResult
 
 
@@ -249,7 +278,7 @@ def compute_p(g: Graph, d: DistMatrix, restrict_j: bool = False) -> PValueReport
                 solved[u, v] = solve_pair(g, d, u, v, restrict_j)
             res = solved[u, v]
             if res.feasible:
-                failures.append(PairVerdict(u, v, d(u, v), False, res))
+                failures.append(PairVerdict(u, v, d(u, v), res))
         if not failures:
             break
         prev_failures = failures
@@ -268,27 +297,33 @@ def compute_p(g: Graph, d: DistMatrix, restrict_j: bool = False) -> PValueReport
 
 
 def lp_feasible(n: int, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> dict[int, Fraction] | None:
-    """Feasibility of {A_ub x <= b_ub, A_eq x = b_eq, x >= 0}; x or None."""
+    """Feasibility of {A_ub x <= b_ub, A_eq x = b_eq, x >= 0}; x or None.
+
+    Each row [a | slack | b] is scaled to integers by the lcm of its
+    denominators and negated when b < 0.  A returned x is checked exactly.
+    """
     rows = []
     m_ub = len(a_ub)
     for i, (row, b) in enumerate(itertools.chain(zip(a_ub, b_ub), zip(a_eq, b_eq))):
-        r = [Fraction(c) for c in row]
-        if i < m_ub:
-            r += [Fraction(1 if k == i else 0) for k in range(m_ub)]
-        else:
-            r += [Fraction(0)] * m_ub
-        r.append(Fraction(b))
-        if r[-1] < 0:                   # make every rhs nonnegative
-            r = [-x for x in r]
-        rows.append(r)
-    tableau, basis, z, _ = _phase1(rows, n + m_ub)
+        slack = [1 if k == i else 0 for k in range(m_ub)]   # all 0 for A_eq rows
+        _, ints = _scaled([*map(Fraction, row), *slack, Fraction(b)])
+        rows.append(ints if b >= 0 else [-c for c in ints])   # rhs >= 0
+    tableau, D, basis, z, _ = _phase1(rows, n + m_ub)
     if z != 0:
         return None
-    x = {j: Fraction(0) for j in range(n)}
+    x = [Fraction(0)] * n
     for i, b in enumerate(basis):
         if b < n:
-            x[b] = tableau[i][-1]
-    return x
+            x[b] = Fraction(tableau[i][-1], D)
+
+    def dot(row):
+        return sum(Fraction(c) * xj for c, xj in zip(row, x))
+
+    if (any(xj < 0 for xj in x)
+            or any(dot(row) > b for row, b in zip(a_ub, b_ub))
+            or any(dot(row) != b for row, b in zip(a_eq, b_eq))):
+        raise AssertionError("simplex produced an infeasible point")
+    return dict(enumerate(x))
 
 
 def alpha_beta_certificate(g: Graph, d: DistMatrix, u: int, v: int,

@@ -96,6 +96,12 @@ def test_missing_file_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_directory_as_graph_exit_2(tmp_path, capsys):
+    assert main(["pvalue", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_verify_paper_suites(capsys):
     code = main(["verify-paper", "cycles"])
     out = capsys.readouterr().out

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from medgraph.errors import InteriorTooLarge, WrongDistance
-from medgraph.families import (beta_configuration, cycle_graph, hypercube,
-                               johnson, path_graph)
+from medgraph.families import (beta_configuration, cycle_graph, halved_cube,
+                               hypercube, johnson, path_graph)
 from medgraph.graph import all_pairs_distances
 import medgraph.lp as lp
 from medgraph.lp import (FeasibilityResult, RationalMatrix,
@@ -68,6 +68,76 @@ def test_verify_rejects_corrupted_witness():
     bad_w[key] = -bad_w[key]
     bad = FeasibilityResult("feasible", witness=bad_w, matrix=res.matrix)
     assert not verify_feasibility_result(g, d, 0, 3, bad)
+
+
+def _ok(status, entries, cols, witness=None, certificate=None):
+    mat = RationalMatrix(entries, tuple(range(len(entries))), cols, 0, 0)
+    return lp._check_result(FeasibilityResult(status, witness, certificate, mat))
+
+
+def test_check_rejects_bad_witnesses():
+    m = ((-2, 0, 0), (0, -3, 0))
+    cols = (5, 6, 7)
+
+    def ok(witness):
+        return _ok("feasible", m, cols, witness=witness)
+
+    # both rows exactly -1; then each row in turn just above -1
+    assert ok({5: Fraction(1, 2), 6: Fraction(1, 3)})
+    assert not ok({5: Fraction(1, 3), 6: Fraction(1, 3)})
+    assert not ok({5: Fraction(1, 2), 6: Fraction(1, 4)})
+    # a negative weight on an all-zero column: every row still holds
+    assert not ok({5: Fraction(1, 2), 6: Fraction(1, 3), 7: Fraction(-1)})
+    # a vertex that is not a column
+    assert not ok({5: Fraction(1, 2), 6: Fraction(1, 3), 8: Fraction(1)})
+    assert not ok({})
+
+
+def test_check_rejects_bad_certificates():
+    m = ((1, -1), (0, 2), (1, 1))
+    cols = (0, 1)
+
+    def ok(*y):
+        return _ok("infeasible", m, cols, certificate=tuple(map(Fraction, y)))
+
+    assert ok(1, Fraction(1, 2), 0)             # column 1 exactly 0
+    assert not ok(1, Fraction(1, 3), 0)         # column 1 is -1/3
+    assert not ok(1, 1, Fraction(-1, 2))        # columns >= 0, entry < 0
+    assert not ok(0, 0, 0)
+    assert not ok(1, Fraction(1, 2))            # one entry per row
+
+
+@pytest.mark.parametrize("system", [
+    dict(n=2, a_eq=[[1, 1]], b_eq=[1]),
+    dict(n=1, a_ub=[[1]], b_ub=[1]),
+])
+def test_lp_feasible_rejects_a_wrong_point(monkeypatch, system):
+    real = lp._phase1
+
+    def off_by_one(tableau, n_free):
+        t, D, basis, z, art_rows = real(tableau, n_free)
+        for row in t:
+            row[-1] += D        # every basic variable one too large
+        return t, D, basis, z, art_rows
+
+    assert lp_feasible(**system) is not None
+    monkeypatch.setattr(lp, "_phase1", off_by_one)
+    with pytest.raises(AssertionError):
+        lp_feasible(**system)
+
+
+def test_pinned_witness_and_certificate():
+    # recorded with the rational-arithmetic simplex; pivots are unchanged
+    g, d = _gd(cycle_graph(21))
+    res = lp_feasible_strict(build_Duv(g, d, 0, 10))
+    assert res.witness == {11: Fraction(1, 10), 19: Fraction(1, 10),
+                           8: Fraction(1, 20)}
+    assert list(res.witness) == [11, 19, 8]
+    g, _ = halved_cube(6)
+    d = all_pairs_distances(g)
+    assert d(0, 7) == 2
+    res = lp_feasible_strict(build_Duv(g, d, 0, 7))
+    assert res.certificate == (Fraction(1),) * 6
 
 
 def test_verify_accepts_certificates():
@@ -153,6 +223,11 @@ def test_general_lp_feasible():
     assert x is not None and x[0] + x[1] == 1 and x[0] - x[1] <= -1
     # x0 <= -1, x0 >= 0 is infeasible
     assert lp_feasible(1, a_ub=[[1]], b_ub=[-1]) is None
+    # rational rows: x0 + x1/2 = 3/2, x0 <= 1/3 forces x1 >= 7/3
+    x = lp_feasible(2, a_ub=[[1, 0]], b_ub=[Fraction(1, 3)],
+                    a_eq=[[1, Fraction(1, 2)]], b_eq=[Fraction(3, 2)])
+    assert x is not None and x[0] + x[1] / 2 == Fraction(3, 2)
+    assert x[0] <= Fraction(1, 3) and x[1] >= Fraction(7, 3)
 
 
 def test_alpha_beta_certificate_square_pair():

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from medgraph.families import cycle_graph
 from medgraph.graph import Graph, all_pairs_distances, build_graph, power_graph
-from medgraph.lp import (compute_p, disconnecting_profile,
-                         has_Gp_connected_medians, verify_feasibility_result,
-                         witness_to_profile)
+from medgraph.lp import (RationalMatrix, _check_result, compute_p,
+                         disconnecting_profile, has_Gp_connected_medians,
+                         lp_feasible, lp_feasible_strict,
+                         verify_feasibility_result, witness_to_profile)
 from medgraph.medians import (Profile, VertexFunction, check_Loz, check_WC,
                               check_WP, is_p_connected,
                               is_p_weakly_convex, is_p_weakly_peakless,
@@ -131,3 +133,42 @@ def test_power_graph_distances():
             for u in range(g.n):
                 for v in range(g.n):
                     assert dp(u, v) == -(-d(u, v) // p)
+
+
+def _int_matrix(m, n):
+    return st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                    min_size=m, max_size=m)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 5).flatmap(
+    lambda m: st.integers(1, 6).flatmap(lambda n: _int_matrix(m, n))))
+def test_strict_lp_result_verifies_on_random_matrices(entries):
+    m, n = len(entries), len(entries[0])
+    mat = RationalMatrix(tuple(map(tuple, entries)), tuple(range(m)),
+                         tuple(range(n)), 0, 0)
+    # a verified witness or Farkas certificate is the correct verdict
+    assert _check_result(lp_feasible_strict(mat))
+
+
+@st.composite
+def _systems_with_a_solution(draw):
+    n = draw(st.integers(1, 6))
+    x0 = draw(st.lists(st.fractions(0, 3, max_denominator=3),
+                       min_size=n, max_size=n))
+    a_ub = draw(_int_matrix(draw(st.integers(0, 4)), n))
+    a_eq = draw(_int_matrix(draw(st.integers(0, 3)), n))
+    slack = draw(st.lists(st.fractions(0, 2, max_denominator=4),
+                          min_size=len(a_ub), max_size=len(a_ub)))
+    b_ub = [sum(a * x for a, x in zip(row, x0)) + s
+            for row, s in zip(a_ub, slack)]
+    b_eq = [sum(a * x for a, x in zip(row, x0)) for row in a_eq]
+    return n, a_ub, b_ub, a_eq, b_eq
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_systems_with_a_solution())
+def test_lp_feasible_finds_a_point_when_one_exists(system):
+    n, a_ub, b_ub, a_eq, b_eq = system
+    x = lp_feasible(n, a_ub, b_ub, a_eq, b_eq)
+    assert x is not None and len(x) == n
