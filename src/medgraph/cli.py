@@ -337,7 +337,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (MedgraphError, OSError) as exc:
+    except (MedgraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import Disconnected, LoopEdge, ParseError
 
@@ -15,7 +15,7 @@ class Graph:
     O(1) membership tests.  Instances are immutable after construction.
     """
 
-    __slots__ = ("n", "adj", "adj_sets", "name", "_dist")
+    __slots__ = ("n", "adj", "adj_sets", "name")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], name: str = ""):
         adj_sets: list[set[int]] = [set() for _ in range(n)]
@@ -30,8 +30,7 @@ class Graph:
         self.adj_sets = adj_sets
         self.adj = [sorted(s) for s in adj_sets]
         self.name = name
-        self._dist: DistMatrix | None = None
-        if n > 0 and len(_bfs(self.adj, 0)) != n or n == 0:
+        if n < 1 or -1 in bfs(self, 0):
             raise Disconnected("graph is not connected")
 
     def edges(self) -> list[tuple[int, int]]:
@@ -40,20 +39,11 @@ class Graph:
     def num_edges(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
-    @property
-    def m(self) -> int:
-        return self.num_edges()
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj_sets[u]
 
     def degree(self, u: int) -> int:
         return len(self.adj[u])
-
-    def distances(self) -> "DistMatrix":
-        if self._dist is None:
-            self._dist = all_pairs_distances(self)
-        return self._dist
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
@@ -77,14 +67,17 @@ class DistMatrix:
         return self.d[u]
 
 
-def _bfs(adj: Sequence[Sequence[int]], source: int) -> dict[int, int]:
-    dist = {source: 0}
+def bfs(g: Graph, source: int) -> list[int]:
+    """Hop distances from source; -1 marks a vertex it does not reach."""
+    dist = [-1] * g.n
+    dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for v in adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
+        du = dist[u] + 1
+        for v in g.adj[u]:
+            if dist[v] < 0:
+                dist[v] = du
                 queue.append(v)
     return dist
 
@@ -99,20 +92,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]], name: str = "") -> Gra
 
 
 def all_pairs_distances(g: Graph) -> DistMatrix:
-    rows = []
-    for s in range(g.n):
-        dist = [-1] * g.n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            for v in g.adj[u]:
-                if dist[v] < 0:
-                    dist[v] = du + 1
-                    queue.append(v)
-        rows.append(dist)
-    return DistMatrix(rows)
+    return DistMatrix([bfs(g, s) for s in range(g.n)])
 
 
 def power_graph(g: Graph, p: int) -> Graph:
@@ -121,7 +101,7 @@ def power_graph(g: Graph, p: int) -> Graph:
         raise ValueError("p must be >= 1")
     if p == 1:
         return g
-    d = g.distances()
+    d = all_pairs_distances(g)
     edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if d(u, v) <= p]
     return Graph(g.n, edges, name=f"{g.name}^{p}" if g.name else "")
 

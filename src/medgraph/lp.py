@@ -55,11 +55,13 @@ def build_Duv(g: Graph, d: DistMatrix, u: int, v: int,
         raise ValueError(f"pair ({u},{v}) must be nonadjacent and distinct")
     rows = tuple(sorted(interior_interval(g, d, u, v)))
     cols = tuple(sorted(columns)) if columns is not None else tuple(range(g.n))
-    duv = d(u, v)
-    entries = tuple(
-        tuple(d(v, w) * d(u, x) + d(u, w) * d(v, x) - duv * d(w, x) for x in cols)
-        for w in rows)
-    return RationalMatrix(entries, rows, cols, u, v)
+    du, dv = d[u], d[v]
+    duv = du[v]
+    entries = []
+    for w in rows:
+        dw, dvw, duw = d[w], dv[w], du[w]
+        entries.append(tuple(dvw * du[x] + duw * dv[x] - duv * dw[x] for x in cols))
+    return RationalMatrix(tuple(entries), rows, cols, u, v)
 
 
 def _phase1(tableau, n_free):

@@ -117,13 +117,17 @@ class GeodesicString:
         return self.vertices[i]
 
     def is_p_geodesic(self, d: DistMatrix, p: int) -> bool:
-        vs = self.vertices
-        return all(d(vs[i], vs[i + 1]) <= p for i in range(len(vs) - 1))
+        return _steps_at_most(d, self.vertices, p)
 
 
-def is_peakless_on_string(d: DistMatrix, f: VertexFunction, s: GeodesicString) -> bool:
+def _steps_at_most(d: DistMatrix, vs: list[int], p: int) -> bool:
+    return all(d(vs[i], vs[i + 1]) <= p for i in range(len(vs) - 1))
+
+
+def is_peakless_on_string(d: DistMatrix, f: VertexFunction,
+                          s: GeodesicString | list[int]) -> bool:
     """Local check on consecutive triples; equivalent to the global condition."""
-    vs = s.vertices
+    vs = list(s)
     for i in range(1, len(vs) - 1):
         a, b, c = f(vs[i - 1]), f(vs[i]), f(vs[i + 1])
         hi = max(a, c)
@@ -210,11 +214,6 @@ def is_p_weakly_peakless_full(g: Graph, d: DistMatrix, f: VertexFunction, p: int
                for u, v in _pairs_in_distance_band(g, d, p + 1, d.diameter))
 
 
-def is_p_weakly_convex_full(g: Graph, d: DistMatrix, f: VertexFunction, p: int) -> bool:
-    return all(check_WC(g, d, f, u, v)
-               for u, v in _pairs_in_distance_band(g, d, p + 1, d.diameter))
-
-
 def find_peakless_p_geodesic(g: Graph, d: DistMatrix, f: VertexFunction,
                              u: int, v: int, p: int) -> GeodesicString:
     """A p-geodesic from u to v along which f is peakless.
@@ -242,27 +241,14 @@ def _peakless_path(g, d, f, u, v, p) -> list[int]:
     left = _peakless_path(g, d, f, u, w, p)
     right = _peakless_path(g, d, f, w, v, p)
     path = left[:-1] + right
-    if _locally_peakless(f, path):
+    if is_peakless_on_string(d, f, path):
         return path
     # Shortcut of the concatenation proof: when f(w) exceeds an endpoint
     # value, drop the constant plateau around w on the cheap side.
     for cand in _plateau_shortcuts(f, path, left, right):
-        if _locally_peakless(f, cand) and _gaps_ok(d, cand, p):
+        if is_peakless_on_string(d, f, cand) and _steps_at_most(d, cand, p):
             return cand
     raise NotPeakless(f"pair ({u},{v}) violates p-weak peaklessness")
-
-
-def _locally_peakless(f, path) -> bool:
-    for i in range(1, len(path) - 1):
-        a, b, c = f(path[i - 1]), f(path[i]), f(path[i + 1])
-        hi = max(a, c)
-        if b > hi or (b == hi and not a == b == c):
-            return False
-    return True
-
-
-def _gaps_ok(d, path, p) -> bool:
-    return all(d(path[i], path[i + 1]) <= p for i in range(len(path) - 1))
 
 
 def _plateau_shortcuts(f, path, left, right):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import networkx as nx
 
 from .errors import EmbeddingUnverified, LabelArity, WrongDistance
-from .graph import DistMatrix, Graph
+from .graph import DistMatrix, Graph, bfs
 from .metric import Jcirc_set, M_set, interior_interval, interval
 
 
@@ -182,18 +182,6 @@ def is_chordal(g: Graph) -> ClassVerdict:
     return ClassVerdict("chordal", False, _chordless_cycle(g))
 
 
-def find_induced_c4(g: Graph, d: DistMatrix) -> tuple | None:
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if d(u, v) != 2:
-                continue
-            common = [x for x in g.adj[u] if x in g.adj_sets[v]]
-            for a, b in itertools.combinations(common, 2):
-                if b not in g.adj_sets[a]:
-                    return (u, a, v, b)
-    return None
-
-
 def find_induced_c5(g: Graph) -> tuple | None:
     for a, b in g.edges():
         for c in g.adj[b]:
@@ -213,7 +201,7 @@ def is_weakly_bridged(g: Graph, d: DistMatrix) -> ClassVerdict:
     wm = is_weakly_modular(g, d)
     if not wm:
         return ClassVerdict("weakly_bridged", False, wm.witness)
-    c4 = find_induced_c4(g, d)
+    c4 = next(induced_squares(g, d), None)
     return ClassVerdict("weakly_bridged", c4 is None, c4)
 
 
@@ -400,19 +388,10 @@ def check_condition_c(g: Graph, d: DistMatrix, u: int, v: int) -> bool:
 # ------------------------------------------------ bipartite absolute retracts
 
 def is_bipartite(g: Graph) -> tuple[bool, list[int] | None]:
-    color = [-1] * g.n
-    color[0] = 0
-    queue = [0]
-    while queue:
-        nxt = []
-        for a in queue:
-            for b in g.adj[a]:
-                if color[b] == -1:
-                    color[b] = 1 - color[a]
-                    nxt.append(b)
-                elif color[b] == color[a]:
-                    return False, None
-        queue = nxt
+    """2-colouring by BFS level parity; it is proper iff g is bipartite."""
+    color = [dist % 2 for dist in bfs(g, 0)]
+    if any(color[a] == color[b] for a, b in g.edges()):
+        return False, None
     return True, color
 
 
@@ -434,11 +413,10 @@ def is_bipartite_absolute_retract(g: Graph, d: DistMatrix) -> ClassVerdict:
     return ClassVerdict("bipartite_absolute_retract", True)
 
 
-def _bn_graph(n: int) -> nx.Graph:
-    """K_{n,n} minus a perfect matching, sides 0..n-1 and n..2n-1."""
+def _to_nx(g: Graph) -> nx.Graph:
     h = nx.Graph()
-    h.add_nodes_from(range(2 * n))
-    h.add_edges_from((i, n + j) for i in range(n) for j in range(n) if i != j)
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
     return h
 
 
@@ -447,16 +425,15 @@ def absolute_retract_by_extension(g: Graph, d: DistMatrix,
     """Modularity plus: every induced copy of K_{n,n} minus a perfect
     matching (4 <= n <= max_n) extends by two adjacent vertices, one
     dominating each side."""
+    from .families import bn_graph
     mod = is_modular(g, d)
     if not mod:
         return ClassVerdict("absolute_retract_extension", False, mod.witness)
-    gn = nx.Graph()
-    gn.add_nodes_from(range(g.n))
-    gn.add_edges_from(g.edges())
+    gn = _to_nx(g)
     for n in range(4, max_n + 1):
         if 2 * n > g.n:
             break
-        pattern = _bn_graph(n)
+        pattern = _to_nx(bn_graph(n))
         matcher = nx.algorithms.isomorphism.GraphMatcher(gn, pattern)
         seen = set()
         for mapping in matcher.subgraph_isomorphisms_iter():
@@ -613,22 +590,24 @@ def verify_labeled_embedding(g: Graph, d: DistMatrix,
     return ClassVerdict("labeled_embedding", True)
 
 
-def connected_medians_partial_johnson(g: Graph, d: DistMatrix,
-                                      e: LabeledEmbedding | None = None) -> ClassVerdict:
+def _require_embedding(g: Graph, d: DistMatrix, e: LabeledEmbedding | None) -> None:
+    """Raise EmbeddingUnverified unless e is None or an isometric labeling."""
     if e is not None:
         ver = verify_labeled_embedding(g, d, e)
         if not ver:
             raise EmbeddingUnverified(f"embedding fails at pair {ver.witness}")
+
+
+def connected_medians_partial_johnson(g: Graph, d: DistMatrix,
+                                      e: LabeledEmbedding | None = None) -> ClassVerdict:
+    _require_embedding(g, d, e)
     m = is_meshed(g, d)
     return ClassVerdict("connected_medians_partial_johnson", m.verdict, m.witness)
 
 
 def connected_medians_partial_halved_cube(g: Graph, d: DistMatrix,
                                           e: LabeledEmbedding | None = None) -> ClassVerdict:
-    if e is not None:
-        ver = verify_labeled_embedding(g, d, e)
-        if not ver:
-            raise EmbeddingUnverified(f"embedding fails at pair {ver.witness}")
+    _require_embedding(g, d, e)
     name = "connected_medians_partial_halved_cube"
     m = is_meshed(g, d)
     if not m:

@@ -21,20 +21,20 @@ def _nx(g):
 
 def test_single_hexagon_is_c6():
     bg = benzenoid(BenzenoidSpec(frozenset({(0, 0)})))
-    assert bg.graph.n == 6 and bg.graph.m == 6
+    assert bg.graph.n == 6 and bg.graph.num_edges() == 6
     assert nx.is_isomorphic(_nx(bg.graph), _nx(cycle_graph(6)))
     # each edge class appears twice, so every tree factor is a single edge
     for i in (1, 2, 3):
         cnt = sum(1 for c in bg.edge_classes.values() if c == i)
         assert cnt == 2
     for tree in bg.trees:
-        assert tree.n == 2 and tree.m == 1
+        assert tree.n == 2 and tree.num_edges() == 1
     assert verify_isometric_embedding(bg)
 
 
 def test_naphthalene():
     bg = benzenoid(BenzenoidSpec(frozenset({(0, 0), (1, 0)})))
-    assert bg.graph.n == 10 and bg.graph.m == 11
+    assert bg.graph.n == 10 and bg.graph.num_edges() == 11
     assert verify_isometric_embedding(bg)
     assert incomplete_hexagons(bg) == []
     d = all_pairs_distances(bg.graph)

@@ -116,3 +116,25 @@ def test_verify_paper_all(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["result"]["passed"]
+
+
+C7 = "7 7\n" + "".join(f"{i} {(i + 1) % 7}\n" for i in range(7))
+
+
+@pytest.mark.parametrize("graph, profile, argv", [
+    (C7, "", ["median", "{graph}", "{profile}"]),
+    (C7, "x 1\n", ["median", "{graph}", "{profile}"]),
+    (C7, "0 1\n", ["median", "{graph}", "{profile}", "-p", "0"]),
+    (C7, "", ["gen", "cycle", "n=x", "-o", "{graph}"]),
+    (C7, "", ["pvalue", "{graph}", "--oracle", "-1"]),
+    ("-1 0\n", "", ["pvalue", "{graph}"]),
+], ids=["empty-profile", "non-integer-vertex", "p-zero", "gen-non-integer",
+        "negative-oracle-weight", "negative-vertex-count"])
+def test_bad_input_exit_2(tmp_path, capsys, graph, profile, argv):
+    gpath, ppath = tmp_path / "g.graph", tmp_path / "profile.txt"
+    gpath.write_text(graph)
+    ppath.write_text(profile)
+    assert main([a.format(graph=gpath, profile=ppath) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err

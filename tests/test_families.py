@@ -26,13 +26,13 @@ def _nx(g):
 
 
 def test_basic_counts():
-    assert (path_graph(5).n, path_graph(5).m) == (5, 4)
-    assert (cycle_graph(6).n, cycle_graph(6).m) == (6, 6)
-    assert (complete_graph(5).n, complete_graph(5).m) == (5, 10)
-    assert (complete_bipartite(2, 3).n, complete_bipartite(2, 3).m) == (5, 6)
-    assert (hyperoctahedron(3).n, hyperoctahedron(3).m) == (6, 12)
-    assert (wheel(5).n, wheel(5).m) == (6, 10)
-    assert wheel(5, broken=True).m == 9
+    assert (path_graph(5).n, path_graph(5).num_edges()) == (5, 4)
+    assert (cycle_graph(6).n, cycle_graph(6).num_edges()) == (6, 6)
+    assert (complete_graph(5).n, complete_graph(5).num_edges()) == (5, 10)
+    assert (complete_bipartite(2, 3).n, complete_bipartite(2, 3).num_edges()) == (5, 6)
+    assert (hyperoctahedron(3).n, hyperoctahedron(3).num_edges()) == (6, 12)
+    assert (wheel(5).n, wheel(5).num_edges()) == (6, 10)
+    assert wheel(5, broken=True).num_edges() == 9
     assert (propeller().n, k4_minus().n, k33_minus().n) == (5, 4, 6)
 
 
@@ -98,7 +98,7 @@ def test_gated_amalgam_of_hexagons():
     c6 = cycle_graph(6)
     h = complete_graph(2)
     glued = gated_amalgam(c6, c6, {0: 0, 1: 1}, {0: 0, 1: 1})
-    assert glued.n == 10 and glued.m == 11
+    assert glued.n == 10 and glued.num_edges() == 11
 
 
 def test_gated_amalgam_rejects_ungated_site():
@@ -138,7 +138,7 @@ def test_beta_configuration_variants():
     assert g.n == 8
     g2 = beta_configuration(attachment={"a": "u", "b": "v", "c": "u"},
                             extra_edges={"ab"})
-    assert g2.m == g.m + 1
+    assert g2.num_edges() == g.num_edges() + 1
     with pytest.raises(ParameterOutOfRange):
         beta_configuration(attachment={"a": "x"})
 

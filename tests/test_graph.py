@@ -1,8 +1,8 @@
 import pytest
 
 from medgraph.errors import Disconnected, LoopEdge, ParseError
-from medgraph.graph import (all_pairs_distances, build_graph, power_graph,
-                            read_graph, write_graph)
+from medgraph.graph import (Graph, all_pairs_distances, build_graph,
+                            power_graph, read_graph, write_graph)
 
 
 def test_build_and_distances():
@@ -20,6 +20,17 @@ def test_loop_rejected():
 def test_disconnected_rejected():
     with pytest.raises(Disconnected):
         build_graph(4, [(0, 1), (2, 3)])
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_no_vertex_rejected(n):
+    with pytest.raises(Disconnected):
+        Graph(n, [])
+
+
+def test_single_vertex():
+    g = Graph(1, [])
+    assert all_pairs_distances(g).diameter == 0
 
 
 def test_out_of_range_rejected():

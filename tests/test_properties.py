@@ -18,6 +18,7 @@ from medgraph.medians import (Profile, VertexFunction, check_Loz, check_WC,
                               is_unimodal_on_power, level_set,
                               local_median_set_p, median_function, median_set)
 from medgraph.oracle import brute_force_oracle
+from medgraph.recognizers import is_bipartite
 
 
 def _random_connected_graph(rng, n):
@@ -133,6 +134,32 @@ def test_power_graph_distances():
             for u in range(g.n):
                 for v in range(g.n):
                     assert dp(u, v) == -(-d(u, v) // p)
+
+
+def _nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def test_is_bipartite_matches_networkx():
+    rng = random.Random(83)
+    for i in range(60):
+        g = _random_connected_graph(rng, rng.randint(1, 10))
+        if i % 2:
+            # keep the edges between BFS levels of different parity; the
+            # BFS tree survives, so the result is connected and bipartite
+            level = nx.single_source_shortest_path_length(_nx(g), 0)
+            g = build_graph(g.n, [(a, b) for a, b in g.edges()
+                                  if (level[a] - level[b]) % 2])
+        ok, color = is_bipartite(g)
+        assert ok == nx.is_bipartite(_nx(g))
+        if ok:
+            assert len(color) == g.n and set(color) <= {0, 1}
+            assert all(color[a] != color[b] for a, b in g.edges())
+        else:
+            assert color is None
 
 
 def _int_matrix(m, n):

@@ -11,9 +11,9 @@ from medgraph.recognizers import (absolute_retract_by_extension,
                                   connected_medians_partial_halved_cube,
                                   connected_medians_partial_johnson,
                                   detect_alpha_configuration,
-                                  detect_beta_configuration,
-                                  find_induced_c4, find_induced_c5,
-                                  has_convex_balls, is_bipartite,
+                                  detect_beta_configuration, find_induced_c5,
+                                  has_convex_balls, induced_squares,
+                                  is_bipartite,
                                   is_bipartite_absolute_retract, is_bridged,
                                   is_chordal, is_meshed, is_modular, is_thick,
                                   is_weakly_bridged, is_weakly_modular,
@@ -95,11 +95,11 @@ def test_chordal_examples():
 
 def test_find_induced_cycles():
     g, d = _gd(cycle_graph(4))
-    assert find_induced_c4(g, d) is not None
+    assert next(induced_squares(g, d), None) is not None
     assert find_induced_c5(cycle_graph(5)) is not None
     assert find_induced_c5(cycle_graph(4)) is None
     g, d = _gd(complete_graph(4))
-    assert find_induced_c4(g, d) is None
+    assert next(induced_squares(g, d), None) is None
 
 
 # ------------------------------------------------------------- bridged variants
