@@ -315,6 +315,13 @@ def _parse_rational(tok: str) -> Fraction:
         raise ParseError(f"bad rational {tok!r}") from exc
 
 
+def _parse_vertex(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError as exc:
+        raise ParseError(f"bad vertex {tok!r}") from exc
+
+
 def read_profile(text: str, n: int | None = None) -> Profile:
     """Parse lines `vertex weight`; weights are integers or `a/b` rationals."""
     weights: dict[int, Fraction] = {}
@@ -325,7 +332,7 @@ def read_profile(text: str, n: int | None = None) -> Profile:
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError(f"bad profile line {ln!r}")
-        v = int(parts[0])
+        v = _parse_vertex(parts[0])
         w = _parse_rational(parts[1])
         if w < 0:
             raise ParseError(f"negative weight on vertex {v}")
@@ -344,12 +351,15 @@ def read_vertex_function(text: str, n: int) -> VertexFunction:
         if not ln or ln.startswith("#"):
             continue
         parts = ln.split()
+        if len(parts) != 2:
+            raise ParseError(f"bad function line {ln!r}")
         if parts[0] == "default":
             default = _parse_rational(parts[1])
             continue
-        if len(parts) != 2:
-            raise ParseError(f"bad function line {ln!r}")
-        values[int(parts[0])] = _parse_rational(parts[1])
+        v = _parse_vertex(parts[0])
+        if not 0 <= v < n:
+            raise ParseError(f"vertex {v} out of range 0..{n - 1}")
+        values[v] = _parse_rational(parts[1])
     out = []
     for v in range(n):
         if v in values:

@@ -59,18 +59,39 @@ def write_labels(e: LabeledEmbedding) -> str:
     return "\n".join(lines) + "\n"
 
 
+# ------------------------------------------------------------- bitset helpers
+# Exact Python-int bitsets: bit x of a mask is set iff vertex x is in the set.
+
+def _level_masks(d: DistMatrix) -> list[list[int]]:
+    """levels[u][k] is the set of vertices at distance k from u."""
+    levels = []
+    for row in d.d:
+        lv = [0] * (max(row) + 1)
+        for x, k in enumerate(row):
+            lv[k] |= 1 << x
+        levels.append(lv)
+    return levels
+
+
+def _neighbour_masks(g: Graph) -> list[int]:
+    """nbr[v] is the neighbourhood of v."""
+    return [sum(1 << x for x in a) for a in g.adj]
+
+
 # ---------------------------------------------------------------- meshedness
 
 def is_meshed(g: Graph, d: DistMatrix) -> ClassVerdict:
     """For d(v,w)=2, some common neighbor x of v,w has 2d(u,x) <= d(u,v)+d(u,w)."""
     for v in range(g.n):
+        dv = d[v]
         for w in range(v + 1, g.n):
-            if d(v, w) != 2:
+            if dv[w] != 2:
                 continue
             common = [x for x in g.adj[v] if x in g.adj_sets[w]]
-            for u in range(g.n):
-                bound = d(u, v) + d(u, w)
-                if not any(2 * d(u, x) <= bound for x in common):
+            # nearest[u] = min over common x of d(u,x)
+            nearest = map(min, zip(*(d[x] for x in common)))
+            for u, (near, uv, uw) in enumerate(zip(nearest, dv, d[w])):
+                if 2 * near > uv + uw:
                     return ClassVerdict("meshed", False, (u, v, w))
     return ClassVerdict("meshed", True)
 
@@ -78,25 +99,29 @@ def is_meshed(g: Graph, d: DistMatrix) -> ClassVerdict:
 # ------------------------------------------------------------ weak modularity
 
 def _triangle_condition(g: Graph, d: DistMatrix):
+    levels, nbr = _level_masks(d), _neighbour_masks(g)
+    edges = g.edges()
     for u in range(g.n):
-        for v, w in g.edges():
-            if d(u, v) == d(u, w) > 1:
-                k = d(u, v)
-                if not any(x in g.adj_sets[w] and d(u, x) == k - 1
-                           for x in g.adj[v]):
-                    return ("TC", u, v, w)
+        row, lv = d[u], levels[u]
+        for v, w in edges:
+            k = row[v]
+            if k > 1 and row[w] == k and not nbr[v] & nbr[w] & lv[k - 1]:
+                return ("TC", u, v, w)
     return None
 
 
 def _quadrangle_condition(g: Graph, d: DistMatrix):
+    levels, nbr = _level_masks(d), _neighbour_masks(g)
     for u in range(g.n):
+        row, lv = d[u], levels[u]
         for z in range(g.n):
-            for v, w in itertools.combinations(g.adj[z], 2):
-                if d(v, w) == 2 and 2 <= d(u, v) == d(u, w) == d(u, z) - 1:
-                    k = d(u, v)
-                    if not any(x in g.adj_sets[w] and d(u, x) == k - 1
-                               for x in g.adj[v]):
-                        return ("QC", u, v, w, z)
+            k = row[z] - 1
+            if k < 2:
+                continue
+            below = [x for x in g.adj[z] if row[x] == k]
+            for v, w in itertools.combinations(below, 2):
+                if w not in g.adj_sets[v] and not nbr[v] & nbr[w] & lv[k - 1]:
+                    return ("QC", u, v, w, z)
     return None
 
 
@@ -107,12 +132,23 @@ def is_weakly_modular(g: Graph, d: DistMatrix) -> ClassVerdict:
 
 def is_modular(g: Graph, d: DistMatrix) -> ClassVerdict:
     """Every triple has a vertex in all three pairwise intervals."""
-    for u, v, w in itertools.combinations(range(g.n), 3):
-        if not any(d(u, m) + d(m, v) == d(u, v)
-                   and d(v, m) + d(m, w) == d(v, w)
-                   and d(u, m) + d(m, w) == d(u, w)
-                   for m in range(g.n)):
-            return ClassVerdict("modular", False, (u, v, w))
+    n, levels = g.n, _level_masks(d)
+    # I[u][v] = I(u,v) for u < v: the vertices at distance i from u and k-i from v
+    I = [[0] * n for _ in range(n)]
+    for u in range(n):
+        du, lu = d[u], levels[u]
+        for v in range(u + 1, n):
+            k, lv, mask = du[v], levels[v], 0
+            for i in range(k + 1):
+                mask |= lu[i] & lv[k - i]
+            I[u][v] = mask
+    for u in range(n):
+        Iu = I[u]
+        for v in range(u + 1, n):
+            Iuv, Iv = Iu[v], I[v]
+            for w in range(v + 1, n):
+                if not Iuv & Iv[w] & Iu[w]:
+                    return ClassVerdict("modular", False, (u, v, w))
     return ClassVerdict("modular", True)
 
 
@@ -291,9 +327,8 @@ def induced_squares(g: Graph, d: DistMatrix):
 def satisfies_PC(g: Graph, d: DistMatrix) -> ClassVerdict:
     """d(u,v1)+d(u,v3) = d(u,v2)+d(u,v4) on every induced square."""
     for sq in induced_squares(g, d):
-        v1, v2, v3, v4 = sq
-        for u in range(g.n):
-            if d(u, v1) + d(u, v3) != d(u, v2) + d(u, v4):
+        for u, (a1, a2, a3, a4) in enumerate(zip(*(d[x] for x in sq))):
+            if a1 + a3 != a2 + a4:
                 return ClassVerdict("PC", False, (u,) + sq)
     return ClassVerdict("PC", True)
 

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from medgraph.cli import main
 
@@ -138,3 +143,64 @@ def test_bad_input_exit_2(tmp_path, capsys, graph, profile, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+# ----------------------------------------------------------- malformed input
+
+# Numbers stay small so that no generated graph or family is large.
+_TOKENS = ["0", "1", "2", "3", "5", "-1", "x", "1/2", "3/0", "#", "default",
+           ":", "1,2", "n=3", "=", ""]
+_junk = st.lists(st.lists(st.sampled_from(_TOKENS), max_size=3).map(" ".join),
+                 max_size=6).map("\n".join)
+_graph_text = st.one_of(st.sampled_from([C7, "3 2\n0 1\n1 2\n", "1 0\n",
+                                         "4 4\n0 1\n1 2\n2 3\n3 0\n"]), _junk)
+# a profile, labels or benzenoid spec file
+_text = st.one_of(st.sampled_from(["0 1\n3 1\n", "0 1/2\n1 0\n",
+                                   "0: 0,1\n1: 1,2\n", "0 0\n1 0\n"]), _junk)
+_value = st.sampled_from(["-1", "0", "1", "2", "3", "x", ""])
+_param = st.builds("{}={}".format, st.sampled_from(["n", "m", "k", "q", "type"]),
+                   _value)
+_FAMILIES = ["path", "cycle", "complete", "complete_bipartite", "hyperoctahedron",
+             "wheel", "hypercube", "halved_cube", "johnson", "bn", "benzenoid",
+             "projective_plane", "alpha_configuration", "beta_configuration",
+             "nonesuch"]
+_CLASSES = ["meshed", "weakly-modular", "modular", "chordal", "bridged", "pc",
+            "ic3", "thick", "bipartite-absolute-retract", "alpha", "beta",
+            "partial-johnson", "partial-halved-cube", "nonesuch"]
+_argv = st.one_of(
+    st.tuples(st.just("gen"), st.sampled_from(_FAMILIES),
+              st.lists(_param, max_size=2), st.sampled_from(
+                  [[], ["--benzenoid-spec", "{text}"], ["--labels", "{out}"]]))
+      .map(lambda t: [t[0], t[1], *t[2], "-o", "{out}", *t[3]]),
+    st.tuples(st.sampled_from([[], ["-p", "2"], ["-p", "0"], ["-p", "x"]]))
+      .map(lambda t: ["median", "{graph}", "{text}", *t[0]]),
+    st.sampled_from([[], ["--restrict-j"], ["--oracle", "1"], ["--oracle", "-1"],
+                     ["--oracle", "x"]])
+      .map(lambda extra: ["pvalue", "{graph}", *extra]),
+    st.tuples(st.sampled_from(_CLASSES), st.sampled_from(
+        [[], ["--embedding", "{text}"], ["--embedding", "{text}", "-k", "2"],
+         ["-k", "x"]]))
+      .map(lambda t: ["check", t[0], "{graph}", *t[1]]),
+    st.sampled_from(["cycles", "classes", "nonesuch", ""])
+      .map(lambda suite: ["verify-paper", suite]),
+    st.lists(st.sampled_from(["pvalue", "-p", "--oracle", "x", "{graph}"]),
+             max_size=3),
+)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(argv=_argv, graph=_graph_text, text=_text)
+def test_malformed_input_never_tracebacks(argv, graph, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name) for name in ("graph", "text", "out")}
+        for name, content in (("graph", graph), ("text", text)):
+            with open(paths[name], "w") as fh:
+                fh.write(content)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([a.format(**paths) for a in argv])
+            except SystemExit as exc:   # argparse usage errors
+                code = exc.code
+    assert code in (0, 1, 2), (argv, graph, text, err.getvalue())
+    assert "Traceback" not in err.getvalue()

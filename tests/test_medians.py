@@ -146,3 +146,15 @@ def test_vertex_function_io():
     assert f.values == [Fraction(1, 3), 2, 2]
     with pytest.raises(ParseError):
         read_vertex_function("0 1\n", 2)    # missing value, no default
+
+
+@pytest.mark.parametrize("text", [
+    "default\n0 1\n",
+    "x 1\n",
+    "9 5\ndefault 1\n",
+    "-1 5\ndefault 1\n",
+], ids=["default-without-value", "non-integer-vertex", "vertex-above-range",
+        "negative-vertex"])
+def test_vertex_function_rejects_malformed(text):
+    with pytest.raises(ParseError):
+        read_vertex_function(text, 3)

@@ -1,4 +1,5 @@
 """Randomized cross-checks between independent implementations."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from medgraph.families import cycle_graph
+from medgraph.families import (cartesian_product, cycle_graph, halved_cube,
+                               hypercube, johnson, path_graph)
 from medgraph.graph import Graph, all_pairs_distances, build_graph, power_graph
 from medgraph.lp import (RationalMatrix, _check_result, compute_p,
                          disconnecting_profile, has_Gp_connected_medians,
@@ -18,7 +20,9 @@ from medgraph.medians import (Profile, VertexFunction, check_Loz, check_WC,
                               is_unimodal_on_power, level_set,
                               local_median_set_p, median_function, median_set)
 from medgraph.oracle import brute_force_oracle
-from medgraph.recognizers import is_bipartite
+from medgraph.recognizers import (ClassVerdict, _quadrangle_condition,
+                                  _triangle_condition, is_bipartite, is_meshed,
+                                  is_modular, is_weakly_modular, satisfies_PC)
 
 
 def _random_connected_graph(rng, n):
@@ -199,3 +203,126 @@ def test_lp_feasible_finds_a_point_when_one_exists(system):
     n, a_ub, b_ub, a_eq, b_eq = system
     x = lp_feasible(n, a_ub, b_ub, a_eq, b_eq)
     assert x is not None and len(x) == n
+
+
+# ------------------------------------- recognizers vs. definitional scans
+# Plain per-vertex scans of each definition, kept here as references for the
+# bitset recognizers; they must agree on verdict and witness.
+
+def _ref_triangle_condition(g, d):
+    for u in range(g.n):
+        for v, w in g.edges():
+            if d(u, v) == d(u, w) > 1:
+                k = d(u, v)
+                if not any(x in g.adj_sets[w] and d(u, x) == k - 1
+                           for x in g.adj[v]):
+                    return ("TC", u, v, w)
+    return None
+
+
+def _ref_quadrangle_condition(g, d):
+    for u in range(g.n):
+        for z in range(g.n):
+            for v, w in itertools.combinations(g.adj[z], 2):
+                if d(v, w) == 2 and 2 <= d(u, v) == d(u, w) == d(u, z) - 1:
+                    k = d(u, v)
+                    if not any(x in g.adj_sets[w] and d(u, x) == k - 1
+                               for x in g.adj[v]):
+                        return ("QC", u, v, w, z)
+    return None
+
+
+def _ref_is_modular(g, d):
+    for u, v, w in itertools.combinations(range(g.n), 3):
+        if not any(d(u, m) + d(m, v) == d(u, v)
+                   and d(v, m) + d(m, w) == d(v, w)
+                   and d(u, m) + d(m, w) == d(u, w)
+                   for m in range(g.n)):
+            return ClassVerdict("modular", False, (u, v, w))
+    return ClassVerdict("modular", True)
+
+
+def _ref_is_meshed(g, d):
+    for v in range(g.n):
+        for w in range(v + 1, g.n):
+            if d(v, w) != 2:
+                continue
+            common = [x for x in g.adj[v] if x in g.adj_sets[w]]
+            for u in range(g.n):
+                bound = d(u, v) + d(u, w)
+                if not any(2 * d(u, x) <= bound for x in common):
+                    return ClassVerdict("meshed", False, (u, v, w))
+    return ClassVerdict("meshed", True)
+
+
+def _ref_satisfies_PC(g, d):
+    for v1 in range(g.n):
+        for v3 in range(v1 + 1, g.n):
+            if d(v1, v3) != 2:
+                continue
+            common = [x for x in g.adj[v1] if x in g.adj_sets[v3]]
+            for v2, v4 in itertools.combinations(common, 2):
+                if v4 in g.adj_sets[v2]:
+                    continue
+                for u in range(g.n):
+                    if d(u, v1) + d(u, v3) != d(u, v2) + d(u, v4):
+                        return ClassVerdict("PC", False, (u, v1, v2, v3, v4))
+    return ClassVerdict("PC", True)
+
+
+def _recognizer_corpus():
+    """Seeded random connected graphs, half of them made bipartite, plus
+    class members of the kind the classify benchmark runs."""
+    rng = random.Random(97)
+    graphs = []
+    for i in range(60):
+        g = _random_connected_graph(rng, rng.randint(4, 12))
+        if i % 2:
+            level = nx.single_source_shortest_path_length(_nx(g), 0)
+            g = build_graph(g.n, [(a, b) for a, b in g.edges()
+                                  if (level[a] - level[b]) % 2])
+        graphs.append(g)
+    graphs += [hypercube(4)[0], halved_cube(5)[0], johnson(6, 3)[0],
+               cartesian_product(path_graph(4), path_graph(4))]
+    return graphs
+
+
+def test_bitset_recognizers_match_definitional_scans():
+    pairs = [(_triangle_condition, _ref_triangle_condition),
+             (_quadrangle_condition, _ref_quadrangle_condition),
+             (is_modular, _ref_is_modular), (is_meshed, _ref_is_meshed),
+             (satisfies_PC, _ref_satisfies_PC)]
+    verdicts = {fn: set() for fn, _ in pairs}
+    for g in _recognizer_corpus():
+        d = all_pairs_distances(g)
+        for fn, ref in pairs:
+            got = fn(g, d)
+            assert got == ref(g, d), (fn.__name__, g.n, g.edges())
+            verdicts[fn].add(got.verdict if isinstance(got, ClassVerdict)
+                             else got is None)
+    # the corpus exercises both outcomes of every recognizer
+    assert all(seen == {True, False} for seen in verdicts.values())
+
+
+def test_weakly_modular_witnesses_violate_their_condition():
+    kinds = set()
+    for g in _recognizer_corpus():
+        ref = nx.floyd_warshall(_nx(g))
+        dist = {u: {v: int(ref[u][v]) for v in ref[u]} for u in ref}
+        wm = is_weakly_modular(g, all_pairs_distances(g))
+        if wm:
+            continue
+        kind, u, v, w, *rest = wm.witness
+        kinds.add(kind)
+        k = dist[u][v]
+        assert k == dist[u][w] >= 2 and v != w
+        if kind == "TC":
+            assert w in g.adj_sets[v] and rest == []
+        else:
+            (z,) = rest
+            assert dist[v][w] == 2 and dist[u][z] == k + 1
+            assert v in g.adj_sets[z] and w in g.adj_sets[z]
+        # no common neighbour of v and w is one step closer to u
+        assert not any(dist[u][x] == k - 1
+                       for x in g.adj_sets[v] & g.adj_sets[w])
+    assert kinds == {"TC", "QC"}
