@@ -11,7 +11,7 @@ from .graph import DistMatrix, Graph
 def interval(g: Graph, d: DistMatrix, u: int, v: int) -> set[int]:
     """I(u,v) = vertices on at least one (u,v)-geodesic."""
     duv = d(u, v)
-    return {w for w in range(g.n) if d(u, w) + d(w, v) == duv}
+    return {w for w, (a, b) in enumerate(zip(d[u], d[v])) if a + b == duv}
 
 
 def interior_interval(g: Graph, d: DistMatrix, u: int, v: int) -> set[int]:
@@ -132,11 +132,19 @@ def greedy_quasi_median(g: Graph, d: DistMatrix, x: int, y: int, z: int) -> Metr
 
 
 def J_set(g: Graph, d: DistMatrix, u: int, v: int) -> set[int]:
-    """J(u,v): vertices z with I(z,u) & I(z,v) = {z}."""
+    """J(u,v): vertices z with I(z,u) & I(z,v) = {z}.
+
+    Equivalently, no neighbour y of z is closer than z to both u and v.
+    Such a y lies in I(z,u) & I(z,v).  Conversely, if w != z lies in both
+    intervals, the first step y of a (z,w)-geodesic has
+    d(y,u) <= d(z,w) - 1 + d(w,u) = d(z,u) - 1, and likewise for v.  So
+    one pair costs O(n + m).
+    """
     if u == v:
         raise ValueError("J_set requires u != v")
+    du, dv = d[u], d[v]
     return {z for z in range(g.n)
-            if interval(g, d, z, u) & interval(g, d, z, v) == {z}}
+            if not any(du[y] < du[z] and dv[y] < dv[z] for y in g.adj[z])}
 
 
 def M_set(g: Graph, d: DistMatrix, u: int, v: int) -> set[int]:

@@ -3,13 +3,21 @@
 For every pair in the distance band p+1..2p, all integer profiles supported
 on J(u,v) with weights up to maxWeight are enumerated; the oracle reports
 the first profile whose median set is not connected in G^p or whose local
-median set in G^p differs from the median set.  Distance sums and the local
-minimum test are vectorized over blocks of profiles.
+median set in G^p differs from the median set.
+
+Profiles are scanned in blocks with no per-profile Python work:
+
+- A block is the mixed-radix decoding of a run of profile codes, so the
+  profiles come in `itertools.product` order (first support vertex most
+  significant), from code 1 to skip the all-zero profile.
+- Local minima in G^p take one `np.minimum` per slot of a padded table of
+  closed p-balls.
+- The G^p-connectivity of every median set is a matrix closure: reach from
+  the first median through `near`, kept inside the median set, until it
+  stops growing.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -24,6 +32,8 @@ _BLOCK = 100_000
 def brute_force_oracle(g: Graph, d: DistMatrix, p: int, max_weight: int,
                        budget: int = 5_000_000):
     """First (pair, integer Profile) breaking p-connectedness, or None."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
     n = g.n
@@ -40,59 +50,43 @@ def brute_force_oracle(g: Graph, d: DistMatrix, p: int, max_weight: int,
         if total > budget:
             raise BudgetExceeded(
                 f"{total} profiles exceed the budget of {budget}")
+    # slots[k, x] is the k-th vertex of the closed p-ball of x, padded with x
+    balls = [np.flatnonzero(row) for row in near]
+    slots = np.tile(np.arange(n), (max(map(len, balls)), 1))
+    for x, ball in enumerate(balls):
+        slots[:len(ball), x] = ball
     for (u, v), support in zip(pairs, supports):
-        hit = _scan_pair(g, dist, near, p, support, max_weight)
+        hit = _scan_pair(dist, near, slots, support, max_weight)
         if hit is not None:
             return (u, v), hit
     return None
 
 
-def _scan_pair(g: Graph, dist, near, p: int, support, max_weight: int):
+def _scan_pair(dist, near, slots, support, max_weight: int):
     rows = dist[support]                   # |support| x n
-    it = itertools.product(range(max_weight + 1), repeat=len(support))
-    next(it)                               # drop the all-zero profile
-    for block in _blocks(it, len(support)):
+    radix = max_weight + 1
+    place = radix ** np.arange(len(support) - 1, -1, -1, dtype=np.int64)
+    end = radix ** len(support)
+    for start in range(1, end, _BLOCK):
+        codes = np.arange(start, min(start + _BLOCK, end), dtype=np.int64)
+        block = codes[:, None] // place % radix
         f = block @ rows                   # profiles x n, exact in int64
-        best = f.min(axis=1, keepdims=True)
-        med = f == best
-        # local minima in G^p: f(x) <= f(y) for every y with 1 <= d(x,y) <= p
-        local = np.ones_like(med)
-        for x in range(g.n):
-            others = np.flatnonzero(near[x] & (np.arange(g.n) != x))
-            if others.size:
-                local[:, x] = f[:, x] <= f[:, others].min(axis=1)
-        mismatch = (local & ~med).any(axis=1)
-        # star prefilter: med p-connected for sure when its first vertex
-        # p-covers all of med; survivors get an exact component check
-        first = med.argmax(axis=1)
-        star = (~med | near[first]).all(axis=1)
-        suspects = np.flatnonzero(mismatch | ~star)
-        for i in suspects:
-            if mismatch[i] or not _p_connected_mask(near, med[i]):
-                weights = {s: int(w) for s, w in zip(support, block[i]) if w}
-                return Profile(weights)
+        med = f == f.min(axis=1, keepdims=True)
+        # local minima in G^p: f(x) <= f(y) for every y with d(x,y) <= p
+        nb = f[:, slots[0]]
+        for s in slots[1:]:
+            np.minimum(nb, f[:, s], out=nb)
+        mismatch = ((f <= nb) & ~med).any(axis=1)
+        # the G^p-component of the first median, within the median set
+        reach = np.zeros_like(med)
+        reach[np.arange(len(med)), med.argmax(axis=1)] = True
+        while True:
+            grown = (reach @ near) & med
+            if np.array_equal(grown, reach):
+                break
+            reach = grown
+        bad = mismatch | (reach != med).any(axis=1)
+        if bad.any():
+            i = int(bad.argmax())
+            return Profile({s: int(w) for s, w in zip(support, block[i]) if w})
     return None
-
-
-def _blocks(it, width):
-    while True:
-        chunk = list(itertools.islice(it, _BLOCK))
-        if not chunk:
-            return
-        yield np.array(chunk, dtype=np.int64).reshape(len(chunk), width)
-
-
-def _p_connected_mask(near, mask) -> bool:
-    verts = np.flatnonzero(mask)
-    if verts.size <= 1:
-        return True
-    seen = {int(verts[0])}
-    stack = [int(verts[0])]
-    while stack:
-        x = stack.pop()
-        for y in verts:
-            y = int(y)
-            if y not in seen and near[x][y]:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == verts.size

@@ -56,3 +56,11 @@ def test_max_weight_validation():
     d = all_pairs_distances(g)
     with pytest.raises(ValueError):
         brute_force_oracle(g, d, 2, 0)
+
+
+def test_p_validation():
+    g = cycle_graph(7)
+    d = all_pairs_distances(g)
+    for p in (0, -1):
+        with pytest.raises(ValueError):
+            brute_force_oracle(g, d, p, 2)

@@ -4,16 +4,19 @@ import random
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from medgraph.families import (cartesian_product, cycle_graph, halved_cube,
                                hypercube, johnson, path_graph)
+from medgraph.errors import BudgetExceeded
 from medgraph.graph import Graph, all_pairs_distances, build_graph, power_graph
 from medgraph.lp import (RationalMatrix, _check_result, compute_p,
                          disconnecting_profile, has_Gp_connected_medians,
                          lp_feasible, lp_feasible_strict,
                          verify_feasibility_result, witness_to_profile)
+from medgraph.metric import J_set, geodesic_vertices_via_dag, interval
 from medgraph.medians import (Profile, VertexFunction, check_Loz, check_WC,
                               check_WP, is_p_connected,
                               is_p_weakly_convex, is_p_weakly_peakless,
@@ -326,3 +329,92 @@ def test_weakly_modular_witnesses_violate_their_condition():
         assert not any(dist[u][x] == k - 1
                        for x in g.adj_sets[v] & g.adj_sets[w])
     assert kinds == {"TC", "QC"}
+
+
+# ------------------------------------------- oracle vs. a plain profile scan
+# A plain scan kept as the reference for the vectorised oracle: profiles
+# from itertools.product, a per-vertex local-minimum loop and a depth-first
+# G^p-connectivity check.  Both must report the same first (pair, profile).
+
+def _ref_p_connected(near, mask):
+    verts = [int(x) for x in np.flatnonzero(mask)]
+    if len(verts) <= 1:
+        return True
+    seen, stack = {verts[0]}, [verts[0]]
+    while stack:
+        x = stack.pop()
+        for y in verts:
+            if y not in seen and near[x][y]:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == len(verts)
+
+
+def _ref_oracle(g, d, p, max_weight, budget):
+    n = g.n
+    dist = np.array(d.d, dtype=np.int64)
+    near = dist <= p
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if p + 1 <= d(u, v) <= 2 * p]
+    supports = [sorted(J_set(g, d, u, v)) for u, v in pairs]
+    if sum((max_weight + 1) ** len(s) - 1 for s in supports) > budget:
+        raise BudgetExceeded("over budget")
+    for pair, support in zip(pairs, supports):
+        profiles = np.array(list(itertools.product(range(max_weight + 1),
+                                                   repeat=len(support)))[1:])
+        f = profiles @ dist[support]
+        med = f == f.min(axis=1, keepdims=True)
+        local = np.ones_like(med)
+        for x in range(n):
+            others = [y for y in range(n) if y != x and near[x][y]]
+            if others:
+                local[:, x] = f[:, x] <= f[:, others].min(axis=1)
+        for weights, m, loc in zip(profiles, med, local):
+            if (loc & ~m).any() or not _ref_p_connected(near, m):
+                return pair, Profile({s: int(w)
+                                      for s, w in zip(support, weights) if w})
+    return None
+
+
+def _oracle_outcome(fn, g, d, p, max_weight, budget):
+    try:
+        return fn(g, d, p, max_weight, budget=budget)
+    except BudgetExceeded:
+        return "budget"
+
+
+def test_oracle_matches_plain_profile_scan():
+    rng = random.Random(101)
+    graphs = [_random_connected_graph(rng, rng.randint(3, 9))
+              for _ in range(12)]
+    graphs += [cycle_graph(7), cycle_graph(9), hypercube(3)[0]]
+    outcomes = set()
+    for g in graphs:
+        d = all_pairs_distances(g)
+        for p in (1, 2, 3):
+            for max_weight in (1, 2, 3):
+                got = _oracle_outcome(brute_force_oracle, g, d, p,
+                                      max_weight, 10_000)
+                ref = _oracle_outcome(_ref_oracle, g, d, p, max_weight,
+                                      10_000)
+                assert got == ref, (g.edges(), p, max_weight)
+                outcomes.add("none" if got is None else
+                             got if got == "budget" else "hit")
+    assert outcomes == {"none", "hit", "budget"}
+
+
+def test_interval_and_J_set_match_their_definitions():
+    rng = random.Random(103)
+    for _ in range(25):
+        g = _random_connected_graph(rng, rng.randint(2, 10))
+        d = all_pairs_distances(g)
+        ivl = {(u, v): {w for w in range(g.n) if d(u, w) + d(w, v) == d(u, v)}
+               for u in range(g.n) for v in range(g.n)}
+        for u in range(g.n):
+            for v in range(g.n):
+                assert interval(g, d, u, v) == ivl[u, v]
+                assert ivl[u, v] == geodesic_vertices_via_dag(g, d, u, v)
+                if u != v:
+                    assert J_set(g, d, u, v) == {
+                        z for z in range(g.n)
+                        if ivl[z, u] & ivl[z, v] == {z}}
