@@ -235,8 +235,8 @@ class PValueReport:
 
 def witness_to_profile(witness: dict[int, Fraction]) -> Profile:
     """Scale a rational LP witness to an integer profile."""
-    denom = lcm(*(w.denominator for w in witness.values()))
-    return Profile({x: w * denom for x, w in witness.items()})
+    _, weights = _scaled(list(witness.values()))
+    return Profile(dict(zip(witness, weights)))
 
 
 def disconnecting_profile(g: Graph, d: DistMatrix, u: int, v: int,

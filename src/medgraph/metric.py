@@ -8,10 +8,28 @@ from .errors import NotEquilateral
 from .graph import DistMatrix, Graph
 
 
+def interval_mask(d: DistMatrix, u: int, v: int) -> int:
+    """I(u,v) as a bitset: the vertices at distance i from u and k-i from v."""
+    lu, lv, k = d.levels[u], d.levels[v], d(u, v)
+    mask = 0
+    for i in range(k + 1):
+        mask |= lu[i] & lv[k - i]
+    return mask
+
+
+def members(mask: int) -> list[int]:
+    """The vertices of a bitset in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def interval(g: Graph, d: DistMatrix, u: int, v: int) -> set[int]:
     """I(u,v) = vertices on at least one (u,v)-geodesic."""
-    duv = d(u, v)
-    return {w for w, (a, b) in enumerate(zip(d[u], d[v])) if a + b == duv}
+    return set(members(interval_mask(d, u, v)))
 
 
 def interior_interval(g: Graph, d: DistMatrix, u: int, v: int) -> set[int]:
@@ -101,9 +119,8 @@ def _quasi_median_equalities(d: DistMatrix, x: int, y: int, z: int,
 
 def enumerate_quasi_medians(g: Graph, d: DistMatrix, x: int, y: int, z: int) -> list[MetricTriangle]:
     """All quasi-medians of the triplet, by O(n^3) filtering."""
-    c1 = [v for v in range(g.n) if d(x, v) + d(v, y) == d(x, y) and d(x, v) + d(v, z) == d(x, z)]
-    c2 = [v for v in range(g.n) if d(y, v) + d(v, x) == d(y, x) and d(y, v) + d(v, z) == d(y, z)]
-    c3 = [v for v in range(g.n) if d(z, v) + d(v, x) == d(z, x) and d(z, v) + d(v, y) == d(z, y)]
+    ixy, ixz, iyz = interval_mask(d, x, y), interval_mask(d, x, z), interval_mask(d, y, z)
+    c1, c2, c3 = members(ixy & ixz), members(ixy & iyz), members(ixz & iyz)
     out = []
     for v1 in c1:
         for v2 in c2:

@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .errors import EmbeddingUnverified, LabelArity, WrongDistance
+from .errors import EmbeddingUnverified, LabelArity, ParseError, WrongDistance
 from .graph import DistMatrix, Graph, bfs
-from .metric import Jcirc_set, M_set, interior_interval, interval
+from .medians import _pairs_in_distance_band
+from .metric import Jcirc_set, M_set, interior_interval, interval, interval_mask, members
 
 
 @dataclass(frozen=True)
@@ -34,8 +35,7 @@ class LabeledEmbedding:
 
 
 def read_labels(text: str, target: str, k: int | None = None) -> LabeledEmbedding:
-    """Parse lines `vertex: i1,i2,...` into a LabeledEmbedding."""
-    from .errors import ParseError
+    """Parse lines `vertex: i1,i2,...`, one per vertex, into a LabeledEmbedding."""
     labels: dict[int, frozenset[int]] = {}
     for ln in text.splitlines():
         ln = ln.strip()
@@ -49,6 +49,8 @@ def read_labels(text: str, target: str, k: int | None = None) -> LabeledEmbeddin
             items = frozenset(int(t) for t in tail.replace(",", " ").split())
         except ValueError as exc:
             raise ParseError(f"bad labels line {ln!r}") from exc
+        if v in labels:
+            raise ParseError(f"vertex {v} has two label lines")
         labels[v] = items
     return LabeledEmbedding(labels, target, k=k)
 
@@ -59,59 +61,42 @@ def write_labels(e: LabeledEmbedding) -> str:
     return "\n".join(lines) + "\n"
 
 
-# ------------------------------------------------------------- bitset helpers
-# Exact Python-int bitsets: bit x of a mask is set iff vertex x is in the set.
-
-def _level_masks(d: DistMatrix) -> list[list[int]]:
-    """levels[u][k] is the set of vertices at distance k from u."""
-    levels = []
-    for row in d.d:
-        lv = [0] * (max(row) + 1)
-        for x, k in enumerate(row):
-            lv[k] |= 1 << x
-        levels.append(lv)
-    return levels
-
-
-def _neighbour_masks(g: Graph) -> list[int]:
-    """nbr[v] is the neighbourhood of v."""
-    return [sum(1 << x for x in a) for a in g.adj]
+def _distance_two_pairs(g: Graph, d: DistMatrix):
+    """(u, v, common) for each pair u < v at distance 2; common is the
+    ascending list of common neighbours, which is I°(u,v)."""
+    for u, v in _pairs_in_distance_band(g, d, 2, 2):
+        yield u, v, members(d.levels[u][1] & d.levels[v][1])
 
 
 # ---------------------------------------------------------------- meshedness
 
 def is_meshed(g: Graph, d: DistMatrix) -> ClassVerdict:
     """For d(v,w)=2, some common neighbor x of v,w has 2d(u,x) <= d(u,v)+d(u,w)."""
-    for v in range(g.n):
-        dv = d[v]
-        for w in range(v + 1, g.n):
-            if dv[w] != 2:
-                continue
-            common = [x for x in g.adj[v] if x in g.adj_sets[w]]
-            # nearest[u] = min over common x of d(u,x)
-            nearest = map(min, zip(*(d[x] for x in common)))
-            for u, (near, uv, uw) in enumerate(zip(nearest, dv, d[w])):
-                if 2 * near > uv + uw:
-                    return ClassVerdict("meshed", False, (u, v, w))
+    for v, w, common in _distance_two_pairs(g, d):
+        # nearest[u] = min over common x of d(u,x)
+        nearest = map(min, zip(*(d[x] for x in common)))
+        for u, (near, uv, uw) in enumerate(zip(nearest, d[v], d[w])):
+            if 2 * near > uv + uw:
+                return ClassVerdict("meshed", False, (u, v, w))
     return ClassVerdict("meshed", True)
 
 
 # ------------------------------------------------------------ weak modularity
 
 def _triangle_condition(g: Graph, d: DistMatrix):
-    levels, nbr = _level_masks(d), _neighbour_masks(g)
-    edges = g.edges()
+    levels = d.levels
+    edges = [(v, w, levels[v][1] & levels[w][1]) for v, w in g.edges()]
     for u in range(g.n):
         row, lv = d[u], levels[u]
-        for v, w in edges:
+        for v, w, common in edges:
             k = row[v]
-            if k > 1 and row[w] == k and not nbr[v] & nbr[w] & lv[k - 1]:
+            if k > 1 and row[w] == k and not common & lv[k - 1]:
                 return ("TC", u, v, w)
     return None
 
 
 def _quadrangle_condition(g: Graph, d: DistMatrix):
-    levels, nbr = _level_masks(d), _neighbour_masks(g)
+    levels = d.levels
     for u in range(g.n):
         row, lv = d[u], levels[u]
         for z in range(g.n):
@@ -120,7 +105,7 @@ def _quadrangle_condition(g: Graph, d: DistMatrix):
                 continue
             below = [x for x in g.adj[z] if row[x] == k]
             for v, w in itertools.combinations(below, 2):
-                if w not in g.adj_sets[v] and not nbr[v] & nbr[w] & lv[k - 1]:
+                if w not in g.adj_sets[v] and not levels[v][1] & levels[w][1] & lv[k - 1]:
                     return ("QC", u, v, w, z)
     return None
 
@@ -132,16 +117,9 @@ def is_weakly_modular(g: Graph, d: DistMatrix) -> ClassVerdict:
 
 def is_modular(g: Graph, d: DistMatrix) -> ClassVerdict:
     """Every triple has a vertex in all three pairwise intervals."""
-    n, levels = g.n, _level_masks(d)
-    # I[u][v] = I(u,v) for u < v: the vertices at distance i from u and k-i from v
-    I = [[0] * n for _ in range(n)]
-    for u in range(n):
-        du, lu = d[u], levels[u]
-        for v in range(u + 1, n):
-            k, lv, mask = du[v], levels[v], 0
-            for i in range(k + 1):
-                mask |= lu[i] & lv[k - i]
-            I[u][v] = mask
+    n = g.n
+    I = [[interval_mask(d, u, v) if u < v else 0 for v in range(n)]
+         for u in range(n)]
     for u in range(n):
         Iu = I[u]
         for v in range(u + 1, n):
@@ -273,7 +251,8 @@ def satisfies_INC(g: Graph, d: DistMatrix) -> ClassVerdict:
         for v in range(g.n):
             if u == v or g.has_edge(u, v):
                 continue
-            near = [x for x in g.adj[u] if d(u, x) + d(x, v) == d(u, v)]
+            # N(u) & I(u,v): the neighbours of u one step closer to v
+            near = members(d.levels[u][1] & d.levels[v][d(u, v) - 1])
             for a, b in itertools.combinations(near, 2):
                 if b not in g.adj_sets[a]:
                     return ClassVerdict("INC", False, (u, v, a, b))
@@ -314,14 +293,10 @@ def _pentagon_cap(g: Graph, d: DistMatrix, v, x, y, k) -> bool:
 
 def induced_squares(g: Graph, d: DistMatrix):
     """Induced 4-cycles (v1, v2, v3, v4) with v1 < v3 and v2 < v4."""
-    for v1 in range(g.n):
-        for v3 in range(v1 + 1, g.n):
-            if d(v1, v3) != 2:
-                continue
-            common = [x for x in g.adj[v1] if x in g.adj_sets[v3]]
-            for v2, v4 in itertools.combinations(common, 2):
-                if v4 not in g.adj_sets[v2]:
-                    yield (v1, v2, v3, v4)
+    for v1, v3, common in _distance_two_pairs(g, d):
+        for v2, v4 in itertools.combinations(common, 2):
+            if v4 not in g.adj_sets[v2]:
+                yield (v1, v2, v3, v4)
 
 
 def satisfies_PC(g: Graph, d: DistMatrix) -> ClassVerdict:
@@ -339,36 +314,29 @@ def satisfies_ICm(g: Graph, d: DistMatrix, m: int) -> ClassVerdict:
     pairs consumed overall."""
     if m not in (3, 4):
         raise ValueError("m must be 3 or 4")
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if d(u, v) != 2:
-                continue
-            verts = sorted(interval(g, d, u, v))
-            comp_deg = {x: 0 for x in verts}
-            comp_edges = 0
-            for a, b in itertools.combinations(verts, 2):
-                if b not in g.adj_sets[a]:
-                    comp_deg[a] += 1
-                    comp_deg[b] += 1
-                    comp_edges += 1
-            if any(deg > 1 for deg in comp_deg.values()):
-                return ClassVerdict(f"IC{m}", False, (u, v))
-            isolated = sum(1 for deg in comp_deg.values() if deg == 0)
-            if comp_edges + isolated > m:
-                return ClassVerdict(f"IC{m}", False, (u, v))
+    for u, v, common in _distance_two_pairs(g, d):
+        verts = [u, v, *common]
+        comp_deg = {x: 0 for x in verts}
+        comp_edges = 0
+        for a, b in itertools.combinations(verts, 2):
+            if b not in g.adj_sets[a]:
+                comp_deg[a] += 1
+                comp_deg[b] += 1
+                comp_edges += 1
+        if any(deg > 1 for deg in comp_deg.values()):
+            return ClassVerdict(f"IC{m}", False, (u, v))
+        isolated = sum(1 for deg in comp_deg.values() if deg == 0)
+        if comp_edges + isolated > m:
+            return ClassVerdict(f"IC{m}", False, (u, v))
     return ClassVerdict(f"IC{m}", True)
 
 
 def is_thick(g: Graph, d: DistMatrix) -> ClassVerdict:
     """Every distance-2 pair lies in an induced square."""
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if d(u, v) != 2:
-                continue
-            common = [x for x in g.adj[u] if x in g.adj_sets[v]]
-            if not any(b not in g.adj_sets[a]
-                       for a, b in itertools.combinations(common, 2)):
-                return ClassVerdict("thick", False, (u, v))
+    for u, v, common in _distance_two_pairs(g, d):
+        if not any(b not in g.adj_sets[a]
+                   for a, b in itertools.combinations(common, 2)):
+            return ClassVerdict("thick", False, (u, v))
     return ClassVerdict("thick", True)
 
 
@@ -498,15 +466,11 @@ def _bn_extends(g: Graph, a_side, b_side) -> bool:
 def _small_clique_interiors(g: Graph, d: DistMatrix):
     """Distance-2 pairs whose interval interior is 2-3 pairwise adjacent
     vertices (hence the pair lies in no induced square)."""
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if d(u, v) != 2:
-                continue
-            inner = sorted(interior_interval(g, d, u, v))
-            if 2 <= len(inner) <= 3 and all(
-                    b in g.adj_sets[a]
-                    for a, b in itertools.combinations(inner, 2)):
-                yield u, v, inner
+    for u, v, inner in _distance_two_pairs(g, d):
+        if 2 <= len(inner) <= 3 and all(
+                b in g.adj_sets[a]
+                for a, b in itertools.combinations(inner, 2)):
+            yield u, v, inner
 
 
 def personal_neighbor(g: Graph, s_set, x: int) -> int | None:
@@ -604,6 +568,9 @@ def verify_labeled_embedding(g: Graph, d: DistMatrix,
     for v in range(g.n):
         if v not in e.labels:
             raise LabelArity(f"vertex {v} has no label")
+    for v in e.labels:
+        if not 0 <= v < g.n:
+            raise LabelArity(f"label for vertex {v} outside 0..{g.n - 1}")
     if e.target == "halved_cube":
         for v, lab in e.labels.items():
             if len(lab) % 2:

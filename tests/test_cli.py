@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from medgraph.cli import main
+from medgraph.families import johnson
+from medgraph.graph import write_graph
+from medgraph.recognizers import write_labels
 
 
 def _run(capsys, *argv):
@@ -124,22 +127,32 @@ def test_verify_paper_all(capsys):
 
 
 C7 = "7 7\n" + "".join(f"{i} {(i + 1) % 7}\n" for i in range(7))
+_j42, _j42_labels = johnson(4, 2)
+J42, J42_LABELS = write_graph(_j42), write_labels(_j42_labels)
+CHECK_J42 = ["check", "partial-johnson", "{graph}", "--embedding", "{text}",
+             "-k", "2"]
 
 
-@pytest.mark.parametrize("graph, profile, argv", [
-    (C7, "", ["median", "{graph}", "{profile}"]),
-    (C7, "x 1\n", ["median", "{graph}", "{profile}"]),
-    (C7, "0 1\n", ["median", "{graph}", "{profile}", "-p", "0"]),
+# text is a profile or a labels file
+@pytest.mark.parametrize("graph, text, argv", [
+    (C7, "", ["median", "{graph}", "{text}"]),
+    (C7, "x 1\n", ["median", "{graph}", "{text}"]),
+    (C7, "0 1\n", ["median", "{graph}", "{text}", "-p", "0"]),
     (C7, "", ["gen", "cycle", "n=x", "-o", "{graph}"]),
     (C7, "", ["pvalue", "{graph}", "--oracle", "-1"]),
     ("-1 0\n", "", ["pvalue", "{graph}"]),
+    (J42, J42_LABELS + "99: 1,2\n", CHECK_J42),
+    (J42, J42_LABELS + "-4: 0,3\n", CHECK_J42),
+    (J42, J42_LABELS + J42_LABELS.splitlines()[0] + "\n", CHECK_J42),
 ], ids=["empty-profile", "non-integer-vertex", "p-zero", "gen-non-integer",
-        "negative-oracle-weight", "negative-vertex-count"])
-def test_bad_input_exit_2(tmp_path, capsys, graph, profile, argv):
-    gpath, ppath = tmp_path / "g.graph", tmp_path / "profile.txt"
+        "negative-oracle-weight", "negative-vertex-count",
+        "label-vertex-too-large", "label-vertex-negative",
+        "label-vertex-repeated"])
+def test_bad_input_exit_2(tmp_path, capsys, graph, text, argv):
+    gpath, tpath = tmp_path / "g.graph", tmp_path / "text.txt"
     gpath.write_text(graph)
-    ppath.write_text(profile)
-    assert main([a.format(graph=gpath, profile=ppath) for a in argv]) == 2
+    tpath.write_text(text)
+    assert main([a.format(graph=gpath, text=tpath) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "Traceback" not in captured.err

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from medgraph.families import (cartesian_product, cycle_graph, halved_cube,
+from medgraph.families import (alpha_configuration, beta_configuration,
+                               cartesian_product, cycle_graph, halved_cube,
                                hypercube, johnson, path_graph)
 from medgraph.errors import BudgetExceeded
 from medgraph.graph import Graph, all_pairs_distances, build_graph, power_graph
@@ -16,16 +17,25 @@ from medgraph.lp import (RationalMatrix, _check_result, compute_p,
                          disconnecting_profile, has_Gp_connected_medians,
                          lp_feasible, lp_feasible_strict,
                          verify_feasibility_result, witness_to_profile)
-from medgraph.metric import J_set, geodesic_vertices_via_dag, interval
+from medgraph.metric import (J_set, Jcirc_set, _quasi_median_equalities,
+                             enumerate_quasi_medians, geodesic_vertices_via_dag,
+                             interval, interval_mask, is_metric_triangle,
+                             make_metric_triangle, members)
 from medgraph.medians import (Profile, VertexFunction, check_Loz, check_WC,
                               check_WP, is_p_connected,
                               is_p_weakly_convex, is_p_weakly_peakless,
                               is_unimodal_on_power, level_set,
                               local_median_set_p, median_function, median_set)
 from medgraph.oracle import brute_force_oracle
-from medgraph.recognizers import (ClassVerdict, _quadrangle_condition,
-                                  _triangle_condition, is_bipartite, is_meshed,
-                                  is_modular, is_weakly_modular, satisfies_PC)
+from medgraph.recognizers import (ClassVerdict, _alpha_type1, _alpha_type2,
+                                  _alpha_type3, _quadrangle_condition,
+                                  _triangle_condition,
+                                  detect_alpha_configuration,
+                                  detect_beta_configuration, induced_squares,
+                                  is_bipartite, is_meshed, is_modular,
+                                  is_thick, is_weakly_modular,
+                                  personal_neighbor, satisfies_ICm,
+                                  satisfies_INC, satisfies_PC)
 
 
 def _random_connected_graph(rng, n):
@@ -258,24 +268,134 @@ def _ref_is_meshed(g, d):
     return ClassVerdict("meshed", True)
 
 
-def _ref_satisfies_PC(g, d):
+def _ref_induced_squares(g, d):
     for v1 in range(g.n):
         for v3 in range(v1 + 1, g.n):
             if d(v1, v3) != 2:
                 continue
             common = [x for x in g.adj[v1] if x in g.adj_sets[v3]]
             for v2, v4 in itertools.combinations(common, 2):
-                if v4 in g.adj_sets[v2]:
-                    continue
-                for u in range(g.n):
-                    if d(u, v1) + d(u, v3) != d(u, v2) + d(u, v4):
-                        return ClassVerdict("PC", False, (u, v1, v2, v3, v4))
+                if v4 not in g.adj_sets[v2]:
+                    yield (v1, v2, v3, v4)
+
+
+def _ref_satisfies_PC(g, d):
+    for v1, v2, v3, v4 in _ref_induced_squares(g, d):
+        for u in range(g.n):
+            if d(u, v1) + d(u, v3) != d(u, v2) + d(u, v4):
+                return ClassVerdict("PC", False, (u, v1, v2, v3, v4))
     return ClassVerdict("PC", True)
+
+
+def _ref_satisfies_INC(g, d):
+    for u in range(g.n):
+        for v in range(g.n):
+            if u == v or g.has_edge(u, v):
+                continue
+            near = [x for x in g.adj[u] if d(u, x) + d(x, v) == d(u, v)]
+            for a, b in itertools.combinations(near, 2):
+                if b not in g.adj_sets[a]:
+                    return ClassVerdict("INC", False, (u, v, a, b))
+    return ClassVerdict("INC", True)
+
+
+def _ref_is_thick(g, d):
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if d(u, v) != 2:
+                continue
+            common = [x for x in g.adj[u] if x in g.adj_sets[v]]
+            if not any(b not in g.adj_sets[a]
+                       for a, b in itertools.combinations(common, 2)):
+                return ClassVerdict("thick", False, (u, v))
+    return ClassVerdict("thick", True)
+
+
+def _ref_satisfies_ICm(g, d, m):
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if d(u, v) != 2:
+                continue
+            verts = [w for w in range(g.n) if d(u, w) + d(w, v) == 2]
+            comp_deg = {x: 0 for x in verts}
+            comp_edges = 0
+            for a, b in itertools.combinations(verts, 2):
+                if b not in g.adj_sets[a]:
+                    comp_deg[a] += 1
+                    comp_deg[b] += 1
+                    comp_edges += 1
+            if any(deg > 1 for deg in comp_deg.values()):
+                return ClassVerdict(f"IC{m}", False, (u, v))
+            isolated = sum(1 for deg in comp_deg.values() if deg == 0)
+            if comp_edges + isolated > m:
+                return ClassVerdict(f"IC{m}", False, (u, v))
+    return ClassVerdict(f"IC{m}", True)
+
+
+def _ref_small_clique_interiors(g, d):
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if d(u, v) != 2:
+                continue
+            inner = [w for w in range(g.n)
+                     if w not in (u, v) and d(u, w) + d(w, v) == 2]
+            if 2 <= len(inner) <= 3 and all(
+                    b in g.adj_sets[a]
+                    for a, b in itertools.combinations(inner, 2)):
+                yield u, v, inner
+
+
+def _ref_detect_alpha_configuration(g, d):
+    for u, v, inner in _ref_small_clique_interiors(g, d):
+        for finder in (_alpha_type1, _alpha_type2, _alpha_type3):
+            found = finder(g, d, u, v, inner)
+            if found is not None:
+                return found
+    return None
+
+
+def _ref_detect_beta_configuration(g, d):
+    for u, v, inner in _ref_small_clique_interiors(g, d):
+        if len(inner) != 3:
+            continue
+        owners = {}
+        for x in sorted(Jcirc_set(g, d, u, v)):
+            pn = personal_neighbor(g, inner, x)
+            if pn is not None and pn not in owners:
+                owners[pn] = x
+        if len(owners) == 3:
+            return (u, v, tuple(inner), tuple(owners[s] for s in inner))
+    return None
+
+
+def _ref_enumerate_quasi_medians(g, d, x, y, z):
+    c1 = [v for v in range(g.n) if d(x, v) + d(v, y) == d(x, y) and d(x, v) + d(v, z) == d(x, z)]
+    c2 = [v for v in range(g.n) if d(y, v) + d(v, x) == d(y, x) and d(y, v) + d(v, z) == d(y, z)]
+    c3 = [v for v in range(g.n) if d(z, v) + d(v, x) == d(z, x) and d(z, v) + d(v, y) == d(z, y)]
+    out = []
+    for v1 in c1:
+        for v2 in c2:
+            for v3 in c3:
+                if (_quasi_median_equalities(d, x, y, z, v1, v2, v3)
+                        and is_metric_triangle(g, d, v1, v2, v3)):
+                    out.append(make_metric_triangle(g, d, v1, v2, v3))
+    return out
+
+
+def _sampled_quasi_medians(enumerate_fn):
+    """Quasi-medians of eight seeded triples per graph; the outcome is
+    whether some triangle has more than one vertex."""
+    def run(g, d):
+        rng = random.Random(g.n * 1000 + g.num_edges())
+        return [enumerate_fn(g, d, *(rng.randrange(g.n) for _ in range(3)))
+                for _ in range(8)]
+    return run
 
 
 def _recognizer_corpus():
     """Seeded random connected graphs, half of them made bipartite, plus
-    class members of the kind the classify benchmark runs."""
+    class members of the kind the classify benchmark runs and the alpha and
+    beta configurations."""
     rng = random.Random(97)
     graphs = []
     for i in range(60):
@@ -286,23 +406,41 @@ def _recognizer_corpus():
                                   if (level[a] - level[b]) % 2])
         graphs.append(g)
     graphs += [hypercube(4)[0], halved_cube(5)[0], johnson(6, 3)[0],
-               cartesian_product(path_graph(4), path_graph(4))]
+               cartesian_product(path_graph(4), path_graph(4)),
+               beta_configuration(), *map(alpha_configuration, (1, 2, 3))]
     return graphs
 
 
 def test_bitset_recognizers_match_definitional_scans():
-    pairs = [(_triangle_condition, _ref_triangle_condition),
-             (_quadrangle_condition, _ref_quadrangle_condition),
-             (is_modular, _ref_is_modular), (is_meshed, _ref_is_meshed),
-             (satisfies_PC, _ref_satisfies_PC)]
-    verdicts = {fn: set() for fn, _ in pairs}
+    pairs = {"TC": (_triangle_condition, _ref_triangle_condition),
+             "QC": (_quadrangle_condition, _ref_quadrangle_condition),
+             "modular": (is_modular, _ref_is_modular),
+             "meshed": (is_meshed, _ref_is_meshed),
+             "PC": (satisfies_PC, _ref_satisfies_PC),
+             "INC": (satisfies_INC, _ref_satisfies_INC),
+             "thick": (is_thick, _ref_is_thick),
+             "IC3": (lambda g, d: satisfies_ICm(g, d, 3),
+                     lambda g, d: _ref_satisfies_ICm(g, d, 3)),
+             "IC4": (lambda g, d: satisfies_ICm(g, d, 4),
+                     lambda g, d: _ref_satisfies_ICm(g, d, 4)),
+             "squares": (lambda g, d: list(induced_squares(g, d)),
+                         lambda g, d: list(_ref_induced_squares(g, d))),
+             "alpha": (detect_alpha_configuration,
+                       _ref_detect_alpha_configuration),
+             "beta": (detect_beta_configuration,
+                      _ref_detect_beta_configuration),
+             "quasi-medians": (
+                 _sampled_quasi_medians(enumerate_quasi_medians),
+                 _sampled_quasi_medians(_ref_enumerate_quasi_medians))}
+    verdicts = {name: set() for name in pairs}
     for g in _recognizer_corpus():
         d = all_pairs_distances(g)
-        for fn, ref in pairs:
+        for name, (fn, ref) in pairs.items():
             got = fn(g, d)
-            assert got == ref(g, d), (fn.__name__, g.n, g.edges())
-            verdicts[fn].add(got.verdict if isinstance(got, ClassVerdict)
-                             else got is None)
+            assert got == ref(g, d), (name, g.n, g.edges())
+            if name == "quasi-medians":
+                got = any(t.size != 0 for ts in got for t in ts)
+            verdicts[name].add(bool(got))
     # the corpus exercises both outcomes of every recognizer
     assert all(seen == {True, False} for seen in verdicts.values())
 
@@ -411,7 +549,12 @@ def test_interval_and_J_set_match_their_definitions():
         ivl = {(u, v): {w for w in range(g.n) if d(u, w) + d(w, v) == d(u, v)}
                for u in range(g.n) for v in range(g.n)}
         for u in range(g.n):
+            # levels[u] partitions the vertices by their distance from u
+            assert len(d.levels[u]) == max(d[u]) + 1
+            for k, mask in enumerate(d.levels[u]):
+                assert members(mask) == [x for x in range(g.n) if d(u, x) == k]
             for v in range(g.n):
+                assert members(interval_mask(d, u, v)) == sorted(ivl[u, v])
                 assert interval(g, d, u, v) == ivl[u, v]
                 assert ivl[u, v] == geodesic_vertices_via_dag(g, d, u, v)
                 if u != v:
