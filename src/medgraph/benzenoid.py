@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import DisconnectedHexagons, HoleDetected, ParseError
-from .graph import DistMatrix, Graph, all_pairs_distances, build_graph
+from .graph import DistMatrix, Graph, _data_lines, all_pairs_distances, build_graph
 
 # hexagon center for axial (a, b) is (3a, 2a + 4b); corners are center + these
 _CORNERS = ((2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2))
@@ -77,10 +77,7 @@ def _check_hole_free(cells) -> None:
 
 def read_benzenoid_spec(text: str) -> BenzenoidSpec:
     cells = set()
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
+    for ln in _data_lines(text):
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError(f"bad benzenoid line {ln!r}")

@@ -120,13 +120,19 @@ def power_graph(g: Graph, p: int) -> Graph:
     return Graph(g.n, edges, name=f"{g.name}^{p}" if g.name else "")
 
 
+def _data_lines(text: str) -> list[str]:
+    """The stripped lines of an input file, blank lines and `#` comments
+    dropped."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    return [ln for ln in lines if ln and not ln.startswith("#")]
+
+
 def read_graph(text: str, name: str = "") -> Graph:
     """Parse the text format: first line `n m`, then m lines `u v`.
 
     Lines starting with `#` are comments.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = _data_lines(text)
     if not lines:
         raise ParseError("empty graph file")
     try:

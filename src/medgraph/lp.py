@@ -6,6 +6,9 @@ is the closed system D^uv pi <= -1.  Feasibility is decided by a phase-1
 simplex with Bland's anti-cycling rule and fraction-free integer pivots;
 `Fraction` appears only at the API boundary.  It returns either a witness
 profile or a Farkas certificate, and both are re-verified exactly.
+`lp_feasible_strict` is the module's one LP: the alpha/beta weights of
+`alpha_beta_certificate` are read from its answer on the alternative
+system, so both of their outcomes are certified the same way.
 
 `solve_pair` is the one per-pair verdict: it builds D^uv and decides it.
 D^uv depends only on the pair, never on p, so `compute_p` solves each pair
@@ -21,7 +24,8 @@ from math import lcm
 
 from .errors import InteriorTooLarge, WrongDistance
 from .graph import DistMatrix, Graph
-from .medians import Profile, _pairs_in_distance_band, median_value
+from .medians import (Profile, _pairs_in_distance_band, _require_nonadjacent,
+                      median_value)
 from .metric import J_set, Jcirc_set, M_set, interior_interval
 
 
@@ -51,8 +55,7 @@ class FeasibilityResult:
 def build_Duv(g: Graph, d: DistMatrix, u: int, v: int,
               columns=None) -> RationalMatrix:
     """D^uv entry (w,x) = d(v,w)d(u,x) + d(u,w)d(v,x) - d(u,v)d(w,x)."""
-    if u == v or g.has_edge(u, v):
-        raise ValueError(f"pair ({u},{v}) must be nonadjacent and distinct")
+    _require_nonadjacent(g, u, v)
     rows = tuple(sorted(interior_interval(g, d, u, v)))
     cols = tuple(sorted(columns)) if columns is not None else tuple(range(g.n))
     du, dv = d[u], d[v]
@@ -65,44 +68,41 @@ def build_Duv(g: Graph, d: DistMatrix, u: int, v: int,
 
 
 def _phase1(tableau, n_free):
-    """Minimize the sum of artificial variables with Bland's rule.
+    """Minimize the sum of the artificial variables with Bland's rule.
 
-    tableau: integer rows [A | rhs] with rhs >= 0 and n_free columns in A.
-    One artificial column per row is inserted before the rhs, in place, and
-    starts in the basis, so column j is artificial iff j >= n_free.
+    tableau: integer rows [A | I | rhs] with rhs >= 0, n_free columns in A
+    and one artificial column per row after them; the artificials are the
+    starting basis.  The objective is carried as one more row, appended
+    here: D times the reduced costs, and -D times the objective value in
+    its rhs.  It starts as c minus the sum of the rows, c being 1 on the
+    artificials and 0 elsewhere.
 
     Pivots are fraction-free (Edmonds 1967; Bareiss 1968): the tableau is
     kept as integers T = D * R, where R is the rational simplex tableau and
     D > 0 the determinant of the current basis.  Pivoting on T[r][e] = piv
-    leaves row r as it is and maps every other row to
-    (piv*T[i][j] - T[i][e]*T[r][j]) // D, then sets D = piv; the division
-    is exact because every entry is a minor of the start matrix.  Signs of
-    reduced costs and the cross-multiplied ratio test agree with those of
-    R, so the pivot sequence is the rational one.
+    leaves row r as it is and maps every other row, the objective row too,
+    to (piv*T[i][j] - T[i][e]*T[r][j]) // D, then sets D = piv; the division
+    is exact because every entry is a minor of the start matrix bordered by
+    the objective row, whose bordered basis also has determinant D.  Signs
+    of reduced costs and the cross-multiplied ratio test agree with those
+    of R, so the pivot sequence is the rational one.
 
-    Returns (tableau, D, basis, z, art_rows): z is D times the optimal sum
-    of the artificials and art_rows the rows whose basic variable is
-    artificial.
+    Returns (tableau, D, basis); the objective row is tableau[-1].
     """
     m = len(tableau)
-    for i, r in enumerate(tableau):
-        rhs = r.pop()
-        r.extend(1 if k == i else 0 for k in range(m))
-        r.append(rhs)
-    basis = [n_free + i for i in range(m)]
     n_cols = n_free + m
+    # c minus the column sums: 1 - 1 = 0 on the artificial columns.  With
+    # no rows zip(*tableau) is empty, and every entry is 0.
+    obj = [-sum(col) for col in zip(*tableau)] or [0] * (n_cols + 1)
+    obj[n_free:n_cols] = [0] * m
+    tableau.append(obj)
+    basis = list(range(n_free, n_cols))
     D = 1
     while True:
-        # D * reduced cost: D*c_j - sum over artificial basic rows of T[i][j]
-        art_rows = [i for i in range(m) if basis[i] >= n_free]
-        entering = -1
-        for j in range(n_cols):
-            rc = (D if j >= n_free else 0) - sum(tableau[i][j] for i in art_rows)
-            if rc < 0:
-                entering = j
-                break
+        obj = tableau[-1]
+        entering = next((j for j in range(n_cols) if obj[j] < 0), -1)
         if entering < 0:
-            return tableau, D, basis, sum(tableau[i][-1] for i in art_rows), art_rows
+            return tableau, D, basis
         # ratio rhs_i / a_i, compared as rhs_i * a_l < rhs_l * a_i (a_i, a_l > 0)
         leaving = -1
         for i in range(m):
@@ -119,7 +119,7 @@ def _phase1(tableau, n_free):
             raise AssertionError("phase-1 objective unbounded")  # impossible: bounded by 0
         prow = tableau[leaving]
         piv = prow[entering]
-        for i in range(m):
+        for i in range(m + 1):
             if i != leaving:
                 c = tableau[i][entering]
                 tableau[i] = [(piv * a - c * b) // D for a, b in zip(tableau[i], prow)]
@@ -135,24 +135,21 @@ def lp_feasible_strict(mat: RationalMatrix) -> FeasibilityResult:
     """
     m, n = len(mat.entries), len(mat.cols)
     # columns: pi (0..n-1), slacks (n..n+m-1), artificials (n+m..n+2m-1)
-    rows = []
-    for i in range(m):
-        row = [-x for x in mat.entries[i]]
-        row += [-1 if k == i else 0 for k in range(m)]
-        row.append(1)
-        rows.append(row)
-    tableau, D, basis, z, art_rows = _phase1(rows, n + m)
-    if z == 0:
+    rows = [[-x for x in mat.entries[i]]
+            + [-1 if k == i else 0 for k in range(m)]
+            + [1 if k == i else 0 for k in range(m)] + [1]
+            for i in range(m)]
+    tableau, D, basis = _phase1(rows, n + m)
+    obj = tableau[-1]
+    if obj[-1] == 0:
         pi = {}
         for i, b in enumerate(basis):
             if b < n and tableau[i][-1] != 0:
                 pi[mat.cols[b]] = Fraction(tableau[i][-1], D)
         res = FeasibilityResult("feasible", witness=pi, matrix=mat)
     else:
-        # dual value y_i = 1 - reduced cost of artificial column i, i.e. the
-        # sum of that column over the rows with an artificial basic variable
-        y = tuple(Fraction(sum(tableau[r][n + m + i] for r in art_rows), D)
-                  for i in range(m))
+        # dual value y_i = 1 - reduced cost of artificial column i
+        y = tuple(Fraction(D - obj[n + m + i], D) for i in range(m))
         res = FeasibilityResult("infeasible", certificate=y, matrix=mat)
     if not _check_result(res):
         raise AssertionError("simplex produced an unverifiable result")
@@ -298,36 +295,6 @@ def compute_p(g: Graph, d: DistMatrix, restrict_j: bool = False) -> PValueReport
     )
 
 
-def lp_feasible(n: int, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> dict[int, Fraction] | None:
-    """Feasibility of {A_ub x <= b_ub, A_eq x = b_eq, x >= 0}; x or None.
-
-    Each row [a | slack | b] is scaled to integers by the lcm of its
-    denominators and negated when b < 0.  A returned x is checked exactly.
-    """
-    rows = []
-    m_ub = len(a_ub)
-    for i, (row, b) in enumerate(itertools.chain(zip(a_ub, b_ub), zip(a_eq, b_eq))):
-        slack = [1 if k == i else 0 for k in range(m_ub)]   # all 0 for A_eq rows
-        _, ints = _scaled([*map(Fraction, row), *slack, Fraction(b)])
-        rows.append(ints if b >= 0 else [-c for c in ints])   # rhs >= 0
-    tableau, D, basis, z, _ = _phase1(rows, n + m_ub)
-    if z != 0:
-        return None
-    x = [Fraction(0)] * n
-    for i, b in enumerate(basis):
-        if b < n:
-            x[b] = Fraction(tableau[i][-1], D)
-
-    def dot(row):
-        return sum(Fraction(c) * xj for c, xj in zip(row, x))
-
-    if (any(xj < 0 for xj in x)
-            or any(dot(row) > b for row, b in zip(a_ub, b_ub))
-            or any(dot(row) != b for row, b in zip(a_eq, b_eq))):
-        raise AssertionError("simplex produced an infeasible point")
-    return dict(enumerate(x))
-
-
 def alpha_beta_certificate(g: Graph, d: DistMatrix, u: int, v: int,
                            cap: int = 8, assignment_cap: int = 20000):
     """Certificate (S, eta, companions) for a distance-2 pair, or None.
@@ -336,7 +303,11 @@ def alpha_beta_certificate(g: Graph, d: DistMatrix, u: int, v: int,
     companion t in S with d(s,x)+d(t,x) <= d(u,x)+d(v,x) for all x in the
     equidistant part M(u,v), with eta(s)=eta(t) forced when d(s,t)=2; eta
     must give every x in J°(u,v) at least half the total weight among its
-    neighbours in S.  Weights are found by an exact LP normalized to total 1.
+    neighbours in S.  For each S and companion choice the weights come from
+    lp_feasible_strict, the one LP of this module, on the alternative
+    system (see _solve_eta): its verified Farkas certificate is eta,
+    normalized to total 1, and its verified witness proves that no eta
+    exists.  So both outcomes are exact certificates.
     """
     if d(u, v) != 2:
         raise WrongDistance(f"pair ({u},{v}) is at distance {d(u, v)}, need 2")
@@ -374,31 +345,40 @@ def alpha_beta_certificate(g: Graph, d: DistMatrix, u: int, v: int,
             for picks in itertools.product(*choice_lists):
                 comp = dict(free)
                 comp.update(zip(tied, picks))
-                eta = _solve_eta(g, d, S, comp, jcirc)
+                eta = _solve_eta(g, d, u, v, S, comp, jcirc)
                 if eta is not None:
                     return set(S), eta, comp
     return None
 
 
-def _solve_eta(g: Graph, d: DistMatrix, S, comp, jcirc):
-    idx = {s: j for j, s in enumerate(S)}
-    n = len(S)
-    a_eq = [[1] * n]
-    b_eq = [1]
-    seen = set()
+def _solve_eta(g: Graph, d: DistMatrix, u: int, v: int, S, comp, jcirc):
+    """Weights eta >= 0 on S of total 1, equal on companions at distance 2,
+    that put at least half of the total on the neighbours of each x in
+    J°(u,v); None if there are none.
+
+    Tied vertices are merged into classes with one weight each, named by
+    their smallest vertex.  The system is then {e >= 0, e != 0, A e <= 0}
+    with A[x][c] = sum over s in c of (1 - 2[s ~ x]).  By Ville's theorem
+    of the alternative it has no solution iff some pi >= 0 has A^T pi > 0,
+    which is the strict system of lp_feasible_strict on M = -A^T.  So a
+    verified witness pi proves that no eta exists, and otherwise the
+    verified Farkas certificate y is a solution e.
+    """
+    label = {s: s for s in S}
     for s, t in comp.items():
-        if d(s, t) == 2 and frozenset((s, t)) not in seen:
-            seen.add(frozenset((s, t)))
-            row = [0] * n
-            row[idx[s]], row[idx[t]] = 1, -1
-            a_eq.append(row)
-            b_eq.append(0)
-    a_ub, b_ub = [], []
-    for x in jcirc:
-        row = [Fraction(-1) if s in g.adj_sets[x] else Fraction(0) for s in S]
-        a_ub.append(row)
-        b_ub.append(Fraction(-1, 2))
-    x = lp_feasible(n, a_ub, b_ub, a_eq, b_eq)
-    if x is None:
+        if d(s, t) == 2:
+            keep, drop = sorted((label[s], label[t]))
+            for x in S:
+                if label[x] == drop:
+                    label[x] = keep
+    classes = sorted(set(label.values()))
+    entries = tuple(
+        tuple(sum(1 if s in g.adj_sets[x] else -1 for s in S if label[s] == c)
+              for x in jcirc)
+        for c in classes)
+    res = lp_feasible_strict(RationalMatrix(entries, tuple(classes), tuple(jcirc), u, v))
+    if res.feasible:
         return None
-    return {s: x[idx[s]] for s in S}
+    y = dict(zip(classes, res.certificate))
+    total = sum(y[label[s]] for s in S)
+    return {s: y[label[s]] / total for s in S}

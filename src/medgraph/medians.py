@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotPeakless, ParseError
-from .graph import DistMatrix, Graph
+from .graph import DistMatrix, Graph, _data_lines
 from .metric import interior_interval
 
 Rational = Fraction | int
@@ -325,10 +325,7 @@ def _parse_vertex(tok: str) -> int:
 def read_profile(text: str, n: int | None = None) -> Profile:
     """Parse lines `vertex weight`; weights are integers or `a/b` rationals."""
     weights: dict[int, Fraction] = {}
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
+    for ln in _data_lines(text):
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError(f"bad profile line {ln!r}")
@@ -346,10 +343,7 @@ def read_vertex_function(text: str, n: int) -> VertexFunction:
     """Parse a total function file; a `default <value>` header fills gaps."""
     default: Fraction | None = None
     values: dict[int, Fraction] = {}
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
+    for ln in _data_lines(text):
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError(f"bad function line {ln!r}")

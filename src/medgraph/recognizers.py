@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import networkx as nx
 
 from .errors import EmbeddingUnverified, LabelArity, ParseError, WrongDistance
-from .graph import DistMatrix, Graph, bfs
+from .graph import DistMatrix, Graph, _data_lines, bfs
 from .medians import _pairs_in_distance_band
 from .metric import Jcirc_set, M_set, interior_interval, interval, interval_mask, members
 
@@ -37,10 +37,7 @@ class LabeledEmbedding:
 def read_labels(text: str, target: str, k: int | None = None) -> LabeledEmbedding:
     """Parse lines `vertex: i1,i2,...`, one per vertex, into a LabeledEmbedding."""
     labels: dict[int, frozenset[int]] = {}
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
+    for ln in _data_lines(text):
         if ":" not in ln:
             raise ParseError(f"bad labels line {ln!r}")
         head, tail = ln.split(":", 1)
@@ -234,14 +231,18 @@ def eccentricity(g: Graph, d: DistMatrix, v: int) -> int:
 
 
 def has_convex_balls(g: Graph, d: DistMatrix) -> ClassVerdict:
+    """Every ball is convex.  A false verdict is (v, r, x, y, z): x < y lie
+    in the ball of radius r around v and z is the smallest vertex of I(x,y)
+    outside it."""
     for v in range(g.n):
+        ball = d.levels[v][0]
         for r in range(1, eccentricity(g, d, v) + 1):
-            ball = [x for x in range(g.n) if d(v, x) <= r]
-            inside = set(ball)
-            for x, y in itertools.combinations(ball, 2):
-                for z in interval(g, d, x, y):
-                    if z not in inside:
-                        return ClassVerdict("convex_balls", False, (v, r, x, y, z))
+            ball |= d.levels[v][r]
+            for x, y in itertools.combinations(members(ball), 2):
+                outside = interval_mask(d, x, y) & ~ball
+                if outside:
+                    z = (outside & -outside).bit_length() - 1
+                    return ClassVerdict("convex_balls", False, (v, r, x, y, z))
     return ClassVerdict("convex_balls", True)
 
 

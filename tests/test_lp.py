@@ -1,19 +1,22 @@
+from collections import Counter
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from medgraph.errors import InteriorTooLarge, WrongDistance
-from medgraph.families import (beta_configuration, cycle_graph, halved_cube,
-                               hypercube, johnson, path_graph)
-from medgraph.graph import all_pairs_distances
+from medgraph.families import (alpha_configuration, beta_configuration,
+                               cycle_graph, halved_cube, hypercube, johnson,
+                               path_graph)
+from medgraph.graph import Graph, all_pairs_distances, build_graph
 import medgraph.lp as lp
 from medgraph.lp import (FeasibilityResult, RationalMatrix,
                          alpha_beta_certificate, build_Duv, compute_p,
                          disconnecting_profile, has_Gp_connected_medians,
-                         lp_feasible, lp_feasible_strict, solve_pair,
+                         lp_feasible_strict, solve_pair,
                          verify_feasibility_result, witness_to_profile)
 from medgraph.medians import Profile, median_set
-from medgraph.metric import interior_interval
+from medgraph.metric import Jcirc_set, M_set, interior_interval
 
 
 def _gd(g):
@@ -47,6 +50,12 @@ def test_lp_feasible_strict_trivial():
     neg = RationalMatrix(((-1,),), (0,), (0,), 0, 0)
     res = lp_feasible_strict(neg)
     assert res.feasible and res.witness == {0: Fraction(1)}
+    # no columns: 0 < 0 fails in every row, and y = 1 certifies it
+    res = lp_feasible_strict(RationalMatrix(((), ()), (0, 1), (), 0, 0))
+    assert res.certificate == (Fraction(1), Fraction(1))
+    # no rows: the empty witness does not verify
+    with pytest.raises(AssertionError):
+        lp_feasible_strict(RationalMatrix((), (), (0, 1), 0, 0))
 
 
 def test_c7_pair_feasible_and_witness_disconnects():
@@ -105,25 +114,6 @@ def test_check_rejects_bad_certificates():
     assert not ok(1, 1, Fraction(-1, 2))        # columns >= 0, entry < 0
     assert not ok(0, 0, 0)
     assert not ok(1, Fraction(1, 2))            # one entry per row
-
-
-@pytest.mark.parametrize("system", [
-    dict(n=2, a_eq=[[1, 1]], b_eq=[1]),
-    dict(n=1, a_ub=[[1]], b_ub=[1]),
-])
-def test_lp_feasible_rejects_a_wrong_point(monkeypatch, system):
-    real = lp._phase1
-
-    def off_by_one(tableau, n_free):
-        t, D, basis, z, art_rows = real(tableau, n_free)
-        for row in t:
-            row[-1] += D        # every basic variable one too large
-        return t, D, basis, z, art_rows
-
-    assert lp_feasible(**system) is not None
-    monkeypatch.setattr(lp, "_phase1", off_by_one)
-    with pytest.raises(AssertionError):
-        lp_feasible(**system)
 
 
 def test_pinned_witness_and_certificate():
@@ -217,17 +207,54 @@ def test_restrict_j_same_verdict_on_equilateral_graphs():
                 has_Gp_connected_medians(g, d, p, restrict_j=True)
 
 
-def test_general_lp_feasible():
-    # x0 + x1 = 1, x0 - x1 <= -1 has the solution (0, 1)
-    x = lp_feasible(2, a_ub=[[1, -1]], b_ub=[-1], a_eq=[[1, 1]], b_eq=[1])
-    assert x is not None and x[0] + x[1] == 1 and x[0] - x[1] <= -1
-    # x0 <= -1, x0 >= 0 is infeasible
-    assert lp_feasible(1, a_ub=[[1]], b_ub=[-1]) is None
-    # rational rows: x0 + x1/2 = 3/2, x0 <= 1/3 forces x1 >= 7/3
-    x = lp_feasible(2, a_ub=[[1, 0]], b_ub=[Fraction(1, 3)],
-                    a_eq=[[1, Fraction(1, 2)]], b_eq=[Fraction(3, 2)])
-    assert x is not None and x[0] + x[1] / 2 == Fraction(3, 2)
-    assert x[0] <= Fraction(1, 3) and x[1] >= Fraction(7, 3)
+def _assert_eta_is_exact(g, d, u, v, cert):
+    """The definition of an alpha/beta certificate, checked in rationals."""
+    s_set, eta, comp = cert
+    assert s_set and s_set <= interior_interval(g, d, u, v)
+    assert set(eta) == set(comp) == s_set
+    assert all(e >= 0 for e in eta.values()) and sum(eta.values()) == 1
+    mids = M_set(g, d, u, v)
+    for s, t in comp.items():
+        assert t in s_set
+        assert all(d(s, x) + d(t, x) <= d(u, x) + d(v, x) for x in mids)
+        if d(s, t) == 2:
+            assert eta[s] == eta[t]
+    for x in Jcirc_set(g, d, u, v):
+        assert 2 * sum(eta[s] for s in s_set if g.has_edge(s, x)) >= 1
+
+
+def _connected_atlas_graphs(max_n):
+    from networkx.generators.atlas import graph_atlas_g
+    for h in graph_atlas_g():
+        if 2 <= h.number_of_nodes() <= max_n and nx.is_connected(h):
+            idx = {x: i for i, x in enumerate(sorted(h.nodes()))}
+            yield build_graph(len(idx), [(idx[a], idx[b]) for a, b in h.edges()])
+
+
+def test_alpha_beta_eta_is_exact_on_small_atlas_graphs():
+    outcomes = Counter()
+    for g in _connected_atlas_graphs(6):
+        d = all_pairs_distances(g)
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                if d(u, v) == 2:
+                    cert = alpha_beta_certificate(g, d, u, v)
+                    outcomes["none" if cert is None else "eta"] += 1
+                    if cert is not None:
+                        _assert_eta_is_exact(g, d, u, v, cert)
+    assert outcomes == {"eta": 563, "none": 126}
+
+
+def test_solve_eta_keeps_companions_at_distance_two_equal():
+    # a=0 and b=1 are at distance 2 (through 5); x=3 sees only c=2 and
+    # y=4 sees only a.  Untied, eta = (1/2, 0, 1/2) works; tying b to a
+    # forces eta(a) = eta(b) <= 1/4 < 1/2 once eta(c) >= 1/2.
+    g = Graph(6, [(3, 2), (4, 0), (0, 5), (5, 1), (2, 5)])
+    d = all_pairs_distances(g)
+    S, jcirc = (0, 1, 2), [3, 4]
+    eta = lp._solve_eta(g, d, 3, 4, S, {0: 0, 1: 1, 2: 2}, jcirc)
+    assert eta == {0: Fraction(1, 2), 1: 0, 2: Fraction(1, 2)}
+    assert lp._solve_eta(g, d, 3, 4, S, {0: 1, 1: 0, 2: 2}, jcirc) is None
 
 
 def test_alpha_beta_certificate_square_pair():
@@ -237,10 +264,7 @@ def test_alpha_beta_certificate_square_pair():
                 if d(u, v) == 2)
     cert = alpha_beta_certificate(g, d, u, v)
     assert cert is not None
-    s_set, eta, comp = cert
-    assert s_set <= interior_interval(g, d, u, v)
-    assert sum(eta.values()) == 1
-    assert set(comp) == s_set
+    _assert_eta_is_exact(g, d, u, v, cert)
 
 
 def test_alpha_beta_certificate_beta_pair_none():
@@ -253,8 +277,39 @@ def test_alpha_beta_certificate_singleton_interior():
     g, d = _gd(path_graph(3))
     cert = alpha_beta_certificate(g, d, 0, 2)
     assert cert is not None
+    _assert_eta_is_exact(g, d, 0, 2, cert)
     s_set, eta, _ = cert
     assert s_set == {1} and eta[1] == 1
+
+
+@pytest.mark.parametrize("config_type", [1, 2, 3])
+def test_alpha_beta_certificate_alpha_configurations_none(config_type):
+    g = alpha_configuration(config_type)
+    d = all_pairs_distances(g)
+    assert alpha_beta_certificate(g, d, 0, 1) is None
+
+
+@pytest.mark.parametrize("graph, u, v, corrupt", [
+    (path_graph(3), 0, 2, "certificate"),       # eta exists: it is the certificate
+    (beta_configuration(), 0, 1, "witness"),    # no eta: a witness proves it
+], ids=["P_3", "beta"])
+def test_alpha_beta_rejects_a_corrupted_lp_answer(monkeypatch, graph, u, v, corrupt):
+    d = all_pairs_distances(graph)
+    alpha_beta_certificate(graph, d, u, v)
+    real = lp._phase1
+
+    def corrupted(tableau, n_free):
+        t, D, basis = real(tableau, n_free)
+        if corrupt == "certificate":
+            t[-1][n_free:-1] = [D] * (len(t) - 1)   # every dual value 0
+        else:
+            for row in t[:-1]:
+                row[-1] = 0                         # every basic variable 0
+        return t, D, basis
+
+    monkeypatch.setattr(lp, "_phase1", corrupted)
+    with pytest.raises(AssertionError):
+        alpha_beta_certificate(graph, d, u, v)
 
 
 def test_alpha_beta_wrong_distance():

@@ -15,7 +15,7 @@ from medgraph.errors import BudgetExceeded
 from medgraph.graph import Graph, all_pairs_distances, build_graph, power_graph
 from medgraph.lp import (RationalMatrix, _check_result, compute_p,
                          disconnecting_profile, has_Gp_connected_medians,
-                         lp_feasible, lp_feasible_strict,
+                         lp_feasible_strict,
                          verify_feasibility_result, witness_to_profile)
 from medgraph.metric import (J_set, Jcirc_set, _quasi_median_equalities,
                              enumerate_quasi_medians, geodesic_vertices_via_dag,
@@ -193,29 +193,6 @@ def test_strict_lp_result_verifies_on_random_matrices(entries):
                          tuple(range(n)), 0, 0)
     # a verified witness or Farkas certificate is the correct verdict
     assert _check_result(lp_feasible_strict(mat))
-
-
-@st.composite
-def _systems_with_a_solution(draw):
-    n = draw(st.integers(1, 6))
-    x0 = draw(st.lists(st.fractions(0, 3, max_denominator=3),
-                       min_size=n, max_size=n))
-    a_ub = draw(_int_matrix(draw(st.integers(0, 4)), n))
-    a_eq = draw(_int_matrix(draw(st.integers(0, 3)), n))
-    slack = draw(st.lists(st.fractions(0, 2, max_denominator=4),
-                          min_size=len(a_ub), max_size=len(a_ub)))
-    b_ub = [sum(a * x for a, x in zip(row, x0)) + s
-            for row, s in zip(a_ub, slack)]
-    b_eq = [sum(a * x for a, x in zip(row, x0)) for row in a_eq]
-    return n, a_ub, b_ub, a_eq, b_eq
-
-
-@settings(max_examples=200, deadline=None, database=None)
-@given(_systems_with_a_solution())
-def test_lp_feasible_finds_a_point_when_one_exists(system):
-    n, a_ub, b_ub, a_eq, b_eq = system
-    x = lp_feasible(n, a_ub, b_ub, a_eq, b_eq)
-    assert x is not None and len(x) == n
 
 
 # ------------------------------------- recognizers vs. definitional scans

@@ -5,6 +5,7 @@ from medgraph.families import (beta_configuration, bn_graph, bn_hat_graph,
                                complete_graph, cycle_graph, halved_cube,
                                hypercube, johnson, path_graph, wheel)
 from medgraph.graph import all_pairs_distances, build_graph
+from medgraph.metric import interval
 from medgraph.recognizers import (absolute_retract_by_extension,
                                   check_condition_a, check_condition_b,
                                   check_condition_c,
@@ -133,6 +134,16 @@ def test_convex_balls():
     v, r, x, y, z = verdict.witness
     assert d(v, x) <= r and d(v, y) <= r and d(v, z) > r
     assert d(x, z) + d(z, y) == d(x, y)
+    assert z == min(w for w in interval(g, d, x, y) if d(v, w) > r)
+
+
+def test_convex_balls_witness_is_the_smallest_vertex_outside_the_ball():
+    # I(1,2) = {0, 1, 2, 31, 32} leaves the ball N[0] at 31 and 32; a set of
+    # these five vertices iterates 32 before 31, so the witness must not
+    # come from set order.  Vertices 3..30 are leaves of 0.
+    edges = [(0, k) for k in range(1, 31)] + [(1, 31), (2, 31), (1, 32), (2, 32)]
+    g, d = _gd(build_graph(33, edges))
+    assert has_convex_balls(g, d).witness == (0, 1, 1, 2, 31)
 
 
 def test_bridged_implies_convex_balls_small():
