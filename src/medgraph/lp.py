@@ -11,8 +11,10 @@ profile or a Farkas certificate, and both are re-verified exactly.
 system, so both of their outcomes are certified the same way.
 
 `solve_pair` is the one per-pair verdict: it builds D^uv and decides it.
-D^uv depends only on the pair, never on p, so `compute_p` solves each pair
-at most once however many levels' bands contain it.
+D^uv depends only on the pair, never on p, so `compute_p` decides each pair
+at most once and stops a level at its first failing pair.  It solves one LP
+per `_canonical` key of D^uv; a pair with a known key takes that answer
+mapped onto its own matrix, and re-checked there.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import InteriorTooLarge, WrongDistance
 from .graph import DistMatrix, Graph
@@ -184,8 +187,7 @@ def _check_result(r: FeasibilityResult) -> bool:
     _, y = _scaled(r.certificate)
     if any(yi < 0 for yi in y) or not any(y):
         return False
-    return all(sum(yi * row[j] for yi, row in zip(y, mat.entries)) >= 0
-               for j in range(len(mat.cols)))
+    return all(sum(map(mul, y, col)) >= 0 for col in zip(*mat.entries))
 
 
 def verify_feasibility_result(g: Graph, d: DistMatrix, u: int, v: int,
@@ -195,14 +197,73 @@ def verify_feasibility_result(g: Graph, d: DistMatrix, u: int, v: int,
     return _check_result(FeasibilityResult(r.status, r.witness, r.certificate, mat))
 
 
+def _pair_matrix(g: Graph, d: DistMatrix, u: int, v: int,
+                 restrict_j: bool) -> RationalMatrix:
+    """D^uv with columns J(u,v) when restrict_j is set, all vertices otherwise."""
+    return build_Duv(g, d, u, v, columns=J_set(g, d, u, v) if restrict_j else None)
+
+
 def solve_pair(g: Graph, d: DistMatrix, u: int, v: int,
                restrict_j: bool = False) -> FeasibilityResult:
     """Decide D^uv pi < 0, pi >= 0; feasible iff some profile violates WC at (u,v).
 
     The columns are J(u,v) when restrict_j is set and all vertices otherwise.
     """
-    cols = J_set(g, d, u, v) if restrict_j else None
-    return lp_feasible_strict(build_Duv(g, d, u, v, columns=cols))
+    return lp_feasible_strict(_pair_matrix(g, d, u, v, restrict_j))
+
+
+def _sort_columns(rows):
+    """The rows with their columns in lexicographic order, and that order."""
+    cols = list(zip(*rows))
+    order = sorted(range(len(cols)), key=cols.__getitem__)
+    return list(zip(*map(cols.__getitem__, order))), order
+
+
+def _canonical(mat: RationalMatrix):
+    """A row and column permutation of D^uv that keys its permutation class.
+
+    The rows are put in the order of their sorted entries; then the columns,
+    the rows and the columns are sorted lexicographically.  Returns
+    (key, rows, cols) with key[i][k] = mat.entries[rows[i]][cols[k]], so
+    equal keys are permutation-equivalent matrices.  Every column
+    permutation of a matrix has its key, and so does every row permutation
+    unless two different rows have the same sorted entries; there two
+    equivalent matrices can get two keys, which costs a solve, not a verdict.
+    """
+    entries = mat.entries
+    multisets = list(map(sorted, entries))
+    by_multiset = sorted(range(len(entries)), key=multisets.__getitem__)
+    half, col_order = _sort_columns(map(entries.__getitem__, by_multiset))
+    row_order = sorted(range(len(half)), key=half.__getitem__)
+    key, last = _sort_columns(map(half.__getitem__, row_order))
+    return (tuple(key), [by_multiset[i] for i in row_order],
+            [col_order[j] for j in last])
+
+
+def _to_key(res: FeasibilityResult, rows, cols):
+    """A verified answer in the coordinates of its matrix's `_canonical` key:
+    (status, ((key column, weight), ...)) for a witness and
+    (status, y in key row order) for a certificate."""
+    if res.feasible:
+        where = {res.matrix.cols[j]: k for k, j in enumerate(cols)}
+        return res.status, tuple((where[x], w) for x, w in res.witness.items())
+    return res.status, tuple(res.certificate[i] for i in rows)
+
+
+def _from_key(entry, mat: RationalMatrix, rows, cols) -> FeasibilityResult:
+    """Map a `_to_key` answer onto a matrix with the same key, and check it
+    exactly on that matrix."""
+    status, answer = entry
+    if status == "feasible":
+        res = FeasibilityResult(status, matrix=mat, witness={
+            mat.cols[cols[k]]: w for k, w in answer})
+    else:
+        res = FeasibilityResult(status, matrix=mat, certificate=tuple(
+            y for _, y in sorted(zip(rows, answer))))
+    if not _check_result(res):
+        raise AssertionError(
+            f"cached answer does not verify on pair ({mat.u},{mat.v})")
+    return res
 
 
 def has_Gp_connected_medians(g: Graph, d: DistMatrix, p: int,
@@ -224,7 +285,9 @@ class PairVerdict:
 @dataclass(frozen=True)
 class PValueReport:
     p: int
-    failing_verdicts: tuple[PairVerdict, ...] = ()   # failing pairs at p-1
+    # failing pairs at p-1, ascending; only the first result is the pair's
+    # own solve, the others may be mapped from another pair of their class
+    failing_verdicts: tuple[PairVerdict, ...] = ()
     witness_pair: tuple[int, int] | None = None
     witness_profile: Profile | None = None           # feasible pi at p-1
     disconnecting_profile: Profile | None = None     # integer profile, Med disconnected in G^{p-1}
@@ -263,31 +326,55 @@ def disconnecting_profile(g: Graph, d: DistMatrix, u: int, v: int,
 def compute_p(g: Graph, d: DistMatrix, restrict_j: bool = False) -> PValueReport:
     """Smallest p such that every median set is connected in G^p.
 
-    Ascending scan; the last failing level supplies the report's witness
-    pair and profiles.  Terminates by p = diameter, where the pair band
-    p+1 <= d(u,v) <= 2p is empty.
+    A pair's verdict does not depend on p, and a failing (feasible) pair at
+    distance k lies in the band p+1 <= d(u,v) <= 2p of every level
+    ceil(k/2) <= p <= k-1.  So a level's scan stops at its first failing
+    pair and the scan goes on at p = k; the first level with no failing
+    pair is p.  Terminates by p = diameter, where the band is empty.  The
+    band of p-1 is then scanned in full, in ascending pair order, for the
+    report: its first failing pair is the witness pair, and its verdict is
+    the pair's own solve.
+
+    One LP is solved per `_canonical` key, i.e. per set of permutation-
+    equivalent D^uv, in a call.  Another pair with that key takes the stored
+    answer mapped onto its own matrix and re-checked there, so every other
+    entry of failing_verdicts may hold such a mapped witness.
     """
-    solved: dict[tuple[int, int], FeasibilityResult] = {}
-    prev_failures: list[PairVerdict] = []
+    classes: dict = {}      # _canonical key -> _to_key answer
+    verdicts: dict[tuple[int, int], tuple[FeasibilityResult, bool]] = {}
+
+    def verdict(u: int, v: int) -> FeasibilityResult:
+        if (u, v) not in verdicts:
+            mat = _pair_matrix(g, d, u, v, restrict_j)
+            key, rows, cols = _canonical(mat)
+            if key in classes:
+                verdicts[u, v] = _from_key(classes[key], mat, rows, cols), False
+            else:
+                res = lp_feasible_strict(mat)
+                classes[key] = _to_key(res, rows, cols)
+                verdicts[u, v] = res, True
+        return verdicts[u, v][0]
+
     p = 1
     while True:
-        failures = []
-        for u, v in _pairs_in_distance_band(g, d, p + 1, 2 * p):
-            if (u, v) not in solved:       # D^uv does not depend on p
-                solved[u, v] = solve_pair(g, d, u, v, restrict_j)
-            res = solved[u, v]
-            if res.feasible:
-                failures.append(PairVerdict(u, v, d(u, v), res))
-        if not failures:
+        k = next((d(u, v) for u, v in _pairs_in_distance_band(g, d, p + 1, 2 * p)
+                  if verdict(u, v).feasible), None)
+        if k is None:
             break
-        prev_failures = failures
-        p += 1
+        p = k
     if p == 1:
         return PValueReport(p=p)
-    first = prev_failures[0]
+    failures = [PairVerdict(u, v, d(u, v), verdict(u, v))
+                for u, v in _pairs_in_distance_band(g, d, p, 2 * p - 2)
+                if verdict(u, v).feasible]
+    first = failures[0]
+    if not verdicts[first.u, first.v][1]:
+        first = PairVerdict(first.u, first.v, first.dist,
+                            solve_pair(g, d, first.u, first.v, restrict_j))
+        failures[0] = first
     return PValueReport(
         p=p,
-        failing_verdicts=tuple(prev_failures),
+        failing_verdicts=tuple(failures),
         witness_pair=(first.u, first.v),
         witness_profile=Profile(dict(first.result.witness)),
         disconnecting_profile=disconnecting_profile(g, d, first.u, first.v,

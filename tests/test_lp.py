@@ -166,18 +166,58 @@ def test_compute_p_values():
     assert rep.failing_verdicts
 
 
-def test_compute_p_solves_each_pair_once(monkeypatch):
-    g, d = _gd(cycle_graph(21))
+def _recording_solves(monkeypatch):
+    """Record (pair, _canonical key) of every LP solve."""
     calls = []
 
-    def counting(mat):
-        calls.append((mat.u, mat.v))
+    def recording(mat):
+        calls.append(((mat.u, mat.v), lp._canonical(mat)[0]))
         return lp_feasible_strict(mat)
 
-    monkeypatch.setattr(lp, "lp_feasible_strict", counting)
+    monkeypatch.setattr(lp, "lp_feasible_strict", recording)
+    return calls
+
+
+def test_compute_p_solves_each_pair_once(monkeypatch):
+    g, d = _gd(cycle_graph(21))
+    calls = _recording_solves(monkeypatch)
     assert compute_p(g, d).p == 10
-    # one solve per pair at distance >= 2: 21 vertices x 9 distances 2..10
-    assert len(calls) == 189 == len(set(calls))
+    # the pairs of C_21 at one distance are one class, and the scan jumps
+    # from each level's first failing pair at distance k to level k: one
+    # solve at each distance 2..10, where the plain scan made 189
+    keys = [key for _, key in calls]
+    assert len(calls) == 9 == len(set(keys))
+    assert [pair for pair, _ in calls] == [(0, k) for k in range(2, 11)]
+
+
+def test_compute_p_re_solves_a_witness_pair_decided_by_its_class(monkeypatch):
+    # Each band is scanned in descending pair order the first time it is
+    # asked for, so C_7's level 2 decides (3, 6) and the report's scan of
+    # the same band meets (0, 3) as a cache hit.  The witness pair is then
+    # solved on its own, and that is the only repeated class.
+    g, d = _gd(cycle_graph(7))
+    plain = compute_p(g, d)
+    seen = set()
+    band = lp._pairs_in_distance_band
+
+    def first_time_descending(g, d, lo, hi):
+        pairs = list(band(g, d, lo, hi))
+        if (lo, hi) not in seen:
+            seen.add((lo, hi))
+            pairs.reverse()
+        return iter(pairs)
+
+    monkeypatch.setattr(lp, "_pairs_in_distance_band", first_time_descending)
+    calls = _recording_solves(monkeypatch)
+    rep = compute_p(g, d)
+    keys = [key for _, key in calls]
+    assert [pair for pair, _ in calls] == [(4, 6), (3, 6), (0, 3)]
+    assert keys[2] == keys[1] != keys[0]
+    assert (rep.p, rep.witness_pair) == (plain.p, plain.witness_pair) == (3, (0, 3))
+    assert rep.witness_profile == plain.witness_profile
+    assert rep.disconnecting_profile == plain.disconnecting_profile
+    assert rep.failing_verdicts[0] == plain.failing_verdicts[0]
+    assert rep.failing_verdicts[0].result == solve_pair(g, d, 0, 3)
 
 
 def test_failing_verdicts_are_feasible_pairs_of_last_failing_band():
@@ -325,3 +365,132 @@ def test_alpha_beta_interior_cap():
     # antipodal pair (0,1) has 10 interior vertices, exceeding the cap
     with pytest.raises(InteriorTooLarge):
         alpha_beta_certificate(g, d, 0, 1, cap=8)
+
+
+# --------------------------------------------- compute_p vs the plain scan
+
+def _plain_scan(g, d, restrict_j):
+    """The ascending scan with no jumps and no cache: every band in full,
+    every pair solved on its own matrix.  Returns p and the failing pairs
+    of band p-1 with their own results."""
+    solved = {}
+    p, failures = 1, []
+    while True:
+        band = []
+        for u, v in lp._pairs_in_distance_band(g, d, p + 1, 2 * p):
+            if (u, v) not in solved:
+                solved[u, v] = solve_pair(g, d, u, v, restrict_j)
+            if solved[u, v].feasible:
+                band.append((u, v, solved[u, v]))
+        if not band:
+            return p, failures
+        p, failures = p + 1, band
+
+
+def _corpus():
+    from medgraph.benzenoid import BenzenoidSpec, benzenoid
+    from medgraph.families import cartesian_product, projective_incidence_graph
+    coronene = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
+    yield cycle_graph(7)
+    yield cycle_graph(21)
+    yield projective_incidence_graph(2)
+    yield projective_incidence_graph(3)
+    yield cartesian_product(path_graph(5), cycle_graph(5))
+    yield halved_cube(6)[0]
+    yield johnson(7, 3)[0]
+    yield benzenoid(BenzenoidSpec(frozenset(coronene))).graph
+
+
+def _random_connected_graphs(count, seed=9):
+    import random
+    rng = random.Random(seed)
+    while count:
+        n = rng.randint(6, 14)
+        h = nx.gnp_random_graph(n, rng.uniform(0.15, 0.4), seed=rng.randrange(2**31))
+        if nx.is_connected(h):
+            count -= 1
+            yield build_graph(n, list(h.edges()))
+
+
+def test_compute_p_matches_the_plain_scan():
+    graphs = [*_corpus(), *_random_connected_graphs(40), *_connected_atlas_graphs(6)]
+    assert len(graphs) == 8 + 40 + 142
+    for g in graphs:
+        d = all_pairs_distances(g)
+        for restrict_j in (False, True):
+            rep = compute_p(g, d, restrict_j)
+            p, failures = _plain_scan(g, d, restrict_j)
+            assert rep.p == p
+            assert [(f.u, f.v) for f in rep.failing_verdicts] == \
+                [(u, v) for u, v, _ in failures]
+            for f in rep.failing_verdicts:
+                assert f.dist == d(f.u, f.v)
+                assert verify_feasibility_result(g, d, f.u, f.v, f.result)
+            if p == 1:
+                assert rep.witness_pair is None
+                continue
+            u, v, own = failures[0]
+            assert rep.failing_verdicts[0].result == own
+            assert rep.witness_pair == (u, v)
+            assert rep.witness_profile == Profile(dict(own.witness))
+            assert rep.disconnecting_profile == disconnecting_profile(
+                g, d, u, v, witness_to_profile(own.witness))
+
+
+def _permuted(m, rows, cols):
+    return tuple(tuple(m[i][j] for j in cols) for i in rows)
+
+
+def test_canonical_key_is_a_permutation_shared_by_permuted_copies():
+    import random
+    rng = random.Random(2)
+    untied = 0
+    for _ in range(3000):
+        n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 8)
+        m = [[rng.randint(-4, 4) for _ in range(n_cols)] for _ in range(n_rows)]
+        if n_rows > 1 and rng.random() < 0.5:        # a duplicate row
+            m[rng.randrange(n_rows)] = list(m[rng.randrange(n_rows)])
+        if n_cols > 1 and rng.random() < 0.5:        # a duplicate column
+            a, b = rng.randrange(n_cols), rng.randrange(n_cols)
+            for row in m:
+                row[a] = row[b]
+        m = tuple(map(tuple, m))
+        key, rows, cols = lp._canonical(RationalMatrix(m, (), (), 0, 0))
+        assert sorted(rows) == list(range(n_rows))
+        assert sorted(cols) == list(range(n_cols))
+        assert key == _permuted(m, rows, cols)
+
+        def key_of(rows, cols):
+            return lp._canonical(RationalMatrix(_permuted(m, rows, cols), (), (), 0, 0))[0]
+
+        row_perm, col_perm = list(range(n_rows)), list(range(n_cols))
+        rng.shuffle(row_perm)
+        rng.shuffle(col_perm)
+        assert key_of(range(n_rows), col_perm) == key
+        # rows are first ordered by their sorted entries, so the key is
+        # canonical unless two different rows have the same sorted entries
+        if len({tuple(sorted(r)) for r in m}) == len(set(m)):
+            untied += 1
+            assert key_of(row_perm, col_perm) == key
+    assert untied > 2500
+
+
+@pytest.mark.parametrize("graph, corrupt", [
+    (cycle_graph(21), "witness"),           # feasible pairs at distance 10
+    (halved_cube(6)[0], "certificate"),     # p = 1: every pair infeasible
+], ids=["C_21", "halfH_6"])
+def test_compute_p_rejects_a_corrupted_cache_entry(monkeypatch, graph, corrupt):
+    real = lp._to_key
+
+    def corrupted(res, rows, cols):
+        status, answer = real(res, rows, cols)
+        if corrupt == "witness" and res.feasible:
+            (k, w), *rest = answer
+            answer = ((k, -w), *rest)
+        elif corrupt == "certificate" and not res.feasible:
+            answer = (Fraction(0),) * len(answer)
+        return status, answer
+
+    monkeypatch.setattr(lp, "_to_key", corrupted)
+    with pytest.raises(AssertionError, match="cached answer does not verify"):
+        compute_p(*_gd(graph))
