@@ -103,8 +103,10 @@ def cmd_median(args) -> int:
 
 def cmd_pvalue(args) -> int:
     start = time.monotonic()
+    if args.oracle < 0:
+        raise ParseError(f"--oracle must be >= 0, got {args.oracle}")
     g, d = _load_graph(args.graph)
-    rep = lp.compute_p(g, d, restrict_j=args.restrict_j)
+    rep = lp.compute_p(g, d)
     result = {"p": rep.p, "diameter": d.diameter}
     if rep.witness_pair is not None:
         result["witness_pair"] = list(rep.witness_pair)
@@ -118,8 +120,7 @@ def cmd_pvalue(args) -> int:
             None if hit is None else
             {"pair": list(hit[0]), "profile": dict(hit[1].weights)})
         result["oracle_agrees"] = (rep.p == 1) == (hit is None)
-    return _report("pvalue", {"graph": args.graph,
-                              "restrict_j": args.restrict_j}, result, start)
+    return _report("pvalue", {"graph": args.graph}, result, start)
 
 
 # --------------------------------------------------------------- check verb
@@ -316,7 +317,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_pv = sub.add_parser("pvalue", help="compute p(G)")
     p_pv.add_argument("graph")
-    p_pv.add_argument("--restrict-j", action="store_true")
     p_pv.add_argument("--oracle", type=int, default=0, metavar="MAXWEIGHT")
     p_pv.set_defaults(fn=cmd_pvalue)
 

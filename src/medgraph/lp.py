@@ -11,6 +11,13 @@ profile or a Farkas certificate, and both are re-verified exactly.
 system, so both of their outcomes are certified the same way.
 
 `solve_pair` is the one per-pair verdict: it builds D^uv and decides it.
+D^uv has a column for every vertex, though a violating profile pi can
+always be moved onto J(u,v).  With F the median function of pi and w inside
+I(u,v), moving weight omega from z to a neighbour closer to both u and v
+(there is one iff z is not in J(u,v)) lowers d(v,w)F(u) + d(u,w)F(v) by
+exactly d(u,v)*omega and d(u,v)F(w) by at most that, so each violated row
+stays violated.  The moves end on J(u,v), so the LP on the J(u,v) columns
+alone is feasible iff this one is: a J-column LP would add nothing.
 D^uv depends only on the pair, never on p, so `compute_p` decides each pair
 at most once and stops a level at its first failing pair.  It solves one LP
 per `_canonical` key of D^uv; a pair with a known key takes that answer
@@ -29,12 +36,12 @@ from .errors import InteriorTooLarge, WrongDistance
 from .graph import DistMatrix, Graph
 from .medians import (Profile, _pairs_in_distance_band, _require_nonadjacent,
                       median_value)
-from .metric import J_set, Jcirc_set, M_set, interior_interval
+from .metric import Jcirc_set, M_set, interior_interval
 
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Integer matrix D^uv with rows the interval interior and chosen columns."""
+    """Integer matrix D^uv: rows the interval interior, columns every vertex."""
 
     entries: tuple[tuple[int, ...], ...]
     rows: tuple[int, ...]      # w in I°(u,v)
@@ -55,12 +62,11 @@ class FeasibilityResult:
         return self.status == "feasible"
 
 
-def build_Duv(g: Graph, d: DistMatrix, u: int, v: int,
-              columns=None) -> RationalMatrix:
+def build_Duv(g: Graph, d: DistMatrix, u: int, v: int) -> RationalMatrix:
     """D^uv entry (w,x) = d(v,w)d(u,x) + d(u,w)d(v,x) - d(u,v)d(w,x)."""
     _require_nonadjacent(g, u, v)
     rows = tuple(sorted(interior_interval(g, d, u, v)))
-    cols = tuple(sorted(columns)) if columns is not None else tuple(range(g.n))
+    cols = tuple(range(g.n))
     du, dv = d[u], d[v]
     duv = du[v]
     entries = []
@@ -193,23 +199,13 @@ def _check_result(r: FeasibilityResult) -> bool:
 def verify_feasibility_result(g: Graph, d: DistMatrix, u: int, v: int,
                               r: FeasibilityResult) -> bool:
     """Re-check a witness or certificate against a freshly built matrix."""
-    mat = build_Duv(g, d, u, v, columns=r.matrix.cols if r.matrix else None)
+    mat = build_Duv(g, d, u, v)
     return _check_result(FeasibilityResult(r.status, r.witness, r.certificate, mat))
 
 
-def _pair_matrix(g: Graph, d: DistMatrix, u: int, v: int,
-                 restrict_j: bool) -> RationalMatrix:
-    """D^uv with columns J(u,v) when restrict_j is set, all vertices otherwise."""
-    return build_Duv(g, d, u, v, columns=J_set(g, d, u, v) if restrict_j else None)
-
-
-def solve_pair(g: Graph, d: DistMatrix, u: int, v: int,
-               restrict_j: bool = False) -> FeasibilityResult:
-    """Decide D^uv pi < 0, pi >= 0; feasible iff some profile violates WC at (u,v).
-
-    The columns are J(u,v) when restrict_j is set and all vertices otherwise.
-    """
-    return lp_feasible_strict(_pair_matrix(g, d, u, v, restrict_j))
+def solve_pair(g: Graph, d: DistMatrix, u: int, v: int) -> FeasibilityResult:
+    """Decide D^uv pi < 0, pi >= 0; feasible iff some profile violates WC at (u,v)."""
+    return lp_feasible_strict(build_Duv(g, d, u, v))
 
 
 def _sort_columns(rows):
@@ -266,11 +262,11 @@ def _from_key(entry, mat: RationalMatrix, rows, cols) -> FeasibilityResult:
     return res
 
 
-def has_Gp_connected_medians(g: Graph, d: DistMatrix, p: int,
-                             restrict_j: bool = False) -> bool:
+def has_Gp_connected_medians(g: Graph, d: DistMatrix, p: int) -> bool:
+    """p(G) <= p iff no pair in the band p+1 <= d(u,v) <= 2p is feasible."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    return not any(solve_pair(g, d, u, v, restrict_j).feasible
+    return not any(solve_pair(g, d, u, v).feasible
                    for u, v in _pairs_in_distance_band(g, d, p + 1, 2 * p))
 
 
@@ -323,7 +319,7 @@ def disconnecting_profile(g: Graph, d: DistMatrix, u: int, v: int,
     return Profile(boosted)
 
 
-def compute_p(g: Graph, d: DistMatrix, restrict_j: bool = False) -> PValueReport:
+def compute_p(g: Graph, d: DistMatrix) -> PValueReport:
     """Smallest p such that every median set is connected in G^p.
 
     A pair's verdict does not depend on p, and a failing (feasible) pair at
@@ -345,7 +341,7 @@ def compute_p(g: Graph, d: DistMatrix, restrict_j: bool = False) -> PValueReport
 
     def verdict(u: int, v: int) -> FeasibilityResult:
         if (u, v) not in verdicts:
-            mat = _pair_matrix(g, d, u, v, restrict_j)
+            mat = build_Duv(g, d, u, v)
             key, rows, cols = _canonical(mat)
             if key in classes:
                 verdicts[u, v] = _from_key(classes[key], mat, rows, cols), False
@@ -370,7 +366,7 @@ def compute_p(g: Graph, d: DistMatrix, restrict_j: bool = False) -> PValueReport
     first = failures[0]
     if not verdicts[first.u, first.v][1]:
         first = PairVerdict(first.u, first.v, first.dist,
-                            solve_pair(g, d, first.u, first.v, restrict_j))
+                            solve_pair(g, d, first.u, first.v))
         failures[0] = first
     return PValueReport(
         p=p,

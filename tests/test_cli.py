@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from medgraph.cli import main
-from medgraph.families import johnson
+from medgraph.families import cycle_graph, johnson, projective_incidence_graph
 from medgraph.graph import write_graph
 from medgraph.recognizers import write_labels
 
@@ -42,11 +42,37 @@ def test_pvalue_with_oracle(tmp_path, capsys):
     assert res["oracle_agrees"]
 
 
-def test_pvalue_restrict_j(tmp_path, capsys):
+def test_pvalue_has_no_restrict_j_flag(tmp_path, capsys):
     gpath = tmp_path / "c6.graph"
     _run(capsys, "gen", "cycle", "n=6", "-o", str(gpath))
-    code, rep = _run(capsys, "pvalue", str(gpath), "--restrict-j")
-    assert code == 0 and rep["result"]["p"] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["pvalue", str(gpath), "--restrict-j"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+# the pvalue result on C_7 and the Fano graph G_2, pinned so that any change
+# to p, the witness pair or either profile fails here
+PINNED_C7 = """{"diameter": 3, "disconnecting_profile": {"0": 7, "3": 7, "5": 3},
+"p": 3, "witness_pair": [0, 3], "witness_profile": {"5": "1/3"}}"""
+PINNED_G2 = """{"diameter": 3, "disconnecting_profile": {"0": 3, "1": 3, "10": 3,
+"11": 3, "12": 3, "13": 3, "14": 64, "15": 64, "2": 3, "3": 3, "4": 3, "5": 3,
+"6": 3, "7": 3, "8": 3, "9": 3}, "p": 3, "witness_pair": [14, 15],
+"witness_profile": {"0": "1/18", "1": "1/18", "10": "1/18", "11": "1/18",
+"12": "1/18", "13": "1/18", "2": "1/18", "3": "1/18", "4": "1/18", "5": "1/18",
+"6": "1/18", "7": "1/18", "8": "1/18", "9": "1/18"}}"""
+
+
+@pytest.mark.parametrize("graph, pinned", [
+    (cycle_graph(7), PINNED_C7),
+    (projective_incidence_graph(2), PINNED_G2),
+], ids=["C_7", "G_2"])
+def test_pvalue_result_is_pinned(tmp_path, capsys, graph, pinned):
+    gpath = tmp_path / "g.graph"
+    gpath.write_text(write_graph(graph))
+    code, rep = _run(capsys, "pvalue", str(gpath))
+    assert code == 0 and rep["result"] == json.loads(pinned)
 
 
 def test_check_verbs(tmp_path, capsys):
@@ -127,6 +153,7 @@ def test_verify_paper_all(capsys):
 
 
 C7 = "7 7\n" + "".join(f"{i} {(i + 1) % 7}\n" for i in range(7))
+P4 = "4 3\n0 1\n1 2\n2 3\n"
 _j42, _j42_labels = johnson(4, 2)
 J42, J42_LABELS = write_graph(_j42), write_labels(_j42_labels)
 CHECK_J42 = ["check", "partial-johnson", "{graph}", "--embedding", "{text}",
@@ -140,14 +167,15 @@ CHECK_J42 = ["check", "partial-johnson", "{graph}", "--embedding", "{text}",
     (C7, "0 1\n", ["median", "{graph}", "{text}", "-p", "0"]),
     (C7, "", ["gen", "cycle", "n=x", "-o", "{graph}"]),
     (C7, "", ["pvalue", "{graph}", "--oracle", "-1"]),
+    (P4, "", ["pvalue", "{graph}", "--oracle", "-1"]),     # p = 1: no oracle run
     ("-1 0\n", "", ["pvalue", "{graph}"]),
     (J42, J42_LABELS + "99: 1,2\n", CHECK_J42),
     (J42, J42_LABELS + "-4: 0,3\n", CHECK_J42),
     (J42, J42_LABELS + J42_LABELS.splitlines()[0] + "\n", CHECK_J42),
 ], ids=["empty-profile", "non-integer-vertex", "p-zero", "gen-non-integer",
-        "negative-oracle-weight", "negative-vertex-count",
-        "label-vertex-too-large", "label-vertex-negative",
-        "label-vertex-repeated"])
+        "negative-oracle-weight", "negative-oracle-weight-p1",
+        "negative-vertex-count", "label-vertex-too-large",
+        "label-vertex-negative", "label-vertex-repeated"])
 def test_bad_input_exit_2(tmp_path, capsys, graph, text, argv):
     gpath, tpath = tmp_path / "g.graph", tmp_path / "text.txt"
     gpath.write_text(graph)

@@ -146,7 +146,6 @@ def test_pair_wc_examples():
     assert not solve_pair(h3, d3, u, v).feasible
     c7, d7 = _gd(cycle_graph(7))
     assert solve_pair(c7, d7, 0, 3).feasible
-    assert solve_pair(c7, d7, 0, 3, restrict_j=True).feasible
 
 
 def test_has_gp_connected_medians():
@@ -237,14 +236,6 @@ def test_monotonicity():
     start = compute_p(g, d).p
     for p in range(start, d.diameter + 1):
         assert has_Gp_connected_medians(g, d, p)
-
-
-def test_restrict_j_same_verdict_on_equilateral_graphs():
-    # hypercubes and C_7 have only equilateral metric triangles
-    for g, d in (_gd(hypercube(3)[0]), _gd(cycle_graph(7))):
-        for p in (1, 2):
-            assert has_Gp_connected_medians(g, d, p) == \
-                has_Gp_connected_medians(g, d, p, restrict_j=True)
 
 
 def _assert_eta_is_exact(g, d, u, v, cert):
@@ -369,7 +360,7 @@ def test_alpha_beta_interior_cap():
 
 # --------------------------------------------- compute_p vs the plain scan
 
-def _plain_scan(g, d, restrict_j):
+def _plain_scan(g, d):
     """The ascending scan with no jumps and no cache: every band in full,
     every pair solved on its own matrix.  Returns p and the failing pairs
     of band p-1 with their own results."""
@@ -379,7 +370,7 @@ def _plain_scan(g, d, restrict_j):
         band = []
         for u, v in lp._pairs_in_distance_band(g, d, p + 1, 2 * p):
             if (u, v) not in solved:
-                solved[u, v] = solve_pair(g, d, u, v, restrict_j)
+                solved[u, v] = solve_pair(g, d, u, v)
             if solved[u, v].feasible:
                 band.append((u, v, solved[u, v]))
         if not band:
@@ -417,24 +408,23 @@ def test_compute_p_matches_the_plain_scan():
     assert len(graphs) == 8 + 40 + 142
     for g in graphs:
         d = all_pairs_distances(g)
-        for restrict_j in (False, True):
-            rep = compute_p(g, d, restrict_j)
-            p, failures = _plain_scan(g, d, restrict_j)
-            assert rep.p == p
-            assert [(f.u, f.v) for f in rep.failing_verdicts] == \
-                [(u, v) for u, v, _ in failures]
-            for f in rep.failing_verdicts:
-                assert f.dist == d(f.u, f.v)
-                assert verify_feasibility_result(g, d, f.u, f.v, f.result)
-            if p == 1:
-                assert rep.witness_pair is None
-                continue
-            u, v, own = failures[0]
-            assert rep.failing_verdicts[0].result == own
-            assert rep.witness_pair == (u, v)
-            assert rep.witness_profile == Profile(dict(own.witness))
-            assert rep.disconnecting_profile == disconnecting_profile(
-                g, d, u, v, witness_to_profile(own.witness))
+        rep = compute_p(g, d)
+        p, failures = _plain_scan(g, d)
+        assert rep.p == p
+        assert [(f.u, f.v) for f in rep.failing_verdicts] == \
+            [(u, v) for u, v, _ in failures]
+        for f in rep.failing_verdicts:
+            assert f.dist == d(f.u, f.v)
+            assert verify_feasibility_result(g, d, f.u, f.v, f.result)
+        if p == 1:
+            assert rep.witness_pair is None
+            continue
+        u, v, own = failures[0]
+        assert rep.failing_verdicts[0].result == own
+        assert rep.witness_pair == (u, v)
+        assert rep.witness_profile == Profile(dict(own.witness))
+        assert rep.disconnecting_profile == disconnecting_profile(
+            g, d, u, v, witness_to_profile(own.witness))
 
 
 def _permuted(m, rows, cols):

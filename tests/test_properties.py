@@ -13,10 +13,11 @@ from medgraph.families import (alpha_configuration, beta_configuration,
                                hypercube, johnson, path_graph)
 from medgraph.errors import BudgetExceeded
 from medgraph.graph import Graph, all_pairs_distances, build_graph, power_graph
-from medgraph.lp import (RationalMatrix, _check_result, compute_p,
-                         disconnecting_profile, has_Gp_connected_medians,
-                         lp_feasible_strict,
-                         verify_feasibility_result, witness_to_profile)
+from medgraph.lp import (FeasibilityResult, RationalMatrix, _check_result,
+                         compute_p, disconnecting_profile,
+                         has_Gp_connected_medians, lp_feasible_strict,
+                         solve_pair, verify_feasibility_result,
+                         witness_to_profile)
 from medgraph.metric import (J_set, Jcirc_set, _quasi_median_equalities,
                              enumerate_quasi_medians, geodesic_vertices_via_dag,
                              interval, interval_mask, is_metric_triangle,
@@ -193,6 +194,49 @@ def test_strict_lp_result_verifies_on_random_matrices(entries):
                          tuple(range(n)), 0, 0)
     # a verified witness or Farkas certificate is the correct verdict
     assert _check_result(lp_feasible_strict(mat))
+
+
+# ---------------------------------------------- the J(u,v) support lemma
+# D^uv has a column per vertex because moving a violating profile's weight
+# onto J(u,v) keeps it violating (see the lp module docstring).
+
+def _push_onto_J(g, d, u, v, weights):
+    """Move each weight outside J(u,v) to a neighbour closer to both u
+    and v, until the support lies in J(u,v)."""
+    J = J_set(g, d, u, v)
+    pushed = dict(weights)
+    while not pushed.keys() <= J:
+        z = next(z for z in pushed if z not in J)
+        y = next(y for y in g.adj[z] if d(u, y) < d(u, z) and d(v, y) < d(v, z))
+        pushed[y] = pushed.get(y, 0) + pushed.pop(z)
+    return pushed
+
+
+def test_J_columns_decide_every_pair_like_all_columns():
+    from test_lp import _connected_atlas_graphs, _random_connected_graphs
+    pushed_witnesses = feasible = 0
+    for g in [*_connected_atlas_graphs(6), *_random_connected_graphs(40)]:
+        d = all_pairs_distances(g)
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                if d(u, v) < 2:
+                    continue
+                res = solve_pair(g, d, u, v)
+                mat = res.matrix
+                J = sorted(J_set(g, d, u, v))
+                on_J = RationalMatrix(tuple(tuple(row[x] for x in J)
+                                            for row in mat.entries),
+                                      mat.rows, tuple(J), u, v)
+                assert lp_feasible_strict(on_J).feasible == res.feasible
+                if not res.feasible:
+                    continue
+                feasible += 1
+                pushed = _push_onto_J(g, d, u, v, res.witness)
+                pushed_witnesses += pushed != res.witness
+                assert verify_feasibility_result(
+                    g, d, u, v, FeasibilityResult("feasible", witness=pushed))
+    # some pairs are feasible, and some witnesses leave J(u,v) before the push
+    assert feasible and pushed_witnesses
 
 
 # ------------------------------------- recognizers vs. definitional scans
