@@ -69,11 +69,11 @@ def cmd_gen(args) -> int:
         g = families.projective_incidence_graph(params.get("q", 2))
     else:
         g, labels = families.generate(families.FamilySpec(args.family, params))
+    if args.labels and labels is None:
+        raise ParseError(f"family {args.family} has no canonical labels")
     with open(args.output, "w") as fh:
         fh.write(write_graph(g))
     if args.labels:
-        if labels is None:
-            raise ParseError(f"family {args.family} has no canonical labels")
         with open(args.labels, "w") as fh:
             fh.write(recognizers.write_labels(labels))
     return _report("gen", {"family": args.family, "params": params},
@@ -216,6 +216,23 @@ def _suite_fano() -> list[tuple[str, bool]]:
         ("d(u,v)==3", d(u, v) == 3),
         ("p(G_2)>=3", not lp.has_Gp_connected_medians(g, d, 2)),
     ]
+    # F fails the local conditions at p=2 and meets them at p=3.  G_2 has
+    # diameter 3, so the p=3 band 4..6 is empty and WC and WP hold there
+    # vacuously; unimodality and the level sets are checked on every vertex.
+    f = medians.median_function(g, d, pi)
+    checks += [
+        ("F not 2-weakly convex", not medians.is_p_weakly_convex(g, d, f, 2)),
+        ("F not 2-weakly peakless", not medians.is_p_weakly_peakless(g, d, f, 2)),
+        ("level set {u,v} not 2-isometric",
+         medians.level_set(f, fu) == {u, v}
+         and not medians.is_p_isometric(g, d, {u, v}, 2)),
+        ("F 3-weakly convex", medians.is_p_weakly_convex(g, d, f, 3)),
+        ("F 3-weakly peakless", medians.is_p_weakly_peakless(g, d, f, 3)),
+        ("F unimodal on G^3", medians.is_unimodal_on_power(g, d, f, 3)),
+        ("level sets of F 3-isometric",
+         all(medians.is_p_isometric(g, d, medians.level_set(f, a), 3)
+             for a in set(f.values))),
+    ]
     return checks
 
 
@@ -243,6 +260,21 @@ def _suite_classes() -> list[tuple[str, bool]]:
     dj = all_pairs_distances(j52)
     checks.append(("J(5,2) meshed", recognizers.is_meshed(j52, dj).verdict))
     checks.append(("J(5,2) p==1", lp.compute_p(j52, dj).p == 1))
+    glued = families.gated_amalgam(families.cycle_graph(6), families.cycle_graph(6),
+                                   {0: 0, 1: 1}, {0: 0, 1: 1})
+    checks.append(("C_6 amalgam C_6 along an edge p==2",
+                   lp.compute_p(glued, all_pairs_distances(glued)).p == 2))
+    pairs2 = list(medians._pairs_in_distance_band(j52, dj, 2, 2))
+    checks.append(("J(5,2) 15 distance-2 pairs have alpha/beta certificates",
+                   len(pairs2) == 15
+                   and all(lp.alpha_beta_certificate(j52, dj, u, v) is not None
+                           for u, v in pairs2)))
+    configs = [("beta", beta)] + [(f"alpha type {t}", families.alpha_configuration(t))
+                                  for t in (1, 2, 3)]
+    for name, g in configs:
+        checks.append((f"{name} config (0,1) has no alpha/beta certificate",
+                       lp.alpha_beta_certificate(g, all_pairs_distances(g), 0, 1)
+                       is None))
     return checks
 
 

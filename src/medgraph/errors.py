@@ -21,14 +21,6 @@ class ParseError(MedgraphError):
     pass
 
 
-class NotEquilateral(MedgraphError):
-    pass
-
-
-class NotPeakless(MedgraphError):
-    pass
-
-
 class WrongDistance(MedgraphError):
     pass
 

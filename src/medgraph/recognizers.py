@@ -9,12 +9,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import networkx as nx
-
-from .errors import EmbeddingUnverified, LabelArity, ParseError, WrongDistance
+from .errors import EmbeddingUnverified, LabelArity, ParseError
 from .graph import DistMatrix, Graph, _data_lines, bfs
 from .medians import _pairs_in_distance_band
-from .metric import Jcirc_set, M_set, interior_interval, interval, interval_mask, members
+from .metric import Jcirc_set, interval, interval_mask, members
 
 
 @dataclass(frozen=True)
@@ -341,54 +339,6 @@ def is_thick(g: Graph, d: DistMatrix) -> ClassVerdict:
     return ClassVerdict("thick", True)
 
 
-# ------------------------------------------------ 3/4-interval conditions
-
-def check_condition_a(g: Graph, d: DistMatrix, u: int, v: int) -> bool:
-    """3-interval: some x ~ u, y ~ v inside the interior with x adjacent to
-    all of I(u,v) n N(v) except y, and symmetrically for y."""
-    if d(u, v) != 3:
-        raise WrongDistance(f"condition (a) needs d(u,v)=3, got {d(u, v)}")
-    inner = interior_interval(g, d, u, v)
-    near_u = [z for z in g.adj[u] if z in inner]
-    near_v = [z for z in g.adj[v] if z in inner]
-    for x in near_u:
-        for y in near_v:
-            if all(z == y or z in g.adj_sets[x] for z in near_v) and \
-               all(z == x or z in g.adj_sets[y] for z in near_u):
-                return True
-    return False
-
-
-def check_condition_b(g: Graph, d: DistMatrix, u: int, v: int) -> bool:
-    """4-interval: middle-level x adjacent to all of I n N(u), middle-level
-    y adjacent to all of I n N(v); x and y may coincide."""
-    if d(u, v) != 4:
-        raise WrongDistance(f"condition (b) needs d(u,v)=4, got {d(u, v)}")
-    inner = interior_interval(g, d, u, v)
-    mid = [z for z in inner if d(u, z) == 2]
-    near_u = [z for z in g.adj[u] if z in inner]
-    near_v = [z for z in g.adj[v] if z in inner]
-    got_x = any(all(z in g.adj_sets[x] for z in near_u) for x in mid)
-    got_y = any(all(z in g.adj_sets[y] for z in near_v) for y in mid)
-    return got_x and got_y
-
-
-def check_condition_c(g: Graph, d: DistMatrix, u: int, v: int) -> bool:
-    """4-interval: x ~ u and y ~ v in the interior, both adjacent to every
-    interior vertex equidistant (2,2) from the ends."""
-    if d(u, v) != 4:
-        raise WrongDistance(f"condition (c) needs d(u,v)=4, got {d(u, v)}")
-    inner = interior_interval(g, d, u, v)
-    mid = [z for z in inner if d(u, z) == 2 and d(v, z) == 2]
-    for x in (z for z in g.adj[u] if z in inner):
-        if not all(z in g.adj_sets[x] for z in mid):
-            continue
-        for y in (z for z in g.adj[v] if z in inner):
-            if all(z in g.adj_sets[y] for z in mid):
-                return True
-    return False
-
-
 # ------------------------------------------------ bipartite absolute retracts
 
 def is_bipartite(g: Graph) -> tuple[bool, list[int] | None]:
@@ -415,51 +365,6 @@ def is_bipartite_absolute_retract(g: Graph, d: DistMatrix) -> ClassVerdict:
                        for x in iv):
                 return ClassVerdict("bipartite_absolute_retract", False, (u, v))
     return ClassVerdict("bipartite_absolute_retract", True)
-
-
-def _to_nx(g: Graph) -> nx.Graph:
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
-    return h
-
-
-def absolute_retract_by_extension(g: Graph, d: DistMatrix,
-                                  max_n: int = 5) -> ClassVerdict:
-    """Modularity plus: every induced copy of K_{n,n} minus a perfect
-    matching (4 <= n <= max_n) extends by two adjacent vertices, one
-    dominating each side."""
-    from .families import bn_graph
-    mod = is_modular(g, d)
-    if not mod:
-        return ClassVerdict("absolute_retract_extension", False, mod.witness)
-    gn = _to_nx(g)
-    for n in range(4, max_n + 1):
-        if 2 * n > g.n:
-            break
-        pattern = _to_nx(bn_graph(n))
-        matcher = nx.algorithms.isomorphism.GraphMatcher(gn, pattern)
-        seen = set()
-        for mapping in matcher.subgraph_isomorphisms_iter():
-            inv = {pat: host for host, pat in mapping.items()}
-            a_side = frozenset(inv[i] for i in range(n))
-            b_side = frozenset(inv[n + i] for i in range(n))
-            key = frozenset((a_side, b_side))
-            if key in seen:
-                continue
-            seen.add(key)
-            if not _bn_extends(g, a_side, b_side):
-                return ClassVerdict("absolute_retract_extension", False,
-                                    tuple(sorted(a_side | b_side)))
-    return ClassVerdict("absolute_retract_extension", True)
-
-
-def _bn_extends(g: Graph, a_side, b_side) -> bool:
-    doms_b = [x for x in range(g.n)
-              if x not in a_side | b_side and b_side <= g.adj_sets[x]]
-    doms_a = [y for y in range(g.n)
-              if y not in a_side | b_side and a_side <= g.adj_sets[y]]
-    return any(y in g.adj_sets[x] for x in doms_b for y in doms_a)
 
 
 # ------------------------------------------------ alpha/beta configurations

@@ -22,13 +22,13 @@ from medgraph.lp import (compute_p, disconnecting_profile,
                          witness_to_profile)
 from medgraph.medians import (Profile, VertexFunction, is_p_connected,
                               is_p_isometric, is_p_weakly_peakless,
-                              is_p_weakly_peakless_full, is_unimodal_on_power,
-                              level_set, local_median_set_p, median_set,
-                              median_value)
+                              is_unimodal_on_power, level_set,
+                              local_median_set_p, median_set, median_value)
 from medgraph.metric import is_gated_set
 from medgraph.oracle import brute_force_oracle
 from medgraph.recognizers import (has_convex_balls, is_bridged, is_chordal,
                                   is_meshed, is_thick, satisfies_PC)
+from reference import is_p_weakly_peakless_full
 
 
 @pytest.fixture

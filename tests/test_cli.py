@@ -96,6 +96,16 @@ def test_check_with_embedding(tmp_path, capsys):
     assert code == 0 and rep["result"]["verdict"]
 
 
+def test_gen_labels_rejected_before_any_output(tmp_path, capsys):
+    gpath = tmp_path / "c7.graph"
+    lpath = tmp_path / "c7.labels"
+    assert main(["gen", "cycle", "n=7", "-o", str(gpath),
+                 "--labels", str(lpath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no canonical labels" in captured.err
+    assert not gpath.exists() and not lpath.exists()
+
+
 def test_gen_benzenoid(tmp_path, capsys):
     spec = tmp_path / "naphthalene.hex"
     spec.write_text("0 0\n1 0\n")
@@ -150,6 +160,24 @@ def test_verify_paper_all(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["result"]["passed"]
+
+
+@pytest.mark.parametrize("module, name, value", [
+    ("medians", "is_p_weakly_convex", True),
+    ("medians", "is_p_weakly_peakless", True),
+    ("medians", "is_p_isometric", True),
+    ("medians", "is_unimodal_on_power", False),
+    ("lp", "alpha_beta_certificate", None),
+])
+def test_verify_paper_fails_when_a_local_check_is_wrong(monkeypatch, capsys,
+                                                        module, name, value):
+    import medgraph.lp
+    import medgraph.medians
+    target = {"lp": medgraph.lp, "medians": medgraph.medians}[module]
+    monkeypatch.setattr(target, name, lambda *args: value)
+    assert main(["verify-paper", "all"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert not rep["result"]["passed"]
 
 
 C7 = "7 7\n" + "".join(f"{i} {(i + 1) % 7}\n" for i in range(7))

