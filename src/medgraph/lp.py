@@ -10,7 +10,16 @@ profile or a Farkas certificate, and both are re-verified exactly.
 `alpha_beta_certificate` are read from its answer on the alternative
 system, so both of their outcomes are certified the same way.
 
-`solve_pair` is the one per-pair verdict: it builds D^uv and decides it.
+`solve_pair` builds D^uv and decides it with the simplex; `_decide` first
+tries the singleton tests of LP presolve (Andersen & Andersen 1995,
+"Presolving in linear programming", Math. Program. 71).  Column x of D^uv
+is the profile with all its weight on x, and row w is w's chord inequality:
+- an all-negative column x makes {x: 1} a witness, since every row is then
+  at most -1;
+- a nonnegative row w makes e_w a Farkas certificate, since e_w^T D^uv is
+  that row.
+Both answers are checked on the full matrix like the simplex's.
+
 D^uv has a column for every vertex, though a violating profile pi can
 always be moved onto J(u,v).  With F the median function of pi and w inside
 I(u,v), moving weight omega from z to a neighbour closer to both u and v
@@ -19,9 +28,9 @@ exactly d(u,v)*omega and d(u,v)F(w) by at most that, so each violated row
 stays violated.  The moves end on J(u,v), so the LP on the J(u,v) columns
 alone is feasible iff this one is: a J-column LP would add nothing.
 D^uv depends only on the pair, never on p, so `compute_p` decides each pair
-at most once and stops a level at its first failing pair.  It solves one LP
-per `_canonical` key of D^uv; a pair with a known key takes that answer
-mapped onto its own matrix, and re-checked there.
+at most once and stops a level at its first failing pair.  A pair with no
+one-vertex answer costs one LP per `_canonical` key of D^uv; a pair with a
+known key takes that answer mapped onto its own matrix, and re-checked there.
 """
 
 from __future__ import annotations
@@ -196,6 +205,34 @@ def _check_result(r: FeasibilityResult) -> bool:
     return all(sum(map(mul, y, col)) >= 0 for col in zip(*mat.entries))
 
 
+def _one_vertex_answer(mat: RationalMatrix) -> FeasibilityResult | None:
+    """The certificate e_i for the first nonnegative row i, else the witness
+    {x: 1} for the first all-negative column x, else None.  A matrix has
+    at most one of the two kinds; either answer is checked on it."""
+    entries = mat.entries
+    i = next((i for i, row in enumerate(entries) if min(row) >= 0), None)
+    if i is not None:
+        res = FeasibilityResult("infeasible", matrix=mat, certificate=tuple(
+            Fraction(int(k == i)) for k in range(len(entries))))
+    else:
+        neg = range(len(mat.cols))
+        for row in entries:
+            neg = [j for j in neg if row[j] < 0]
+        if not neg:
+            return None
+        res = FeasibilityResult("feasible", witness={mat.cols[neg[0]]: Fraction(1)},
+                                matrix=mat)
+    if not _check_result(res):
+        raise AssertionError(
+            f"one-vertex answer does not verify on pair ({mat.u},{mat.v})")
+    return res
+
+
+def _decide(mat: RationalMatrix) -> FeasibilityResult:
+    """The pair's verdict: a one-vertex answer when there is one, else the LP."""
+    return _one_vertex_answer(mat) or lp_feasible_strict(mat)
+
+
 def verify_feasibility_result(g: Graph, d: DistMatrix, u: int, v: int,
                               r: FeasibilityResult) -> bool:
     """Re-check a witness or certificate against a freshly built matrix."""
@@ -266,7 +303,7 @@ def has_Gp_connected_medians(g: Graph, d: DistMatrix, p: int) -> bool:
     """p(G) <= p iff no pair in the band p+1 <= d(u,v) <= 2p is feasible."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    return not any(solve_pair(g, d, u, v).feasible
+    return not any(_decide(build_Duv(g, d, u, v)).feasible
                    for u, v in _pairs_in_distance_band(g, d, p + 1, 2 * p))
 
 
@@ -282,7 +319,8 @@ class PairVerdict:
 class PValueReport:
     p: int
     # failing pairs at p-1, ascending; only the first result is the pair's
-    # own solve, the others may be mapped from another pair of their class
+    # own solve, the others may be one-vertex witnesses {x: 1} or mapped
+    # from another pair of their class
     failing_verdicts: tuple[PairVerdict, ...] = ()
     witness_pair: tuple[int, int] | None = None
     witness_profile: Profile | None = None           # feasible pi at p-1
@@ -331,10 +369,13 @@ def compute_p(g: Graph, d: DistMatrix) -> PValueReport:
     report: its first failing pair is the witness pair, and its verdict is
     the pair's own solve.
 
-    One LP is solved per `_canonical` key, i.e. per set of permutation-
-    equivalent D^uv, in a call.  Another pair with that key takes the stored
-    answer mapped onto its own matrix and re-checked there, so every other
-    entry of failing_verdicts may hold such a mapped witness.
+    A pair whose D^uv has a one-vertex answer (see `_one_vertex_answer`)
+    takes it and skips the `_canonical` key.  Otherwise one LP is solved per
+    key, i.e. per set of permutation-equivalent D^uv, in a call, and
+    another pair with that key takes the stored answer mapped onto its own
+    matrix and re-checked there.  So every entry of failing_verdicts after
+    the first may hold a one-vertex or a mapped witness; the witness pair,
+    when its verdict was not its own solve, is solved again on its own.
     """
     classes: dict = {}      # _canonical key -> _to_key answer
     verdicts: dict[tuple[int, int], tuple[FeasibilityResult, bool]] = {}
@@ -342,13 +383,17 @@ def compute_p(g: Graph, d: DistMatrix) -> PValueReport:
     def verdict(u: int, v: int) -> FeasibilityResult:
         if (u, v) not in verdicts:
             mat = build_Duv(g, d, u, v)
-            key, rows, cols = _canonical(mat)
-            if key in classes:
-                verdicts[u, v] = _from_key(classes[key], mat, rows, cols), False
+            res = _one_vertex_answer(mat)
+            if res is not None:
+                verdicts[u, v] = res, False
             else:
-                res = lp_feasible_strict(mat)
-                classes[key] = _to_key(res, rows, cols)
-                verdicts[u, v] = res, True
+                key, rows, cols = _canonical(mat)
+                if key in classes:
+                    verdicts[u, v] = _from_key(classes[key], mat, rows, cols), False
+                else:
+                    res = lp_feasible_strict(mat)
+                    classes[key] = _to_key(res, rows, cols)
+                    verdicts[u, v] = res, True
         return verdicts[u, v][0]
 
     p = 1

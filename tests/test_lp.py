@@ -6,8 +6,9 @@ import pytest
 
 from medgraph.errors import InteriorTooLarge, WrongDistance
 from medgraph.families import (alpha_configuration, beta_configuration,
-                               cycle_graph, halved_cube, hypercube, johnson,
-                               path_graph)
+                               complete_bipartite, cycle_graph, halved_cube,
+                               hypercube, johnson, path_graph,
+                               projective_incidence_graph)
 from medgraph.graph import Graph, all_pairs_distances, build_graph
 import medgraph.lp as lp
 from medgraph.lp import (FeasibilityResult, RationalMatrix,
@@ -181,21 +182,30 @@ def test_compute_p_solves_each_pair_once(monkeypatch):
     g, d = _gd(cycle_graph(21))
     calls = _recording_solves(monkeypatch)
     assert compute_p(g, d).p == 10
-    # the pairs of C_21 at one distance are one class, and the scan jumps
-    # from each level's first failing pair at distance k to level k: one
-    # solve at each distance 2..10, where the plain scan made 189
+    # every pair of C_21 has an all-negative column, so no class reaches
+    # the simplex; the one solve is the witness pair's own, where the plain
+    # scan made 189
+    assert [pair for pair, _ in calls] == [(0, 10)]
+    # no pair of G_2 has a one-vertex answer: one solve per key
+    calls.clear()
+    assert compute_p(*_gd(projective_incidence_graph(2))).p == 3
     keys = [key for _, key in calls]
-    assert len(calls) == 9 == len(set(keys))
-    assert [pair for pair, _ in calls] == [(0, k) for k in range(2, 11)]
+    assert len(calls) == 4 == len(set(keys))
 
 
 def test_compute_p_re_solves_a_witness_pair_decided_by_its_class(monkeypatch):
-    # Each band is scanned in descending pair order the first time it is
-    # asked for, so C_7's level 2 decides (3, 6) and the report's scan of
-    # the same band meets (0, 3) as a cache hit.  The witness pair is then
-    # solved on its own, and that is the only repeated class.
     g, d = _gd(cycle_graph(7))
+    calls = _recording_solves(monkeypatch)
     plain = compute_p(g, d)
+    # every pair of C_7 has a one-vertex answer; the only solve is the
+    # witness pair's own
+    assert [pair for pair, _ in calls] == [(0, 3)]
+    assert plain.failing_verdicts[0].result == solve_pair(g, d, 0, 3)
+    # With the one-vertex tests off, each band is scanned in descending
+    # pair order the first time it is asked for, so level 2 decides (3, 6)
+    # and the report's scan of the same band meets (0, 3) as a cache hit.
+    # The witness pair is then solved on its own, and that is the only
+    # repeated class.
     seen = set()
     band = lp._pairs_in_distance_band
 
@@ -207,7 +217,8 @@ def test_compute_p_re_solves_a_witness_pair_decided_by_its_class(monkeypatch):
         return iter(pairs)
 
     monkeypatch.setattr(lp, "_pairs_in_distance_band", first_time_descending)
-    calls = _recording_solves(monkeypatch)
+    monkeypatch.setattr(lp, "_one_vertex_answer", lambda mat: None)
+    calls.clear()
     rep = compute_p(g, d)
     keys = [key for _, key in calls]
     assert [pair for pair, _ in calls] == [(4, 6), (3, 6), (0, 3)]
@@ -380,7 +391,7 @@ def _plain_scan(g, d):
 
 def _corpus():
     from medgraph.benzenoid import BenzenoidSpec, benzenoid
-    from medgraph.families import cartesian_product, projective_incidence_graph
+    from medgraph.families import cartesian_product
     coronene = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
     yield cycle_graph(7)
     yield cycle_graph(21)
@@ -427,6 +438,49 @@ def test_compute_p_matches_the_plain_scan():
             g, d, u, v, witness_to_profile(own.witness))
 
 
+def test_one_vertex_answers_agree_with_the_plain_solve():
+    kinds = Counter()
+    for g in [*_corpus(), *_random_connected_graphs(40), *_connected_atlas_graphs(7)]:
+        d = all_pairs_distances(g)
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                if d(u, v) < 2:
+                    continue
+                plain = solve_pair(g, d, u, v)
+                one = lp._one_vertex_answer(plain.matrix)
+                if one is None:
+                    kinds["undecided"] += 1     # _decide is the plain solve
+                    continue
+                kinds[one.status] += 1
+                assert lp._decide(plain.matrix) == one
+                assert one.feasible == plain.feasible
+                assert verify_feasibility_result(g, d, u, v, one)
+    assert kinds.keys() == {"feasible", "infeasible", "undecided"}
+
+
+def _one(*entries):
+    return lp._one_vertex_answer(RationalMatrix(
+        entries, tuple(range(len(entries))), tuple(range(len(entries[0]))), 0, 0))
+
+
+def test_one_vertex_answer_sign_boundaries():
+    # column 0 holds a 0, so it is no witness, and no row is nonnegative
+    assert _one((0, -1), (-1, 1)) is None
+    # column 1 is all negative: {1: 1} is the witness
+    assert _one((2, -1), (-3, -2)).witness == {1: Fraction(1)}
+    # each row has one -1 and no column is all negative
+    assert _one((1, -1), (-1, 1)) is None
+    # an all-zero row is a certificate: 0 >= 0 in every column
+    assert _one((-1, 1), (0, 0)).certificate == (0, 1)
+
+
+def test_one_vertex_answer_is_checked(monkeypatch):
+    monkeypatch.setattr(lp, "_check_result", lambda res: False)
+    for entries in (((-1, 1), (-1, 0)), ((-1, 1), (0, 0))):
+        with pytest.raises(AssertionError, match="one-vertex answer does not verify"):
+            _one(*entries)
+
+
 def _permuted(m, rows, cols):
     return tuple(tuple(m[i][j] for j in cols) for i in rows)
 
@@ -466,9 +520,11 @@ def test_canonical_key_is_a_permutation_shared_by_permuted_copies():
 
 
 @pytest.mark.parametrize("graph, corrupt", [
-    (cycle_graph(21), "witness"),           # feasible pairs at distance 10
+    # the six same-side pairs are one feasible class with no one-vertex
+    # answer: one solve and five cache hits
+    (complete_bipartite(3, 3), "witness"),
     (halved_cube(6)[0], "certificate"),     # p = 1: every pair infeasible
-], ids=["C_21", "halfH_6"])
+], ids=["K_33", "halfH_6"])
 def test_compute_p_rejects_a_corrupted_cache_entry(monkeypatch, graph, corrupt):
     real = lp._to_key
 
