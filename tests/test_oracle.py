@@ -1,12 +1,14 @@
+import numpy as np
 import pytest
 
+from medgraph import oracle
 from medgraph.errors import BudgetExceeded
 from medgraph.families import cycle_graph, hypercube, path_graph
-from medgraph.graph import all_pairs_distances
+from medgraph.graph import all_pairs_distances, build_graph
 from medgraph.medians import (Profile, is_p_connected as _is_p_connected,
                               local_median_set_p, median_set)
 from medgraph.lp import has_Gp_connected_medians
-from medgraph.oracle import brute_force_oracle
+from medgraph.oracle import _dtype, brute_force_oracle
 
 
 def test_hypercube_has_connected_medians():
@@ -64,3 +66,39 @@ def test_p_validation():
     for p in (0, -1):
         with pytest.raises(ValueError):
             brute_force_oracle(g, d, p, 2)
+
+
+def test_dtype_is_the_narrowest_that_holds_the_bound():
+    # pinned on both sides of each limit: an off-by-one in the bound would
+    # let a profile value wrap around silently
+    assert _dtype(0) is np.int16
+    assert _dtype(2**15 - 1) is np.int16
+    assert _dtype(2**15) is np.int32
+    assert _dtype(2**31 - 1) is np.int32
+    assert _dtype(2**31) is np.int64
+    assert _dtype(2**63 - 1) is np.int64
+    with pytest.raises(OverflowError):
+        _dtype(2**63)
+
+
+def test_block_gather_stays_within_block_memory(monkeypatch):
+    # A path 0..12 with 60 leaves on its middle vertex: at p = 11 every
+    # closed p-ball of the middle holds all 73 vertices, and the one pair in
+    # the band, (0, 12), has the 13 path vertices as J, so 8,191 profiles.
+    # A block then holds _BLOCK // 73 profiles, and its ball gather at
+    # most _BLOCK * n values.
+    g = build_graph(73, [(i, i + 1) for i in range(12)]
+                    + [(6, leaf) for leaf in range(13, 73)])
+    d = all_pairs_distances(g)
+    gathered = []
+    scan = oracle._bad_columns
+
+    def spy(f, near, slots, seeds):
+        gathered.append(slots.size * f.shape[1])
+        return scan(f, near, slots, seeds)
+
+    monkeypatch.setattr(oracle, "_bad_columns", spy)
+    # a tree has connected medians at every p
+    assert brute_force_oracle(g, d, 11, 1, budget=10_000) is None
+    assert len(gathered) > 1
+    assert max(gathered) <= oracle._BLOCK * g.n

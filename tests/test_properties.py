@@ -24,6 +24,7 @@ from medgraph.medians import (Profile, VertexFunction, check_WC,
                               is_p_weakly_convex, is_p_weakly_peakless,
                               is_unimodal_on_power, level_set,
                               local_median_set_p, median_function, median_set)
+from medgraph import oracle
 from medgraph.oracle import brute_force_oracle
 from medgraph.recognizers import (ClassVerdict, _alpha_type1, _alpha_type2,
                                   _alpha_type3, _quadrangle_condition,
@@ -509,24 +510,43 @@ def _oracle_outcome(fn, g, d, p, max_weight, budget):
         return "budget"
 
 
+def _assert_oracle_matches_plain_scan(graphs, levels, budget):
+    """p and max_weight each range over `levels`."""
+    outcomes = set()
+    for g in graphs:
+        d = all_pairs_distances(g)
+        for p in levels:
+            for max_weight in levels:
+                got = _oracle_outcome(brute_force_oracle, g, d, p,
+                                      max_weight, budget)
+                ref = _oracle_outcome(_ref_oracle, g, d, p, max_weight,
+                                      budget)
+                assert got == ref, (g.edges(), p, max_weight)
+                outcomes.add("none" if got is None else
+                             got if got == "budget" else "hit")
+    assert outcomes == {"none", "hit", "budget"}
+
+
 def test_oracle_matches_plain_profile_scan():
     rng = random.Random(101)
     graphs = [_random_connected_graph(rng, rng.randint(3, 9))
               for _ in range(12)]
     graphs += [cycle_graph(7), cycle_graph(9), hypercube(3)[0]]
-    outcomes = set()
-    for g in graphs:
-        d = all_pairs_distances(g)
-        for p in (1, 2, 3):
-            for max_weight in (1, 2, 3):
-                got = _oracle_outcome(brute_force_oracle, g, d, p,
-                                      max_weight, 10_000)
-                ref = _oracle_outcome(_ref_oracle, g, d, p, max_weight,
-                                      10_000)
-                assert got == ref, (g.edges(), p, max_weight)
-                outcomes.add("none" if got is None else
-                             got if got == "budget" else "hit")
-    assert outcomes == {"none", "hit", "budget"}
+    _assert_oracle_matches_plain_scan(graphs, (1, 2, 3), 10_000)
+
+
+@pytest.mark.parametrize("block", [50, 1])
+def test_oracle_block_split_matches_plain_profile_scan(monkeypatch, block):
+    # A block holds at most _BLOCK // (ball size) profiles, so with a small
+    # _BLOCK most supports are split into an inner table and prefix offsets
+    # (with 1, one profile a block): the offsets and the all-zero profile,
+    # skipped in the first block only, are checked against the plain scan.
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    rng = random.Random(107)
+    graphs = [_random_connected_graph(rng, rng.randint(4, 8))
+              for _ in range(4)]
+    graphs += [cycle_graph(7), hypercube(3)[0]]
+    _assert_oracle_matches_plain_scan(graphs, (1, 2), 2_000)
 
 
 def test_interval_and_J_set_match_their_definitions():
