@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from . import benzenoid as bz
 from . import families, lp, medians, oracle, recognizers
-from .errors import MedgraphError, ParseError, UnknownClass, UnknownSuite
+from .errors import (BudgetExceeded, MedgraphError, ParseError, UnknownClass,
+                     UnknownSuite)
 from .graph import all_pairs_distances, read_graph, write_graph
 from .medians import Profile, median_set, median_value, local_median_set_p
 
@@ -113,13 +114,20 @@ def cmd_pvalue(args) -> int:
         result["witness_profile"] = dict(rep.witness_profile.weights)
         result["disconnecting_profile"] = dict(rep.disconnecting_profile.weights)
     if args.oracle:
-        hit = oracle.brute_force_oracle(g, d, max(1, rep.p - 1), args.oracle) \
-            if rep.p > 1 else None
         result["oracle_max_weight"] = args.oracle
-        result["oracle_counterexample_below_p"] = (
-            None if hit is None else
-            {"pair": list(hit[0]), "profile": dict(hit[1].weights)})
-        result["oracle_agrees"] = (rep.p == 1) == (hit is None)
+        try:
+            hit = oracle.brute_force_oracle(g, d, max(1, rep.p - 1), args.oracle) \
+                if rep.p > 1 else None
+        except BudgetExceeded as exc:
+            # the LP answer stands; only the cross-check was not run
+            result["oracle_counterexample_below_p"] = None
+            result["oracle_agrees"] = None
+            result["oracle_budget_exceeded"] = str(exc)
+        else:
+            result["oracle_counterexample_below_p"] = (
+                None if hit is None else
+                {"pair": list(hit[0]), "profile": dict(hit[1].weights)})
+            result["oracle_agrees"] = (rep.p == 1) == (hit is None)
     return _report("pvalue", {"graph": args.graph}, result, start)
 
 

@@ -28,9 +28,10 @@ exactly d(u,v)*omega and d(u,v)F(w) by at most that, so each violated row
 stays violated.  The moves end on J(u,v), so the LP on the J(u,v) columns
 alone is feasible iff this one is: a J-column LP would add nothing.
 D^uv depends only on the pair, never on p, so `compute_p` decides each pair
-at most once and stops a level at its first failing pair.  A pair with no
-one-vertex answer costs one LP per `_canonical` key of D^uv; a pair with a
-known key takes that answer mapped onto its own matrix, and re-checked there.
+at most once and stops each scan, the report's too, at its first failing
+pair.  A pair with no one-vertex answer is solved, unless an infeasible
+pair with the same `_canonical` key came before it: then it takes that
+certificate mapped onto its own matrix, and re-checked there.
 """
 
 from __future__ import annotations
@@ -273,26 +274,11 @@ def _canonical(mat: RationalMatrix):
             [col_order[j] for j in last])
 
 
-def _to_key(res: FeasibilityResult, rows, cols):
-    """A verified answer in the coordinates of its matrix's `_canonical` key:
-    (status, ((key column, weight), ...)) for a witness and
-    (status, y in key row order) for a certificate."""
-    if res.feasible:
-        where = {res.matrix.cols[j]: k for k, j in enumerate(cols)}
-        return res.status, tuple((where[x], w) for x, w in res.witness.items())
-    return res.status, tuple(res.certificate[i] for i in rows)
-
-
-def _from_key(entry, mat: RationalMatrix, rows, cols) -> FeasibilityResult:
-    """Map a `_to_key` answer onto a matrix with the same key, and check it
-    exactly on that matrix."""
-    status, answer = entry
-    if status == "feasible":
-        res = FeasibilityResult(status, matrix=mat, witness={
-            mat.cols[cols[k]]: w for k, w in answer})
-    else:
-        res = FeasibilityResult(status, matrix=mat, certificate=tuple(
-            y for _, y in sorted(zip(rows, answer))))
+def _from_key(y, mat: RationalMatrix, rows) -> FeasibilityResult:
+    """Map a certificate y, in the row order of a `_canonical` key, onto a
+    matrix with that key, and check it exactly on that matrix."""
+    res = FeasibilityResult("infeasible", matrix=mat, certificate=tuple(
+        yi for _, yi in sorted(zip(rows, y))))
     if not _check_result(res):
         raise AssertionError(
             f"cached answer does not verify on pair ({mat.u},{mat.v})")
@@ -308,20 +294,8 @@ def has_Gp_connected_medians(g: Graph, d: DistMatrix, p: int) -> bool:
 
 
 @dataclass(frozen=True)
-class PairVerdict:
-    u: int
-    v: int
-    dist: int
-    result: FeasibilityResult
-
-
-@dataclass(frozen=True)
 class PValueReport:
     p: int
-    # failing pairs at p-1, ascending; only the first result is the pair's
-    # own solve, the others may be one-vertex witnesses {x: 1} or mapped
-    # from another pair of their class
-    failing_verdicts: tuple[PairVerdict, ...] = ()
     witness_pair: tuple[int, int] | None = None
     witness_profile: Profile | None = None           # feasible pi at p-1
     disconnecting_profile: Profile | None = None     # integer profile, Med disconnected in G^{p-1}
@@ -365,19 +339,19 @@ def compute_p(g: Graph, d: DistMatrix) -> PValueReport:
     ceil(k/2) <= p <= k-1.  So a level's scan stops at its first failing
     pair and the scan goes on at p = k; the first level with no failing
     pair is p.  Terminates by p = diameter, where the band is empty.  The
-    band of p-1 is then scanned in full, in ascending pair order, for the
-    report: its first failing pair is the witness pair, and its verdict is
-    the pair's own solve.
+    band of p-1 is then scanned in ascending pair order up to its first
+    failing pair, the witness pair, whose verdict is its own solve.
 
     A pair whose D^uv has a one-vertex answer (see `_one_vertex_answer`)
-    takes it and skips the `_canonical` key.  Otherwise one LP is solved per
-    key, i.e. per set of permutation-equivalent D^uv, in a call, and
-    another pair with that key takes the stored answer mapped onto its own
-    matrix and re-checked there.  So every entry of failing_verdicts after
-    the first may hold a one-vertex or a mapped witness; the witness pair,
-    when its verdict was not its own solve, is solved again on its own.
+    takes it and skips the `_canonical` key.  Otherwise the pair is solved,
+    unless an earlier infeasible pair had the same key, i.e. a
+    permutation-equivalent D^uv: then the stored certificate is mapped onto
+    the pair's own matrix and re-checked there.  Feasible answers are not
+    stored, since each scan stops at its first one.  So a feasible verdict
+    is a one-vertex witness or the pair's own solve, and the witness pair is
+    solved again on its own in the first case.
     """
-    classes: dict = {}      # _canonical key -> _to_key answer
+    classes: dict = {}      # _canonical key -> certificate in key row order
     verdicts: dict[tuple[int, int], tuple[FeasibilityResult, bool]] = {}
 
     def verdict(u: int, v: int) -> FeasibilityResult:
@@ -387,12 +361,13 @@ def compute_p(g: Graph, d: DistMatrix) -> PValueReport:
             if res is not None:
                 verdicts[u, v] = res, False
             else:
-                key, rows, cols = _canonical(mat)
+                key, rows, _ = _canonical(mat)
                 if key in classes:
-                    verdicts[u, v] = _from_key(classes[key], mat, rows, cols), False
+                    verdicts[u, v] = _from_key(classes[key], mat, rows), False
                 else:
                     res = lp_feasible_strict(mat)
-                    classes[key] = _to_key(res, rows, cols)
+                    if not res.feasible:
+                        classes[key] = tuple(res.certificate[i] for i in rows)
                     verdicts[u, v] = res, True
         return verdicts[u, v][0]
 
@@ -405,21 +380,17 @@ def compute_p(g: Graph, d: DistMatrix) -> PValueReport:
         p = k
     if p == 1:
         return PValueReport(p=p)
-    failures = [PairVerdict(u, v, d(u, v), verdict(u, v))
-                for u, v in _pairs_in_distance_band(g, d, p, 2 * p - 2)
-                if verdict(u, v).feasible]
-    first = failures[0]
-    if not verdicts[first.u, first.v][1]:
-        first = PairVerdict(first.u, first.v, first.dist,
-                            solve_pair(g, d, first.u, first.v))
-        failures[0] = first
+    u, v = next((u, v) for u, v in _pairs_in_distance_band(g, d, p, 2 * p - 2)
+                if verdict(u, v).feasible)
+    res, own = verdicts[u, v]
+    if not own:
+        res = solve_pair(g, d, u, v)
     return PValueReport(
         p=p,
-        failing_verdicts=tuple(failures),
-        witness_pair=(first.u, first.v),
-        witness_profile=Profile(dict(first.result.witness)),
-        disconnecting_profile=disconnecting_profile(g, d, first.u, first.v,
-                                                    witness_to_profile(first.result.witness)),
+        witness_pair=(u, v),
+        witness_profile=Profile(dict(res.witness)),
+        disconnecting_profile=disconnecting_profile(g, d, u, v,
+                                                    witness_to_profile(res.witness)),
     )
 
 

@@ -224,17 +224,13 @@ def is_bridged(g: Graph, d: DistMatrix) -> ClassVerdict:
 
 # ------------------------------------------------------------- convex balls
 
-def eccentricity(g: Graph, d: DistMatrix, v: int) -> int:
-    return max(d(v, x) for x in range(g.n))
-
-
 def has_convex_balls(g: Graph, d: DistMatrix) -> ClassVerdict:
     """Every ball is convex.  A false verdict is (v, r, x, y, z): x < y lie
     in the ball of radius r around v and z is the smallest vertex of I(x,y)
-    outside it."""
+    outside it.  The ball of radius ecc(v) is all of V, so r stops below."""
     for v in range(g.n):
         ball = d.levels[v][0]
-        for r in range(1, eccentricity(g, d, v) + 1):
+        for r in range(1, len(d.levels[v]) - 1):
             ball |= d.levels[v][r]
             for x, y in itertools.combinations(members(ball), 2):
                 outside = interval_mask(d, x, y) & ~ball

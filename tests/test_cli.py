@@ -42,6 +42,21 @@ def test_pvalue_with_oracle(tmp_path, capsys):
     assert res["oracle_agrees"]
 
 
+def test_pvalue_oracle_over_budget_is_no_error(tmp_path, capsys):
+    # the oracle's 5,000,000-profile budget is too small for G_2 at max
+    # weight 3; p stands, and the cross-check is reported as not run
+    gpath = tmp_path / "g2.graph"
+    gpath.write_text(write_graph(projective_incidence_graph(2)))
+    code, rep = _run(capsys, "pvalue", str(gpath), "--oracle", "3")
+    assert code == 0
+    res = rep["result"]
+    assert res["p"] == 3 and res["witness_pair"] == [14, 15]
+    assert res["oracle_agrees"] is None
+    assert res["oracle_counterexample_below_p"] is None
+    assert res["oracle_budget_exceeded"] == \
+        "5242875 profiles exceed the budget of 5000000"
+
+
 def test_pvalue_has_no_restrict_j_flag(tmp_path, capsys):
     gpath = tmp_path / "c6.graph"
     _run(capsys, "gen", "cycle", "n=6", "-o", str(gpath))

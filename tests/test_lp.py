@@ -6,9 +6,8 @@ import pytest
 
 from medgraph.errors import InteriorTooLarge, WrongDistance
 from medgraph.families import (alpha_configuration, beta_configuration,
-                               complete_bipartite, cycle_graph, halved_cube,
-                               hypercube, johnson, path_graph,
-                               projective_incidence_graph)
+                               cycle_graph, halved_cube, hypercube, johnson,
+                               path_graph, projective_incidence_graph)
 from medgraph.graph import Graph, all_pairs_distances, build_graph
 import medgraph.lp as lp
 from medgraph.lp import (FeasibilityResult, RationalMatrix,
@@ -163,7 +162,6 @@ def test_compute_p_values():
     assert compute_p(*_gd(path_graph(6))).p == 1
     rep = compute_p(*_gd(cycle_graph(7)))
     assert rep.witness_pair is not None
-    assert rep.failing_verdicts
 
 
 def _recording_solves(monkeypatch):
@@ -193,6 +191,29 @@ def test_compute_p_solves_each_pair_once(monkeypatch):
     assert len(calls) == 4 == len(set(keys))
 
 
+def _recording_builds(monkeypatch):
+    """Record the pair of every D^uv built."""
+    pairs = []
+
+    def recording(g, d, u, v):
+        pairs.append((u, v))
+        return build_Duv(g, d, u, v)
+
+    monkeypatch.setattr(lp, "build_Duv", recording)
+    return pairs
+
+
+def test_compute_p_stops_the_report_at_its_first_failing_pair(monkeypatch):
+    g, d = _gd(cycle_graph(21))
+    builds = _recording_builds(monkeypatch)
+    rep = compute_p(g, d)
+    # levels 1..9 each stop at (0, k + 1); the report's band 10..18 stops
+    # at (0, 10), decided at level 9 by a one-vertex witness, and re-solves
+    # it.  Deciding the whole band made 30 builds.
+    assert (rep.p, rep.witness_pair) == (10, (0, 10))
+    assert builds == [(0, k) for k in range(2, 11)] + [(0, 10)]
+
+
 def test_compute_p_re_solves_a_witness_pair_decided_by_its_class(monkeypatch):
     g, d = _gd(cycle_graph(7))
     calls = _recording_solves(monkeypatch)
@@ -200,12 +221,12 @@ def test_compute_p_re_solves_a_witness_pair_decided_by_its_class(monkeypatch):
     # every pair of C_7 has a one-vertex answer; the only solve is the
     # witness pair's own
     assert [pair for pair, _ in calls] == [(0, 3)]
-    assert plain.failing_verdicts[0].result == solve_pair(g, d, 0, 3)
+    assert plain.witness_profile == Profile(dict(solve_pair(g, d, 0, 3).witness))
     # With the one-vertex tests off, each band is scanned in descending
     # pair order the first time it is asked for, so level 2 decides (3, 6)
-    # and the report's scan of the same band meets (0, 3) as a cache hit.
-    # The witness pair is then solved on its own, and that is the only
-    # repeated class.
+    # and the report's scan of the same band meets (0, 3), of the same
+    # class.  A feasible answer is never taken from the cache: (0, 3) is
+    # solved on its own matrix, once, and no certificate is mapped.
     seen = set()
     band = lp._pairs_in_distance_band
 
@@ -218,28 +239,30 @@ def test_compute_p_re_solves_a_witness_pair_decided_by_its_class(monkeypatch):
 
     monkeypatch.setattr(lp, "_pairs_in_distance_band", first_time_descending)
     monkeypatch.setattr(lp, "_one_vertex_answer", lambda mat: None)
+    mapped = []
+    real = lp._from_key
+    monkeypatch.setattr(lp, "_from_key", lambda *args: mapped.append(args) or real(*args))
+    builds = _recording_builds(monkeypatch)
     calls.clear()
     rep = compute_p(g, d)
     keys = [key for _, key in calls]
-    assert [pair for pair, _ in calls] == [(4, 6), (3, 6), (0, 3)]
+    assert [pair for pair, _ in calls] == builds == [(4, 6), (3, 6), (0, 3)]
     assert keys[2] == keys[1] != keys[0]
+    assert not mapped
     assert (rep.p, rep.witness_pair) == (plain.p, plain.witness_pair) == (3, (0, 3))
     assert rep.witness_profile == plain.witness_profile
     assert rep.disconnecting_profile == plain.disconnecting_profile
-    assert rep.failing_verdicts[0] == plain.failing_verdicts[0]
-    assert rep.failing_verdicts[0].result == solve_pair(g, d, 0, 3)
 
 
-def test_failing_verdicts_are_feasible_pairs_of_last_failing_band():
+def test_witness_pair_is_the_first_feasible_pair_of_last_failing_band():
     for n in (7, 21):
         g, d = _gd(cycle_graph(n))
         rep = compute_p(g, d)
         q = rep.p - 1
-        expected = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-                    if q + 1 <= d(u, v) <= 2 * q
-                    and lp_feasible_strict(build_Duv(g, d, u, v)).feasible]
-        assert [(f.u, f.v) for f in rep.failing_verdicts] == expected
-        assert rep.witness_pair == expected[0]
+        expected = next((u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                        if q + 1 <= d(u, v) <= 2 * q
+                        and lp_feasible_strict(build_Duv(g, d, u, v)).feasible)
+        assert rep.witness_pair == expected
 
 
 def test_monotonicity():
@@ -374,7 +397,7 @@ def test_alpha_beta_interior_cap():
 def _plain_scan(g, d):
     """The ascending scan with no jumps and no cache: every band in full,
     every pair solved on its own matrix.  Returns p and the failing pairs
-    of band p-1 with their own results."""
+    of band p-1 with their own results, in ascending order."""
     solved = {}
     p, failures = 1, []
     while True:
@@ -422,16 +445,11 @@ def test_compute_p_matches_the_plain_scan():
         rep = compute_p(g, d)
         p, failures = _plain_scan(g, d)
         assert rep.p == p
-        assert [(f.u, f.v) for f in rep.failing_verdicts] == \
-            [(u, v) for u, v, _ in failures]
-        for f in rep.failing_verdicts:
-            assert f.dist == d(f.u, f.v)
-            assert verify_feasibility_result(g, d, f.u, f.v, f.result)
         if p == 1:
             assert rep.witness_pair is None
             continue
+        # the witness is the plain scan's first own solve of band p-1
         u, v, own = failures[0]
-        assert rep.failing_verdicts[0].result == own
         assert rep.witness_pair == (u, v)
         assert rep.witness_profile == Profile(dict(own.witness))
         assert rep.disconnecting_profile == disconnecting_profile(
@@ -519,24 +537,13 @@ def test_canonical_key_is_a_permutation_shared_by_permuted_copies():
     assert untied > 2500
 
 
-@pytest.mark.parametrize("graph, corrupt", [
-    # the six same-side pairs are one feasible class with no one-vertex
-    # answer: one solve and five cache hits
-    (complete_bipartite(3, 3), "witness"),
-    (halved_cube(6)[0], "certificate"),     # p = 1: every pair infeasible
-], ids=["K_33", "halfH_6"])
-def test_compute_p_rejects_a_corrupted_cache_entry(monkeypatch, graph, corrupt):
-    real = lp._to_key
-
-    def corrupted(res, rows, cols):
-        status, answer = real(res, rows, cols)
-        if corrupt == "witness" and res.feasible:
-            (k, w), *rest = answer
-            answer = ((k, -w), *rest)
-        elif corrupt == "certificate" and not res.feasible:
-            answer = (Fraction(0),) * len(answer)
-        return status, answer
-
-    monkeypatch.setattr(lp, "_to_key", corrupted)
+@pytest.mark.parametrize("graph", [
+    halved_cube(6)[0],      # p = 1: every pair infeasible, one class
+], ids=["halfH_6"])
+def test_compute_p_rejects_a_corrupted_cache_entry(monkeypatch, graph):
+    # every certificate read from the store is replaced by y = 0
+    real = lp._from_key
+    monkeypatch.setattr(lp, "_from_key", lambda y, mat, rows: real(
+        (Fraction(0),) * len(y), mat, rows))
     with pytest.raises(AssertionError, match="cached answer does not verify"):
         compute_p(*_gd(graph))

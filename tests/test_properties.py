@@ -19,8 +19,8 @@ from medgraph.lp import (FeasibilityResult, RationalMatrix, _check_result,
                          solve_pair, verify_feasibility_result,
                          witness_to_profile)
 from medgraph.metric import J_set, Jcirc_set, interval, interval_mask, members
-from medgraph.medians import (Profile, VertexFunction, check_WC,
-                              check_WP, is_p_connected,
+from medgraph.medians import (Profile, VertexFunction, _pairs_in_distance_band,
+                              check_WC, check_WP, is_p_connected,
                               is_p_weakly_convex, is_p_weakly_peakless,
                               is_unimodal_on_power, level_set,
                               local_median_set_p, median_function, median_set)
@@ -119,14 +119,19 @@ def test_disconnecting_profiles_split_medians():
         rep = compute_p(g, d)
         if rep.p == 1:
             continue
-        for verdict in rep.failing_verdicts:
-            u, v = verdict.u, verdict.v
-            assert verify_feasibility_result(g, d, u, v, verdict.result)
-            base = witness_to_profile(verdict.result.witness)
-            pi = disconnecting_profile(g, d, u, v, base)
+        q = rep.p - 1
+        failing = 0
+        for u, v in _pairs_in_distance_band(g, d, q + 1, 2 * q):
+            res = solve_pair(g, d, u, v)
+            if not res.feasible:
+                continue
+            failing += 1
+            assert verify_feasibility_result(g, d, u, v, res)
+            pi = disconnecting_profile(g, d, u, v, witness_to_profile(res.witness))
             med = median_set(g, d, pi)
             assert med == {u, v}
-            assert not is_p_connected(g, d, med, rep.p - 1)
+            assert not is_p_connected(g, d, med, q)
+        assert failing
         built += 1
 
 
