@@ -5,15 +5,11 @@ class MedgraphError(Exception):
     """Base class for all package errors."""
 
 
-class GraphConstructionError(MedgraphError):
+class Disconnected(MedgraphError):
     pass
 
 
-class Disconnected(GraphConstructionError):
-    pass
-
-
-class LoopEdge(GraphConstructionError):
+class LoopEdge(MedgraphError):
     pass
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from typing import Iterable
 
 from .errors import Disconnected, LoopEdge, ParseError
@@ -11,11 +12,12 @@ from .errors import Disconnected, LoopEdge, ParseError
 class Graph:
     """A simple undirected connected graph on vertices 0..n-1.
 
-    Adjacency is stored as sorted neighbor lists plus neighbor sets for
-    O(1) membership tests.  Instances are immutable after construction.
+    Adjacency is stored as sorted neighbor lists, plus neighbor sets for
+    O(1) membership tests that are built on first read.  Instances are
+    immutable after construction.
     """
 
-    __slots__ = ("n", "adj", "adj_sets", "name")
+    __slots__ = ("n", "adj", "name", "__dict__")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], name: str = ""):
         adj_sets: list[set[int]] = [set() for _ in range(n)]
@@ -27,7 +29,6 @@ class Graph:
             adj_sets[u].add(v)
             adj_sets[v].add(u)
         self.n = n
-        self.adj_sets = adj_sets
         self.adj = [sorted(s) for s in adj_sets]
         self.name = name
         if n < 1 or -1 in bfs(self, 0):
@@ -39,11 +40,16 @@ class Graph:
     def num_edges(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
+    @cached_property
+    def adj_sets(self) -> list[set[int]]:
+        """adj_sets[u] is N(u) as a set.  Built on first read, and then
+        read from the instance dict: a set of a few vertices takes about
+        four times the memory of its sorted list, and a graph whose
+        adjacency is never tested needs none."""
+        return [set(a) for a in self.adj]
+
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj_sets[u]
-
-    def degree(self, u: int) -> int:
-        return len(self.adj[u])
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""

@@ -10,10 +10,11 @@ profile or a Farkas certificate, and both are re-verified exactly.
 `alpha_beta_certificate` are read from its answer on the alternative
 system, so both of their outcomes are certified the same way.
 
-`solve_pair` builds D^uv and decides it with the simplex; `_decide` first
-tries the singleton tests of LP presolve (Andersen & Andersen 1995,
-"Presolving in linear programming", Math. Program. 71).  Column x of D^uv
-is the profile with all its weight on x, and row w is w's chord inequality:
+A pair's verdict comes from `_pair_verdicts`, shared by `compute_p` and
+`has_Gp_connected_medians`.  It first tries the singleton tests of LP
+presolve (Andersen & Andersen 1995, "Presolving in linear programming",
+Math. Program. 71).  Column x of D^uv is the profile with all its weight on
+x, and row w is w's chord inequality:
 - an all-negative column x makes {x: 1} a witness, since every row is then
   at most -1;
 - a nonnegative row w makes e_w a Farkas certificate, since e_w^T D^uv is
@@ -27,11 +28,9 @@ I(u,v), moving weight omega from z to a neighbour closer to both u and v
 exactly d(u,v)*omega and d(u,v)F(w) by at most that, so each violated row
 stays violated.  The moves end on J(u,v), so the LP on the J(u,v) columns
 alone is feasible iff this one is: a J-column LP would add nothing.
-D^uv depends only on the pair, never on p, so `compute_p` decides each pair
-at most once and stops each scan, the report's too, at its first failing
-pair.  A pair with no one-vertex answer is solved, unless an infeasible
-pair with the same `_canonical` key came before it: then it takes that
-certificate mapped onto its own matrix, and re-checked there.
+D^uv depends only on the pair, never on p, so `_pair_verdicts` decides
+each pair at most once, and `compute_p` stops each scan, the report's too,
+at its first failing pair.
 """
 
 from __future__ import annotations
@@ -170,9 +169,7 @@ def lp_feasible_strict(mat: RationalMatrix) -> FeasibilityResult:
         # dual value y_i = 1 - reduced cost of artificial column i
         y = tuple(Fraction(D - obj[n + m + i], D) for i in range(m))
         res = FeasibilityResult("infeasible", certificate=y, matrix=mat)
-    if not _check_result(res):
-        raise AssertionError("simplex produced an unverifiable result")
-    return res
+    return _checked(res, "simplex answer")
 
 
 def _scaled(values) -> tuple[int, list[int]]:
@@ -206,6 +203,14 @@ def _check_result(r: FeasibilityResult) -> bool:
     return all(sum(map(mul, y, col)) >= 0 for col in zip(*mat.entries))
 
 
+def _checked(res: FeasibilityResult, source: str) -> FeasibilityResult:
+    """res, once `_check_result` accepts it on its own matrix."""
+    if not _check_result(res):
+        raise AssertionError(f"{source} does not verify on pair "
+                             f"({res.matrix.u},{res.matrix.v})")
+    return res
+
+
 def _one_vertex_answer(mat: RationalMatrix) -> FeasibilityResult | None:
     """The certificate e_i for the first nonnegative row i, else the witness
     {x: 1} for the first all-negative column x, else None.  A matrix has
@@ -223,15 +228,7 @@ def _one_vertex_answer(mat: RationalMatrix) -> FeasibilityResult | None:
             return None
         res = FeasibilityResult("feasible", witness={mat.cols[neg[0]]: Fraction(1)},
                                 matrix=mat)
-    if not _check_result(res):
-        raise AssertionError(
-            f"one-vertex answer does not verify on pair ({mat.u},{mat.v})")
-    return res
-
-
-def _decide(mat: RationalMatrix) -> FeasibilityResult:
-    """The pair's verdict: a one-vertex answer when there is one, else the LP."""
-    return _one_vertex_answer(mat) or lp_feasible_strict(mat)
+    return _checked(res, "one-vertex answer")
 
 
 def verify_feasibility_result(g: Graph, d: DistMatrix, u: int, v: int,
@@ -241,55 +238,71 @@ def verify_feasibility_result(g: Graph, d: DistMatrix, u: int, v: int,
     return _check_result(FeasibilityResult(r.status, r.witness, r.certificate, mat))
 
 
-def solve_pair(g: Graph, d: DistMatrix, u: int, v: int) -> FeasibilityResult:
-    """Decide D^uv pi < 0, pi >= 0; feasible iff some profile violates WC at (u,v)."""
-    return lp_feasible_strict(build_Duv(g, d, u, v))
-
-
-def _sort_columns(rows):
-    """The rows with their columns in lexicographic order, and that order."""
-    cols = list(zip(*rows))
-    order = sorted(range(len(cols)), key=cols.__getitem__)
-    return list(zip(*map(cols.__getitem__, order))), order
-
-
 def _canonical(mat: RationalMatrix):
     """A row and column permutation of D^uv that keys its permutation class.
 
     The rows are put in the order of their sorted entries; then the columns,
     the rows and the columns are sorted lexicographically.  Returns
-    (key, rows, cols) with key[i][k] = mat.entries[rows[i]][cols[k]], so
-    equal keys are permutation-equivalent matrices.  Every column
-    permutation of a matrix has its key, and so does every row permutation
-    unless two different rows have the same sorted entries; there two
-    equivalent matrices can get two keys, which costs a solve, not a verdict.
+    (key, rows): key row i is mat.entries[rows[i]] with its columns
+    permuted, the same permutation for every row, so equal keys are
+    permutation-equivalent matrices.  Every column permutation of a matrix
+    has its key, and so does every row permutation unless two different
+    rows have the same sorted entries; there two equivalent matrices can
+    get two keys, which costs a solve, not a verdict.
     """
     entries = mat.entries
     multisets = list(map(sorted, entries))
     by_multiset = sorted(range(len(entries)), key=multisets.__getitem__)
-    half, col_order = _sort_columns(map(entries.__getitem__, by_multiset))
+    half = list(zip(*sorted(zip(*map(entries.__getitem__, by_multiset)))))
     row_order = sorted(range(len(half)), key=half.__getitem__)
-    key, last = _sort_columns(map(half.__getitem__, row_order))
-    return (tuple(key), [by_multiset[i] for i in row_order],
-            [col_order[j] for j in last])
+    key = tuple(zip(*sorted(zip(*map(half.__getitem__, row_order)))))
+    return key, [by_multiset[i] for i in row_order]
 
 
-def _from_key(y, mat: RationalMatrix, rows) -> FeasibilityResult:
-    """Map a certificate y, in the row order of a `_canonical` key, onto a
-    matrix with that key, and check it exactly on that matrix."""
-    res = FeasibilityResult("infeasible", matrix=mat, certificate=tuple(
-        yi for _, yi in sorted(zip(rows, y))))
-    if not _check_result(res):
-        raise AssertionError(
-            f"cached answer does not verify on pair ({mat.u},{mat.v})")
-    return res
+def _pair_verdicts(g: Graph, d: DistMatrix):
+    """The pair-verdict function of one graph, and the set of the pairs it
+    gave their own solve.
+
+    verdict(u, v) is the pair's one-vertex answer when it has one.  Else,
+    when an earlier infeasible pair had the same `_canonical` key, i.e. a
+    permutation-equivalent D^uv, it is that certificate mapped onto the
+    pair's own matrix and re-checked there; else the pair's own solve.
+    Feasible answers are not stored by key: each scan stops at its first.
+    """
+    classes: dict = {}      # _canonical key -> certificate in key row order
+    verdicts: dict[tuple[int, int], FeasibilityResult] = {}
+    own: set[tuple[int, int]] = set()
+
+    def verdict(u: int, v: int) -> FeasibilityResult:
+        res = verdicts.get((u, v))
+        if res is None:
+            mat = build_Duv(g, d, u, v)
+            res = _one_vertex_answer(mat)
+            if res is None:
+                key, rows = _canonical(mat)
+                y = classes.get(key)
+                if y is not None:
+                    res = _checked(FeasibilityResult(
+                        "infeasible", matrix=mat,
+                        certificate=tuple(yi for _, yi in sorted(zip(rows, y)))),
+                        "cached answer")
+                else:
+                    res = lp_feasible_strict(mat)
+                    own.add((u, v))
+                    if not res.feasible:
+                        classes[key] = tuple(res.certificate[i] for i in rows)
+            verdicts[u, v] = res
+        return res
+
+    return verdict, own
 
 
 def has_Gp_connected_medians(g: Graph, d: DistMatrix, p: int) -> bool:
     """p(G) <= p iff no pair in the band p+1 <= d(u,v) <= 2p is feasible."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    return not any(_decide(build_Duv(g, d, u, v)).feasible
+    verdict, _ = _pair_verdicts(g, d)
+    return not any(verdict(u, v).feasible
                    for u, v in _pairs_in_distance_band(g, d, p + 1, 2 * p))
 
 
@@ -342,35 +355,11 @@ def compute_p(g: Graph, d: DistMatrix) -> PValueReport:
     band of p-1 is then scanned in ascending pair order up to its first
     failing pair, the witness pair, whose verdict is its own solve.
 
-    A pair whose D^uv has a one-vertex answer (see `_one_vertex_answer`)
-    takes it and skips the `_canonical` key.  Otherwise the pair is solved,
-    unless an earlier infeasible pair had the same key, i.e. a
-    permutation-equivalent D^uv: then the stored certificate is mapped onto
-    the pair's own matrix and re-checked there.  Feasible answers are not
-    stored, since each scan stops at its first one.  So a feasible verdict
-    is a one-vertex witness or the pair's own solve, and the witness pair is
-    solved again on its own in the first case.
+    Pairs are decided by `_pair_verdicts`.  A feasible verdict is a
+    one-vertex witness or the pair's own solve; in the first case the
+    witness pair is solved again, on the matrix it was decided on.
     """
-    classes: dict = {}      # _canonical key -> certificate in key row order
-    verdicts: dict[tuple[int, int], tuple[FeasibilityResult, bool]] = {}
-
-    def verdict(u: int, v: int) -> FeasibilityResult:
-        if (u, v) not in verdicts:
-            mat = build_Duv(g, d, u, v)
-            res = _one_vertex_answer(mat)
-            if res is not None:
-                verdicts[u, v] = res, False
-            else:
-                key, rows, _ = _canonical(mat)
-                if key in classes:
-                    verdicts[u, v] = _from_key(classes[key], mat, rows), False
-                else:
-                    res = lp_feasible_strict(mat)
-                    if not res.feasible:
-                        classes[key] = tuple(res.certificate[i] for i in rows)
-                    verdicts[u, v] = res, True
-        return verdicts[u, v][0]
-
+    verdict, own = _pair_verdicts(g, d)
     p = 1
     while True:
         k = next((d(u, v) for u, v in _pairs_in_distance_band(g, d, p + 1, 2 * p)
@@ -382,9 +371,9 @@ def compute_p(g: Graph, d: DistMatrix) -> PValueReport:
         return PValueReport(p=p)
     u, v = next((u, v) for u, v in _pairs_in_distance_band(g, d, p, 2 * p - 2)
                 if verdict(u, v).feasible)
-    res, own = verdicts[u, v]
-    if not own:
-        res = solve_pair(g, d, u, v)
+    res = verdict(u, v)
+    if (u, v) not in own:
+        res = lp_feasible_strict(res.matrix)
     return PValueReport(
         p=p,
         witness_pair=(u, v),

@@ -45,9 +45,6 @@ class Profile:
     def total(self) -> Fraction:
         return sum(self.weights.values(), Fraction(0))
 
-    def scaled(self, c: Rational) -> "Profile":
-        return Profile({v: w * Fraction(c) for v, w in self.weights.items()})
-
     def is_integer(self) -> bool:
         return all(w.denominator == 1 for w in self.weights.values())
 

@@ -3,7 +3,7 @@
 Each one decides the same thing as a `medgraph` function by a different,
 slower route: all pairs instead of the local band, a walk of the geodesic
 DAG instead of distance levels, subgraph matching instead of the interval
-condition.
+condition, the simplex on every pair instead of the shared pair verdicts.
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import networkx as nx
 
 from medgraph.families import bn_graph
 from medgraph.graph import DistMatrix, Graph
+from medgraph.lp import FeasibilityResult, build_Duv, lp_feasible_strict
 from medgraph.medians import VertexFunction, _pairs_in_distance_band, check_WP
 from medgraph.recognizers import ClassVerdict, is_modular
 
@@ -20,6 +21,12 @@ def is_p_weakly_peakless_full(g: Graph, d: DistMatrix, f: VertexFunction, p: int
     `medians.is_p_weakly_peakless`."""
     return all(check_WP(g, d, f, u, v)
                for u, v in _pairs_in_distance_band(g, d, p + 1, d.diameter))
+
+
+def solve_pair(g: Graph, d: DistMatrix, u: int, v: int) -> FeasibilityResult:
+    """Decide D^uv pi < 0, pi >= 0 with the simplex alone; feasible iff some
+    profile violates WC at (u,v).  The plain route of `lp._pair_verdicts`."""
+    return lp_feasible_strict(build_Duv(g, d, u, v))
 
 
 def geodesic_vertices_via_dag(g: Graph, d: DistMatrix, u: int, v: int) -> set[int]:

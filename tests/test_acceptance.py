@@ -18,8 +18,7 @@ from medgraph.families import (beta_configuration, cartesian_product,
                                projective_incidence_graph)
 from medgraph.graph import Graph, all_pairs_distances, build_graph, power_graph
 from medgraph.lp import (compute_p, disconnecting_profile,
-                         has_Gp_connected_medians, solve_pair,
-                         witness_to_profile)
+                         has_Gp_connected_medians, witness_to_profile)
 from medgraph.medians import (Profile, VertexFunction, is_p_connected,
                               is_p_isometric, is_p_weakly_peakless,
                               is_unimodal_on_power, level_set,
@@ -28,7 +27,7 @@ from medgraph.metric import is_gated_set
 from medgraph.oracle import brute_force_oracle
 from medgraph.recognizers import (has_convex_balls, is_bridged, is_chordal,
                                   is_meshed, is_thick, satisfies_PC)
-from reference import is_p_weakly_peakless_full
+from reference import is_p_weakly_peakless_full, solve_pair
 
 
 @pytest.fixture

@@ -215,10 +215,13 @@ CHECK_J42 = ["check", "partial-johnson", "{graph}", "--embedding", "{text}",
     (J42, J42_LABELS + "99: 1,2\n", CHECK_J42),
     (J42, J42_LABELS + "-4: 0,3\n", CHECK_J42),
     (J42, J42_LABELS + J42_LABELS.splitlines()[0] + "\n", CHECK_J42),
+    # vertex 0 gets vertex 1's label {0, 2}: the embedding check fails
+    (J42, "0: 0,2\n" + J42_LABELS.split("\n", 1)[1], CHECK_J42),
 ], ids=["empty-profile", "non-integer-vertex", "p-zero", "gen-non-integer",
         "negative-oracle-weight", "negative-oracle-weight-p1",
         "negative-vertex-count", "label-vertex-too-large",
-        "label-vertex-negative", "label-vertex-repeated"])
+        "label-vertex-negative", "label-vertex-repeated",
+        "embedding-unverified"])
 def test_bad_input_exit_2(tmp_path, capsys, graph, text, argv):
     gpath, tpath = tmp_path / "g.graph", tmp_path / "text.txt"
     gpath.write_text(graph)

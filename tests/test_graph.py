@@ -12,6 +12,15 @@ def test_build_and_distances():
     assert d.diameter == 3
 
 
+def test_neighbour_sets_are_built_on_first_read():
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (1, 2)])
+    assert "adj_sets" not in vars(g)
+    assert g.adj == [[1], [0, 2], [1, 3], [2]]
+    assert g.has_edge(2, 1) and not g.has_edge(0, 2)
+    sets = vars(g)["adj_sets"]
+    assert sets == [{1}, {0, 2}, {1, 3}, {2}] and g.adj_sets is sets
+
+
 def test_loop_rejected():
     with pytest.raises(LoopEdge):
         build_graph(2, [(0, 0)])

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import networkx as nx
@@ -13,10 +14,11 @@ import medgraph.lp as lp
 from medgraph.lp import (FeasibilityResult, RationalMatrix,
                          alpha_beta_certificate, build_Duv, compute_p,
                          disconnecting_profile, has_Gp_connected_medians,
-                         lp_feasible_strict, solve_pair,
-                         verify_feasibility_result, witness_to_profile)
+                         lp_feasible_strict, verify_feasibility_result,
+                         witness_to_profile)
 from medgraph.medians import Profile, median_set
 from medgraph.metric import Jcirc_set, M_set, interior_interval
+from reference import solve_pair
 
 
 def _gd(g):
@@ -209,9 +211,9 @@ def test_compute_p_stops_the_report_at_its_first_failing_pair(monkeypatch):
     rep = compute_p(g, d)
     # levels 1..9 each stop at (0, k + 1); the report's band 10..18 stops
     # at (0, 10), decided at level 9 by a one-vertex witness, and re-solves
-    # it.  Deciding the whole band made 30 builds.
+    # it on the matrix built then.  Deciding the whole band made 30 builds.
     assert (rep.p, rep.witness_pair) == (10, (0, 10))
-    assert builds == [(0, k) for k in range(2, 11)] + [(0, 10)]
+    assert builds == [(0, k) for k in range(2, 11)]
 
 
 def test_compute_p_re_solves_a_witness_pair_decided_by_its_class(monkeypatch):
@@ -240,8 +242,14 @@ def test_compute_p_re_solves_a_witness_pair_decided_by_its_class(monkeypatch):
     monkeypatch.setattr(lp, "_pairs_in_distance_band", first_time_descending)
     monkeypatch.setattr(lp, "_one_vertex_answer", lambda mat: None)
     mapped = []
-    real = lp._from_key
-    monkeypatch.setattr(lp, "_from_key", lambda *args: mapped.append(args) or real(*args))
+    real = lp._checked
+
+    def recording(res, source):
+        if source == "cached answer":
+            mapped.append(res)
+        return real(res, source)
+
+    monkeypatch.setattr(lp, "_checked", recording)
     builds = _recording_builds(monkeypatch)
     calls.clear()
     rep = compute_p(g, d)
@@ -445,6 +453,8 @@ def test_compute_p_matches_the_plain_scan():
         rep = compute_p(g, d)
         p, failures = _plain_scan(g, d)
         assert rep.p == p
+        assert [has_Gp_connected_medians(g, d, q) for q in range(1, d.diameter + 1)] \
+            == [q >= p for q in range(1, d.diameter + 1)]
         if p == 1:
             assert rep.witness_pair is None
             continue
@@ -460,6 +470,7 @@ def test_one_vertex_answers_agree_with_the_plain_solve():
     kinds = Counter()
     for g in [*_corpus(), *_random_connected_graphs(40), *_connected_atlas_graphs(7)]:
         d = all_pairs_distances(g)
+        verdict, own = lp._pair_verdicts(g, d)
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 if d(u, v) < 2:
@@ -467,10 +478,10 @@ def test_one_vertex_answers_agree_with_the_plain_solve():
                 plain = solve_pair(g, d, u, v)
                 one = lp._one_vertex_answer(plain.matrix)
                 if one is None:
-                    kinds["undecided"] += 1     # _decide is the plain solve
+                    kinds["undecided"] += 1     # left to the class key and the LP
                     continue
                 kinds[one.status] += 1
-                assert lp._decide(plain.matrix) == one
+                assert verdict(u, v) == one and (u, v) not in own
                 assert one.feasible == plain.feasible
                 assert verify_feasibility_result(g, d, u, v, one)
     assert kinds.keys() == {"feasible", "infeasible", "undecided"}
@@ -517,10 +528,12 @@ def test_canonical_key_is_a_permutation_shared_by_permuted_copies():
             for row in m:
                 row[a] = row[b]
         m = tuple(map(tuple, m))
-        key, rows, cols = lp._canonical(RationalMatrix(m, (), (), 0, 0))
+        key, rows = lp._canonical(RationalMatrix(m, (), (), 0, 0))
         assert sorted(rows) == list(range(n_rows))
-        assert sorted(cols) == list(range(n_cols))
-        assert key == _permuted(m, rows, cols)
+        # key row i is row rows[i] of m under one column permutation: the
+        # two have the same multiset of columns
+        assert len(key) == n_rows and all(len(row) == n_cols for row in key)
+        assert sorted(zip(*key)) == sorted(zip(*_permuted(m, rows, range(n_cols))))
 
         def key_of(rows, cols):
             return lp._canonical(RationalMatrix(_permuted(m, rows, cols), (), (), 0, 0))[0]
@@ -537,13 +550,21 @@ def test_canonical_key_is_a_permutation_shared_by_permuted_copies():
     assert untied > 2500
 
 
-@pytest.mark.parametrize("graph", [
-    halved_cube(6)[0],      # p = 1: every pair infeasible, one class
-], ids=["halfH_6"])
-def test_compute_p_rejects_a_corrupted_cache_entry(monkeypatch, graph):
-    # every certificate read from the store is replaced by y = 0
-    real = lp._from_key
-    monkeypatch.setattr(lp, "_from_key", lambda y, mat, rows: real(
-        (Fraction(0),) * len(y), mat, rows))
+@pytest.mark.parametrize("graph, decide", [
+    # p = 1: every pair infeasible, one class
+    (halved_cube(6)[0], compute_p),
+    (halved_cube(6)[0], lambda g, d: has_Gp_connected_medians(g, d, 1)),
+], ids=["halfH_6", "halfH_6-has_Gp_p1"])
+def test_compute_p_rejects_a_corrupted_cache_entry(monkeypatch, graph, decide):
+    # every certificate the simplex returns, and so every one stored by
+    # class, is replaced by y = 0 after its own check
+    real = lp.lp_feasible_strict
+
+    def corrupted(mat):
+        res = real(mat)
+        return res if res.feasible else replace(
+            res, certificate=(Fraction(0),) * len(mat.entries))
+
+    monkeypatch.setattr(lp, "lp_feasible_strict", corrupted)
     with pytest.raises(AssertionError, match="cached answer does not verify"):
-        compute_p(*_gd(graph))
+        decide(*_gd(graph))

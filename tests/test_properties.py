@@ -16,8 +16,7 @@ from medgraph.graph import Graph, all_pairs_distances, build_graph, power_graph
 from medgraph.lp import (FeasibilityResult, RationalMatrix, _check_result,
                          compute_p, disconnecting_profile,
                          has_Gp_connected_medians, lp_feasible_strict,
-                         solve_pair, verify_feasibility_result,
-                         witness_to_profile)
+                         verify_feasibility_result, witness_to_profile)
 from medgraph.metric import J_set, Jcirc_set, interval, interval_mask, members
 from medgraph.medians import (Profile, VertexFunction, _pairs_in_distance_band,
                               check_WC, check_WP, is_p_connected,
@@ -35,7 +34,7 @@ from medgraph.recognizers import (ClassVerdict, _alpha_type1, _alpha_type2,
                                   is_thick, is_weakly_modular,
                                   personal_neighbor, satisfies_ICm,
                                   satisfies_INC, satisfies_PC)
-from reference import geodesic_vertices_via_dag
+from reference import geodesic_vertices_via_dag, solve_pair
 
 
 def _random_connected_graph(rng, n):
