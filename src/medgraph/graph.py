@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from typing import Iterable
 
@@ -57,7 +56,7 @@ class Graph:
 
 
 class DistMatrix:
-    """All-pairs hop distances, computed by BFS from every vertex."""
+    """All-pairs hop distances, computed by a bitset BFS from every vertex."""
 
     __slots__ = ("d", "n", "diameter", "_levels")
 
@@ -87,19 +86,40 @@ class DistMatrix:
         return self.d[u]
 
 
+def _neighbour_masks(g: Graph) -> list[int]:
+    """nbr[u] is N(u) as a Python-int bitset."""
+    nbr = []
+    for a in g.adj:
+        mask = 0
+        for v in a:
+            mask |= 1 << v
+        nbr.append(mask)
+    return nbr
+
+
+def _bfs(nbr: list[int], source: int) -> list[int]:
+    """Level-synchronous BFS on neighbour bitsets: the next frontier is the
+    OR of the frontier's neighbour masks, less every vertex already seen."""
+    dist = [-1] * len(nbr)
+    seen = frontier = 1 << source
+    k = 0
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            x = low.bit_length() - 1
+            dist[x] = k
+            reach |= nbr[x]
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= frontier
+        k += 1
+    return dist
+
+
 def bfs(g: Graph, source: int) -> list[int]:
     """Hop distances from source; -1 marks a vertex it does not reach."""
-    dist = [-1] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for v in g.adj[u]:
-            if dist[v] < 0:
-                dist[v] = du
-                queue.append(v)
-    return dist
+    return _bfs(_neighbour_masks(g), source)
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]], name: str = "") -> Graph:
@@ -112,7 +132,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]], name: str = "") -> Gra
 
 
 def all_pairs_distances(g: Graph) -> DistMatrix:
-    return DistMatrix([bfs(g, s) for s in range(g.n)])
+    nbr = _neighbour_masks(g)
+    return DistMatrix([_bfs(nbr, s) for s in range(g.n)])
 
 
 def power_graph(g: Graph, p: int) -> Graph:

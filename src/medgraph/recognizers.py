@@ -1,12 +1,17 @@
 """Membership tests for the graph classes and structural conditions.
 
 Every recognizer returns a ClassVerdict; a false verdict carries a witness
-tuple that the corresponding predicate can re-check.
+tuple that the corresponding predicate can re-check.  The witness is the
+first violation in the recognizer's plain scan order, the nested loops of
+its definition.  A fast path may decide from bitsets in another order, but
+it may re-scan only to rebuild that first violation, so the witness never
+depends on which path found it.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import EmbeddingUnverified, LabelArity, ParseError
@@ -66,19 +71,43 @@ def _distance_two_pairs(g: Graph, d: DistMatrix):
 # ---------------------------------------------------------------- meshedness
 
 def is_meshed(g: Graph, d: DistMatrix) -> ClassVerdict:
-    """For d(v,w)=2, some common neighbor x of v,w has 2d(u,x) <= d(u,v)+d(u,w)."""
+    """For d(v,w)=2, some common neighbor x of v,w has 2d(u,x) <= d(u,v)+d(u,w).
+
+    With a = d(u,v) and b = d(u,w), |a-b| <= 2 and every common neighbour
+    x has max(a,b)-1 <= d(u,x) <= min(a,b)+1, so a u with |a-b| = 2 always
+    passes.  Any other u fails iff no common neighbour lies in the ball of
+    radius t = (a+b)//2 around u.  So per pair the violations are the OR
+    over t of (lv[t]&lw[t] | lv[t+1]&lw[t] | lv[t]&lw[t+1]) & ~near[t],
+    where near[t] is the OR of the common neighbours' balls of radius t,
+    and the witness u is its lowest bit.
+    """
+    balls = [list(itertools.accumulate(lv, operator.or_)) for lv in d.levels]
     for v, w, common in _distance_two_pairs(g, d):
-        # nearest[u] = min over common x of d(u,x)
-        nearest = map(min, zip(*(d[x] for x in common)))
-        for u, (near, uv, uw) in enumerate(zip(nearest, d[v], d[w])):
-            if 2 * near > uv + uw:
-                return ClassVerdict("meshed", False, (u, v, w))
+        lv, lw = d.levels[v], d.levels[w]
+        bad = 0
+        for t in range(min(len(lv), len(lw))):
+            near = 0
+            for x in common:
+                bx = balls[x]
+                near |= bx[t] if t < len(bx) else bx[-1]
+            pair = lv[t] & lw[t]
+            if t + 1 < len(lv):
+                pair |= lv[t + 1] & lw[t]
+            if t + 1 < len(lw):
+                pair |= lv[t] & lw[t + 1]
+            bad |= pair & ~near
+        if bad:
+            u = (bad & -bad).bit_length() - 1
+            return ClassVerdict("meshed", False, (u, v, w))
     return ClassVerdict("meshed", True)
 
 
 # ------------------------------------------------------------ weak modularity
 
-def _triangle_condition(g: Graph, d: DistMatrix):
+def _triangle_violations(g: Graph, d: DistMatrix):
+    """(u, v, w) for each edge vw with d(u,v) = d(u,w) = k >= 2 and no
+    common neighbour of v and w at distance k-1 from u; u-major, then in
+    edge order."""
     levels = d.levels
     edges = [(v, w, levels[v][1] & levels[w][1]) for v, w in g.edges()]
     for u in range(g.n):
@@ -86,22 +115,46 @@ def _triangle_condition(g: Graph, d: DistMatrix):
         for v, w, common in edges:
             k = row[v]
             if k > 1 and row[w] == k and not common & lv[k - 1]:
-                return ("TC", u, v, w)
-    return None
+                yield u, v, w
+
+
+def _triangle_condition(g: Graph, d: DistMatrix):
+    bad = next(_triangle_violations(g, d), None)
+    return None if bad is None else ("TC",) + bad
 
 
 def _quadrangle_condition(g: Graph, d: DistMatrix):
+    """u fails iff some pair v, w at distance 2 has d(u,v) = d(u,w) = k >= 2,
+    a common neighbour at distance k+1 from u and none at k-1.  The scan
+    finds the first failing u from the pairs' common-neighbour masks; its
+    witness comes from the z-major scan of _quadrangle_witness."""
     levels = d.levels
+    pairs = [(v, w, levels[v][1] & levels[w][1])
+             for v, w in _pairs_in_distance_band(g, d, 2, 2)]
     for u in range(g.n):
         row, lv = d[u], levels[u]
-        for z in range(g.n):
-            k = row[z] - 1
-            if k < 2:
-                continue
-            below = [x for x in g.adj[z] if row[x] == k]
-            for v, w in itertools.combinations(below, 2):
-                if w not in g.adj_sets[v] and not levels[v][1] & levels[w][1] & lv[k - 1]:
-                    return ("QC", u, v, w, z)
+        top = len(lv) - 1
+        for v, w, common in pairs:
+            k = row[v]
+            if 1 < k < top and row[w] == k and not common & lv[k - 1] \
+                    and common & lv[k + 1]:
+                return _quadrangle_witness(g, d, u)
+    return None
+
+
+def _quadrangle_witness(g: Graph, d: DistMatrix, u: int):
+    """The first ("QC", u, v, w, z) in the scan over z, then over the pairs
+    v, w of neighbours of z one step closer to u."""
+    adj, levels = g.adj_sets, d.levels
+    row, lv = d[u], levels[u]
+    for z in range(g.n):
+        k = row[z] - 1
+        if k < 2:
+            continue
+        below = [x for x in g.adj[z] if row[x] == k]
+        for v, w in itertools.combinations(below, 2):
+            if w not in adj[v] and not levels[v][1] & levels[w][1] & lv[k - 1]:
+                return ("QC", u, v, w, z)
     return None
 
 
@@ -144,11 +197,12 @@ def _chordless_cycle(g: Graph) -> tuple | None:
     """An induced cycle of length >= 4, found through a nonadjacent
     neighbor pair of some vertex and a shortest path avoiding that
     vertex's other neighbors."""
+    adj = g.adj_sets
     for v in range(g.n):
         for w, x in itertools.combinations(g.adj[v], 2):
-            if x in g.adj_sets[w]:
+            if x in adj[w]:
                 continue
-            banned = (g.adj_sets[v] | {v}) - {w, x}
+            banned = (adj[v] | {v}) - {w, x}
             path = _shortest_path_avoiding(g, w, x, banned)
             if path is not None:
                 return tuple([v] + path)
@@ -178,12 +232,13 @@ def is_chordal(g: Graph) -> ClassVerdict:
     """Maximum-cardinality search plus elimination-ordering verification."""
     order = _mcs_order(g)
     pos = {v: i for i, v in enumerate(order)}
+    adj = g.adj_sets
     ok = True
     for v in order:
         earlier = [x for x in g.adj[v] if pos[x] < pos[v]]
         if len(earlier) > 1:
             last = max(earlier, key=pos.get)
-            if any(x != last and x not in g.adj_sets[last] for x in earlier):
+            if any(x != last and x not in adj[last] for x in earlier):
                 ok = False
                 break
     if ok:
@@ -192,16 +247,19 @@ def is_chordal(g: Graph) -> ClassVerdict:
 
 
 def find_induced_c5(g: Graph) -> tuple | None:
+    adj = g.adj_sets
     for a, b in g.edges():
+        aa, ab = adj[a], adj[b]
         for c in g.adj[b]:
-            if c == a or c in g.adj_sets[a]:
+            if c == a or c in aa:
                 continue
+            ac = adj[c]
             for e in g.adj[a]:
-                if e in (b, c) or e in g.adj_sets[b] or e in g.adj_sets[c]:
+                if e in (b, c) or e in ab or e in ac:
                     continue
+                ae = adj[e]
                 for x in g.adj[c]:
-                    if (x in g.adj_sets[e] and x not in (a, b)
-                            and x not in g.adj_sets[a] and x not in g.adj_sets[b]):
+                    if x in ae and x not in (a, b) and x not in aa and x not in ab:
                         return (a, b, c, x, e)
     return None
 
@@ -242,14 +300,17 @@ def has_convex_balls(g: Graph, d: DistMatrix) -> ClassVerdict:
 
 def satisfies_INC(g: Graph, d: DistMatrix) -> ClassVerdict:
     """Neighbors of u inside I(u,v) are pairwise adjacent."""
+    adj, levels = g.adj_sets, d.levels
     for u in range(g.n):
+        row, nu = d[u], levels[u][1]
         for v in range(g.n):
-            if u == v or g.has_edge(u, v):
+            k = row[v]
+            if k < 2:
                 continue
             # N(u) & I(u,v): the neighbours of u one step closer to v
-            near = members(d.levels[u][1] & d.levels[v][d(u, v) - 1])
+            near = members(nu & levels[v][k - 1])
             for a, b in itertools.combinations(near, 2):
-                if b not in g.adj_sets[a]:
+                if b not in adj[a]:
                     return ClassVerdict("INC", False, (u, v, a, b))
     return ClassVerdict("INC", True)
 
@@ -257,29 +318,26 @@ def satisfies_INC(g: Graph, d: DistMatrix) -> ClassVerdict:
 def satisfies_TPC(g: Graph, d: DistMatrix) -> ClassVerdict:
     """Edges equidistant from v close into a triangle one step closer, or
     cap an induced pentagon two steps closer."""
-    for v in range(g.n):
-        for x, y in g.edges():
-            k = d(v, x)
-            if k < 2 or d(v, y) != k:
-                continue
-            if any(z in g.adj_sets[y] and d(v, z) == k - 1 for z in g.adj[x]):
-                continue
-            if _pentagon_cap(g, d, v, x, y, k):
-                continue
+    for v, x, y in _triangle_violations(g, d):
+        if not _pentagon_cap(g, d, v, x, y, d(v, x)):
             return ClassVerdict("TPC", False, (v, x, y))
     return ClassVerdict("TPC", True)
 
 
 def _pentagon_cap(g: Graph, d: DistMatrix, v, x, y, k) -> bool:
+    adj, row = g.adj_sets, d[v]
+    ax, ay = adj[x], adj[y]
     for w in g.adj[x]:
-        if w == y or w in g.adj_sets[y]:
+        if w == y or w in ay:
             continue
+        aw = adj[w]
         for z in g.adj[w]:
-            if d(v, z) != k - 2 or z in g.adj_sets[x] or z in g.adj_sets[y]:
+            if row[z] != k - 2 or z in ax or z in ay:
                 continue
+            az = adj[z]
             for wp in g.adj[y]:
-                if (wp in g.adj_sets[z] and wp != w and wp not in g.adj_sets[w]
-                        and wp not in g.adj_sets[x] and wp != x and wp != z):
+                if (wp in az and wp != w and wp not in aw
+                        and wp not in ax and wp != x and wp != z):
                     return True
     return False
 
@@ -288,18 +346,26 @@ def _pentagon_cap(g: Graph, d: DistMatrix, v, x, y, k) -> bool:
 
 def induced_squares(g: Graph, d: DistMatrix):
     """Induced 4-cycles (v1, v2, v3, v4) with v1 < v3 and v2 < v4."""
+    adj = g.adj_sets
     for v1, v3, common in _distance_two_pairs(g, d):
         for v2, v4 in itertools.combinations(common, 2):
-            if v4 not in g.adj_sets[v2]:
+            if v4 not in adj[v2]:
                 yield (v1, v2, v3, v4)
 
 
 def satisfies_PC(g: Graph, d: DistMatrix) -> ClassVerdict:
-    """d(u,v1)+d(u,v3) = d(u,v2)+d(u,v4) on every induced square."""
+    """d(u,v1)+d(u,v3) = d(u,v2)+d(u,v4) on every induced square.  The row
+    d(.,v1)+d(.,v3) is built once per diagonal pair and compared with the
+    other diagonal's row as a list; u is looked up only on a failure."""
+    diagonal = row = None
     for sq in induced_squares(g, d):
-        for u, (a1, a2, a3, a4) in enumerate(zip(*(d[x] for x in sq))):
-            if a1 + a3 != a2 + a4:
-                return ClassVerdict("PC", False, (u,) + sq)
+        v1, v2, v3, v4 = sq
+        if diagonal != (v1, v3):
+            diagonal, row = (v1, v3), list(map(operator.add, d[v1], d[v3]))
+        other = list(map(operator.add, d[v2], d[v4]))
+        if other != row:
+            u = next(u for u, (a, b) in enumerate(zip(row, other)) if a != b)
+            return ClassVerdict("PC", False, (u,) + sq)
     return ClassVerdict("PC", True)
 
 
@@ -309,12 +375,13 @@ def satisfies_ICm(g: Graph, d: DistMatrix, m: int) -> ClassVerdict:
     pairs consumed overall."""
     if m not in (3, 4):
         raise ValueError("m must be 3 or 4")
+    adj = g.adj_sets
     for u, v, common in _distance_two_pairs(g, d):
         verts = [u, v, *common]
         comp_deg = {x: 0 for x in verts}
         comp_edges = 0
         for a, b in itertools.combinations(verts, 2):
-            if b not in g.adj_sets[a]:
+            if b not in adj[a]:
                 comp_deg[a] += 1
                 comp_deg[b] += 1
                 comp_edges += 1
@@ -328,8 +395,9 @@ def satisfies_ICm(g: Graph, d: DistMatrix, m: int) -> ClassVerdict:
 
 def is_thick(g: Graph, d: DistMatrix) -> ClassVerdict:
     """Every distance-2 pair lies in an induced square."""
+    adj = g.adj_sets
     for u, v, common in _distance_two_pairs(g, d):
-        if not any(b not in g.adj_sets[a]
+        if not any(b not in adj[a]
                    for a, b in itertools.combinations(common, 2)):
             return ClassVerdict("thick", False, (u, v))
     return ClassVerdict("thick", True)
@@ -351,13 +419,14 @@ def is_bipartite_absolute_retract(g: Graph, d: DistMatrix) -> ClassVerdict:
     bip, _ = is_bipartite(g)
     if not bip:
         return ClassVerdict("bipartite_absolute_retract", False, ("not_bipartite",))
+    adj = g.adj_sets
     for u in range(g.n):
         for v in range(g.n):
             if d(u, v) < 3:
                 continue
             iv = interval(g, d, u, v)
             near_v = [z for z in g.adj[v] if z in iv]
-            if not any(x != v and all(z in g.adj_sets[x] for z in near_v)
+            if not any(x != v and all(z in adj[x] for z in near_v)
                        for x in iv):
                 return ClassVerdict("bipartite_absolute_retract", False, (u, v))
     return ClassVerdict("bipartite_absolute_retract", True)
@@ -368,16 +437,17 @@ def is_bipartite_absolute_retract(g: Graph, d: DistMatrix) -> ClassVerdict:
 def _small_clique_interiors(g: Graph, d: DistMatrix):
     """Distance-2 pairs whose interval interior is 2-3 pairwise adjacent
     vertices (hence the pair lies in no induced square)."""
+    adj = g.adj_sets
     for u, v, inner in _distance_two_pairs(g, d):
         if 2 <= len(inner) <= 3 and all(
-                b in g.adj_sets[a]
-                for a, b in itertools.combinations(inner, 2)):
+                b in adj[a] for a, b in itertools.combinations(inner, 2)):
             yield u, v, inner
 
 
 def personal_neighbor(g: Graph, s_set, x: int) -> int | None:
     """The unique neighbor of x inside s_set, if there is exactly one."""
-    hits = [s for s in s_set if s in g.adj_sets[x]]
+    near = g.adj_sets[x]
+    hits = [s for s in s_set if s in near]
     return hits[0] if len(hits) == 1 else None
 
 
@@ -419,6 +489,7 @@ def detect_alpha_configuration(g: Graph, d: DistMatrix):
 
 
 def _alpha_type1(g, d, u, v, inner):
+    adj = g.adj_sets
     for t in inner:
         rest = [s for s in inner if s != t]
         a = _alpha_apex(g, d, u, v, inner, t, rest)
@@ -427,8 +498,8 @@ def _alpha_type1(g, d, u, v, inner):
         for b in range(g.n):
             if b in inner or b in (u, v):
                 continue
-            if t in g.adj_sets[b] and all(s not in g.adj_sets[b] for s in rest) \
-                    and (u in g.adj_sets[b] or v in g.adj_sets[b]):
+            ab = adj[b]
+            if t in ab and all(s not in ab for s in rest) and (u in ab or v in ab):
                 return (1, (u, v, tuple(inner), t, a, b))
     return None
 
@@ -436,6 +507,7 @@ def _alpha_type1(g, d, u, v, inner):
 def _alpha_type2(g, d, u, v, inner):
     if len(inner) != 3:
         return None
+    adj = g.adj_sets
     for s, t, w in itertools.permutations(inner):
         a1 = _alpha_apex(g, d, u, v, inner, t, [s, w])
         a2 = _alpha_apex(g, d, u, v, inner, w, [s, t])
@@ -444,9 +516,8 @@ def _alpha_type2(g, d, u, v, inner):
         for b in range(g.n):
             if b in inner or b in (u, v):
                 continue
-            if t in g.adj_sets[b] and w in g.adj_sets[b] \
-                    and s not in g.adj_sets[b] \
-                    and (u in g.adj_sets[b] or v in g.adj_sets[b]):
+            ab = adj[b]
+            if t in ab and w in ab and s not in ab and (u in ab or v in ab):
                 return (2, (u, v, (s, t, w), a1, a2, b))
     return None
 

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import pytest
 
 from medgraph.errors import Disconnected, LoopEdge, ParseError
-from medgraph.graph import (Graph, all_pairs_distances, build_graph,
+from medgraph.families import complete_bipartite, cycle_graph, path_graph
+from medgraph.graph import (Graph, all_pairs_distances, bfs, build_graph,
                             power_graph, read_graph, write_graph)
 
 
@@ -72,10 +75,14 @@ def test_power_graph():
 
 def test_distances_match_networkx():
     import networkx as nx
-    g = build_graph(7, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5),
-                        (5, 6), (2, 6)])
-    d = all_pairs_distances(g)
-    lengths = dict(nx.all_pairs_shortest_path_length(nx.Graph(g.edges())))
-    for u in range(7):
-        for v in range(7):
-            assert d(u, v) == lengths[u][v]
+    from test_properties import _nx, _recognizer_corpus
+    wide = [cycle_graph(41), path_graph(30), complete_bipartite(1, 20)]
+    for g in _recognizer_corpus() + wide:
+        d = all_pairs_distances(g)
+        lengths = dict(nx.all_pairs_shortest_path_length(_nx(g)))
+        assert d.d == [[lengths[u][v] for v in range(g.n)] for u in range(g.n)]
+    # bfs marks unreached vertices -1, which the connectivity check reads;
+    # Graph rejects this disconnected input, so bfs gets its n and adj bare
+    halves = SimpleNamespace(n=5, adj=[[1], [0], [3], [2], []])
+    assert bfs(halves, 0) == [0, 1, -1, -1, -1]
+    assert bfs(halves, 3) == [-1, -1, 1, 0, -1]

@@ -29,11 +29,12 @@ from medgraph.recognizers import (ClassVerdict, _alpha_type1, _alpha_type2,
                                   _alpha_type3, _quadrangle_condition,
                                   _triangle_condition,
                                   detect_alpha_configuration,
-                                  detect_beta_configuration, induced_squares,
-                                  is_bipartite, is_meshed, is_modular,
-                                  is_thick, is_weakly_modular,
+                                  detect_beta_configuration, has_convex_balls,
+                                  induced_squares, is_bipartite, is_bridged,
+                                  is_meshed, is_modular, is_thick,
+                                  is_weakly_bridged, is_weakly_modular,
                                   personal_neighbor, satisfies_ICm,
-                                  satisfies_INC, satisfies_PC)
+                                  satisfies_INC, satisfies_PC, satisfies_TPC)
 from reference import geodesic_vertices_via_dag, solve_pair
 
 
@@ -354,6 +355,67 @@ def _ref_satisfies_ICm(g, d, m):
     return ClassVerdict(f"IC{m}", True)
 
 
+def _ref_satisfies_TPC(g, d):
+    for v in range(g.n):
+        for x, y in g.edges():
+            k = d(v, x)
+            if k < 2 or d(v, y) != k:
+                continue
+            if any(d(v, z) == k - 1 for z in g.adj_sets[x] & g.adj_sets[y]):
+                continue
+            # or an induced pentagon x-y-w'-z-w-x with d(v,z) = k-2
+            if any(d(v, z) == k - 2 and _ref_is_induced_cycle(g, (x, y, wp, z, w))
+                   for w in g.adj[x] for wp in g.adj[y]
+                   for z in g.adj_sets[w] & g.adj_sets[wp]):
+                continue
+            return ClassVerdict("TPC", False, (v, x, y))
+    return ClassVerdict("TPC", True)
+
+
+def _ref_is_induced_cycle(g, cycle):
+    """The vertices are distinct, consecutive ones (cyclically) are adjacent
+    and no other two are."""
+    n = len(cycle)
+    return len(set(cycle)) == n and all(
+        g.has_edge(cycle[i], cycle[j]) == ((j - i) % n in (1, n - 1))
+        for i, j in itertools.combinations(range(n), 2))
+
+
+def _ref_find_induced_c5(g):
+    for a, b in g.edges():
+        for c in g.adj[b]:
+            for e in g.adj[a]:
+                for x in g.adj[c]:
+                    if _ref_is_induced_cycle(g, (a, b, c, x, e)):
+                        return (a, b, c, x, e)
+    return None
+
+
+def _ref_is_weakly_bridged(g, d):
+    bad = (_ref_triangle_condition(g, d) or _ref_quadrangle_condition(g, d)
+           or next(_ref_induced_squares(g, d), None))
+    return ClassVerdict("weakly_bridged", bad is None, bad)
+
+
+def _ref_is_bridged(g, d):
+    wb = _ref_is_weakly_bridged(g, d)
+    bad = wb.witness if not wb else _ref_find_induced_c5(g)
+    return ClassVerdict("bridged", bad is None, bad)
+
+
+def _ref_has_convex_balls(g, d):
+    for v in range(g.n):
+        for r in range(1, max(d[v])):
+            ball = [x for x in range(g.n) if d(v, x) <= r]
+            for x, y in itertools.combinations(ball, 2):
+                outside = [z for z in range(g.n) if d(v, z) > r
+                           and d(x, z) + d(z, y) == d(x, y)]
+                if outside:
+                    return ClassVerdict("convex_balls", False,
+                                        (v, r, x, y, outside[0]))
+    return ClassVerdict("convex_balls", True)
+
+
 def _ref_small_clique_interiors(g, d):
     for u in range(g.n):
         for v in range(u + 1, g.n):
@@ -392,8 +454,8 @@ def _ref_detect_beta_configuration(g, d):
 
 def _recognizer_corpus():
     """Seeded random connected graphs, half of them made bipartite, plus
-    class members of the kind the classify benchmark runs and the alpha and
-    beta configurations."""
+    class members of the kind the classify benchmark runs, two relabelled
+    graphs on more than 32 vertices, and the alpha and beta configurations."""
     rng = random.Random(97)
     graphs = []
     for i in range(60):
@@ -406,6 +468,12 @@ def _recognizer_corpus():
     graphs += [hypercube(4)[0], halved_cube(5)[0], johnson(6, 3)[0],
                cartesian_product(path_graph(4), path_graph(4)),
                beta_configuration(), *map(alpha_configuration, (1, 2, 3))]
+    for big in (johnson(7, 3)[0],
+                cartesian_product(cycle_graph(5), path_graph(7))):
+        perm = list(range(big.n))
+        rng.shuffle(perm)
+        graphs.append(build_graph(big.n, [(perm[a], perm[b])
+                                          for a, b in big.edges()]))
     return graphs
 
 
@@ -415,6 +483,10 @@ def test_bitset_recognizers_match_definitional_scans():
              "modular": (is_modular, _ref_is_modular),
              "meshed": (is_meshed, _ref_is_meshed),
              "PC": (satisfies_PC, _ref_satisfies_PC),
+             "TPC": (satisfies_TPC, _ref_satisfies_TPC),
+             "weakly_bridged": (is_weakly_bridged, _ref_is_weakly_bridged),
+             "bridged": (is_bridged, _ref_is_bridged),
+             "convex_balls": (has_convex_balls, _ref_has_convex_balls),
              "INC": (satisfies_INC, _ref_satisfies_INC),
              "thick": (is_thick, _ref_is_thick),
              "IC3": (lambda g, d: satisfies_ICm(g, d, 3),
@@ -428,14 +500,18 @@ def test_bitset_recognizers_match_definitional_scans():
              "beta": (detect_beta_configuration,
                       _ref_detect_beta_configuration)}
     verdicts = {name: set() for name in pairs}
+    capped = 0
     for g in _recognizer_corpus():
         d = all_pairs_distances(g)
         for name, (fn, ref) in pairs.items():
             got = fn(g, d)
             assert got == ref(g, d), (name, g.n, g.edges())
             verdicts[name].add(bool(got))
-    # the corpus exercises both outcomes of every recognizer
+        capped += bool(satisfies_TPC(g, d)) and _triangle_condition(g, d) is not None
+    # the corpus exercises both outcomes of every recognizer, and some
+    # graphs satisfy TPC only through a pentagon cap
     assert all(seen == {True, False} for seen in verdicts.values())
+    assert capped
 
 
 def test_weakly_modular_witnesses_violate_their_condition():
