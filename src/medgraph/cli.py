@@ -3,11 +3,17 @@
 All machine-readable output is a single JSON report on stdout.  Exit codes:
 0 on success, 1 when a check failed (a false `check` verdict or a failed
 verify-paper check), 2 for usage or parse errors.
+
+`main` may be called repeatedly in one process.  The parser is built once,
+on the first call, and reused: argparse gives each parse a fresh
+`Namespace`, and it reads `sys.stderr` and the terminal width only when it
+prints, so no call sees another's arguments or streams.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -334,6 +340,7 @@ def cmd_verify_paper(args) -> int:
 
 # ------------------------------------------------------------------- parser
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="medgraph",

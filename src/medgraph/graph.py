@@ -168,6 +168,10 @@ def read_graph(text: str, name: str = "") -> Graph:
         raise ParseError(f"bad header line {lines[0]!r}") from exc
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
+    # a connected graph has n >= 1 and at least n - 1 edges; checked before
+    # `Graph` allocates n adjacency sets, so a huge n in the header is cheap
+    if n < 1 or m < n - 1:
+        raise Disconnected("graph is not connected")
     edges = []
     for ln in lines[1:]:
         try:

@@ -4,8 +4,12 @@ A pair u,v admits a weight function violating the chord condition iff the
 homogeneous strict system D^uv pi < 0, pi >= 0 is solvable; by scaling this
 is the closed system D^uv pi <= -1.  Feasibility is decided by a phase-1
 simplex with Bland's anti-cycling rule and fraction-free integer pivots;
-`Fraction` appears only at the API boundary.  It returns either a witness
-profile or a Farkas certificate, and both are re-verified exactly.
+`Fraction` appears only at the API boundary.  Its tableau is [A | -I | rhs]:
+the artificial columns are not stored, since artificial i is always the
+negated slack column i, and its reduced cost is D minus the slack's (see
+`_phase1`).  It returns either a witness profile or a Farkas certificate,
+read from the slack reduced costs, and both are re-verified exactly on the
+full D^uv.
 `lp_feasible_strict` is the module's one LP: the alpha/beta weights of
 `alpha_beta_certificate` are read from its answer on the alternative
 system, so both of their outcomes are certified the same way.
@@ -88,12 +92,28 @@ def build_Duv(g: Graph, d: DistMatrix, u: int, v: int) -> RationalMatrix:
 def _phase1(tableau, n_free):
     """Minimize the sum of the artificial variables with Bland's rule.
 
-    tableau: integer rows [A | I | rhs] with rhs >= 0, n_free columns in A
-    and one artificial column per row after them; the artificials are the
-    starting basis.  The objective is carried as one more row, appended
-    here: D times the reduced costs, and -D times the objective value in
-    its rhs.  It starts as c minus the sum of the rows, c being 1 on the
-    artificials and 0 elsewhere.
+    tableau: integer rows [A | -I | rhs] with rhs >= 0, n_free columns in A
+    and one slack column per row after them.  Row i stands for
+    A_i x - s_i + a_i = rhs_i, and the artificials a are the starting basis.
+    The objective is carried as one more row, appended here: D times the
+    reduced costs, and -D times the objective value in its rhs.  It starts
+    as c minus the sum of the rows, c being 1 on the artificials and 0
+    elsewhere.
+
+    The artificial columns are not stored.  Artificial column i starts as
+    +e_i and slack column i as -e_i, and every row operation is linear, so
+    in every constraint row artificial column i is the negated slack column
+    n_free + i.  Their reduced costs are 1 - y_i and y_i, y being the
+    simplex multipliers, so the objective entry of artificial i is
+    D - obj[n_free + i]; a pivot keeps that relation, as the update below
+    maps D - s to piv - s', s' being the slack's new entry and piv the new
+    D.  Bland's rule scans the columns as if they were stored: the
+    n_free + m stored ones first, then artificial i, labelled
+    n_free + m + i, which enters when obj[n_free + i] > D.  An entering
+    artificial pivots on the negated slack column, with D - obj[n_free + i]
+    as its objective entry, and keeps its label in the basis, so the ratio
+    test breaks ties as on the full tableau [A | -I | I | rhs], and the
+    pivots are the full tableau's.
 
     Pivots are fraction-free (Edmonds 1967; Bareiss 1968): the tableau is
     kept as integers T = D * R, where R is the rational simplex tableau and
@@ -105,43 +125,50 @@ def _phase1(tableau, n_free):
     of reduced costs and the cross-multiplied ratio test agree with those
     of R, so the pivot sequence is the rational one.
 
-    Returns (tableau, D, basis); the objective row is tableau[-1].
+    Returns (tableau, D, basis); the objective row is tableau[-1], and
+    obj[n_free + i] / D is the multiplier y_i.
     """
     m = len(tableau)
     n_cols = n_free + m
-    # c minus the column sums: 1 - 1 = 0 on the artificial columns.  With
-    # no rows zip(*tableau) is empty, and every entry is 0.
+    # c minus the column sums: 0 + 1 = 1 on the slack columns.  With no
+    # rows zip(*tableau) is empty, and every entry is 0.
     obj = [-sum(col) for col in zip(*tableau)] or [0] * (n_cols + 1)
-    obj[n_free:n_cols] = [0] * m
     tableau.append(obj)
-    basis = list(range(n_free, n_cols))
+    basis = list(range(n_cols, n_cols + m))
     D = 1
     while True:
         obj = tableau[-1]
-        entering = next((j for j in range(n_cols) if obj[j] < 0), -1)
-        if entering < 0:
-            return tableau, D, basis
+        label = next((j for j in range(n_cols) if obj[j] < 0), -1)
+        if label >= 0:
+            entering = [row[label] for row in tableau]
+        else:
+            i = next((i for i in range(m) if obj[n_free + i] > D), -1)
+            if i < 0:
+                return tableau, D, basis
+            label, slack = n_cols + i, n_free + i
+            entering = [-row[slack] for row in tableau]
+            entering[m] = D - obj[slack]
         # ratio rhs_i / a_i, compared as rhs_i * a_l < rhs_l * a_i (a_i, a_l > 0)
         leaving = -1
         for i in range(m):
-            a = tableau[i][entering]
+            a = entering[i]
             if a > 0:
                 if leaving < 0:
                     leaving = i
                     continue
-                lhs = tableau[i][-1] * tableau[leaving][entering]
+                lhs = tableau[i][-1] * entering[leaving]
                 rhs = tableau[leaving][-1] * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                     leaving = i
         if leaving < 0:
             raise AssertionError("phase-1 objective unbounded")  # impossible: bounded by 0
         prow = tableau[leaving]
-        piv = prow[entering]
+        piv = entering[leaving]
         for i in range(m + 1):
             if i != leaving:
-                c = tableau[i][entering]
+                c = entering[i]
                 tableau[i] = [(piv * a - c * b) // D for a, b in zip(tableau[i], prow)]
-        basis[leaving] = entering
+        basis[leaving] = label
         D = piv
 
 
@@ -149,15 +176,18 @@ def lp_feasible_strict(mat: RationalMatrix) -> FeasibilityResult:
     """Decide whether some pi >= 0 has M pi < 0 strictly in every row.
 
     Solved as feasibility of {M pi <= -1, pi >= 0}: every row is negated to
-    (-M) pi - s + a = 1, and the sum of artificials a is minimized.
+    (-M) pi - s + a = 1, and the sum of artificials a is minimized by
+    `_phase1` on the tableau [-M | -I | 1], which keeps the artificial
+    columns implicit.  A zero optimum gives the witness pi; otherwise the
+    simplex multipliers y, read from the slack reduced costs, are the
+    Farkas certificate.
     """
     m, n = len(mat.entries), len(mat.cols)
-    # columns: pi (0..n-1), slacks (n..n+m-1), artificials (n+m..n+2m-1)
+    # columns: pi (0..n-1), slacks (n..n+m-1); the artificials are implicit
     rows = [[-x for x in mat.entries[i]]
-            + [-1 if k == i else 0 for k in range(m)]
-            + [1 if k == i else 0 for k in range(m)] + [1]
+            + [-1 if k == i else 0 for k in range(m)] + [1]
             for i in range(m)]
-    tableau, D, basis = _phase1(rows, n + m)
+    tableau, D, basis = _phase1(rows, n)
     obj = tableau[-1]
     if obj[-1] == 0:
         pi = {}
@@ -166,8 +196,8 @@ def lp_feasible_strict(mat: RationalMatrix) -> FeasibilityResult:
                 pi[mat.cols[b]] = Fraction(tableau[i][-1], D)
         res = FeasibilityResult("feasible", witness=pi, matrix=mat)
     else:
-        # dual value y_i = 1 - reduced cost of artificial column i
-        y = tuple(Fraction(D - obj[n + m + i], D) for i in range(m))
+        # dual value y_i = reduced cost of slack column i
+        y = tuple(Fraction(obj[n + i], D) for i in range(m))
         res = FeasibilityResult("infeasible", certificate=y, matrix=mat)
     return _checked(res, "simplex answer")
 

@@ -3,15 +3,19 @@
 Each one decides the same thing as a `medgraph` function by a different,
 slower route: all pairs instead of the local band, a walk of the geodesic
 DAG instead of distance levels, subgraph matching instead of the interval
-condition, the simplex on every pair instead of the shared pair verdicts.
+condition, the simplex on every pair instead of the shared pair verdicts,
+the phase-1 tableau with its artificial columns stored instead of implied.
 """
 from __future__ import annotations
+
+from fractions import Fraction
 
 import networkx as nx
 
 from medgraph.families import bn_graph
 from medgraph.graph import DistMatrix, Graph
-from medgraph.lp import FeasibilityResult, build_Duv, lp_feasible_strict
+from medgraph.lp import (FeasibilityResult, RationalMatrix, build_Duv,
+                         lp_feasible_strict)
 from medgraph.medians import VertexFunction, _pairs_in_distance_band, check_WP
 from medgraph.recognizers import ClassVerdict, is_modular
 
@@ -27,6 +31,69 @@ def solve_pair(g: Graph, d: DistMatrix, u: int, v: int) -> FeasibilityResult:
     """Decide D^uv pi < 0, pi >= 0 with the simplex alone; feasible iff some
     profile violates WC at (u,v).  The plain route of `lp._pair_verdicts`."""
     return lp_feasible_strict(build_Duv(g, d, u, v))
+
+
+def phase1_explicit(tableau, n_free):
+    """`lp._phase1` on the full tableau [A | I | rhs], n_free columns in A
+    and one stored artificial column per row after them, the artificials
+    the starting basis.  Returns (tableau, D, basis, reentries), reentries
+    being the number of pivots that brought an artificial back."""
+    m = len(tableau)
+    n_cols = n_free + m
+    obj = [-sum(col) for col in zip(*tableau)] or [0] * (n_cols + 1)
+    obj[n_free:n_cols] = [0] * m
+    tableau.append(obj)
+    basis = list(range(n_free, n_cols))
+    D = 1
+    reentries = 0
+    while True:
+        obj = tableau[-1]
+        entering = next((j for j in range(n_cols) if obj[j] < 0), -1)
+        if entering < 0:
+            return tableau, D, basis, reentries
+        reentries += entering >= n_free
+        leaving = -1
+        for i in range(m):
+            a = tableau[i][entering]
+            if a > 0:
+                if leaving < 0:
+                    leaving = i
+                    continue
+                lhs = tableau[i][-1] * tableau[leaving][entering]
+                rhs = tableau[leaving][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    leaving = i
+        if leaving < 0:
+            raise AssertionError("phase-1 objective unbounded")
+        prow = tableau[leaving]
+        piv = prow[entering]
+        for i in range(m + 1):
+            if i != leaving:
+                c = tableau[i][entering]
+                tableau[i] = [(piv * a - c * b) // D for a, b in zip(tableau[i], prow)]
+        basis[leaving] = entering
+        D = piv
+
+
+def lp_feasible_strict_explicit(mat: RationalMatrix):
+    """`lp.lp_feasible_strict` on the tableau [-M | -I | I | 1] with the
+    artificial columns stored; the certificate is y_i = 1 minus the reduced
+    cost of artificial i.  Returns the answer, unchecked, and the output of
+    `phase1_explicit`."""
+    m, n = len(mat.entries), len(mat.cols)
+    rows = [[-x for x in mat.entries[i]]
+            + [-1 if k == i else 0 for k in range(m)]
+            + [1 if k == i else 0 for k in range(m)] + [1]
+            for i in range(m)]
+    phase = phase1_explicit(rows, n + m)
+    tableau, D, basis, _ = phase
+    obj = tableau[-1]
+    if obj[-1] == 0:
+        pi = {mat.cols[b]: Fraction(tableau[i][-1], D)
+              for i, b in enumerate(basis) if b < n and tableau[i][-1] != 0}
+        return FeasibilityResult("feasible", witness=pi, matrix=mat), phase
+    y = tuple(Fraction(D - obj[n + m + i], D) for i in range(m))
+    return FeasibilityResult("infeasible", certificate=y, matrix=mat), phase
 
 
 def geodesic_vertices_via_dag(g: Graph, d: DistMatrix, u: int, v: int) -> set[int]:

@@ -2,11 +2,16 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import medgraph
+from medgraph import cli
 from medgraph.cli import main
 from medgraph.families import cycle_graph, johnson, projective_incidence_graph
 from medgraph.graph import write_graph
@@ -17,6 +22,20 @@ def _run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip().startswith("{") else out
+
+
+def _main_in_subprocess(argv):
+    """`main(argv)` in a fresh interpreter whose address space is capped at
+    1 GB.  Returns (exit code, stdout, stderr)."""
+    code = ("import resource, sys\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))\n"
+            "from medgraph.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(medgraph.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_gen_and_median_flow(tmp_path, capsys):
@@ -88,6 +107,37 @@ def test_pvalue_result_is_pinned(tmp_path, capsys, graph, pinned):
     gpath.write_text(write_graph(graph))
     code, rep = _run(capsys, "pvalue", str(gpath))
     assert code == 0 and rep["result"] == json.loads(pinned)
+
+
+def _result_json(out):
+    rep = json.loads(out)
+    del rep["wall_time_s"]
+    return rep
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    assert cli.make_parser() is cli.make_parser()
+    gpath = tmp_path / "c7.graph"
+    gpath.write_text(write_graph(cycle_graph(7)))
+    code, fresh_out, _ = _main_in_subprocess(["pvalue", str(gpath)])
+    assert code == 0
+    fresh = _result_json(fresh_out)
+
+    assert main(["pvalue", str(gpath), "--oracle", "3"]) == 0
+    assert "oracle_agrees" in json.loads(capsys.readouterr().out)["result"]
+    assert main(["pvalue", str(gpath)]) == 0
+    after_oracle = _result_json(capsys.readouterr().out)
+    assert not any(k.startswith("oracle_") for k in after_oracle["result"])
+    assert after_oracle == fresh
+
+    # a usage error (argparse exits 2) between two good calls
+    with pytest.raises(SystemExit) as exc:
+        main(["pvalue", str(gpath), "--oracle", "x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid int value" in captured.err
+    assert main(["pvalue", str(gpath)]) == 0
+    assert _result_json(capsys.readouterr().out) == fresh
 
 
 def test_check_verbs(tmp_path, capsys):
@@ -201,6 +251,8 @@ _j42, _j42_labels = johnson(4, 2)
 J42, J42_LABELS = write_graph(_j42), write_labels(_j42_labels)
 CHECK_J42 = ["check", "partial-johnson", "{graph}", "--embedding", "{text}",
              "-k", "2"]
+# 2*10^9 vertices and no edges: rejected before any per-vertex allocation
+HUGE = "2000000000 0\n"
 
 
 # text is a profile or a labels file
@@ -212,6 +264,7 @@ CHECK_J42 = ["check", "partial-johnson", "{graph}", "--embedding", "{text}",
     (C7, "", ["pvalue", "{graph}", "--oracle", "-1"]),
     (P4, "", ["pvalue", "{graph}", "--oracle", "-1"]),     # p = 1: no oracle run
     ("-1 0\n", "", ["pvalue", "{graph}"]),
+    (HUGE, "", ["pvalue", "{graph}"]),
     (J42, J42_LABELS + "99: 1,2\n", CHECK_J42),
     (J42, J42_LABELS + "-4: 0,3\n", CHECK_J42),
     (J42, J42_LABELS + J42_LABELS.splitlines()[0] + "\n", CHECK_J42),
@@ -219,17 +272,24 @@ CHECK_J42 = ["check", "partial-johnson", "{graph}", "--embedding", "{text}",
     (J42, "0: 0,2\n" + J42_LABELS.split("\n", 1)[1], CHECK_J42),
 ], ids=["empty-profile", "non-integer-vertex", "p-zero", "gen-non-integer",
         "negative-oracle-weight", "negative-oracle-weight-p1",
-        "negative-vertex-count", "label-vertex-too-large",
+        "negative-vertex-count", "huge-header", "label-vertex-too-large",
         "label-vertex-negative", "label-vertex-repeated",
         "embedding-unverified"])
 def test_bad_input_exit_2(tmp_path, capsys, graph, text, argv):
     gpath, tpath = tmp_path / "g.graph", tmp_path / "text.txt"
     gpath.write_text(graph)
     tpath.write_text(text)
-    assert main([a.format(graph=gpath, text=tpath) for a in argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    argv = [a.format(graph=gpath, text=tpath) for a in argv]
+    if graph == HUGE:
+        # in a capped child, so that allocating the vertices fails fast
+        # with a MemoryError instead of filling the machine
+        code, out, err = _main_in_subprocess(argv)
+        assert err == "error: graph is not connected\n"
+    else:
+        code = main(argv)
+        out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 # ----------------------------------------------------------- malformed input

@@ -1,6 +1,9 @@
+import json
+import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -18,7 +21,7 @@ from medgraph.lp import (FeasibilityResult, RationalMatrix,
                          witness_to_profile)
 from medgraph.medians import Profile, median_set
 from medgraph.metric import Jcirc_set, M_set, interior_interval
-from reference import solve_pair
+from reference import lp_feasible_strict_explicit, solve_pair
 
 
 def _gd(g):
@@ -58,6 +61,59 @@ def test_lp_feasible_strict_trivial():
     # no rows: the empty witness does not verify
     with pytest.raises(AssertionError):
         lp_feasible_strict(RationalMatrix((), (), (0, 1), 0, 0))
+
+
+def _random_strict_matrices(count=20000, seed=17):
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        yield RationalMatrix(
+            tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(m)),
+            tuple(range(m)), tuple(range(n)), 0, 0)
+
+
+def _pool_lp_matrices():
+    """The D^uv of the benchmark's random pool that the one-vertex tests
+    leave to the simplex."""
+    path = Path(__file__).parents[1] / "bench" / "reference" / "random_pool.json"
+    for entry in json.loads(path.read_text())["graphs"]:
+        g = build_graph(entry["n"], map(tuple, entry["edges"]))
+        d = all_pairs_distances(g)
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                if d(u, v) >= 2:
+                    mat = build_Duv(g, d, u, v)
+                    if lp._one_vertex_answer(mat) is None:
+                        yield mat
+
+
+@pytest.mark.parametrize("matrices, count", [
+    (_random_strict_matrices, 20000),
+    (_pool_lp_matrices, 4242),
+], ids=["random", "pool"])
+def test_implicit_artificials_pivot_like_the_stored_ones(monkeypatch, matrices, count):
+    """The phase 1 with implied artificial columns makes the pivots of the
+    full tableau, also where Bland's rule brings an artificial back: the
+    same basis labels, D and stored columns, and the same answer."""
+    phases = []
+    real = lp._phase1
+
+    def recording(tableau, n_free):
+        phases.append(real(tableau, n_free))
+        return phases[-1]
+
+    monkeypatch.setattr(lp, "_phase1", recording)
+    solved = reentries = 0
+    for mat in matrices():
+        res = lp_feasible_strict(mat)
+        reference, (t_ref, D_ref, basis_ref, k) = lp_feasible_strict_explicit(mat)
+        t, D, basis = phases.pop()
+        stored = len(mat.cols) + len(mat.entries)    # pi and slack columns
+        assert (res, D, basis) == (reference, D_ref, basis_ref)
+        assert t == [row[:stored] + row[-1:] for row in t_ref]
+        solved += 1
+        reentries += k
+    assert solved == count and reentries > 0
 
 
 def test_c7_pair_feasible_and_witness_disconnects():
@@ -374,7 +430,7 @@ def test_alpha_beta_rejects_a_corrupted_lp_answer(monkeypatch, graph, u, v, corr
     def corrupted(tableau, n_free):
         t, D, basis = real(tableau, n_free)
         if corrupt == "certificate":
-            t[-1][n_free:-1] = [D] * (len(t) - 1)   # every dual value 0
+            t[-1][n_free:-1] = [0] * (len(t) - 1)   # every dual value 0
         else:
             for row in t[:-1]:
                 row[-1] = 0                         # every basic variable 0
