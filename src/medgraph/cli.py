@@ -53,6 +53,11 @@ def _load_graph(path: str):
 
 # ----------------------------------------------------------------- gen verb
 
+# the parameters of the families that families.generate does not build
+_GEN_OWN_PARAMS = {"benzenoid": (), "beta_configuration": (),
+                   "alpha_configuration": ("type",), "projective_plane": ("q",)}
+
+
 def cmd_gen(args) -> int:
     start = time.monotonic()
     params = {}
@@ -60,7 +65,11 @@ def cmd_gen(args) -> int:
         if "=" not in item:
             raise ParseError(f"parameter {item!r} is not key=value")
         key, val = item.split("=", 1)
+        if key in params:
+            raise ParseError(f"parameter {key!r} is given twice")
         params[key] = int(val)
+    if args.family in _GEN_OWN_PARAMS:
+        families.check_names(args.family, params, _GEN_OWN_PARAMS[args.family])
     labels = None
     if args.family == "benzenoid":
         if not args.benzenoid_spec:

@@ -20,7 +20,31 @@ class FamilySpec:
     params: dict[str, int] = field(default_factory=dict)
 
 
+# The most any generator builds: hypercube n = 16, the largest family member
+# allowed before these bounds, has 2^16 vertices and 2^19 edges.
+MAX_VERTICES = 1 << 16
+MAX_EDGES = 1 << 20
+
+
+def _bounded(name: str, n: int, m: int) -> None:
+    """Reject a graph of n vertices and m edges over the bounds, from its
+    parameters alone: nothing is allocated before this check."""
+    if n > MAX_VERTICES or m > MAX_EDGES:
+        raise ParameterOutOfRange(
+            f"{name} would have {n} vertices and {m} edges; the bounds are "
+            f"{MAX_VERTICES} vertices and {MAX_EDGES} edges")
+
+
+def check_names(family: str, params: dict, names) -> None:
+    """Reject a parameter that the family does not take."""
+    unknown = sorted(set(params) - set(names))
+    if unknown:
+        raise ParameterOutOfRange(f"{family} takes no parameter {unknown[0]}")
+
+
 def _need(spec: FamilySpec, *names: str) -> list[int]:
+    """The values of `names`, the only parameters the family takes."""
+    check_names(spec.family, spec.params, names)
     out = []
     for name in names:
         if name not in spec.params:
@@ -32,24 +56,28 @@ def _need(spec: FamilySpec, *names: str) -> list[int]:
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise ParameterOutOfRange("path needs n >= 1")
+    _bounded(f"P_{n}", n, n - 1)
     return build_graph(n, [(i, i + 1) for i in range(n - 1)], name=f"P_{n}")
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ParameterOutOfRange("cycle needs n >= 3")
+    _bounded(f"C_{n}", n, n)
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)], name=f"C_{n}")
 
 
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ParameterOutOfRange("complete needs n >= 1")
+    _bounded(f"K_{n}", n, n * (n - 1) // 2)
     return build_graph(n, list(itertools.combinations(range(n), 2)), name=f"K_{n}")
 
 
 def complete_bipartite(n: int, m: int) -> Graph:
     if n < 1 or m < 1:
         raise ParameterOutOfRange("complete bipartite needs n, m >= 1")
+    _bounded(f"K_{n},{m}", n + m, n * m)
     edges = [(i, n + j) for i in range(n) for j in range(m)]
     return build_graph(n + m, edges, name=f"K_{n},{m}")
 
@@ -58,6 +86,7 @@ def hyperoctahedron(m: int) -> Graph:
     """K_{m x 2}: complete graph on 2m vertices minus the matching (2i, 2i+1)."""
     if m < 2:
         raise ParameterOutOfRange("hyperoctahedron needs m >= 2")
+    _bounded(f"K_{m}x2", 2 * m, 2 * m * (m - 1))
     edges = [(a, b) for a, b in itertools.combinations(range(2 * m), 2)
              if a // 2 != b // 2]
     return build_graph(2 * m, edges, name=f"K_{m}x2")
@@ -67,6 +96,7 @@ def wheel(n: int, broken: bool = False) -> Graph:
     """W_n: an n-cycle plus a hub; broken drops the hub-to-0 spoke (W_n-)."""
     if n < 3:
         raise ParameterOutOfRange("wheel needs n >= 3")
+    _bounded(f"W_{n}", n + 1, 2 * n - broken)
     edges = [(i, (i + 1) % n) for i in range(n)]
     edges += [(i, n) for i in range(1 if broken else 0, n)]
     return build_graph(n + 1, edges, name=f"W_{n}-" if broken else f"W_{n}")
@@ -119,8 +149,11 @@ def halved_cube(n: int) -> tuple[Graph, LabeledEmbedding]:
 
 
 def johnson(n: int, k: int) -> tuple[Graph, LabeledEmbedding]:
-    if not 1 <= k <= n or comb(n, k) > 10000:
+    # C(n,k) >= n for 1 <= k < n: a large n is rejected before C(n,k), a
+    # number of about n bits for k near n/2, is computed
+    if not 1 <= k <= n or (k < n and n > 10000) or comb(n, k) > 10000:
         raise ParameterOutOfRange("johnson needs 1 <= k <= n, C(n,k) <= 10000")
+    _bounded(f"J({n},{k})", comb(n, k), comb(n, k) * k * (n - k) // 2)
     sets = [frozenset(c) for c in itertools.combinations(range(n), k)]
     index = {s: i for i, s in enumerate(sets)}
     edges = [(i, j) for i, j in itertools.combinations(range(len(sets)), 2)
@@ -133,6 +166,7 @@ def bn_graph(n: int) -> Graph:
     """K_{n,n} minus a perfect matching; sides 0..n-1 and n..2n-1."""
     if n < 2:
         raise ParameterOutOfRange("B_n needs n >= 2")
+    _bounded(f"B_{n}", 2 * n, n * (n - 1))
     edges = [(i, n + j) for i in range(n) for j in range(n) if i != j]
     return build_graph(2 * n, edges, name=f"B_{n}")
 
@@ -142,6 +176,7 @@ def bn_hat_graph(n: int) -> Graph:
     b = 2n+1 dominating the a-side."""
     if n < 2:
         raise ParameterOutOfRange("B^_n needs n >= 2")
+    _bounded(f"B^_{n}", 2 * n + 2, n * n + n + 1)
     edges = [(i, n + j) for i in range(n) for j in range(n) if i != j]
     edges += [(2 * n, n + j) for j in range(n)]
     edges += [(2 * n + 1, i) for i in range(n)]
@@ -237,13 +272,16 @@ def _is_prime(q: int) -> bool:
 def projective_incidence_graph(q: int) -> Graph:
     """Points and lines of the projective plane over the q-element field,
     plus a vertex u adjacent to all points and v adjacent to all lines."""
+    npts = q * q + q + 1
+    # each point lies on q + 1 lines; checked before the primality test,
+    # which takes sqrt(q) steps
+    _bounded(f"G_{q}", 2 * npts + 2, npts * (q + 1) + 2 * npts)
     if not _is_prime(q):
         raise NotPrime(f"{q} is not prime")
     reps = []
     for first in range(3):
         for tail in itertools.product(range(q), repeat=2 - first):
             reps.append((0,) * first + (1,) + tail)
-    npts = q * q + q + 1
     assert len(reps) == npts
     edges = []
     for i, p in enumerate(reps):

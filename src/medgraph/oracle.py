@@ -5,6 +5,21 @@ on J(u,v) with weights up to maxWeight are enumerated; the oracle reports
 the first profile whose median set is not connected in G^p or whose local
 median set in G^p differs from the median set.
 
+Pairs whose J(u,v) lies inside a support already scanned clean are
+skipped, with the same answer:
+
+- A pair's profiles and their verdicts depend only on its support J(u,v):
+  the scan of a pair never sees u or v.
+- A profile on S' inside S is the profile on S with zeros on S \\ S', so a
+  scan of S with no bad profile has already found every profile on S'
+  good.
+- Pairs are taken in the same order, and a pair that is not skipped is
+  scanned as before.  A skipped pair has no bad profile, so the first bad
+  pair, and its first bad profile in `itertools.product` order, are the
+  ones the plain scan of every pair reports.
+- The budget still counts the profiles of every band pair before any is
+  scanned, so a skip never changes which calls raise `BudgetExceeded`.
+
 Profiles come in `itertools.product` order (first support vertex most
 significant, the all-zero profile skipped), in blocks with no per-profile
 Python work.  A block is an n x profiles table f[x, i] = sum_s w_s d(s, x):
@@ -45,7 +60,13 @@ _BLOCK = 100_000
 
 def brute_force_oracle(g: Graph, d: DistMatrix, p: int, max_weight: int,
                        budget: int = 5_000_000):
-    """First (pair, integer Profile) breaking p-connectedness, or None."""
+    """First (pair, integer Profile) breaking p-connectedness, or None.
+
+    Pairs are scanned in order; a pair whose support lies inside the
+    support of a pair already scanned with no hit is skipped, since its
+    profiles are among those already found good (see the module docstring).
+    The budget counts the profiles of every band pair, skipped or not.
+    """
     if p < 1:
         raise ValueError("p must be >= 1")
     if max_weight < 1:
@@ -73,10 +94,15 @@ def brute_force_oracle(g: Graph, d: DistMatrix, p: int, max_weight: int,
     for x, ball in enumerate(balls):
         slots[:len(ball), x] = ball
     seeds = np.arange(n, dtype=_dtype(n))[:, None]   # vertex ids, as a column
+    cleared = []                           # supports scanned with no hit
     for (u, v), support in zip(pairs, supports):
+        mask = sum(1 << s for s in support)
+        if any(mask & c == mask for c in cleared):
+            continue
         hit = _scan_pair(dist, near, slots, seeds, support, max_weight)
         if hit is not None:
             return (u, v), hit
+        cleared.append(mask)
     return None
 
 

@@ -261,6 +261,9 @@ HUGE = "2000000000 0\n"
     (C7, "x 1\n", ["median", "{graph}", "{text}"]),
     (C7, "0 1\n", ["median", "{graph}", "{text}", "-p", "0"]),
     (C7, "", ["gen", "cycle", "n=x", "-o", "{graph}"]),
+    (C7, "", ["gen", "cycle", "n=5", "n=6", "-o", "{graph}"]),
+    (C7, "", ["gen", "cycle", "n=5", "k=3", "-o", "{graph}"]),
+    (C7, "", ["gen", "projective_plane", "n=3", "-o", "{graph}"]),
     (C7, "", ["pvalue", "{graph}", "--oracle", "-1"]),
     (P4, "", ["pvalue", "{graph}", "--oracle", "-1"]),     # p = 1: no oracle run
     ("-1 0\n", "", ["pvalue", "{graph}"]),
@@ -271,6 +274,8 @@ HUGE = "2000000000 0\n"
     # vertex 0 gets vertex 1's label {0, 2}: the embedding check fails
     (J42, "0: 0,2\n" + J42_LABELS.split("\n", 1)[1], CHECK_J42),
 ], ids=["empty-profile", "non-integer-vertex", "p-zero", "gen-non-integer",
+        "gen-repeated-parameter", "gen-unknown-parameter",
+        "gen-unknown-parameter-own-family",
         "negative-oracle-weight", "negative-oracle-weight-p1",
         "negative-vertex-count", "huge-header", "label-vertex-too-large",
         "label-vertex-negative", "label-vertex-repeated",
@@ -290,6 +295,17 @@ def test_bad_input_exit_2(tmp_path, capsys, graph, text, argv):
         out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+    assert gpath.read_text() == graph        # gen wrote nothing
+
+
+def test_gen_over_the_size_bound_exits_2_before_allocating(tmp_path):
+    # 2*10^9 path vertices: built, they would fail the 1 GB cap of the child
+    # with a MemoryError, so only a bound checked from n exits 2
+    out = tmp_path / "p.graph"
+    code, stdout, err = _main_in_subprocess(
+        ["gen", "path", "n=2000000000", "-o", str(out)])
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("error: P_2000000000 would have 2000000000 vertices")
 
 
 # ----------------------------------------------------------- malformed input

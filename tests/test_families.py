@@ -1,9 +1,18 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import pytest
 
+import medgraph
+from medgraph import families
 from medgraph.errors import (NotGated, NotInducedIso, NotPrime,
                              ParameterOutOfRange)
-from medgraph.families import (FamilySpec, alpha_configuration,
+from medgraph.families import (MAX_EDGES, MAX_VERTICES, FamilySpec,
+                               alpha_configuration,
                                beta_configuration, bn_graph, bn_hat_graph,
                                cartesian_product, complete_bipartite,
                                complete_graph, cycle_graph, gated_amalgam,
@@ -83,6 +92,10 @@ def test_generate_dispatch():
     assert g.n == 5 and emb is None
     with pytest.raises(ParameterOutOfRange):
         generate(FamilySpec("no_such_family", {}))
+    with pytest.raises(ParameterOutOfRange, match="takes no parameter k"):
+        generate(FamilySpec("cycle", {"n": 5, "k": 3}))
+    with pytest.raises(ParameterOutOfRange, match="takes no parameter n"):
+        generate(FamilySpec("propeller", {"n": 5}))
 
 
 def test_cartesian_product():
@@ -149,3 +162,68 @@ def test_alpha_configuration_sizes():
     assert alpha_configuration(3).n == 17
     with pytest.raises(ParameterOutOfRange):
         alpha_configuration(4)
+
+
+# (family, params) just over a bound: more than MAX_VERTICES vertices or
+# MAX_EDGES edges, while the next smaller parameter is within both bounds
+_OVER_THE_BOUNDS = [
+    ("path", {"n": MAX_VERTICES + 1}),
+    ("cycle", {"n": MAX_VERTICES + 1}),
+    ("complete", {"n": 1449}),                          # 1,049,076 edges
+    ("complete_bipartite", {"n": 1024, "m": 1025}),     # 1,049,600
+    ("hyperoctahedron", {"m": 725}),                    # 1,049,800
+    ("wheel", {"n": MAX_VERTICES}),
+    ("broken_wheel", {"n": MAX_VERTICES}),
+    ("bn", {"n": 1025}),                                # 1,049,600
+    ("bn_hat", {"n": 1024}),                            # 1,049,601
+    ("johnson", {"n": 1449, "k": 1}),                   # K_1449
+    ("projective_plane", {"q": 101}),                   # 1,071,512
+]
+
+
+def test_generators_reject_sizes_over_the_bounds_before_allocating():
+    # in a child whose address space is capped at 1 GB: a generator that
+    # built its graph before checking the bounds would get there (or run
+    # out of memory) instead of raising ParameterOutOfRange
+    code = ("import json, resource, sys\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))\n"
+            "from medgraph import families\n"
+            "out = []\n"
+            "for family, params in json.loads(sys.argv[1]):\n"
+            "    try:\n"
+            "        if family == 'projective_plane':\n"
+            "            families.projective_incidence_graph(params['q'])\n"
+            "        else:\n"
+            "            families.generate(families.FamilySpec(family, params))\n"
+            "        out.append('built')\n"
+            "    except Exception as exc:\n"
+            "        out.append(f'{type(exc).__name__}: {exc}')\n"
+            "print(json.dumps(out))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(medgraph.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code,
+                           json.dumps(_OVER_THE_BOUNDS)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for case, got in zip(_OVER_THE_BOUNDS, json.loads(proc.stdout)):
+        assert got.startswith("ParameterOutOfRange: ") and "would have" in got, \
+            (case, got)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("path", {"n": 5}), ("cycle", {"n": 6}), ("complete", {"n": 5}),
+    ("complete_bipartite", {"n": 2, "m": 3}), ("hyperoctahedron", {"m": 3}),
+    ("wheel", {"n": 5}), ("broken_wheel", {"n": 5}), ("bn", {"n": 4}),
+    ("bn_hat", {"n": 3}), ("johnson", {"n": 6, "k": 3}),
+    ("projective_plane", {"q": 3}),
+])
+def test_size_bounds_count_the_graph_they_guard(monkeypatch, family, params):
+    # the vertex and edge counts checked before building are exact
+    checked = []
+    monkeypatch.setattr(families, "_bounded",
+                        lambda name, n, m: checked.append((n, m)))
+    if family == "projective_plane":
+        g = projective_incidence_graph(params["q"])
+    else:
+        g = generate(FamilySpec(family, params))[0]
+    assert checked == [(g.n, g.num_edges())]

@@ -22,6 +22,7 @@ from medgraph.lp import (FeasibilityResult, RationalMatrix,
 from medgraph.medians import Profile, median_set
 from medgraph.metric import Jcirc_set, M_set, interior_interval
 from reference import lp_feasible_strict_explicit, solve_pair
+from test_acceptance import _connected_atlas_graphs
 
 
 def _gd(g):
@@ -350,14 +351,6 @@ def _assert_eta_is_exact(g, d, u, v, cert):
             assert eta[s] == eta[t]
     for x in Jcirc_set(g, d, u, v):
         assert 2 * sum(eta[s] for s in s_set if g.has_edge(s, x)) >= 1
-
-
-def _connected_atlas_graphs(max_n):
-    from networkx.generators.atlas import graph_atlas_g
-    for h in graph_atlas_g():
-        if 2 <= h.number_of_nodes() <= max_n and nx.is_connected(h):
-            idx = {x: i for i, x in enumerate(sorted(h.nodes()))}
-            yield build_graph(len(idx), [(idx[a], idx[b]) for a, b in h.edges()])
 
 
 def test_alpha_beta_eta_is_exact_on_small_atlas_graphs():

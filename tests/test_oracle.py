@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,45 @@ def test_block_gather_stays_within_block_memory(monkeypatch):
     assert brute_force_oracle(g, d, 11, 1, budget=10_000) is None
     assert len(gathered) > 1
     assert max(gathered) <= oracle._BLOCK * g.n
+
+
+# sha256 of the repr of brute_force_oracle(g, d, p, 2) over the 995 connected
+# atlas graphs at p = 1, 2 (1,990 outcomes, hits and Nones), taken from a scan
+# of every band pair.  A skip of a pair whose support is not inside a
+# cleared one can drop the first bad pair, and the hash changes.
+ATLAS_ORACLE_SHA256 = ("b1fdff535a9689a9bc63d6393df65eef"
+                       "2709474a465c84c75dd2842e5923df8f")
+
+
+def test_oracle_outcomes_on_the_atlas_are_pinned():
+    from test_acceptance import _connected_atlas_graphs
+    outcomes = []
+    for g in _connected_atlas_graphs(7):
+        d = all_pairs_distances(g)
+        outcomes += [brute_force_oracle(g, d, p, 2) for p in (1, 2)]
+    assert len(outcomes) == 1990
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == ATLAS_ORACLE_SHA256
+
+
+@pytest.mark.parametrize("g, p, band, scans", [
+    (hypercube(3)[0], 1, 12, 6),      # the six 4-cycles are the supports
+    (cycle_graph(6), 2, 3, 1),        # every antipodal pair has J = C_6
+])
+def test_pairs_inside_a_cleared_support_are_not_scanned(monkeypatch, g, p,
+                                                        band, scans):
+    from test_properties import _ref_oracle
+    d = all_pairs_distances(g)
+    assert band == sum(p + 1 <= d(u, v) <= 2 * p
+                       for u in range(g.n) for v in range(u + 1, g.n))
+    scanned = []
+    scan = oracle._scan_pair
+
+    def spy(dist, near, slots, seeds, support, max_weight):
+        scanned.append(support)
+        return scan(dist, near, slots, seeds, support, max_weight)
+
+    monkeypatch.setattr(oracle, "_scan_pair", spy)
+    got = brute_force_oracle(g, d, p, 2)
+    assert len(scanned) == scans < band
+    assert got is None and got == _ref_oracle(g, d, p, 2, budget=10_000)

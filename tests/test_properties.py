@@ -215,7 +215,8 @@ def _push_onto_J(g, d, u, v, weights):
 
 
 def test_J_columns_decide_every_pair_like_all_columns():
-    from test_lp import _connected_atlas_graphs, _random_connected_graphs
+    from test_acceptance import _connected_atlas_graphs
+    from test_lp import _random_connected_graphs
     pushed_witnesses = feasible = 0
     for g in [*_connected_atlas_graphs(6), *_random_connected_graphs(40)]:
         d = all_pairs_distances(g)
