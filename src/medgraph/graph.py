@@ -118,8 +118,25 @@ def _bfs(nbr: list[int], source: int) -> list[int]:
 
 
 def bfs(g: Graph, source: int) -> list[int]:
-    """Hop distances from source; -1 marks a vertex it does not reach."""
-    return _bfs(_neighbour_masks(g), source)
+    """Hop distances from source; -1 marks a vertex it does not reach.
+
+    One source walks the adjacency lists, in O(n + m) time and memory;
+    `all_pairs_distances` builds neighbour bitsets instead, whose cost,
+    about n^2 / 2 bits on a sparse graph, it spreads over n sources."""
+    dist = [-1] * g.n
+    dist[source] = 0
+    frontier = [source]
+    k = 0
+    while frontier:
+        k += 1
+        reach = []
+        for x in frontier:
+            for y in g.adj[x]:
+                if dist[y] < 0:
+                    dist[y] = k
+                    reach.append(y)
+        frontier = reach
+    return dist
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]], name: str = "") -> Graph:

@@ -64,14 +64,18 @@ def J_set(g: Graph, d: DistMatrix, u: int, v: int) -> set[int]:
     Equivalently, no neighbour y of z is closer than z to both u and v.
     Such a y lies in I(z,u) & I(z,v).  Conversely, if w != z lies in both
     intervals, the first step y of a (z,w)-geodesic has
-    d(y,u) <= d(z,w) - 1 + d(w,u) = d(z,u) - 1, and likewise for v.  So
-    one pair costs O(n + m).
+    d(y,u) <= d(z,w) - 1 + d(w,u) = d(z,u) - 1, and likewise for v.
+
+    So z (other than u and v, which are always in J) is outside J(u,v)
+    iff N(z) meets the level of u at d(u,z) - 1 and the level of v at
+    d(v,z) - 1: one AND of three level bitsets, O(n) bit tests per pair.
     """
     if u == v:
         raise ValueError("J_set requires u != v")
-    du, dv = d[u], d[v]
-    return {z for z in range(g.n)
-            if not any(du[y] < du[z] and dv[y] < dv[z] for y in g.adj[z])}
+    levels = d.levels
+    lu, lv, du, dv = levels[u], levels[v], d[u], d[v]
+    return {z for z, a, b in zip(range(g.n), du, dv)
+            if not (a and b and levels[z][1] & lu[a - 1] & lv[b - 1])}
 
 
 def M_set(g: Graph, d: DistMatrix, u: int, v: int) -> set[int]:

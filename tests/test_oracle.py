@@ -83,27 +83,85 @@ def test_dtype_is_the_narrowest_that_holds_the_bound():
         _dtype(2**63)
 
 
+# A path 0..12 with 60 leaves on its middle vertex: at p = 11 every closed
+# p-ball of the middle holds all 73 vertices, and the one pair in the band,
+# (0, 12), has the 13 path vertices as J, so 8,191 profiles, split into
+# blocks of at most _BLOCK // 73.
+_BROOM = [(i, i + 1) for i in range(12)] + [(6, leaf) for leaf in range(13, 73)]
+# K_{2,4} at p = 1, max_weight 1 and _BLOCK = 200 (cap 40): four later
+# kept pairs are packed two to a block, and the last, with 63 profiles, is
+# split.
+_K24 = [(a, b) for a in (4, 5) for b in range(4)]
+
+
 def test_block_gather_stays_within_block_memory(monkeypatch):
-    # A path 0..12 with 60 leaves on its middle vertex: at p = 11 every
-    # closed p-ball of the middle holds all 73 vertices, and the one pair in
-    # the band, (0, 12), has the 13 path vertices as J, so 8,191 profiles.
-    # A block then holds _BLOCK // 73 profiles, and its ball gather at
-    # most _BLOCK * n values.
-    g = build_graph(73, [(i, i + 1) for i in range(12)]
-                    + [(6, leaf) for leaf in range(13, 73)])
+    # Every array a scan allocates holds at most _BLOCK * n values: the
+    # digit matrix and the table of each segment, the block the kernel gets
+    # (one table or the packed tables of several pairs), and the ball
+    # gather of the block, ball size x n x columns.  The broom's one pair is
+    # split into blocks at the default _BLOCK; K_{2,4} has packed blocks.
+    sizes = {"digits": [], "table": [], "block": [], "gather": []}
+    blocks = []
+    digits, table, bad_columns, scan = (
+        oracle._digits, oracle._table, oracle._bad_columns, oracle._scan_block)
+
+    def spy_digits(radix, size, dtype):
+        out = digits(radix, size, dtype)
+        sizes["digits"].append(out.size)
+        return out
+
+    def spy_table(*args):
+        out = table(*args)
+        sizes["table"].append(out.size)
+        return out
+
+    def spy_bad_columns(f, near, slots, seeds):
+        assert f.shape[1] <= oracle._BLOCK // len(slots)   # at most cap
+        sizes["block"].append(f.size)
+        sizes["gather"].append(slots.size * f.shape[1])
+        return bad_columns(f, near, slots, seeds)
+
+    def spy_scan(dist, near, slots, seeds, segments, radix):
+        blocks.append([split for _, _, split, _ in segments])
+        return scan(dist, near, slots, seeds, segments, radix)
+
+    for name, spy in [("_digits", spy_digits), ("_table", spy_table),
+                      ("_bad_columns", spy_bad_columns),
+                      ("_scan_block", spy_scan)]:
+        monkeypatch.setattr(oracle, name, spy)
+    for edges, p, max_weight, block, packed in [
+            (_BROOM, 11, 1, oracle._BLOCK, False), (_K24, 1, 1, 200, True)]:
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        blocks.clear()
+        for got in sizes.values():
+            got.clear()
+        g = build_graph(max(map(max, edges)) + 1, edges)
+        d = all_pairs_distances(g)
+        # a tree has connected medians at every p; K_{2,4} does not at p = 1
+        assert (oracle.brute_force_oracle(g, d, p, max_weight, budget=10_000)
+                is None) == (edges is _BROOM)
+        assert any(len(b) > 1 for b in blocks) == packed
+        assert any(any(b) for b in blocks)          # a split support
+        for name, got in sizes.items():
+            assert got and max(got) <= block * g.n, name
+
+
+def test_scan_memory_peak_is_one_block_gather():
+    # Measured, not counted: tracemalloc sees numpy's buffers, and the peak
+    # of a scan is the ball gather of one block plus a few n x cap arrays.
+    import tracemalloc
+    g = build_graph(73, _BROOM)
     d = all_pairs_distances(g)
-    gathered = []
-    scan = oracle._bad_columns
-
-    def spy(f, near, slots, seeds):
-        gathered.append(slots.size * f.shape[1])
-        return scan(f, near, slots, seeds)
-
-    monkeypatch.setattr(oracle, "_bad_columns", spy)
-    # a tree has connected medians at every p
-    assert brute_force_oracle(g, d, 11, 1, budget=10_000) is None
-    assert len(gathered) > 1
-    assert max(gathered) <= oracle._BLOCK * g.n
+    d.levels
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert brute_force_oracle(g, d, 11, 1, budget=10_000) is None
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # profile values fit in int16 here, two bytes each
+    assert peak <= 2 * oracle._BLOCK * g.n * 2
 
 
 # sha256 of the repr of brute_force_oracle(g, d, p, 2) over the 995 connected
@@ -135,14 +193,14 @@ def test_pairs_inside_a_cleared_support_are_not_scanned(monkeypatch, g, p,
     d = all_pairs_distances(g)
     assert band == sum(p + 1 <= d(u, v) <= 2 * p
                        for u in range(g.n) for v in range(u + 1, g.n))
-    scanned = []
-    scan = oracle._scan_pair
+    scanned = set()
+    scan = oracle._scan_block
 
-    def spy(dist, near, slots, seeds, support, max_weight):
-        scanned.append(support)
-        return scan(dist, near, slots, seeds, support, max_weight)
+    def spy(dist, near, slots, seeds, block, radix):
+        scanned.update(pair for pair, _, _, _ in block)
+        return scan(dist, near, slots, seeds, block, radix)
 
-    monkeypatch.setattr(oracle, "_scan_pair", spy)
+    monkeypatch.setattr(oracle, "_scan_block", spy)
     got = brute_force_oracle(g, d, p, 2)
     assert len(scanned) == scans < band
     assert got is None and got == _ref_oracle(g, d, p, 2, budget=10_000)

@@ -630,6 +630,82 @@ def test_oracle_block_split_matches_plain_profile_scan(monkeypatch, block):
     _assert_oracle_matches_plain_scan(graphs, (1, 2), 2_000)
 
 
+# Graphs with packed blocks and split supports at _BLOCK = 200 (cap =
+# 200 // ball profiles a block): K_{2,4}, where later kept pairs are packed
+# and the last is split at max_weight 1, and every pair is split at
+# max_weight 2; and two atlas graphs whose first bad profile is on the
+# second or a later pair of a packed block.
+_PACKED_BLOCK_GRAPHS = (
+    [(0, 4), (0, 5), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5)],
+    [(0, 2), (1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)],
+    [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (3, 6), (4, 5)],
+)
+
+
+def test_oracle_packed_blocks_match_plain_profile_scan(monkeypatch):
+    # Later kept pairs share blocks, so the first bad column of a block
+    # must be mapped back to its own pair and code; a support with more
+    # than cap profiles is split into prefix blocks instead.
+    monkeypatch.setattr(oracle, "_BLOCK", 200)
+    seen = {"packed": 0, "split": 0, "later_hit": 0}
+    scan = oracle._scan_block
+
+    def spy(dist, near, slots, seeds, block, radix):
+        hit = scan(dist, near, slots, seeds, block, radix)
+        seen["packed"] += len(block) > 1
+        seen["split"] += any(split for _, _, split, _ in block)
+        seen["later_hit"] += (hit is not None and len(block) > 1
+                              and hit[0] != block[0][0])
+        return hit
+
+    monkeypatch.setattr(oracle, "_scan_block", spy)
+    rng = random.Random(109)
+    graphs = [build_graph(max(map(max, edges)) + 1, edges)
+              for edges in _PACKED_BLOCK_GRAPHS]
+    graphs += [_random_connected_graph(rng, rng.randint(5, 8))
+               for _ in range(3)]
+    _assert_oracle_matches_plain_scan(graphs, (1, 2), 3_000)
+    assert seen["packed"] and seen["split"] and seen["later_hit"] >= 2, seen
+
+
+def _sparse_connected_graph(rng, n, extra):
+    """A random tree on n vertices plus `extra` random edges."""
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(extra)]
+    return build_graph(n, edges)
+
+
+def _J_by_definition(dist, u, v):
+    """{z : I(z,u) & I(z,v) = {z}} from a distance array: w lies in I(z,u)
+    iff d(z,w) + d(w,u) = d(z,u); z itself always does."""
+    both = ((dist + dist[u] == dist[:, [u]])
+            & (dist + dist[v] == dist[:, [v]]))
+    return set(np.flatnonzero(both.sum(axis=1) == 1).tolist())
+
+
+def test_J_set_matches_its_definition_on_masks_wider_than_a_word():
+    # Level bitsets of more than 64 vertices: the halved cube on 128
+    # vertices, C_70, and random graphs with up to 90 vertices, both dense
+    # and sparse (diameters from 2 to about 20).
+    rng = random.Random(113)
+    cases = [(halved_cube(8)[0], [0, 77]), (cycle_graph(70), range(70))]
+    for n in (65, 72, 81, 90):
+        cases.append((_random_connected_graph(rng, n), rng.sample(range(n), 4)))
+        cases.append((_sparse_connected_graph(rng, n, rng.randint(0, n // 4)),
+                      rng.sample(range(n), 6)))
+    checked = 0
+    for g, sources in cases:
+        d = all_pairs_distances(g)
+        dist = np.array(d.d)
+        for u in sources:
+            for v in range(g.n):
+                if v != u:
+                    assert J_set(g, d, u, v) == _J_by_definition(dist, u, v), (
+                        g.n, u, v)
+                    checked += 1
+    assert checked > 8_000
+
+
 def test_interval_and_J_set_match_their_definitions():
     rng = random.Random(103)
     for _ in range(25):
