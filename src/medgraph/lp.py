@@ -3,27 +3,39 @@
 A pair u,v admits a weight function violating the chord condition iff the
 homogeneous strict system D^uv pi < 0, pi >= 0 is solvable; by scaling this
 is the closed system D^uv pi <= -1.  Feasibility is decided by a phase-1
-simplex with Bland's anti-cycling rule and fraction-free integer pivots;
-`Fraction` appears only at the API boundary.  Its tableau is [A | -I | rhs]:
-the artificial columns are not stored, since artificial i is always the
-negated slack column i, and its reduced cost is D minus the slack's (see
-`_phase1`).  It returns either a witness profile or a Farkas certificate,
-read from the slack reduced costs, and both are re-verified exactly on the
-full D^uv.
+simplex with Bland's anti-cycling rule and fraction-free integer pivots.
+Its tableau is [A | -I | rhs]: the artificial columns are not stored, since
+artificial i is always the negated slack column i, and its reduced cost is
+D minus the slack's (see `_phase1`).  It returns either a witness profile,
+in `Fraction`s, or a Farkas certificate, read from the slack reduced costs
+as the integers D*y: a positive multiple of a certificate is one.  Both are
+re-verified exactly on the full D^uv.  The check of a certificate y sums
+y_i times row i over the rows with y_i != 0 only, in every column; a zero
+row adds nothing, so this is the full product y^T D^uv, and a unit
+certificate costs O(n), not O(mn).
 `lp_feasible_strict` is the module's one LP: the alpha/beta weights of
 `alpha_beta_certificate` are read from its answer on the alternative
 system, so both of their outcomes are certified the same way.
 
 A pair's verdict comes from `_pair_verdicts`, shared by `compute_p` and
-`has_Gp_connected_medians`.  It first tries the singleton tests of LP
-presolve (Andersen & Andersen 1995, "Presolving in linear programming",
-Math. Program. 71).  Column x of D^uv is the profile with all its weight on
-x, and row w is w's chord inequality:
+`has_Gp_connected_medians`.  It first tries `_presolve`: the singleton
+tests of LP presolve (Andersen & Andersen 1995, "Presolving in linear
+programming", Math. Program. 71), then one fixed certificate.  Column x of
+D^uv is the profile with all its weight on x, and row w is w's chord
+inequality:
+- a nonnegative row w makes e_w a Farkas certificate, since e_w^T D^uv is
+  that row;
 - an all-negative column x makes {x: 1} a witness, since every row is then
   at most -1;
-- a nonnegative row w makes e_w a Farkas certificate, since e_w^T D^uv is
-  that row.
-Both answers are checked on the full matrix like the simplex's.
+- nonnegative column sums make y = 1 a Farkas certificate.  By Farkas'
+  lemma, D^uv pi <= -1 has no solution pi >= 0 iff some y >= 0, y != 0
+  has y^T D^uv >= 0: given both, y^T D^uv pi >= 0 since pi >= 0, while
+  y^T (D^uv pi) <= -(y_1 + ... + y_m) < 0.  With y = 1, y^T D^uv is the
+  vector of column sums: when none is negative, the rows of D^uv pi sum
+  to at least 0 for every pi >= 0, so they cannot all be at most -1.
+An all-negative column has a negative sum, so the row-sum test never takes
+the place of a one-vertex witness.  Every presolve answer is an int tuple or
+a unit witness, and is checked on the full matrix like the simplex's.
 
 D^uv has a column for every vertex, though a violating profile pi can
 always be moved onto J(u,v).  With F the median function of pi and w inside
@@ -43,13 +55,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
 
 from .errors import InteriorTooLarge, WrongDistance
 from .graph import DistMatrix, Graph
 from .medians import (Profile, _pairs_in_distance_band, _require_nonadjacent,
                       median_value)
-from .metric import Jcirc_set, M_set, interior_interval
+from .metric import (Jcirc_set, M_set, interior_interval, interval_mask,
+                     members)
 
 
 @dataclass(frozen=True)
@@ -67,7 +79,7 @@ class RationalMatrix:
 class FeasibilityResult:
     status: str                                 # "feasible" | "infeasible"
     witness: dict[int, Fraction] | None = None  # keyed by column vertex
-    certificate: tuple[Fraction, ...] | None = None  # one entry per matrix row
+    certificate: tuple[int | Fraction, ...] | None = None  # one entry per matrix row
     matrix: RationalMatrix | None = None
 
     @property
@@ -78,15 +90,15 @@ class FeasibilityResult:
 def build_Duv(g: Graph, d: DistMatrix, u: int, v: int) -> RationalMatrix:
     """D^uv entry (w,x) = d(v,w)d(u,x) + d(u,w)d(v,x) - d(u,v)d(w,x)."""
     _require_nonadjacent(g, u, v)
-    rows = tuple(sorted(interior_interval(g, d, u, v)))
-    cols = tuple(range(g.n))
+    rows = tuple(members(interval_mask(d, u, v) & ~(1 << u | 1 << v)))
     du, dv = d[u], d[v]
     duv = du[v]
     entries = []
     for w in rows:
-        dw, dvw, duw = d[w], dv[w], du[w]
-        entries.append(tuple(dvw * du[x] + duw * dv[x] - duv * dw[x] for x in cols))
-    return RationalMatrix(tuple(entries), rows, cols, u, v)
+        dvw, duw = dv[w], du[w]
+        entries.append(tuple([dvw * a + duw * b - duv * c
+                              for a, b, c in zip(du, dv, d[w])]))
+    return RationalMatrix(tuple(entries), rows, tuple(range(g.n)), u, v)
 
 
 def _phase1(tableau, n_free):
@@ -180,7 +192,8 @@ def lp_feasible_strict(mat: RationalMatrix) -> FeasibilityResult:
     `_phase1` on the tableau [-M | -I | 1], which keeps the artificial
     columns implicit.  A zero optimum gives the witness pi; otherwise the
     simplex multipliers y, read from the slack reduced costs, are the
-    Farkas certificate.
+    Farkas certificate; it is returned as the integers D*y, D > 0 being the
+    final basis determinant, which certify the same as y.
     """
     m, n = len(mat.entries), len(mat.cols)
     # columns: pi (0..n-1), slacks (n..n+m-1); the artificials are implicit
@@ -196,14 +209,16 @@ def lp_feasible_strict(mat: RationalMatrix) -> FeasibilityResult:
                 pi[mat.cols[b]] = Fraction(tableau[i][-1], D)
         res = FeasibilityResult("feasible", witness=pi, matrix=mat)
     else:
-        # dual value y_i = reduced cost of slack column i
-        y = tuple(Fraction(obj[n + i], D) for i in range(m))
-        res = FeasibilityResult("infeasible", certificate=y, matrix=mat)
+        # obj[n + i] = D * y_i, y_i being the reduced cost of slack column i
+        res = FeasibilityResult("infeasible", certificate=tuple(obj[n:n + m]),
+                                matrix=mat)
     return _checked(res, "simplex answer")
 
 
 def _scaled(values) -> tuple[int, list[int]]:
     """Common denominator den of exact rationals and the integers den*value."""
+    if all(type(x) is int for x in values):
+        return 1, list(values)
     den = lcm(*(x.denominator for x in values))
     return den, [x.numerator * (den // x.denominator) for x in values]
 
@@ -211,7 +226,10 @@ def _scaled(values) -> tuple[int, list[int]]:
 def _check_result(r: FeasibilityResult) -> bool:
     """Exact check of a witness (every row of M pi <= -1, pi >= 0) or a
     Farkas certificate (y >= 0, y != 0, y^T M >= 0) on the full matrix,
-    in integers after scaling by the common denominator."""
+    in integers after scaling by the common denominator.  y^T M is the
+    column sums of the rows y_i * M_i with y_i != 0, in every column: a
+    zero row adds nothing, so a unit certificate costs one pass over its
+    row, and a row with y_i = 1 is summed as it stands."""
     mat = r.matrix
     if r.status == "feasible":
         if not r.witness:
@@ -230,7 +248,9 @@ def _check_result(r: FeasibilityResult) -> bool:
     _, y = _scaled(r.certificate)
     if any(yi < 0 for yi in y) or not any(y):
         return False
-    return all(sum(map(mul, y, col)) >= 0 for col in zip(*mat.entries))
+    scaled = [row if yi == 1 else [yi * x for x in row]
+              for yi, row in zip(y, mat.entries) if yi]
+    return min(map(sum, zip(*scaled)), default=0) >= 0
 
 
 def _checked(res: FeasibilityResult, source: str) -> FeasibilityResult:
@@ -241,24 +261,29 @@ def _checked(res: FeasibilityResult, source: str) -> FeasibilityResult:
     return res
 
 
-def _one_vertex_answer(mat: RationalMatrix) -> FeasibilityResult | None:
-    """The certificate e_i for the first nonnegative row i, else the witness
-    {x: 1} for the first all-negative column x, else None.  A matrix has
-    at most one of the two kinds; either answer is checked on it."""
+def _presolve(mat: RationalMatrix) -> FeasibilityResult | None:
+    """The first presolve answer of mat, checked on it, else None: the
+    certificate e_i for the first nonnegative row i, else the witness
+    {x: 1} for the first all-negative column x, else the certificate y = 1
+    when every column sum is nonnegative.  A matrix has at most one of the
+    one-vertex kinds, and an all-negative column has a negative sum."""
     entries = mat.entries
     i = next((i for i, row in enumerate(entries) if min(row) >= 0), None)
     if i is not None:
-        res = FeasibilityResult("infeasible", matrix=mat, certificate=tuple(
-            Fraction(int(k == i)) for k in range(len(entries))))
-    else:
-        neg = range(len(mat.cols))
-        for row in entries:
-            neg = [j for j in neg if row[j] < 0]
-        if not neg:
-            return None
-        res = FeasibilityResult("feasible", witness={mat.cols[neg[0]]: Fraction(1)},
-                                matrix=mat)
-    return _checked(res, "one-vertex answer")
+        return _checked(FeasibilityResult("infeasible", matrix=mat, certificate=tuple(
+            int(k == i) for k in range(len(entries)))), "one-vertex answer")
+    neg = range(len(mat.cols))
+    for row in entries:
+        neg = [j for j in neg if row[j] < 0]
+    if neg:
+        return _checked(FeasibilityResult(
+            "feasible", witness={mat.cols[neg[0]]: Fraction(1)}, matrix=mat),
+            "one-vertex answer")
+    if min(map(sum, zip(*entries)), default=0) >= 0:
+        return _checked(FeasibilityResult(
+            "infeasible", matrix=mat, certificate=(1,) * len(entries)),
+            "row-sum answer")
+    return None
 
 
 def verify_feasibility_result(g: Graph, d: DistMatrix, u: int, v: int,
@@ -293,7 +318,7 @@ def _pair_verdicts(g: Graph, d: DistMatrix):
     """The pair-verdict function of one graph, and the set of the pairs it
     gave their own solve.
 
-    verdict(u, v) is the pair's one-vertex answer when it has one.  Else,
+    verdict(u, v) is the pair's presolve answer when it has one.  Else,
     when an earlier infeasible pair had the same `_canonical` key, i.e. a
     permutation-equivalent D^uv, it is that certificate mapped onto the
     pair's own matrix and re-checked there; else the pair's own solve.
@@ -307,7 +332,7 @@ def _pair_verdicts(g: Graph, d: DistMatrix):
         res = verdicts.get((u, v))
         if res is None:
             mat = build_Duv(g, d, u, v)
-            res = _one_vertex_answer(mat)
+            res = _presolve(mat)
             if res is None:
                 key, rows = _canonical(mat)
                 y = classes.get(key)
@@ -499,4 +524,4 @@ def _solve_eta(g: Graph, d: DistMatrix, u: int, v: int, S, comp, jcirc):
         return None
     y = dict(zip(classes, res.certificate))
     total = sum(y[label[s]] for s in S)
-    return {s: y[label[s]] / total for s in S}
+    return {s: Fraction(y[label[s]], total) for s in S}

@@ -4,11 +4,13 @@ Each one decides the same thing as a `medgraph` function by a different,
 slower route: all pairs instead of the local band, a walk of the geodesic
 DAG instead of distance levels, subgraph matching instead of the interval
 condition, the simplex on every pair instead of the shared pair verdicts,
-the phase-1 tableau with its artificial columns stored instead of implied.
+the phase-1 tableau with its artificial columns stored instead of implied,
+the product y^T M over every row instead of the rows with y_i != 0.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 import networkx as nx
 
@@ -77,9 +79,9 @@ def phase1_explicit(tableau, n_free):
 
 def lp_feasible_strict_explicit(mat: RationalMatrix):
     """`lp.lp_feasible_strict` on the tableau [-M | -I | I | 1] with the
-    artificial columns stored; the certificate is y_i = 1 minus the reduced
-    cost of artificial i.  Returns the answer, unchecked, and the output of
-    `phase1_explicit`."""
+    artificial columns stored; the certificate is D*y, y_i being 1 minus
+    the reduced cost of artificial i.  Returns the answer, unchecked, and
+    the output of `phase1_explicit`."""
     m, n = len(mat.entries), len(mat.cols)
     rows = [[-x for x in mat.entries[i]]
             + [-1 if k == i else 0 for k in range(m)]
@@ -92,8 +94,19 @@ def lp_feasible_strict_explicit(mat: RationalMatrix):
         pi = {mat.cols[b]: Fraction(tableau[i][-1], D)
               for i, b in enumerate(basis) if b < n and tableau[i][-1] != 0}
         return FeasibilityResult("feasible", witness=pi, matrix=mat), phase
-    y = tuple(Fraction(D - obj[n + m + i], D) for i in range(m))
+    y = tuple(D - obj[n + m + i] for i in range(m))
     return FeasibilityResult("infeasible", certificate=y, matrix=mat), phase
+
+
+def certificate_holds_dense(mat: RationalMatrix, certificate) -> bool:
+    """`lp._check_result` on a certificate, with y^T M summed over every
+    row of every column: y >= 0, y != 0, one entry per row, y^T M >= 0."""
+    if len(certificate) != len(mat.entries):
+        return False
+    y = [Fraction(yi) for yi in certificate]
+    if any(yi < 0 for yi in y) or not any(y):
+        return False
+    return all(sum(map(mul, y, col)) >= 0 for col in zip(*mat.entries))
 
 
 def geodesic_vertices_via_dag(g: Graph, d: DistMatrix, u: int, v: int) -> set[int]:

@@ -73,24 +73,29 @@ def _random_strict_matrices(count=20000, seed=17):
             tuple(range(m)), tuple(range(n)), 0, 0)
 
 
-def _pool_lp_matrices():
-    """The D^uv of the benchmark's random pool that the one-vertex tests
-    leave to the simplex."""
+def _pool_graphs():
+    """The 240 graphs of the benchmark's random pool."""
     path = Path(__file__).parents[1] / "bench" / "reference" / "random_pool.json"
     for entry in json.loads(path.read_text())["graphs"]:
-        g = build_graph(entry["n"], map(tuple, entry["edges"]))
+        yield build_graph(entry["n"], map(tuple, entry["edges"]))
+
+
+def _pool_lp_matrices():
+    """The D^uv of the benchmark's random pool that the presolve leaves to
+    the simplex."""
+    for g in _pool_graphs():
         d = all_pairs_distances(g)
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 if d(u, v) >= 2:
                     mat = build_Duv(g, d, u, v)
-                    if lp._one_vertex_answer(mat) is None:
+                    if lp._presolve(mat) is None:
                         yield mat
 
 
 @pytest.mark.parametrize("matrices, count", [
     (_random_strict_matrices, 20000),
-    (_pool_lp_matrices, 4242),
+    (_pool_lp_matrices, 2798),
 ], ids=["random", "pool"])
 def test_implicit_artificials_pivot_like_the_stored_ones(monkeypatch, matrices, count):
     """The phase 1 with implied artificial columns makes the pivots of the
@@ -243,11 +248,13 @@ def test_compute_p_solves_each_pair_once(monkeypatch):
     # the simplex; the one solve is the witness pair's own, where the plain
     # scan made 189
     assert [pair for pair, _ in calls] == [(0, 10)]
-    # no pair of G_2 has a one-vertex answer: one solve per key
+    # no pair of G_2 has a one-vertex answer, and the 6 pairs of one class
+    # get y = 1 from their column sums: one solve per key of the other
+    # classes
     calls.clear()
     assert compute_p(*_gd(projective_incidence_graph(2))).p == 3
     keys = [key for _, key in calls]
-    assert len(calls) == 4 == len(set(keys))
+    assert len(calls) == 3 == len(set(keys))
 
 
 def _recording_builds(monkeypatch):
@@ -277,11 +284,11 @@ def test_compute_p_re_solves_a_witness_pair_decided_by_its_class(monkeypatch):
     g, d = _gd(cycle_graph(7))
     calls = _recording_solves(monkeypatch)
     plain = compute_p(g, d)
-    # every pair of C_7 has a one-vertex answer; the only solve is the
+    # every pair of C_7 has a presolve answer; the only solve is the
     # witness pair's own
     assert [pair for pair, _ in calls] == [(0, 3)]
     assert plain.witness_profile == Profile(dict(solve_pair(g, d, 0, 3).witness))
-    # With the one-vertex tests off, each band is scanned in descending
+    # With the presolve off, each band is scanned in descending
     # pair order the first time it is asked for, so level 2 decides (3, 6)
     # and the report's scan of the same band meets (0, 3), of the same
     # class.  A feasible answer is never taken from the cache: (0, 3) is
@@ -297,7 +304,7 @@ def test_compute_p_re_solves_a_witness_pair_decided_by_its_class(monkeypatch):
         return iter(pairs)
 
     monkeypatch.setattr(lp, "_pairs_in_distance_band", first_time_descending)
-    monkeypatch.setattr(lp, "_one_vertex_answer", lambda mat: None)
+    monkeypatch.setattr(lp, "_presolve", lambda mat: None)
     mapped = []
     real = lp._checked
 
@@ -365,6 +372,18 @@ def test_alpha_beta_eta_is_exact_on_small_atlas_graphs():
                     if cert is not None:
                         _assert_eta_is_exact(g, d, u, v, cert)
     assert outcomes == {"eta": 563, "none": 126}
+
+
+def test_alpha_beta_eta_is_a_fraction_on_johnson_5_2():
+    # integer LP certificates divided by their total stay exact
+    g, _ = johnson(5, 2)
+    d = all_pairs_distances(g)
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if d(u, v) == 2]
+    assert len(pairs) == 15
+    for u, v in pairs:
+        _, eta, _ = alpha_beta_certificate(g, d, u, v)
+        assert all(type(e) is Fraction for e in eta.values())
+        assert sum(eta.values()) == 1
 
 
 def test_solve_eta_keeps_companions_at_distance_two_equal():
@@ -525,29 +544,35 @@ def test_one_vertex_answers_agree_with_the_plain_solve():
                 if d(u, v) < 2:
                     continue
                 plain = solve_pair(g, d, u, v)
-                one = lp._one_vertex_answer(plain.matrix)
+                one = lp._presolve(plain.matrix)
                 if one is None:
                     kinds["undecided"] += 1     # left to the class key and the LP
                     continue
-                kinds[one.status] += 1
+                row_sum = one.certificate == (1,) * len(plain.matrix.rows)
+                kinds["row-sum" if row_sum else one.status] += 1
                 assert verdict(u, v) == one and (u, v) not in own
                 assert one.feasible == plain.feasible
                 assert verify_feasibility_result(g, d, u, v, one)
-    assert kinds.keys() == {"feasible", "infeasible", "undecided"}
+    assert kinds.keys() == {"feasible", "infeasible", "row-sum", "undecided"}
 
 
 def _one(*entries):
-    return lp._one_vertex_answer(RationalMatrix(
+    return lp._presolve(RationalMatrix(
         entries, tuple(range(len(entries))), tuple(range(len(entries[0]))), 0, 0))
 
 
 def test_one_vertex_answer_sign_boundaries():
-    # column 0 holds a 0, so it is no witness, and no row is nonnegative
+    # column 0 holds a 0, so it is no witness, no row is nonnegative, and
+    # column 0 sums to -1
     assert _one((0, -1), (-1, 1)) is None
     # column 1 is all negative: {1: 1} is the witness
     assert _one((2, -1), (-3, -2)).witness == {1: Fraction(1)}
-    # each row has one -1 and no column is all negative
-    assert _one((1, -1), (-1, 1)) is None
+    # each row has one -1 and no column is all negative; both columns sum
+    # to 0, so y = 1 is the certificate
+    assert _one((1, -1), (-1, 1)).certificate == (1, 1)
+    # column sums 1 and 0: y = 1; column sums 0 and -1: no answer
+    assert _one((2, -1), (-1, 1)).certificate == (1, 1)
+    assert _one((1, -2), (-1, 1)) is None
     # an all-zero row is a certificate: 0 >= 0 in every column
     assert _one((-1, 1), (0, 0)).certificate == (0, 1)
 
@@ -557,6 +582,25 @@ def test_one_vertex_answer_is_checked(monkeypatch):
     for entries in (((-1, 1), (-1, 0)), ((-1, 1), (0, 0))):
         with pytest.raises(AssertionError, match="one-vertex answer does not verify"):
             _one(*entries)
+
+
+def test_row_sum_answer_is_checked(monkeypatch):
+    real = lp._check_result
+    rejected = []
+
+    def rejecting_row_sums(res):
+        if res.certificate == (1,) * len(res.matrix.entries):
+            rejected.append(res.matrix.entries)
+            return False
+        return real(res)
+
+    monkeypatch.setattr(lp, "_check_result", rejecting_row_sums)
+    with pytest.raises(AssertionError, match="row-sum answer does not verify"):
+        _one((1, -1), (-1, 1))
+    # on a graph: the first pair of the half-cube is decided by its row sums
+    with pytest.raises(AssertionError, match=r"row-sum answer does not verify on pair \(0,"):
+        compute_p(*_gd(halved_cube(6)[0]))
+    assert len(rejected) == 2
 
 
 def _permuted(m, rows, cols):
@@ -600,10 +644,11 @@ def test_canonical_key_is_a_permutation_shared_by_permuted_copies():
 
 
 @pytest.mark.parametrize("graph, decide", [
-    # p = 1: every pair infeasible, one class
-    (halved_cube(6)[0], compute_p),
-    (halved_cube(6)[0], lambda g, d: has_Gp_connected_medians(g, d, 1)),
-], ids=["halfH_6", "halfH_6-has_Gp_p1"])
+    # p = 3: compute_p, and the band 3..4 at p = 2, each map 116 class
+    # certificates onto later pairs
+    (projective_incidence_graph(3), compute_p),
+    (projective_incidence_graph(3), lambda g, d: has_Gp_connected_medians(g, d, 2)),
+], ids=["G_3", "G_3-has_Gp_p2"])
 def test_compute_p_rejects_a_corrupted_cache_entry(monkeypatch, graph, decide):
     # every certificate the simplex returns, and so every one stored by
     # class, is replaced by y = 0 after its own check

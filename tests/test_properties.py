@@ -1,6 +1,7 @@
 """Randomized cross-checks between independent implementations."""
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import networkx as nx
@@ -35,7 +36,8 @@ from medgraph.recognizers import (ClassVerdict, _alpha_type1, _alpha_type2,
                                   is_weakly_bridged, is_weakly_modular,
                                   personal_neighbor, satisfies_ICm,
                                   satisfies_INC, satisfies_PC, satisfies_TPC)
-from reference import geodesic_vertices_via_dag, solve_pair
+from reference import (certificate_holds_dense, geodesic_vertices_via_dag,
+                       solve_pair)
 
 
 def _random_connected_graph(rng, n):
@@ -196,6 +198,74 @@ def test_strict_lp_result_verifies_on_random_matrices(entries):
                          tuple(range(n)), 0, 0)
     # a verified witness or Farkas certificate is the correct verdict
     assert _check_result(lp_feasible_strict(mat))
+
+
+def test_sparse_certificate_check_equals_the_dense_product():
+    # _check_result sums y^T M over the rows with y_i != 0 only
+    rng = random.Random(23)
+    accepted = 0
+    for k in range(20000):
+        m, n = rng.randint(0, 5), rng.randint(0, 6)
+        entries = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(m))
+        kind = k % 4
+        if kind == 0:       # all zero
+            y = [0] * m
+        elif kind == 1:     # mostly zero, nonnegative
+            y = [rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(m)]
+        elif kind == 2:     # any sign
+            y = [rng.randint(-2, 3) for _ in range(m)]
+        else:               # rationals, some zero
+            y = [Fraction(rng.randint(0, 3), rng.randint(1, 4)) for _ in range(m)]
+        if m and rng.random() < 0.1:
+            y = y[:-1]      # one entry short
+        mat = RationalMatrix(entries, tuple(range(m)), tuple(range(n)), 0, 0)
+        sparse = _check_result(FeasibilityResult("infeasible", certificate=tuple(y),
+                                                 matrix=mat))
+        assert sparse == certificate_holds_dense(mat, y), (entries, y)
+        accepted += sparse
+    assert accepted > 2000
+
+
+def test_pair_verdicts_match_the_plain_solve(monkeypatch):
+    """Presolve, cached and own verdicts against the plain simplex on every
+    pair: the atlas bands at p = 1, 2, the benchmark's random pool, and
+    relabelled half-cube, Johnson and projective-plane graphs."""
+    import medgraph.lp as lp
+    from medgraph.families import projective_incidence_graph
+    from test_acceptance import _connected_atlas_graphs
+    from test_lp import _pool_graphs
+    rng = random.Random(5)
+    relabelled = []
+    for g in (halved_cube(6)[0], johnson(7, 3)[0], projective_incidence_graph(3)):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        relabelled.append(build_graph(g.n, [(perm[a], perm[b]) for a, b in g.edges()]))
+    sets = {
+        "atlas": (list(_connected_atlas_graphs(7)), 2, 4),
+        "pool": (list(_pool_graphs()), 2, None),
+        "symmetric": (relabelled, 2, None),
+    }
+    assert [len(graphs) for graphs, _, _ in sets.values()] == [995, 240, 3]
+    sources = []
+    real = lp._checked
+
+    def recording(res, source):
+        sources.append(source)
+        return real(res, source)
+
+    monkeypatch.setattr(lp, "_checked", recording)
+    kinds = {name: Counter() for name in sets}
+    for name, (graphs, lo, hi) in sets.items():
+        for g in graphs:
+            d = all_pairs_distances(g)
+            verdict, _ = lp._pair_verdicts(g, d)
+            for u, v in _pairs_in_distance_band(g, d, lo, hi or d.diameter):
+                sources.clear()
+                res = verdict(u, v)
+                kinds[name][sources[0]] += 1
+                assert res.feasible == solve_pair(g, d, u, v).feasible, (name, u, v)
+    for name, count in kinds.items():
+        assert count["row-sum answer"] and count["cached answer"], (name, count)
 
 
 # ---------------------------------------------- the J(u,v) support lemma
