@@ -37,6 +37,13 @@ An all-negative column has a negative sum, so the row-sum test never takes
 the place of a one-vertex witness.  Every presolve answer is an int tuple or
 a unit witness, and is checked on the full matrix like the simplex's.
 
+A pair the presolve leaves is keyed by `_class_key`, which every row and
+column permutation of D^uv keeps.  The key only proposes a class: matrices
+that are not permutations of each other may share it.  So the certificate
+stored under the key by an earlier infeasible solve is mapped onto the
+pair's own matrix and checked there, and one that fails is a miss: the
+pair gets its own solve.
+
 D^uv has a column for every vertex, though a violating profile pi can
 always be moved onto J(u,v).  With F the median function of pi and w inside
 I(u,v), moving weight omega from z to a neighbour closer to both u and v
@@ -293,25 +300,13 @@ def verify_feasibility_result(g: Graph, d: DistMatrix, u: int, v: int,
     return _check_result(FeasibilityResult(r.status, r.witness, r.certificate, mat))
 
 
-def _canonical(mat: RationalMatrix):
-    """A row and column permutation of D^uv that keys its permutation class.
-
-    The rows are put in the order of their sorted entries; then the columns,
-    the rows and the columns are sorted lexicographically.  Returns
-    (key, rows): key row i is mat.entries[rows[i]] with its columns
-    permuted, the same permutation for every row, so equal keys are
-    permutation-equivalent matrices.  Every column permutation of a matrix
-    has its key, and so does every row permutation unless two different
-    rows have the same sorted entries; there two equivalent matrices can
-    get two keys, which costs a solve, not a verdict.
-    """
-    entries = mat.entries
-    multisets = list(map(sorted, entries))
-    by_multiset = sorted(range(len(entries)), key=multisets.__getitem__)
-    half = list(zip(*sorted(zip(*map(entries.__getitem__, by_multiset)))))
-    row_order = sorted(range(len(half)), key=half.__getitem__)
-    key = tuple(zip(*sorted(zip(*map(half.__getitem__, row_order)))))
-    return key, [by_multiset[i] for i in row_order]
+def _class_key(mat: RationalMatrix):
+    """A key that proposes the permutation class of D^uv: each row's sorted
+    entries, the rows in the order of those tuples.  Returns (key, rows),
+    key row i being the sorted entries of mat.entries[rows[i]]."""
+    sorted_rows = [tuple(sorted(row)) for row in mat.entries]
+    rows = sorted(range(len(sorted_rows)), key=sorted_rows.__getitem__)
+    return tuple(map(sorted_rows.__getitem__, rows)), rows
 
 
 def _pair_verdicts(g: Graph, d: DistMatrix):
@@ -319,12 +314,14 @@ def _pair_verdicts(g: Graph, d: DistMatrix):
     gave their own solve.
 
     verdict(u, v) is the pair's presolve answer when it has one.  Else,
-    when an earlier infeasible pair had the same `_canonical` key, i.e. a
-    permutation-equivalent D^uv, it is that certificate mapped onto the
-    pair's own matrix and re-checked there; else the pair's own solve.
+    when an earlier infeasible pair had the same `_class_key` key, it is
+    that certificate mapped onto the pair's own matrix, if it verifies
+    there; else, a miss, or a key not seen before, the pair's own solve.
     Feasible answers are not stored by key: each scan stops at its first.
+    A decided pair is stored without its matrix unless it is feasible,
+    the one matrix the witness re-solve reads.
     """
-    classes: dict = {}      # _canonical key -> certificate in key row order
+    classes: dict = {}      # _class_key key -> certificate in key row order
     verdicts: dict[tuple[int, int], FeasibilityResult] = {}
     own: set[tuple[int, int]] = set()
 
@@ -334,19 +331,19 @@ def _pair_verdicts(g: Graph, d: DistMatrix):
             mat = build_Duv(g, d, u, v)
             res = _presolve(mat)
             if res is None:
-                key, rows = _canonical(mat)
+                key, rows = _class_key(mat)
                 y = classes.get(key)
                 if y is not None:
-                    res = _checked(FeasibilityResult(
+                    res = FeasibilityResult(
                         "infeasible", matrix=mat,
-                        certificate=tuple(yi for _, yi in sorted(zip(rows, y)))),
-                        "cached answer")
-                else:
+                        certificate=tuple(yi for _, yi in sorted(zip(rows, y))))
+                if y is None or not _check_result(res):
                     res = lp_feasible_strict(mat)
                     own.add((u, v))
                     if not res.feasible:
                         classes[key] = tuple(res.certificate[i] for i in rows)
-            verdicts[u, v] = res
+            verdicts[u, v] = res if res.feasible else FeasibilityResult(
+                "infeasible", certificate=res.certificate)
         return res
 
     return verdict, own
