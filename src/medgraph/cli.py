@@ -20,7 +20,7 @@ import time
 from fractions import Fraction
 
 from . import benzenoid as bz
-from . import families, lp, medians, oracle, recognizers
+from . import families, lp, medians, recognizers
 from .errors import (BudgetExceeded, MedgraphError, ParseError, UnknownClass,
                      UnknownSuite)
 from .graph import all_pairs_distances, read_graph, write_graph
@@ -129,6 +129,7 @@ def cmd_pvalue(args) -> int:
         result["witness_profile"] = dict(rep.witness_profile.weights)
         result["disconnecting_profile"] = dict(rep.disconnecting_profile.weights)
     if args.oracle:
+        from . import oracle        # numpy is loaded only for --oracle
         result["oracle_max_weight"] = args.oracle
         try:
             hit = oracle.brute_force_oracle(g, d, max(1, rep.p - 1), args.oracle) \

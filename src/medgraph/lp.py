@@ -37,6 +37,36 @@ An all-negative column has a negative sum, so the row-sum test never takes
 the place of a one-vertex witness.  Every presolve answer is an int tuple or
 a unit witness, and is checked on the full matrix like the simplex's.
 
+The band scans of `_pair_verdicts` decide their first _BULK_PAIRS - 1
+pairs one by one, then take chunks of _BULK_PAIRS, 2 _BULK_PAIRS, ...
+pairs.  A chunk with at least _BULK_PAIRS undecided pairs is presolved
+in bulk (`_bulk_presolve`): numpy arrays D[pair, row, x], built from one
+copy of the distance table, each pair's rows padded with rows of -1 to the
+longest interior of its array, which changes no test.  The three tests run
+on the whole array in the order above (`_bulk_tests`), and every answer is
+checked in the same array by a computation of its own (`_bulk_verified`):
+y^T D >= 0 for a certificate, every row <= -1 in the witness column.  A
+failed check raises `AssertionError` naming the pair.  The pairs the tests
+leave, and the feasible ones, take their `RationalMatrix` from the array
+rows and go on to the class key and the LP.  The first pairs, and a
+chunk with fewer undecided pairs, keep `build_Duv` and `_presolve`, so a
+scan that fails on one of its first pairs makes no array.  The gate of 32 pairs was measured on a 2-vCPU VM
+(best of 15, compute_p on every graph of a set): the benchmark's random
+pool, whose bands are short and whose pairs mostly go on to keys, took
+0.21 s with no bulk path, 0.21 s at 32 pairs, 0.22 s at 16 and 0.24 s at
+8 (0.26, 0.25, 0.28 and 0.30 s in another run); the ROADMAP corpus took
+0.065, 0.038, 0.036 and 0.034 s.  Two bounds hold:
+- every entry d(v,w)d(u,x) + d(u,w)d(v,x) - d(u,v)d(w,x) lies in
+  [-diam^2, 2 diam^2], and every sum the bulk path forms, a column sum or
+  y^T D with y in {0, 1}, adds at most n entries, so no value it holds
+  exceeds 3 n diam^2 in size.  The table takes the narrowest of int16,
+  int32 and int64 that holds that bound (`_distance_array`); int64 holds it
+  for every graph whose distance table fits in memory.  int16 covers the
+  half-cubes up to 1/2 H_9 and J(10,5), where it ran twice as fast as int64;
+- each array holds at most _BULK_ENTRIES = 2^16 entries (128 KB in
+  int16), or one pair's D^uv when that alone is larger.  On 1/2 H_9 the
+  scan took 0.61 s at 2^14 entries, 0.38 s at 2^16 and 0.38 s at 2^18.
+
 A pair the presolve leaves is keyed by `_class_key`, which every row and
 column permutation of D^uv keeps.  The key only proposes a class: matrices
 that are not permutations of each other may share it.  So the certificate
@@ -53,7 +83,8 @@ stays violated.  The moves end on J(u,v), so the LP on the J(u,v) columns
 alone is feasible iff this one is: a J-column LP would add nothing.
 D^uv depends only on the pair, never on p, so `_pair_verdicts` decides
 each pair at most once, and `compute_p` stops each scan, the report's too,
-at its first failing pair.
+at its first failing pair: its key and solve are the last ones, and a bulk
+chunk has presolved the pairs of that pair's array at most.
 """
 
 from __future__ import annotations
@@ -310,52 +341,208 @@ def _class_key(mat: RationalMatrix):
 
 
 def _pair_verdicts(g: Graph, d: DistMatrix):
-    """The pair-verdict function of one graph, and the set of the pairs it
-    gave their own solve.
+    """The band scan of one graph, and the set of the pairs it gave their
+    own solve.
 
-    verdict(u, v) is the pair's presolve answer when it has one.  Else,
-    when an earlier infeasible pair had the same `_class_key` key, it is
-    that certificate mapped onto the pair's own matrix, if it verifies
-    there; else, a miss, or a key not seen before, the pair's own solve.
-    Feasible answers are not stored by key: each scan stops at its first.
-    A decided pair is stored without its matrix unless it is feasible,
-    the one matrix the witness re-solve reads.
+    scan(lo, hi) yields (u, v, verdict) for the pairs of the band
+    lo <= d(u,v) <= hi in `_pairs_in_distance_band` order.  It decides the
+    first _BULK_PAIRS - 1 pairs one by one, then takes chunks of
+    _BULK_PAIRS, 2 _BULK_PAIRS, 4 _BULK_PAIRS, ... pairs.  A chunk with at
+    least _BULK_PAIRS pairs not yet decided gets their presolve answers
+    from `_bulk_presolve`, an array at a time, so a scan that stops at its
+    first feasible pair has presolved at most that pair's array after it.
+    Every other pair is built by `build_Duv` and presolved by `_presolve`.
+
+    A pair's verdict is its presolve answer when it has one.  Else, when an
+    earlier infeasible pair had the same `_class_key` key, it is that
+    certificate mapped onto the pair's own matrix, if it verifies there;
+    else, a miss, or a key not seen before, the pair's own solve.  Pairs
+    are keyed and solved in scan order, one at a time.  Feasible answers
+    are not stored by key: each scan stops at its first.  A decided pair is
+    stored without its matrix unless it is feasible, the one matrix the
+    witness re-solve reads.
     """
     classes: dict = {}      # _class_key key -> certificate in key row order
     verdicts: dict[tuple[int, int], FeasibilityResult] = {}
     own: set[tuple[int, int]] = set()
+    dist = None             # the distance table as one array, made once
 
-    def verdict(u: int, v: int) -> FeasibilityResult:
-        res = verdicts.get((u, v))
-        if res is None:
+    def verdict(u: int, v: int, mat=None, res=None) -> FeasibilityResult:
+        """The stored verdict of (u, v), decided now from its matrix mat and
+        presolve answer res, or from `build_Duv` and `_presolve` when both
+        are None."""
+        out = verdicts.get((u, v))
+        if out is not None:
+            return out
+        if mat is None and res is None:
             mat = build_Duv(g, d, u, v)
             res = _presolve(mat)
-            if res is None:
-                key, rows = _class_key(mat)
-                y = classes.get(key)
-                if y is not None:
-                    res = FeasibilityResult(
-                        "infeasible", matrix=mat,
-                        certificate=tuple(yi for _, yi in sorted(zip(rows, y))))
-                if y is None or not _check_result(res):
-                    res = lp_feasible_strict(mat)
-                    own.add((u, v))
-                    if not res.feasible:
-                        classes[key] = tuple(res.certificate[i] for i in rows)
-            verdicts[u, v] = res if res.feasible else FeasibilityResult(
-                "infeasible", certificate=res.certificate)
-        return res
+        if res is None:
+            key, rows = _class_key(mat)
+            y = classes.get(key)
+            if y is not None:
+                res = FeasibilityResult(
+                    "infeasible", matrix=mat,
+                    certificate=tuple(yi for _, yi in sorted(zip(rows, y))))
+            if y is None or not _check_result(res):
+                res = lp_feasible_strict(mat)
+                own.add((u, v))
+                if not res.feasible:
+                    classes[key] = tuple(res.certificate[i] for i in rows)
+        out = verdicts[u, v] = res if res.feasible else FeasibilityResult(
+            "infeasible", certificate=res.certificate)
+        return out
 
-    return verdict, own
+    def scan(lo: int, hi: int):
+        nonlocal dist
+        pairs = _pairs_in_distance_band(g, d, lo, hi)
+        for u, v in itertools.islice(pairs, _BULK_PAIRS - 1):
+            yield u, v, verdict(u, v)
+        size = _BULK_PAIRS
+        while chunk := list(itertools.islice(pairs, size)):
+            new = [pair for pair in chunk if pair not in verdicts]
+            if len(new) < _BULK_PAIRS:
+                for u, v in chunk:
+                    yield u, v, verdict(u, v)
+            else:
+                if dist is None:
+                    dist = _distance_array(d)
+                answers = _bulk_presolve(d, dist, new)
+                new = set(new)
+                for u, v in chunk:
+                    yield u, v, verdict(u, v, *next(answers) if (u, v) in new else ())
+            size *= 2
+
+    return scan, own
+
+
+# The bulk path: see the module docstring.
+_BULK_PAIRS = 32
+_BULK_ENTRIES = 2 ** 16
+_NONE, _ROW, _COLUMN, _ALL_ROWS = range(4)     # the presolve answer kinds
+
+
+def _distance_array(d: DistMatrix):
+    """The distance table as one array of the narrowest integer type that
+    holds 3 n diam^2.  Every entry of D^uv lies in [-diam^2, 2 diam^2], and
+    every sum the bulk path forms adds at most n of them."""
+    import numpy as np
+    from .oracle import _dtype
+    return np.array(d.d, dtype=_dtype(3 * d.n * d.diameter ** 2))
+
+
+def _bulk_presolve(d: DistMatrix, dist, pairs):
+    """(mat, res) for each of pairs, in order: res is the pair's checked
+    presolve answer, or None when the tests leave the pair; mat is its
+    D^uv, read from the array, when the pair is left or feasible, else
+    None.  Each array is made when its first pair is asked for.
+
+    The interiors are read from the table too, as the w != u, v with
+    d(u,w) + d(w,v) = d(u,v): on 1/2 H_9, `interval_mask` and `members`
+    took 0.23 s for the 16,128 pairs, most of what the whole scan takes
+    now.  `build_Duv` still reads them from `interval_mask`, and the tests
+    hold the two to the same rows."""
+    import numpy as np
+    n = d.n
+    cols = tuple(range(n))
+    step = max(1, _BULK_ENTRIES // n)       # pairs whose intervals are found at once
+    for first in range(0, len(pairs), step):
+        block = pairs[first:first + step]
+        us, vs = np.array(block).T
+        at = np.arange(len(block))
+        du, dv = dist[us], dist[vs]
+        inside = du + dv == du[at, vs, None]
+        inside[at, us] = inside[at, vs] = False
+        counts = inside.sum(axis=1).tolist()
+        lo = 0
+        while lo < len(block):
+            # the next array: pairs lo..hi-1, m rows each, n columns
+            hi, m = lo + 1, counts[lo]
+            while hi < len(block) and \
+                    (hi + 1 - lo) * max(m, counts[hi]) * n <= _BULK_ENTRIES:
+                m = max(m, counts[hi])
+                hi += 1
+            D, ws = _bulk_array(dist, us[lo:hi], vs[lo:hi], inside[lo:hi], m)
+            valid = np.arange(m) < np.array(counts[lo:hi])[:, None]
+            kind, index = _bulk_tests(D, valid)
+            ok = _bulk_verified(D, valid, kind, index)
+            for (u, v), k, i, good, count, p in zip(
+                    block[lo:hi], kind.tolist(), index.tolist(), ok.tolist(),
+                    counts[lo:hi], range(hi - lo)):
+                if k != _NONE and not good:
+                    source = "row-sum" if k == _ALL_ROWS else "one-vertex"
+                    raise AssertionError(
+                        f"{source} answer does not verify on pair ({u},{v})")
+                if k == _ROW:
+                    yield None, FeasibilityResult("infeasible", certificate=tuple(
+                        int(j == i) for j in range(count)))
+                elif k == _ALL_ROWS:
+                    yield None, FeasibilityResult("infeasible",
+                                                  certificate=(1,) * count)
+                else:
+                    mat = RationalMatrix(
+                        tuple(map(tuple, D[p, :count].tolist())),
+                        tuple(ws[p, :count].tolist()), cols, u, v)
+                    yield mat, None if k == _NONE else FeasibilityResult(
+                        "feasible", witness={i: Fraction(1)}, matrix=mat)
+            lo = hi
+
+
+def _bulk_array(dist, us, vs, inside, m):
+    """D[pair, row, x] for the pairs (us[k], vs[k]) whose interiors are
+    marked in inside, each padded to m rows with rows of -1, and the row
+    vertices ws[pair, row], u on a padding row.  u is never in its own
+    interior, so the padding rows are the rows of u."""
+    import numpy as np
+    ws = np.repeat(us[:, None], m, axis=1)
+    pair, w = np.nonzero(inside)
+    ws[pair, (np.cumsum(inside, axis=1) - 1)[pair, w]] = w
+    du, dv = dist[us, None], dist[vs, None]
+    D = (dist[vs[:, None], ws, None] * du + dist[us[:, None], ws, None] * dv
+         - dist[us, vs, None, None] * dist[ws])
+    D[ws == us[:, None]] = -1
+    return D, ws
+
+
+def _bulk_tests(D, valid):
+    """The tests of `_presolve` on every pair of an array D[pair, row, x]
+    at once, padding rows being -1 and valid marking the others: (kind,
+    index) per pair, `_ROW` and the first nonnegative row, else `_COLUMN`
+    and the first all-negative column, else `_ALL_ROWS` when every column
+    sum is nonnegative, else `_NONE`."""
+    import numpy as np
+    nonneg = D.min(axis=2) >= 0              # a padding row is negative
+    neg = D.max(axis=1) < 0                  # and adds nothing to a max
+    # each padding row adds -1 to every column sum
+    sums = D.sum(axis=1).min(axis=1) + (~valid).sum(axis=1) >= 0
+    has_row = nonneg.any(axis=1)
+    kind = np.select([has_row, neg.any(axis=1), sums],
+                     [_ROW, _COLUMN, _ALL_ROWS], _NONE)
+    return kind, np.where(has_row, nonneg.argmax(axis=1), neg.argmax(axis=1))
+
+
+def _bulk_verified(D, valid, kind, index):
+    """Whether each pair's answer verifies on its rows of D, computed apart
+    from the tests: y >= 0, y != 0 and y^T D >= 0 for a certificate, y
+    being e_index or 1 on the pair's rows; every row <= -1 in column index
+    for a witness (a padding row is -1 everywhere)."""
+    import numpy as np
+    at = np.arange(len(D))
+    y = valid & (kind == _ALL_ROWS)[:, None]
+    row = kind == _ROW
+    y[at[row], index[row]] = valid[at[row], index[row]]
+    certificate = (np.einsum("pr,prx->px", y.astype(D.dtype), D).min(axis=1) >= 0) \
+        & y.any(axis=1)
+    witness = (D[at, :, index] <= -1).all(axis=1)
+    return np.where(kind == _COLUMN, witness, certificate)
 
 
 def has_Gp_connected_medians(g: Graph, d: DistMatrix, p: int) -> bool:
     """p(G) <= p iff no pair in the band p+1 <= d(u,v) <= 2p is feasible."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    verdict, _ = _pair_verdicts(g, d)
-    return not any(verdict(u, v).feasible
-                   for u, v in _pairs_in_distance_band(g, d, p + 1, 2 * p))
+    scan, _ = _pair_verdicts(g, d)
+    return not any(res.feasible for _, _, res in scan(p + 1, 2 * p))
 
 
 @dataclass(frozen=True)
@@ -411,19 +598,16 @@ def compute_p(g: Graph, d: DistMatrix) -> PValueReport:
     one-vertex witness or the pair's own solve; in the first case the
     witness pair is solved again, on the matrix it was decided on.
     """
-    verdict, own = _pair_verdicts(g, d)
+    scan, own = _pair_verdicts(g, d)
     p = 1
     while True:
-        k = next((d(u, v) for u, v in _pairs_in_distance_band(g, d, p + 1, 2 * p)
-                  if verdict(u, v).feasible), None)
+        k = next((d(u, v) for u, v, res in scan(p + 1, 2 * p) if res.feasible), None)
         if k is None:
             break
         p = k
     if p == 1:
         return PValueReport(p=p)
-    u, v = next((u, v) for u, v in _pairs_in_distance_band(g, d, p, 2 * p - 2)
-                if verdict(u, v).feasible)
-    res = verdict(u, v)
+    u, v, res = next(t for t in scan(p, 2 * p - 2) if t[2].feasible)
     if (u, v) not in own:
         res = lp_feasible_strict(res.matrix)
     return PValueReport(

@@ -124,9 +124,10 @@ def check_WP(g: Graph, d: DistMatrix, f: VertexFunction, u: int, v: int) -> bool
 
 
 def _pairs_in_distance_band(g: Graph, d: DistMatrix, lo: int, hi: int):
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if lo <= d(u, v) <= hi:
+    """The pairs u < v with lo <= d(u,v) <= hi, u ascending, then v."""
+    for u, row in enumerate(d.d):
+        for v in range(u + 1, len(row)):
+            if lo <= row[v] <= hi:
                 yield u, v
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from collections import Counter
@@ -6,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from medgraph.errors import InteriorTooLarge, WrongDistance
@@ -549,21 +551,22 @@ def test_one_vertex_answers_agree_with_the_plain_solve():
     kinds = Counter()
     for g in [*_corpus(), *_random_connected_graphs(40), *_connected_atlas_graphs(7)]:
         d = all_pairs_distances(g)
-        verdict, own = lp._pair_verdicts(g, d)
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if d(u, v) < 2:
-                    continue
-                plain = solve_pair(g, d, u, v)
-                one = lp._presolve(plain.matrix)
-                if one is None:
-                    kinds["undecided"] += 1     # left to the class key and the LP
-                    continue
-                row_sum = one.certificate == (1,) * len(plain.matrix.rows)
-                kinds["row-sum" if row_sum else one.status] += 1
-                assert verdict(u, v) == one and (u, v) not in own
-                assert one.feasible == plain.feasible
-                assert verify_feasibility_result(g, d, u, v, one)
+        scan, own = lp._pair_verdicts(g, d)
+        # every pair at distance 2 or more, in ascending order; the bands
+        # of the half-cube and J(7,3) are decided in arrays
+        for u, v, res in scan(2, d.diameter):
+            plain = solve_pair(g, d, u, v)
+            one = lp._presolve(plain.matrix)
+            if one is None:
+                kinds["undecided"] += 1     # left to the class key and the LP
+                continue
+            row_sum = one.certificate == (1,) * len(plain.matrix.rows)
+            kinds["row-sum" if row_sum else one.status] += 1
+            assert (res.status, res.certificate, res.witness) == \
+                (one.status, one.certificate, one.witness)
+            assert (u, v) not in own
+            assert one.feasible == plain.feasible
+            assert verify_feasibility_result(g, d, u, v, one)
     assert kinds.keys() == {"feasible", "infeasible", "row-sum", "undecided"}
 
 
@@ -612,6 +615,106 @@ def test_row_sum_answer_is_checked(monkeypatch):
     with pytest.raises(AssertionError, match=r"row-sum answer does not verify on pair \(0,"):
         compute_p(*_gd(halved_cube(6)[0]))
     assert len(rejected) == 2
+
+
+# ------------------------------------------------------ the bulk path
+
+def _bulk_of(*mats):
+    """D[pair, row, x] and the valid-row mask for matrices given as entry
+    tuples, each padded with rows of -1 to the longest, as `_bulk_array`
+    pads them."""
+    import numpy as np
+    m = max(map(len, mats))
+    D = np.full((len(mats), m, len(mats[0][0])), -1, dtype=np.int64)
+    for k, entries in enumerate(mats):
+        D[k, :len(entries)] = entries
+    return D, np.arange(m) < np.array([len(e) for e in mats])[:, None]
+
+
+_SIGN_BOUNDARIES = [((0, -1), (-1, 1)), ((2, -1), (-3, -2)), ((1, -1), (-1, 1)),
+                    ((2, -1), (-1, 1)), ((1, -2), (-1, 1)), ((-1, 1), (0, 0)),
+                    ((-1, 1), (-1, 0)), ((-2, 1),), ((1, 0),),
+                    ((1, -1), (-1, 2), (-1, 0))]
+
+
+def test_bulk_tests_agree_with_the_presolve_on_sign_boundaries():
+    # one array of the matrices of test_one_vertex_answer_sign_boundaries
+    # and a few more, padded to three rows: each pair gets the answer that
+    # `_presolve` gives its own matrix, and every answer verifies.  The
+    # padding rows add -1 to each column sum, which the row-sum test adds
+    # back: ((1, -1), (-1, 1)) sums to (0, 0)
+    D, valid = _bulk_of(*_SIGN_BOUNDARIES)
+    kind, index = lp._bulk_tests(D, valid)
+    assert lp._bulk_verified(D, valid, kind, index)[kind != lp._NONE].all()
+    for entries, k, i in zip(_SIGN_BOUNDARIES, kind.tolist(), index.tolist()):
+        one = _one(*entries)
+        m = len(entries)
+        assert {lp._NONE: None,
+                lp._ROW: ("infeasible", tuple(int(j == i) for j in range(m)), None),
+                lp._COLUMN: ("feasible", None, {i: Fraction(1)}),
+                lp._ALL_ROWS: ("infeasible", (1,) * m, None)}[k] == \
+            (one and (one.status, one.certificate, one.witness)), entries
+
+
+def test_bulk_check_rejects_a_negative_column_sum_and_a_zero_in_the_witness():
+    # column sums (0, -1) and (1, -1): one negative sum is enough to reject
+    # y = 1, and a witness column holding a 0 in one row is no witness
+    D, valid = _bulk_of(((1, -1), (-1, 0)), ((2, 0), (-1, -1)), ((-1, 3), (0, 2)),
+                        ((-1, 2), (-2, 1)))
+    kind = np.array([lp._ALL_ROWS, lp._ALL_ROWS, lp._COLUMN, lp._COLUMN])
+    index = np.array([0, 0, 0, 0])
+    assert lp._bulk_verified(D, valid, kind, index).tolist() == [False, False, False, True]
+    # a claimed row must be a valid row of the pair, and nonnegative
+    kind = np.array([lp._ROW] * 4)
+    assert lp._bulk_verified(D, valid, kind, np.array([1, 0, 1, 1])).tolist() == \
+        [False, True, True, False]
+    D, valid = _bulk_of(((1, 1),), ((0, 0), (-1, -1)))
+    assert lp._bulk_verified(D, valid, kind[:2], np.array([1, 0])).tolist() == [False, True]
+
+
+def test_bulk_answer_is_checked(monkeypatch):
+    # the bulk twin of test_row_sum_answer_is_checked.  The scan of the
+    # band of the half-cube H_7/2 decides its first 31 pairs one by one and
+    # the rest in arrays, so pair 31 is the first one decided in an array,
+    # by its row sums
+    g, d = _gd(halved_cube(7)[0])
+    band = list(itertools.islice(lp._pairs_in_distance_band(g, d, 2, 2), 32))
+    u, v = band[31]
+    real = lp._bulk_verified
+
+    def rejecting_row_sums(D, valid, kind, index):
+        return real(D, valid, kind, index) & (kind != lp._ALL_ROWS)
+
+    monkeypatch.setattr(lp, "_bulk_verified", rejecting_row_sums)
+    with pytest.raises(AssertionError,
+                       match=rf"row-sum answer does not verify on pair \({u},{v}\)"):
+        compute_p(g, d)
+    # a wrong answer from the tests is caught by the real check: column u
+    # of D^uv is all zero, so it is no witness
+    monkeypatch.setattr(lp, "_bulk_verified", real)
+    tests = lp._bulk_tests
+
+    def claiming_column_u(D, valid):
+        kind, index = tests(D, valid)
+        kind[0], index[0] = lp._COLUMN, u
+        return kind, index
+
+    monkeypatch.setattr(lp, "_bulk_tests", claiming_column_u)
+    with pytest.raises(AssertionError,
+                       match=rf"one-vertex answer does not verify on pair \({u},{v}\)"):
+        compute_p(g, d)
+
+
+def test_compute_p_builds_only_the_pairs_of_small_chunks(monkeypatch):
+    # H_7/2 and J(8,3) have p = 1, decided by the band 2..2 alone: its
+    # first 31 pairs are built one by one, the rest decided in arrays, and
+    # none reaches a key or a solve
+    for g in (halved_cube(7)[0], johnson(8, 3)[0]):
+        g, d = _gd(g)
+        builds = _recording_builds(monkeypatch)
+        monkeypatch.setattr(lp, "_class_key", None)
+        assert compute_p(g, d).p == 1
+        assert builds == list(itertools.islice(lp._pairs_in_distance_band(g, d, 2, 2), 31))
 
 
 def _permuted(m, rows, cols):
@@ -663,10 +766,11 @@ def test_a_key_shared_by_two_classes_is_a_miss_that_is_solved(monkeypatch):
 
     monkeypatch.setattr(lp, "build_Duv", fake_build)
     monkeypatch.setattr(reference, "build_Duv", fake_build)
+    monkeypatch.setattr(lp, "_pairs_in_distance_band", lambda g, d, lo, hi: iter(mats))
     calls = _recording_solves(monkeypatch)
-    verdict, own = lp._pair_verdicts(None, None)
-    assert not verdict(0, 2).feasible
-    res = verdict(1, 3)
+    scan, own = lp._pair_verdicts(None, None)
+    (_, _, first), (_, _, res) = scan(2, 2)
+    assert not first.feasible
     # the certificate of (0, 2), mapped onto (1, 3), fails its check there
     assert _misses(calls) == 1 and own == {(0, 2), (1, 3)}
     assert res == solve_pair(None, None, 1, 3) and res.feasible
@@ -710,9 +814,9 @@ def test_compute_p_rejects_a_corrupted_cache_entry(monkeypatch, graph, decide):
         return real_key(mat)
 
     def recording_verdicts(g, d):
-        verdict, own = real_verdicts(g, d)
+        scan, own = real_verdicts(g, d)
         owns.append(own)
-        return verdict, own
+        return scan, own
 
     monkeypatch.setattr(lp, "_class_key", recording_key)
     monkeypatch.setattr(lp, "_pair_verdicts", recording_verdicts)

@@ -1,6 +1,7 @@
 """Randomized cross-checks between independent implementations."""
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -254,22 +255,83 @@ def test_pair_verdicts_match_the_plain_solve(monkeypatch):
         return real(res, source)
 
     monkeypatch.setattr(lp, "_checked", recording)
+    # every pair on the per-pair path, whose presolve answers pass through
+    # `_checked`; the bulk path is held to this one by
+    # test_bulk_and_per_pair_verdicts_agree
+    monkeypatch.setattr(lp, "_BULK_PAIRS", sys.maxsize)
     kinds = {name: Counter() for name in sets}
     for name, (graphs, lo, hi) in sets.items():
         for g in graphs:
             d = all_pairs_distances(g)
-            verdict, own = lp._pair_verdicts(g, d)
-            for u, v in _pairs_in_distance_band(g, d, lo, hi or d.diameter):
-                sources.clear()
-                res = verdict(u, v)
+            scan, own = lp._pair_verdicts(g, d)
+            sources.clear()
+            for u, v, res in scan(lo, hi or d.diameter):
                 if (u, v) in own:
                     kind = "own solve"
                 else:   # a checked presolve answer, else a mapped certificate
                     kind = sources[0] if sources else "cached answer"
                 kinds[name][kind] += 1
                 assert res.feasible == solve_pair(g, d, u, v).feasible, (name, u, v)
+                sources.clear()     # the scan decides the next pair after this
     for name, count in kinds.items():
         assert count["row-sum answer"] and count["cached answer"], (name, count)
+
+
+def test_bulk_and_per_pair_verdicts_agree(monkeypatch):
+    """Every verdict of a scan of the pairs at distance 2 or more, with
+    every chunk decided in bulk and with every pair decided on its own: the
+    test corpus, the random pool, the atlas, and relabelled half-cube,
+    Johnson, grid-cycle, projective-plane and cycle graphs.  Verdicts,
+    matrices and solved pairs are equal, and every array row is the row
+    `build_Duv` builds.  The corpus and the relabelled graphs, whose
+    arrays hold the most pairs, are also decided in arrays of one pair."""
+    import medgraph.lp as lp
+    from medgraph.families import (cartesian_product, cycle_graph, path_graph,
+                                   projective_incidence_graph)
+    from test_acceptance import _connected_atlas_graphs
+    from test_lp import _corpus, _pool_graphs, _relabelled
+    symmetric = [halved_cube(6)[0], johnson(7, 3)[0],
+                 cartesian_product(path_graph(5), cycle_graph(5)),
+                 projective_incidence_graph(3), cycle_graph(21)]
+    graphs = [*_corpus(), *_pool_graphs(), *_connected_atlas_graphs(7),
+              *(_relabelled(g, 11) for g in symmetric)]
+    assert len(graphs) == 8 + 240 + 995 + 5
+    arrays = []
+    real = lp._bulk_array
+
+    def recording(dist, us, vs, inside, m):
+        D, ws = real(dist, us, vs, inside, m)
+        arrays.append((us.tolist(), vs.tolist(), D.tolist(), ws.tolist()))
+        return D, ws
+
+    monkeypatch.setattr(lp, "_bulk_array", recording)
+
+    def scanned(g, d, gate, entries):
+        monkeypatch.setattr(lp, "_BULK_PAIRS", gate)
+        monkeypatch.setattr(lp, "_BULK_ENTRIES", entries)
+        scan, own = lp._pair_verdicts(g, d)
+        return [repr(t) for t in scan(2, d.diameter)], own
+
+    padded = 0
+    for k, g in enumerate(graphs):
+        d = all_pairs_distances(g)
+        plain = scanned(g, d, sys.maxsize, 2 ** 16)
+        assert not arrays
+        assert scanned(g, d, 1, 2 ** 16) == plain
+        if k < 8 or k >= 8 + 240 + 995:
+            assert scanned(g, d, 1, 1) == plain
+        for us, vs, D, ws in arrays:
+            for u, v, rows, row_vertices in zip(us, vs, D, ws):
+                mat = lp.build_Duv(g, d, u, v)
+                m = len(mat.rows)
+                assert tuple(row_vertices[:m]) == mat.rows
+                assert tuple(map(tuple, rows[:m])) == mat.entries
+                # a padding row stands for u and is -1 everywhere
+                assert set(row_vertices[m:]) <= {u}
+                assert all(x == -1 for row in rows[m:] for x in row)
+                padded += len(rows) > m
+        arrays.clear()
+    assert padded
 
 
 # ---------------------------------------------- the J(u,v) support lemma
