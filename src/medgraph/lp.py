@@ -37,25 +37,30 @@ An all-negative column has a negative sum, so the row-sum test never takes
 the place of a one-vertex witness.  Every presolve answer is an int tuple or
 a unit witness, and is checked on the full matrix like the simplex's.
 
-The band scans of `_pair_verdicts` decide their first _BULK_PAIRS - 1
-pairs one by one, then take chunks of _BULK_PAIRS, 2 _BULK_PAIRS, ...
-pairs.  A chunk with at least _BULK_PAIRS undecided pairs is presolved
-in bulk (`_bulk_presolve`): numpy arrays D[pair, row, x], built from one
-copy of the distance table, each pair's rows padded with rows of -1 to the
-longest interior of its array, which changes no test.  The three tests run
-on the whole array in the order above (`_bulk_tests`), and every answer is
+The band scans of `_pair_verdicts` take chunks of 1, 2, 4, ... pairs.  A
+chunk with at least _BULK_PAIRS undecided pairs is presolved in bulk
+(`_bulk_presolve`): numpy arrays D[pair, row, x], built from one copy of
+the distance table, each pair's rows padded with rows of -1 to the longest
+interior of its array, which changes no test.  The three tests run on the
+whole array in the order above (`_bulk_tests`), and every answer is
 checked in the same array by a computation of its own (`_bulk_verified`):
 y^T D >= 0 for a certificate, every row <= -1 in the witness column.  A
 failed check raises `AssertionError` naming the pair.  The pairs the tests
 leave, and the feasible ones, take their `RationalMatrix` from the array
-rows and go on to the class key and the LP.  The first pairs, and a
-chunk with fewer undecided pairs, keep `build_Duv` and `_presolve`, so a
-scan that fails on one of its first pairs makes no array.  The gate of 32 pairs was measured on a 2-vCPU VM
+rows and go on to the class key and the LP.  A chunk with fewer undecided
+pairs, the first five chunks (31 pairs) among them, keeps `build_Duv` and
+`_presolve`, so a scan that fails on one of its first pairs makes no
+array.  Both read a pair's interior from the distance rows, as the
+w != u, v with d(u,w) + d(w,v) = d(u,v), so a scan builds no level
+bitsets.  The gate of 32 pairs was measured on a 2-vCPU VM
 (best of 15, compute_p on every graph of a set): the benchmark's random
 pool, whose bands are short and whose pairs mostly go on to keys, took
 0.21 s with no bulk path, 0.21 s at 32 pairs, 0.22 s at 16 and 0.24 s at
 8 (0.26, 0.25, 0.28 and 0.30 s in another run); the ROADMAP corpus took
-0.065, 0.038, 0.036 and 0.034 s.  Two bounds hold:
+0.065, 0.038, 0.036 and 0.034 s.  A gate of 1 pair, every chunk in arrays,
+took the random pool from 0.31 to 0.48 s and `has_Gp_connected_medians`
+at p = 1, 2 on the 995 atlas graphs from 0.23 to 0.87 s (best of 5), so
+the per-pair path stays.  Two bounds hold:
 - every entry d(v,w)d(u,x) + d(u,w)d(v,x) - d(u,v)d(w,x) lies in
   [-diam^2, 2 diam^2], and every sum the bulk path forms, a column sum or
   y^T D with y in {0, 1}, adds at most n entries, so no value it holds
@@ -98,8 +103,7 @@ from .errors import InteriorTooLarge, WrongDistance
 from .graph import DistMatrix, Graph
 from .medians import (Profile, _pairs_in_distance_band, _require_nonadjacent,
                       median_value)
-from .metric import (Jcirc_set, M_set, interior_interval, interval_mask,
-                     members)
+from .metric import Jcirc_set, M_set, interior_interval
 
 
 @dataclass(frozen=True)
@@ -126,11 +130,13 @@ class FeasibilityResult:
 
 
 def build_Duv(g: Graph, d: DistMatrix, u: int, v: int) -> RationalMatrix:
-    """D^uv entry (w,x) = d(v,w)d(u,x) + d(u,w)d(v,x) - d(u,v)d(w,x)."""
+    """D^uv entry (w,x) = d(v,w)d(u,x) + d(u,w)d(v,x) - d(u,v)d(w,x), its
+    rows the w != u, v with d(u,w) + d(w,v) = d(u,v), read from the
+    distance rows as `_bulk_presolve` reads them."""
     _require_nonadjacent(g, u, v)
-    rows = tuple(members(interval_mask(d, u, v) & ~(1 << u | 1 << v)))
     du, dv = d[u], d[v]
     duv = du[v]
+    rows = tuple(w for w, a, b in zip(range(g.n), du, dv) if a and b and a + b == duv)
     entries = []
     for w in rows:
         dvw, duw = dv[w], du[w]
@@ -345,13 +351,13 @@ def _pair_verdicts(g: Graph, d: DistMatrix):
     own solve.
 
     scan(lo, hi) yields (u, v, verdict) for the pairs of the band
-    lo <= d(u,v) <= hi in `_pairs_in_distance_band` order.  It decides the
-    first _BULK_PAIRS - 1 pairs one by one, then takes chunks of
-    _BULK_PAIRS, 2 _BULK_PAIRS, 4 _BULK_PAIRS, ... pairs.  A chunk with at
-    least _BULK_PAIRS pairs not yet decided gets their presolve answers
-    from `_bulk_presolve`, an array at a time, so a scan that stops at its
-    first feasible pair has presolved at most that pair's array after it.
-    Every other pair is built by `build_Duv` and presolved by `_presolve`.
+    lo <= d(u,v) <= hi in `_pairs_in_distance_band` order, in chunks of
+    1, 2, 4, ... pairs.  The pairs of a chunk not yet decided get their
+    matrix and presolve answer from one lazy iterator: `build_Duv` and
+    `_presolve`, a pair at a time, when they are fewer than _BULK_PAIRS,
+    else `_bulk_presolve`, an array at a time.  At the gate of 32 the first
+    five chunks, 31 pairs, are decided one by one, and a scan that stops at
+    its first feasible pair has built at most that pair's array after it.
 
     A pair's verdict is its presolve answer when it has one.  Else, when an
     earlier infeasible pair had the same `_class_key` key, it is that
@@ -367,16 +373,9 @@ def _pair_verdicts(g: Graph, d: DistMatrix):
     own: set[tuple[int, int]] = set()
     dist = None             # the distance table as one array, made once
 
-    def verdict(u: int, v: int, mat=None, res=None) -> FeasibilityResult:
-        """The stored verdict of (u, v), decided now from its matrix mat and
-        presolve answer res, or from `build_Duv` and `_presolve` when both
-        are None."""
-        out = verdicts.get((u, v))
-        if out is not None:
-            return out
-        if mat is None and res is None:
-            mat = build_Duv(g, d, u, v)
-            res = _presolve(mat)
+    def decide(u: int, v: int, mat, res) -> FeasibilityResult:
+        """The verdict of (u, v) from its matrix mat and presolve answer
+        res, stored."""
         if res is None:
             key, rows = _class_key(mat)
             y = classes.get(key)
@@ -396,21 +395,19 @@ def _pair_verdicts(g: Graph, d: DistMatrix):
     def scan(lo: int, hi: int):
         nonlocal dist
         pairs = _pairs_in_distance_band(g, d, lo, hi)
-        for u, v in itertools.islice(pairs, _BULK_PAIRS - 1):
-            yield u, v, verdict(u, v)
-        size = _BULK_PAIRS
+        size = 1
         while chunk := list(itertools.islice(pairs, size)):
             new = [pair for pair in chunk if pair not in verdicts]
             if len(new) < _BULK_PAIRS:
-                for u, v in chunk:
-                    yield u, v, verdict(u, v)
+                answers = ((mat, _presolve(mat))
+                           for mat in (build_Duv(g, d, u, v) for u, v in new))
             else:
                 if dist is None:
                     dist = _distance_array(d)
                 answers = _bulk_presolve(d, dist, new)
-                new = set(new)
-                for u, v in chunk:
-                    yield u, v, verdict(u, v, *next(answers) if (u, v) in new else ())
+            for u, v in chunk:
+                res = verdicts.get((u, v))
+                yield u, v, res if res is not None else decide(u, v, *next(answers))
             size *= 2
 
     return scan, own
@@ -438,10 +435,7 @@ def _bulk_presolve(d: DistMatrix, dist, pairs):
     None.  Each array is made when its first pair is asked for.
 
     The interiors are read from the table too, as the w != u, v with
-    d(u,w) + d(w,v) = d(u,v): on 1/2 H_9, `interval_mask` and `members`
-    took 0.23 s for the 16,128 pairs, most of what the whole scan takes
-    now.  `build_Duv` still reads them from `interval_mask`, and the tests
-    hold the two to the same rows."""
+    d(u,w) + d(w,v) = d(u,v), the rows `build_Duv` takes."""
     import numpy as np
     n = d.n
     cols = tuple(range(n))

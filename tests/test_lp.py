@@ -852,3 +852,24 @@ def test_compute_p_keeps_no_matrix_of_an_infeasible_pair():
     # every pair of the half-cube is infeasible; storing each verdict with
     # its D^uv peaked at 4.9 MB, storing its certificate alone at 0.4 MB
     assert peak < 1.5 * 2**20, peak
+
+
+def test_band_scans_build_no_level_bitsets(monkeypatch):
+    # both presolve routes read a pair's interior from the distance rows;
+    # P_2048 built 580 MB of level bitsets when `build_Duv` read them
+    calls = Counter()
+    for name in ("build_Duv", "_bulk_array"):
+        real = getattr(lp, name)
+        monkeypatch.setattr(lp, name, lambda *a, real=real, name=name: (
+            calls.update([name]), real(*a))[1])
+    for g in (cycle_graph(21), projective_incidence_graph(3),
+              halved_cube(7)[0], path_graph(300)):
+        calls.clear()
+        d = all_pairs_distances(g)
+        compute_p(g, d)
+        assert d._levels is None, g.n
+        for p in (1, 2):
+            has_Gp_connected_medians(g, d, p)
+            assert d._levels is None, (g.n, p)
+    # the path's band of distance 2 reaches the per-pair and the bulk chunks
+    assert calls["build_Duv"] and calls["_bulk_array"], calls

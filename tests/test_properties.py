@@ -19,13 +19,14 @@ from medgraph.lp import (FeasibilityResult, RationalMatrix, _check_result,
                          compute_p, disconnecting_profile,
                          has_Gp_connected_medians, lp_feasible_strict,
                          verify_feasibility_result, witness_to_profile)
-from medgraph.metric import J_set, Jcirc_set, interval, interval_mask, members
+from medgraph.metric import (J_set, Jcirc_set, interior_interval, interval,
+                             interval_mask, members)
 from medgraph.medians import (Profile, VertexFunction, _pairs_in_distance_band,
                               check_WC, check_WP, is_p_connected,
                               is_p_weakly_convex, is_p_weakly_peakless,
                               is_unimodal_on_power, level_set,
                               local_median_set_p, median_function, median_set)
-from medgraph import oracle
+from medgraph import lp, oracle
 from medgraph.oracle import brute_force_oracle
 from medgraph.recognizers import (ClassVerdict, _alpha_type1, _alpha_type2,
                                   _alpha_type3, _quadrangle_condition,
@@ -862,3 +863,7 @@ def test_interval_and_J_set_match_their_definitions():
                     assert J_set(g, d, u, v) == {
                         z for z in range(g.n)
                         if ivl[z, u] & ivl[z, v] == {z}}
+                if d(u, v) >= 2:
+                    # D^uv reads its rows from the distance rows, not levels
+                    assert lp.build_Duv(g, d, u, v).rows == tuple(
+                        sorted(interior_interval(g, d, u, v)))
