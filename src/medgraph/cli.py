@@ -288,7 +288,7 @@ def _suite_classes() -> list[tuple[str, bool]]:
                                    {0: 0, 1: 1}, {0: 0, 1: 1})
     checks.append(("C_6 amalgam C_6 along an edge p==2",
                    lp.compute_p(glued, all_pairs_distances(glued)).p == 2))
-    pairs2 = list(medians._pairs_in_distance_band(j52, dj, 2, 2))
+    pairs2 = list(medians._pairs_in_distance_band(dj, 2, 2))
     checks.append(("J(5,2) 15 distance-2 pairs have alpha/beta certificates",
                    len(pairs2) == 15
                    and all(lp.alpha_beta_certificate(j52, dj, u, v) is not None

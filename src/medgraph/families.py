@@ -297,32 +297,13 @@ def projective_incidence_graph(q: int) -> Graph:
 
 # -------------------------------------------------- alpha/beta configurations
 
-BETA_U, BETA_V = 0, 1
-BETA_INTERIOR = (2, 3, 4)       # s, t, w
-BETA_TAILS = (5, 6, 7)          # a, b, c
-
-
-def beta_configuration(attachment: dict[str, str] | None = None,
-                       extra_edges=()) -> Graph:
+def beta_configuration() -> Graph:
     """Eight vertices: u=0, v=1, interior s,t,w = 2,3,4 pairwise adjacent
     and adjacent to both u and v, tails a,b,c = 5,6,7 with a~s, b~t, c~w,
-    each tail also adjacent to its attachment vertex (u by default).
-    extra_edges: subset of {"ab", "ac", "bc"}."""
-    attachment = attachment or {}
-    names = {"u": 0, "v": 1, "a": 5, "b": 6, "c": 7}
-    edges = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4),
-             (2, 3), (2, 4), (3, 4), (5, 2), (6, 3), (7, 4)]
-    for tail, default in (("a", "u"), ("b", "u"), ("c", "u")):
-        anchor = attachment.get(tail, default)
-        if anchor not in ("u", "v"):
-            raise ParameterOutOfRange(f"attachment of {tail} must be u or v")
-        edges.append((names[tail], names[anchor]))
-    for pair in extra_edges:
-        if sorted(pair) not in (["a", "b"], ["a", "c"], ["b", "c"]):
-            raise ParameterOutOfRange(f"bad extra edge {pair!r}")
-        edges.append((names[pair[0]], names[pair[1]]))
-    return build_graph(8, sorted(set(tuple(sorted(e)) for e in edges)),
-                       name="beta_configuration")
+    each tail also adjacent to u."""
+    return build_graph(8, [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
+                           (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5),
+                           (3, 4), (3, 6), (4, 7)], name="beta_configuration")
 
 
 def alpha_configuration(config_type: int) -> Graph:

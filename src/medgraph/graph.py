@@ -171,7 +171,7 @@ def _data_lines(text: str) -> list[str]:
     return [ln for ln in lines if ln and not ln.startswith("#")]
 
 
-def read_graph(text: str, name: str = "") -> Graph:
+def read_graph(text: str) -> Graph:
     """Parse the text format: first line `n m`, then m lines `u v`.
 
     Lines starting with `#` are comments.
@@ -197,7 +197,7 @@ def read_graph(text: str, name: str = "") -> Graph:
             raise ParseError(f"bad edge line {ln!r}") from exc
         edges.append((u, v))
     try:
-        return build_graph(n, edges, name=name)
+        return build_graph(n, edges)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

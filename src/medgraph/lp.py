@@ -61,13 +61,22 @@ pool, whose bands are short and whose pairs mostly go on to keys, took
 took the random pool from 0.31 to 0.48 s and `has_Gp_connected_medians`
 at p = 1, 2 on the 995 atlas graphs from 0.23 to 0.87 s (best of 5), so
 the per-pair path stays.  Two bounds hold:
-- every entry d(v,w)d(u,x) + d(u,w)d(v,x) - d(u,v)d(w,x) lies in
-  [-diam^2, 2 diam^2], and every sum the bulk path forms, a column sum or
-  y^T D with y in {0, 1}, adds at most n entries, so no value it holds
-  exceeds 3 n diam^2 in size.  The table takes the narrowest of int16,
-  int32 and int64 that holds that bound (`_distance_array`); int64 holds it
-  for every graph whose distance table fits in memory.  int16 covers the
-  half-cubes up to 1/2 H_9 and J(10,5), where it ran twice as fast as int64;
+- on a pair at distance k, write a = d(u,w) and b = d(v,w), so a + b = k.
+  The entry b d(u,x) + a d(v,x) - k d(w,x) is at most 2ab, since
+  d(u,x) <= a + d(w,x) and d(v,x) <= b + d(w,x), and at least -2ab, since
+  k d(w,x) = b d(w,x) + a d(w,x) <= b (d(u,x) + a) + a (d(v,x) + b); it
+  is 2ab at x = w.  So |entry| <= 2ab <= floor(k^2 / 2).  Each product the
+  array build forms is at most k diam < n k, and every sum, a column sum
+  or y^T D with y in {0, 1}, adds fewer than n entries, so no value the
+  bulk path forms on a band up to distance k exceeds n floor(k^2 / 2), k
+  being the band's top or the diameter if that is smaller.
+  `_pair_verdicts` keeps one table, of the narrowest of int16, int32 and
+  int64 that holds this bound for the band it serves (`_distance_array`),
+  and makes it again, the old one dropped first, only when a later band
+  needs a wider type.  int64 holds it for every graph whose distance table
+  fits in memory.  int16 holds band 2 of every graph of at most 16,383
+  vertices, and every band of the half-cubes up to 1/2 H_9 and of J(10,5),
+  where it ran twice as fast as int64;
 - each array holds at most _BULK_ENTRIES = 2^16 entries (128 KB in
   int16), or one pair's D^uv when that alone is larger.  On 1/2 H_9 the
   scan took 0.61 s at 2^14 entries, 0.38 s at 2^16 and 0.38 s at 2^18.
@@ -371,7 +380,7 @@ def _pair_verdicts(g: Graph, d: DistMatrix):
     classes: dict = {}      # _class_key key -> certificate in key row order
     verdicts: dict[tuple[int, int], FeasibilityResult] = {}
     own: set[tuple[int, int]] = set()
-    dist = None             # the distance table as one array, made once
+    dist, top = None, -1    # the distance table as an array, its type's max
 
     def decide(u: int, v: int, mat, res) -> FeasibilityResult:
         """The verdict of (u, v) from its matrix mat and presolve answer
@@ -393,8 +402,8 @@ def _pair_verdicts(g: Graph, d: DistMatrix):
         return out
 
     def scan(lo: int, hi: int):
-        nonlocal dist
-        pairs = _pairs_in_distance_band(g, d, lo, hi)
+        nonlocal dist, top
+        pairs = _pairs_in_distance_band(d, lo, hi)
         size = 1
         while chunk := list(itertools.islice(pairs, size)):
             new = [pair for pair in chunk if pair not in verdicts]
@@ -402,8 +411,11 @@ def _pair_verdicts(g: Graph, d: DistMatrix):
                 answers = ((mat, _presolve(mat))
                            for mat in (build_Duv(g, d, u, v) for u, v in new))
             else:
-                if dist is None:
-                    dist = _distance_array(d)
+                k = min(hi, d.diameter)
+                bound = d.n * (k * k // 2)       # see the module docstring
+                if bound > top:
+                    dist = None                  # a wider table: drop the old first
+                    dist, top = _distance_array(d, bound)
                 answers = _bulk_presolve(d, dist, new)
             for u, v in chunk:
                 res = verdicts.get((u, v))
@@ -419,13 +431,13 @@ _BULK_ENTRIES = 2 ** 16
 _NONE, _ROW, _COLUMN, _ALL_ROWS = range(4)     # the presolve answer kinds
 
 
-def _distance_array(d: DistMatrix):
+def _distance_array(d: DistMatrix, bound: int):
     """The distance table as one array of the narrowest integer type that
-    holds 3 n diam^2.  Every entry of D^uv lies in [-diam^2, 2 diam^2], and
-    every sum the bulk path forms adds at most n of them."""
+    holds +-bound, and the largest value of that type."""
     import numpy as np
     from .oracle import _dtype
-    return np.array(d.d, dtype=_dtype(3 * d.n * d.diameter ** 2))
+    dtype = _dtype(bound)
+    return np.array(d.d, dtype=dtype), int(np.iinfo(dtype).max)
 
 
 def _bulk_presolve(d: DistMatrix, dist, pairs):
@@ -562,8 +574,6 @@ def disconnecting_profile(g: Graph, d: DistMatrix, u: int, v: int,
     mu = k*F(v) + 1 (k = d(u,v), F(v) >= F(u)) makes u and v the unique
     minima while the relative order elsewhere is preserved.
     """
-    if not pi.is_integer():
-        pi = witness_to_profile(dict(pi.weights))
     fu, fv = median_value(g, d, pi, u), median_value(g, d, pi, v)
     if fv < fu:
         u, v = v, u
@@ -613,11 +623,15 @@ def compute_p(g: Graph, d: DistMatrix) -> PValueReport:
     )
 
 
-def alpha_beta_certificate(g: Graph, d: DistMatrix, u: int, v: int,
-                           cap: int = 8, assignment_cap: int = 20000):
+_INTERIOR_CAP = 8             # interior vertices of an alpha/beta pair
+_ASSIGNMENT_CAP = 20_000      # companion assignments of one S
+
+
+def alpha_beta_certificate(g: Graph, d: DistMatrix, u: int, v: int):
     """Certificate (S, eta, companions) for a distance-2 pair, or None.
 
-    Searches nonempty S inside the interval interior.  Each s in S needs a
+    Searches nonempty S inside the interval interior, of at most
+    _INTERIOR_CAP vertices.  Each s in S needs a
     companion t in S with d(s,x)+d(t,x) <= d(u,x)+d(v,x) for all x in the
     equidistant part M(u,v), with eta(s)=eta(t) forced when d(s,t)=2; eta
     must give every x in J°(u,v) at least half the total weight among its
@@ -630,9 +644,9 @@ def alpha_beta_certificate(g: Graph, d: DistMatrix, u: int, v: int,
     if d(u, v) != 2:
         raise WrongDistance(f"pair ({u},{v}) is at distance {d(u, v)}, need 2")
     interior = sorted(interior_interval(g, d, u, v))
-    if len(interior) > cap:
-        raise InteriorTooLarge(
-            f"interval interior has {len(interior)} vertices (cap {cap})")
+    if len(interior) > _INTERIOR_CAP:
+        raise InteriorTooLarge(f"interval interior has {len(interior)} "
+                               f"vertices (cap {_INTERIOR_CAP})")
     mids = sorted(M_set(g, d, u, v))
     jcirc = sorted(Jcirc_set(g, d, u, v))
     compat = {
@@ -657,9 +671,9 @@ def alpha_beta_certificate(g: Graph, d: DistMatrix, u: int, v: int,
             n_assign = 1
             for lst in choice_lists:
                 n_assign *= len(lst)
-            if n_assign > assignment_cap:
-                raise InteriorTooLarge(
-                    f"{n_assign} companion assignments exceed cap {assignment_cap}")
+            if n_assign > _ASSIGNMENT_CAP:
+                raise InteriorTooLarge(f"{n_assign} companion assignments "
+                                       f"exceed cap {_ASSIGNMENT_CAP}")
             for picks in itertools.product(*choice_lists):
                 comp = dict(free)
                 comp.update(zip(tied, picks))

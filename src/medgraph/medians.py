@@ -36,18 +36,6 @@ class Profile:
             raise ValueError("profile weights must be nonnegative")
         object.__setattr__(self, "weights", cleaned)
 
-    def support(self) -> set[int]:
-        return set(self.weights)
-
-    def __call__(self, v: int) -> Fraction:
-        return self.weights.get(v, Fraction(0))
-
-    def total(self) -> Fraction:
-        return sum(self.weights.values(), Fraction(0))
-
-    def is_integer(self) -> bool:
-        return all(w.denominator == 1 for w in self.weights.values())
-
 
 class VertexFunction:
     """Total rational-valued function on the vertices of a graph."""
@@ -123,7 +111,7 @@ def check_WP(g: Graph, d: DistMatrix, f: VertexFunction, u: int, v: int) -> bool
     return False
 
 
-def _pairs_in_distance_band(g: Graph, d: DistMatrix, lo: int, hi: int):
+def _pairs_in_distance_band(d: DistMatrix, lo: int, hi: int):
     """The pairs u < v with lo <= d(u,v) <= hi, u ascending, then v."""
     for u, row in enumerate(d.d):
         for v in range(u + 1, len(row)):
@@ -135,12 +123,12 @@ def is_p_weakly_peakless(g: Graph, d: DistMatrix, f: VertexFunction, p: int) -> 
     """Local check (pairs with p+1 <= d <= 2p); global by the
     local-to-global equivalence."""
     return all(check_WP(g, d, f, u, v)
-               for u, v in _pairs_in_distance_band(g, d, p + 1, 2 * p))
+               for u, v in _pairs_in_distance_band(d, p + 1, 2 * p))
 
 
 def is_p_weakly_convex(g: Graph, d: DistMatrix, f: VertexFunction, p: int) -> bool:
     return all(check_WC(g, d, f, u, v)
-               for u, v in _pairs_in_distance_band(g, d, p + 1, 2 * p))
+               for u, v in _pairs_in_distance_band(d, p + 1, 2 * p))
 
 
 def is_unimodal_on_power(g: Graph, d: DistMatrix, f: VertexFunction, p: int) -> bool:
@@ -181,8 +169,9 @@ def is_p_isometric(g: Graph, d: DistMatrix, s: set[int], p: int) -> bool:
     return True
 
 
-def read_profile(text: str, n: int | None = None) -> Profile:
-    """Parse lines `vertex weight`; weights are integers or `a/b` rationals."""
+def read_profile(text: str, n: int) -> Profile:
+    """Parse lines `vertex weight` on the vertices 0..n-1; weights are
+    integers or `a/b` rationals."""
     weights: dict[int, Fraction] = {}
     for ln in _data_lines(text):
         parts = ln.split()
@@ -200,7 +189,7 @@ def read_profile(text: str, n: int | None = None) -> Profile:
             raise ParseError(f"bad rational {wtok!r}") from exc
         if w < 0:
             raise ParseError(f"negative weight on vertex {v}")
-        if n is not None and not 0 <= v < n:
+        if not 0 <= v < n:
             raise ParseError(f"vertex {v} out of range 0..{n - 1}")
         weights[v] = weights.get(v, Fraction(0)) + w
     return Profile(weights)

@@ -73,16 +73,17 @@ from .medians import Profile
 from .metric import J_set
 
 _BLOCK = 100_000
+_BUDGET = 5_000_000
 
 
-def brute_force_oracle(g: Graph, d: DistMatrix, p: int, max_weight: int,
-                       budget: int = 5_000_000):
+def brute_force_oracle(g: Graph, d: DistMatrix, p: int, max_weight: int):
     """First (pair, integer Profile) breaking p-connectedness, or None.
 
     Pairs are scanned in order; a pair whose support lies inside the
     support of an earlier kept pair is skipped, since it is reached only
     once that pair was scanned clean (see the module docstring).
-    The budget counts the profiles of every band pair, skipped or not.
+    The budget, _BUDGET profiles, counts those of every band pair, skipped
+    or not.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -97,9 +98,9 @@ def brute_force_oracle(g: Graph, d: DistMatrix, p: int, max_weight: int,
         support = sorted(J_set(g, d, u, v))
         supports.append(support)
         total += (max_weight + 1) ** len(support) - 1
-        if total > budget:
+        if total > _BUDGET:
             raise BudgetExceeded(
-                f"{total} profiles exceed the budget of {budget}")
+                f"{total} profiles exceed the budget of {_BUDGET}")
     if not pairs:
         return None
     dist = np.array(d.d, dtype=_dtype(

@@ -64,7 +64,7 @@ def write_labels(e: LabeledEmbedding) -> str:
 def _distance_two_pairs(g: Graph, d: DistMatrix):
     """(u, v, common) for each pair u < v at distance 2; common is the
     ascending list of common neighbours, which is I°(u,v)."""
-    for u, v in _pairs_in_distance_band(g, d, 2, 2):
+    for u, v in _pairs_in_distance_band(d, 2, 2):
         yield u, v, members(d.levels[u][1] & d.levels[v][1])
 
 
@@ -130,7 +130,7 @@ def _quadrangle_condition(g: Graph, d: DistMatrix):
     witness comes from the z-major scan of _quadrangle_witness."""
     levels = d.levels
     pairs = [(v, w, levels[v][1] & levels[w][1])
-             for v, w in _pairs_in_distance_band(g, d, 2, 2)]
+             for v, w in _pairs_in_distance_band(d, 2, 2)]
     for u in range(g.n):
         row, lv = d[u], levels[u]
         top = len(lv) - 1
@@ -468,69 +468,40 @@ def detect_beta_configuration(g: Graph, d: DistMatrix):
     return None
 
 
-def _alpha_apex(g, d, u, v, inner, far, near2) -> int | None:
-    """Vertex a with d(a,u)=d(a,v)=2, d(a,far)=3 and d(a,s)=2 for the
-    other interior vertices."""
-    for a in range(g.n):
-        if d(a, u) == 2 and d(a, v) == 2 and d(a, far) == 3 and \
-                all(d(a, s) == 2 for s in near2):
-            return a
-    return None
-
-
 def detect_alpha_configuration(g: Graph, d: DistMatrix):
-    """(type, witness) for the first matching configuration, or None."""
+    """(type, witness) for the first matching configuration, or None.
+
+    For each pair u, v of `_small_clique_interiors`, apex[t] is the first
+    vertex a with d(a,u) = d(a,v) = 2, d(a,t) = 3 and d(a,s) = 2 for the
+    other interior vertices s, and a tail is the first neighbour b of u or
+    v outside the interior whose interior neighbours are a given set.
+    Type 1 is apex[t] and a tail on {t} alone; with three interior
+    vertices, type 2 is apex[t], apex[w] and a tail on {t, w}, and type 3
+    an apex for each interior vertex.  Types are tried in that order.
+    """
+    adj = g.adj_sets
     for u, v, inner in _small_clique_interiors(g, d):
-        for finder in (_alpha_type1, _alpha_type2, _alpha_type3):
-            found = finder(g, d, u, v, inner)
-            if found is not None:
-                return found
-    return None
+        du, dv = d[u], d[v]
+        around = [a for a in range(g.n) if du[a] == dv[a] == 2]
+        apex = {t: next((a for a in around if d(a, t) == 3 and all(
+            d(a, s) == 2 for s in inner if s != t)), None) for t in inner}
+        tails = [b for b in sorted(adj[u] | adj[v]) if b not in inner]
 
+        def tail(far):
+            return next((b for b in tails
+                         if {s for s in inner if s in adj[b]} == far), None)
 
-def _alpha_type1(g, d, u, v, inner):
-    adj = g.adj_sets
-    for t in inner:
-        rest = [s for s in inner if s != t]
-        a = _alpha_apex(g, d, u, v, inner, t, rest)
-        if a is None:
-            continue
-        for b in range(g.n):
-            if b in inner or b in (u, v):
-                continue
-            ab = adj[b]
-            if t in ab and all(s not in ab for s in rest) and (u in ab or v in ab):
-                return (1, (u, v, tuple(inner), t, a, b))
-    return None
-
-
-def _alpha_type2(g, d, u, v, inner):
-    if len(inner) != 3:
-        return None
-    adj = g.adj_sets
-    for s, t, w in itertools.permutations(inner):
-        a1 = _alpha_apex(g, d, u, v, inner, t, [s, w])
-        a2 = _alpha_apex(g, d, u, v, inner, w, [s, t])
-        if a1 is None or a2 is None:
-            continue
-        for b in range(g.n):
-            if b in inner or b in (u, v):
-                continue
-            ab = adj[b]
-            if t in ab and w in ab and s not in ab and (u in ab or v in ab):
-                return (2, (u, v, (s, t, w), a1, a2, b))
-    return None
-
-
-def _alpha_type3(g, d, u, v, inner):
-    if len(inner) != 3:
-        return None
-    for s, t, w in itertools.permutations(inner):
-        a1 = _alpha_apex(g, d, u, v, inner, t, [s, w])
-        a2 = _alpha_apex(g, d, u, v, inner, w, [s, t])
-        a3 = _alpha_apex(g, d, u, v, inner, s, [t, w])
-        if a1 is not None and a2 is not None and a3 is not None:
-            return (3, (u, v, (s, t, w), a1, a2, a3))
+        for t in inner:
+            if apex[t] is not None and (b := tail({t})) is not None:
+                return (1, (u, v, tuple(inner), t, apex[t], b))
+        if len(inner) == 3:
+            for s, t, w in itertools.permutations(inner):
+                if None not in (apex[t], apex[w]) and \
+                        (b := tail({t, w})) is not None:
+                    return (2, (u, v, (s, t, w), apex[t], apex[w], b))
+            if None not in apex.values():
+                s, t, w = inner
+                return (3, (u, v, (s, t, w), apex[t], apex[w], apex[s]))
     return None
 
 

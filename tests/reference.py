@@ -26,7 +26,7 @@ def is_p_weakly_peakless_full(g: Graph, d: DistMatrix, f: VertexFunction, p: int
     """All-pairs variant (every pair with d >= p+1) of the local
     `medians.is_p_weakly_peakless`."""
     return all(check_WP(g, d, f, u, v)
-               for u, v in _pairs_in_distance_band(g, d, p + 1, d.diameter))
+               for u, v in _pairs_in_distance_band(d, p + 1, d.diameter))
 
 
 def solve_pair(g: Graph, d: DistMatrix, u: int, v: int) -> FeasibilityResult:

@@ -138,11 +138,14 @@ def test_criterion_5_chordal_and_cb_bound(mark):
         g = _random_interval_graph(rng, rng.randint(5, 9))
         if g is not None and is_chordal(g):
             chordal_corpus.append(g)
-    chordal_corpus.append(beta_configuration())
-    chordal_corpus.append(beta_configuration(attachment={"a": "v"}))
-    chordal_corpus.append(beta_configuration(attachment={"a": "v", "b": "v"}))
-    chordal_corpus.append(beta_configuration(
-        attachment={"a": "v", "b": "v", "c": "v"}))
+    beta = beta_configuration()
+    chordal_corpus.append(beta)
+    for moved in ((5,), (5, 6), (5, 6, 7)):
+        # the beta configuration with tails a, b, c = 5, 6, 7 moved from
+        # u = 0 to v = 1
+        chordal_corpus.append(build_graph(8, [
+            (1, y) if x == 0 and y in moved else (x, y)
+            for x, y in beta.edges()]))
     ok = len(chordal_corpus) >= 20
     for g in chordal_corpus:
         d = all_pairs_distances(g)
@@ -252,7 +255,7 @@ def test_criterion_10_lp_oracle_equivalence(mark):
         d = all_pairs_distances(g)
         for p in (1, 2):
             lp_ok = has_Gp_connected_medians(g, d, p)
-            found = brute_force_oracle(g, d, p, 2, budget=2_000_000)
+            found = brute_force_oracle(g, d, p, 2)
             if found is not None and lp_ok:
                 ok = False
             if not lp_ok:

@@ -132,7 +132,7 @@ def test_c7_pair_feasible_and_witness_disconnects():
     assert res.feasible
     assert verify_feasibility_result(g, d, 0, 3, res)
     plus = disconnecting_profile(g, d, 0, 3, witness_to_profile(res.witness))
-    assert plus.is_integer()
+    assert all(w.denominator == 1 for w in plus.weights.values())
     assert median_set(g, d, plus) == {0, 3}
 
 
@@ -311,8 +311,8 @@ def test_compute_p_re_solves_a_witness_pair_decided_by_its_class(monkeypatch):
     seen = set()
     band = lp._pairs_in_distance_band
 
-    def first_time_descending(g, d, lo, hi):
-        pairs = list(band(g, d, lo, hi))
+    def first_time_descending(d, lo, hi):
+        pairs = list(band(d, lo, hi))
         if (lo, hi) not in seen:
             seen.add((lo, hi))
             pairs.reverse()
@@ -478,7 +478,7 @@ def test_alpha_beta_interior_cap():
     d = all_pairs_distances(g)
     # antipodal pair (0,1) has 10 interior vertices, exceeding the cap
     with pytest.raises(InteriorTooLarge):
-        alpha_beta_certificate(g, d, 0, 1, cap=8)
+        alpha_beta_certificate(g, d, 0, 1)
 
 
 # --------------------------------------------- compute_p vs the plain scan
@@ -491,7 +491,7 @@ def _plain_scan(g, d):
     p, failures = 1, []
     while True:
         band = []
-        for u, v in lp._pairs_in_distance_band(g, d, p + 1, 2 * p):
+        for u, v in lp._pairs_in_distance_band(d, p + 1, 2 * p):
             if (u, v) not in solved:
                 solved[u, v] = solve_pair(g, d, u, v)
             if solved[u, v].feasible:
@@ -678,7 +678,7 @@ def test_bulk_answer_is_checked(monkeypatch):
     # the rest in arrays, so pair 31 is the first one decided in an array,
     # by its row sums
     g, d = _gd(halved_cube(7)[0])
-    band = list(itertools.islice(lp._pairs_in_distance_band(g, d, 2, 2), 32))
+    band = list(itertools.islice(lp._pairs_in_distance_band(d, 2, 2), 32))
     u, v = band[31]
     real = lp._bulk_verified
 
@@ -714,7 +714,7 @@ def test_compute_p_builds_only_the_pairs_of_small_chunks(monkeypatch):
         builds = _recording_builds(monkeypatch)
         monkeypatch.setattr(lp, "_class_key", None)
         assert compute_p(g, d).p == 1
-        assert builds == list(itertools.islice(lp._pairs_in_distance_band(g, d, 2, 2), 31))
+        assert builds == list(itertools.islice(lp._pairs_in_distance_band(d, 2, 2), 31))
 
 
 def _permuted(m, rows, cols):
@@ -766,7 +766,7 @@ def test_a_key_shared_by_two_classes_is_a_miss_that_is_solved(monkeypatch):
 
     monkeypatch.setattr(lp, "build_Duv", fake_build)
     monkeypatch.setattr(reference, "build_Duv", fake_build)
-    monkeypatch.setattr(lp, "_pairs_in_distance_band", lambda g, d, lo, hi: iter(mats))
+    monkeypatch.setattr(lp, "_pairs_in_distance_band", lambda d, lo, hi: iter(mats))
     calls = _recording_solves(monkeypatch)
     scan, own = lp._pair_verdicts(None, None)
     (_, _, first), (_, _, res) = scan(2, 2)
@@ -873,3 +873,37 @@ def test_band_scans_build_no_level_bitsets(monkeypatch):
             assert d._levels is None, (g.n, p)
     # the path's band of distance 2 reaches the per-pair and the bulk chunks
     assert calls["build_Duv"] and calls["_bulk_array"], calls
+
+
+def test_the_bulk_table_is_typed_by_the_band_it_serves(monkeypatch):
+    # A band up to distance k holds values of at most n floor(k^2 / 2): 130
+    # on band 2 of P_65, so int16, where the former bound 3 n diam^2 took
+    # int32.  A band up to the diameter, 64, needs int32: the table is made
+    # again, wider, with the old one gone, and kept for a later band.
+    import weakref
+    g = path_graph(65)
+    d = all_pairs_distances(g)
+    dtypes = []
+    bulk = lp._bulk_presolve
+    monkeypatch.setattr(lp, "_bulk_presolve", lambda d, dist, pairs: (
+        dtypes.append(dist.dtype), bulk(d, dist, pairs))[1])
+    assert compute_p(g, d).p == 1
+    assert dtypes == [np.int16]             # pairs 31..62 of band 2
+    tables = []
+    real = lp._distance_array
+
+    def spy(d, bound):
+        assert all(ref() is None for ref, _, _ in tables)
+        dist, top = real(d, bound)
+        tables.append((weakref.ref(dist), bound, dist.dtype))
+        return dist, top
+
+    monkeypatch.setattr(lp, "_distance_array", spy)
+    scan, _ = lp._pair_verdicts(g, d)
+    for lo, hi in ((2, 2), (3, 100), (2, 10)):
+        assert not any(res.feasible for _, _, res in scan(lo, hi))
+    assert [t[1:] for t in tables] == [(130, np.int16),
+                                       (65 * (64 * 64 // 2), np.int32)]
+    # the int16/int32 boundary of the bound
+    assert [real(d, bound)[1] for bound in (32767, 32768)] \
+        == [32767, 2 ** 31 - 1]

@@ -48,11 +48,12 @@ def test_known_cycle_profile_is_counterexample():
     assert not _is_p_connected(g, d, med, 2)
 
 
-def test_budget_exceeded():
+def test_budget_exceeded(monkeypatch):
+    monkeypatch.setattr(oracle, "_BUDGET", 10)
     g = cycle_graph(7)
     d = all_pairs_distances(g)
-    with pytest.raises(BudgetExceeded):
-        brute_force_oracle(g, d, 2, 3, budget=10)
+    with pytest.raises(BudgetExceeded, match="exceed the budget of 10$"):
+        brute_force_oracle(g, d, 2, 3)
 
 
 def test_max_weight_validation():
@@ -138,7 +139,7 @@ def test_block_gather_stays_within_block_memory(monkeypatch):
         g = build_graph(max(map(max, edges)) + 1, edges)
         d = all_pairs_distances(g)
         # a tree has connected medians at every p; K_{2,4} does not at p = 1
-        assert (oracle.brute_force_oracle(g, d, p, max_weight, budget=10_000)
+        assert (oracle.brute_force_oracle(g, d, p, max_weight)
                 is None) == (edges is _BROOM)
         assert any(len(b) > 1 for b in blocks) == packed
         assert any(any(b) for b in blocks)          # a split support
@@ -156,7 +157,7 @@ def test_scan_memory_peak_is_one_block_gather():
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        assert brute_force_oracle(g, d, 11, 1, budget=10_000) is None
+        assert brute_force_oracle(g, d, 11, 1) is None
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

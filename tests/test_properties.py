@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from medgraph.families import (alpha_configuration, beta_configuration,
                                cartesian_product, cycle_graph, halved_cube,
                                hypercube, johnson, path_graph)
-from medgraph.errors import BudgetExceeded
+from medgraph.errors import BudgetExceeded, Disconnected
 from medgraph.graph import Graph, all_pairs_distances, build_graph, power_graph
 from medgraph.lp import (FeasibilityResult, RationalMatrix, _check_result,
                          compute_p, disconnecting_profile,
@@ -28,8 +28,7 @@ from medgraph.medians import (Profile, VertexFunction, _pairs_in_distance_band,
                               local_median_set_p, median_function, median_set)
 from medgraph import lp, oracle
 from medgraph.oracle import brute_force_oracle
-from medgraph.recognizers import (ClassVerdict, _alpha_type1, _alpha_type2,
-                                  _alpha_type3, _quadrangle_condition,
+from medgraph.recognizers import (ClassVerdict, _quadrangle_condition,
                                   _triangle_condition,
                                   detect_alpha_configuration,
                                   detect_beta_configuration, has_convex_balls,
@@ -107,7 +106,7 @@ def test_lp_verdicts_match_oracle_on_random_graphs():
         d = all_pairs_distances(g)
         for p in (1, 2):
             lp_ok = has_Gp_connected_medians(g, d, p)
-            found = brute_force_oracle(g, d, p, 2, budget=400_000)
+            found = brute_force_oracle(g, d, p, 2)
             if found is not None:
                 assert not lp_ok
             if lp_ok:
@@ -125,7 +124,7 @@ def test_disconnecting_profiles_split_medians():
             continue
         q = rep.p - 1
         failing = 0
-        for u, v in _pairs_in_distance_band(g, d, q + 1, 2 * q):
+        for u, v in _pairs_in_distance_band(d, q + 1, 2 * q):
             res = solve_pair(g, d, u, v)
             if not res.feasible:
                 continue
@@ -568,11 +567,35 @@ def _ref_small_clique_interiors(g, d):
 
 
 def _ref_detect_alpha_configuration(g, d):
+    """The alpha finder as a plain scan: each apex and each tail is searched
+    again wherever a type asks for it."""
+    def apex(far, near):
+        return next((a for a in range(g.n) if d(a, u) == d(a, v) == 2
+                     and d(a, far) == 3 and all(d(a, s) == 2 for s in near)),
+                    None)
+
+    def tail(far):
+        return next((b for b in range(g.n) if b not in inner
+                     and b not in (u, v)
+                     and (u in g.adj_sets[b] or v in g.adj_sets[b])
+                     and all((s in g.adj_sets[b]) == (s in far)
+                             for s in inner)), None)
+
     for u, v, inner in _ref_small_clique_interiors(g, d):
-        for finder in (_alpha_type1, _alpha_type2, _alpha_type3):
-            found = finder(g, d, u, v, inner)
-            if found is not None:
-                return found
+        for t in inner:
+            a, b = apex(t, [s for s in inner if s != t]), tail({t})
+            if None not in (a, b):
+                return 1, (u, v, tuple(inner), t, a, b)
+        if len(inner) != 3:
+            continue
+        for s, t, w in itertools.permutations(inner):
+            a1, a2, b = apex(t, [s, w]), apex(w, [s, t]), tail({t, w})
+            if None not in (a1, a2, b):
+                return 2, (u, v, (s, t, w), a1, a2, b)
+        for s, t, w in itertools.permutations(inner):
+            a1, a2, a3 = apex(t, [s, w]), apex(w, [s, t]), apex(s, [t, w])
+            if None not in (a1, a2, a3):
+                return 3, (u, v, (s, t, w), a1, a2, a3)
     return None
 
 
@@ -652,6 +675,31 @@ def test_bitset_recognizers_match_definitional_scans():
     assert capped
 
 
+def test_alpha_finder_matches_the_plain_scan_on_perturbed_configurations():
+    # The three alpha configurations with up to three edges toggled, then
+    # relabelled: hits of every type, with apexes and tails in every
+    # position, and pairs whose apexes exist but whose tails do not.
+    rng = random.Random(113)
+    kinds = Counter()
+    for config_type in (1, 2, 3):
+        base = alpha_configuration(config_type)
+        for _ in range(40):
+            edges = set(base.edges())
+            for _ in range(rng.randint(0, 3)):
+                edges ^= {tuple(sorted(rng.sample(range(base.n), 2)))}
+            perm = list(range(base.n))
+            rng.shuffle(perm)
+            try:
+                g = build_graph(base.n, [(perm[a], perm[b]) for a, b in edges])
+            except Disconnected:
+                continue
+            d = all_pairs_distances(g)
+            got = detect_alpha_configuration(g, d)
+            assert got == _ref_detect_alpha_configuration(g, d), g.edges()
+            kinds[got and got[0]] += 1
+    assert all(kinds[k] for k in (None, 1, 2, 3)), kinds
+
+
 def test_weakly_modular_witnesses_violate_their_condition():
     kinds = set()
     for g in _recognizer_corpus():
@@ -721,22 +769,22 @@ def _ref_oracle(g, d, p, max_weight, budget):
     return None
 
 
-def _oracle_outcome(fn, g, d, p, max_weight, budget):
+def _oracle_outcome(fn, *args):
     try:
-        return fn(g, d, p, max_weight, budget=budget)
+        return fn(*args)
     except BudgetExceeded:
         return "budget"
 
 
-def _assert_oracle_matches_plain_scan(graphs, levels, budget):
+def _assert_oracle_matches_plain_scan(monkeypatch, graphs, levels, budget):
     """p and max_weight each range over `levels`."""
+    monkeypatch.setattr(oracle, "_BUDGET", budget)
     outcomes = set()
     for g in graphs:
         d = all_pairs_distances(g)
         for p in levels:
             for max_weight in levels:
-                got = _oracle_outcome(brute_force_oracle, g, d, p,
-                                      max_weight, budget)
+                got = _oracle_outcome(brute_force_oracle, g, d, p, max_weight)
                 ref = _oracle_outcome(_ref_oracle, g, d, p, max_weight,
                                       budget)
                 assert got == ref, (g.edges(), p, max_weight)
@@ -745,12 +793,12 @@ def _assert_oracle_matches_plain_scan(graphs, levels, budget):
     assert outcomes == {"none", "hit", "budget"}
 
 
-def test_oracle_matches_plain_profile_scan():
+def test_oracle_matches_plain_profile_scan(monkeypatch):
     rng = random.Random(101)
     graphs = [_random_connected_graph(rng, rng.randint(3, 9))
               for _ in range(12)]
     graphs += [cycle_graph(7), cycle_graph(9), hypercube(3)[0]]
-    _assert_oracle_matches_plain_scan(graphs, (1, 2, 3), 10_000)
+    _assert_oracle_matches_plain_scan(monkeypatch, graphs, (1, 2, 3), 10_000)
 
 
 @pytest.mark.parametrize("block", [50, 1])
@@ -764,7 +812,7 @@ def test_oracle_block_split_matches_plain_profile_scan(monkeypatch, block):
     graphs = [_random_connected_graph(rng, rng.randint(4, 8))
               for _ in range(4)]
     graphs += [cycle_graph(7), hypercube(3)[0]]
-    _assert_oracle_matches_plain_scan(graphs, (1, 2), 2_000)
+    _assert_oracle_matches_plain_scan(monkeypatch, graphs, (1, 2), 2_000)
 
 
 # Graphs with packed blocks and split supports at _BLOCK = 200 (cap =
@@ -801,7 +849,7 @@ def test_oracle_packed_blocks_match_plain_profile_scan(monkeypatch):
               for edges in _PACKED_BLOCK_GRAPHS]
     graphs += [_random_connected_graph(rng, rng.randint(5, 8))
                for _ in range(3)]
-    _assert_oracle_matches_plain_scan(graphs, (1, 2), 3_000)
+    _assert_oracle_matches_plain_scan(monkeypatch, graphs, (1, 2), 3_000)
     assert seen["packed"] and seen["split"] and seen["later_hit"] >= 2, seen
 
 

@@ -1,5 +1,5 @@
 """Every top-level function and class in `src/medgraph` has a caller
-outside the tests.
+outside the tests, and every option of a src function is set by one.
 
 The check is static.  Each `src/medgraph/*.py` and `bench/*.py` file is
 parsed with `ast`; a reference is a bare name, an attribute name or an
@@ -11,6 +11,14 @@ From the roots, references are followed by name through the bodies of the
 definitions they reach, up to a fixed point.  Names are not resolved to
 modules, so two definitions that share a name are reached together; that
 can only hide an unreached definition, never invent one.
+
+An option is a parameter with a default.  It is set when some call in
+`src/medgraph/*.py` or `bench/*.py` of a function of that name passes it
+by keyword or by position, or passes `*args` or `**kwargs`; a method's
+position counts after `self`, and a class call sets its `__init__`.  A
+function named anywhere but as the callee of a call, say passed as a
+value, counts as having every option set.  So this check too can only
+miss an unset option, never report one that some call sets.
 """
 from __future__ import annotations
 
@@ -21,7 +29,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "medgraph"
 BENCH = ROOT / "bench"
 
-_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFS = _FUNCS + (ast.ClassDef,)
+_ALL = "*"                  # a call or a reference that sets every option
 
 
 def _references(nodes) -> set[str]:
@@ -78,6 +88,56 @@ def unreached_definitions(src: Path = SRC, bench: Path = BENCH) -> list[str]:
                   if name not in reached for module, _ in found)
 
 
+def _name(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def unset_options(src: Path = SRC, bench: Path = BENCH) -> list[str]:
+    """`module.function(option)` of every src option that no call sets."""
+    src_trees = [(path.stem, ast.parse(path.read_text(), filename=str(path)))
+                 for path in sorted(src.glob("*.py"))]
+    trees = [tree for _, tree in src_trees] + [
+        ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(bench.glob("*.py"))]
+    given: dict[str, set] = {}   # name -> positions and keywords some call sets
+    for tree in trees:
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        callees = {id(call.func) for call in calls}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) \
+                    and isinstance(node.ctx, ast.Load) and id(node) not in callees:
+                given.setdefault(_name(node), set()).add(_ALL)
+        for call in calls:
+            got = given.setdefault(_name(call.func), set())
+            got.update(range(len(call.args)))
+            got.update(k.arg or _ALL for k in call.keywords)
+            if any(isinstance(a, ast.Starred) for a in call.args):
+                got.add(_ALL)
+    unset = []
+    for module, tree in src_trees:
+        methods = {id(f): (cls.name if f.name == "__init__" else f.name, 1)
+                   for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for f in cls.body if isinstance(f, _FUNCS)}
+        for f in ast.walk(tree):
+            if not isinstance(f, _FUNCS):
+                continue
+            name, skip = methods.get(id(f), (f.name, 0))
+            got = given.get(name, set())
+            args = f.args.posonlyargs + f.args.args
+            first = len(args) - len(f.args.defaults)
+            options = [(a.arg, i - skip) for i, a in enumerate(args) if i >= first]
+            options += [(a.arg, None) for a, default
+                        in zip(f.args.kwonlyargs, f.args.kw_defaults)
+                        if default is not None]
+            unset += [f"{module}.{name}({arg})" for arg, pos in options
+                      if not got & {_ALL, arg, pos}]
+    return sorted(unset)
+
+
 def test_every_src_definition_is_reached_outside_the_tests():
     unreached = unreached_definitions()
     assert not unreached, (
@@ -102,3 +162,30 @@ def test_the_reach_walk_sees_an_unreached_definition(tmp_path):
     (src / "b.py").write_text(
         "from .a import h\n\ndef used_by_bench():\n    return 0\n")
     assert unreached_definitions(src, bench) == ["a.h"]
+
+
+def test_every_src_option_is_set_outside_the_tests():
+    unset = unset_options()
+    assert not unset, (
+        f"{len(unset)} src options are set only from tests, or never: "
+        + ", ".join(unset))
+
+
+def test_the_option_walk_sees_an_unset_option(tmp_path):
+    src, bench = tmp_path / "src", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "a.py").write_text(
+        "def f(x, unset=0, by_keyword=0):\n    return x\n\n"
+        "def g(x, by_position=0):\n    return x\n\n"
+        "def h(x, by_star=0):\n    return x\n\n"
+        "def j(x, by_star_star=0):\n    return x\n\n"
+        "def k(x, by_value=0):\n    return x\n\n"
+        "class C:\n"
+        "    def __init__(self, by_class_call=0):\n        pass\n\n"
+        "    def m(self, by_method_position=0, unset_too=0):\n"
+        "        return f(1, by_keyword=2)\n")
+    (bench / "run.py").write_text(
+        "import a\nargs = (1, 2)\n"
+        "a.g(1, 2)\na.h(*args)\na.j(1, **{})\nfn = a.k\na.C(1).m(1)\n")
+    assert unset_options(src, bench) == ["a.f(unset)", "a.m(unset_too)"]
