@@ -103,13 +103,13 @@ def cmd_median(args) -> int:
     g, d = _load_graph(args.graph)
     with open(args.profile) as fh:
         pi = medians.read_profile(fh.read(), n=g.n)
-    f = medians.median_function(g, d, pi)
     med = median_set(g, d, pi)
     lmed = local_median_set_p(g, d, pi, args.p)
     connected = medians.is_p_connected(g, d, med, args.p)
     return _report("median", {"graph": args.graph, "profile": args.profile,
                               "p": args.p},
-                   {"min_value": min(f.values), "median_set": sorted(med),
+                   {"min_value": median_value(g, d, pi, min(med)),
+                    "median_set": sorted(med),
                     "local_median_set": sorted(lmed),
                     "median_p_connected": connected,
                     "local_equals_global": med == lmed}, start)

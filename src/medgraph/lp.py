@@ -106,12 +106,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import InteriorTooLarge, WrongDistance
 from .graph import DistMatrix, Graph
 from .medians import (Profile, _pairs_in_distance_band, _require_nonadjacent,
-                      median_value)
+                      _scaled, median_value)
 from .metric import Jcirc_set, M_set, interior_interval
 
 
@@ -266,14 +265,6 @@ def lp_feasible_strict(mat: RationalMatrix) -> FeasibilityResult:
         res = FeasibilityResult("infeasible", certificate=tuple(obj[n:n + m]),
                                 matrix=mat)
     return _checked(res, "simplex answer")
-
-
-def _scaled(values) -> tuple[int, list[int]]:
-    """Common denominator den of exact rationals and the integers den*value."""
-    if all(type(x) is int for x in values):
-        return 1, list(values)
-    den = lcm(*(x.denominator for x in values))
-    return den, [x.numerator * (den // x.denominator) for x in values]
 
 
 def _check_result(r: FeasibilityResult) -> bool:

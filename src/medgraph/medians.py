@@ -6,14 +6,20 @@ that decides the condition on every pair at distance > p.  With
 `is_unimodal_on_power`, `level_set` and `is_p_isometric` they are the
 checks of the `fano` suite of `verify-paper`.
 
-All weights and function values are exact rationals; no floating point is
-used anywhere on a decision path.
+Weights are exact rationals.  `median_set` and `local_median_set_p`
+compare the integers den*F_pi(x) = sum_s k_s d(s,x), den being the lcm of
+the weights' denominators and k_s = den*pi(s): scaling by den > 0 keeps
+every comparison, so the minima and local minima are those of F_pi.
+`median_function` divides each integer by den once; `median_value` is the
+one-vertex sum of the definition.  No floating point is used anywhere on
+a decision path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import ParseError
 from .graph import DistMatrix, Graph, _data_lines
@@ -43,7 +49,8 @@ class VertexFunction:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        self.values = [Fraction(x) for x in values]
+        self.values = [x if type(x) is Fraction else Fraction(x)
+                       for x in values]
 
     def __call__(self, v: int) -> Fraction:
         return self.values[v]
@@ -57,30 +64,50 @@ def median_value(g: Graph, d: DistMatrix, pi: Profile, x: int) -> Fraction:
     return sum((w * d(u, x) for u, w in pi.weights.items()), Fraction(0))
 
 
+def _scaled(values) -> tuple[int, list[int]]:
+    """Common denominator den of exact rationals and the integers den*value."""
+    if all(type(x) is int for x in values):
+        return 1, list(values)
+    den = lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
+def _scaled_median_function(d: DistMatrix, pi: Profile) -> tuple[int, list[int]]:
+    """den and the list of den*F_pi(x), one pass over the distance row of
+    each support vertex s with its integer weight k_s = den*pi(s)."""
+    den, ks = _scaled(list(pi.weights.values()))
+    values = [0] * d.n
+    for s, k in zip(pi.weights, ks):
+        values = [f + k * dist for f, dist in zip(values, d.d[s])]
+    return den, values
+
+
 def median_function(g: Graph, d: DistMatrix, pi: Profile) -> VertexFunction:
-    return VertexFunction([median_value(g, d, pi, x) for x in range(g.n)])
+    den, values = _scaled_median_function(d, pi)
+    return VertexFunction([Fraction(f, den) for f in values])
 
 
 def median_set(g: Graph, d: DistMatrix, pi: Profile) -> set[int]:
-    f = median_function(g, d, pi)
-    best = min(f.values)
-    return {x for x in range(g.n) if f.values[x] == best}
+    _, values = _scaled_median_function(d, pi)
+    best = min(values)
+    return {x for x, f in enumerate(values) if f == best}
 
 
-def local_minima_on_power(g: Graph, d: DistMatrix, f: VertexFunction, p: int) -> set[int]:
-    """Vertices x with f(x) <= f(y) for every y with 1 <= d(x,y) <= p."""
+def local_minima_on_power(g: Graph, d: DistMatrix, values: list, p: int) -> set[int]:
+    """Vertices x with values[x] <= values[y] for every y with
+    1 <= d(x,y) <= p.  A neighbour is such a y, so a vertex that loses to
+    one is out at once, and at p = 1 the neighbours are every such y; at
+    p > 1 the others are tested along their distance row."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    out = set()
-    for x in range(g.n):
-        fx = f(x)
-        if all(fx <= f(y) for y in range(g.n) if y != x and d(x, y) <= p):
-            out.add(x)
-    return out
+    return {x for x, (fx, row, nbrs) in enumerate(zip(values, d.d, g.adj))
+            if all(values[y] >= fx for y in nbrs)
+            and (p == 1
+                 or all(fy >= fx for fy, k in zip(values, row) if k <= p))}
 
 
 def local_median_set_p(g: Graph, d: DistMatrix, pi: Profile, p: int) -> set[int]:
-    return local_minima_on_power(g, d, median_function(g, d, pi), p)
+    return local_minima_on_power(g, d, _scaled_median_function(d, pi)[1], p)
 
 
 def _require_nonadjacent(g: Graph, u: int, v: int) -> None:
@@ -134,7 +161,7 @@ def is_p_weakly_convex(g: Graph, d: DistMatrix, f: VertexFunction, p: int) -> bo
 def is_unimodal_on_power(g: Graph, d: DistMatrix, f: VertexFunction, p: int) -> bool:
     """Every local minimum of f in G^p attains the global minimum."""
     best = min(f.values)
-    return all(f(x) == best for x in local_minima_on_power(g, d, f, p))
+    return all(f(x) == best for x in local_minima_on_power(g, d, f.values, p))
 
 
 def level_set(f: VertexFunction, alpha: Rational) -> set[int]:

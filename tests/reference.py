@@ -1,11 +1,13 @@
 """Reference implementations that the tests compare `medgraph` against.
 
 Each one decides the same thing as a `medgraph` function by a different,
-slower route: all pairs instead of the local band, a walk of the geodesic
-DAG instead of distance levels, subgraph matching instead of the interval
-condition, the simplex on every pair instead of the shared pair verdicts,
-the phase-1 tableau with its artificial columns stored instead of implied,
-the product y^T M over every row instead of the rows with y_i != 0.
+slower route: F_pi summed in `Fraction`s at each vertex instead of the
+integer table den*F_pi, all pairs instead of the local band, a walk of the
+geodesic DAG instead of distance levels, subgraph matching instead of the
+interval condition, the simplex on every pair instead of the shared pair
+verdicts, the phase-1 tableau with its artificial columns stored instead of
+implied, the product y^T M over every row instead of the rows with
+y_i != 0.
 """
 from __future__ import annotations
 
@@ -18,7 +20,8 @@ from medgraph.families import bn_graph
 from medgraph.graph import DistMatrix, Graph
 from medgraph.lp import (FeasibilityResult, RationalMatrix, build_Duv,
                          lp_feasible_strict)
-from medgraph.medians import VertexFunction, _pairs_in_distance_band, check_WP
+from medgraph.medians import (Profile, VertexFunction, _pairs_in_distance_band,
+                              check_WP)
 from medgraph.recognizers import ClassVerdict, is_modular
 
 
@@ -27,6 +30,27 @@ def is_p_weakly_peakless_full(g: Graph, d: DistMatrix, f: VertexFunction, p: int
     `medians.is_p_weakly_peakless`."""
     return all(check_WP(g, d, f, u, v)
                for u, v in _pairs_in_distance_band(d, p + 1, d.diameter))
+
+
+def _median_fractions(g: Graph, d: DistMatrix, pi: Profile) -> list[Fraction]:
+    """F_pi(x) = sum_s pi(s) d(s,x) in `Fraction`s, one vertex at a time."""
+    return [sum((w * d(s, x) for s, w in pi.weights.items()), Fraction(0))
+            for x in range(g.n)]
+
+
+def median_set_plain(g: Graph, d: DistMatrix, pi: Profile) -> set[int]:
+    """`medians.median_set` from the `Fraction` values of F_pi."""
+    f = _median_fractions(g, d, pi)
+    best = min(f)
+    return {x for x in range(g.n) if f[x] == best}
+
+
+def local_median_set_plain(g: Graph, d: DistMatrix, pi: Profile, p: int) -> set[int]:
+    """`medians.local_median_set_p` from the `Fraction` values of F_pi,
+    every y with 1 <= d(x,y) <= p tested by a `d(x, y)` call."""
+    f = _median_fractions(g, d, pi)
+    return {x for x in range(g.n)
+            if all(f[x] <= f[y] for y in range(g.n) if 1 <= d(x, y) <= p)}
 
 
 def solve_pair(g: Graph, d: DistMatrix, u: int, v: int) -> FeasibilityResult:

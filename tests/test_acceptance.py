@@ -3,7 +3,6 @@
 Each test prints a single CRITERION <n>: PASS/FAIL line so the suite output
 doubles as a checklist.  All arithmetic is exact rational; no tolerances.
 """
-import itertools
 import random
 from fractions import Fraction
 

@@ -23,9 +23,10 @@ from medgraph.metric import (J_set, Jcirc_set, interior_interval, interval,
                              interval_mask, members)
 from medgraph.medians import (Profile, VertexFunction, _pairs_in_distance_band,
                               check_WC, check_WP, is_p_connected,
-                              is_p_weakly_convex, is_p_weakly_peakless,
-                              is_unimodal_on_power, level_set,
-                              local_median_set_p, median_function, median_set)
+                              is_p_weakly_peakless, is_unimodal_on_power,
+                              level_set, local_median_set_p,
+                              local_minima_on_power, median_function,
+                              median_set, median_value)
 from medgraph import lp, oracle
 from medgraph.oracle import brute_force_oracle
 from medgraph.recognizers import (ClassVerdict, _quadrangle_condition,
@@ -38,7 +39,8 @@ from medgraph.recognizers import (ClassVerdict, _quadrangle_condition,
                                   personal_neighbor, satisfies_ICm,
                                   satisfies_INC, satisfies_PC, satisfies_TPC)
 from reference import (certificate_holds_dense, geodesic_vertices_via_dag,
-                       solve_pair)
+                       local_median_set_plain, median_set_plain, solve_pair)
+from test_acceptance import _connected_atlas_graphs
 
 
 def _random_connected_graph(rng, n):
@@ -68,6 +70,31 @@ def test_median_function_consistency():
         # global medians are always p-local medians
         for p in (1, 2):
             assert med <= local_median_set_p(g, d, pi, p)
+
+
+def test_median_sets_match_the_fraction_reference():
+    """The integer table den*F_pi against F_pi summed in `Fraction`s, on
+    random graphs and the atlas, with weights a/b of mixed denominators
+    b in 1..6: a table that dropped den, or a p-ball without its distance-p
+    sphere, disagrees here."""
+    rng = random.Random(31)
+    graphs = [_random_connected_graph(rng, rng.randint(4, 16)) for _ in range(40)]
+    graphs += _connected_atlas_graphs(7)
+    for g in graphs:
+        d = all_pairs_distances(g)
+        support = rng.sample(range(g.n), rng.randint(1, g.n))
+        pi = Profile({v: Fraction(rng.randint(1, 9), rng.randint(1, 6))
+                      for v in support})
+        f = median_function(g, d, pi)
+        assert f.values == [median_value(g, d, pi, x) for x in range(g.n)]
+        assert median_set(g, d, pi) == median_set_plain(g, d, pi)
+        for p in (1, 2, 3):
+            assert (local_median_set_p(g, d, pi, p)
+                    == local_median_set_plain(g, d, pi, p)), (g.edges(), pi, p)
+    with pytest.raises(ValueError):
+        local_median_set_p(g, d, pi, 0)
+    with pytest.raises(ValueError):
+        local_minima_on_power(g, d, f.values, 0)
 
 
 def test_wc_implies_wp():
