@@ -170,19 +170,23 @@ def level_set(f: VertexFunction, alpha: Rational) -> set[int]:
 
 
 def is_p_connected(g: Graph, d: DistMatrix, s: set[int], p: int) -> bool:
-    """Connectivity of s in G^p (via distance-at-most-p hops inside s)."""
-    if not s:
+    """Connectivity of s in G^p (via distance-at-most-p hops inside s): a
+    walk from one vertex of s that reads each reached vertex's neighbours,
+    at p = 1, or its distance row, testing only the vertices not reached."""
+    left = set(s)
+    if not left:
         return True
-    verts = sorted(s)
-    seen = {verts[0]}
-    stack = [verts[0]]
+    stack = [left.pop()]
     while stack:
         x = stack.pop()
-        for y in verts:
-            if y not in seen and d(x, y) <= p:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(verts)
+        if p == 1:
+            near = [y for y in g.adj[x] if y in left]
+        else:
+            row = d.d[x]
+            near = [y for y in left if row[y] <= p]
+        left.difference_update(near)
+        stack.extend(near)
+    return not left
 
 
 def is_p_isometric(g: Graph, d: DistMatrix, s: set[int], p: int) -> bool:

@@ -7,7 +7,8 @@ geodesic DAG instead of distance levels, subgraph matching instead of the
 interval condition, the simplex on every pair instead of the shared pair
 verdicts, the phase-1 tableau with its artificial columns stored instead of
 implied, the product y^T M over every row instead of the rows with
-y_i != 0.
+y_i != 0, a search over every pair of a set instead of a walk along the
+distance rows.
 """
 from __future__ import annotations
 
@@ -51,6 +52,23 @@ def local_median_set_plain(g: Graph, d: DistMatrix, pi: Profile, p: int) -> set[
     f = _median_fractions(g, d, pi)
     return {x for x in range(g.n)
             if all(f[x] <= f[y] for y in range(g.n) if 1 <= d(x, y) <= p)}
+
+
+def is_p_connected_pairwise(g: Graph, d: DistMatrix, s: set[int], p: int) -> bool:
+    """`medians.is_p_connected` by a search that tests every pair of s
+    with a `d(x, y)` call."""
+    if not s:
+        return True
+    verts = sorted(s)
+    seen = {verts[0]}
+    stack = [verts[0]]
+    while stack:
+        x = stack.pop()
+        for y in verts:
+            if y not in seen and d(x, y) <= p:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == len(verts)
 
 
 def solve_pair(g: Graph, d: DistMatrix, u: int, v: int) -> FeasibilityResult:

@@ -15,7 +15,7 @@ from medgraph.families import (beta_configuration, cartesian_product,
                                complete_graph, cycle_graph, gated_amalgam,
                                halved_cube, hypercube, johnson,
                                projective_incidence_graph)
-from medgraph.graph import Graph, all_pairs_distances, build_graph, power_graph
+from medgraph.graph import all_pairs_distances, build_graph, power_graph
 from medgraph.lp import (compute_p, disconnecting_profile,
                          has_Gp_connected_medians, witness_to_profile)
 from medgraph.medians import (Profile, VertexFunction, is_p_connected,

@@ -109,6 +109,23 @@ def test_pvalue_result_is_pinned(tmp_path, capsys, graph, pinned):
     assert code == 0 and rep["result"] == json.loads(pinned)
 
 
+# the pvalue result on G_3 under ten relabellings and on G_5, made before
+# these graphs' large LPs were solved on their equitable quotient: the
+# lifted witness is the uniform profile that the full solve printed
+PINNED_LARGE = json.loads((Path(__file__).parent / "pinned_pvalue.json").read_text())
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_LARGE))
+def test_pvalue_result_over_the_quotient_gate_is_pinned(tmp_path, capsys, label):
+    from test_lp import _relabelled
+    name, _, seed = label.partition("/")
+    graph = projective_incidence_graph(int(name[2:]))
+    gpath = tmp_path / "g.graph"
+    gpath.write_text(write_graph(_relabelled(graph, int(seed)) if seed else graph))
+    code, rep = _run(capsys, "pvalue", str(gpath))
+    assert code == 0 and rep["result"] == PINNED_LARGE[label]
+
+
 def _result_json(out):
     rep = json.loads(out)
     del rep["wall_time_s"]

@@ -11,7 +11,7 @@ import medgraph
 from medgraph import families
 from medgraph.errors import (NotGated, NotInducedIso, NotPrime,
                              ParameterOutOfRange)
-from medgraph.families import (MAX_EDGES, MAX_VERTICES, FamilySpec,
+from medgraph.families import (MAX_VERTICES, FamilySpec,
                                alpha_configuration,
                                beta_configuration, bn_graph, bn_hat_graph,
                                cartesian_product, complete_bipartite,

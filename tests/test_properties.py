@@ -14,7 +14,7 @@ from medgraph.families import (alpha_configuration, beta_configuration,
                                cartesian_product, cycle_graph, halved_cube,
                                hypercube, johnson, path_graph)
 from medgraph.errors import BudgetExceeded, Disconnected
-from medgraph.graph import Graph, all_pairs_distances, build_graph, power_graph
+from medgraph.graph import all_pairs_distances, build_graph, power_graph
 from medgraph.lp import (FeasibilityResult, RationalMatrix, _check_result,
                          compute_p, disconnecting_profile,
                          has_Gp_connected_medians, lp_feasible_strict,
@@ -39,7 +39,8 @@ from medgraph.recognizers import (ClassVerdict, _quadrangle_condition,
                                   personal_neighbor, satisfies_ICm,
                                   satisfies_INC, satisfies_PC, satisfies_TPC)
 from reference import (certificate_holds_dense, geodesic_vertices_via_dag,
-                       local_median_set_plain, median_set_plain, solve_pair)
+                       is_p_connected_pairwise, local_median_set_plain,
+                       median_set_plain, solve_pair)
 from test_acceptance import _connected_atlas_graphs
 
 
@@ -95,6 +96,26 @@ def test_median_sets_match_the_fraction_reference():
         local_median_set_p(g, d, pi, 0)
     with pytest.raises(ValueError):
         local_minima_on_power(g, d, f.values, 0)
+
+
+def test_p_connectivity_matches_the_pairwise_reference():
+    """The walk along adjacency lists (p = 1) and distance rows (p > 1)
+    against the search over every pair, on random subsets of random
+    graphs and the atlas at p = 0..3: connected and disconnected sets,
+    the empty set and single vertices among them."""
+    rng = random.Random(28)
+    graphs = [_random_connected_graph(rng, rng.randint(4, 16)) for _ in range(60)]
+    graphs += _connected_atlas_graphs(7)
+    outcomes = Counter()
+    for g in graphs:
+        d = all_pairs_distances(g)
+        for _ in range(3):
+            s = set(rng.sample(range(g.n), rng.randint(0, g.n)))
+            for p in range(4):
+                got = is_p_connected(g, d, s, p)
+                assert got == is_p_connected_pairwise(g, d, s, p), (g.edges(), s, p)
+                outcomes[got] += 1
+    assert outcomes[True] > 1000 and outcomes[False] > 1000, outcomes
 
 
 def test_wc_implies_wp():

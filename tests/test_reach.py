@@ -19,6 +19,9 @@ position counts after `self`, and a class call sets its `__init__`.  A
 function named anywhere but as the callee of a call, say passed as a
 value, counts as having every option set.  So this check too can only
 miss an unset option, never report one that some call sets.
+
+A name that a `tests/*.py` file imports must be read in that file: some
+bare name that loads it.  `from __future__` imports bind no name.
 """
 from __future__ import annotations
 
@@ -28,6 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "medgraph"
 BENCH = ROOT / "bench"
+TESTS = ROOT / "tests"
 
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _DEFS = _FUNCS + (ast.ClassDef,)
@@ -138,6 +142,23 @@ def unset_options(src: Path = SRC, bench: Path = BENCH) -> list[str]:
     return sorted(unset)
 
 
+def unread_imports(tests: Path = TESTS) -> list[str]:
+    """`file:name` of every name a test file imports and never reads."""
+    unread = []
+    for path in sorted(tests.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}:{name}" for name in sorted(imported - read)]
+    return unread
+
+
 def test_every_src_definition_is_reached_outside_the_tests():
     unreached = unreached_definitions()
     assert not unreached, (
@@ -189,3 +210,21 @@ def test_the_option_walk_sees_an_unset_option(tmp_path):
         "import a\nargs = (1, 2)\n"
         "a.g(1, 2)\na.h(*args)\na.j(1, **{})\nfn = a.k\na.C(1).m(1)\n")
     assert unset_options(src, bench) == ["a.f(unset)", "a.m(unset_too)"]
+
+
+def test_every_test_import_is_read():
+    unread = unread_imports()
+    assert not unread, (
+        f"{len(unread)} names are imported by a test file and never read: "
+        + ", ".join(unread))
+
+
+def test_the_import_walk_sees_an_unread_name(tmp_path):
+    (tmp_path / "test_a.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\nimport json as js\nimport sys\n"
+        "from x import (read, unread, aliased as al, shadowed)\n\n"
+        "def test_f(p: read) -> None:\n"
+        "    shadowed = os.getcwd()\n    js.dumps(al)\n")
+    assert unread_imports(tmp_path) == [
+        "test_a.py:shadowed", "test_a.py:sys", "test_a.py:unread"]

@@ -1,7 +1,7 @@
 import pytest
 
 from medgraph.errors import LabelArity
-from medgraph.families import (beta_configuration, bn_graph, bn_hat_graph,
+from medgraph.families import (beta_configuration, bn_hat_graph,
                                complete_graph, cycle_graph, halved_cube,
                                hypercube, johnson, path_graph, wheel)
 from medgraph.graph import all_pairs_distances, build_graph
