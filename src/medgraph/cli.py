@@ -23,7 +23,7 @@ from . import benzenoid as bz
 from . import families, lp, medians, recognizers
 from .errors import (BudgetExceeded, MedgraphError, ParseError, UnknownClass,
                      UnknownSuite)
-from .graph import all_pairs_distances, read_graph, write_graph
+from .graph import all_pairs_distances, build_graph, read_graph, write_graph
 from .medians import Profile, median_set, median_value, local_median_set_p
 
 
@@ -203,31 +203,55 @@ def cmd_check(args) -> int:
 
 
 # -------------------------------------------------------- verify-paper verb
+# One list of the paper's checks, _PAPER.  Each claim of the abstract has one
+# entry; an entry with no check function is a claim that no check reaches,
+# reported under `not_covered`.  The other entries reproduce examples of the
+# paper.  Every check is of a fixed example graph, none of a whole class.
+
+_UNIMODAL = "the median function is unimodal in G or G^2 on each class below"
+_BRIDGED = "bridged graphs, and so chordal graphs, have G^2-connected medians"
+_WEAKLY_BRIDGED = "weakly bridged graphs have G^2-connected medians"
+_CONVEX_BALLS = "graphs with convex balls have G^2-connected medians"
+_BUCOLIC = "bucolic graphs have G^2-connected medians"
+_RETRACTS = "bipartite absolute retracts have G^2-connected medians"
+_BENZENOIDS = "benzenoids have G^2-connected medians"
+_JOHNSON = ("an isometric subgraph of a Johnson graph has connected medians "
+            "iff it is meshed")
+_HALVED_CUBE = ("an isometric subgraph of a halved cube has connected medians "
+                "iff it is meshed with no alpha or beta configuration")
+ABSTRACT_CLAIMS = (_UNIMODAL, _BRIDGED, _WEAKLY_BRIDGED, _CONVEX_BALLS,
+                   _BUCOLIC, _RETRACTS, _BENZENOIDS, _JOHNSON, _HALVED_CUBE)
 
 
-def _suite_cycles() -> list[tuple[str, bool]]:
+def _cycle_median_pairs() -> list[tuple[str, bool]]:
     checks = []
     for k, m in ((2, 2), (2, 3), (3, 2), (3, 4), (3, 5)):
         g = families.cycle_graph(2 * k + m)
         d = all_pairs_distances(g)
         u, v = 0, m
         x = (-k) % g.n
-        checks.append((f"cycle k={k} m={m} d(u,x)==d(v,x)=={k}",
-                       d(u, x) == k and d(v, x) == k))
         pi = Profile({u: k + 1, v: k + 1, x: 1})
-        checks.append((f"cycle k={k} m={m} Med=={{u,v}}",
-                       median_set(g, d, pi) == {u, v}))
-    g = families.cycle_graph(7)
-    d = all_pairs_distances(g)
-    checks.append(("p(C_7)==3", lp.compute_p(g, d).p == 3))
+        checks += [
+            (f"cycle k={k} m={m} d(u,x)==d(v,x)=={k}",
+             d(u, x) == k and d(v, x) == k),
+            (f"cycle k={k} m={m} Med=={{u,v}}", median_set(g, d, pi) == {u, v}),
+            (f"cycle k={k} m={m} {{u,v}} not {m - 1}-connected",
+             not medians.is_p_connected(g, d, {u, v}, m - 1)),
+        ]
     return checks
 
 
-def _suite_fano() -> list[tuple[str, bool]]:
+def _seven_cycle() -> list[tuple[str, bool]]:
+    g = families.cycle_graph(7)
+    d = all_pairs_distances(g)
+    return [("p(C_7)==3", lp.compute_p(g, d).p == 3),
+            ("diam(C_7)==3", d.diameter == 3)]
+
+
+def _fano_plane() -> list[tuple[str, bool]]:
     g = families.projective_incidence_graph(2)
     d = all_pairs_distances(g)
-    npts = 7
-    u, v = 2 * npts, 2 * npts + 1
+    u, v = g.n - 2, g.n - 1
     pi = Profile(dict.fromkeys(range(g.n), 1))
     fu = median_value(g, d, pi, u)
     checks = [
@@ -239,6 +263,7 @@ def _suite_fano() -> list[tuple[str, bool]]:
         ("Med=={u,v}", median_set(g, d, pi) == {u, v}),
         ("d(u,v)==3", d(u, v) == 3),
         ("p(G_2)>=3", not lp.has_Gp_connected_medians(g, d, 2)),
+        ("compute_p(G_2)>=3", lp.compute_p(g, d).p >= 3),
     ]
     # F fails the local conditions at p=2 and meets them at p=3.  G_2 has
     # diameter 3, so the p=3 band 4..6 is empty and WC and WP hold there
@@ -260,54 +285,54 @@ def _suite_fano() -> list[tuple[str, bool]]:
     return checks
 
 
-def _suite_classes() -> list[tuple[str, bool]]:
-    checks = []
+def _chordal_examples() -> list[tuple[str, bool]]:
     beta = families.beta_configuration()
-    d = all_pairs_distances(beta)
-    checks.append(("beta-config chordal", recognizers.is_chordal(beta).verdict))
-    checks.append(("chordal => p<=2", lp.compute_p(beta, d).p <= 2))
-    c5 = families.cycle_graph(5)
-    d5 = all_pairs_distances(c5)
-    checks.append(("C_5 is CB", recognizers.has_convex_balls(c5, d5).verdict))
-    checks.append(("C_5 not weakly modular",
-                   not recognizers.is_weakly_modular(c5, d5).verdict))
-    for g in (c5, families.wheel(5), families.propeller()):
-        dg = all_pairs_distances(g)
-        cb = recognizers.has_convex_balls(g, dg).verdict
-        inc_tpc = (recognizers.satisfies_INC(g, dg).verdict
-                   and recognizers.satisfies_TPC(g, dg).verdict)
-        checks.append((f"CB<->INC&TPC on {g.name}", cb == inc_tpc))
-        if cb:
-            checks.append((f"CB => p<=2 on {g.name}",
-                           lp.compute_p(g, dg).p <= 2))
-    j52, _ = families.johnson(5, 2)
-    dj = all_pairs_distances(j52)
-    checks.append(("J(5,2) meshed", recognizers.is_meshed(j52, dj).verdict))
-    checks.append(("J(5,2) p==1", lp.compute_p(j52, dj).p == 1))
-    glued = families.gated_amalgam(families.cycle_graph(6), families.cycle_graph(6),
-                                   {0: 0, 1: 1}, {0: 0, 1: 1})
-    checks.append(("C_6 amalgam C_6 along an edge p==2",
-                   lp.compute_p(glued, all_pairs_distances(glued)).p == 2))
-    pairs2 = list(medians._pairs_in_distance_band(dj, 2, 2))
-    checks.append(("J(5,2) 15 distance-2 pairs have alpha/beta certificates",
-                   len(pairs2) == 15
-                   and all(lp.alpha_beta_certificate(j52, dj, u, v) is not None
-                           for u, v in pairs2)))
-    configs = [("beta", beta)] + [(f"alpha type {t}", families.alpha_configuration(t))
-                                  for t in (1, 2, 3)]
-    for name, g in configs:
-        checks.append((f"{name} config (0,1) has no alpha/beta certificate",
-                       lp.alpha_beta_certificate(g, all_pairs_distances(g), 0, 1)
-                       is None))
+    graphs = [beta] + [
+        # the tails a, b, c = 5, 6, 7 moved from u = 0 to v = 1
+        build_graph(8, [(1, y) if x == 0 and y in moved else (x, y)
+                        for x, y in beta.edges()],
+                    name=f"beta_configuration, {len(moved)} of its tails on v")
+        for moved in ((5,), (5, 6), (5, 6, 7))]
+    checks = []
+    for g in graphs:
+        checks += [(f"{g.name} chordal", recognizers.is_chordal(g).verdict),
+                   (f"{g.name} p<=2",
+                    lp.compute_p(g, all_pairs_distances(g)).p <= 2)]
     return checks
 
 
-def _suite_benzenoids() -> list[tuple[str, bool]]:
+def _convex_ball_examples() -> list[tuple[str, bool]]:
+    c5 = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+    pentagons = [build_graph(n, c5 + extra, name=name) for name, n, extra in (
+        ("C_5", 5, []),
+        ("C_5 with a leaf", 6, [(0, 5)]),
+        ("two C_5 on a vertex", 9, [(0, 5), (5, 6), (6, 7), (7, 8), (8, 0)]),
+        ("C_5 with a 3-edge tail", 8, [(2, 5), (5, 6), (6, 7)]),
+        ("C_5 with two leaves", 7, [(0, 5), (2, 6)]),
+        ("C_5 with a 2-edge tail", 7, [(0, 5), (5, 6)]),
+        ("C_5 with a leaf and a 2-edge tail", 8, [(0, 5), (0, 6), (6, 7)]))]
+    checks = [("C_5 not weakly modular", not recognizers.is_weakly_modular(
+        pentagons[0], all_pairs_distances(pentagons[0])).verdict)]
+    for g in pentagons + [families.wheel(5), families.propeller()]:
+        d = all_pairs_distances(g)
+        cb = recognizers.has_convex_balls(g, d).verdict
+        inc_tpc = (recognizers.satisfies_INC(g, d).verdict
+                   and recognizers.satisfies_TPC(g, d).verdict)
+        checks += [(f"{g.name} CB", cb),
+                   (f"CB<->INC&TPC on {g.name}", cb == inc_tpc),
+                   (f"{g.name} p<=2", lp.compute_p(g, d).p <= 2)]
+    return checks + [(f"{g.name} not bridged", not recognizers.is_bridged(
+        g, all_pairs_distances(g)).verdict) for g in pentagons]
+
+
+def _benzenoid_examples() -> list[tuple[str, bool]]:
     from .metric import is_gated_set
     checks = []
     systems = {
         "hexagon": [(0, 0)],
         "naphthalene": [(0, 0), (1, 0)],
+        "anthracene": [(0, 0), (1, 0), (2, 0)],
+        "bent 4-chain": [(0, 0), (1, 0), (1, 1), (2, 1)],
     }
     for name, cells in systems.items():
         bg = bz.benzenoid(bz.BenzenoidSpec(frozenset(cells)))
@@ -321,30 +346,97 @@ def _suite_benzenoids() -> list[tuple[str, bool]]:
     return checks
 
 
-_SUITES = {
-    "cycles": _suite_cycles,
-    "fano": _suite_fano,
-    "classes": _suite_classes,
-    "benzenoids": _suite_benzenoids,
-}
+def _johnson_examples() -> list[tuple[str, bool]]:
+    checks = []
+    for n, k in ((4, 2), (5, 2)):
+        g, _ = families.johnson(n, k)
+        d = all_pairs_distances(g)
+        checks += [(f"J({n},{k}) meshed", recognizers.is_meshed(g, d).verdict),
+                   (f"J({n},{k}) p==1", lp.compute_p(g, d).p == 1)]
+    return checks
+
+
+def _halved_cube_examples() -> list[tuple[str, bool]]:
+    checks = []
+    for n in (4, 5):
+        g, _ = families.halved_cube(n)
+        d = all_pairs_distances(g)
+        checks += [(f"{g.name} thick", recognizers.is_thick(g, d).verdict),
+                   (f"{g.name} PC", recognizers.satisfies_PC(g, d).verdict),
+                   (f"{g.name} p==1", lp.compute_p(g, d).p == 1)]
+    j52, _ = families.johnson(5, 2)
+    dj = all_pairs_distances(j52)
+    pairs2 = list(medians._pairs_in_distance_band(dj, 2, 2))
+    checks.append(("J(5,2) 15 distance-2 pairs have alpha/beta certificates",
+                   len(pairs2) == 15
+                   and all(lp.alpha_beta_certificate(j52, dj, u, v) is not None
+                           for u, v in pairs2)))
+    configs = [("beta", families.beta_configuration())] + [
+        (f"alpha type {t}", families.alpha_configuration(t)) for t in (1, 2, 3)]
+    for name, g in configs:
+        checks.append((f"{name} config (0,1) has no alpha/beta certificate",
+                       lp.alpha_beta_certificate(g, all_pairs_distances(g), 0, 1)
+                       is None))
+    return checks
+
+
+def _beta_medians() -> list[tuple[str, bool]]:
+    g = families.beta_configuration()
+    d = all_pairs_distances(g)
+    pi = Profile({5: 1, 6: 1, 7: 1, 1: 1})      # tails a, b, c plus v
+    return [("beta config local medians != medians",
+             local_median_set_p(g, d, pi, 1) != median_set(g, d, pi)),
+            ("beta config p==2", lp.compute_p(g, d).p == 2)]
+
+
+def _products_and_amalgams() -> list[tuple[str, bool]]:
+    c6, c7, k2 = (families.cycle_graph(6), families.cycle_graph(7),
+                  families.complete_graph(2))
+    glued = families.gated_amalgam(c6, c6, {0: 0, 1: 1}, {0: 0, 1: 1})
+    return [(f"p({name})=={p}", lp.compute_p(g, all_pairs_distances(g)).p == p)
+            for name, g, p in (
+                ("C_7 x K_2", families.cartesian_product(c7, k2), 3),
+                ("C_6 x C_6", families.cartesian_product(c6, c6), 2),
+                ("C_6 amalgam C_6 along an edge", glued, 2))]
+
+
+# (suite, claim, check function or None), in the order verify-paper runs them
+_PAPER = [
+    ("cycles", "paper example: in C_{2k+m}, the weights k+1 on u and v, m "
+               "apart, and 1 on x make Med = {u, v}, not G^{m-1}-connected",
+     _cycle_median_pairs),
+    ("cycles", "paper example: p(C_7) = 3, the diameter of C_7", _seven_cycle),
+    ("fano", "paper example: the incidence graph G_2 of the Fano plane has "
+             "p >= 3; its median function with unit weights fails the local "
+             "conditions at p = 2 and meets them at p = 3", _fano_plane),
+    ("classes", _UNIMODAL, None),
+    ("classes", _BRIDGED, _chordal_examples),
+    ("classes", _WEAKLY_BRIDGED, None),
+    ("classes", _CONVEX_BALLS, _convex_ball_examples),
+    ("classes", _BUCOLIC, None),
+    ("classes", _RETRACTS, None),
+    ("benzenoids", _BENZENOIDS, _benzenoid_examples),
+    ("classes", _JOHNSON, _johnson_examples),
+    ("classes", _HALVED_CUBE, _halved_cube_examples),
+    ("classes", "paper example: in the beta configuration, a chordal graph, "
+                "some local medians are not medians, and p = 2", _beta_medians),
+    ("classes", "example: Cartesian products and a gated amalgam have the p "
+                "of their factors", _products_and_amalgams),
+]
 
 
 def cmd_verify_paper(args) -> int:
     start = time.monotonic()
-    if args.suite == "all":
-        names = list(_SUITES)
-    elif args.suite in _SUITES:
-        names = [args.suite]
-    else:
+    entries = [e for e in _PAPER if args.suite in ("all", e[0])]
+    if not entries:
         raise UnknownSuite(f"unknown suite {args.suite!r}")
-    results = []
-    ok = True
-    for name in names:
-        for label, passed in _SUITES[name]():
-            results.append({"suite": name, "check": label, "passed": passed})
-            ok = ok and passed
+    not_covered = [claim for _, claim, fn in entries if fn is None]
+    checks = [{"suite": suite, "claim": claim, "check": label, "passed": passed}
+              for suite, claim, fn in entries if fn is not None
+              for label, passed in fn()]
+    ok = all(c["passed"] for c in checks)
     _report("verify-paper", {"suite": args.suite},
-            {"passed": ok, "checks": results}, start)
+            {"passed": ok, "checks": checks, "not_covered": not_covered}, start)
     return 0 if ok else 1
 
 

@@ -3,8 +3,8 @@
 `is_p_weakly_convex` and `is_p_weakly_peakless` check a vertex function on
 the pairs at distance p+1..2p only; by the paper's local-to-global theorems
 that decides the condition on every pair at distance > p.  With
-`is_unimodal_on_power`, `level_set` and `is_p_isometric` they are the
-checks of the `fano` suite of `verify-paper`.
+`is_unimodal_on_power`, `level_set` and `is_p_isometric` they check the
+paper's example on the Fano graph G_2 in `verify-paper` (`cli._fano_plane`).
 
 Weights are exact rationals.  `median_set` and `local_median_set_p`
 compare the integers den*F_pi(x) = sum_s k_s d(s,x), den being the lcm of

@@ -9,20 +9,34 @@ verdicts, the phase-1 tableau with its artificial columns stored instead of
 implied, the product y^T M over every row instead of the rows with
 y_i != 0, a search over every pair of a set instead of a walk along the
 distance rows.
+
+It also holds each graph corpus and helper that more than one test module
+uses, so that no test module imports another.
 """
 from __future__ import annotations
 
+import itertools
+import json
+import random
 from fractions import Fraction
 from operator import mul
+from pathlib import Path
 
 import networkx as nx
+import numpy as np
 
-from medgraph.families import bn_graph
-from medgraph.graph import DistMatrix, Graph
+from medgraph.benzenoid import BenzenoidSpec, benzenoid
+from medgraph.errors import BudgetExceeded
+from medgraph.families import (alpha_configuration, beta_configuration,
+                               bn_graph, cartesian_product, cycle_graph,
+                               halved_cube, hypercube, johnson, path_graph,
+                               projective_incidence_graph)
+from medgraph.graph import DistMatrix, Graph, all_pairs_distances, build_graph
 from medgraph.lp import (FeasibilityResult, RationalMatrix, build_Duv,
                          lp_feasible_strict)
 from medgraph.medians import (Profile, VertexFunction, _pairs_in_distance_band,
                               check_WP)
+from medgraph.metric import J_set
 from medgraph.recognizers import ClassVerdict, is_modular
 
 
@@ -211,3 +225,123 @@ def _bn_extends(g: Graph, a_side, b_side) -> bool:
     doms_a = [y for y in range(g.n)
               if y not in a_side | b_side and a_side <= g.adj_sets[y]]
     return any(y in g.adj_sets[x] for x in doms_b for y in doms_a)
+
+
+# ------------------------------------------------- oracle by a plain scan
+
+def _ref_oracle(g, d, p, max_weight, budget):
+    """The reference for the vectorised oracle: profiles from
+    itertools.product, a per-vertex local-minimum loop and a depth-first
+    G^p-connectivity check.  Both must report the same first (pair,
+    profile)."""
+    n = g.n
+    dist = np.array(d.d, dtype=np.int64)
+    near = dist <= p
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if p + 1 <= d(u, v) <= 2 * p]
+    supports = [sorted(J_set(g, d, u, v)) for u, v in pairs]
+    if sum((max_weight + 1) ** len(s) - 1 for s in supports) > budget:
+        raise BudgetExceeded("over budget")
+    for pair, support in zip(pairs, supports):
+        profiles = np.array(list(itertools.product(range(max_weight + 1),
+                                                   repeat=len(support)))[1:])
+        f = profiles @ dist[support]
+        med = f == f.min(axis=1, keepdims=True)
+        local = np.ones_like(med)
+        for x in range(n):
+            others = [y for y in range(n) if y != x and near[x][y]]
+            if others:
+                local[:, x] = f[:, x] <= f[:, others].min(axis=1)
+        for weights, m, loc in zip(profiles, med, local):
+            if (loc & ~m).any() or not is_p_connected_pairwise(
+                    g, d, {int(x) for x in np.flatnonzero(m)}, p):
+                return pair, Profile({s: int(w)
+                                      for s, w in zip(support, weights) if w})
+    return None
+
+
+# ------------------------------------------------ graphs the tests share
+
+def _gd(g):
+    return g, all_pairs_distances(g)
+
+
+def _from_nx(h):
+    nodes = sorted(h.nodes())
+    idx = {v: i for i, v in enumerate(nodes)}
+    return build_graph(len(nodes), [(idx[a], idx[b]) for a, b in h.edges()])
+
+
+def _connected_atlas_graphs(max_n=7):
+    from networkx.generators.atlas import graph_atlas_g
+    for h in graph_atlas_g():
+        if 2 <= h.number_of_nodes() <= max_n and nx.is_connected(h):
+            yield _from_nx(h)
+
+
+def _pool_graphs():
+    """The 240 graphs of the benchmark's random pool."""
+    path = Path(__file__).parents[1] / "bench" / "reference" / "random_pool.json"
+    for entry in json.loads(path.read_text())["graphs"]:
+        yield build_graph(entry["n"], map(tuple, entry["edges"]))
+
+
+def _corpus():
+    coronene = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
+    yield cycle_graph(7)
+    yield cycle_graph(21)
+    yield projective_incidence_graph(2)
+    yield projective_incidence_graph(3)
+    yield cartesian_product(path_graph(5), cycle_graph(5))
+    yield halved_cube(6)[0]
+    yield johnson(7, 3)[0]
+    yield benzenoid(BenzenoidSpec(frozenset(coronene))).graph
+
+
+def _random_connected_graphs(count, seed=9):
+    rng = random.Random(seed)
+    while count:
+        n = rng.randint(6, 14)
+        h = nx.gnp_random_graph(n, rng.uniform(0.15, 0.4), seed=rng.randrange(2**31))
+        if nx.is_connected(h):
+            count -= 1
+            yield build_graph(n, list(h.edges()))
+
+
+def _random_connected_graph(rng, n):
+    while True:
+        p = rng.uniform(0.25, 0.7)
+        h = nx.gnp_random_graph(n, p, seed=rng.randrange(10**9))
+        if nx.is_connected(h):
+            return build_graph(n, list(h.edges()))
+
+
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return build_graph(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+
+
+def _recognizer_corpus():
+    """Seeded random connected graphs, half of them made bipartite, plus
+    class members of the kind the classify benchmark runs, two relabelled
+    graphs on more than 32 vertices, and the alpha and beta configurations."""
+    rng = random.Random(97)
+    graphs = []
+    for i in range(60):
+        g = _random_connected_graph(rng, rng.randint(4, 12))
+        if i % 2:
+            level = nx.single_source_shortest_path_length(_to_nx(g), 0)
+            g = build_graph(g.n, [(a, b) for a, b in g.edges()
+                                  if (level[a] - level[b]) % 2])
+        graphs.append(g)
+    graphs += [hypercube(4)[0], halved_cube(5)[0], johnson(6, 3)[0],
+               cartesian_product(path_graph(4), path_graph(4)),
+               beta_configuration(), *map(alpha_configuration, (1, 2, 3))]
+    for big in (johnson(7, 3)[0],
+                cartesian_product(cycle_graph(5), path_graph(7))):
+        perm = list(range(big.n))
+        rng.shuffle(perm)
+        graphs.append(build_graph(big.n, [(perm[a], perm[b])
+                                          for a, b in big.edges()]))
+    return graphs

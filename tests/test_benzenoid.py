@@ -9,20 +9,13 @@ from medgraph.families import cycle_graph
 from medgraph.graph import all_pairs_distances
 from medgraph.metric import is_gated_set
 from medgraph.lp import compute_p
-
-
-def _nx(g):
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    for u, v in g.edges():
-        h.add_edge(u, v)
-    return h
+from reference import _to_nx
 
 
 def test_single_hexagon_is_c6():
     bg = benzenoid(BenzenoidSpec(frozenset({(0, 0)})))
     assert bg.graph.n == 6 and bg.graph.num_edges() == 6
-    assert nx.is_isomorphic(_nx(bg.graph), _nx(cycle_graph(6)))
+    assert nx.is_isomorphic(_to_nx(bg.graph), _to_nx(cycle_graph(6)))
     # each edge class appears twice, so every tree factor is a single edge
     for i in (1, 2, 3):
         cnt = sum(1 for c in bg.edge_classes.values() if c == i)

@@ -117,7 +117,7 @@ PINNED_LARGE = json.loads((Path(__file__).parent / "pinned_pvalue.json").read_te
 
 @pytest.mark.parametrize("label", sorted(PINNED_LARGE))
 def test_pvalue_result_over_the_quotient_gate_is_pinned(tmp_path, capsys, label):
-    from test_lp import _relabelled
+    from reference import _relabelled
     name, _, seed = label.partition("/")
     graph = projective_incidence_graph(int(name[2:]))
     gpath = tmp_path / "g.graph"
@@ -229,19 +229,37 @@ def test_directory_as_graph_exit_2(tmp_path, capsys):
 
 
 def test_verify_paper_suites(capsys):
-    code = main(["verify-paper", "cycles"])
-    out = capsys.readouterr().out
-    assert code == 0
-    rep = json.loads(out)
-    assert all(c["passed"] for c in rep["result"]["checks"])
+    for suite in ("cycles", "fano", "classes", "benzenoids"):
+        code = main(["verify-paper", suite])
+        checks = json.loads(capsys.readouterr().out)["result"]["checks"]
+        assert code == 0
+        assert checks and all(c["passed"] and c["suite"] == suite
+                              for c in checks)
 
 
 def test_verify_paper_all(capsys):
     code = main(["verify-paper", "all"])
     out = capsys.readouterr().out
     assert code == 0
-    rep = json.loads(out)
-    assert rep["result"]["passed"]
+    result = json.loads(out)["result"]
+    assert result["passed"] and all(c["claim"] for c in result["checks"])
+    # every claim of the abstract is on a check or not covered, never both,
+    # and the uncovered ones come in the abstract's order
+    checked = {c["claim"] for c in result["checks"]} & set(cli.ABSTRACT_CLAIMS)
+    not_covered = result["not_covered"]
+    assert sorted([*checked, *not_covered]) == sorted(cli.ABSTRACT_CLAIMS)
+    assert not_covered == [c for c in cli.ABSTRACT_CLAIMS if c in not_covered]
+
+
+def test_an_uncovered_claim_leaves_the_exit_code_at_0(monkeypatch, capsys):
+    # the chordal examples taken off their claim, which is then not covered
+    monkeypatch.setattr(cli, "_PAPER", [
+        (suite, claim, None if fn is cli._chordal_examples else fn)
+        for suite, claim, fn in cli._PAPER])
+    assert main(["verify-paper", "classes"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["passed"] and cli._BRIDGED in result["not_covered"]
+    assert all(c["claim"] != cli._BRIDGED for c in result["checks"])
 
 
 @pytest.mark.parametrize("module, name, value", [
@@ -253,13 +271,16 @@ def test_verify_paper_all(capsys):
 ])
 def test_verify_paper_fails_when_a_local_check_is_wrong(monkeypatch, capsys,
                                                         module, name, value):
-    import medgraph.lp
-    import medgraph.medians
-    target = {"lp": medgraph.lp, "medians": medgraph.medians}[module]
-    monkeypatch.setattr(target, name, lambda *args: value)
+    monkeypatch.setattr(getattr(medgraph, module), name, lambda *args: value)
     assert main(["verify-paper", "all"]) == 1
     rep = json.loads(capsys.readouterr().out)
     assert not rep["result"]["passed"]
+    # the failing checks carry the claim of the entry they belong to: the
+    # Fano graph's for the medians functions, the halved cubes' for lp's
+    entry = cli._halved_cube_examples if module == "lp" else cli._fano_plane
+    (claim,) = [c for _, c, fn in cli._PAPER if fn is entry]
+    failed = [c for c in rep["result"]["checks"] if not c["passed"]]
+    assert failed and all(c["claim"] == claim for c in failed)
 
 
 C7 = "7 7\n" + "".join(f"{i} {(i + 1) % 7}\n" for i in range(7))

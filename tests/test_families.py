@@ -22,16 +22,7 @@ from medgraph.families import (MAX_VERTICES, FamilySpec,
                                propeller, wheel)
 from medgraph.graph import all_pairs_distances
 from medgraph.recognizers import verify_labeled_embedding
-
-
-def _nx(g):
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    for u in range(g.n):
-        for v in g.adj[u]:
-            if u < v:
-                h.add_edge(u, v)
-    return h
+from reference import _to_nx
 
 
 def test_basic_counts():
@@ -61,8 +52,8 @@ def test_parameter_validation():
 
 
 def test_octahedron_isomorphisms():
-    assert nx.is_isomorphic(_nx(hyperoctahedron(3)), _nx(johnson(4, 2)[0]))
-    assert nx.is_isomorphic(_nx(hyperoctahedron(4)), _nx(halved_cube(4)[0]))
+    assert nx.is_isomorphic(_to_nx(hyperoctahedron(3)), _to_nx(johnson(4, 2)[0]))
+    assert nx.is_isomorphic(_to_nx(hyperoctahedron(4)), _to_nx(halved_cube(4)[0]))
 
 
 def test_halved_cube_is_power_of_smaller_cube():
@@ -70,11 +61,11 @@ def test_halved_cube_is_power_of_smaller_cube():
     for n in (3, 4, 5):
         hq = halved_cube(n)[0]
         sq = power_graph(hypercube(n - 1)[0], 2)
-        assert nx.is_isomorphic(_nx(hq), _nx(sq))
+        assert nx.is_isomorphic(_to_nx(hq), _to_nx(sq))
 
 
 def test_bn_is_even_cycle_for_n3():
-    assert nx.is_isomorphic(_nx(bn_graph(3)), _nx(cycle_graph(6)))
+    assert nx.is_isomorphic(_to_nx(bn_graph(3)), _to_nx(cycle_graph(6)))
     g = bn_hat_graph(3)
     assert g.n == 8 and g.has_edge(6, 7)
 
@@ -100,11 +91,11 @@ def test_generate_dispatch():
 
 def test_cartesian_product():
     c4 = cartesian_product(complete_graph(2), complete_graph(2))
-    assert nx.is_isomorphic(_nx(c4), _nx(cycle_graph(4)))
+    assert nx.is_isomorphic(_to_nx(c4), _to_nx(cycle_graph(4)))
     q3 = cartesian_product(cartesian_product(complete_graph(2),
                                              complete_graph(2)),
                            complete_graph(2))
-    assert nx.is_isomorphic(_nx(q3), _nx(hypercube(3)[0]))
+    assert nx.is_isomorphic(_to_nx(q3), _to_nx(hypercube(3)[0]))
 
 
 def test_gated_amalgam_of_hexagons():

@@ -75,11 +75,11 @@ def test_power_graph():
 
 def test_distances_match_networkx():
     import networkx as nx
-    from test_properties import _nx, _recognizer_corpus
+    from reference import _recognizer_corpus, _to_nx
     wide = [cycle_graph(41), path_graph(30), complete_bipartite(1, 20)]
     for g in _recognizer_corpus() + wide:
         d = all_pairs_distances(g)
-        lengths = dict(nx.all_pairs_shortest_path_length(_nx(g)))
+        lengths = dict(nx.all_pairs_shortest_path_length(_to_nx(g)))
         assert d.d == [[lengths[u][v] for v in range(g.n)] for u in range(g.n)]
     # bfs marks unreached vertices -1, which the connectivity check reads;
     # Graph rejects this disconnected input, so bfs gets its n and adj bare

@@ -1,12 +1,9 @@
 import itertools
-import json
 import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -14,7 +11,7 @@ from medgraph.errors import InteriorTooLarge, WrongDistance
 from medgraph.families import (alpha_configuration, beta_configuration,
                                cycle_graph, halved_cube, hypercube, johnson,
                                path_graph, projective_incidence_graph)
-from medgraph.graph import Graph, all_pairs_distances, build_graph
+from medgraph.graph import Graph, all_pairs_distances
 import medgraph.lp as lp
 from medgraph.lp import (FeasibilityResult, RationalMatrix,
                          alpha_beta_certificate, build_Duv, compute_p,
@@ -24,12 +21,9 @@ from medgraph.lp import (FeasibilityResult, RationalMatrix,
 from medgraph.medians import Profile, median_set
 from medgraph.metric import Jcirc_set, M_set, interior_interval
 import reference
-from reference import lp_feasible_strict_explicit, solve_pair
-from test_acceptance import _connected_atlas_graphs
-
-
-def _gd(g):
-    return g, all_pairs_distances(g)
+from reference import (_connected_atlas_graphs, _corpus, _gd, _pool_graphs,
+                       _random_connected_graphs, _relabelled,
+                       lp_feasible_strict_explicit, solve_pair)
 
 
 def test_build_duv_entries():
@@ -74,13 +68,6 @@ def _random_strict_matrices(count=20000, seed=17):
         yield RationalMatrix(
             tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(m)),
             tuple(range(m)), tuple(range(n)), 0, 0)
-
-
-def _pool_graphs():
-    """The 240 graphs of the benchmark's random pool."""
-    path = Path(__file__).parents[1] / "bench" / "reference" / "random_pool.json"
-    for entry in json.loads(path.read_text())["graphs"]:
-        yield build_graph(entry["n"], map(tuple, entry["edges"]))
 
 
 def _pool_lp_matrices():
@@ -501,31 +488,6 @@ def _plain_scan(g, d):
         p, failures = p + 1, band
 
 
-def _corpus():
-    from medgraph.benzenoid import BenzenoidSpec, benzenoid
-    from medgraph.families import cartesian_product
-    coronene = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
-    yield cycle_graph(7)
-    yield cycle_graph(21)
-    yield projective_incidence_graph(2)
-    yield projective_incidence_graph(3)
-    yield cartesian_product(path_graph(5), cycle_graph(5))
-    yield halved_cube(6)[0]
-    yield johnson(7, 3)[0]
-    yield benzenoid(BenzenoidSpec(frozenset(coronene))).graph
-
-
-def _random_connected_graphs(count, seed=9):
-    import random
-    rng = random.Random(seed)
-    while count:
-        n = rng.randint(6, 14)
-        h = nx.gnp_random_graph(n, rng.uniform(0.15, 0.4), seed=rng.randrange(2**31))
-        if nx.is_connected(h):
-            count -= 1
-            yield build_graph(n, list(h.edges()))
-
-
 def test_compute_p_matches_the_plain_scan():
     graphs = [*_corpus(), *_random_connected_graphs(40), *_connected_atlas_graphs(6)]
     assert len(graphs) == 8 + 40 + 142
@@ -774,12 +736,6 @@ def test_a_key_shared_by_two_classes_is_a_miss_that_is_solved(monkeypatch):
     # the certificate of (0, 2), mapped onto (1, 3), fails its check there
     assert _misses(calls) == 1 and own == {(0, 2), (1, 3)}
     assert res == solve_pair(None, None, 1, 3) and res.feasible
-
-
-def _relabelled(g, seed):
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    return build_graph(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
 
 
 def test_class_key_misses_no_class_on_the_corpus(monkeypatch):

@@ -11,11 +11,7 @@ from medgraph.medians import (Profile, VertexFunction, check_WC, check_WP,
                               is_unimodal_on_power, level_set,
                               local_median_set_p, median_function, median_set,
                               median_value, read_profile)
-from reference import is_p_weakly_peakless_full
-
-
-def _gd(g):
-    return g, all_pairs_distances(g)
+from reference import _gd, is_p_weakly_peakless_full
 
 
 def test_profile_validation():

@@ -2,11 +2,7 @@ from medgraph.families import complete_graph, cycle_graph, johnson, path_graph
 from medgraph.graph import all_pairs_distances
 from medgraph.metric import (J_set, Jcirc_set, M_set, interior_interval,
                              interval, is_gated_set)
-from reference import geodesic_vertices_via_dag
-
-
-def _gd(g):
-    return g, all_pairs_distances(g)
+from reference import _gd, geodesic_vertices_via_dag
 
 
 def test_interval_cycle():

@@ -11,6 +11,7 @@ from medgraph.medians import (Profile, is_p_connected as _is_p_connected,
                               local_median_set_p, median_set)
 from medgraph.lp import has_Gp_connected_medians
 from medgraph.oracle import _dtype, brute_force_oracle
+from reference import _connected_atlas_graphs, _ref_oracle
 
 
 def test_hypercube_has_connected_medians():
@@ -174,7 +175,6 @@ ATLAS_ORACLE_SHA256 = ("b1fdff535a9689a9bc63d6393df65eef"
 
 
 def test_oracle_outcomes_on_the_atlas_are_pinned():
-    from test_acceptance import _connected_atlas_graphs
     outcomes = []
     for g in _connected_atlas_graphs(7):
         d = all_pairs_distances(g)
@@ -190,7 +190,6 @@ def test_oracle_outcomes_on_the_atlas_are_pinned():
 ])
 def test_pairs_inside_a_cleared_support_are_not_scanned(monkeypatch, g, p,
                                                         band, scans):
-    from test_properties import _ref_oracle
     d = all_pairs_distances(g)
     assert band == sum(p + 1 <= d(u, v) <= 2 * p
                        for u in range(g.n) for v in range(u + 1, g.n))

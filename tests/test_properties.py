@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from medgraph.families import (alpha_configuration, beta_configuration,
-                               cartesian_product, cycle_graph, halved_cube,
-                               hypercube, johnson, path_graph)
+from medgraph.families import (alpha_configuration, cartesian_product,
+                               cycle_graph, halved_cube, hypercube, johnson,
+                               path_graph, projective_incidence_graph)
 from medgraph.errors import BudgetExceeded, Disconnected
 from medgraph.graph import all_pairs_distances, build_graph, power_graph
 from medgraph.lp import (FeasibilityResult, RationalMatrix, _check_result,
@@ -38,18 +38,12 @@ from medgraph.recognizers import (ClassVerdict, _quadrangle_condition,
                                   is_weakly_bridged, is_weakly_modular,
                                   personal_neighbor, satisfies_ICm,
                                   satisfies_INC, satisfies_PC, satisfies_TPC)
-from reference import (certificate_holds_dense, geodesic_vertices_via_dag,
+from reference import (_connected_atlas_graphs, _corpus, _pool_graphs,
+                       _random_connected_graph, _random_connected_graphs,
+                       _recognizer_corpus, _ref_oracle, _relabelled, _to_nx,
+                       certificate_holds_dense, geodesic_vertices_via_dag,
                        is_p_connected_pairwise, local_median_set_plain,
                        median_set_plain, solve_pair)
-from test_acceptance import _connected_atlas_graphs
-
-
-def _random_connected_graph(rng, n):
-    while True:
-        p = rng.uniform(0.25, 0.7)
-        h = nx.gnp_random_graph(n, p, seed=rng.randrange(10**9))
-        if nx.is_connected(h):
-            return build_graph(n, list(h.edges()))
 
 
 def _random_profile(rng, n):
@@ -207,13 +201,6 @@ def test_power_graph_distances():
                     assert dp(u, v) == -(-d(u, v) // p)
 
 
-def _nx(g):
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
-    return h
-
-
 def test_is_bipartite_matches_networkx():
     rng = random.Random(83)
     for i in range(60):
@@ -221,11 +208,11 @@ def test_is_bipartite_matches_networkx():
         if i % 2:
             # keep the edges between BFS levels of different parity; the
             # BFS tree survives, so the result is connected and bipartite
-            level = nx.single_source_shortest_path_length(_nx(g), 0)
+            level = nx.single_source_shortest_path_length(_to_nx(g), 0)
             g = build_graph(g.n, [(a, b) for a, b in g.edges()
                                   if (level[a] - level[b]) % 2])
         ok, color = is_bipartite(g)
-        assert ok == nx.is_bipartite(_nx(g))
+        assert ok == nx.is_bipartite(_to_nx(g))
         if ok:
             assert len(color) == g.n and set(color) <= {0, 1}
             assert all(color[a] != color[b] for a, b in g.edges())
@@ -279,16 +266,8 @@ def test_pair_verdicts_match_the_plain_solve(monkeypatch):
     """Presolve, cached and own verdicts against the plain simplex on every
     pair: the atlas bands at p = 1, 2, the benchmark's random pool, and
     relabelled half-cube, Johnson and projective-plane graphs."""
-    import medgraph.lp as lp
-    from medgraph.families import projective_incidence_graph
-    from test_acceptance import _connected_atlas_graphs
-    from test_lp import _pool_graphs
-    rng = random.Random(5)
-    relabelled = []
-    for g in (halved_cube(6)[0], johnson(7, 3)[0], projective_incidence_graph(3)):
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        relabelled.append(build_graph(g.n, [(perm[a], perm[b]) for a, b in g.edges()]))
+    relabelled = [_relabelled(g, 5) for g in (
+        halved_cube(6)[0], johnson(7, 3)[0], projective_incidence_graph(3))]
     sets = {
         "atlas": (list(_connected_atlas_graphs(7)), 2, 4),
         "pool": (list(_pool_graphs()), 2, None),
@@ -333,11 +312,6 @@ def test_bulk_and_per_pair_verdicts_agree(monkeypatch):
     matrices and solved pairs are equal, and every array row is the row
     `build_Duv` builds.  The corpus and the relabelled graphs, whose
     arrays hold the most pairs, are also decided in arrays of one pair."""
-    import medgraph.lp as lp
-    from medgraph.families import (cartesian_product, cycle_graph, path_graph,
-                                   projective_incidence_graph)
-    from test_acceptance import _connected_atlas_graphs
-    from test_lp import _corpus, _pool_graphs, _relabelled
     symmetric = [halved_cube(6)[0], johnson(7, 3)[0],
                  cartesian_product(path_graph(5), cycle_graph(5)),
                  projective_incidence_graph(3), cycle_graph(21)]
@@ -399,8 +373,6 @@ def _push_onto_J(g, d, u, v, weights):
 
 
 def test_J_columns_decide_every_pair_like_all_columns():
-    from test_acceptance import _connected_atlas_graphs
-    from test_lp import _random_connected_graphs
     pushed_witnesses = feasible = 0
     for g in [*_connected_atlas_graphs(6), *_random_connected_graphs(40)]:
         d = all_pairs_distances(g)
@@ -661,31 +633,6 @@ def _ref_detect_beta_configuration(g, d):
     return None
 
 
-def _recognizer_corpus():
-    """Seeded random connected graphs, half of them made bipartite, plus
-    class members of the kind the classify benchmark runs, two relabelled
-    graphs on more than 32 vertices, and the alpha and beta configurations."""
-    rng = random.Random(97)
-    graphs = []
-    for i in range(60):
-        g = _random_connected_graph(rng, rng.randint(4, 12))
-        if i % 2:
-            level = nx.single_source_shortest_path_length(_nx(g), 0)
-            g = build_graph(g.n, [(a, b) for a, b in g.edges()
-                                  if (level[a] - level[b]) % 2])
-        graphs.append(g)
-    graphs += [hypercube(4)[0], halved_cube(5)[0], johnson(6, 3)[0],
-               cartesian_product(path_graph(4), path_graph(4)),
-               beta_configuration(), *map(alpha_configuration, (1, 2, 3))]
-    for big in (johnson(7, 3)[0],
-                cartesian_product(cycle_graph(5), path_graph(7))):
-        perm = list(range(big.n))
-        rng.shuffle(perm)
-        graphs.append(build_graph(big.n, [(perm[a], perm[b])
-                                          for a, b in big.edges()]))
-    return graphs
-
-
 def test_bitset_recognizers_match_definitional_scans():
     pairs = {"TC": (_triangle_condition, _ref_triangle_condition),
              "QC": (_quadrangle_condition, _ref_quadrangle_condition),
@@ -751,7 +698,7 @@ def test_alpha_finder_matches_the_plain_scan_on_perturbed_configurations():
 def test_weakly_modular_witnesses_violate_their_condition():
     kinds = set()
     for g in _recognizer_corpus():
-        ref = nx.floyd_warshall(_nx(g))
+        ref = nx.floyd_warshall(_to_nx(g))
         dist = {u: {v: int(ref[u][v]) for v in ref[u]} for u in ref}
         wm = is_weakly_modular(g, all_pairs_distances(g))
         if wm:
@@ -773,49 +720,8 @@ def test_weakly_modular_witnesses_violate_their_condition():
 
 
 # ------------------------------------------- oracle vs. a plain profile scan
-# A plain scan kept as the reference for the vectorised oracle: profiles
-# from itertools.product, a per-vertex local-minimum loop and a depth-first
-# G^p-connectivity check.  Both must report the same first (pair, profile).
-
-def _ref_p_connected(near, mask):
-    verts = [int(x) for x in np.flatnonzero(mask)]
-    if len(verts) <= 1:
-        return True
-    seen, stack = {verts[0]}, [verts[0]]
-    while stack:
-        x = stack.pop()
-        for y in verts:
-            if y not in seen and near[x][y]:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(verts)
-
-
-def _ref_oracle(g, d, p, max_weight, budget):
-    n = g.n
-    dist = np.array(d.d, dtype=np.int64)
-    near = dist <= p
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if p + 1 <= d(u, v) <= 2 * p]
-    supports = [sorted(J_set(g, d, u, v)) for u, v in pairs]
-    if sum((max_weight + 1) ** len(s) - 1 for s in supports) > budget:
-        raise BudgetExceeded("over budget")
-    for pair, support in zip(pairs, supports):
-        profiles = np.array(list(itertools.product(range(max_weight + 1),
-                                                   repeat=len(support)))[1:])
-        f = profiles @ dist[support]
-        med = f == f.min(axis=1, keepdims=True)
-        local = np.ones_like(med)
-        for x in range(n):
-            others = [y for y in range(n) if y != x and near[x][y]]
-            if others:
-                local[:, x] = f[:, x] <= f[:, others].min(axis=1)
-        for weights, m, loc in zip(profiles, med, local):
-            if (loc & ~m).any() or not _ref_p_connected(near, m):
-                return pair, Profile({s: int(w)
-                                      for s, w in zip(support, weights) if w})
-    return None
-
+# `reference._ref_oracle` and the vectorised oracle must report the same
+# first (pair, profile).
 
 def _oracle_outcome(fn, *args):
     try:

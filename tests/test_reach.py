@@ -21,7 +21,9 @@ value, counts as having every option set.  So this check too can only
 miss an unset option, never report one that some call sets.
 
 A name that a `tests/*.py` file imports must be read in that file: some
-bare name that loads it.  `from __future__` imports bind no name.
+bare name that loads it.  `from __future__` imports bind no name.  No
+`tests/*.py` file imports a `test_*` module: a helper that two test
+modules share lives in `tests/reference.py`.
 """
 from __future__ import annotations
 
@@ -159,6 +161,20 @@ def unread_imports(tests: Path = TESTS) -> list[str]:
     return unread
 
 
+def imported_test_modules(tests: Path = TESTS) -> list[str]:
+    """`file:module` of every `test_*` module a test file imports."""
+    found = []
+    for path in sorted(tests.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                found += [f"{path.name}:{a.name}" for a in node.names
+                          if a.name.startswith("test_")]
+            elif isinstance(node, ast.ImportFrom) and \
+                    (node.module or "").startswith("test_"):
+                found.append(f"{path.name}:{node.module}")
+    return found
+
+
 def test_every_src_definition_is_reached_outside_the_tests():
     unreached = unreached_definitions()
     assert not unreached, (
@@ -220,11 +236,23 @@ def test_every_test_import_is_read():
 
 
 def test_the_import_walk_sees_an_unread_name(tmp_path):
+    # the walk for test-module imports reads the same fixture
     (tmp_path / "test_a.py").write_text(
         "from __future__ import annotations\n"
-        "import os.path\nimport json as js\nimport sys\n"
+        "import os.path\nimport json as js\nimport sys\nimport test_c\n"
         "from x import (read, unread, aliased as al, shadowed)\n\n"
         "def test_f(p: read) -> None:\n"
-        "    shadowed = os.getcwd()\n    js.dumps(al)\n")
+        "    from test_b import helper\n"
+        "    shadowed = os.getcwd()\n    js.dumps(al, helper, test_c)\n")
     assert unread_imports(tmp_path) == [
         "test_a.py:shadowed", "test_a.py:sys", "test_a.py:unread"]
+    assert imported_test_modules(tmp_path) == [
+        "test_a.py:test_c", "test_a.py:test_b"]
+
+
+def test_no_test_module_imports_another():
+    imported = imported_test_modules()
+    assert not imported, (
+        "test files import test modules; move the shared helpers to "
+        "tests/reference.py: " + ", ".join(imported))
+

@@ -18,11 +18,7 @@ from medgraph.recognizers import (connected_medians_partial_halved_cube,
                                   read_labels, satisfies_ICm, satisfies_INC,
                                   satisfies_PC, satisfies_TPC,
                                   verify_labeled_embedding, write_labels)
-from reference import absolute_retract_by_extension
-
-
-def _gd(g):
-    return g, all_pairs_distances(g)
+from reference import _gd, absolute_retract_by_extension
 
 
 # ------------------------------------------------------------------ meshedness
