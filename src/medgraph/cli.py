@@ -298,7 +298,11 @@ def _chordal_examples() -> list[tuple[str, bool]]:
         checks += [(f"{g.name} chordal", recognizers.is_chordal(g).verdict),
                    (f"{g.name} p<=2",
                     lp.compute_p(g, all_pairs_distances(g)).p <= 2)]
-    return checks
+    c4 = families.cycle_graph(4)
+    return checks + [
+        ("C_4 not chordal", not recognizers.is_chordal(c4).verdict),
+        ("C_4 not bridged",
+         not recognizers.is_bridged(c4, all_pairs_distances(c4)).verdict)]
 
 
 def _convex_ball_examples() -> list[tuple[str, bool]]:
@@ -311,8 +315,12 @@ def _convex_ball_examples() -> list[tuple[str, bool]]:
         ("C_5 with two leaves", 7, [(0, 5), (2, 6)]),
         ("C_5 with a 2-edge tail", 7, [(0, 5), (5, 6)]),
         ("C_5 with a leaf and a 2-edge tail", 8, [(0, 5), (0, 6), (6, 7)]))]
+    c6 = families.cycle_graph(6)
+    c6_cb = recognizers.has_convex_balls(c6, all_pairs_distances(c6))
     checks = [("C_5 not weakly modular", not recognizers.is_weakly_modular(
-        pentagons[0], all_pairs_distances(pentagons[0])).verdict)]
+        pentagons[0], all_pairs_distances(pentagons[0])).verdict),
+              ("C_6 not CB, witness (0, 2, 1, 4, 3)",
+               (c6_cb.verdict, c6_cb.witness) == (False, (0, 2, 1, 4, 3)))]
     for g in pentagons + [families.wheel(5), families.propeller()]:
         d = all_pairs_distances(g)
         cb = recognizers.has_convex_balls(g, d).verdict
@@ -343,7 +351,10 @@ def _benzenoid_examples() -> list[tuple[str, bool]]:
                     for h in bg.hexagons + tuple(bz.incomplete_hexagons(bg)))
         checks.append((f"{name} hexagons gated", gated))
         checks.append((f"{name} p<=2", lp.compute_p(bg.graph, d).p <= 2))
-    return checks
+    hexagon = bz.benzenoid(bz.BenzenoidSpec(frozenset({(0, 0)}))).graph
+    return checks + [("hexagon vertices {0, 3}, at distance 2, not gated",
+                      not is_gated_set(hexagon, all_pairs_distances(hexagon),
+                                       {0, 3})[0])]
 
 
 def _johnson_examples() -> list[tuple[str, bool]]:

@@ -77,27 +77,53 @@ inequality:
   vector of column sums: when none is negative, the rows of D^uv pi sum
   to at least 0 for every pi >= 0, so they cannot all be at most -1.
 An all-negative column has a negative sum, so the row-sum test never takes
-the place of a one-vertex witness.  Every presolve answer is an int tuple or
-a unit witness, and is checked on the full matrix like the simplex's.
+the place of a one-vertex witness.
+
+A pair these tests leave tries balanced pairs (`_balanced`).  With u, v at
+distance k, write a_i = d(u,w_i) and b_i = d(v,w_i) = k - a_i for two
+interior rows w_1 != w_2; they are balanced when a_1 + a_2 = k, so that
+b_1 + b_2 = k as well.  Rows w_1 and w_2 then sum to
+  (b_1 + b_2) d(u,x) + (a_1 + a_2) d(v,x) - k (d(w_1,x) + d(w_2,x))
+  = k (d(u,x) + d(v,x) - d(w_1,x) - d(w_2,x)),
+so y = e_w1 + e_w2 is a Farkas certificate iff d(w_1,x) + d(w_2,x) <=
+d(u,x) + d(v,x) for every vertex x, which reads two rows of the distance
+table and no matrix.  This is the companion test of
+`alpha_beta_certificate` taken over every x.  Two interior vertices at
+distance k, a mirror pair, are always balanced: k = d(w_1,w_2) is at most
+both a_1 + a_2 and b_1 + b_2, which sum to 2k.  Summing the inequality over
+x shows that r(w_1) + r(w_2) <= r(u) + r(v) is needed, r(w) being the
+transmission, the sum of w's distance row.  So the tries are the mirror
+pairs first, then the other balanced pairs, each in order of least
+r(w_1) + r(w_2), ties in row order, and at most _BALANCED_TRIES = 8 of
+them.  The first try decides every infeasible pair of G_7, G_11 and
+C_12 x C_12 that the row sums leave; on the pair (0, 22) of C_10 x C_10 it
+is the two free corners of the 3 x 3 interval, and y^T D^uv = 0.  On the
+benchmark's random pool compute_p made 716 LP solves with a class key in
+this place, and makes 358, 322, 319 and 315 with 4, 8, 10 and unbounded
+tries; the pool's time was the same within noise at 4 to 40 tries.  Every
+presolve answer is an int tuple or a unit witness, and is checked on the
+full matrix like the simplex's.
 
 The band scans of `_pair_verdicts` take chunks of 1, 2, 4, ... pairs.  A
 chunk with at least _BULK_PAIRS undecided pairs is presolved in bulk
 (`_bulk_presolve`): numpy arrays D[pair, row, x], built from one copy of
 the distance table, each pair's rows padded with rows of -1 to the longest
 interior of its array, which changes no test.  The three tests run on the
-whole array in the order above (`_bulk_tests`), and every answer is
+whole array in the order above (`_bulk_tests`), then the balanced-pair
+tries on the pairs they leave (`_bulk_balanced`), and every answer is
 checked in the same array by a computation of its own (`_bulk_verified`):
-y^T D >= 0 for a certificate, every row <= -1 in the witness column.  A
-failed check raises `AssertionError` naming the pair.  The pairs the tests
-leave, and the feasible ones, take their `RationalMatrix` from the array
-rows and go on to the class key and the LP.  A chunk with fewer undecided
-pairs, the first five chunks (31 pairs) among them, keeps `build_Duv` and
-`_presolve`, so a scan that fails on one of its first pairs makes no
-array.  Both read a pair's interior from the distance rows, as the
-w != u, v with d(u,w) + d(w,v) = d(u,v), so a scan builds no level
-bitsets.  The gate of 32 pairs was measured on a 2-vCPU VM
+y^T D >= 0 for a certificate, y = e_i + e_j for a balanced pair, every row
+<= -1 in the witness column.  A failed check raises `AssertionError`
+naming the pair.  A pair decided by a certificate gets no `RationalMatrix`;
+the pairs the tests leave, and the feasible ones, take theirs from the
+array rows, and the ones left go on to the LP.  A chunk with fewer
+undecided pairs, the first five chunks (31 pairs) among them, keeps
+`build_Duv`, `_presolve` and `_balanced`, so a scan that fails on one of
+its first pairs makes no array.  Both read a pair's interior from the
+distance rows, as the w != u, v with d(u,w) + d(w,v) = d(u,v), so a scan
+builds no level bitsets.  The gate of 32 pairs was measured on a 2-vCPU VM
 (best of 15, compute_p on every graph of a set): the benchmark's random
-pool, whose bands are short and whose pairs mostly go on to keys, took
+pool, whose bands are short and whose pairs the presolve mostly leaves, took
 0.21 s with no bulk path, 0.21 s at 32 pairs, 0.22 s at 16 and 0.24 s at
 8 (0.26, 0.25, 0.28 and 0.30 s in another run); the ROADMAP corpus took
 0.065, 0.038, 0.036 and 0.034 s.  A gate of 1 pair, every chunk in arrays,
@@ -124,13 +150,6 @@ the per-pair path stays.  Two bounds hold:
   int16), or one pair's D^uv when that alone is larger.  On 1/2 H_9 the
   scan took 0.61 s at 2^14 entries, 0.38 s at 2^16 and 0.38 s at 2^18.
 
-A pair the presolve leaves is keyed by `_class_key`, which every row and
-column permutation of D^uv keeps.  The key only proposes a class: matrices
-that are not permutations of each other may share it.  So the certificate
-stored under the key by an earlier infeasible solve is mapped onto the
-pair's own matrix and checked there, and one that fails is a miss: the
-pair gets its own solve.
-
 D^uv has a column for every vertex, though a violating profile pi can
 always be moved onto J(u,v).  With F the median function of pi and w inside
 I(u,v), moving weight omega from z to a neighbour closer to both u and v
@@ -140,13 +159,15 @@ stays violated.  The moves end on J(u,v), so the LP on the J(u,v) columns
 alone is feasible iff this one is: a J-column LP would add nothing.
 D^uv depends only on the pair, never on p, so `_pair_verdicts` decides
 each pair at most once, and `compute_p` stops each scan, the report's too,
-at its first failing pair: its key and solve are the last ones, and a bulk
-chunk has presolved the pairs of that pair's array at most.
+at its first failing pair: its solve is the last one, and a bulk chunk has
+presolved the pairs of that pair's array at most.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -460,13 +481,30 @@ def verify_feasibility_result(g: Graph, d: DistMatrix, u: int, v: int,
     return _check_result(FeasibilityResult(r.status, r.witness, r.certificate, mat))
 
 
-def _class_key(mat: RationalMatrix):
-    """A key that proposes the permutation class of D^uv: each row's sorted
-    entries, the rows in the order of those tuples.  Returns (key, rows),
-    key row i being the sorted entries of mat.entries[rows[i]]."""
-    sorted_rows = [tuple(sorted(row)) for row in mat.entries]
-    rows = sorted(range(len(sorted_rows)), key=sorted_rows.__getitem__)
-    return tuple(map(sorted_rows.__getitem__, rows)), rows
+def _balanced(d: DistMatrix, r, mat: RationalMatrix):
+    """The first balanced-pair certificate e_i + e_j of mat, checked on it,
+    else None.  Rows i < j are tried when d(u,w_i) + d(u,w_j) = d(u,v):
+    mirror pairs, d(w_i,w_j) = d(u,v), first, then the others, each in
+    order of least r(w_i) + r(w_j), r being the transmissions, and at most
+    _BALANCED_TRIES of them.  A try holds when d(w_i,x) + d(w_j,x) <=
+    d(u,x) + d(v,x) for every x; see the module docstring."""
+    rows = mat.rows
+    du, dv = d[mat.u], d[mat.v]
+    k = du[mat.v]
+    tries = heapq.nsmallest(_BALANCED_TRIES, (
+        (d[w1][w2] != k, r[w1] + r[w2], i, j)
+        for (i, w1), (j, w2) in itertools.combinations(enumerate(rows), 2)
+        if du[w1] + du[w2] == k))
+    far = list(map(operator.add, du, dv))
+    for *_, i, j in tries:
+        if all(map(operator.le, map(operator.add, d[rows[i]], d[rows[j]]), far)):
+            y = tuple(int(t == i or t == j) for t in range(len(rows)))
+            return _checked(FeasibilityResult("infeasible", matrix=mat, certificate=y),
+                            "balanced answer")
+    return None
+
+
+_BALANCED_TRIES = 8           # balanced pairs tried per pair: see the module docstring
 
 
 def _pair_verdicts(g: Graph, d: DistMatrix):
@@ -476,41 +514,35 @@ def _pair_verdicts(g: Graph, d: DistMatrix):
     scan(lo, hi) yields (u, v, verdict) for the pairs of the band
     lo <= d(u,v) <= hi in `_pairs_in_distance_band` order, in chunks of
     1, 2, 4, ... pairs.  The pairs of a chunk not yet decided get their
-    matrix and presolve answer from one lazy iterator: `build_Duv` and
-    `_presolve`, a pair at a time, when they are fewer than _BULK_PAIRS,
-    else `_bulk_presolve`, an array at a time.  At the gate of 32 the first
-    five chunks, 31 pairs, are decided one by one, and a scan that stops at
-    its first feasible pair has built at most that pair's array after it.
+    matrix and presolve answer from one lazy iterator: `build_Duv`,
+    `_presolve` and `_balanced`, a pair at a time, when they are fewer than
+    _BULK_PAIRS, else `_bulk_presolve`, an array at a time.  At the gate of
+    32 the first five chunks, 31 pairs, are decided one by one, and a scan
+    that stops at its first feasible pair has built at most that pair's
+    array after it.  The transmissions that order the balanced pairs are
+    summed once, when the first pair reaches that test.
 
-    A pair's verdict is its presolve answer when it has one.  Else, when an
-    earlier infeasible pair had the same `_class_key` key, it is that
-    certificate mapped onto the pair's own matrix, if it verifies there;
-    else, a miss, or a key not seen before, the pair's own solve.  Pairs
-    are keyed and solved in scan order, one at a time.  Feasible answers
-    are not stored by key: each scan stops at its first.  A decided pair is
-    stored without its matrix unless it is feasible, the one matrix the
-    witness re-solve reads.
+    A pair's verdict is its presolve answer when it has one, else its own
+    solve.  A decided pair is stored without its matrix unless it is
+    feasible, the one matrix the witness re-solve reads.
     """
-    classes: dict = {}      # _class_key key -> certificate in key row order
     verdicts: dict[tuple[int, int], FeasibilityResult] = {}
     own: set[tuple[int, int]] = set()
     dist, top = None, -1    # the distance table as an array, its type's max
+    r = None                # the transmissions
+
+    def transmissions():
+        nonlocal r
+        if r is None:
+            r = [sum(row) for row in d.d]
+        return r
 
     def decide(u: int, v: int, mat, res) -> FeasibilityResult:
         """The verdict of (u, v) from its matrix mat and presolve answer
         res, stored."""
         if res is None:
-            key, rows = _class_key(mat)
-            y = classes.get(key)
-            if y is not None:
-                res = FeasibilityResult(
-                    "infeasible", matrix=mat,
-                    certificate=tuple(yi for _, yi in sorted(zip(rows, y))))
-            if y is None or not _check_result(res):
-                res = lp_feasible_strict(mat)
-                own.add((u, v))
-                if not res.feasible:
-                    classes[key] = tuple(res.certificate[i] for i in rows)
+            res = lp_feasible_strict(mat)
+            own.add((u, v))
         out = verdicts[u, v] = res if res.feasible else FeasibilityResult(
             "infeasible", certificate=res.certificate)
         return out
@@ -522,7 +554,7 @@ def _pair_verdicts(g: Graph, d: DistMatrix):
         while chunk := list(itertools.islice(pairs, size)):
             new = [pair for pair in chunk if pair not in verdicts]
             if len(new) < _BULK_PAIRS:
-                answers = ((mat, _presolve(mat))
+                answers = ((mat, _presolve(mat) or _balanced(d, transmissions(), mat))
                            for mat in (build_Duv(g, d, u, v) for u, v in new))
             else:
                 k = min(hi, d.diameter)
@@ -530,7 +562,7 @@ def _pair_verdicts(g: Graph, d: DistMatrix):
                 if bound > top:
                     dist = None                  # a wider table: drop the old first
                     dist, top = _distance_array(d, bound)
-                answers = _bulk_presolve(d, dist, new)
+                answers = _bulk_presolve(d, dist, new, transmissions)
             for u, v in chunk:
                 res = verdicts.get((u, v))
                 yield u, v, res if res is not None else decide(u, v, *next(answers))
@@ -542,7 +574,8 @@ def _pair_verdicts(g: Graph, d: DistMatrix):
 # The bulk path: see the module docstring.
 _BULK_PAIRS = 32
 _BULK_ENTRIES = 2 ** 16
-_NONE, _ROW, _COLUMN, _ALL_ROWS = range(4)     # the presolve answer kinds
+_NONE, _ROW, _COLUMN, _ALL_ROWS, _PAIR = range(5)     # the presolve answer kinds
+_SOURCES = (None, "one-vertex", "one-vertex", "row-sum", "balanced")
 
 
 def _distance_array(d: DistMatrix, bound: int):
@@ -554,17 +587,20 @@ def _distance_array(d: DistMatrix, bound: int):
     return np.array(d.d, dtype=dtype), int(np.iinfo(dtype).max)
 
 
-def _bulk_presolve(d: DistMatrix, dist, pairs):
+def _bulk_presolve(d: DistMatrix, dist, pairs, transmissions):
     """(mat, res) for each of pairs, in order: res is the pair's checked
     presolve answer, or None when the tests leave the pair; mat is its
     D^uv, read from the array, when the pair is left or feasible, else
-    None.  Each array is made when its first pair is asked for.
+    None.  Each array is made when its first pair is asked for, and
+    transmissions() is called when an array first has a pair that the
+    tests of `_presolve` leave to the balanced-pair test.
 
     The interiors are read from the table too, as the w != u, v with
     d(u,w) + d(w,v) = d(u,v), the rows `build_Duv` takes."""
     import numpy as np
     n = d.n
     cols = tuple(range(n))
+    r = None
     step = max(1, _BULK_ENTRIES // n)       # pairs whose intervals are found at once
     for first in range(0, len(pairs), step):
         block = pairs[first:first + step]
@@ -585,17 +621,25 @@ def _bulk_presolve(d: DistMatrix, dist, pairs):
             D, ws = _bulk_array(dist, us[lo:hi], vs[lo:hi], inside[lo:hi], m)
             valid = np.arange(m) < np.array(counts[lo:hi])[:, None]
             kind, index = _bulk_tests(D, valid)
-            ok = _bulk_verified(D, valid, kind, index)
-            for (u, v), k, i, good, count, p in zip(
-                    block[lo:hi], kind.tolist(), index.tolist(), ok.tolist(),
-                    counts[lo:hi], range(hi - lo)):
+            other = index.copy()
+            left = np.flatnonzero(kind == _NONE)
+            if len(left) and m > 1:           # a balanced pair takes two rows
+                if r is None:
+                    r = np.array(transmissions(), dtype=np.int64)
+                found, i, j = _bulk_balanced(dist, r, us[lo:hi][left], vs[lo:hi][left],
+                                             ws[left], valid[left])
+                left = left[found]
+                kind[left], index[left], other[left] = _PAIR, i[found], j[found]
+            ok = _bulk_verified(D, valid, kind, index, other)
+            for (u, v), k, i, j, good, count, p in zip(
+                    block[lo:hi], kind.tolist(), index.tolist(), other.tolist(),
+                    ok.tolist(), counts[lo:hi], range(hi - lo)):
                 if k != _NONE and not good:
-                    source = "row-sum" if k == _ALL_ROWS else "one-vertex"
                     raise AssertionError(
-                        f"{source} answer does not verify on pair ({u},{v})")
-                if k == _ROW:
+                        f"{_SOURCES[k]} answer does not verify on pair ({u},{v})")
+                if k in (_ROW, _PAIR):
                     yield None, FeasibilityResult("infeasible", certificate=tuple(
-                        int(j == i) for j in range(count)))
+                        int(t == i or t == j) for t in range(count)))
                 elif k == _ALL_ROWS:
                     yield None, FeasibilityResult("infeasible",
                                                   certificate=(1,) * count)
@@ -641,20 +685,46 @@ def _bulk_tests(D, valid):
     return kind, np.where(has_row, nonneg.argmax(axis=1), neg.argmax(axis=1))
 
 
-def _bulk_verified(D, valid, kind, index):
+def _bulk_verified(D, valid, kind, index, other):
     """Whether each pair's answer verifies on its rows of D, computed apart
     from the tests: y >= 0, y != 0 and y^T D >= 0 for a certificate, y
-    being e_index or 1 on the pair's rows; every row <= -1 in column index
-    for a witness (a padding row is -1 everywhere)."""
+    being 1 on the pair's rows, or e_index + e_other (e_index for a row,
+    whose other is its index); every row <= -1 in column index for a
+    witness (a padding row is -1 everywhere)."""
     import numpy as np
     at = np.arange(len(D))
     y = valid & (kind == _ALL_ROWS)[:, None]
-    row = kind == _ROW
-    y[at[row], index[row]] = valid[at[row], index[row]]
+    two = (kind == _ROW) | (kind == _PAIR)
+    for rows in (index, other):
+        y[at[two], rows[two]] = valid[at[two], rows[two]]
     certificate = (np.einsum("pr,prx->px", y.astype(D.dtype), D).min(axis=1) >= 0) \
         & y.any(axis=1)
     witness = (D[at, :, index] <= -1).all(axis=1)
     return np.where(kind == _COLUMN, witness, certificate)
+
+
+def _bulk_balanced(dist, r, us, vs, ws, valid):
+    """The tries of `_balanced` on the pairs (us[p], vs[p]) of an array at
+    once, ws[p] being their row vertices and valid marking their interior
+    rows: per pair, whether a try holds, and the rows i < j of the first
+    one that does."""
+    import numpy as np
+    m = ws.shape[1]
+    k = dist[us, vs][:, None]
+    level = dist[us[:, None], ws]
+    i, j = np.triu_indices(m, 1)            # the row pairs in (i, j) order
+    wi, wj = ws[:, i], ws[:, j]
+    balanced = valid[:, i] & valid[:, j] & (level[:, i] + level[:, j] == k)
+    t = r[wi] + r[wj]
+    top = 2 * int(r.max()) + 1              # above every t
+    rank = np.where(balanced, np.where(dist[wi, wj] == k, 0, top) + t, 2 * top)
+    tries = np.argsort(rank, axis=1, kind="stable")[:, :_BALANCED_TRIES]
+    w1, w2 = np.take_along_axis(wi, tries, 1), np.take_along_axis(wj, tries, 1)
+    far = (dist[us] + dist[vs])[:, None]
+    holds = (dist[w1] + dist[w2] <= far).all(axis=2) \
+        & np.take_along_axis(balanced, tries, 1)
+    first = tries[np.arange(len(tries)), holds.argmax(axis=1)]
+    return holds.any(axis=1), i[first], j[first]
 
 
 def has_Gp_connected_medians(g: Graph, d: DistMatrix, p: int) -> bool:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 
 from .errors import EmbeddingUnverified, LabelArity, ParseError
@@ -354,17 +356,23 @@ def induced_squares(g: Graph, d: DistMatrix):
 
 
 def satisfies_PC(g: Graph, d: DistMatrix) -> ClassVerdict:
-    """d(u,v1)+d(u,v3) = d(u,v2)+d(u,v4) on every induced square.  The row
-    d(.,v1)+d(.,v3) is built once per diagonal pair and compared with the
-    other diagonal's row as a list; u is looked up only on a failure."""
-    diagonal = row = None
+    """d(u,v1)+d(u,v3) = d(u,v2)+d(u,v4) on every induced square.  Each
+    distance row is packed into one int, one field per vertex wide enough
+    for 2 diam, so a sum of two packed rows carries nothing from field to
+    field, and two such sums are equal iff the rows agree entrywise.  The
+    rows are packed at the first square, and u is looked up in the lists
+    only on a failure."""
+    packed = None
     for sq in induced_squares(g, d):
+        if packed is None:
+            top = 2 * d.diameter
+            code = "B" if top < 1 << 8 else "H" if top < 1 << 16 else "Q"
+            packed = [int.from_bytes(array(code, row).tobytes(), sys.byteorder)
+                      for row in d.d]
         v1, v2, v3, v4 = sq
-        if diagonal != (v1, v3):
-            diagonal, row = (v1, v3), list(map(operator.add, d[v1], d[v3]))
-        other = list(map(operator.add, d[v2], d[v4]))
-        if other != row:
-            u = next(u for u, (a, b) in enumerate(zip(row, other)) if a != b)
+        if packed[v1] + packed[v3] != packed[v2] + packed[v4]:
+            u = next(u for u, (a, b, c, e) in enumerate(zip(d[v1], d[v3], d[v2], d[v4]))
+                     if a + b != c + e)
             return ClassVerdict("PC", False, (u,) + sq)
     return ClassVerdict("PC", True)
 

@@ -103,10 +103,15 @@ def test_criterion_5_chordal_and_cb_bound(mark):
     for _ in range(8):
         chordal_corpus.append(_random_ktree(rng, rng.randint(6, 10),
                                             rng.randint(1, 3)))
-    while len(chordal_corpus) < 16:
+    # 26 draws give the 8 interval graphs; a bound on the draws makes a
+    # recognizer that rejects them fail here rather than loop
+    for _ in range(64):
         g = _random_interval_graph(rng, rng.randint(5, 9))
         if g is not None and is_chordal(g):
             chordal_corpus.append(g)
+            if len(chordal_corpus) == 16:
+                break
+    assert len(chordal_corpus) == 16
     ok = _holds(cli._chordal_examples, cli._convex_ball_examples)
     for g in chordal_corpus:
         d = all_pairs_distances(g)

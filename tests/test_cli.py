@@ -15,7 +15,7 @@ from medgraph import cli
 from medgraph.cli import main
 from medgraph.families import cycle_graph, johnson, projective_incidence_graph
 from medgraph.graph import write_graph
-from medgraph.recognizers import write_labels
+from medgraph.recognizers import ClassVerdict, write_labels
 
 
 def _run(capsys, *argv):
@@ -281,6 +281,24 @@ def test_verify_paper_fails_when_a_local_check_is_wrong(monkeypatch, capsys,
     (claim,) = [c for _, c, fn in cli._PAPER if fn is entry]
     failed = [c for c in rep["result"]["checks"] if not c["passed"]]
     assert failed and all(c["claim"] == claim for c in failed)
+
+
+@pytest.mark.parametrize("module, name, value, entry", [
+    ("recognizers", "has_convex_balls", ClassVerdict("convex_balls", True),
+     "_convex_ball_examples"),
+    ("recognizers", "is_chordal", ClassVerdict("chordal", True), "_chordal_examples"),
+    ("metric", "is_gated_set", (True, {}), "_benzenoid_examples"),
+])
+def test_verify_paper_fails_when_a_class_test_accepts_everything(
+        monkeypatch, capsys, module, name, value, entry):
+    # each class entry holds a non-member: C_6 has no convex balls, C_4 is
+    # not chordal, and two opposite vertices of a hexagon are not gated
+    monkeypatch.setattr(getattr(medgraph, module), name, lambda *args: value)
+    assert main(["verify-paper", "all"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    (claim,) = [c for _, c, fn in cli._PAPER if fn is getattr(cli, entry)]
+    failed = [c for c in rep["result"]["checks"] if not c["passed"]]
+    assert failed and all(c["claim"] == claim for c in failed), failed
 
 
 C7 = "7 7\n" + "".join(f"{i} {(i + 1) % 7}\n" for i in range(7))

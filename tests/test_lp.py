@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -9,9 +10,10 @@ import pytest
 
 from medgraph.errors import InteriorTooLarge, WrongDistance
 from medgraph.families import (alpha_configuration, beta_configuration,
-                               cycle_graph, halved_cube, hypercube, johnson,
-                               path_graph, projective_incidence_graph)
-from medgraph.graph import Graph, all_pairs_distances
+                               cartesian_product, cycle_graph, halved_cube,
+                               hypercube, johnson, path_graph,
+                               projective_incidence_graph)
+from medgraph.graph import Graph, all_pairs_distances, build_graph
 import medgraph.lp as lp
 from medgraph.lp import (FeasibilityResult, RationalMatrix,
                          alpha_beta_certificate, build_Duv, compute_p,
@@ -20,7 +22,6 @@ from medgraph.lp import (FeasibilityResult, RationalMatrix,
                          witness_to_profile)
 from medgraph.medians import Profile, median_set
 from medgraph.metric import Jcirc_set, M_set, interior_interval
-import reference
 from reference import (_connected_atlas_graphs, _corpus, _gd, _pool_graphs,
                        _random_connected_graphs, _relabelled,
                        lp_feasible_strict_explicit, solve_pair)
@@ -219,43 +220,34 @@ def test_compute_p_values():
 
 
 def _recording_solves(monkeypatch):
-    """Record (pair, _class_key key, feasible) of every LP solve."""
+    """Record (pair, feasible) of every LP solve."""
     calls = []
 
     def recording(mat):
         res = lp_feasible_strict(mat)
-        calls.append(((mat.u, mat.v), lp._class_key(mat)[0], res.feasible))
+        calls.append(((mat.u, mat.v), res.feasible))
         return res
 
     monkeypatch.setattr(lp, "lp_feasible_strict", recording)
     return calls
 
 
-def _misses(calls):
-    """The recorded solves whose key an earlier infeasible solve stored."""
-    stored, misses = set(), 0
-    for _, key, feasible in calls:
-        misses += key in stored
-        if not feasible:
-            stored.add(key)
-    return misses
-
-
 def test_compute_p_solves_each_pair_once(monkeypatch):
     g, d = _gd(cycle_graph(21))
     calls = _recording_solves(monkeypatch)
     assert compute_p(g, d).p == 10
-    # every pair of C_21 has an all-negative column, so no class reaches
+    # every pair of C_21 has an all-negative column, so no pair reaches
     # the simplex; the one solve is the witness pair's own, where the plain
     # scan made 189
-    assert [pair for pair, *_ in calls] == [(0, 10)]
-    # no pair of G_2 has a one-vertex answer, and the 6 pairs of one class
-    # get y = 1 from their column sums: one solve per key of the other
-    # classes
+    assert [pair for pair, _ in calls] == [(0, 10)]
+    # no pair of G_2 has a one-vertex answer; the 6 pairs of one class get
+    # y = 1 from their column sums, and every infeasible pair the row sums
+    # leave has a balanced-pair certificate.  The two solves are the two
+    # feasible pairs the scan meets, (0, 15) at level 2 and the witness pair
+    # (14, 15) of the report, each solved once, where the class key made 3
     calls.clear()
     assert compute_p(*_gd(projective_incidence_graph(2))).p == 3
-    keys = [key for _, key, _ in calls]
-    assert len(calls) == 3 == len(set(keys))
+    assert calls == [((0, 15), True), ((14, 15), True)]
 
 
 def _recording_builds(monkeypatch):
@@ -287,14 +279,15 @@ def test_compute_p_re_solves_a_witness_pair_decided_by_its_class(monkeypatch):
     plain = compute_p(g, d)
     # every pair of C_7 has a presolve answer; the only solve is the
     # witness pair's own
-    assert [pair for pair, *_ in calls] == [(0, 3)]
+    assert [pair for pair, _ in calls] == [(0, 3)]
     assert plain.witness_profile == Profile(dict(solve_pair(g, d, 0, 3).witness))
-    # With the presolve off, each band is scanned in descending
-    # pair order the first time it is asked for, so level 2 decides (3, 6)
-    # and the report's scan of the same band meets (0, 3), of the same
-    # class.  A feasible answer is never taken from the cache: (0, 3) is
-    # solved on its own matrix, once, and no certificate is mapped, which
-    # would add a check of its own to the three solves' checks.
+    # With the presolve off, each band is scanned in descending pair order
+    # the first time it is asked for, so level 2 decides (3, 6) and the
+    # report's scan of the same band meets (0, 3), a pair of the same class
+    # under the rotations of C_7.  A feasible answer is never carried over
+    # from another pair: (0, 3) is solved on its own matrix, once, and the
+    # balanced-pair test, which finds no certificate of a feasible pair,
+    # adds no check to the three solves' checks.
     seen = set()
     band = lp._pairs_in_distance_band
 
@@ -318,9 +311,8 @@ def test_compute_p_re_solves_a_witness_pair_decided_by_its_class(monkeypatch):
     builds = _recording_builds(monkeypatch)
     calls.clear()
     rep = compute_p(g, d)
-    keys = [key for _, key, _ in calls]
-    assert [pair for pair, *_ in calls] == builds == checks == [(4, 6), (3, 6), (0, 3)]
-    assert keys[2] == keys[1] != keys[0]
+    assert [pair for pair, _ in calls] == builds == checks == [(4, 6), (3, 6), (0, 3)]
+    assert all(feasible for _, feasible in calls)
     assert (rep.p, rep.witness_pair) == (plain.p, plain.witness_pair) == (3, (0, 3))
     assert rep.witness_profile == plain.witness_profile
     assert rep.disconnecting_profile == plain.disconnecting_profile
@@ -520,7 +512,7 @@ def test_one_vertex_answers_agree_with_the_plain_solve():
             plain = solve_pair(g, d, u, v)
             one = lp._presolve(plain.matrix)
             if one is None:
-                kinds["undecided"] += 1     # left to the class key and the LP
+                kinds["undecided"] += 1     # left to the balanced-pair test and the LP
                 continue
             row_sum = one.certificate == (1,) * len(plain.matrix.rows)
             kinds["row-sum" if row_sum else one.status] += 1
@@ -607,7 +599,7 @@ def test_bulk_tests_agree_with_the_presolve_on_sign_boundaries():
     # back: ((1, -1), (-1, 1)) sums to (0, 0)
     D, valid = _bulk_of(*_SIGN_BOUNDARIES)
     kind, index = lp._bulk_tests(D, valid)
-    assert lp._bulk_verified(D, valid, kind, index)[kind != lp._NONE].all()
+    assert lp._bulk_verified(D, valid, kind, index, index)[kind != lp._NONE].all()
     for entries, k, i in zip(_SIGN_BOUNDARIES, kind.tolist(), index.tolist()):
         one = _one(*entries)
         m = len(entries)
@@ -625,13 +617,16 @@ def test_bulk_check_rejects_a_negative_column_sum_and_a_zero_in_the_witness():
                         ((-1, 2), (-2, 1)))
     kind = np.array([lp._ALL_ROWS, lp._ALL_ROWS, lp._COLUMN, lp._COLUMN])
     index = np.array([0, 0, 0, 0])
-    assert lp._bulk_verified(D, valid, kind, index).tolist() == [False, False, False, True]
+    assert lp._bulk_verified(D, valid, kind, index, index).tolist() == \
+        [False, False, False, True]
     # a claimed row must be a valid row of the pair, and nonnegative
     kind = np.array([lp._ROW] * 4)
-    assert lp._bulk_verified(D, valid, kind, np.array([1, 0, 1, 1])).tolist() == \
+    index = np.array([1, 0, 1, 1])
+    assert lp._bulk_verified(D, valid, kind, index, index).tolist() == \
         [False, True, True, False]
     D, valid = _bulk_of(((1, 1),), ((0, 0), (-1, -1)))
-    assert lp._bulk_verified(D, valid, kind[:2], np.array([1, 0])).tolist() == [False, True]
+    index = np.array([1, 0])
+    assert lp._bulk_verified(D, valid, kind[:2], index, index).tolist() == [False, True]
 
 
 def test_bulk_answer_is_checked(monkeypatch):
@@ -644,8 +639,8 @@ def test_bulk_answer_is_checked(monkeypatch):
     u, v = band[31]
     real = lp._bulk_verified
 
-    def rejecting_row_sums(D, valid, kind, index):
-        return real(D, valid, kind, index) & (kind != lp._ALL_ROWS)
+    def rejecting_row_sums(D, valid, kind, index, other):
+        return real(D, valid, kind, index, other) & (kind != lp._ALL_ROWS)
 
     monkeypatch.setattr(lp, "_bulk_verified", rejecting_row_sums)
     with pytest.raises(AssertionError,
@@ -670,130 +665,116 @@ def test_bulk_answer_is_checked(monkeypatch):
 def test_compute_p_builds_only_the_pairs_of_small_chunks(monkeypatch):
     # H_7/2 and J(8,3) have p = 1, decided by the band 2..2 alone: its
     # first 31 pairs are built one by one, the rest decided in arrays, and
-    # none reaches a key or a solve
+    # none reaches the balanced-pair test, on either path, or a solve
     for g in (halved_cube(7)[0], johnson(8, 3)[0]):
         g, d = _gd(g)
         builds = _recording_builds(monkeypatch)
-        monkeypatch.setattr(lp, "_class_key", None)
+        for name in ("_balanced", "_bulk_balanced", "lp_feasible_strict"):
+            monkeypatch.setattr(lp, name, None)
         assert compute_p(g, d).p == 1
         assert builds == list(itertools.islice(lp._pairs_in_distance_band(d, 2, 2), 31))
 
 
-def _permuted(m, rows, cols):
-    return tuple(tuple(m[i][j] for j in cols) for i in rows)
+# ------------------------------------------- balanced-pair certificates
+
+def _torus(n):
+    return cartesian_product(cycle_graph(n), cycle_graph(n))
 
 
-def test_canonical_key_is_a_permutation_shared_by_permuted_copies():
-    rng = random.Random(2)
-    for _ in range(3000):
-        n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 8)
-        m = [[rng.randint(-4, 4) for _ in range(n_cols)] for _ in range(n_rows)]
-        if n_rows > 1 and rng.random() < 0.5:        # a duplicate row
-            m[rng.randrange(n_rows)] = list(m[rng.randrange(n_rows)])
-        if n_cols > 1 and rng.random() < 0.5:        # a duplicate column
-            a, b = rng.randrange(n_cols), rng.randrange(n_cols)
-            for row in m:
-                row[a] = row[b]
-        m = tuple(map(tuple, m))
-        key, rows = lp._class_key(RationalMatrix(m, (), (), 0, 0))
-        # key row i is row rows[i] of m sorted, and the key rows are sorted
-        assert sorted(rows) == list(range(n_rows))
-        assert key == tuple(tuple(sorted(m[i])) for i in rows)
-        assert list(key) == sorted(key)
-        row_perm, col_perm = list(range(n_rows)), list(range(n_cols))
-        rng.shuffle(row_perm)
-        rng.shuffle(col_perm)
-        permuted = _permuted(m, row_perm, col_perm)
-        assert lp._class_key(RationalMatrix(permuted, (), (), 0, 0))[0] == key
-
-
-def test_a_key_shared_by_two_classes_is_a_miss_that_is_solved(monkeypatch):
-    # rows with the same entries, each in its own order, give one key to
-    # matrices that need not be permutations of each other: search for an
-    # infeasible one and a feasible one that the presolve leaves
-    rng = random.Random(0)
-    while True:
-        m, n = rng.randint(2, 3), rng.randint(2, 4)
-        a = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(m))
-        b = tuple(tuple(rng.sample(row, n)) for row in a)
-        mats = {(0, 2): RationalMatrix(a, tuple(range(m)), tuple(range(n)), 0, 2),
-                (1, 3): RationalMatrix(b, tuple(range(m)), tuple(range(n)), 1, 3)}
-        if not any(map(lp._presolve, mats.values())) and \
-                [lp_feasible_strict(mat).feasible for mat in mats.values()] == [False, True]:
-            break
-    assert lp._class_key(mats[0, 2])[0] == lp._class_key(mats[1, 3])[0]
-
-    def fake_build(g, d, u, v):
-        return mats[u, v]
-
-    monkeypatch.setattr(lp, "build_Duv", fake_build)
-    monkeypatch.setattr(reference, "build_Duv", fake_build)
-    monkeypatch.setattr(lp, "_pairs_in_distance_band", lambda d, lo, hi: iter(mats))
+def test_balanced_pairs_leave_only_feasible_pairs_to_the_simplex(monkeypatch):
+    # every pair that the presolve leaves and no balanced pair certifies is
+    # solved, and on these graphs each of them is feasible: the witness
+    # re-solve on C_21 and coronene, and the one or two feasible pairs the
+    # scan meets on C_10 x C_10, G_5 and G_2.  A class key on the pairs the
+    # presolve leaves made 1, 9, 4, 3 and 3 solves.
     calls = _recording_solves(monkeypatch)
-    scan, own = lp._pair_verdicts(None, None)
-    (_, _, first), (_, _, res) = scan(2, 2)
-    assert not first.feasible
-    # the certificate of (0, 2), mapped onto (1, 3), fails its check there
-    assert _misses(calls) == 1 and own == {(0, 2), (1, 3)}
-    assert res == solve_pair(None, None, 1, 3) and res.feasible
+    coronene = list(_corpus())[-1]
+    for g, solves in ((cycle_graph(21), 1), (_torus(10), 1), (coronene, 1),
+                      (projective_incidence_graph(5), 2),
+                      (projective_incidence_graph(2), 2)):
+        calls.clear()
+        compute_p(*_gd(g))
+        assert len(calls) == solves and all(f for _, f in calls), (g.name, calls)
 
 
-def test_class_key_misses_no_class_on_the_corpus(monkeypatch):
-    # the corpus and three relabellings of it make the same solves: G_2 and
-    # G_3 one per class their presolve leaves, however they are labelled.
-    # A key that told rows with equal sorted entries apart made 19, 17 and
-    # 18 solves on the three relabellings.
-    calls = _recording_solves(monkeypatch)
-    solves = []
-    for seed in (None, 1, 2, 3):
-        for g in _corpus():
-            calls.clear()
-            compute_p(*_gd(g if seed is None else _relabelled(g, seed)))
-            assert _misses(calls) == 0, seed
-            solves.append(len(calls))
-    assert solves == [1, 1, 3, 3, 5, 0, 0, 4] * 4
+def test_balanced_pair_sign_boundaries():
+    # the pair (0, 22) of C_10 x C_10, at distance 4, is left by the
+    # presolve and certified by the corners 2 and 20 of its 3 x 3 interval,
+    # where every inequality d(w1,x) + d(w2,x) <= d(u,x) + d(v,x) is an
+    # equality: y^T D^uv = 0
+    g, d = _gd(_torus(10))
+    r = [sum(row) for row in d.d]
+    mat = build_Duv(g, d, 0, 22)
+    assert lp._presolve(mat) is None
+    y = lp._balanced(d, r, mat).certificate
+    assert [w for w, yi in zip(mat.rows, y) if yi] == [2, 20] and sum(y) == 2
+    assert set(map(sum, zip(*(row for row, yi in zip(mat.entries, y) if yi)))) == {0}
+    # the pair (1, 3) of this 7-vertex graph has one balanced pair, {2, 6},
+    # and d(2,5) + d(6,5) = d(1,5) + d(3,5) + 1: no certificate, and the
+    # pair is feasible
+    g, d = _gd(build_graph(7, [(0, 1), (0, 5), (0, 6), (1, 2), (1, 6), (2, 3),
+                               (3, 4), (3, 6), (4, 5)]))
+    mat = build_Duv(g, d, 1, 3)
+    assert mat.rows == (2, 6) and d(2, 5) + d(6, 5) == d(1, 5) + d(3, 5) + 1
+    assert lp._presolve(mat) is None
+    assert lp._balanced(d, [sum(row) for row in d.d], mat) is None
+    assert solve_pair(g, d, 1, 3).feasible
 
 
-@pytest.mark.parametrize("graph, decide", [
-    # p = 3: compute_p, and the band 3..4 at p = 2, each map 116 class
-    # certificates onto later pairs
-    (projective_incidence_graph(3), compute_p),
-    (projective_incidence_graph(3), lambda g, d: has_Gp_connected_medians(g, d, 2)),
-], ids=["G_3", "G_3-has_Gp_p2"])
-def test_compute_p_rejects_a_corrupted_cache_entry(monkeypatch, graph, decide):
-    g, d = _gd(graph)
-    keyed, owns = [], []
-    real_key, real_verdicts = lp._class_key, lp._pair_verdicts
+def _lowered_column_u(entries, u):
+    """entries with column u set to -1 in every row but the last: the sum
+    of any two rows is then negative there, while column u is not all
+    negative and no row becomes nonnegative."""
+    return [row[:u] + (-1,) + row[u + 1:] for row in entries[:-1]] + list(entries[-1:])
 
-    def recording_key(mat):
-        keyed.append((mat.u, mat.v))
-        return real_key(mat)
 
-    def recording_verdicts(g, d):
-        scan, own = real_verdicts(g, d)
-        owns.append(own)
-        return scan, own
+def test_a_corrupted_balanced_certificate_raises_on_both_paths(monkeypatch):
+    # the balanced-pair test reads the distance table, and its answer is
+    # checked on the matrix: with column u of every D^uv lowered, each
+    # certificate it finds fails that check.  C_10 x C_10 is scanned pair
+    # by pair, then with every chunk in arrays.
+    g, d = _gd(_torus(10))
+    monkeypatch.setattr(lp, "build_Duv", lambda g, d, u, v: replace(
+        mat := build_Duv(g, d, u, v), entries=tuple(_lowered_column_u(mat.entries, u))))
+    monkeypatch.setattr(lp, "_BULK_PAIRS", sys.maxsize)
+    with pytest.raises(AssertionError, match="balanced answer does not verify on pair"):
+        compute_p(g, d)
+    monkeypatch.setattr(lp, "build_Duv", build_Duv)
+    real = lp._bulk_array
 
-    monkeypatch.setattr(lp, "_class_key", recording_key)
-    monkeypatch.setattr(lp, "_pair_verdicts", recording_verdicts)
-    plain = decide(g, d)
-    plain_solves = len(owns.pop())
-    assert len(keyed) == plain_solves + 116
-    keyed.clear()
-    # every certificate the simplex returns, and so every one stored by
-    # class, is replaced by y = 0 after its own check; each mapped one
-    # fails its check, and its pair is solved
-    real = lp.lp_feasible_strict
+    def lowered(dist, us, vs, inside, m):
+        D, ws = real(dist, us, vs, inside, m)
+        for p, (u, count) in enumerate(zip(us.tolist(), inside.sum(axis=1).tolist())):
+            D[p, :count] = _lowered_column_u([tuple(row) for row in D[p, :count]], u)
+        return D, ws
 
-    def corrupted(mat):
-        res = real(mat)
-        return res if res.feasible else replace(
-            res, certificate=(Fraction(0),) * len(mat.entries))
+    monkeypatch.setattr(lp, "_bulk_array", lowered)
+    monkeypatch.setattr(lp, "_BULK_PAIRS", 1)
+    with pytest.raises(AssertionError, match="balanced answer does not verify on pair"):
+        compute_p(g, d)
 
-    monkeypatch.setattr(lp, "lp_feasible_strict", corrupted)
-    assert decide(g, d) == plain
-    (own,) = owns
-    assert set(keyed) == own and len(own) == plain_solves + 116
+
+def test_bulk_and_per_pair_balanced_verdicts_agree(monkeypatch):
+    # the same certificate e_i + e_j from both paths on every pair that the
+    # presolve leaves, with every chunk in arrays and with every pair on its
+    # own, on graphs where the balanced-pair test decides many pairs
+    found = Counter()
+    per_pair, bulk = lp._balanced, lp._bulk_balanced
+    monkeypatch.setattr(lp, "_balanced", lambda d, r, mat: (
+        res := per_pair(d, r, mat), found.update(["per pair"] * (res is not None)))[0])
+    monkeypatch.setattr(lp, "_bulk_balanced", lambda *a: (
+        out := bulk(*a), found.update(["bulk"] * int(out[0].sum())))[0])
+    coronene = list(_corpus())[-1]
+    for g in (_relabelled(_torus(6), 3), _relabelled(projective_incidence_graph(3), 4),
+              _relabelled(coronene, 5)):
+        d = all_pairs_distances(g)
+        verdicts = []
+        for gate in (sys.maxsize, 1):
+            monkeypatch.setattr(lp, "_BULK_PAIRS", gate)
+            scan, own = lp._pair_verdicts(g, d)
+            verdicts.append(([repr(t) for t in scan(2, d.diameter)], own))
+        assert verdicts[0] == verdicts[1]
+    assert found["per pair"] == found["bulk"] > 100, found
 
 
 def test_compute_p_keeps_no_matrix_of_an_infeasible_pair():
@@ -841,8 +822,8 @@ def test_the_bulk_table_is_typed_by_the_band_it_serves(monkeypatch):
     d = all_pairs_distances(g)
     dtypes = []
     bulk = lp._bulk_presolve
-    monkeypatch.setattr(lp, "_bulk_presolve", lambda d, dist, pairs: (
-        dtypes.append(dist.dtype), bulk(d, dist, pairs))[1])
+    monkeypatch.setattr(lp, "_bulk_presolve", lambda d, dist, pairs, r: (
+        dtypes.append(dist.dtype), bulk(d, dist, pairs, r))[1])
     assert compute_p(g, d).p == 1
     assert dtypes == [np.int16]             # pairs 31..62 of band 2
     tables = []

@@ -263,9 +263,9 @@ def test_sparse_certificate_check_equals_the_dense_product():
 
 
 def test_pair_verdicts_match_the_plain_solve(monkeypatch):
-    """Presolve, cached and own verdicts against the plain simplex on every
-    pair: the atlas bands at p = 1, 2, the benchmark's random pool, and
-    relabelled half-cube, Johnson and projective-plane graphs."""
+    """Presolve, balanced-pair and own verdicts against the plain simplex
+    on every pair: the atlas bands at p = 1, 2, the benchmark's random
+    pool, and relabelled half-cube, Johnson and projective-plane graphs."""
     relabelled = [_relabelled(g, 5) for g in (
         halved_cube(6)[0], johnson(7, 3)[0], projective_incidence_graph(3))]
     sets = {
@@ -282,8 +282,8 @@ def test_pair_verdicts_match_the_plain_solve(monkeypatch):
         return real(res, source)
 
     monkeypatch.setattr(lp, "_checked", recording)
-    # every pair on the per-pair path, whose presolve answers pass through
-    # `_checked`; the bulk path is held to this one by
+    # every pair on the per-pair path, whose presolve and balanced-pair
+    # answers pass through `_checked`; the bulk path is held to this one by
     # test_bulk_and_per_pair_verdicts_agree
     monkeypatch.setattr(lp, "_BULK_PAIRS", sys.maxsize)
     kinds = {name: Counter() for name in sets}
@@ -295,13 +295,13 @@ def test_pair_verdicts_match_the_plain_solve(monkeypatch):
             for u, v, res in scan(lo, hi or d.diameter):
                 if (u, v) in own:
                     kind = "own solve"
-                else:   # a checked presolve answer, else a mapped certificate
-                    kind = sources[0] if sources else "cached answer"
+                else:   # a checked presolve or balanced-pair answer
+                    (kind,) = sources
                 kinds[name][kind] += 1
                 assert res.feasible == solve_pair(g, d, u, v).feasible, (name, u, v)
                 sources.clear()     # the scan decides the next pair after this
     for name, count in kinds.items():
-        assert count["row-sum answer"] and count["cached answer"], (name, count)
+        assert count["row-sum answer"] and count["balanced answer"], (name, count)
 
 
 def test_bulk_and_per_pair_verdicts_agree(monkeypatch):
