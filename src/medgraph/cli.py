@@ -333,6 +333,42 @@ def _convex_ball_examples() -> list[tuple[str, bool]]:
         g, all_pairs_distances(g)).verdict) for g in pentagons]
 
 
+def _weakly_bridged_examples() -> list[tuple[str, bool]]:
+    # the wheels are not chordal, so the bridged entry does not cover them;
+    # their rim is checked as an induced cycle, apart from `is_chordal`
+    checks = []
+    for n in (5, 6, 7):
+        g = families.wheel(n)
+        d = all_pairs_distances(g)
+        checks += [(f"{g.name} weakly bridged",
+                    recognizers.is_weakly_bridged(g, d).verdict),
+                   (f"{g.name} not chordal: its rim is an induced C_{n}",
+                    all(g.has_edge(i, j) == ((j - i) % n in (1, n - 1))
+                        for i in range(n) for j in range(i + 1, n))),
+                   (f"{g.name} p<=2", lp.compute_p(g, d).p <= 2)]
+    broken = families.wheel(5, broken=True)
+    return checks + [(f"{broken.name} not weakly bridged",
+                      not recognizers.is_weakly_bridged(
+                          broken, all_pairs_distances(broken)).verdict)]
+
+
+def _retract_examples() -> list[tuple[str, bool]]:
+    grid = families.cartesian_product(families.path_graph(3), families.path_graph(4))
+    checks = []
+    for g in (families.cycle_graph(4), grid, families.complete_bipartite(2, 3),
+              families.complete_bipartite(3, 3)):
+        d = all_pairs_distances(g)
+        checks += [(f"{g.name} bipartite absolute retract",
+                    recognizers.is_bipartite_absolute_retract(g, d).verdict),
+                   (f"{g.name} p<=2", lp.compute_p(g, d).p <= 2)]
+    for g in (families.cycle_graph(6), families.hypercube(3)[0]):
+        checks.append((f"{g.name} bipartite, not a bipartite absolute retract",
+                       recognizers.is_bipartite(g)[0]
+                       and not recognizers.is_bipartite_absolute_retract(
+                           g, all_pairs_distances(g)).verdict))
+    return checks
+
+
 def _benzenoid_examples() -> list[tuple[str, bool]]:
     from .metric import is_gated_set
     checks = []
@@ -422,10 +458,10 @@ _PAPER = [
              "conditions at p = 2 and meets them at p = 3", _fano_plane),
     ("classes", _UNIMODAL, None),
     ("classes", _BRIDGED, _chordal_examples),
-    ("classes", _WEAKLY_BRIDGED, None),
+    ("classes", _WEAKLY_BRIDGED, _weakly_bridged_examples),
     ("classes", _CONVEX_BALLS, _convex_ball_examples),
     ("classes", _BUCOLIC, None),
-    ("classes", _RETRACTS, None),
+    ("classes", _RETRACTS, _retract_examples),
     ("benzenoids", _BENZENOIDS, _benzenoid_examples),
     ("classes", _JOHNSON, _johnson_examples),
     ("classes", _HALVED_CUBE, _halved_cube_examples),

@@ -97,18 +97,22 @@ def _neighbour_masks(g: Graph) -> list[int]:
     return nbr
 
 
-def _bfs(nbr: list[int], source: int) -> list[int]:
+def _bfs(nbr: list[int], source: int, levels: list[int]) -> list[int]:
     """Level-synchronous BFS on neighbour bitsets: the next frontier is the
-    OR of the frontier's neighbour masks, less every vertex already seen."""
+    OR of the frontier's neighbour masks, less every vertex already seen.
+    The distance k is stored as levels[k], so rows that share levels share
+    their int objects: CPython caches only the ints up to 256, and each
+    distinct int takes 32 bytes besides the row's 8-byte pointer to it."""
     dist = [-1] * len(nbr)
     seen = frontier = 1 << source
     k = 0
     while frontier:
         reach = 0
+        level = levels[k]
         while frontier:
             low = frontier & -frontier
             x = low.bit_length() - 1
-            dist[x] = k
+            dist[x] = level
             reach |= nbr[x]
             frontier ^= low
         frontier = reach & ~seen
@@ -150,7 +154,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]], name: str = "") -> Gra
 
 def all_pairs_distances(g: Graph) -> DistMatrix:
     nbr = _neighbour_masks(g)
-    return DistMatrix([_bfs(nbr, s) for s in range(g.n)])
+    levels = list(range(g.n))
+    return DistMatrix([_bfs(nbr, s, levels) for s in range(g.n)])
 
 
 def power_graph(g: Graph, p: int) -> Graph:

@@ -104,32 +104,28 @@ tries; the pool's time was the same within noise at 4 to 40 tries.  Every
 presolve answer is an int tuple or a unit witness, and is checked on the
 full matrix like the simplex's.
 
-The band scans of `_pair_verdicts` take chunks of 1, 2, 4, ... pairs.  A
-chunk with at least _BULK_PAIRS undecided pairs is presolved in bulk
-(`_bulk_presolve`): numpy arrays D[pair, row, x], built from one copy of
-the distance table, each pair's rows padded with rows of -1 to the longest
-interior of its array, which changes no test.  The three tests run on the
-whole array in the order above (`_bulk_tests`), then the balanced-pair
-tries on the pairs they leave (`_bulk_balanced`), and every answer is
-checked in the same array by a computation of its own (`_bulk_verified`):
-y^T D >= 0 for a certificate, y = e_i + e_j for a balanced pair, every row
-<= -1 in the witness column.  A failed check raises `AssertionError`
-naming the pair.  A pair decided by a certificate gets no `RationalMatrix`;
-the pairs the tests leave, and the feasible ones, take theirs from the
-array rows, and the ones left go on to the LP.  A chunk with fewer
-undecided pairs, the first five chunks (31 pairs) among them, keeps
-`build_Duv`, `_presolve` and `_balanced`, so a scan that fails on one of
-its first pairs makes no array.  Both read a pair's interior from the
-distance rows, as the w != u, v with d(u,w) + d(w,v) = d(u,v), so a scan
-builds no level bitsets.  The gate of 32 pairs was measured on a 2-vCPU VM
-(best of 15, compute_p on every graph of a set): the benchmark's random
-pool, whose bands are short and whose pairs the presolve mostly leaves, took
-0.21 s with no bulk path, 0.21 s at 32 pairs, 0.22 s at 16 and 0.24 s at
-8 (0.26, 0.25, 0.28 and 0.30 s in another run); the ROADMAP corpus took
-0.065, 0.038, 0.036 and 0.034 s.  A gate of 1 pair, every chunk in arrays,
-took the random pool from 0.31 to 0.48 s and `has_Gp_connected_medians`
-at p = 1, 2 on the 995 atlas graphs from 0.23 to 0.87 s (best of 5), so
-the per-pair path stays.  Two bounds hold:
+A band scan of `_pair_verdicts` streams the pairs it has not decided yet.
+The first _BULK_PAIRS - 1 = 31 of them keep `build_Duv`, `_presolve` and
+`_balanced`, so a scan that fails on one of its first pairs makes no array.
+The rest go to one `_bulk_presolve` per scan: numpy arrays D[pair, row, x],
+built from one copy of the distance table, each pair's rows padded with
+rows of -1 to the longest interior of its array, which changes no test.
+The three tests run on the whole array in the order above (`_bulk_tests`),
+then the balanced-pair tries on the pairs they leave (`_bulk_balanced`),
+and every answer is checked in the same array by a computation of its own
+(`_bulk_verified`): y^T D >= 0 for a certificate, y = e_i + e_j for a
+balanced pair, every row <= -1 in the witness column.  A failed check
+raises `AssertionError` naming the pair.  A pair decided by a certificate
+gets no `RationalMatrix`; the pairs the tests leave, and the feasible ones,
+take theirs from the array rows, and the ones left go on to the LP.  Both
+paths read a pair's interior from the distance rows, as the w != u, v with
+d(u,w) + d(w,v) = d(u,v), so a scan builds no level bitsets.  The head of
+31 pairs stays because an array costs more than it saves on a short band.
+With every pair in arrays, compute_p on the benchmark's random pool went
+from 0.19 to 0.32 s and has_Gp_connected_medians at p = 1, 2 on the 995
+atlas graphs, whose bands hold at most 21 pairs, from 0.15 to 0.41 s
+(2-vCPU VM, best of 5); the ROADMAP corpus, where the arrays pay, took
+0.026 s with the head and 0.06 s with no arrays.  Two bounds hold:
 - on a pair at distance k, write a = d(u,w) and b = d(v,w), so a + b = k.
   The entry b d(u,x) + a d(v,x) - k d(w,x) is at most 2ab, since
   d(u,x) <= a + d(w,x) and d(v,x) <= b + d(w,x), and at least -2ab, since
@@ -159,8 +155,8 @@ stays violated.  The moves end on J(u,v), so the LP on the J(u,v) columns
 alone is feasible iff this one is: a J-column LP would add nothing.
 D^uv depends only on the pair, never on p, so `_pair_verdicts` decides
 each pair at most once, and `compute_p` stops each scan, the report's too,
-at its first failing pair: its solve is the last one, and a bulk chunk has
-presolved the pairs of that pair's array at most.
+at its first failing pair: its solve is the last one, and the bulk path
+has presolved the pairs of that pair's array at most.
 """
 
 from __future__ import annotations
@@ -512,15 +508,14 @@ def _pair_verdicts(g: Graph, d: DistMatrix):
     own solve.
 
     scan(lo, hi) yields (u, v, verdict) for the pairs of the band
-    lo <= d(u,v) <= hi in `_pairs_in_distance_band` order, in chunks of
-    1, 2, 4, ... pairs.  The pairs of a chunk not yet decided get their
-    matrix and presolve answer from one lazy iterator: `build_Duv`,
-    `_presolve` and `_balanced`, a pair at a time, when they are fewer than
-    _BULK_PAIRS, else `_bulk_presolve`, an array at a time.  At the gate of
-    32 the first five chunks, 31 pairs, are decided one by one, and a scan
-    that stops at its first feasible pair has built at most that pair's
-    array after it.  The transmissions that order the balanced pairs are
-    summed once, when the first pair reaches that test.
+    lo <= d(u,v) <= hi in `_pairs_in_distance_band` order.  The pairs not
+    yet decided get their matrix and presolve answer from one lazy stream:
+    the first _BULK_PAIRS - 1 of them from `build_Duv`, `_presolve` and
+    `_balanced`, a pair at a time, and the rest from one `_bulk_presolve`,
+    an array at a time.  A scan that stops within its first 31 undecided
+    pairs makes no array, and one that stops later has read at most one
+    block of pairs past the pair it stops at.  The transmissions that order
+    the balanced pairs are summed once, for all scans.
 
     A pair's verdict is its presolve answer when it has one, else its own
     solve.  A decided pair is stored without its matrix unless it is
@@ -529,13 +524,7 @@ def _pair_verdicts(g: Graph, d: DistMatrix):
     verdicts: dict[tuple[int, int], FeasibilityResult] = {}
     own: set[tuple[int, int]] = set()
     dist, top = None, -1    # the distance table as an array, its type's max
-    r = None                # the transmissions
-
-    def transmissions():
-        nonlocal r
-        if r is None:
-            r = [sum(row) for row in d.d]
-        return r
+    r = [sum(row) for row in d.d]       # the transmissions
 
     def decide(u: int, v: int, mat, res) -> FeasibilityResult:
         """The verdict of (u, v) from its matrix mat and presolve answer
@@ -547,26 +536,28 @@ def _pair_verdicts(g: Graph, d: DistMatrix):
             "infeasible", certificate=res.certificate)
         return out
 
-    def scan(lo: int, hi: int):
+    def bulk(pairs, k: int):
+        """`_bulk_presolve` on pairs, over a table that holds the values of
+        a band up to distance k."""
         nonlocal dist, top
-        pairs = _pairs_in_distance_band(d, lo, hi)
-        size = 1
-        while chunk := list(itertools.islice(pairs, size)):
-            new = [pair for pair in chunk if pair not in verdicts]
-            if len(new) < _BULK_PAIRS:
-                answers = ((mat, _presolve(mat) or _balanced(d, transmissions(), mat))
-                           for mat in (build_Duv(g, d, u, v) for u, v in new))
-            else:
-                k = min(hi, d.diameter)
-                bound = d.n * (k * k // 2)       # see the module docstring
-                if bound > top:
-                    dist = None                  # a wider table: drop the old first
-                    dist, top = _distance_array(d, bound)
-                answers = _bulk_presolve(d, dist, new, transmissions)
-            for u, v in chunk:
-                res = verdicts.get((u, v))
-                yield u, v, res if res is not None else decide(u, v, *next(answers))
-            size *= 2
+        bound = d.n * (k * k // 2)              # see the module docstring
+        if bound > top:
+            dist = None                         # a wider table: drop the old first
+            dist, top = _distance_array(d, bound)
+        yield from _bulk_presolve(d, dist, pairs, r)
+
+    def scan(lo: int, hi: int):
+        band, pairs = itertools.tee(_pairs_in_distance_band(d, lo, hi))
+        new = (pair for pair in pairs if pair not in verdicts)
+        head = ((mat, _presolve(mat) or _balanced(d, r, mat))
+                for mat in (build_Duv(g, d, u, v)
+                            for u, v in itertools.islice(new, _BULK_PAIRS - 1)))
+        answers = itertools.chain(head, bulk(new, min(hi, d.diameter)))
+        # new may be read ahead of band, but only this loop adds to
+        # verdicts, each pair when it reaches it: the answers stay in step
+        for u, v in band:
+            res = verdicts.get((u, v))
+            yield u, v, res if res is not None else decide(u, v, *next(answers))
 
     return scan, own
 
@@ -587,23 +578,21 @@ def _distance_array(d: DistMatrix, bound: int):
     return np.array(d.d, dtype=dtype), int(np.iinfo(dtype).max)
 
 
-def _bulk_presolve(d: DistMatrix, dist, pairs, transmissions):
-    """(mat, res) for each of pairs, in order: res is the pair's checked
-    presolve answer, or None when the tests leave the pair; mat is its
-    D^uv, read from the array, when the pair is left or feasible, else
-    None.  Each array is made when its first pair is asked for, and
-    transmissions() is called when an array first has a pair that the
-    tests of `_presolve` leave to the balanced-pair test.
+def _bulk_presolve(d: DistMatrix, dist, pairs, r):
+    """(mat, res) for each pair of the iterable pairs, in order: res is the
+    pair's checked presolve answer, or None when the tests leave the pair;
+    mat is its D^uv, read from the array, when the pair is left or
+    feasible, else None.  r holds the transmissions.  Pairs are read a block
+    at a time, and each array is made when its first pair is asked for.
 
     The interiors are read from the table too, as the w != u, v with
     d(u,w) + d(w,v) = d(u,v), the rows `build_Duv` takes."""
     import numpy as np
     n = d.n
     cols = tuple(range(n))
-    r = None
+    r = np.array(r, dtype=np.int64)
     step = max(1, _BULK_ENTRIES // n)       # pairs whose intervals are found at once
-    for first in range(0, len(pairs), step):
-        block = pairs[first:first + step]
+    while block := list(itertools.islice(pairs, step)):
         us, vs = np.array(block).T
         at = np.arange(len(block))
         du, dv = dist[us], dist[vs]
@@ -624,8 +613,6 @@ def _bulk_presolve(d: DistMatrix, dist, pairs, transmissions):
             other = index.copy()
             left = np.flatnonzero(kind == _NONE)
             if len(left) and m > 1:           # a balanced pair takes two rows
-                if r is None:
-                    r = np.array(transmissions(), dtype=np.int64)
                 found, i, j = _bulk_balanced(dist, r, us[lo:hi][left], vs[lo:hi][left],
                                              ws[left], valid[left])
                 left = left[found]

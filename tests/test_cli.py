@@ -249,6 +249,7 @@ def test_verify_paper_all(capsys):
     not_covered = result["not_covered"]
     assert sorted([*checked, *not_covered]) == sorted(cli.ABSTRACT_CLAIMS)
     assert not_covered == [c for c in cli.ABSTRACT_CLAIMS if c in not_covered]
+    assert not_covered == [cli._UNIMODAL, cli._BUCOLIC]
 
 
 def test_an_uncovered_claim_leaves_the_exit_code_at_0(monkeypatch, capsys):
@@ -288,17 +289,32 @@ def test_verify_paper_fails_when_a_local_check_is_wrong(monkeypatch, capsys,
      "_convex_ball_examples"),
     ("recognizers", "is_chordal", ClassVerdict("chordal", True), "_chordal_examples"),
     ("metric", "is_gated_set", (True, {}), "_benzenoid_examples"),
+    ("recognizers", "is_weakly_bridged", ClassVerdict("weakly_bridged", True),
+     "_weakly_bridged_examples"),
+    ("recognizers", "is_bipartite_absolute_retract",
+     ClassVerdict("bipartite_absolute_retract", True), "_retract_examples"),
 ])
 def test_verify_paper_fails_when_a_class_test_accepts_everything(
         monkeypatch, capsys, module, name, value, entry):
-    # each class entry holds a non-member: C_6 has no convex balls, C_4 is
-    # not chordal, and two opposite vertices of a hexagon are not gated
+    # each class entry holds a non-member, whose check must fail, and every
+    # failing check belongs to the entry or to one that calls its test:
+    # is_bridged calls is_weakly_bridged, so C_4 then passes as bridged
+    nonmember, others = {
+        "_convex_ball_examples": ("C_6 not CB, witness (0, 2, 1, 4, 3)", ()),
+        "_chordal_examples": ("C_4 not chordal", ()),
+        "_benzenoid_examples": ("hexagon vertices {0, 3}, at distance 2, not gated", ()),
+        "_weakly_bridged_examples": ("W_5- not weakly bridged", ("_chordal_examples",)),
+        "_retract_examples": ("C_6 bipartite, not a bipartite absolute retract", ()),
+    }[entry]
     monkeypatch.setattr(getattr(medgraph, module), name, lambda *args: value)
     assert main(["verify-paper", "all"]) == 1
     rep = json.loads(capsys.readouterr().out)
     (claim,) = [c for _, c, fn in cli._PAPER if fn is getattr(cli, entry)]
+    claims = {c for _, c, fn in cli._PAPER
+              if fn in [getattr(cli, e) for e in (entry, *others)]}
     failed = [c for c in rep["result"]["checks"] if not c["passed"]]
-    assert failed and all(c["claim"] == claim for c in failed), failed
+    assert (claim, nonmember) in [(c["claim"], c["check"]) for c in failed], failed
+    assert all(c["claim"] in claims for c in failed), failed
 
 
 C7 = "7 7\n" + "".join(f"{i} {(i + 1) % 7}\n" for i in range(7))

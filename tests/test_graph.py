@@ -15,6 +15,14 @@ def test_build_and_distances():
     assert d.diameter == 3
 
 
+def test_distance_rows_share_their_ints():
+    # CPython caches the ints up to 256 only; every row takes distance k
+    # from one shared list, so P_2048's table is not one int per entry
+    d = all_pairs_distances(path_graph(300))
+    assert d.d[0][280] == d.d[1][281] == 280
+    assert d.d[0][280] is d.d[1][281]
+
+
 def test_neighbour_sets_are_built_on_first_read():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (1, 2)])
     assert "adj_sets" not in vars(g)

@@ -662,17 +662,42 @@ def test_bulk_answer_is_checked(monkeypatch):
         compute_p(g, d)
 
 
-def test_compute_p_builds_only_the_pairs_of_small_chunks(monkeypatch):
+def test_compute_p_builds_the_first_31_pairs_and_presolves_the_rest_in_one_stream(
+        monkeypatch):
     # H_7/2 and J(8,3) have p = 1, decided by the band 2..2 alone: its
-    # first 31 pairs are built one by one, the rest decided in arrays, and
-    # none reaches the balanced-pair test, on either path, or a solve
+    # first 31 pairs are built one by one, the rest decided in arrays by a
+    # single `_bulk_presolve`, and none reaches the balanced-pair test, on
+    # either path, or a solve
+    bulk = lp._bulk_presolve
     for g in (halved_cube(7)[0], johnson(8, 3)[0]):
         g, d = _gd(g)
         builds = _recording_builds(monkeypatch)
+        calls = []
+        monkeypatch.setattr(lp, "_bulk_presolve", lambda *a: (
+            calls.append(a), bulk(*a))[1])
         for name in ("_balanced", "_bulk_balanced", "lp_feasible_strict"):
             monkeypatch.setattr(lp, name, None)
         assert compute_p(g, d).p == 1
         assert builds == list(itertools.islice(lp._pairs_in_distance_band(d, 2, 2), 31))
+        assert len(calls) == 1
+
+
+def test_a_scan_over_decided_pairs_gives_each_pair_its_own_verdict(monkeypatch):
+    # a scan stopped after `stop` pairs, then a scan of the whole band: the
+    # second one streams only the pairs the first left undecided, on the
+    # per-pair path and, at gate 1, through the bulk path's read-ahead, and
+    # every verdict and solved pair equals that of one fresh scan
+    for g in _corpus():
+        d = all_pairs_distances(g)
+        for gate in (sys.maxsize, 32, 1):
+            monkeypatch.setattr(lp, "_BULK_PAIRS", gate)
+            scan, own = lp._pair_verdicts(g, d)
+            fresh = [repr(t) for t in scan(2, d.diameter)], own
+            for stop in (1, 20, 40):
+                scan, own = lp._pair_verdicts(g, d)
+                list(itertools.islice(scan(2, d.diameter), stop))
+                assert ([repr(t) for t in scan(2, d.diameter)], own) == fresh, \
+                    (g.name, gate, stop)
 
 
 # ------------------------------------------- balanced-pair certificates
@@ -732,7 +757,7 @@ def test_a_corrupted_balanced_certificate_raises_on_both_paths(monkeypatch):
     # the balanced-pair test reads the distance table, and its answer is
     # checked on the matrix: with column u of every D^uv lowered, each
     # certificate it finds fails that check.  C_10 x C_10 is scanned pair
-    # by pair, then with every chunk in arrays.
+    # by pair, then with every pair in arrays.
     g, d = _gd(_torus(10))
     monkeypatch.setattr(lp, "build_Duv", lambda g, d, u, v: replace(
         mat := build_Duv(g, d, u, v), entries=tuple(_lowered_column_u(mat.entries, u))))
@@ -756,7 +781,7 @@ def test_a_corrupted_balanced_certificate_raises_on_both_paths(monkeypatch):
 
 def test_bulk_and_per_pair_balanced_verdicts_agree(monkeypatch):
     # the same certificate e_i + e_j from both paths on every pair that the
-    # presolve leaves, with every chunk in arrays and with every pair on its
+    # presolve leaves, with every pair in arrays and with every pair on its
     # own, on graphs where the balanced-pair test decides many pairs
     found = Counter()
     per_pair, bulk = lp._balanced, lp._bulk_balanced
@@ -808,7 +833,7 @@ def test_band_scans_build_no_level_bitsets(monkeypatch):
         for p in (1, 2):
             has_Gp_connected_medians(g, d, p)
             assert d._levels is None, (g.n, p)
-    # the path's band of distance 2 reaches the per-pair and the bulk chunks
+    # the path's band of distance 2 reaches the per-pair and the bulk paths
     assert calls["build_Duv"] and calls["_bulk_array"], calls
 
 

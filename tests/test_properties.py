@@ -306,7 +306,7 @@ def test_pair_verdicts_match_the_plain_solve(monkeypatch):
 
 def test_bulk_and_per_pair_verdicts_agree(monkeypatch):
     """Every verdict of a scan of the pairs at distance 2 or more, with
-    every chunk decided in bulk and with every pair decided on its own: the
+    every pair decided in bulk and with every pair decided on its own: the
     test corpus, the random pool, the atlas, and relabelled half-cube,
     Johnson, grid-cycle, projective-plane and cycle graphs.  Verdicts,
     matrices and solved pairs are equal, and every array row is the row
