@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import random
 import sys
 import time
 from fractions import Fraction
@@ -352,6 +353,33 @@ def _weakly_bridged_examples() -> list[tuple[str, bool]]:
                           broken, all_pairs_distances(broken)).verdict)]
 
 
+def _bucolic_examples() -> list[tuple[str, bool]]:
+    # Cartesian products of weakly bridged graphs are bucolic (Bresar,
+    # Chalopin, Chepoi, Gologranc & Osajda 2013, "Bucolic complexes", Adv.
+    # Math. 243).  A product of two factors with an edge each holds an
+    # induced C_4, so these are not weakly bridged, and no entry above
+    # covers them.
+    checks = []
+    for a, b in ((families.wheel(5), families.complete_graph(2)),
+                 (families.wheel(5), families.wheel(5)),
+                 (families.wheel(6), families.complete_graph(3)),
+                 (families.wheel(7), families.path_graph(3))):
+        g = families.cartesian_product(a, b)
+        d = all_pairs_distances(g)
+        checks += [(f"{g.name}: factors weakly bridged",
+                    all(recognizers.is_weakly_bridged(f, all_pairs_distances(f)).verdict
+                        for f in (a, b))),
+                   (f"{g.name} weakly modular, not weakly bridged",
+                    recognizers.is_weakly_modular(g, d).verdict
+                    and not recognizers.is_weakly_bridged(g, d).verdict),
+                   (f"{g.name} p<=2", lp.compute_p(g, d).p <= 2)]
+    broken = families.wheel(5, broken=True)
+    return checks + [(f"{broken.name}xK_2 not a product of weakly bridged graphs: "
+                      f"{broken.name} not weakly bridged",
+                      not recognizers.is_weakly_bridged(
+                          broken, all_pairs_distances(broken)).verdict)]
+
+
 def _retract_examples() -> list[tuple[str, bool]]:
     grid = families.cartesian_product(families.path_graph(3), families.path_graph(4))
     checks = []
@@ -367,6 +395,33 @@ def _retract_examples() -> list[tuple[str, bool]]:
                        and not recognizers.is_bipartite_absolute_retract(
                            g, all_pairs_distances(g)).verdict))
     return checks
+
+
+def _unimodal_examples() -> list[tuple[str, bool]]:
+    # the members of the class entries below, five seeded profiles each,
+    # and a profile whose median function is unimodal on G^2, not on G
+    grid = families.cartesian_product(families.path_graph(3), families.path_graph(4))
+    members = [*(families.wheel(n) for n in (5, 6, 7)), families.cycle_graph(4), grid,
+               families.complete_bipartite(2, 3), families.complete_bipartite(3, 3),
+               families.propeller(), families.beta_configuration()]
+    rng = random.Random(5)
+    checks = []
+    for g in members:
+        d = all_pairs_distances(g)
+        profiles = [Profile({x: rng.randint(1, 5)
+                             for x in rng.sample(range(g.n), rng.randint(1, g.n))})
+                    for _ in range(5)]
+        checks.append((f"{g.name}: F unimodal on G^2 for 5 seeded profiles",
+                       all(medians.is_unimodal_on_power(
+                           g, d, medians.median_function(g, d, pi), 2)
+                           for pi in profiles)))
+    g = families.beta_configuration()
+    d = all_pairs_distances(g)
+    f = medians.median_function(g, d, Profile({5: 1, 6: 1, 7: 1, 1: 1}))
+    return checks + [("beta config profile {5, 6, 7, 1}: F not unimodal on G, "
+                      "unimodal on G^2",
+                      not medians.is_unimodal_on_power(g, d, f, 1)
+                      and medians.is_unimodal_on_power(g, d, f, 2))]
 
 
 def _benzenoid_examples() -> list[tuple[str, bool]]:
@@ -456,11 +511,11 @@ _PAPER = [
     ("fano", "paper example: the incidence graph G_2 of the Fano plane has "
              "p >= 3; its median function with unit weights fails the local "
              "conditions at p = 2 and meets them at p = 3", _fano_plane),
-    ("classes", _UNIMODAL, None),
+    ("classes", _UNIMODAL, _unimodal_examples),
     ("classes", _BRIDGED, _chordal_examples),
     ("classes", _WEAKLY_BRIDGED, _weakly_bridged_examples),
     ("classes", _CONVEX_BALLS, _convex_ball_examples),
-    ("classes", _BUCOLIC, None),
+    ("classes", _BUCOLIC, _bucolic_examples),
     ("classes", _RETRACTS, _retract_examples),
     ("benzenoids", _BENZENOIDS, _benzenoid_examples),
     ("classes", _JOHNSON, _johnson_examples),

@@ -98,34 +98,39 @@ r(w_1) + r(w_2), ties in row order, and at most _BALANCED_TRIES = 8 of
 them.  The first try decides every infeasible pair of G_7, G_11 and
 C_12 x C_12 that the row sums leave; on the pair (0, 22) of C_10 x C_10 it
 is the two free corners of the 3 x 3 interval, and y^T D^uv = 0.  On the
-benchmark's random pool compute_p made 716 LP solves with a class key in
-this place, and makes 358, 322, 319 and 315 with 4, 8, 10 and unbounded
-tries; the pool's time was the same within noise at 4 to 40 tries.  Every
-presolve answer is an int tuple or a unit witness, and is checked on the
-full matrix like the simplex's.
+benchmark's random pool compute_p makes 358, 322, 319 and 315 LP solves
+with 4, 8, 10 and unbounded tries; the pool's time was the same within
+noise at 4 to 40 tries.  Every presolve answer is an int tuple or a unit
+witness, and is checked on the full matrix like the simplex's.
 
 A band scan of `_pair_verdicts` streams the pairs it has not decided yet.
 The first _BULK_PAIRS - 1 = 31 of them keep `build_Duv`, `_presolve` and
 `_balanced`, so a scan that fails on one of its first pairs makes no array.
 The rest go to one `_bulk_presolve` per scan: numpy arrays D[pair, row, x],
-built from one copy of the distance table, each pair's rows padded with
-rows of -1 to the longest interior of its array, which changes no test.
-The three tests run on the whole array in the order above (`_bulk_tests`),
-then the balanced-pair tries on the pairs they leave (`_bulk_balanced`),
-and every answer is checked in the same array by a computation of its own
-(`_bulk_verified`): y^T D >= 0 for a certificate, y = e_i + e_j for a
-balanced pair, every row <= -1 in the witness column.  A failed check
-raises `AssertionError` naming the pair.  A pair decided by a certificate
-gets no `RationalMatrix`; the pairs the tests leave, and the feasible ones,
-take theirs from the array rows, and the ones left go on to the LP.  Both
-paths read a pair's interior from the distance rows, as the w != u, v with
-d(u,w) + d(w,v) = d(u,v), so a scan builds no level bitsets.  The head of
-31 pairs stays because an array costs more than it saves on a short band.
-With every pair in arrays, compute_p on the benchmark's random pool went
-from 0.19 to 0.32 s and has_Gp_connected_medians at p = 1, 2 on the 995
-atlas graphs, whose bands hold at most 21 pairs, from 0.15 to 0.41 s
-(2-vCPU VM, best of 5); the ROADMAP corpus, where the arrays pay, took
-0.026 s with the head and 0.06 s with no arrays.  Two bounds hold:
+built from the stream's own copy of the distance table, each pair's rows
+padded with rows of -1 to the longest interior of its array, which changes
+no test.  The arrays give certificates only: a nonnegative row and the row
+sums (`_bulk_tests`), then the balanced-pair tries on the pairs they leave
+(`_bulk_balanced`), and every answer is checked in the same array by a
+computation of its own, y^T D >= 0 (`_bulk_verified`), y = e_i + e_j for a
+balanced pair.  A failed check raises `AssertionError` naming the pair.  A
+pair decided by a certificate gets no `RationalMatrix`; every other pair,
+feasible or not, takes its matrix from the array rows and goes on to the
+LP.  Both callers stop a scan at its first feasible pair, so a one-vertex
+witness in the arrays could spare at most one solve per scan; on the
+random pool it decided one pair, which the witness re-solve then solved
+anyway.  The head keeps its one-vertex witness: on a cycle every scan stops
+within its first pairs, at a pair that the witness decides, and with no
+witness compute_p paid one LP per level, 7.6 s on C_201 against 0.62 s
+and 0.11 s on C_63 against 0.020 s (2-vCPU VM).  Both paths read a pair's interior from the
+distance rows, as the w != u, v with d(u,w) + d(w,v) = d(u,v), so a scan
+builds no level bitsets.  The head of 31 pairs stays because an array
+costs more than it saves on a short band.  With every pair in arrays,
+compute_p on the benchmark's random pool went from 0.19 to 0.32 s and
+has_Gp_connected_medians at p = 1, 2 on the 995 atlas graphs, whose bands
+hold at most 21 pairs, from 0.15 to 0.41 s (2-vCPU VM, best of 5); the
+ROADMAP corpus, where the arrays pay, took 0.026 s with the head and
+0.06 s with no arrays.  Two bounds hold:
 - on a pair at distance k, write a = d(u,w) and b = d(v,w), so a + b = k.
   The entry b d(u,x) + a d(v,x) - k d(w,x) is at most 2ab, since
   d(u,x) <= a + d(w,x) and d(v,x) <= b + d(w,x), and at least -2ab, since
@@ -134,14 +139,14 @@ atlas graphs, whose bands hold at most 21 pairs, from 0.15 to 0.41 s
   array build forms is at most k diam < n k, and every sum, a column sum
   or y^T D with y in {0, 1}, adds fewer than n entries, so no value the
   bulk path forms on a band up to distance k exceeds n floor(k^2 / 2), k
-  being the band's top or the diameter if that is smaller.
-  `_pair_verdicts` keeps one table, of the narrowest of int16, int32 and
-  int64 that holds this bound for the band it serves (`_distance_array`),
-  and makes it again, the old one dropped first, only when a later band
-  needs a wider type.  int64 holds it for every graph whose distance table
+  being the band's top or the diameter if that is smaller.  Each stream
+  copies the table once, into the narrowest of int16, int32 and int64 that
+  holds this bound for its own band, and drops it when the scan ends; no
+  table is kept from one scan to the next, and a copy at n = 256 costs
+  about 2.5 ms.  int64 holds the bound for every graph whose distance table
   fits in memory.  int16 holds band 2 of every graph of at most 16,383
-  vertices, and every band of the half-cubes up to 1/2 H_9 and of J(10,5),
-  where it ran twice as fast as int64;
+  vertices, and every band of the half-cubes up to 1/2 H_9 and of
+  J(10,5), where it ran twice as fast as int64;
 - each array holds at most _BULK_ENTRIES = 2^16 entries (128 KB in
   int16), or one pair's D^uv when that alone is larger.  On 1/2 H_9 the
   scan took 0.61 s at 2^14 entries, 0.38 s at 2^16 and 0.38 s at 2^18.
@@ -512,10 +517,12 @@ def _pair_verdicts(g: Graph, d: DistMatrix):
     yet decided get their matrix and presolve answer from one lazy stream:
     the first _BULK_PAIRS - 1 of them from `build_Duv`, `_presolve` and
     `_balanced`, a pair at a time, and the rest from one `_bulk_presolve`,
-    an array at a time.  A scan that stops within its first 31 undecided
-    pairs makes no array, and one that stops later has read at most one
-    block of pairs past the pair it stops at.  The transmissions that order
-    the balanced pairs are summed once, for all scans.
+    an array at a time, which copies the distance table for this band and
+    answers with certificates only.  A scan that stops within its first 31
+    undecided pairs makes no array, and one that stops later has read at
+    most one block of pairs past the pair it stops at.  Scans share only
+    the verdicts, own and the transmissions that order the balanced pairs,
+    summed once.
 
     A pair's verdict is its presolve answer when it has one, else its own
     solve.  A decided pair is stored without its matrix unless it is
@@ -523,7 +530,6 @@ def _pair_verdicts(g: Graph, d: DistMatrix):
     """
     verdicts: dict[tuple[int, int], FeasibilityResult] = {}
     own: set[tuple[int, int]] = set()
-    dist, top = None, -1    # the distance table as an array, its type's max
     r = [sum(row) for row in d.d]       # the transmissions
 
     def decide(u: int, v: int, mat, res) -> FeasibilityResult:
@@ -536,23 +542,13 @@ def _pair_verdicts(g: Graph, d: DistMatrix):
             "infeasible", certificate=res.certificate)
         return out
 
-    def bulk(pairs, k: int):
-        """`_bulk_presolve` on pairs, over a table that holds the values of
-        a band up to distance k."""
-        nonlocal dist, top
-        bound = d.n * (k * k // 2)              # see the module docstring
-        if bound > top:
-            dist = None                         # a wider table: drop the old first
-            dist, top = _distance_array(d, bound)
-        yield from _bulk_presolve(d, dist, pairs, r)
-
     def scan(lo: int, hi: int):
         band, pairs = itertools.tee(_pairs_in_distance_band(d, lo, hi))
         new = (pair for pair in pairs if pair not in verdicts)
         head = ((mat, _presolve(mat) or _balanced(d, r, mat))
                 for mat in (build_Duv(g, d, u, v)
                             for u, v in itertools.islice(new, _BULK_PAIRS - 1)))
-        answers = itertools.chain(head, bulk(new, min(hi, d.diameter)))
+        answers = itertools.chain(head, _bulk_presolve(d, new, r, min(hi, d.diameter)))
         # new may be read ahead of band, but only this loop adds to
         # verdicts, each pair when it reaches it: the answers stay in step
         for u, v in band:
@@ -565,30 +561,25 @@ def _pair_verdicts(g: Graph, d: DistMatrix):
 # The bulk path: see the module docstring.
 _BULK_PAIRS = 32
 _BULK_ENTRIES = 2 ** 16
-_NONE, _ROW, _COLUMN, _ALL_ROWS, _PAIR = range(5)     # the presolve answer kinds
-_SOURCES = (None, "one-vertex", "one-vertex", "row-sum", "balanced")
+_NONE, _ROW, _ALL_ROWS, _PAIR = range(4)     # the certificate kinds of an array
+_SOURCES = (None, "one-vertex", "row-sum", "balanced")
 
 
-def _distance_array(d: DistMatrix, bound: int):
-    """The distance table as one array of the narrowest integer type that
-    holds +-bound, and the largest value of that type."""
-    import numpy as np
-    from .oracle import _dtype
-    dtype = _dtype(bound)
-    return np.array(d.d, dtype=dtype), int(np.iinfo(dtype).max)
-
-
-def _bulk_presolve(d: DistMatrix, dist, pairs, r):
-    """(mat, res) for each pair of the iterable pairs, in order: res is the
-    pair's checked presolve answer, or None when the tests leave the pair;
-    mat is its D^uv, read from the array, when the pair is left or
-    feasible, else None.  r holds the transmissions.  Pairs are read a block
-    at a time, and each array is made when its first pair is asked for.
+def _bulk_presolve(d: DistMatrix, pairs, r, k: int):
+    """(mat, res) for each pair of the iterable pairs, in order, the pairs
+    being at distance at most k: res is the pair's checked certificate, or
+    None when no test gives one, and then mat is its D^uv, read from the
+    array, else None.  r holds the transmissions.  The distance table is
+    copied once, when the stream is first read, into the narrowest type that
+    holds the values of a band up to distance k; pairs are read a block at a
+    time, and each array is made when its first pair is asked for.
 
     The interiors are read from the table too, as the w != u, v with
     d(u,w) + d(w,v) = d(u,v), the rows `build_Duv` takes."""
     import numpy as np
+    from .oracle import _dtype
     n = d.n
+    dist = np.array(d.d, dtype=_dtype(n * (k * k // 2)))    # see the module docstring
     cols = tuple(range(n))
     r = np.array(r, dtype=np.int64)
     step = max(1, _BULK_ENTRIES // n)       # pairs whose intervals are found at once
@@ -618,24 +609,19 @@ def _bulk_presolve(d: DistMatrix, dist, pairs, r):
                 left = left[found]
                 kind[left], index[left], other[left] = _PAIR, i[found], j[found]
             ok = _bulk_verified(D, valid, kind, index, other)
-            for (u, v), k, i, j, good, count, p in zip(
+            for (u, v), kd, i, j, good, count, p in zip(
                     block[lo:hi], kind.tolist(), index.tolist(), other.tolist(),
                     ok.tolist(), counts[lo:hi], range(hi - lo)):
-                if k != _NONE and not good:
+                if kd == _NONE:
+                    yield RationalMatrix(tuple(map(tuple, D[p, :count].tolist())),
+                                         tuple(ws[p, :count].tolist()), cols, u, v), None
+                    continue
+                if not good:
                     raise AssertionError(
-                        f"{_SOURCES[k]} answer does not verify on pair ({u},{v})")
-                if k in (_ROW, _PAIR):
-                    yield None, FeasibilityResult("infeasible", certificate=tuple(
-                        int(t == i or t == j) for t in range(count)))
-                elif k == _ALL_ROWS:
-                    yield None, FeasibilityResult("infeasible",
-                                                  certificate=(1,) * count)
-                else:
-                    mat = RationalMatrix(
-                        tuple(map(tuple, D[p, :count].tolist())),
-                        tuple(ws[p, :count].tolist()), cols, u, v)
-                    yield mat, None if k == _NONE else FeasibilityResult(
-                        "feasible", witness={i: Fraction(1)}, matrix=mat)
+                        f"{_SOURCES[kd]} answer does not verify on pair ({u},{v})")
+                y = (1,) * count if kd == _ALL_ROWS else tuple(
+                    int(t == i or t == j) for t in range(count))
+                yield None, FeasibilityResult("infeasible", certificate=y)
             lo = hi
 
 
@@ -656,38 +642,31 @@ def _bulk_array(dist, us, vs, inside, m):
 
 
 def _bulk_tests(D, valid):
-    """The tests of `_presolve` on every pair of an array D[pair, row, x]
-    at once, padding rows being -1 and valid marking the others: (kind,
-    index) per pair, `_ROW` and the first nonnegative row, else `_COLUMN`
-    and the first all-negative column, else `_ALL_ROWS` when every column
-    sum is nonnegative, else `_NONE`."""
+    """The certificate tests of `_presolve` on every pair of an array
+    D[pair, row, x] at once, padding rows being -1 and valid marking the
+    others: (kind, index) per pair, `_ROW` and the first nonnegative row,
+    else `_ALL_ROWS` when every column sum is nonnegative, else `_NONE`."""
     import numpy as np
     nonneg = D.min(axis=2) >= 0              # a padding row is negative
-    neg = D.max(axis=1) < 0                  # and adds nothing to a max
     # each padding row adds -1 to every column sum
     sums = D.sum(axis=1).min(axis=1) + (~valid).sum(axis=1) >= 0
     has_row = nonneg.any(axis=1)
-    kind = np.select([has_row, neg.any(axis=1), sums],
-                     [_ROW, _COLUMN, _ALL_ROWS], _NONE)
-    return kind, np.where(has_row, nonneg.argmax(axis=1), neg.argmax(axis=1))
+    return np.select([has_row, sums], [_ROW, _ALL_ROWS], _NONE), nonneg.argmax(axis=1)
 
 
 def _bulk_verified(D, valid, kind, index, other):
-    """Whether each pair's answer verifies on its rows of D, computed apart
-    from the tests: y >= 0, y != 0 and y^T D >= 0 for a certificate, y
-    being 1 on the pair's rows, or e_index + e_other (e_index for a row,
-    whose other is its index); every row <= -1 in column index for a
-    witness (a padding row is -1 everywhere)."""
+    """Whether each pair's certificate verifies on its rows of D, computed
+    apart from the tests: y >= 0, y != 0 and y^T D >= 0, y being 1 on the
+    pair's rows, or e_index + e_other (e_index for a row, whose other is
+    its index)."""
     import numpy as np
     at = np.arange(len(D))
     y = valid & (kind == _ALL_ROWS)[:, None]
     two = (kind == _ROW) | (kind == _PAIR)
     for rows in (index, other):
         y[at[two], rows[two]] = valid[at[two], rows[two]]
-    certificate = (np.einsum("pr,prx->px", y.astype(D.dtype), D).min(axis=1) >= 0) \
+    return (np.einsum("pr,prx->px", y.astype(D.dtype), D).min(axis=1) >= 0) \
         & y.any(axis=1)
-    witness = (D[at, :, index] <= -1).all(axis=1)
-    return np.where(kind == _COLUMN, witness, certificate)
 
 
 def _bulk_balanced(dist, r, us, vs, ws, valid):

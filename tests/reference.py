@@ -32,6 +32,7 @@ from medgraph.families import (alpha_configuration, beta_configuration,
                                halved_cube, hypercube, johnson, path_graph,
                                projective_incidence_graph)
 from medgraph.graph import DistMatrix, Graph, all_pairs_distances, build_graph
+import medgraph.lp as lp
 from medgraph.lp import (FeasibilityResult, RationalMatrix, build_Duv,
                          lp_feasible_strict)
 from medgraph.medians import (Profile, VertexFunction, _pairs_in_distance_band,
@@ -89,6 +90,44 @@ def solve_pair(g: Graph, d: DistMatrix, u: int, v: int) -> FeasibilityResult:
     """Decide D^uv pi < 0, pi >= 0 with the simplex alone; feasible iff some
     profile violates WC at (u,v).  The plain route of `lp._pair_verdicts`."""
     return lp_feasible_strict(build_Duv(g, d, u, v))
+
+
+def _recording_array_pairs(monkeypatch) -> set[tuple[int, int]]:
+    """The pairs that `lp._bulk_presolve` answers, added as scans run: a
+    pair read into an array that its scan never reaches is not added."""
+    answered = set()
+    real = lp._bulk_presolve
+
+    def recording(d, pairs, r, k):
+        read = []
+        for i, answer in enumerate(real(d, (read.append(p) or p for p in pairs), r, k)):
+            answered.add(read[i])
+            yield answer
+
+    monkeypatch.setattr(lp, "_bulk_presolve", recording)
+    return answered
+
+
+def _assert_agrees_with_per_pair(g: Graph, d: DistMatrix, per_pair, scanned,
+                                arrayed) -> None:
+    """A scan against the per-pair scan of the same band, each given as its
+    list of (u, v, verdict) and its own set, arrayed holding the pairs that
+    the scan decided in arrays.  The arrays give certificates only, so a
+    feasible pair decided there is its own solve, `solve_pair`'s verdict:
+    own grows by exactly those pairs, and every other verdict is the same."""
+    (want, own_want), (got, own) = per_pair, scanned
+    assert [t[:2] for t in got] == [t[:2] for t in want]
+    solved = set()
+    for (u, v, a), (_, _, b) in zip(want, got):
+        if b.feasible and (u, v) in arrayed:
+            solved.add((u, v))
+            if (u, v) not in own_want:      # a one-vertex witness, per pair
+                plain = solve_pair(g, d, u, v)
+                assert a.feasible and (b.status, b.witness) == \
+                    (plain.status, plain.witness), (g.name, u, v)
+                continue
+        assert repr(b) == repr(a), (g.name, u, v)
+    assert own == own_want | solved, g.name
 
 
 def phase1_explicit(tableau, n_free):

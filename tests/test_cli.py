@@ -248,8 +248,7 @@ def test_verify_paper_all(capsys):
     checked = {c["claim"] for c in result["checks"]} & set(cli.ABSTRACT_CLAIMS)
     not_covered = result["not_covered"]
     assert sorted([*checked, *not_covered]) == sorted(cli.ABSTRACT_CLAIMS)
-    assert not_covered == [c for c in cli.ABSTRACT_CLAIMS if c in not_covered]
-    assert not_covered == [cli._UNIMODAL, cli._BUCOLIC]
+    assert not_covered == []
 
 
 def test_an_uncovered_claim_leaves_the_exit_code_at_0(monkeypatch, capsys):
@@ -277,11 +276,15 @@ def test_verify_paper_fails_when_a_local_check_is_wrong(monkeypatch, capsys,
     rep = json.loads(capsys.readouterr().out)
     assert not rep["result"]["passed"]
     # the failing checks carry the claim of the entry they belong to: the
-    # Fano graph's for the medians functions, the halved cubes' for lp's
-    entry = cli._halved_cube_examples if module == "lp" else cli._fano_plane
-    (claim,) = [c for _, c, fn in cli._PAPER if fn is entry]
+    # Fano graph's for the medians functions, and the unimodality entry's
+    # too for is_unimodal_on_power, the halved cubes' for lp's
+    entries = {"lp": [cli._halved_cube_examples],
+               "medians": [cli._fano_plane]}[module]
+    if name == "is_unimodal_on_power":
+        entries.append(cli._unimodal_examples)
+    claims = [c for _, c, fn in cli._PAPER if fn in entries]
     failed = [c for c in rep["result"]["checks"] if not c["passed"]]
-    assert failed and all(c["claim"] == claim for c in failed)
+    assert {c["claim"] for c in failed} == set(claims), failed
 
 
 @pytest.mark.parametrize("module, name, value, entry", [
@@ -293,18 +296,28 @@ def test_verify_paper_fails_when_a_local_check_is_wrong(monkeypatch, capsys,
      "_weakly_bridged_examples"),
     ("recognizers", "is_bipartite_absolute_retract",
      ClassVerdict("bipartite_absolute_retract", True), "_retract_examples"),
+    ("medians", "is_unimodal_on_power", True, "_unimodal_examples"),
+    ("recognizers", "is_weakly_bridged", ClassVerdict("weakly_bridged", True),
+     "_bucolic_examples"),
 ])
 def test_verify_paper_fails_when_a_class_test_accepts_everything(
         monkeypatch, capsys, module, name, value, entry):
     # each class entry holds a non-member, whose check must fail, and every
     # failing check belongs to the entry or to one that calls its test:
-    # is_bridged calls is_weakly_bridged, so C_4 then passes as bridged
+    # is_bridged calls is_weakly_bridged, so C_4 then passes as bridged, and
+    # the bucolic entry tests its factors and products with is_weakly_bridged
     nonmember, others = {
         "_convex_ball_examples": ("C_6 not CB, witness (0, 2, 1, 4, 3)", ()),
         "_chordal_examples": ("C_4 not chordal", ()),
         "_benzenoid_examples": ("hexagon vertices {0, 3}, at distance 2, not gated", ()),
-        "_weakly_bridged_examples": ("W_5- not weakly bridged", ("_chordal_examples",)),
+        "_weakly_bridged_examples": ("W_5- not weakly bridged",
+                                     ("_chordal_examples", "_bucolic_examples")),
         "_retract_examples": ("C_6 bipartite, not a bipartite absolute retract", ()),
+        "_unimodal_examples": ("beta config profile {5, 6, 7, 1}: F not unimodal "
+                               "on G, unimodal on G^2", ()),
+        "_bucolic_examples": ("W_5-xK_2 not a product of weakly bridged graphs: "
+                              "W_5- not weakly bridged",
+                              ("_chordal_examples", "_weakly_bridged_examples")),
     }[entry]
     monkeypatch.setattr(getattr(medgraph, module), name, lambda *args: value)
     assert main(["verify-paper", "all"]) == 1

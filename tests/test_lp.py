@@ -22,8 +22,9 @@ from medgraph.lp import (FeasibilityResult, RationalMatrix,
                          witness_to_profile)
 from medgraph.medians import Profile, median_set
 from medgraph.metric import Jcirc_set, M_set, interior_interval
-from reference import (_connected_atlas_graphs, _corpus, _gd, _pool_graphs,
-                       _random_connected_graphs, _relabelled,
+from reference import (_assert_agrees_with_per_pair, _connected_atlas_graphs,
+                       _corpus, _gd, _pool_graphs, _random_connected_graphs,
+                       _recording_array_pairs, _relabelled,
                        lp_feasible_strict_explicit, solve_pair)
 
 
@@ -501,14 +502,21 @@ def test_compute_p_matches_the_plain_scan():
             g, d, u, v, witness_to_profile(own.witness))
 
 
-def test_one_vertex_answers_agree_with_the_plain_solve():
+def test_one_vertex_answers_agree_with_the_plain_solve(monkeypatch):
     kinds = Counter()
     for g in [*_corpus(), *_random_connected_graphs(40), *_connected_atlas_graphs(7)]:
         d = all_pairs_distances(g)
-        scan, own = lp._pair_verdicts(g, d)
-        # every pair at distance 2 or more, in ascending order; the bands
-        # of the half-cube and J(7,3) are decided in arrays
-        for u, v, res in scan(2, d.diameter):
+        # every pair at distance 2 or more, in ascending order, each on its
+        # own and then each in an array, where a one-vertex witness is not
+        # tested and its pair is solved
+        scans = []
+        for gate in (sys.maxsize, 1):
+            monkeypatch.setattr(lp, "_BULK_PAIRS", gate)
+            scan, own = lp._pair_verdicts(g, d)
+            scans.append((list(scan(2, d.diameter)), own))
+        per_pair, own = scans[0]
+        _assert_agrees_with_per_pair(g, d, *scans, {t[:2] for t in per_pair})
+        for u, v, res in per_pair:
             plain = solve_pair(g, d, u, v)
             one = lp._presolve(plain.matrix)
             if one is None:
@@ -593,33 +601,37 @@ _SIGN_BOUNDARIES = [((0, -1), (-1, 1)), ((2, -1), (-3, -2)), ((1, -1), (-1, 1)),
 
 def test_bulk_tests_agree_with_the_presolve_on_sign_boundaries():
     # one array of the matrices of test_one_vertex_answer_sign_boundaries
-    # and a few more, padded to three rows: each pair gets the answer that
-    # `_presolve` gives its own matrix, and every answer verifies.  The
+    # and a few more, padded to three rows: each pair gets the certificate
+    # that `_presolve` gives its own matrix, and every answer verifies.  An
+    # all-negative column is no certificate: its three pairs are left.  The
     # padding rows add -1 to each column sum, which the row-sum test adds
     # back: ((1, -1), (-1, 1)) sums to (0, 0)
     D, valid = _bulk_of(*_SIGN_BOUNDARIES)
     kind, index = lp._bulk_tests(D, valid)
     assert lp._bulk_verified(D, valid, kind, index, index)[kind != lp._NONE].all()
+    witnesses = 0
     for entries, k, i in zip(_SIGN_BOUNDARIES, kind.tolist(), index.tolist()):
         one = _one(*entries)
         m = len(entries)
+        witnesses += bool(one and one.feasible)
+        want = None if one is None or one.feasible else (one.status, one.certificate)
         assert {lp._NONE: None,
-                lp._ROW: ("infeasible", tuple(int(j == i) for j in range(m)), None),
-                lp._COLUMN: ("feasible", None, {i: Fraction(1)}),
-                lp._ALL_ROWS: ("infeasible", (1,) * m, None)}[k] == \
-            (one and (one.status, one.certificate, one.witness)), entries
+                lp._ROW: ("infeasible", tuple(int(j == i) for j in range(m))),
+                lp._ALL_ROWS: ("infeasible", (1,) * m)}[k] == want, entries
+    assert witnesses == 3
 
 
-def test_bulk_check_rejects_a_negative_column_sum_and_a_zero_in_the_witness():
+def test_bulk_check_rejects_a_negative_column_sum_and_a_negative_row():
     # column sums (0, -1) and (1, -1): one negative sum is enough to reject
-    # y = 1, and a witness column holding a 0 in one row is no witness
+    # y = 1; sums (0, 0) hold
+    D, valid = _bulk_of(((1, -1), (-1, 0)), ((2, 0), (-1, -1)), ((1, -1), (-1, 1)))
+    kind = np.array([lp._ALL_ROWS] * 3)
+    index = np.array([0, 0, 0])
+    assert lp._bulk_verified(D, valid, kind, index, index).tolist() == \
+        [False, False, True]
+    # a claimed row must be a valid row of the pair, and nonnegative
     D, valid = _bulk_of(((1, -1), (-1, 0)), ((2, 0), (-1, -1)), ((-1, 3), (0, 2)),
                         ((-1, 2), (-2, 1)))
-    kind = np.array([lp._ALL_ROWS, lp._ALL_ROWS, lp._COLUMN, lp._COLUMN])
-    index = np.array([0, 0, 0, 0])
-    assert lp._bulk_verified(D, valid, kind, index, index).tolist() == \
-        [False, False, False, True]
-    # a claimed row must be a valid row of the pair, and nonnegative
     kind = np.array([lp._ROW] * 4)
     index = np.array([1, 0, 1, 1])
     assert lp._bulk_verified(D, valid, kind, index, index).tolist() == \
@@ -646,17 +658,19 @@ def test_bulk_answer_is_checked(monkeypatch):
     with pytest.raises(AssertionError,
                        match=rf"row-sum answer does not verify on pair \({u},{v}\)"):
         compute_p(g, d)
-    # a wrong answer from the tests is caught by the real check: column u
-    # of D^uv is all zero, so it is no witness
+    # a wrong answer from the tests is caught by the real check: the row
+    # sums decide the pair, so no row is nonnegative, and row 0 is no
+    # certificate
+    assert min(build_Duv(g, d, u, v).entries[0]) < 0
     monkeypatch.setattr(lp, "_bulk_verified", real)
     tests = lp._bulk_tests
 
-    def claiming_column_u(D, valid):
+    def claiming_row_0(D, valid):
         kind, index = tests(D, valid)
-        kind[0], index[0] = lp._COLUMN, u
+        kind[0], index[0] = lp._ROW, 0
         return kind, index
 
-    monkeypatch.setattr(lp, "_bulk_tests", claiming_column_u)
+    monkeypatch.setattr(lp, "_bulk_tests", claiming_row_0)
     with pytest.raises(AssertionError,
                        match=rf"one-vertex answer does not verify on pair \({u},{v}\)"):
         compute_p(g, d)
@@ -685,19 +699,23 @@ def test_compute_p_builds_the_first_31_pairs_and_presolves_the_rest_in_one_strea
 def test_a_scan_over_decided_pairs_gives_each_pair_its_own_verdict(monkeypatch):
     # a scan stopped after `stop` pairs, then a scan of the whole band: the
     # second one streams only the pairs the first left undecided, on the
-    # per-pair path and, at gate 1, through the bulk path's read-ahead, and
-    # every verdict and solved pair equals that of one fresh scan
+    # per-pair path and, at gates 32 and 1, through the bulk path's
+    # read-ahead.  Each pair gets the verdict of one fresh per-pair scan,
+    # but a feasible pair decided in an array, which is solved
+    arrayed = _recording_array_pairs(monkeypatch)
     for g in _corpus():
         d = all_pairs_distances(g)
+        monkeypatch.setattr(lp, "_BULK_PAIRS", sys.maxsize)
+        scan, own = lp._pair_verdicts(g, d)
+        per_pair = list(scan(2, d.diameter)), own
         for gate in (sys.maxsize, 32, 1):
             monkeypatch.setattr(lp, "_BULK_PAIRS", gate)
-            scan, own = lp._pair_verdicts(g, d)
-            fresh = [repr(t) for t in scan(2, d.diameter)], own
-            for stop in (1, 20, 40):
+            for stop in (0, 1, 20, 40):
+                arrayed.clear()
                 scan, own = lp._pair_verdicts(g, d)
                 list(itertools.islice(scan(2, d.diameter), stop))
-                assert ([repr(t) for t in scan(2, d.diameter)], own) == fresh, \
-                    (g.name, gate, stop)
+                _assert_agrees_with_per_pair(
+                    g, d, per_pair, (list(scan(2, d.diameter)), own), arrayed)
 
 
 # ------------------------------------------- balanced-pair certificates
@@ -793,12 +811,12 @@ def test_bulk_and_per_pair_balanced_verdicts_agree(monkeypatch):
     for g in (_relabelled(_torus(6), 3), _relabelled(projective_incidence_graph(3), 4),
               _relabelled(coronene, 5)):
         d = all_pairs_distances(g)
-        verdicts = []
+        scans = []
         for gate in (sys.maxsize, 1):
             monkeypatch.setattr(lp, "_BULK_PAIRS", gate)
             scan, own = lp._pair_verdicts(g, d)
-            verdicts.append(([repr(t) for t in scan(2, d.diameter)], own))
-        assert verdicts[0] == verdicts[1]
+            scans.append((list(scan(2, d.diameter)), own))
+        _assert_agrees_with_per_pair(g, d, *scans, {t[:2] for t in scans[0][0]})
     assert found["per pair"] == found["bulk"] > 100, found
 
 
@@ -840,35 +858,28 @@ def test_band_scans_build_no_level_bitsets(monkeypatch):
 def test_the_bulk_table_is_typed_by_the_band_it_serves(monkeypatch):
     # A band up to distance k holds values of at most n floor(k^2 / 2): 130
     # on band 2 of P_65, so int16, where the former bound 3 n diam^2 took
-    # int32.  A band up to the diameter, 64, needs int32: the table is made
-    # again, wider, with the old one gone, and kept for a later band.
-    import weakref
+    # int32.  A band up to the diameter, 64, needs int32.  Each stream makes
+    # its own table: a rescan of (3, 100), stopped after 40 pairs, makes a
+    # new one, typed by that band, not the one of the first scan.
+    from medgraph.oracle import _dtype
     g = path_graph(65)
     d = all_pairs_distances(g)
-    dtypes = []
-    bulk = lp._bulk_presolve
-    monkeypatch.setattr(lp, "_bulk_presolve", lambda d, dist, pairs, r: (
-        dtypes.append(dist.dtype), bulk(d, dist, pairs, r))[1])
-    assert compute_p(g, d).p == 1
-    assert dtypes == [np.int16]             # pairs 31..62 of band 2
     tables = []
-    real = lp._distance_array
+    real = lp._bulk_array
 
-    def spy(d, bound):
-        assert all(ref() is None for ref, _, _ in tables)
-        dist, top = real(d, bound)
-        tables.append((weakref.ref(dist), bound, dist.dtype))
-        return dist, top
+    def recording(dist, *args):
+        if not any(t is dist for t in tables):
+            tables.append(dist)
+        return real(dist, *args)
 
-    monkeypatch.setattr(lp, "_distance_array", spy)
+    monkeypatch.setattr(lp, "_bulk_array", recording)
     scan, _ = lp._pair_verdicts(g, d)
-    for lo, hi in ((2, 2), (3, 100), (2, 10)):
-        assert not any(res.feasible for _, _, res in scan(lo, hi))
-    assert [t[1:] for t in tables] == [(130, np.int16),
-                                       (65 * (64 * 64 // 2), np.int32)]
+    assert not any(res.feasible for _, _, res in scan(2, 2))
+    assert len(list(itertools.islice(scan(3, 100), 40))) == 40
+    assert not any(res.feasible for _, _, res in scan(3, 100))
+    assert [t.dtype for t in tables] == [np.int16, np.int32, np.int32]
     # the int16/int32 boundary of the bound
-    assert [real(d, bound)[1] for bound in (32767, 32768)] \
-        == [32767, 2 ** 31 - 1]
+    assert [_dtype(bound) for bound in (32767, 32768)] == [np.int16, np.int32]
 
 
 # ------------------------------------------------- the equitable quotient
