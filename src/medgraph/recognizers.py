@@ -6,20 +6,32 @@ first violation in the recognizer's plain scan order, the nested loops of
 its definition.  A fast path may decide from bitsets in another order, but
 it may re-scan only to rebuild that first violation, so the witness never
 depends on which path found it.
+
+Meshedness, the triangle condition (TC) and the quadrangle condition (QC)
+are checked one vertex u at a time, on bitsets over a list of pairs, the
+edges for TC and the distance-2 pairs for QC and meshedness
+(`_pair_levels`).  Per u, three lists indexed by the distance k from u
+hold the pairs whose first end, whose second end and some of whose common
+neighbours lie at distance k, and each condition is one or two ANDs per
+level.  Memory is O(n) masks, not the n^2 level table, and a true verdict
+reads no `DistMatrix.levels`.  The witnesses are those of the plain scans:
+TC's is the least failing u, then its first edge; QC's is the
+`_quadrangle_witness` of the least failing u, reported only once no u
+fails TC; meshedness's is the first failing pair, then the least u that
+fails it.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 import sys
 from array import array
 from dataclasses import dataclass
 
 from .errors import EmbeddingUnverified, LabelArity, ParseError
-from .graph import DistMatrix, Graph, _data_lines, bfs
+from .graph import DistMatrix, Graph, _data_lines, _neighbour_masks, bfs
 from .medians import _pairs_in_distance_band
-from .metric import Jcirc_set, interval, interval_mask, members
+from .metric import Jcirc_set, interval_mask, members
 
 
 @dataclass(frozen=True)
@@ -66,8 +78,42 @@ def write_labels(e: LabeledEmbedding) -> str:
 def _distance_two_pairs(g: Graph, d: DistMatrix):
     """(u, v, common) for each pair u < v at distance 2; common is the
     ascending list of common neighbours, which is I°(u,v)."""
+    nbr = _neighbour_masks(g)
     for u, v in _pairs_in_distance_band(d, 2, 2):
-        yield u, v, members(d.levels[u][1] & d.levels[v][1])
+        yield u, v, members(nbr[u] & nbr[v])
+
+
+def _pair_levels(g: Graph, d: DistMatrix, pairs: list[tuple[int, int]]):
+    """Yield F, S, C for each vertex u in turn, lists indexed by the
+    distance k from u, one bit per pair: bit i of F[k] (of S[k]) is set
+    when the first (second) end of pairs[i] is at distance k, and bit i of
+    C[k] when a common neighbour of that pair is.  Each list has two
+    trailing zero levels past ecc(u), so k + 1 and k - 1 = -1 read 0.
+
+    A vertex x has three masks: first[x], second[x], and common[x], the OR
+    of its neighbours' first masks ANDed with the OR of their second
+    masks.  The lists are one pass over u's distance row, so memory is
+    O(n) masks of len(pairs) bits, never the n^2 level table."""
+    n = g.n
+    first, second = [0] * n, [0] * n
+    for i, (a, b) in enumerate(pairs):
+        first[a] |= 1 << i
+        second[b] |= 1 << i
+    common = []
+    for adj in g.adj:
+        f = s = 0
+        for y in adj:
+            f |= first[y]
+            s |= second[y]
+        common.append(f & s)
+    for row in d.d:
+        top = max(row) + 2
+        F, S, C = [0] * top, [0] * top, [0] * top
+        for k, f, s, c in zip(row, first, second, common):
+            F[k] |= f
+            S[k] |= s
+            C[k] |= c
+        yield F, S, C
 
 
 # ---------------------------------------------------------------- meshedness
@@ -78,30 +124,27 @@ def is_meshed(g: Graph, d: DistMatrix) -> ClassVerdict:
     With a = d(u,v) and b = d(u,w), |a-b| <= 2 and every common neighbour
     x has max(a,b)-1 <= d(u,x) <= min(a,b)+1, so a u with |a-b| = 2 always
     passes.  Any other u fails iff no common neighbour lies in the ball of
-    radius t = (a+b)//2 around u.  So per pair the violations are the OR
-    over t of (lv[t]&lw[t] | lv[t+1]&lw[t] | lv[t]&lw[t+1]) & ~near[t],
-    where near[t] is the OR of the common neighbours' balls of radius t,
-    and the witness u is its lowest bit.
+    radius t = (a+b)//2 around u, that is at distance t-1 or t.  So on the
+    `_pair_levels` of the distance-2 pairs, u fails the pairs of
+    (F[t] & (S[t] | S[t+1]) | F[t+1] & S[t]) & ~(C[t-1] | C[t]).  The
+    witness is the first failing pair, the lowest bit over all u, then the
+    least u that fails it.
     """
-    balls = [list(itertools.accumulate(lv, operator.or_)) for lv in d.levels]
-    for v, w, common in _distance_two_pairs(g, d):
-        lv, lw = d.levels[v], d.levels[w]
+    pairs = list(_pairs_in_distance_band(d, 2, 2))
+    best = u_best = None
+    for u, (F, S, C) in enumerate(_pair_levels(g, d, pairs)):
         bad = 0
-        for t in range(min(len(lv), len(lw))):
-            near = 0
-            for x in common:
-                bx = balls[x]
-                near |= bx[t] if t < len(bx) else bx[-1]
-            pair = lv[t] & lw[t]
-            if t + 1 < len(lv):
-                pair |= lv[t + 1] & lw[t]
-            if t + 1 < len(lw):
-                pair |= lv[t] & lw[t + 1]
-            bad |= pair & ~near
+        for t in range(len(F) - 1):
+            fs = F[t] & (S[t] | S[t + 1]) | F[t + 1] & S[t]
+            if fs:
+                bad |= fs & ~(C[t - 1] | C[t])
         if bad:
-            u = (bad & -bad).bit_length() - 1
-            return ClassVerdict("meshed", False, (u, v, w))
-    return ClassVerdict("meshed", True)
+            low = (bad & -bad).bit_length() - 1
+            if best is None or low < best:
+                best, u_best = low, u
+    if best is None:
+        return ClassVerdict("meshed", True)
+    return ClassVerdict("meshed", False, (u_best,) + pairs[best])
 
 
 # ------------------------------------------------------------ weak modularity
@@ -109,39 +152,17 @@ def is_meshed(g: Graph, d: DistMatrix) -> ClassVerdict:
 def _triangle_violations(g: Graph, d: DistMatrix):
     """(u, v, w) for each edge vw with d(u,v) = d(u,w) = k >= 2 and no
     common neighbour of v and w at distance k-1 from u; u-major, then in
-    edge order."""
-    levels = d.levels
-    edges = [(v, w, levels[v][1] & levels[w][1]) for v, w in g.edges()]
-    for u in range(g.n):
-        row, lv = d[u], levels[u]
-        for v, w, common in edges:
-            k = row[v]
-            if k > 1 and row[w] == k and not common & lv[k - 1]:
-                yield u, v, w
-
-
-def _triangle_condition(g: Graph, d: DistMatrix):
-    bad = next(_triangle_violations(g, d), None)
-    return None if bad is None else ("TC",) + bad
-
-
-def _quadrangle_condition(g: Graph, d: DistMatrix):
-    """u fails iff some pair v, w at distance 2 has d(u,v) = d(u,w) = k >= 2,
-    a common neighbour at distance k+1 from u and none at k-1.  The scan
-    finds the first failing u from the pairs' common-neighbour masks; its
-    witness comes from the z-major scan of _quadrangle_witness."""
-    levels = d.levels
-    pairs = [(v, w, levels[v][1] & levels[w][1])
-             for v, w in _pairs_in_distance_band(d, 2, 2)]
-    for u in range(g.n):
-        row, lv = d[u], levels[u]
-        top = len(lv) - 1
-        for v, w, common in pairs:
-            k = row[v]
-            if 1 < k < top and row[w] == k and not common & lv[k - 1] \
-                    and common & lv[k + 1]:
-                return _quadrangle_witness(g, d, u)
-    return None
+    edge order.  On the edges' `_pair_levels`, u fails the edges of
+    F[k] & S[k] & ~C[k-1]."""
+    edges = g.edges()
+    for u, (F, S, C) in enumerate(_pair_levels(g, d, edges)):
+        bad = 0
+        for k in range(2, len(F) - 1):
+            fs = F[k] & S[k]
+            if fs:
+                bad |= fs & ~C[k - 1]
+        for i in members(bad):
+            yield (u,) + edges[i]
 
 
 def _quadrangle_witness(g: Graph, d: DistMatrix, u: int):
@@ -161,8 +182,34 @@ def _quadrangle_witness(g: Graph, d: DistMatrix, u: int):
 
 
 def is_weakly_modular(g: Graph, d: DistMatrix) -> ClassVerdict:
-    bad = _triangle_condition(g, d) or _quadrangle_condition(g, d)
-    return ClassVerdict("weakly_modular", bad is None, bad)
+    """The triangle condition (TC) and the quadrangle condition (QC) on the
+    `_pair_levels` of the edges followed by the distance-2 pairs.  An edge
+    whose ends are both at distance k from u fails TC at u when it is in
+    F[k] & S[k] & ~C[k-1], and a distance-2 pair fails QC when it is in
+    that mask and in C[k+1].  TC is checked at every u before QC is
+    reported: the witness is the first TC violation of
+    `_triangle_violations`, else the `_quadrangle_witness` of the least u
+    that fails QC."""
+    edges = g.edges()
+    on_edges = (1 << len(edges)) - 1
+    pairs = edges + list(_pairs_in_distance_band(d, 2, 2))
+    qc_u = None
+    for u, (F, S, C) in enumerate(_pair_levels(g, d, pairs)):
+        tc = qc = 0
+        for k in range(2, len(F) - 1):
+            fs = F[k] & S[k]
+            if fs:
+                bad = fs & ~C[k - 1]
+                tc |= bad & on_edges
+                qc |= bad & C[k + 1]
+        if tc:
+            i = (tc & -tc).bit_length() - 1
+            return ClassVerdict("weakly_modular", False, ("TC", u) + edges[i])
+        if qc and qc_u is None:
+            qc_u = u
+    if qc_u is None:
+        return ClassVerdict("weakly_modular", True)
+    return ClassVerdict("weakly_modular", False, _quadrangle_witness(g, d, qc_u))
 
 
 def is_modular(g: Graph, d: DistMatrix) -> ClassVerdict:
@@ -383,20 +430,13 @@ def satisfies_ICm(g: Graph, d: DistMatrix, m: int) -> ClassVerdict:
     pairs consumed overall."""
     if m not in (3, 4):
         raise ValueError("m must be 3 or 4")
-    adj = g.adj_sets
-    for u, v, common in _distance_two_pairs(g, d):
-        verts = [u, v, *common]
-        comp_deg = {x: 0 for x in verts}
-        comp_edges = 0
-        for a, b in itertools.combinations(verts, 2):
-            if b not in adj[a]:
-                comp_deg[a] += 1
-                comp_deg[b] += 1
-                comp_edges += 1
-        if any(deg > 1 for deg in comp_deg.values()):
-            return ClassVerdict(f"IC{m}", False, (u, v))
-        isolated = sum(1 for deg in comp_deg.values() if deg == 0)
-        if comp_edges + isolated > m:
+    nbr = _neighbour_masks(g)
+    for u, v in _pairs_in_distance_band(d, 2, 2):
+        verts = nbr[u] & nbr[v] | 1 << u | 1 << v
+        # each vertex's degree in the complement: its non-neighbours in verts
+        comp_deg = [(verts & ~nbr[x]).bit_count() - 1 for x in members(verts)]
+        isolated = comp_deg.count(0)
+        if max(comp_deg) > 1 or sum(comp_deg) // 2 + isolated > m:
             return ClassVerdict(f"IC{m}", False, (u, v))
     return ClassVerdict(f"IC{m}", True)
 
@@ -427,15 +467,14 @@ def is_bipartite_absolute_retract(g: Graph, d: DistMatrix) -> ClassVerdict:
     bip, _ = is_bipartite(g)
     if not bip:
         return ClassVerdict("bipartite_absolute_retract", False, ("not_bipartite",))
-    adj = g.adj_sets
+    nbr = _neighbour_masks(g)
     for u in range(g.n):
         for v in range(g.n):
             if d(u, v) < 3:
                 continue
-            iv = interval(g, d, u, v)
-            near_v = [z for z in g.adj[v] if z in iv]
-            if not any(x != v and all(z in adj[x] for z in near_v)
-                       for x in iv):
+            iv = interval_mask(d, u, v)
+            near = nbr[v] & iv
+            if not any(nbr[x] & near == near for x in members(iv & ~(1 << v))):
                 return ClassVerdict("bipartite_absolute_retract", False, (u, v))
     return ClassVerdict("bipartite_absolute_retract", True)
 

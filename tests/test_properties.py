@@ -29,8 +29,7 @@ from medgraph.medians import (Profile, VertexFunction, _pairs_in_distance_band,
                               median_set, median_value)
 from medgraph import lp, oracle
 from medgraph.oracle import brute_force_oracle
-from medgraph.recognizers import (ClassVerdict, _quadrangle_condition,
-                                  _triangle_condition,
+from medgraph.recognizers import (ClassVerdict, _triangle_violations,
                                   detect_alpha_configuration,
                                   detect_beta_configuration, has_convex_balls,
                                   induced_squares, is_bipartite, is_bridged,
@@ -635,9 +634,19 @@ def _ref_detect_beta_configuration(g, d):
     return None
 
 
+def _first_triangle_violation(g, d):
+    bad = next(_triangle_violations(g, d), None)
+    return None if bad is None else ("TC",) + bad
+
+
+def _ref_is_weakly_modular(g, d):
+    bad = _ref_triangle_condition(g, d) or _ref_quadrangle_condition(g, d)
+    return ClassVerdict("weakly_modular", bad is None, bad)
+
+
 def test_bitset_recognizers_match_definitional_scans():
-    pairs = {"TC": (_triangle_condition, _ref_triangle_condition),
-             "QC": (_quadrangle_condition, _ref_quadrangle_condition),
+    pairs = {"TC": (_first_triangle_violation, _ref_triangle_condition),
+             "weakly_modular": (is_weakly_modular, _ref_is_weakly_modular),
              "modular": (is_modular, _ref_is_modular),
              "meshed": (is_meshed, _ref_is_meshed),
              "PC": (satisfies_PC, _ref_satisfies_PC),
@@ -657,7 +666,7 @@ def test_bitset_recognizers_match_definitional_scans():
                        _ref_detect_alpha_configuration),
              "beta": (detect_beta_configuration,
                       _ref_detect_beta_configuration)}
-    verdicts = {name: set() for name in pairs}
+    verdicts = {name: set() for name in [*pairs, "QC"]}
     capped = 0
     for g in _recognizer_corpus():
         d = all_pairs_distances(g)
@@ -665,7 +674,13 @@ def test_bitset_recognizers_match_definitional_scans():
             got = fn(g, d)
             assert got == ref(g, d), (name, g.n, g.edges())
             verdicts[name].add(bool(got))
-        capped += bool(satisfies_TPC(g, d)) and _triangle_condition(g, d) is not None
+        tc = _first_triangle_violation(g, d)
+        if tc is None:
+            # where TC holds, the weak-modularity witness is QC's alone
+            qc = _ref_quadrangle_condition(g, d)
+            assert is_weakly_modular(g, d).witness == qc, (g.n, g.edges())
+            verdicts["QC"].add(qc is None)
+        capped += bool(satisfies_TPC(g, d)) and tc is not None
     # the corpus exercises both outcomes of every recognizer, and some
     # graphs satisfy TPC only through a pentagon cap
     assert all(seen == {True, False} for seen in verdicts.values())

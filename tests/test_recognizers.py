@@ -44,7 +44,23 @@ def test_c6_not_meshed():
     assert all(2 * d(u, x) > d(u, v) + d(u, w) for x in common)
 
 
+def test_meshed_witness_is_the_first_failing_pair_then_its_least_u():
+    # C_5 as 0-1-2-3-4-0: the first distance-2 pair (0, 2) fails only at
+    # u = 3, while u = 0, the least failing vertex, fails the later (2, 4)
+    g, d = _gd(cycle_graph(5))
+    assert g.edges() == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+    assert is_meshed(g, d).witness == (3, 0, 2)
+
+
 # -------------------------------------------------------------- weak modularity
+
+def test_weakly_modular_reports_tc_at_any_vertex_before_qc():
+    # QC first fails at u = 0, on the pair 3, 4 below 5; TC holds at u = 0
+    # and first fails at u = 1, on the edge 3-5
+    g, d = _gd(build_graph(7, [(0, 1), (0, 2), (1, 2), (1, 4), (1, 6), (2, 3),
+                               (3, 5), (4, 5)]))
+    assert is_weakly_modular(g, d).witness == ("TC", 1, 3, 5)
+
 
 def test_weakly_modular_examples():
     for g in (complete_graph(2), complete_graph(4), hypercube(3)[0]):
