@@ -46,9 +46,13 @@ def _report(verb: str, inputs: dict, result: dict, start: float) -> int:
     return 0
 
 
-def _load_graph(path: str):
+def _read_graph_file(path: str):
     with open(path) as fh:
-        g = read_graph(fh.read())
+        return read_graph(fh.read())
+
+
+def _load_graph(path: str):
+    g = _read_graph_file(path)
     return g, all_pairs_distances(g)
 
 
@@ -150,39 +154,43 @@ def cmd_pvalue(args) -> int:
 
 # --------------------------------------------------------------- check verb
 
+# A check that reads the distance table builds it; chordal, thick, IC3/IC4
+# (here) and alpha/beta (below) read only neighbour bitsets, and build none.
 _SIMPLE_CHECKS = {
-    "meshed": lambda g, d: recognizers.is_meshed(g, d),
-    "weakly-modular": lambda g, d: recognizers.is_weakly_modular(g, d),
-    "modular": lambda g, d: recognizers.is_modular(g, d),
-    "chordal": lambda g, d: recognizers.is_chordal(g),
-    "bridged": lambda g, d: recognizers.is_bridged(g, d),
-    "weakly-bridged": lambda g, d: recognizers.is_weakly_bridged(g, d),
-    "cb": lambda g, d: recognizers.has_convex_balls(g, d),
-    "inc": lambda g, d: recognizers.satisfies_INC(g, d),
-    "tpc": lambda g, d: recognizers.satisfies_TPC(g, d),
-    "pc": lambda g, d: recognizers.satisfies_PC(g, d),
-    "ic3": lambda g, d: recognizers.satisfies_ICm(g, d, 3),
-    "ic4": lambda g, d: recognizers.satisfies_ICm(g, d, 4),
-    "thick": lambda g, d: recognizers.is_thick(g, d),
-    "bipartite-absolute-retract":
-        lambda g, d: recognizers.is_bipartite_absolute_retract(g, d),
+    "meshed": lambda g: recognizers.is_meshed(g, all_pairs_distances(g)),
+    "weakly-modular":
+        lambda g: recognizers.is_weakly_modular(g, all_pairs_distances(g)),
+    "modular": lambda g: recognizers.is_modular(g, all_pairs_distances(g)),
+    "chordal": lambda g: recognizers.is_chordal(g),
+    "bridged": lambda g: recognizers.is_bridged(g, all_pairs_distances(g)),
+    "weakly-bridged":
+        lambda g: recognizers.is_weakly_bridged(g, all_pairs_distances(g)),
+    "cb": lambda g: recognizers.has_convex_balls(g, all_pairs_distances(g)),
+    "inc": lambda g: recognizers.satisfies_INC(g, all_pairs_distances(g)),
+    "tpc": lambda g: recognizers.satisfies_TPC(g, all_pairs_distances(g)),
+    "pc": lambda g: recognizers.satisfies_PC(g, all_pairs_distances(g)),
+    "ic3": lambda g: recognizers.satisfies_ICm(g, 3),
+    "ic4": lambda g: recognizers.satisfies_ICm(g, 4),
+    "thick": lambda g: recognizers.is_thick(g),
+    "bipartite-absolute-retract": lambda g:
+        recognizers.is_bipartite_absolute_retract(g, all_pairs_distances(g)),
 }
 
 
 def cmd_check(args) -> int:
     start = time.monotonic()
-    g, d = _load_graph(args.graph)
+    g = _read_graph_file(args.graph)
     name = args.cls
     if name in _SIMPLE_CHECKS:
-        verdict = _SIMPLE_CHECKS[name](g, d)
+        verdict = _SIMPLE_CHECKS[name](g)
         result = {"class": verdict.name, "verdict": verdict.verdict,
                   "witness": verdict.witness}
     elif name == "alpha":
-        found = recognizers.detect_alpha_configuration(g, d)
+        found = recognizers.detect_alpha_configuration(g)
         result = {"class": "alpha_configuration", "verdict": found is not None,
                   "witness": found}
     elif name == "beta":
-        found = recognizers.detect_beta_configuration(g, d)
+        found = recognizers.detect_beta_configuration(g)
         result = {"class": "beta_configuration", "verdict": found is not None,
                   "witness": found}
     elif name in ("partial-johnson", "partial-halved-cube"):
@@ -194,7 +202,7 @@ def cmd_check(args) -> int:
         fn = (recognizers.connected_medians_partial_johnson
               if target == "johnson"
               else recognizers.connected_medians_partial_halved_cube)
-        verdict = fn(g, d, emb)
+        verdict = fn(g, all_pairs_distances(g), emb)
         result = {"class": verdict.name, "verdict": verdict.verdict,
                   "witness": verdict.witness}
     else:
@@ -463,7 +471,7 @@ def _halved_cube_examples() -> list[tuple[str, bool]]:
     for n in (4, 5):
         g, _ = families.halved_cube(n)
         d = all_pairs_distances(g)
-        checks += [(f"{g.name} thick", recognizers.is_thick(g, d).verdict),
+        checks += [(f"{g.name} thick", recognizers.is_thick(g).verdict),
                    (f"{g.name} PC", recognizers.satisfies_PC(g, d).verdict),
                    (f"{g.name} p==1", lp.compute_p(g, d).p == 1)]
     j52, _ = families.johnson(5, 2)

@@ -365,7 +365,7 @@ def _validate_alpha(g: Graph, config_type: int, apexes) -> None:
                 and all(d(apex, x) == 2 for x in near)):
             raise ConstraintsUnsatisfiable(
                 f"apex {apex} misses its distance pattern")
-    found = detect_alpha_configuration(g, d)
+    found = detect_alpha_configuration(g)
     if found is None or found[0] != config_type:
         raise ConstraintsUnsatisfiable(
             f"built graph detects as {found and found[0]}, wanted {config_type}")

@@ -19,10 +19,23 @@ TC's is the least failing u, then its first edge; QC's is the
 `_quadrangle_witness` of the least failing u, reported only once no u
 fails TC; meshedness's is the first failing pair, then the least u that
 fails it.
+
+Chordality, thickness, IC3/IC4 and the alpha and beta configurations are
+local, and read no distance table.  The distance-2 pairs come from
+neighbour bitsets (`_distance_two_pairs`): the second ring of u is the OR
+of N(x) over x in N(u), less N[u].  Every other distance these conditions
+read is at most 3 and lies next to such a pair: an alpha apex a is at
+distance 2 from u and v, so for an interior vertex t, a neighbour of u,
+d(a,t) is 1 if a and t are adjacent, 2 if they have a common neighbour,
+else 3; a vertex that can own a beta personal neighbour is a neighbour of
+the interior, so it is at distance at most 2 from u and from v, and its
+distances are read off N[u] and N[v].  `check` builds the table only for
+the other classes.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import sys
 from array import array
@@ -31,7 +44,7 @@ from dataclasses import dataclass
 from .errors import EmbeddingUnverified, LabelArity, ParseError
 from .graph import DistMatrix, Graph, _data_lines, _neighbour_masks, bfs
 from .medians import _pairs_in_distance_band
-from .metric import Jcirc_set, interval_mask, members
+from .metric import interval_mask, members
 
 
 @dataclass(frozen=True)
@@ -75,12 +88,25 @@ def write_labels(e: LabeledEmbedding) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _distance_two_pairs(g: Graph, d: DistMatrix):
-    """(u, v, common) for each pair u < v at distance 2; common is the
-    ascending list of common neighbours, which is I°(u,v)."""
-    nbr = _neighbour_masks(g)
-    for u, v in _pairs_in_distance_band(d, 2, 2):
-        yield u, v, members(nbr[u] & nbr[v])
+def _second_ring(g: Graph, nbr: list[int], u: int) -> int:
+    """The vertices at distance 2 from u: the OR of N(x) over x in N(u),
+    less N[u]."""
+    ring = 0
+    for x in g.adj[u]:
+        ring |= nbr[x]
+    return ring & ~(nbr[u] | 1 << u)
+
+
+def _distance_two_pairs(g: Graph, nbr: list[int]):
+    """(u, v, common) for each pair u < v at distance 2, u ascending, then
+    v, the order of `_pairs_in_distance_band(d, 2, 2)`; common is the
+    ascending list of common neighbours, which is I°(u,v).  nbr is
+    `_neighbour_masks(g)`, passed in so that a caller that reads the masks
+    too builds them once: on a path they take n^2/16 bytes."""
+    for u in range(g.n):
+        # -(2 << u) has every bit above u set: the v > u at distance 2
+        for v in members(_second_ring(g, nbr, u) & -(2 << u)):
+            yield u, v, members(nbr[u] & nbr[v])
 
 
 def _pair_levels(g: Graph, d: DistMatrix, pairs: list[tuple[int, int]]):
@@ -213,14 +239,21 @@ def is_weakly_modular(g: Graph, d: DistMatrix) -> ClassVerdict:
 
 
 def is_modular(g: Graph, d: DistMatrix) -> ClassVerdict:
-    """Every triple has a vertex in all three pairwise intervals."""
+    """Every triple has a vertex in all three pairwise intervals.  Row u of
+    I holds I(u,v) for v > u and is filled when the scan first reads it,
+    so a triple that fails early costs a few rows, not n^2/2 intervals."""
     n = g.n
-    I = [[interval_mask(d, u, v) if u < v else 0 for v in range(n)]
-         for u in range(n)]
+    I = [None] * n
+
+    def row(u: int) -> list[int]:
+        if I[u] is None:
+            I[u] = [interval_mask(d, u, v) if u < v else 0 for v in range(n)]
+        return I[u]
+
     for u in range(n):
-        Iu = I[u]
+        Iu = row(u)
         for v in range(u + 1, n):
-            Iuv, Iv = Iu[v], I[v]
+            Iuv, Iv = Iu[v], row(v)
             for w in range(v + 1, n):
                 if not Iuv & Iv[w] & Iu[w]:
                     return ClassVerdict("modular", False, (u, v, w))
@@ -230,15 +263,36 @@ def is_modular(g: Graph, d: DistMatrix) -> ClassVerdict:
 # ------------------------------------------------------------------ chordality
 
 def _mcs_order(g: Graph) -> list[int]:
-    order, weight, used = [], [0] * g.n, [False] * g.n
+    """Maximum-cardinality search: each step takes the unvisited vertex
+    with the most visited neighbours, the least such vertex on a tie.
+
+    heaps[w] holds the vertices pushed at weight w, least first, and top
+    is at least the largest weight of an unvisited vertex, which has an
+    entry in heaps[top].  So an unvisited vertex met in heaps[top] has the
+    largest weight, and the entries of visited vertices are dropped as
+    they reach the top.  Each vertex is pushed once per weight, so the
+    search takes O((n + m) log n)."""
+    weight, used = [0] * g.n, [False] * g.n
+    heaps, top, order = [list(range(g.n))], 0, []
     for _ in range(g.n):
-        v = max((x for x in range(g.n) if not used[x]),
-                key=lambda x: (weight[x], -x))
+        while True:
+            heap = heaps[top]
+            if not heap:
+                top -= 1
+            elif used[heap[0]]:
+                heapq.heappop(heap)
+            else:
+                break
+        v = heapq.heappop(heap)
         used[v] = True
         order.append(v)
         for y in g.adj[v]:
             if not used[y]:
                 weight[y] += 1
+                if weight[y] == len(heaps):
+                    heaps.append([])
+                heapq.heappush(heaps[weight[y]], y)
+                top = max(top, weight[y])
     return order
 
 
@@ -317,7 +371,7 @@ def is_weakly_bridged(g: Graph, d: DistMatrix) -> ClassVerdict:
     wm = is_weakly_modular(g, d)
     if not wm:
         return ClassVerdict("weakly_bridged", False, wm.witness)
-    c4 = next(induced_squares(g, d), None)
+    c4 = next(induced_squares(g), None)
     return ClassVerdict("weakly_bridged", c4 is None, c4)
 
 
@@ -393,10 +447,10 @@ def _pentagon_cap(g: Graph, d: DistMatrix, v, x, y, k) -> bool:
 
 # ------------------------------------------ basis-graph style conditions
 
-def induced_squares(g: Graph, d: DistMatrix):
+def induced_squares(g: Graph):
     """Induced 4-cycles (v1, v2, v3, v4) with v1 < v3 and v2 < v4."""
     adj = g.adj_sets
-    for v1, v3, common in _distance_two_pairs(g, d):
+    for v1, v3, common in _distance_two_pairs(g, _neighbour_masks(g)):
         for v2, v4 in itertools.combinations(common, 2):
             if v4 not in adj[v2]:
                 yield (v1, v2, v3, v4)
@@ -410,7 +464,7 @@ def satisfies_PC(g: Graph, d: DistMatrix) -> ClassVerdict:
     rows are packed at the first square, and u is looked up in the lists
     only on a failure."""
     packed = None
-    for sq in induced_squares(g, d):
+    for sq in induced_squares(g):
         if packed is None:
             top = 2 * d.diameter
             code = "B" if top < 1 << 8 else "H" if top < 1 << 16 else "Q"
@@ -424,27 +478,27 @@ def satisfies_PC(g: Graph, d: DistMatrix) -> ClassVerdict:
     return ClassVerdict("PC", True)
 
 
-def satisfies_ICm(g: Graph, d: DistMatrix, m: int) -> ClassVerdict:
+def satisfies_ICm(g: Graph, m: int) -> ClassVerdict:
     """Every 2-interval embeds induced into the m-hyperoctahedron: its
     complement must be a matching plus isolated vertices, with at most m
     pairs consumed overall."""
     if m not in (3, 4):
         raise ValueError("m must be 3 or 4")
     nbr = _neighbour_masks(g)
-    for u, v in _pairs_in_distance_band(d, 2, 2):
+    for u, v, common in _distance_two_pairs(g, nbr):
         verts = nbr[u] & nbr[v] | 1 << u | 1 << v
         # each vertex's degree in the complement: its non-neighbours in verts
-        comp_deg = [(verts & ~nbr[x]).bit_count() - 1 for x in members(verts)]
+        comp_deg = [(verts & ~nbr[x]).bit_count() - 1 for x in (u, v, *common)]
         isolated = comp_deg.count(0)
         if max(comp_deg) > 1 or sum(comp_deg) // 2 + isolated > m:
             return ClassVerdict(f"IC{m}", False, (u, v))
     return ClassVerdict(f"IC{m}", True)
 
 
-def is_thick(g: Graph, d: DistMatrix) -> ClassVerdict:
+def is_thick(g: Graph) -> ClassVerdict:
     """Every distance-2 pair lies in an induced square."""
     adj = g.adj_sets
-    for u, v, common in _distance_two_pairs(g, d):
+    for u, v, common in _distance_two_pairs(g, _neighbour_masks(g)):
         if not any(b not in adj[a]
                    for a, b in itertools.combinations(common, 2)):
             return ClassVerdict("thick", False, (u, v))
@@ -481,11 +535,11 @@ def is_bipartite_absolute_retract(g: Graph, d: DistMatrix) -> ClassVerdict:
 
 # ------------------------------------------------ alpha/beta configurations
 
-def _small_clique_interiors(g: Graph, d: DistMatrix):
+def _small_clique_interiors(g: Graph, nbr: list[int]):
     """Distance-2 pairs whose interval interior is 2-3 pairwise adjacent
     vertices (hence the pair lies in no induced square)."""
     adj = g.adj_sets
-    for u, v, inner in _distance_two_pairs(g, d):
+    for u, v, inner in _distance_two_pairs(g, nbr):
         if 2 <= len(inner) <= 3 and all(
                 b in adj[a] for a, b in itertools.combinations(inner, 2)):
             yield u, v, inner
@@ -498,15 +552,27 @@ def personal_neighbor(g: Graph, s_set, x: int) -> int | None:
     return hits[0] if len(hits) == 1 else None
 
 
-def detect_beta_configuration(g: Graph, d: DistMatrix):
+def detect_beta_configuration(g: Graph):
     """Witness (u, v, (s,t,w), (a,b,c)) where each interior vertex is the
-    personal neighbor of some vertex outside the equidistant part."""
-    for u, v, inner in _small_clique_interiors(g, d):
+    personal neighbor of some vertex of J°(u,v), the vertices z of J(u,v)
+    with d(u,z) != d(v,z); the owner of s is the least such vertex.
+
+    Only a neighbour x of the interior can have a personal neighbour there,
+    and each interior vertex is adjacent to u and v, so d(u,x), d(v,x) <= 2:
+    0 on {u}, 1 on N(u), else 2.  Such an x with d(u,x) != d(v,x) is always
+    in J(u,v): x leaves J only through a neighbour y closer to both u and v
+    (`metric.J_set`), and with d(u,x) <= 1, say, y would be u itself, which
+    is not closer than x to v.  So J°(u,v) meets the interior's neighbours
+    in the x of exactly one of N[u] and N[v]."""
+    nbr = _neighbour_masks(g)
+    for u, v, inner in _small_clique_interiors(g, nbr):
         if len(inner) != 3:
             continue
-        jc = sorted(Jcirc_set(g, d, u, v))
+        near = 0
+        for s in inner:
+            near |= nbr[s]
         owners = {}
-        for x in jc:
+        for x in members(near & ((nbr[u] | 1 << u) ^ (nbr[v] | 1 << v))):
             pn = personal_neighbor(g, inner, x)
             if pn is not None and pn not in owners:
                 owners[pn] = x
@@ -515,7 +581,7 @@ def detect_beta_configuration(g: Graph, d: DistMatrix):
     return None
 
 
-def detect_alpha_configuration(g: Graph, d: DistMatrix):
+def detect_alpha_configuration(g: Graph):
     """(type, witness) for the first matching configuration, or None.
 
     For each pair u, v of `_small_clique_interiors`, apex[t] is the first
@@ -525,13 +591,22 @@ def detect_alpha_configuration(g: Graph, d: DistMatrix):
     Type 1 is apex[t] and a tail on {t} alone; with three interior
     vertices, type 2 is apex[t], apex[w] and a tail on {t, w}, and type 3
     an apex for each interior vertex.  Types are tried in that order.
+
+    No distance table is read.  The candidate apexes are the second rings
+    of u and v ANDed, and an interior vertex t is a neighbour of u, so a
+    candidate a is at distance at most 3 from t: 1 if a and t are adjacent,
+    2 if they have a common neighbour, else 3.
     """
     adj = g.adj_sets
-    for u, v, inner in _small_clique_interiors(g, d):
-        du, dv = d[u], d[v]
-        around = [a for a in range(g.n) if du[a] == dv[a] == 2]
-        apex = {t: next((a for a in around if d(a, t) == 3 and all(
-            d(a, s) == 2 for s in inner if s != t)), None) for t in inner}
+    nbr = _neighbour_masks(g)
+
+    def dist(a: int, t: int) -> int:
+        return 1 if nbr[a] >> t & 1 else 2 if nbr[a] & nbr[t] else 3
+
+    for u, v, inner in _small_clique_interiors(g, nbr):
+        around = members(_second_ring(g, nbr, u) & _second_ring(g, nbr, v))
+        apex = {t: next((a for a in around if dist(a, t) == 3 and all(
+            dist(a, s) == 2 for s in inner if s != t)), None) for t in inner}
         tails = [b for b in sorted(adj[u] | adj[v]) if b not in inner]
 
         def tail(far):
@@ -605,13 +680,13 @@ def connected_medians_partial_halved_cube(g: Graph, d: DistMatrix,
     m = is_meshed(g, d)
     if not m:
         return ClassVerdict(name, False, m.witness)
-    beta = detect_beta_configuration(g, d)
+    beta = detect_beta_configuration(g)
     if beta is not None:
         return ClassVerdict(name, False, ("beta",) + beta)
     if is_weakly_modular(g, d):
         # for weakly modular partial halved-cubes the beta test suffices
         return ClassVerdict(name, True)
-    alpha = detect_alpha_configuration(g, d)
+    alpha = detect_alpha_configuration(g)
     if alpha is not None:
         return ClassVerdict(name, False, ("alpha",) + alpha)
     return ClassVerdict(name, True)

@@ -8,7 +8,9 @@ interval condition, the simplex on every pair instead of the shared pair
 verdicts, the phase-1 tableau with its artificial columns stored instead of
 implied, the product y^T M over every row instead of the rows with
 y_i != 0, a search over every pair of a set instead of a walk along the
-distance rows.
+distance rows, the alpha/beta finders on the distance table and J°(u,v)
+instead of neighbour bitsets, and maximum-cardinality search by a scan of
+every vertex instead of heaps.
 
 It also holds each graph corpus and helper that more than one test module
 uses, so that no test module imports another.
@@ -37,8 +39,8 @@ from medgraph.lp import (FeasibilityResult, RationalMatrix, build_Duv,
                          lp_feasible_strict)
 from medgraph.medians import (Profile, VertexFunction, _pairs_in_distance_band,
                               check_WP)
-from medgraph.metric import J_set
-from medgraph.recognizers import ClassVerdict, is_modular
+from medgraph.metric import J_set, Jcirc_set
+from medgraph.recognizers import ClassVerdict, is_modular, personal_neighbor
 
 
 def is_p_weakly_peakless_full(g: Graph, d: DistMatrix, f: VertexFunction, p: int) -> bool:
@@ -264,6 +266,76 @@ def _bn_extends(g: Graph, a_side, b_side) -> bool:
     doms_a = [y for y in range(g.n)
               if y not in a_side | b_side and a_side <= g.adj_sets[y]]
     return any(y in g.adj_sets[x] for x in doms_b for y in doms_a)
+
+
+# ------------------------------------- alpha/beta and MCS on the table
+
+def _small_clique_interiors_by_table(g: Graph, d: DistMatrix):
+    """`recognizers._small_clique_interiors` on the band scan of the table."""
+    for u, v in _pairs_in_distance_band(d, 2, 2):
+        inner = sorted(g.adj_sets[u] & g.adj_sets[v])
+        if 2 <= len(inner) <= 3 and all(
+                b in g.adj_sets[a] for a, b in itertools.combinations(inner, 2)):
+            yield u, v, inner
+
+
+def detect_beta_configuration_by_table(g: Graph, d: DistMatrix):
+    """`recognizers.detect_beta_configuration` on J°(u,v) from the table."""
+    for u, v, inner in _small_clique_interiors_by_table(g, d):
+        if len(inner) != 3:
+            continue
+        owners = {}
+        for x in sorted(Jcirc_set(g, d, u, v)):
+            pn = personal_neighbor(g, inner, x)
+            if pn is not None and pn not in owners:
+                owners[pn] = x
+        if len(owners) == 3:
+            return (u, v, tuple(inner), tuple(owners[s] for s in inner))
+    return None
+
+
+def detect_alpha_configuration_by_table(g: Graph, d: DistMatrix):
+    """`recognizers.detect_alpha_configuration` with every distance read
+    from the table."""
+    adj = g.adj_sets
+    for u, v, inner in _small_clique_interiors_by_table(g, d):
+        du, dv = d[u], d[v]
+        around = [a for a in range(g.n) if du[a] == dv[a] == 2]
+        apex = {t: next((a for a in around if d(a, t) == 3 and all(
+            d(a, s) == 2 for s in inner if s != t)), None) for t in inner}
+        tails = [b for b in sorted(adj[u] | adj[v]) if b not in inner]
+
+        def tail(far):
+            return next((b for b in tails
+                         if {s for s in inner if s in adj[b]} == far), None)
+
+        for t in inner:
+            if apex[t] is not None and (b := tail({t})) is not None:
+                return (1, (u, v, tuple(inner), t, apex[t], b))
+        if len(inner) == 3:
+            for s, t, w in itertools.permutations(inner):
+                if None not in (apex[t], apex[w]) and \
+                        (b := tail({t, w})) is not None:
+                    return (2, (u, v, (s, t, w), apex[t], apex[w], b))
+            if None not in apex.values():
+                s, t, w = inner
+                return (3, (u, v, (s, t, w), apex[t], apex[w], apex[s]))
+    return None
+
+
+def mcs_order_by_scan(g: Graph) -> list[int]:
+    """`recognizers._mcs_order` by a scan of every unvisited vertex per
+    step, in O(n^2)."""
+    order, weight, used = [], [0] * g.n, [False] * g.n
+    for _ in range(g.n):
+        v = max((x for x in range(g.n) if not used[x]),
+                key=lambda x: (weight[x], -x))
+        used[v] = True
+        order.append(v)
+        for y in g.adj[v]:
+            if not used[y]:
+                weight[y] += 1
+    return order
 
 
 # ------------------------------------------------- oracle by a plain scan

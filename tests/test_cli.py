@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import medgraph
-from medgraph import cli
+from medgraph import cli, graph
 from medgraph.cli import main
-from medgraph.families import cycle_graph, johnson, projective_incidence_graph
+from medgraph.families import (alpha_configuration, beta_configuration,
+                               cycle_graph, johnson, projective_incidence_graph)
 from medgraph.graph import write_graph
 from medgraph.recognizers import ClassVerdict, write_labels
 
@@ -165,6 +166,39 @@ def test_check_verbs(tmp_path, capsys):
         code, rep = _run(capsys, "check", cls, str(gpath))
         assert code == (0 if expect else 1)
         assert rep["result"]["verdict"] is expect
+
+
+_TABLE_FREE = ("chordal", "thick", "ic3", "ic4", "alpha", "beta")
+
+
+def test_check_builds_the_distance_table_only_for_the_classes_that_read_it(
+        tmp_path, capsys, monkeypatch):
+    # the six classes above read neighbour bitsets alone; the other ten
+    # build the table once
+    real = graph.all_pairs_distances
+    calls = []
+
+    def table(g):
+        if cls in _TABLE_FREE:
+            raise AssertionError(f"check {cls} built the distance table")
+        calls.append(cls)
+        return real(g)
+
+    monkeypatch.setattr(graph, "all_pairs_distances", table)
+    monkeypatch.setattr(cli, "all_pairs_distances", table)
+    classes = [*cli._SIMPLE_CHECKS, "alpha", "beta"]
+    hits = set()
+    for g in (beta_configuration(), alpha_configuration(1), cycle_graph(6)):
+        gpath = tmp_path / "g.graph"
+        gpath.write_text(write_graph(g))
+        for cls in classes:
+            code, rep = _run(capsys, "check", cls, str(gpath))
+            assert code == (0 if rep["result"]["verdict"] else 1), cls
+            if cls in ("alpha", "beta") and rep["result"]["verdict"]:
+                hits.add((cls, g.name))
+    assert len(classes) == 16
+    assert sorted(calls) == sorted(3 * [c for c in classes if c not in _TABLE_FREE])
+    assert hits == {("beta", "beta_configuration"), ("alpha", "alpha_type1")}
 
 
 def test_check_with_embedding(tmp_path, capsys):

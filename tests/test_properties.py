@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from medgraph.families import (alpha_configuration, cartesian_product,
-                               cycle_graph, halved_cube, hypercube, johnson,
-                               path_graph, projective_incidence_graph)
+from medgraph.benzenoid import BenzenoidSpec, benzenoid
+from medgraph.families import (alpha_configuration, beta_configuration,
+                               cartesian_product, cycle_graph, halved_cube,
+                               hypercube, johnson, path_graph,
+                               projective_incidence_graph)
 from medgraph.errors import BudgetExceeded, Disconnected
-from medgraph.graph import all_pairs_distances, build_graph, power_graph
+from medgraph.graph import (_neighbour_masks, all_pairs_distances, build_graph,
+                            power_graph)
 from medgraph.lp import (FeasibilityResult, RationalMatrix, _check_result,
                          compute_p, disconnecting_profile,
                          has_Gp_connected_medians, lp_feasible_strict,
@@ -29,7 +32,8 @@ from medgraph.medians import (Profile, VertexFunction, _pairs_in_distance_band,
                               median_set, median_value)
 from medgraph import lp, oracle
 from medgraph.oracle import brute_force_oracle
-from medgraph.recognizers import (ClassVerdict, _triangle_violations,
+from medgraph.recognizers import (ClassVerdict, _distance_two_pairs,
+                                  _mcs_order, _triangle_violations,
                                   detect_alpha_configuration,
                                   detect_beta_configuration, has_convex_balls,
                                   induced_squares, is_bipartite, is_bridged,
@@ -41,8 +45,10 @@ from reference import (_assert_agrees_with_per_pair, _connected_atlas_graphs,
                        _corpus, _pool_graphs, _random_connected_graph,
                        _random_connected_graphs, _recognizer_corpus,
                        _ref_oracle, _relabelled, _to_nx, certificate_holds_dense, geodesic_vertices_via_dag,
+                       detect_alpha_configuration_by_table,
+                       detect_beta_configuration_by_table,
                        is_p_connected_pairwise, local_median_set_plain,
-                       median_set_plain, solve_pair)
+                       mcs_order_by_scan, median_set_plain, solve_pair)
 
 
 def _random_profile(rng, n):
@@ -655,16 +661,16 @@ def test_bitset_recognizers_match_definitional_scans():
              "bridged": (is_bridged, _ref_is_bridged),
              "convex_balls": (has_convex_balls, _ref_has_convex_balls),
              "INC": (satisfies_INC, _ref_satisfies_INC),
-             "thick": (is_thick, _ref_is_thick),
-             "IC3": (lambda g, d: satisfies_ICm(g, d, 3),
+             "thick": (lambda g, d: is_thick(g), _ref_is_thick),
+             "IC3": (lambda g, d: satisfies_ICm(g, 3),
                      lambda g, d: _ref_satisfies_ICm(g, d, 3)),
-             "IC4": (lambda g, d: satisfies_ICm(g, d, 4),
+             "IC4": (lambda g, d: satisfies_ICm(g, 4),
                      lambda g, d: _ref_satisfies_ICm(g, d, 4)),
-             "squares": (lambda g, d: list(induced_squares(g, d)),
+             "squares": (lambda g, d: list(induced_squares(g)),
                          lambda g, d: list(_ref_induced_squares(g, d))),
-             "alpha": (detect_alpha_configuration,
+             "alpha": (lambda g, d: detect_alpha_configuration(g),
                        _ref_detect_alpha_configuration),
-             "beta": (detect_beta_configuration,
+             "beta": (lambda g, d: detect_beta_configuration(g),
                       _ref_detect_beta_configuration)}
     verdicts = {name: set() for name in [*pairs, "QC"]}
     capped = 0
@@ -706,10 +712,64 @@ def test_alpha_finder_matches_the_plain_scan_on_perturbed_configurations():
             except Disconnected:
                 continue
             d = all_pairs_distances(g)
-            got = detect_alpha_configuration(g, d)
+            got = detect_alpha_configuration(g)
             assert got == _ref_detect_alpha_configuration(g, d), g.edges()
             kinds[got and got[0]] += 1
     assert all(kinds[k] for k in (None, 1, 2, 3)), kinds
+
+
+def _classify_corpus():
+    """The six graphs of the benchmark's `classify` workload."""
+    coronene = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
+    yield hypercube(6)[0]
+    yield halved_cube(7)[0]
+    yield johnson(8, 3)[0]
+    yield cartesian_product(path_graph(6), path_graph(6))
+    yield projective_incidence_graph(3)
+    yield benzenoid(BenzenoidSpec(frozenset(coronene))).graph
+
+
+def _random_trees_with_chords(count, seed=1):
+    """Seeded connected graphs on 5..16 vertices, each vertex after the
+    first joined to 1..3 earlier ones: sparse, with many distance-2 pairs
+    whose interior is a small clique, where alpha and beta configurations
+    live."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(5, 16)
+        yield build_graph(n, [(u, v) for v in range(1, n)
+                              for u in rng.sample(range(v), min(v, rng.randint(1, 3)))])
+
+
+def test_distance_two_pairs_are_the_band_scan_of_the_table():
+    # a second ring that kept N[u], or pairs with v < u, would differ here
+    for g in [*_recognizer_corpus(), *_classify_corpus()]:
+        d = all_pairs_distances(g)
+        want = [(u, v, sorted(g.adj_sets[u] & g.adj_sets[v]))
+                for u, v in _pairs_in_distance_band(d, 2, 2)]
+        assert list(_distance_two_pairs(g, _neighbour_masks(g))) == want, g.edges()
+
+
+def test_alpha_and_beta_finders_match_the_table_reading_finders():
+    # the neighbour-bitset finders against the same finders on the distance
+    # table and J°(u,v), on a corpus with many hits of each
+    graphs = [*_connected_atlas_graphs(), *_pool_graphs(),
+              *_random_trees_with_chords(300), beta_configuration(),
+              *map(alpha_configuration, (1, 2, 3))]
+    hits = Counter()
+    for g in graphs:
+        d = all_pairs_distances(g)
+        alpha, beta = detect_alpha_configuration(g), detect_beta_configuration(g)
+        assert alpha == detect_alpha_configuration_by_table(g, d), g.edges()
+        assert beta == detect_beta_configuration_by_table(g, d), g.edges()
+        hits["alpha"] += alpha is not None
+        hits["beta"] += beta is not None
+    assert hits["alpha"] >= 50 and hits["beta"] >= 10, hits
+
+
+def test_mcs_order_matches_the_scan_of_every_vertex():
+    for g in [*_connected_atlas_graphs(), *_pool_graphs(), *_classify_corpus()]:
+        assert _mcs_order(g) == mcs_order_by_scan(g), g.edges()
 
 
 def test_weakly_modular_witnesses_violate_their_condition():

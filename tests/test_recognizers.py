@@ -1,5 +1,6 @@
 import pytest
 
+from medgraph import recognizers
 from medgraph.errors import LabelArity
 from medgraph.families import (beta_configuration, bn_hat_graph,
                                complete_graph, cycle_graph, halved_cube,
@@ -86,6 +87,18 @@ def test_modular_examples():
     assert not is_modular(g, d)
 
 
+def test_modular_fills_interval_rows_only_as_the_scan_reads_them(monkeypatch):
+    # the triple (0, 1, 2) of halfH_7 fails, so only the rows of 0 and 1 are
+    # read: 63 + 62 intervals, not all 64 * 63 / 2
+    g, d = _gd(halved_cube(7)[0])
+    rows = []
+    real = recognizers.interval_mask
+    monkeypatch.setattr(recognizers, "interval_mask",
+                        lambda d, u, v: rows.append(u) or real(d, u, v))
+    assert is_modular(g, d).witness == (0, 1, 2)
+    assert rows == [0] * 63 + [1] * 62
+
+
 # ------------------------------------------------------------------- chordality
 
 def test_chordal_examples():
@@ -105,12 +118,10 @@ def test_chordal_examples():
 
 
 def test_find_induced_cycles():
-    g, d = _gd(cycle_graph(4))
-    assert next(induced_squares(g, d), None) is not None
+    assert next(induced_squares(cycle_graph(4)), None) is not None
     assert find_induced_c5(cycle_graph(5)) is not None
     assert find_induced_c5(cycle_graph(4)) is None
-    g, d = _gd(complete_graph(4))
-    assert next(induced_squares(g, d), None) is None
+    assert next(induced_squares(complete_graph(4)), None) is None
 
 
 # ------------------------------------------------------------- bridged variants
@@ -186,23 +197,21 @@ def test_cb_iff_inc_and_tpc():
 def test_pc_ic_thick_octahedron_family():
     g, d = _gd(johnson(5, 2)[0])
     assert satisfies_PC(g, d)
-    assert satisfies_ICm(g, d, 3)
-    assert is_thick(g, d)
+    assert satisfies_ICm(g, 3)
+    assert is_thick(g)
     g, d = _gd(halved_cube(4)[0])
     assert satisfies_PC(g, d)
-    assert satisfies_ICm(g, d, 4)
-    assert is_thick(g, d)
+    assert satisfies_ICm(g, 4)
+    assert is_thick(g)
 
 
 def test_path_not_thick():
-    g, d = _gd(path_graph(3))
-    assert not is_thick(g, d)
+    assert not is_thick(path_graph(3))
 
 
 def test_ic_m_parameter():
-    g, d = _gd(complete_graph(3))
     with pytest.raises(ValueError):
-        satisfies_ICm(g, d, 5)
+        satisfies_ICm(complete_graph(3), 5)
 
 
 # ------------------------------------------------------- bipartite absolute retracts
@@ -242,23 +251,22 @@ def test_extension_check_agrees_on_small_graphs():
 
 def test_detect_beta():
     g, d = _gd(beta_configuration())
-    found = detect_beta_configuration(g, d)
+    found = detect_beta_configuration(g)
     assert found is not None
     u, v, interior, outer = found
     assert d(u, v) == 2 and len(interior) == 3
 
 
 def test_no_beta_in_hypercube():
-    g, d = _gd(hypercube(3)[0])
-    assert detect_beta_configuration(g, d) is None
-    assert detect_alpha_configuration(g, d) is None
+    g = hypercube(3)[0]
+    assert detect_beta_configuration(g) is None
+    assert detect_alpha_configuration(g) is None
 
 
 def test_detect_alpha_types():
     from medgraph.families import alpha_configuration
     for t in (1, 2, 3):
-        g, d = _gd(alpha_configuration(t))
-        kind, witness = detect_alpha_configuration(g, d)
+        kind, witness = detect_alpha_configuration(alpha_configuration(t))
         assert kind == t
 
 
