@@ -17,48 +17,22 @@ certificate costs O(n), not O(mn).
 `alpha_beta_certificate` are read from its answer on the alternative
 system, so both of their outcomes are certified the same way.
 
-A matrix of at least _QUOTIENT_ENTRIES = 256 entries is solved on its
-equitable quotient: colour refinement as dimension reduction (Grohe,
-Kersting, Mladenov & Selman 2014, "Dimension reduction via colour
-refinement", ESA).  `_equitable_partition` refines the matrix itself into
-row classes A and column classes B such that all rows of A have the same
-sum over the columns of B, and all columns of B the same sum over the
-rows of A.  The quotient R[A][B] is that row sum, the sum of D[w][x] over
-x in B for any w in A, and it has the verdict of D:
-- a witness pi of R, lifted as pi_B on every x in B, gives
-  (D pi)_w = sum_B pi_B R[A][B] = (R pi)_A <= -1 for every w in A;
-- a certificate y of R, lifted as y_A / |A| on every row of A, gives
-  (y^T D)_x = sum_A y_A R[A][B] / |B| = (y^T R)_B / |B| >= 0 for every x
-  in B, since the entries of the block A x B sum to |A| R[A][B] and to
-  |B| times the sum of column x over the rows of A.  `_lifted` scales the
-  lift by L, the lcm of the row class sizes, so it stays an int tuple.
-Each lift is checked on the full D^uv like every other answer, and one that
-fails raises `AssertionError`; there is no fallback.  A matrix whose rows
-and columns are all classes of their own takes the plain solve.  The lifted
-witness need not be the vertex that Bland's rule reaches on the full
-matrix, so a witness pair over the gate can print another witness of the
-same pair, as C_41 and C_10 x C_10 do (README lists the graphs found);
-G_3, G_5 and G_7 print the same one.
-The gate was measured on a 2-vCPU VM, best of 3 per solve, on the matrices
-that compute_p solves (has_Gp_connected_medians at p = 1, 2 on the atlas),
-quotient first against the plain solve:
-
-  matrices                    entries   solves   quotient    plain
-  random pool, 240 graphs      0-49       207     25.8 ms     9.9 ms
-                              50-99       299     72.7 ms    34.2 ms
-                             100-149      146     65.4 ms    38.8 ms
-                             150-199       56     42.4 ms    31.2 ms
-                             200-221        8     12.2 ms    10.7 ms
-  benchmark families            224         1      0.3 ms     1.6 ms
-  (the G_3 ones)                280         1      0.3 ms     1.1 ms
-                                728         1      0.5 ms    12.8 ms
-  atlas, 995 graphs             0-35       259     25.8 ms    15.9 ms
-
-So the quotient loses on every pool bucket and on the atlas, and the only
-matrices of the benchmark's workloads that reach the gate are G_3's 10 x 28
-and 26 x 28.  The witness D^uv of G_q refines to 1 x 2: every row sums to
-the same value and columns u and v are 0, so G_7's 114 x 116 becomes
-((-288, 0)), and compute_p on G_7 went from 5.0-7.2 s to 0.8-1.0 s.
+A matrix of at least _UNIFORM_ENTRIES = 256 entries whose row sums s_w are
+all negative takes the uniform witness: pi_x = 1/min_w |s_w| on every
+column x that is not all zero.  It is the counterpart of the row-sum
+certificate y = 1 below, which reads the column sums 1^T D where this
+reads the row sums D 1.  A zero column adds nothing to any row, so
+(D pi)_w = s_w / min |s_w| <= -1 for every row w.  Columns u and v of D^uv
+are zero, since D[w][u] = d(u,w) k - k d(u,w), so on D^uv the witness
+leaves out u and v.  The rule is the zero columns, not x != u, v, because
+`_solve_eta` solves matrices whose columns are J°(u,v), which holds u and
+v, with nonzero entries there.  The witness is checked on the matrix like
+every other answer.  On the witness pair of G_q every row has the same
+sum, and the witness is the one the simplex reaches: the plain simplex
+took 0.42 s on G_5's 62 x 64 and 6.96 s on G_7's 114 x 116, and did not
+finish G_11's in 300 s (2-vCPU VM).  The gate keeps the simplex's witness
+on smaller matrices: with no gate 71 atlas, 8 random pool, 5 seeded random
+and 10 test corpus witnesses change.
 
 A pair's verdict comes from `_pair_verdicts`, shared by `compute_p` and
 `has_Gp_connected_medians`.  It first tries `_presolve`: the singleton
@@ -97,11 +71,9 @@ pairs first, then the other balanced pairs, each in order of least
 r(w_1) + r(w_2), ties in row order, and at most _BALANCED_TRIES = 8 of
 them.  The first try decides every infeasible pair of G_7, G_11 and
 C_12 x C_12 that the row sums leave; on the pair (0, 22) of C_10 x C_10 it
-is the two free corners of the 3 x 3 interval, and y^T D^uv = 0.  On the
-benchmark's random pool compute_p makes 358, 322, 319 and 315 LP solves
-with 4, 8, 10 and unbounded tries; the pool's time was the same within
-noise at 4 to 40 tries.  Every presolve answer is an int tuple or a unit
-witness, and is checked on the full matrix like the simplex's.
+is the two free corners of the 3 x 3 interval, and y^T D^uv = 0.  Every
+presolve answer is an int tuple or a unit witness, and is checked on the
+full matrix like the simplex's.
 
 A band scan of `_pair_verdicts` streams the pairs it has not decided yet.
 The first _BULK_PAIRS - 1 = 31 of them keep `build_Duv`, `_presolve` and
@@ -125,12 +97,8 @@ witness compute_p paid one LP per level, 7.6 s on C_201 against 0.62 s
 and 0.11 s on C_63 against 0.020 s (2-vCPU VM).  Both paths read a pair's interior from the
 distance rows, as the w != u, v with d(u,w) + d(w,v) = d(u,v), so a scan
 builds no level bitsets.  The head of 31 pairs stays because an array
-costs more than it saves on a short band.  With every pair in arrays,
-compute_p on the benchmark's random pool went from 0.19 to 0.32 s and
-has_Gp_connected_medians at p = 1, 2 on the 995 atlas graphs, whose bands
-hold at most 21 pairs, from 0.15 to 0.41 s (2-vCPU VM, best of 5); the
-ROADMAP corpus, where the arrays pay, took 0.026 s with the head and
-0.06 s with no arrays.  Two bounds hold:
+costs more than it saves on a short band, such as the atlas bands of at
+most 21 pairs.  Two bounds hold:
 - on a pair at distance k, write a = d(u,w) and b = d(v,w), so a + b = k.
   The entry b d(u,x) + a d(v,x) - k d(w,x) is at most 2ab, since
   d(u,x) <= a + d(w,x) and d(v,x) <= b + d(w,x), and at least -2ab, since
@@ -148,8 +116,7 @@ ROADMAP corpus, where the arrays pay, took 0.026 s with the head and
   vertices, and every band of the half-cubes up to 1/2 H_9 and of
   J(10,5), where it ran twice as fast as int64;
 - each array holds at most _BULK_ENTRIES = 2^16 entries (128 KB in
-  int16), or one pair's D^uv when that alone is larger.  On 1/2 H_9 the
-  scan took 0.61 s at 2^14 entries, 0.38 s at 2^16 and 0.38 s at 2^18.
+  int16), or one pair's D^uv when that alone is larger.
 
 D^uv has a column for every vertex, though a violating profile pi can
 always be moved onto J(u,v).  With F the median function of pi and w inside
@@ -169,10 +136,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import InteriorTooLarge, WrongDistance
 from .graph import DistMatrix, Graph
@@ -303,24 +268,6 @@ def _phase1(tableau, n_free):
         D = piv
 
 
-def _simplex(entries, n: int):
-    """`_phase1` on the strict system of the matrix entries, n columns wide:
-    (True, {column index: weight}) for a witness, else (False, the
-    certificate D*y as integers)."""
-    m = len(entries)
-    # columns: pi (0..n-1), slacks (n..n+m-1); the artificials are implicit
-    rows = [[-x for x in entries[i]]
-            + [-1 if k == i else 0 for k in range(m)] + [1]
-            for i in range(m)]
-    tableau, D, basis = _phase1(rows, n)
-    obj = tableau[-1]
-    if obj[-1] == 0:
-        return True, {b: Fraction(tableau[i][-1], D) for i, b in enumerate(basis)
-                      if b < n and tableau[i][-1] != 0}
-    # obj[n + i] = D * y_i, y_i being the reduced cost of slack column i
-    return False, tuple(obj[n:n + m])
-
-
 def lp_feasible_strict(mat: RationalMatrix) -> FeasibilityResult:
     """Decide whether some pi >= 0 has M pi < 0 strictly in every row.
 
@@ -332,84 +279,35 @@ def lp_feasible_strict(mat: RationalMatrix) -> FeasibilityResult:
     Farkas certificate; it is returned as the integers D*y, D > 0 being the
     final basis determinant, which certify the same as y.
 
-    A matrix of at least _QUOTIENT_ENTRIES entries is solved on its
-    coarsest equitable partition and the answer lifted (`_lifted`), unless
-    every row and every column is a class of its own; see the module
-    docstring.
+    A matrix of at least _UNIFORM_ENTRIES entries whose row sums are all
+    negative takes the uniform witness instead: 1/min |s_w| on every
+    column that is not all zero, s_w being the sum of row w; see the
+    module docstring.
     """
-    m, n = len(mat.entries), len(mat.cols)
-    if m * n >= _QUOTIENT_ENTRIES:
-        rows, cols = _equitable_partition(mat.entries, n)
-        if len(set(rows)) < m or len(set(cols)) < n:
-            return _lifted(mat, rows, cols)
-    feasible, answer = _simplex(mat.entries, n)
-    if feasible:
+    entries = mat.entries
+    m, n = len(entries), len(mat.cols)
+    if m * n >= _UNIFORM_ENTRIES and (top := max(map(sum, entries))) < 0:
+        weight = Fraction(1, -top)
+        return _checked(FeasibilityResult("feasible", matrix=mat, witness={
+            x: weight for x, col in zip(mat.cols, zip(*entries)) if any(col)}),
+            "uniform witness")
+    # columns: pi (0..n-1), slacks (n..n+m-1); the artificials are implicit
+    rows = [[-x for x in entries[i]]
+            + [-1 if k == i else 0 for k in range(m)] + [1]
+            for i in range(m)]
+    tableau, D, basis = _phase1(rows, n)
+    obj = tableau[-1]
+    if obj[-1] == 0:
         res = FeasibilityResult("feasible", matrix=mat, witness={
-            mat.cols[j]: w for j, w in answer.items()})
+            mat.cols[b]: Fraction(tableau[i][-1], D) for i, b in enumerate(basis)
+            if b < n and tableau[i][-1] != 0})
     else:
-        res = FeasibilityResult("infeasible", certificate=answer, matrix=mat)
+        # obj[n + i] = D * y_i, y_i being the reduced cost of slack column i
+        res = FeasibilityResult("infeasible", certificate=tuple(obj[n:n + m]), matrix=mat)
     return _checked(res, "simplex answer")
 
 
-_QUOTIENT_ENTRIES = 256       # the size gate of the quotient: see the module docstring
-
-
-def _equitable_partition(entries, n: int):
-    """The coarsest equitable partition of a matrix with n columns: the
-    class of each row and of each column, numbered from 0.  Rows start in
-    one class and columns in another; rows are split by their sums over
-    the column classes, then columns by their sums over the row classes,
-    until nothing splits.  A class is named by the place of its signature,
-    its old class and its sums, among the sorted signatures, so permuting
-    the rows and columns permutes the classes and keeps their names."""
-    columns = list(zip(*entries))
-    rows, cols = [0] * len(entries), [0] * n
-    k = l = 1
-    while True:
-        rows, k_new = _split(entries, rows, cols, l)
-        cols, l_new = _split(columns, cols, rows, k_new)
-        if (k_new, l_new) == (k, l):
-            return rows, cols
-        k, l = k_new, l_new
-
-
-def _split(lines, classes, across, count):
-    """Each line's new class and the number of classes: lines of one class
-    stay together iff their sums over the count classes of across agree."""
-    signatures = [(c, *_class_sums(line, across, count))
-                  for c, line in zip(classes, lines)]
-    names = {s: i for i, s in enumerate(sorted(set(signatures)))}
-    return [names[s] for s in signatures], len(names)
-
-
-def _class_sums(line, across, count):
-    """The sums of a line's entries over the count classes of across."""
-    sums = [0] * count
-    for x, b in zip(line, across):
-        sums[b] += x
-    return sums
-
-
-def _lifted(mat: RationalMatrix, rows, cols) -> FeasibilityResult:
-    """The answer of mat from its quotient R under the row classes rows and
-    the column classes cols, lifted and checked on mat: R[A][B] is the sum
-    of mat's entries of row w over the columns of B, w the first row of A.
-    A witness pi of R puts pi_B on every column of B; a certificate y of R
-    puts y_A * L / |A| on every row of A, L being the lcm of the row class
-    sizes.  A lift that fails its check raises `AssertionError`."""
-    size = Counter(rows)
-    width = max(cols) + 1
-    quotient = [_class_sums(mat.entries[rows.index(a)], cols, width)
-                for a in range(len(size))]
-    feasible, answer = _simplex(quotient, width)
-    if feasible:
-        res = FeasibilityResult("feasible", matrix=mat, witness={
-            x: answer[b] for x, b in zip(mat.cols, cols) if b in answer})
-    else:
-        scale = lcm(*size.values())
-        res = FeasibilityResult("infeasible", matrix=mat, certificate=tuple(
-            answer[a] * (scale // size[a]) for a in rows))
-    return _checked(res, "lifted answer")
+_UNIFORM_ENTRIES = 256        # the size gate of the uniform witness: see the module docstring
 
 
 def _check_result(r: FeasibilityResult) -> bool:

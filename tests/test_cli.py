@@ -110,9 +110,9 @@ def test_pvalue_result_is_pinned(tmp_path, capsys, graph, pinned):
     assert code == 0 and rep["result"] == json.loads(pinned)
 
 
-# the pvalue result on G_3 under ten relabellings and on G_5, made before
-# these graphs' large LPs were solved on their equitable quotient: the
-# lifted witness is the uniform profile that the full solve printed
+# the pvalue result on G_3 under ten relabellings and on G_5, made when the
+# simplex solved these graphs' large LPs: the uniform witness that they now
+# take is the profile that the simplex printed
 PINNED_LARGE = json.loads((Path(__file__).parent / "pinned_pvalue.json").read_text())
 
 

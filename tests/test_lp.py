@@ -882,77 +882,39 @@ def test_the_bulk_table_is_typed_by_the_band_it_serves(monkeypatch):
     assert [_dtype(bound) for bound in (32767, 32768)] == [np.int16, np.int32]
 
 
-# ------------------------------------------------- the equitable quotient
+# ------------------------------------------------- the uniform witness
 
-def test_quotient_and_plain_verdicts_agree(monkeypatch):
-    """With the gate forced to 0, every matrix with a class of two or more
-    rows or columns is solved on its quotient, and the lift is checked on
-    the matrix.  Its verdict is the plain solve's (the stored-artificial
-    tableau of `reference`): on every pair at distance 2 or more of the
-    corpus and of relabelled half-cube, Johnson and projective-plane
-    graphs, on the matrices the presolve leaves on the random pool, and on
-    those of the atlas bands of p = 1, 2."""
-    lifted = Counter()
-    real = lp._lifted
-
-    def recording(mat, rows, cols):
-        res = real(mat, rows, cols)
-        lifted[res.status] += 1
-        return res
-
-    monkeypatch.setattr(lp, "_lifted", recording)
-    monkeypatch.setattr(lp, "_QUOTIENT_ENTRIES", 0)
-    symmetric = [_relabelled(g, 5) for g in (
-        halved_cube(6)[0], johnson(7, 3)[0], projective_incidence_graph(3))]
-    mats = []
-    for g in [*_corpus(), *symmetric]:
-        d = all_pairs_distances(g)
-        mats += [build_Duv(g, d, u, v)
-                 for u, v in lp._pairs_in_distance_band(d, 2, d.diameter)]
-    mats += _pool_lp_matrices()
-    for g in _connected_atlas_graphs(7):
-        d = all_pairs_distances(g)
-        mats += [mat for u, v in lp._pairs_in_distance_band(d, 2, 4)
-                 if lp._presolve(mat := build_Duv(g, d, u, v)) is None]
-    for mat in mats:
-        assert lp_feasible_strict(mat).feasible \
-            == lp_feasible_strict_explicit(mat)[0].feasible, (mat.u, mat.v)
-    assert lifted["feasible"] > 100 and lifted["infeasible"] > 1000, lifted
+def _uneven(last):
+    """A 4 x 64 matrix of the pair (0, 1) whose rows sum to -3, -4, -5 and
+    last: +1 on the even and -1 on the odd columns 2..63 but 7, which sum
+    to 1, and the rest of the row sum in column u = 0.  Columns v = 1 and 7
+    are zero."""
+    signs = [0 if x == 7 else (-1) ** x for x in range(2, 64)]
+    return RationalMatrix(tuple((s - 1, 0, *signs) for s in (-3, -4, -5, last)),
+                          (2, 3, 4, 5), tuple(range(64)), 0, 1)
 
 
-@pytest.mark.parametrize("entries, rows, cols", [
-    # one row class: the quotient is row 0 alone, whose witness 1/2 on
-    # both columns leaves row 1 at +1
-    (((-1, -1), (1, 1)), [0, 0], [0, 0]),
-    # the same, the columns apart: the witness {1: 1/3} leaves row 1 at 1/3
-    (((1, -3), (-3, 1)), [0, 0], [0, 1]),
-    # one class each: the quotient (1) is infeasible, and its certificate,
-    # 1 on both rows, gives y^T D = (1, -2)
-    (((2, -1), (-1, -1)), [0, 0], [0, 0]),
-], ids=["witness", "witness-columns-apart", "certificate"])
-def test_a_lift_from_a_partition_that_is_not_equitable_raises(entries, rows, cols):
-    mat = RationalMatrix(entries, (0, 1), (0, 1), 0, 1)
-    with pytest.raises(AssertionError, match="lifted answer"):
-        lp._lifted(mat, rows, cols)
-    # the lift from the coarsest equitable partition verifies
-    assert lp._lifted(mat, *lp._equitable_partition(entries, 2)).feasible \
-        == lp_feasible_strict_explicit(mat)[0].feasible
-
-
-def test_the_equitable_partition_names_classes_by_signature():
-    """Permuting the rows and columns of a matrix permutes its classes and
-    keeps their names, and on the witness pair of G_3 the partition is
-    1 x 2: every row sums to -48, and columns u, v are 0, after the
-    columns of negative sum."""
-    g, d = _gd(projective_incidence_graph(3))
-    mat = build_Duv(g, d, 26, 27)
-    rows, cols = lp._equitable_partition(mat.entries, len(mat.cols))
-    assert (set(rows), cols) == ({0}, [0] * 26 + [1, 1])
-    assert all(sum(row) == -48 for row in mat.entries)
-    rng = random.Random(3)
-    for _ in range(5):
-        r = rng.sample(range(len(rows)), len(rows))
-        c = rng.sample(range(len(cols)), len(cols))
-        permuted = [[mat.entries[i][j] for j in c] for i in r]
-        assert lp._equitable_partition(permuted, len(c)) \
-            == ([rows[i] for i in r], [cols[j] for j in c])
+@pytest.mark.parametrize("matrix, sums, witness", [
+    (lambda: build_Duv(*_gd(projective_incidence_graph(3)), 26, 27), {-48},
+     {x: Fraction(1, 48) for x in range(26)}),
+    (lambda: _uneven(-6), {-3, -4, -5, -6},
+     {x: Fraction(1, 3) for x in range(64) if x not in (1, 7)}),
+    (lambda: _uneven(0), {-3, -4, -5, 0}, None),
+], ids=["G_3", "unequal-sums", "a-zero-sum"])
+def test_the_uniform_witness_weights_every_nonzero_column(matrix, sums, witness):
+    """A matrix at the gate whose row sums are all negative gets 1/min |s_w|
+    on every column that is not all zero, column u too, and the answer
+    verifies.  On the witness pair (26, 27) of G_3 every row sums to -48,
+    and the witness, 1/48 on the 26 x != u, v, is the simplex's.  One row
+    sum of 0 leaves the matrix to the simplex."""
+    mat = matrix()
+    assert len(mat.entries) * len(mat.cols) >= lp._UNIFORM_ENTRIES
+    assert set(map(sum, mat.entries)) == sums
+    res = lp_feasible_strict(mat)
+    simplex = lp_feasible_strict_explicit(mat)[0]
+    if witness is None:
+        assert res == simplex
+    else:
+        assert res.feasible and res.witness == witness and lp._check_result(res)
+        if len(sums) == 1:      # one row sum: the simplex reaches the same witness
+            assert res == simplex
