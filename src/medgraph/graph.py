@@ -58,26 +58,12 @@ class Graph:
 class DistMatrix:
     """All-pairs hop distances, computed by a bitset BFS from every vertex."""
 
-    __slots__ = ("d", "n", "diameter", "_levels")
+    __slots__ = ("d", "n", "diameter")
 
     def __init__(self, d: list[list[int]]):
         self.d = d
         self.n = len(d)
         self.diameter = max((max(row) for row in d), default=0)
-        self._levels = None
-
-    @property
-    def levels(self) -> list[list[int]]:
-        """levels[u][k]: the vertices at distance k from u as a Python-int
-        bitset, so levels[u][1] is N(u).  Built once, on first use, so a
-        table whose intervals are never read costs no extra memory."""
-        if self._levels is None:
-            levels = [[0] * (max(row) + 1) for row in self.d]
-            for lv, row in zip(levels, self.d):
-                for x, k in enumerate(row):
-                    lv[k] |= 1 << x
-            self._levels = levels
-        return self._levels
 
     def __call__(self, u: int, v: int) -> int:
         return self.d[u][v]

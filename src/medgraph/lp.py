@@ -93,10 +93,9 @@ witness in the arrays could spare at most one solve per scan; on the
 random pool it decided one pair, which the witness re-solve then solved
 anyway.  The head keeps its one-vertex witness: on a cycle every scan stops
 within its first pairs, at a pair that the witness decides, and with no
-witness compute_p paid one LP per level, 7.6 s on C_201 against 0.62 s
-and 0.11 s on C_63 against 0.020 s (2-vCPU VM).  Both paths read a pair's interior from the
-distance rows, as the w != u, v with d(u,w) + d(w,v) = d(u,v), so a scan
-builds no level bitsets.  The head of 31 pairs stays because an array
+witness compute_p pays one LP per level.  Both paths read a pair's
+interior from the distance rows, as the w != u, v with d(u,w) + d(w,v) =
+d(u,v).  The head of 31 pairs stays because an array
 costs more than it saves on a short band, such as the atlas bands of at
 most 21 pairs.  Two bounds hold:
 - on a pair at distance k, write a = d(u,w) and b = d(v,w), so a + b = k.
@@ -114,7 +113,7 @@ most 21 pairs.  Two bounds hold:
   about 2.5 ms.  int64 holds the bound for every graph whose distance table
   fits in memory.  int16 holds band 2 of every graph of at most 16,383
   vertices, and every band of the half-cubes up to 1/2 H_9 and of
-  J(10,5), where it ran twice as fast as int64;
+  J(10,5);
 - each array holds at most _BULK_ENTRIES = 2^16 entries (128 KB in
   int16), or one pair's D^uv when that alone is larger.
 

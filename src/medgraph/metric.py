@@ -5,13 +5,18 @@ from __future__ import annotations
 from .graph import DistMatrix, Graph
 
 
-def interval_mask(d: DistMatrix, u: int, v: int) -> int:
-    """I(u,v) as a bitset: the vertices at distance i from u and k-i from v."""
-    lu, lv, k = d.levels[u], d.levels[v], d(u, v)
-    mask = 0
-    for i in range(k + 1):
-        mask |= lu[i] & lv[k - i]
-    return mask
+def interval_masks(g: Graph, d: DistMatrix, u: int) -> list[int]:
+    """I(u,v) as a bitset for every v, built down u's BFS DAG: I(u,u) = {u},
+    and I(u,v) is v plus the I(u,y) of each neighbour y of v one step closer
+    to u, since a (u,v)-geodesic ends in such a y.  The vertices are taken
+    in order of their distance from u, so each I(u,y) is built first."""
+    row = d[u]
+    masks = [1 << v for v in range(g.n)]
+    for v in sorted(range(g.n), key=row.__getitem__):
+        for y in g.adj[v]:
+            if row[y] < row[v]:
+                masks[v] |= masks[y]
+    return masks
 
 
 def members(mask: int) -> list[int]:
@@ -25,8 +30,11 @@ def members(mask: int) -> list[int]:
 
 
 def interval(g: Graph, d: DistMatrix, u: int, v: int) -> set[int]:
-    """I(u,v) = vertices on at least one (u,v)-geodesic."""
-    return set(members(interval_mask(d, u, v)))
+    """I(u,v) = vertices on at least one (u,v)-geodesic: the w with
+    d(u,w) + d(w,v) = d(u,v), read from the distance rows as `build_Duv`
+    reads them."""
+    k = d(u, v)
+    return {w for w, a, b in zip(range(g.n), d[u], d[v]) if a + b == k}
 
 
 def interior_interval(g: Graph, d: DistMatrix, u: int, v: int) -> set[int]:
@@ -66,16 +74,22 @@ def J_set(g: Graph, d: DistMatrix, u: int, v: int) -> set[int]:
     intervals, the first step y of a (z,w)-geodesic has
     d(y,u) <= d(z,w) - 1 + d(w,u) = d(z,u) - 1, and likewise for v.
 
-    So z (other than u and v, which are always in J) is outside J(u,v)
-    iff N(z) meets the level of u at d(u,z) - 1 and the level of v at
-    d(v,z) - 1: one AND of three level bitsets, O(n) bit tests per pair.
+    So z is outside J(u,v) iff some neighbour y of z has d(u,y) =
+    d(u,z) - 1 and d(v,y) = d(v,z) - 1, which reads the adjacency lists and
+    the two distance rows of u and v; u and v have no such y, so they are
+    always in J.
     """
     if u == v:
         raise ValueError("J_set requires u != v")
-    levels = d.levels
-    lu, lv, du, dv = levels[u], levels[v], d[u], d[v]
-    return {z for z, a, b in zip(range(g.n), du, dv)
-            if not (a and b and levels[z][1] & lu[a - 1] & lv[b - 1])}
+    du, dv = d[u], d[v]
+    out = set()
+    for z, (adj, a, b) in enumerate(zip(g.adj, du, dv)):
+        for y in adj:
+            if du[y] < a and dv[y] < b:
+                break
+        else:
+            out.add(z)
+    return out
 
 
 def M_set(g: Graph, d: DistMatrix, u: int, v: int) -> set[int]:

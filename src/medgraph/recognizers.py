@@ -13,12 +13,16 @@ edges for TC and the distance-2 pairs for QC and meshedness
 (`_pair_levels`).  Per u, three lists indexed by the distance k from u
 hold the pairs whose first end, whose second end and some of whose common
 neighbours lie at distance k, and each condition is one or two ANDs per
-level.  Memory is O(n) masks, not the n^2 level table, and a true verdict
-reads no `DistMatrix.levels`.  The witnesses are those of the plain scans:
+level.  Memory is O(n) masks of len(pairs) bits.  The witnesses are those
+of the plain scans:
 TC's is the least failing u, then its first edge; QC's is the
 `_quadrangle_witness` of the least failing u, reported only once no u
 fails TC; meshedness's is the first failing pair, then the least u that
 fails it.
+
+Modularity, convex balls and the bipartite absolute retracts AND interval
+bitsets, which `metric.interval_masks` builds for one source at a time.
+INC and the QC witness read adjacency lists and distance rows alone.
 
 Chordality, thickness, IC3/IC4 and the alpha and beta configurations are
 local, and read no distance table.  The distance-2 pairs come from
@@ -35,6 +39,7 @@ the other classes.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import sys
@@ -44,7 +49,7 @@ from dataclasses import dataclass
 from .errors import EmbeddingUnverified, LabelArity, ParseError
 from .graph import DistMatrix, Graph, _data_lines, _neighbour_masks, bfs
 from .medians import _pairs_in_distance_band
-from .metric import interval_mask, members
+from .metric import interval_masks, members
 
 
 @dataclass(frozen=True)
@@ -119,7 +124,7 @@ def _pair_levels(g: Graph, d: DistMatrix, pairs: list[tuple[int, int]]):
     A vertex x has three masks: first[x], second[x], and common[x], the OR
     of its neighbours' first masks ANDed with the OR of their second
     masks.  The lists are one pass over u's distance row, so memory is
-    O(n) masks of len(pairs) bits, never the n^2 level table."""
+    O(n) masks of len(pairs) bits."""
     n = g.n
     first, second = [0] * n, [0] * n
     for i, (a, b) in enumerate(pairs):
@@ -193,16 +198,17 @@ def _triangle_violations(g: Graph, d: DistMatrix):
 
 def _quadrangle_witness(g: Graph, d: DistMatrix, u: int):
     """The first ("QC", u, v, w, z) in the scan over z, then over the pairs
-    v, w of neighbours of z one step closer to u."""
-    adj, levels = g.adj_sets, d.levels
-    row, lv = d[u], levels[u]
+    v, w of neighbours of z one step closer to u, v and w nonadjacent with
+    no common neighbour one step closer still."""
+    adj, row = g.adj_sets, d[u]
     for z in range(g.n):
         k = row[z] - 1
         if k < 2:
             continue
         below = [x for x in g.adj[z] if row[x] == k]
         for v, w in itertools.combinations(below, 2):
-            if w not in adj[v] and not levels[v][1] & levels[w][1] & lv[k - 1]:
+            if w not in adj[v] and not any(
+                    row[x] == k - 1 and x in adj[w] for x in g.adj[v]):
                 return ("QC", u, v, w, z)
     return None
 
@@ -239,21 +245,15 @@ def is_weakly_modular(g: Graph, d: DistMatrix) -> ClassVerdict:
 
 
 def is_modular(g: Graph, d: DistMatrix) -> ClassVerdict:
-    """Every triple has a vertex in all three pairwise intervals.  Row u of
-    I holds I(u,v) for v > u and is filled when the scan first reads it,
-    so a triple that fails early costs a few rows, not n^2/2 intervals."""
+    """Every triple has a vertex in all three pairwise intervals.  The
+    `interval_masks` of a vertex are built when the scan first reads them,
+    so a triple that fails early costs a few sources, not n."""
     n = g.n
-    I = [None] * n
-
-    def row(u: int) -> list[int]:
-        if I[u] is None:
-            I[u] = [interval_mask(d, u, v) if u < v else 0 for v in range(n)]
-        return I[u]
-
+    intervals = functools.cache(lambda u: interval_masks(g, d, u))
     for u in range(n):
-        Iu = row(u)
+        Iu = intervals(u)
         for v in range(u + 1, n):
-            Iuv, Iv = Iu[v], row(v)
+            Iuv, Iv = Iu[v], intervals(v)
             for w in range(v + 1, n):
                 if not Iuv & Iv[w] & Iu[w]:
                     return ClassVerdict("modular", False, (u, v, w))
@@ -388,13 +388,15 @@ def is_bridged(g: Graph, d: DistMatrix) -> ClassVerdict:
 def has_convex_balls(g: Graph, d: DistMatrix) -> ClassVerdict:
     """Every ball is convex.  A false verdict is (v, r, x, y, z): x < y lie
     in the ball of radius r around v and z is the smallest vertex of I(x,y)
-    outside it.  The ball of radius ecc(v) is all of V, so r stops below."""
+    outside it.  The ball of radius ecc(v) is all of V, so r stops below.
+    The `interval_masks` of x are built when the scan first reads them."""
+    intervals = functools.cache(lambda x: interval_masks(g, d, x))
     for v in range(g.n):
-        ball = d.levels[v][0]
-        for r in range(1, len(d.levels[v]) - 1):
-            ball |= d.levels[v][r]
+        row = d[v]
+        for r in range(1, max(row)):
+            ball = sum(1 << x for x, k in enumerate(row) if k <= r)
             for x, y in itertools.combinations(members(ball), 2):
-                outside = interval_mask(d, x, y) & ~ball
+                outside = intervals(x)[y] & ~ball
                 if outside:
                     z = (outside & -outside).bit_length() - 1
                     return ClassVerdict("convex_balls", False, (v, r, x, y, z))
@@ -403,15 +405,15 @@ def has_convex_balls(g: Graph, d: DistMatrix) -> ClassVerdict:
 
 def satisfies_INC(g: Graph, d: DistMatrix) -> ClassVerdict:
     """Neighbors of u inside I(u,v) are pairwise adjacent."""
-    adj, levels = g.adj_sets, d.levels
+    adj = g.adj_sets
     for u in range(g.n):
-        row, nu = d[u], levels[u][1]
-        for v in range(g.n):
+        row = d[u]
+        for v, dv in enumerate(d.d):
             k = row[v]
             if k < 2:
                 continue
             # N(u) & I(u,v): the neighbours of u one step closer to v
-            near = members(nu & levels[v][k - 1])
+            near = [a for a in g.adj[u] if dv[a] == k - 1]
             for a, b in itertools.combinations(near, 2):
                 if b not in adj[a]:
                     return ClassVerdict("INC", False, (u, v, a, b))
@@ -523,10 +525,11 @@ def is_bipartite_absolute_retract(g: Graph, d: DistMatrix) -> ClassVerdict:
         return ClassVerdict("bipartite_absolute_retract", False, ("not_bipartite",))
     nbr = _neighbour_masks(g)
     for u in range(g.n):
+        row, intervals = d[u], interval_masks(g, d, u)
         for v in range(g.n):
-            if d(u, v) < 3:
+            if row[v] < 3:
                 continue
-            iv = interval_mask(d, u, v)
+            iv = intervals[v]
             near = nbr[v] & iv
             if not any(nbr[x] & near == near for x in members(iv & ~(1 << v))):
                 return ClassVerdict("bipartite_absolute_retract", False, (u, v))

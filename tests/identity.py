@@ -1,17 +1,30 @@
-"""Output-identity harness for `compute_p`: one line per input graph,
-`label sha256(repr(compute_p(g, d)))`.
+"""Output-identity harness: one line `label sha256` per input, the hash of
+the `repr` of what the library computes on it.
 
 Run it from the root of a checkout, which it imports `medgraph` from:
 
     python tests/identity.py > identity.txt
 
 Run it in two checkouts and `diff` the outputs: every line that differs
-names an input whose report changed.  pytest does not collect this file.
-The inputs, 1,377 graphs: the test corpus under 6 labellings (the built
-one and seeds 1..5), the 240 graphs of the benchmark's random pool, the
-995 connected atlas graphs, 60 seeded random graphs, G_3 under the ten
-relabellings of its pinned `pvalue` test, G_5, G_7, the odd cycles
-C_25..C_63, C_9xC_10 and C_10xC_10.
+names an input whose output changed.  pytest does not collect this file.
+It prints four groups of lines, in this order:
+
+- `compute_p` on 1,377 graphs: the test corpus under 6 labellings (the
+  built one and seeds 1..5), the 240 graphs of the benchmark's random pool,
+  the 995 connected atlas graphs, 60 seeded random graphs, G_3 under the
+  ten relabellings of its pinned `pvalue` test, G_5, G_7, the odd cycles
+  C_25..C_63, C_9xC_10 and C_10xC_10;
+- `recognizers/...`: the 17 recognizer outputs of `RECOGNIZERS` on 2,506
+  instances: the 995 connected atlas graphs, the 240 pool graphs, the six
+  graphs of the benchmark's classify corpus, the eight of its
+  pvalue-families corpus and the three alpha and one beta configurations,
+  each as given and relabelled once (`_relabelled`, the graph's index as
+  the seed);
+- `sets/...`: the sorted `interval` of every ordered pair and the sorted
+  `J_set` of every pair u != v, on each of those instances with at most 14
+  vertices and on the 60 seeded random graphs;
+- `oracle/...`: `brute_force_oracle` at p = 1 and 2 with maximum weight 2
+  on each of the 995 connected atlas graphs.
 """
 from __future__ import annotations
 
@@ -24,14 +37,33 @@ sys.path[:0] = [str(Path(__file__).resolve().parents[1] / "src")]
 from reference import (_connected_atlas_graphs, _corpus, _pool_graphs,  # noqa: E402
                        _random_connected_graphs, _relabelled)
 
-from medgraph.families import (cartesian_product, cycle_graph,  # noqa: E402
+from medgraph import recognizers as rec  # noqa: E402
+from medgraph.benzenoid import BenzenoidSpec, benzenoid  # noqa: E402
+from medgraph.families import (alpha_configuration, beta_configuration,  # noqa: E402
+                               cartesian_product, cycle_graph, halved_cube,
+                               hypercube, johnson, path_graph,
                                projective_incidence_graph)
 from medgraph.graph import all_pairs_distances  # noqa: E402
 from medgraph.lp import compute_p  # noqa: E402
+from medgraph.metric import J_set, interval  # noqa: E402
+from medgraph.oracle import brute_force_oracle  # noqa: E402
+
+CORONENE = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
+
+RECOGNIZERS = (
+    rec.is_meshed, rec.is_weakly_modular, rec.satisfies_TPC,
+    rec.is_weakly_bridged, rec.is_bridged,
+    lambda g, d: rec.satisfies_ICm(g, 3), lambda g, d: rec.satisfies_ICm(g, 4),
+    rec.is_bipartite_absolute_retract, lambda g, d: rec.is_thick(g),
+    rec.satisfies_PC, lambda g, d: rec.detect_alpha_configuration(g),
+    lambda g, d: rec.detect_beta_configuration(g),
+    rec.connected_medians_partial_johnson,
+    rec.connected_medians_partial_halved_cube, rec.has_convex_balls,
+    rec.satisfies_INC, rec.is_modular)
 
 
 def inputs():
-    """(label, graph) for every input, in a fixed order."""
+    """(label, graph) for every input of `compute_p`, in a fixed order."""
     for g in _corpus():
         yield f"corpus/{g.name}/0", g
         for seed in range(1, 6):
@@ -52,10 +84,52 @@ def inputs():
         yield f"C_{n}xC_10", cartesian_product(cycle_graph(n), cycle_graph(10))
 
 
+def recognizer_inputs():
+    """(label, graph) for the 1,253 graphs of the recognizer lines, each
+    followed by its relabelled copy."""
+    coronene = benzenoid(BenzenoidSpec(frozenset(CORONENE))).graph
+    classify = [hypercube(6)[0], halved_cube(7)[0], johnson(8, 3)[0],
+                cartesian_product(path_graph(6), path_graph(6)),
+                projective_incidence_graph(3), coronene]
+    configurations = [*map(alpha_configuration, (1, 2, 3)), beta_configuration()]
+    groups = (("atlas", _connected_atlas_graphs(7)), ("pool", _pool_graphs()),
+              ("classify", classify), ("families", _corpus()),
+              ("configurations", configurations))
+    index = 0
+    for prefix, graphs in groups:
+        for i, g in enumerate(graphs):
+            yield f"{prefix}/{i}", g
+            yield f"{prefix}/{i}/relabelled", _relabelled(g, index)
+            index += 1
+
+
+def _sets(g, d):
+    n = g.n
+    return [(u, v, sorted(interval(g, d, u, v)),
+             sorted(J_set(g, d, u, v)) if u != v else None)
+            for u in range(n) for v in range(n)]
+
+
+def _line(label, out) -> None:
+    print(label, hashlib.sha256(repr(out).encode()).hexdigest(), flush=True)
+
+
 def main() -> None:
     for label, g in inputs():
-        report = compute_p(g, all_pairs_distances(g))
-        print(label, hashlib.sha256(repr(report).encode()).hexdigest(), flush=True)
+        _line(label, compute_p(g, all_pairs_distances(g)))
+    small = []
+    for label, g in recognizer_inputs():
+        d = all_pairs_distances(g)
+        _line(f"recognizers/{label}", [f(g, d) for f in RECOGNIZERS])
+        if g.n <= 14:
+            small.append((label, g, d))
+    for i, g in enumerate(_random_connected_graphs(60)):
+        small.append((f"random/{i}", g, all_pairs_distances(g)))
+    for label, g, d in small:
+        _line(f"sets/{label}", _sets(g, d))
+    for i, g in enumerate(_connected_atlas_graphs(7)):
+        d = all_pairs_distances(g)
+        _line(f"oracle/atlas/{i}", [brute_force_oracle(g, d, p, 2) for p in (1, 2)])
 
 
 if __name__ == "__main__":

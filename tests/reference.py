@@ -3,7 +3,7 @@
 Each one decides the same thing as a `medgraph` function by a different,
 slower route: F_pi summed in `Fraction`s at each vertex instead of the
 integer table den*F_pi, all pairs instead of the local band, a walk of the
-geodesic DAG instead of distance levels, subgraph matching instead of the
+geodesic DAG instead of distance sums, subgraph matching instead of the
 interval condition, the simplex on every pair instead of the shared pair
 verdicts, the phase-1 tableau with its artificial columns stored instead of
 implied, the product y^T M over every row instead of the rows with
@@ -210,7 +210,7 @@ def geodesic_vertices_via_dag(g: Graph, d: DistMatrix, u: int, v: int) -> set[in
     """Vertices on (u,v)-geodesics found by walking the BFS geodesic DAG.
 
     Cross-check for `metric.interval`; independent traversal rather than
-    the distance-level definition.
+    the distance-sum definition.
     """
     duv = d(u, v)
     seen = {v}

@@ -427,6 +427,28 @@ def test_gen_over_the_size_bound_exits_2_before_allocating(tmp_path):
     assert err.startswith("error: P_2000000000 would have 2000000000 vertices")
 
 
+# the labels are isometric for both targets: even, of size 2, at distance 2
+@pytest.mark.parametrize("graph_text, labels", [
+    ("1 0\n", "0: 0,1\n"), ("2 1\n0 1\n", "0: 0,1\n1: 0,2\n")],
+    ids=["K_1", "K_2"])
+def test_every_check_class_answers_on_one_and_two_vertices(tmp_path, capsys,
+                                                            graph_text, labels):
+    gpath, epath = tmp_path / "g.graph", tmp_path / "g.labels"
+    gpath.write_text(graph_text)
+    epath.write_text(labels)
+    embedded = ["--embedding", str(epath), "-k", "2"]
+    argvs = [["check", cls, str(gpath)]
+             for cls in (*cli._SIMPLE_CHECKS, "alpha", "beta")]
+    argvs += [["check", cls, str(gpath), *embedded]
+              for cls in ("partial-johnson", "partial-halved-cube")]
+    for argv in argvs:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1), (argv, code, err)
+        assert json.loads(out)["result"]["verdict"] is (code == 0), argv
+        assert "Traceback" not in err, argv
+
+
 # ----------------------------------------------------------- malformed input
 
 # Numbers stay small so that no generated graph or family is large.
@@ -446,9 +468,8 @@ _FAMILIES = ["path", "cycle", "complete", "complete_bipartite", "hyperoctahedron
              "wheel", "hypercube", "halved_cube", "johnson", "bn", "benzenoid",
              "projective_plane", "alpha_configuration", "beta_configuration",
              "nonesuch"]
-_CLASSES = ["meshed", "weakly-modular", "modular", "chordal", "bridged", "pc",
-            "ic3", "thick", "bipartite-absolute-retract", "alpha", "beta",
-            "partial-johnson", "partial-halved-cube", "nonesuch"]
+_CLASSES = [*cli._SIMPLE_CHECKS, "alpha", "beta", "partial-johnson",
+            "partial-halved-cube", "nonesuch"]
 _argv = st.one_of(
     st.tuples(st.just("gen"), st.sampled_from(_FAMILIES),
               st.lists(_param, max_size=2), st.sampled_from(

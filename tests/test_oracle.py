@@ -154,7 +154,6 @@ def test_scan_memory_peak_is_one_block_gather():
     import tracemalloc
     g = build_graph(73, _BROOM)
     d = all_pairs_distances(g)
-    d.levels
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

@@ -23,7 +23,7 @@ from medgraph.lp import (FeasibilityResult, RationalMatrix, _check_result,
                          has_Gp_connected_medians, lp_feasible_strict,
                          verify_feasibility_result, witness_to_profile)
 from medgraph.metric import (J_set, Jcirc_set, interior_interval, interval,
-                             interval_mask, members)
+                             interval_masks, members)
 from medgraph.medians import (Profile, VertexFunction, _pairs_in_distance_band,
                               check_WC, check_WP, is_p_connected,
                               is_p_weakly_peakless, is_unimodal_on_power,
@@ -900,7 +900,7 @@ def _J_by_definition(dist, u, v):
 
 
 def test_J_set_matches_its_definition_on_masks_wider_than_a_word():
-    # Level bitsets of more than 64 vertices: the halved cube on 128
+    # Interval bitsets of more than 64 vertices: the halved cube on 128
     # vertices, C_70, and random graphs with up to 90 vertices, both dense
     # and sparse (diameters from 2 to about 20).
     rng = random.Random(113)
@@ -914,7 +914,10 @@ def test_J_set_matches_its_definition_on_masks_wider_than_a_word():
         d = all_pairs_distances(g)
         dist = np.array(d.d)
         for u in sources:
+            masks = interval_masks(g, d, u)
             for v in range(g.n):
+                assert members(masks[v]) == np.flatnonzero(
+                    dist[u] + dist[v] == dist[u, v]).tolist(), (g.n, u, v)
                 if v != u:
                     assert J_set(g, d, u, v) == _J_by_definition(dist, u, v), (
                         g.n, u, v)
@@ -930,12 +933,9 @@ def test_interval_and_J_set_match_their_definitions():
         ivl = {(u, v): {w for w in range(g.n) if d(u, w) + d(w, v) == d(u, v)}
                for u in range(g.n) for v in range(g.n)}
         for u in range(g.n):
-            # levels[u] partitions the vertices by their distance from u
-            assert len(d.levels[u]) == max(d[u]) + 1
-            for k, mask in enumerate(d.levels[u]):
-                assert members(mask) == [x for x in range(g.n) if d(u, x) == k]
+            masks = interval_masks(g, d, u)
             for v in range(g.n):
-                assert members(interval_mask(d, u, v)) == sorted(ivl[u, v])
+                assert members(masks[v]) == sorted(ivl[u, v])
                 assert interval(g, d, u, v) == ivl[u, v]
                 assert ivl[u, v] == geodesic_vertices_via_dag(g, d, u, v)
                 if u != v:
@@ -943,6 +943,6 @@ def test_interval_and_J_set_match_their_definitions():
                         z for z in range(g.n)
                         if ivl[z, u] & ivl[z, v] == {z}}
                 if d(u, v) >= 2:
-                    # D^uv reads its rows from the distance rows, not levels
+                    # D^uv reads its rows from the distance rows
                     assert lp.build_Duv(g, d, u, v).rows == tuple(
                         sorted(interior_interval(g, d, u, v)))

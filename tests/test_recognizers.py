@@ -88,15 +88,15 @@ def test_modular_examples():
 
 
 def test_modular_fills_interval_rows_only_as_the_scan_reads_them(monkeypatch):
-    # the triple (0, 1, 2) of halfH_7 fails, so only the rows of 0 and 1 are
-    # read: 63 + 62 intervals, not all 64 * 63 / 2
+    # the triple (0, 1, 2) of halfH_7 fails, so only the interval rows of 0
+    # and 1 are built, not all 64
     g, d = _gd(halved_cube(7)[0])
     rows = []
-    real = recognizers.interval_mask
-    monkeypatch.setattr(recognizers, "interval_mask",
-                        lambda d, u, v: rows.append(u) or real(d, u, v))
+    real = recognizers.interval_masks
+    monkeypatch.setattr(recognizers, "interval_masks",
+                        lambda g, d, u: rows.append(u) or real(g, d, u))
     assert is_modular(g, d).witness == (0, 1, 2)
-    assert rows == [0] * 63 + [1] * 62
+    assert rows == [0, 1]
 
 
 # ------------------------------------------------------------------- chordality
