@@ -35,11 +35,11 @@ on smaller matrices: with no gate 71 atlas, 8 random pool, 5 seeded random
 and 10 test corpus witnesses change.
 
 A pair's verdict comes from `_pair_verdicts`, shared by `compute_p` and
-`has_Gp_connected_medians`.  It first tries `_presolve`: the singleton
-tests of LP presolve (Andersen & Andersen 1995, "Presolving in linear
-programming", Math. Program. 71), then one fixed certificate.  Column x of
-D^uv is the profile with all its weight on x, and row w is w's chord
-inequality:
+`has_Gp_connected_medians`.  Column x of D^uv is the profile with all its
+weight on x, and row w is w's chord inequality.  Before any LP, four tests
+can decide a pair; three of them are the singleton tests and one fixed
+certificate of LP presolve (Andersen & Andersen 1995, "Presolving in
+linear programming", Math. Program. 71):
 - a nonnegative row w makes e_w a Farkas certificate, since e_w^T D^uv is
   that row;
 - an all-negative column x makes {x: 1} a witness, since every row is then
@@ -49,55 +49,69 @@ inequality:
   has y^T D^uv >= 0: given both, y^T D^uv pi >= 0 since pi >= 0, while
   y^T (D^uv pi) <= -(y_1 + ... + y_m) < 0.  With y = 1, y^T D^uv is the
   vector of column sums: when none is negative, the rows of D^uv pi sum
-  to at least 0 for every pi >= 0, so they cannot all be at most -1.
-An all-negative column has a negative sum, so the row-sum test never takes
-the place of a one-vertex witness.
+  to at least 0 for every pi >= 0, so they cannot all be at most -1;
+- a balanced pair (`_balanced`).  With u, v at distance k, write
+  a_i = d(u,w_i) and b_i = d(v,w_i) = k - a_i for two interior rows
+  w_1 != w_2; they are balanced when a_1 + a_2 = k, so that b_1 + b_2 = k
+  as well.  Rows w_1 and w_2 then sum to
+    (b_1 + b_2) d(u,x) + (a_1 + a_2) d(v,x) - k (d(w_1,x) + d(w_2,x))
+    = k (d(u,x) + d(v,x) - d(w_1,x) - d(w_2,x)),
+  so y = e_w1 + e_w2 is a Farkas certificate iff d(w_1,x) + d(w_2,x) <=
+  d(u,x) + d(v,x) for every vertex x, which reads two rows of the distance
+  table and no matrix.  This is the companion test of
+  `alpha_beta_certificate` taken over every x.  Two interior vertices at
+  distance k, a mirror pair, are always balanced: k = d(w_1,w_2) is at
+  most both a_1 + a_2 and b_1 + b_2, which sum to 2k.  Summing the
+  inequality over x shows that r(w_1) + r(w_2) <= r(u) + r(v) is needed,
+  r(w) being the transmission, the sum of w's distance row.  So the tries
+  are the mirror pairs first, then the other balanced pairs, each in order
+  of least r(w_1) + r(w_2), ties in row order, and at most
+  _BALANCED_TRIES = 8 of them.  The candidates are taken level by level,
+  w_1 at level a <= k/2 of the interval and w_2 at level k - a.
+The tests run in the order of their cost.  The balanced pairs come first,
+since they read the distance table alone.  Then the rows of D^uv are built
+in order, and building stops at the first nonnegative row.  Then, on a
+full D^uv, the all-negative column and the row sums (`_presolve`), and the
+LP only when no test holds.  An all-negative column has a negative sum, so
+the row-sum test never takes the place of a one-vertex witness.  On the
+benchmark's random pool, of the 15,671 pairs at distance at least 2, a
+balanced pair decides 4,554, a nonnegative row 1,190, an all-negative
+column 8,029 and the row sums 20, and 1,878 go to the LP.  The first try
+decides every infeasible pair of G_7, G_11 and C_12 x C_12; on the pair
+(0, 22) of C_10 x C_10 it is the two free corners of the 3 x 3 interval,
+and y^T D^uv = 0.
 
-A pair these tests leave tries balanced pairs (`_balanced`).  With u, v at
-distance k, write a_i = d(u,w_i) and b_i = d(v,w_i) = k - a_i for two
-interior rows w_1 != w_2; they are balanced when a_1 + a_2 = k, so that
-b_1 + b_2 = k as well.  Rows w_1 and w_2 then sum to
-  (b_1 + b_2) d(u,x) + (a_1 + a_2) d(v,x) - k (d(w_1,x) + d(w_2,x))
-  = k (d(u,x) + d(v,x) - d(w_1,x) - d(w_2,x)),
-so y = e_w1 + e_w2 is a Farkas certificate iff d(w_1,x) + d(w_2,x) <=
-d(u,x) + d(v,x) for every vertex x, which reads two rows of the distance
-table and no matrix.  This is the companion test of
-`alpha_beta_certificate` taken over every x.  Two interior vertices at
-distance k, a mirror pair, are always balanced: k = d(w_1,w_2) is at most
-both a_1 + a_2 and b_1 + b_2, which sum to 2k.  Summing the inequality over
-x shows that r(w_1) + r(w_2) <= r(u) + r(v) is needed, r(w) being the
-transmission, the sum of w's distance row.  So the tries are the mirror
-pairs first, then the other balanced pairs, each in order of least
-r(w_1) + r(w_2), ties in row order, and at most _BALANCED_TRIES = 8 of
-them.  The first try decides every infeasible pair of G_7, G_11 and
-C_12 x C_12 that the row sums leave; on the pair (0, 22) of C_10 x C_10 it
-is the two free corners of the 3 x 3 interval, and y^T D^uv = 0.  Every
-presolve answer is an int tuple or a unit witness, and is checked on the
-full matrix like the simplex's.
+Every answer is an int tuple or a unit witness, and is checked by a
+computation apart from its test on the rows of D^uv it names, each built
+by `build_Duv`'s formula: a zero row adds nothing to y^T D^uv.  A balanced
+pair is checked on rows w_1 and w_2, whose sum must be at least 0 in every
+column, a nonnegative row on itself, and the witness and the row sums on
+the full matrix.  A failed check raises `AssertionError` naming the pair.
 
 A band scan of `_pair_verdicts` streams the pairs it has not decided yet.
-The first _BULK_PAIRS - 1 = 31 of them keep `build_Duv`, `_presolve` and
-`_balanced`, so a scan that fails on one of its first pairs makes no array.
-The rest go to one `_bulk_presolve` per scan: numpy arrays D[pair, row, x],
-built from the stream's own copy of the distance table, each pair's rows
-padded with rows of -1 to the longest interior of its array, which changes
-no test.  The arrays give certificates only: a nonnegative row and the row
-sums (`_bulk_tests`), then the balanced-pair tries on the pairs they leave
-(`_bulk_balanced`), and every answer is checked in the same array by a
-computation of its own, y^T D >= 0 (`_bulk_verified`), y = e_i + e_j for a
-balanced pair.  A failed check raises `AssertionError` naming the pair.  A
-pair decided by a certificate gets no `RationalMatrix`; every other pair,
-feasible or not, takes its matrix from the array rows and goes on to the
-LP.  Both callers stop a scan at its first feasible pair, so a one-vertex
-witness in the arrays could spare at most one solve per scan; on the
-random pool it decided one pair, which the witness re-solve then solved
-anyway.  The head keeps its one-vertex witness: on a cycle every scan stops
-within its first pairs, at a pair that the witness decides, and with no
-witness compute_p pays one LP per level.  Both paths read a pair's
-interior from the distance rows, as the w != u, v with d(u,w) + d(w,v) =
-d(u,v).  The head of 31 pairs stays because an array
-costs more than it saves on a short band, such as the atlas bands of at
-most 21 pairs.  Two bounds hold:
+The first _BULK_PAIRS - 1 = 31 of them are decided one by one (`_head`),
+so a scan that fails on one of its first pairs makes no array.  The rest
+go to one `_bulk_presolve` per scan, a block of pairs at a time, on the
+stream's own copy of the distance table.  The arrays give certificates
+only.  `_bulk_balanced` tries the balanced pairs of a whole block,
+enumerated level by level and ranked in one sort; the pairs it decides are
+checked in an array D[pair, row, x] of their two rows each.  The pairs it
+leaves go to arrays of their full D^uv, each pair's rows padded with rows
+of -1 to the longest interior of its array, which changes no test: a
+nonnegative row and the row sums (`_bulk_tests`).  Every answer in an
+array is checked there by a computation of its own, y^T D >= 0
+(`_bulk_verified`).  A pair decided by a certificate gets no
+`RationalMatrix`; every other pair, feasible or not, takes its matrix from
+the array rows and goes on to the LP.  Both callers stop a scan at its
+first feasible pair, so a one-vertex witness in the arrays could spare at
+most one solve per scan; on the random pool it decided one pair, which the
+witness re-solve then solved anyway.  The head keeps its one-vertex
+witness: on a cycle every scan stops within its first pairs, at a pair
+that the witness decides, and with no witness compute_p pays one LP per
+level.  Both paths read a pair's interior from the distance rows, as the
+w != u, v with d(u,w) + d(w,v) = d(u,v).  The head of 31 pairs stays
+because an array costs more than it saves on a short band, such as the
+atlas bands of at most 21 pairs.  Three bounds hold:
 - on a pair at distance k, write a = d(u,w) and b = d(v,w), so a + b = k.
   The entry b d(u,x) + a d(v,x) - k d(w,x) is at most 2ab, since
   d(u,x) <= a + d(w,x) and d(v,x) <= b + d(w,x), and at least -2ab, since
@@ -115,7 +129,14 @@ most 21 pairs.  Two bounds hold:
   vertices, and every band of the half-cubes up to 1/2 H_9 and of
   J(10,5);
 - each array holds at most _BULK_ENTRIES = 2^16 entries (128 KB in
-  int16), or one pair's D^uv when that alone is larger.
+  int16), or one pair's D^uv when that alone is larger.  A block holds
+  _BULK_ENTRIES / 2n pairs, so that the two rows of each fill one array,
+  and its balanced pairs are ranked in chunks of fewer than _BULK_ENTRIES
+  candidates plus one pair's; a pair has fewer candidates than its D^uv
+  has entries;
+- the rank of a candidate is one int64, below 2^18 n^2 diam, which holds
+  it for every graph of fewer than 2^15 vertices: the distance table of a
+  larger one, 2^30 list entries, does not fit in memory.
 
 D^uv has a column for every vertex, though a violating profile pi can
 always be moved onto J(u,v).  With F the median function of pi and w inside
@@ -127,12 +148,11 @@ alone is feasible iff this one is: a J-column LP would add nothing.
 D^uv depends only on the pair, never on p, so `_pair_verdicts` decides
 each pair at most once, and `compute_p` stops each scan, the report's too,
 at its first failing pair: its solve is the last one, and the bulk path
-has presolved the pairs of that pair's array at most.
+has presolved the pairs of that pair's block at most.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import operator
 from dataclasses import dataclass
@@ -173,15 +193,24 @@ def build_Duv(g: Graph, d: DistMatrix, u: int, v: int) -> RationalMatrix:
     rows the w != u, v with d(u,w) + d(w,v) = d(u,v), read from the
     distance rows as `_bulk_presolve` reads them."""
     _require_nonadjacent(g, u, v)
+    rows = _interior(d, u, v)
+    return RationalMatrix(tuple(_Duv_rows(d, u, v, rows)), rows, tuple(range(g.n)), u, v)
+
+
+def _interior(d: DistMatrix, u: int, v: int) -> tuple[int, ...]:
+    """I°(u,v), the rows of D^uv: the w != u, v with d(u,w) + d(w,v) = d(u,v)."""
     du, dv = d[u], d[v]
-    duv = du[v]
-    rows = tuple(w for w, a, b in zip(range(g.n), du, dv) if a and b and a + b == duv)
-    entries = []
+    k = du[v]
+    return tuple([w for w, a, b in zip(range(d.n), du, dv) if a and b and a + b == k])
+
+
+def _Duv_rows(d: DistMatrix, u: int, v: int, rows):
+    """Row w of D^uv for each w of rows, in order, each built as it is read."""
+    du, dv = d[u], d[v]
+    k = du[v]
     for w in rows:
-        dvw, duw = dv[w], du[w]
-        entries.append(tuple([dvw * a + duw * b - duv * c
-                              for a, b, c in zip(du, dv, d[w])]))
-    return RationalMatrix(tuple(entries), rows, tuple(range(g.n)), u, v)
+        b, a = dv[w], du[w]
+        yield tuple([b * x + a * y - k * z for x, y, z in zip(du, dv, d[w])])
 
 
 def _phase1(tableau, n_free):
@@ -348,16 +377,12 @@ def _checked(res: FeasibilityResult, source: str) -> FeasibilityResult:
 
 
 def _presolve(mat: RationalMatrix) -> FeasibilityResult | None:
-    """The first presolve answer of mat, checked on it, else None: the
-    certificate e_i for the first nonnegative row i, else the witness
-    {x: 1} for the first all-negative column x, else the certificate y = 1
-    when every column sum is nonnegative.  A matrix has at most one of the
-    one-vertex kinds, and an all-negative column has a negative sum."""
+    """The presolve answer of a full D^uv that no balanced pair and no
+    nonnegative row decides, checked on it, else None: the witness {x: 1}
+    for the first all-negative column x, else the certificate y = 1 when
+    every column sum is nonnegative.  An all-negative column has a negative
+    sum."""
     entries = mat.entries
-    i = next((i for i, row in enumerate(entries) if min(row) >= 0), None)
-    if i is not None:
-        return _checked(FeasibilityResult("infeasible", matrix=mat, certificate=tuple(
-            int(k == i) for k in range(len(entries)))), "one-vertex answer")
     neg = range(len(mat.cols))
     for row in entries:
         neg = [j for j in neg if row[j] < 0]
@@ -372,6 +397,37 @@ def _presolve(mat: RationalMatrix) -> FeasibilityResult | None:
     return None
 
 
+def _named(mat: RationalMatrix, rows, source: str) -> FeasibilityResult:
+    """The certificate y that is 1 on the rows of mat, some rows of the
+    D^uv of its pair, and 0 on the other rows of that D^uv, whose row
+    vertices are rows, once `_checked` accepts y = 1 on mat: a zero row
+    adds nothing to y^T D^uv."""
+    _checked(FeasibilityResult("infeasible", certificate=(1,) * len(mat.rows), matrix=mat),
+             source)
+    return FeasibilityResult("infeasible", certificate=tuple([int(w in mat.rows) for w in rows]))
+
+
+def _head(d: DistMatrix, r, u: int, v: int):
+    """(mat, res) for the pair (u, v) decided on its own: res is its
+    balanced-pair certificate, else its first nonnegative row, the rows
+    being built in order up to it, each checked on the rows it names, and
+    then mat is None; else mat is its full D^uv and res the `_presolve`
+    answer or None."""
+    rows, cols = _interior(d, u, v), tuple(range(d.n))
+    pair = _balanced(d, r, u, v, rows)
+    if pair is not None:
+        return None, _named(RationalMatrix(tuple(_Duv_rows(d, u, v, pair)), pair, cols, u, v),
+                            rows, "balanced answer")
+    entries = []
+    for w, row in zip(rows, _Duv_rows(d, u, v, rows)):
+        if min(row) >= 0:
+            return None, _named(RationalMatrix((row,), (w,), cols, u, v), rows,
+                                "one-vertex answer")
+        entries.append(row)
+    mat = RationalMatrix(tuple(entries), rows, cols, u, v)
+    return mat, _presolve(mat)
+
+
 def verify_feasibility_result(g: Graph, d: DistMatrix, u: int, v: int,
                               r: FeasibilityResult) -> bool:
     """Re-check a witness or certificate against a freshly built matrix."""
@@ -379,47 +435,53 @@ def verify_feasibility_result(g: Graph, d: DistMatrix, u: int, v: int,
     return _check_result(FeasibilityResult(r.status, r.witness, r.certificate, mat))
 
 
-def _balanced(d: DistMatrix, r, mat: RationalMatrix):
-    """The first balanced-pair certificate e_i + e_j of mat, checked on it,
-    else None.  Rows i < j are tried when d(u,w_i) + d(u,w_j) = d(u,v):
-    mirror pairs, d(w_i,w_j) = d(u,v), first, then the others, each in
-    order of least r(w_i) + r(w_j), r being the transmissions, and at most
-    _BALANCED_TRIES of them.  A try holds when d(w_i,x) + d(w_j,x) <=
-    d(u,x) + d(v,x) for every x; see the module docstring."""
-    rows = mat.rows
-    du, dv = d[mat.u], d[mat.v]
-    k = du[mat.v]
-    tries = heapq.nsmallest(_BALANCED_TRIES, (
-        (d[w1][w2] != k, r[w1] + r[w2], i, j)
-        for (i, w1), (j, w2) in itertools.combinations(enumerate(rows), 2)
-        if du[w1] + du[w2] == k))
-    far = list(map(operator.add, du, dv))
-    for *_, i, j in tries:
-        if all(map(operator.le, map(operator.add, d[rows[i]], d[rows[j]]), far)):
-            y = tuple(int(t == i or t == j) for t in range(len(rows)))
-            return _checked(FeasibilityResult("infeasible", matrix=mat, certificate=y),
-                            "balanced answer")
+def _balanced(d: DistMatrix, r, u: int, v: int, rows):
+    """The first balanced pair (w_1, w_2), w_1 < w_2, of the interior rows
+    of D^uv whose try holds, else None.  The candidates are taken level by
+    level, w_1 at distance a from u and w_2 at distance d(u,v) - a, and
+    ranked mirror pairs, d(w_1,w_2) = d(u,v), first, then by least
+    r(w_1) + r(w_2), r being the transmissions, then in row order; at most
+    _BALANCED_TRIES of them are tried.  A try holds when d(w_1,x) + d(w_2,x)
+    <= d(u,x) + d(v,x) for every x; see the module docstring."""
+    if len(rows) < 2:
+        return None
+    dd = d.d
+    du = dd[u]
+    k = du[v]
+    levels = [[] for _ in range(k)]
+    for w in rows:
+        levels[du[w]].append(w)
+    tries = []
+    for a in range(1, k // 2 + 1):
+        for w1, w2 in (itertools.combinations(levels[a], 2) if 2 * a == k
+                       else itertools.product(levels[a], levels[k - a])):
+            if w1 > w2:
+                w1, w2 = w2, w1
+            tries.append((dd[w1][w2] != k, r[w1] + r[w2], w1, w2))
+    tries.sort()
+    far = list(map(operator.add, du, dd[v]))
+    for *_, w1, w2 in tries[:_BALANCED_TRIES]:
+        if all(map(operator.le, map(operator.add, dd[w1], dd[w2]), far)):
+            return w1, w2
     return None
-
 
 _BALANCED_TRIES = 8           # balanced pairs tried per pair: see the module docstring
 
 
-def _pair_verdicts(g: Graph, d: DistMatrix):
+def _pair_verdicts(d: DistMatrix):
     """The band scan of one graph, and the set of the pairs it gave their
     own solve.
 
     scan(lo, hi) yields (u, v, verdict) for the pairs of the band
     lo <= d(u,v) <= hi in `_pairs_in_distance_band` order.  The pairs not
     yet decided get their matrix and presolve answer from one lazy stream:
-    the first _BULK_PAIRS - 1 of them from `build_Duv`, `_presolve` and
-    `_balanced`, a pair at a time, and the rest from one `_bulk_presolve`,
-    an array at a time, which copies the distance table for this band and
-    answers with certificates only.  A scan that stops within its first 31
-    undecided pairs makes no array, and one that stops later has read at
-    most one block of pairs past the pair it stops at.  Scans share only
-    the verdicts, own and the transmissions that order the balanced pairs,
-    summed once.
+    the first _BULK_PAIRS - 1 of them from `_head`, a pair at a time, and
+    the rest from one `_bulk_presolve`, a block of pairs at a time, which
+    copies the distance table for this band and answers with certificates
+    only.  A scan that stops within its first 31 undecided pairs makes no
+    array, and one that stops later has read at most one block of pairs
+    past the pair it stops at.  Scans share only the verdicts, own and the
+    transmissions that order the balanced pairs, summed once.
 
     A pair's verdict is its presolve answer when it has one, else its own
     solve.  A decided pair is stored without its matrix unless it is
@@ -435,16 +497,14 @@ def _pair_verdicts(g: Graph, d: DistMatrix):
         if res is None:
             res = lp_feasible_strict(mat)
             own.add((u, v))
-        out = verdicts[u, v] = res if res.feasible else FeasibilityResult(
-            "infeasible", certificate=res.certificate)
+        out = verdicts[u, v] = res if res.feasible or res.matrix is None else \
+            FeasibilityResult("infeasible", certificate=res.certificate)
         return out
 
     def scan(lo: int, hi: int):
         band, pairs = itertools.tee(_pairs_in_distance_band(d, lo, hi))
         new = (pair for pair in pairs if pair not in verdicts)
-        head = ((mat, _presolve(mat) or _balanced(d, r, mat))
-                for mat in (build_Duv(g, d, u, v)
-                            for u, v in itertools.islice(new, _BULK_PAIRS - 1)))
+        head = (_head(d, r, u, v) for u, v in itertools.islice(new, _BULK_PAIRS - 1))
         answers = itertools.chain(head, _bulk_presolve(d, new, r, min(hi, d.diameter)))
         # new may be read ahead of band, but only this loop adds to
         # verdicts, each pair when it reaches it: the answers stay in step
@@ -465,77 +525,151 @@ _SOURCES = (None, "one-vertex", "row-sum", "balanced")
 def _bulk_presolve(d: DistMatrix, pairs, r, k: int):
     """(mat, res) for each pair of the iterable pairs, in order, the pairs
     being at distance at most k: res is the pair's checked certificate, or
-    None when no test gives one, and then mat is its D^uv, read from the
+    None when no test gives one, and then mat is its D^uv, read from an
     array, else None.  r holds the transmissions.  The distance table is
     copied once, when the stream is first read, into the narrowest type that
-    holds the values of a band up to distance k; pairs are read a block at a
-    time, and each array is made when its first pair is asked for.
+    holds the values of a band up to distance k.
 
-    The interiors are read from the table too, as the w != u, v with
-    d(u,w) + d(w,v) = d(u,v), the rows `build_Duv` takes."""
+    Pairs are read a block at a time.  The interiors of a block are read
+    from the table, as the w != u, v with d(u,w) + d(w,v) = d(u,v), the
+    rows `build_Duv` takes.  Its balanced pairs are tried first
+    (`_bulk_balanced`), and checked at once in one array of their two rows
+    each; the pairs they leave go to arrays of their full D^uv, each made
+    when its first pair is asked for."""
     import numpy as np
     from .oracle import _dtype
     n = d.n
     dist = np.array(d.d, dtype=_dtype(n * (k * k // 2)))    # see the module docstring
-    cols = tuple(range(n))
     r = np.array(r, dtype=np.int64)
-    step = max(1, _BULK_ENTRIES // n)       # pairs whose intervals are found at once
+    step = max(1, _BULK_ENTRIES // (2 * n))     # pairs read at once: two rows each fill an array
     while block := list(itertools.islice(pairs, step)):
         us, vs = np.array(block).T
         at = np.arange(len(block))
-        du, dv = dist[us], dist[vs]
-        inside = du + dv == du[at, vs, None]
+        far = dist[us] + dist[vs]
+        inside = far == far[at, us, None]
         inside[at, us] = inside[at, vs] = False
+        found, w1, w2 = _bulk_balanced(dist, r, us, vs, inside, far)
+        D = _bulk_array(dist, us[found], vs[found], np.stack((w1, w2), axis=1))
+        ok = _bulk_verified(D, np.ones((len(found), 2), dtype=bool), np.full(len(found), _PAIR),
+                            np.zeros(len(found), dtype=int), np.ones(len(found), dtype=int))
+        place = np.cumsum(inside[found], axis=1, dtype=np.int32) - 1   # the row of each vertex
+        i, j = (place[np.arange(len(found)), w] for w in (w1, w2))
         counts = inside.sum(axis=1).tolist()
-        lo = 0
-        while lo < len(block):
-            # the next array: pairs lo..hi-1, m rows each, n columns
-            hi, m = lo + 1, counts[lo]
-            while hi < len(block) and \
-                    (hi + 1 - lo) * max(m, counts[hi]) * n <= _BULK_ENTRIES:
-                m = max(m, counts[hi])
-                hi += 1
-            D, ws = _bulk_array(dist, us[lo:hi], vs[lo:hi], inside[lo:hi], m)
-            valid = np.arange(m) < np.array(counts[lo:hi])[:, None]
-            kind, index = _bulk_tests(D, valid)
-            other = index.copy()
-            left = np.flatnonzero(kind == _NONE)
-            if len(left) and m > 1:           # a balanced pair takes two rows
-                found, i, j = _bulk_balanced(dist, r, us[lo:hi][left], vs[lo:hi][left],
-                                             ws[left], valid[left])
-                left = left[found]
-                kind[left], index[left], other[left] = _PAIR, i[found], j[found]
-            ok = _bulk_verified(D, valid, kind, index, other)
-            for (u, v), kd, i, j, good, count, p in zip(
-                    block[lo:hi], kind.tolist(), index.tolist(), other.tolist(),
-                    ok.tolist(), counts[lo:hi], range(hi - lo)):
-                if kd == _NONE:
-                    yield RationalMatrix(tuple(map(tuple, D[p, :count].tolist())),
-                                         tuple(ws[p, :count].tolist()), cols, u, v), None
-                    continue
-                if not good:
-                    raise AssertionError(
-                        f"{_SOURCES[kd]} answer does not verify on pair ({u},{v})")
-                y = (1,) * count if kd == _ALL_ROWS else tuple(
-                    int(t == i or t == j) for t in range(count))
-                yield None, FeasibilityResult("infeasible", certificate=y)
-            lo = hi
+        balanced = {p: (good, i, j, counts[p]) for p, good, i, j in zip(
+            found.tolist(), ok.tolist(), i.tolist(), j.tolist())}
+        arrays = _bulk_arrays(dist, block, us, vs, inside, counts,
+                              [p for p in range(len(block)) if p not in balanced])
+        for p in range(len(block)):
+            if p not in balanced:
+                yield next(arrays)
+                continue
+            good, i, j, count = balanced[p]
+            if not good:
+                raise AssertionError("balanced answer does not verify on pair (%d,%d)" % block[p])
+            y = [0] * count
+            y[i] = y[j] = 1
+            yield None, FeasibilityResult("infeasible", certificate=tuple(y))
 
 
-def _bulk_array(dist, us, vs, inside, m):
-    """D[pair, row, x] for the pairs (us[k], vs[k]) whose interiors are
-    marked in inside, each padded to m rows with rows of -1, and the row
-    vertices ws[pair, row], u on a padding row.  u is never in its own
-    interior, so the padding rows are the rows of u."""
+def _bulk_balanced(dist, r, us, vs, inside, far):
+    """The tries of `_balanced` on the pairs (us[p], vs[p]) of a block,
+    inside marking their interiors and far[p] being d(u,x) + d(v,x): the
+    pairs p that a try decides, ascending, and the w_1 < w_2 of the first
+    try that holds on each.
+
+    The candidates are enumerated level by level: the interior vertices of
+    a pair are sorted by their level a = d(u,w), and each with 2a <= k is
+    paired with the run of those at level k - a, only the later ones of its
+    own level when 2a = k.  They are ranked in chunks of pairs that start
+    every _BULK_ENTRIES candidates, and the t-th tries of the pairs still
+    undecided are tested together, one pair of table rows per pair."""
     import numpy as np
-    ws = np.repeat(us[:, None], m, axis=1)
-    pair, w = np.nonzero(inside)
-    ws[pair, (np.cumsum(inside, axis=1) - 1)[pair, w]] = w
+    k = dist[us, vs]
+    p, w = (x.astype(np.int32) for x in np.nonzero(inside))
+    a, kp = dist[us[p], w], k[p]
+    key = p * (int(k.max()) + 1) + a
+    order = np.argsort(key, kind="stable")  # by pair, then level, then vertex
+    key, p, w, a, kp = key[order], p[order], w[order], a[order], kp[order]
+    partner = key + kp - 2 * a              # the key of level k - a
+    start = np.where(2 * a == kp, np.arange(len(key)) + 1, np.searchsorted(key, partner))
+    count = np.where(2 * a <= kp, np.searchsorted(key, partner, side="right") - start, 0)
+    per_pair = np.bincount(p, count, minlength=len(us)).astype(np.int64)
+    offset = np.cumsum(per_pair) - per_pair     # each pair's first candidate
+    cut = np.flatnonzero(np.diff(offset // _BULK_ENTRIES, prepend=-1)).tolist()
+    n, top = len(dist), 2 * int(r.max()) + 1
+    w1s, w2s = np.full(len(us), -1), np.full(len(us), -1)
+    for plo, phi in itertools.pairwise(cut + [len(us)]):    # the pairs of a chunk
+        lo, hi = np.searchsorted(p, (plo, phi)).tolist()    # and their entries
+        left = np.repeat(np.arange(lo, hi), count[lo:hi])
+        pp, w1, w2 = p[left], w[left], w[np.arange(len(left)) + np.repeat(
+            start[lo:hi] - np.cumsum(count[lo:hi]) + count[lo:hi], count[lo:hi])]
+        del left
+        w1, w2 = np.minimum(w1, w2), np.maximum(w1, w2)
+        # one int64 key per candidate, below 2^18 n^2 diam: pair, mirror
+        # pairs first, then r(w_1) + r(w_2), then w_1 and w_2
+        rank = np.argsort((((pp * np.int64(2) + (dist[w1, w2] != k[pp])) * top
+                            + r[w1] + r[w2]) * n + w1) * n + w2)
+        w1, w2 = w1[rank], w2[rank]
+        first, size = offset[plo:phi] - offset[plo], per_pair[plo:phi]
+        for t in range(_BALANCED_TRIES):
+            q = np.flatnonzero((size > t) & (w1s[plo:phi] < 0))
+            if not len(q):
+                break
+            at = first[q] + t
+            held = (dist[w1[at]] + dist[w2[at]] <= far[plo + q]).all(axis=1)
+            w1s[plo + q[held]], w2s[plo + q[held]] = w1[at[held]], w2[at[held]]
+    found = np.flatnonzero(w1s >= 0)
+    return found, w1s[found], w2s[found]
+
+
+def _bulk_arrays(dist, block, us, vs, inside, counts, left):
+    """(mat, res) for each pair block[p], p in left, in order, from the
+    certificate tests of its full D^uv in arrays of at most _BULK_ENTRIES
+    entries, each made when its first pair is asked for."""
+    import numpy as np
+    n = dist.shape[1]
+    cols = tuple(range(n))
+    lo = 0
+    while lo < len(left):
+        # the next array: pairs left[lo..hi-1], m rows each, n columns
+        hi, m = lo + 1, counts[left[lo]]
+        while hi < len(left) and (hi + 1 - lo) * max(m, counts[left[hi]]) * n <= _BULK_ENTRIES:
+            m = max(m, counts[left[hi]])
+            hi += 1
+        ps = left[lo:hi]
+        # the row vertices ws[pair, row], u on a padding row: u is never in
+        # its own interior, so the padding rows are the rows of u
+        ws = np.repeat(us[ps, None], m, axis=1)
+        pair, w = np.nonzero(inside[ps])
+        ws[pair, (np.cumsum(inside[ps], axis=1) - 1)[pair, w]] = w
+        D = _bulk_array(dist, us[ps], vs[ps], ws)
+        valid = np.arange(m) < np.array([counts[p] for p in ps])[:, None]
+        kind, index = _bulk_tests(D, valid)
+        ok = _bulk_verified(D, valid, kind, index, index)
+        for q, p, kd, i, good in zip(range(hi - lo), ps, kind.tolist(), index.tolist(),
+                                     ok.tolist()):
+            (u, v), count = block[p], counts[p]
+            if kd == _NONE:
+                yield RationalMatrix(tuple(map(tuple, D[q, :count].tolist())),
+                                     tuple(ws[q, :count].tolist()), cols, u, v), None
+                continue
+            if not good:
+                raise AssertionError(
+                    f"{_SOURCES[kd]} answer does not verify on pair ({u},{v})")
+            y = (1,) * count if kd == _ALL_ROWS else tuple(int(t == i) for t in range(count))
+            yield None, FeasibilityResult("infeasible", certificate=y)
+        lo = hi
+
+
+def _bulk_array(dist, us, vs, ws):
+    """D[pair, row, x]: row ws[pair, row] of the D^uv of the pair (u, v) =
+    (us[pair], vs[pair]), by `build_Duv`'s formula, and a row of -1 where
+    the row vertex is u, a padding row."""
     du, dv = dist[us, None], dist[vs, None]
     D = (dist[vs[:, None], ws, None] * du + dist[us[:, None], ws, None] * dv
          - dist[us, vs, None, None] * dist[ws])
     D[ws == us[:, None]] = -1
-    return D, ws
+    return D
 
 
 def _bulk_tests(D, valid):
@@ -566,35 +700,11 @@ def _bulk_verified(D, valid, kind, index, other):
         & y.any(axis=1)
 
 
-def _bulk_balanced(dist, r, us, vs, ws, valid):
-    """The tries of `_balanced` on the pairs (us[p], vs[p]) of an array at
-    once, ws[p] being their row vertices and valid marking their interior
-    rows: per pair, whether a try holds, and the rows i < j of the first
-    one that does."""
-    import numpy as np
-    m = ws.shape[1]
-    k = dist[us, vs][:, None]
-    level = dist[us[:, None], ws]
-    i, j = np.triu_indices(m, 1)            # the row pairs in (i, j) order
-    wi, wj = ws[:, i], ws[:, j]
-    balanced = valid[:, i] & valid[:, j] & (level[:, i] + level[:, j] == k)
-    t = r[wi] + r[wj]
-    top = 2 * int(r.max()) + 1              # above every t
-    rank = np.where(balanced, np.where(dist[wi, wj] == k, 0, top) + t, 2 * top)
-    tries = np.argsort(rank, axis=1, kind="stable")[:, :_BALANCED_TRIES]
-    w1, w2 = np.take_along_axis(wi, tries, 1), np.take_along_axis(wj, tries, 1)
-    far = (dist[us] + dist[vs])[:, None]
-    holds = (dist[w1] + dist[w2] <= far).all(axis=2) \
-        & np.take_along_axis(balanced, tries, 1)
-    first = tries[np.arange(len(tries)), holds.argmax(axis=1)]
-    return holds.any(axis=1), i[first], j[first]
-
-
 def has_Gp_connected_medians(g: Graph, d: DistMatrix, p: int) -> bool:
     """p(G) <= p iff no pair in the band p+1 <= d(u,v) <= 2p is feasible."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    scan, _ = _pair_verdicts(g, d)
+    scan, _ = _pair_verdicts(d)
     return not any(res.feasible for _, _, res in scan(p + 1, 2 * p))
 
 
@@ -649,7 +759,7 @@ def compute_p(g: Graph, d: DistMatrix) -> PValueReport:
     one-vertex witness or the pair's own solve; in the first case the
     witness pair is solved again, on the matrix it was decided on.
     """
-    scan, own = _pair_verdicts(g, d)
+    scan, own = _pair_verdicts(d)
     p = 1
     while True:
         k = next((d(u, v) for u, v, res in scan(p + 1, 2 * p) if res.feasible), None)

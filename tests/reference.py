@@ -21,7 +21,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from pathlib import Path
 
 import networkx as nx
@@ -92,6 +92,44 @@ def solve_pair(g: Graph, d: DistMatrix, u: int, v: int) -> FeasibilityResult:
     """Decide D^uv pi < 0, pi >= 0 with the simplex alone; feasible iff some
     profile violates WC at (u,v).  The plain route of `lp._pair_verdicts`."""
     return lp_feasible_strict(build_Duv(g, d, u, v))
+
+
+def balanced_pair_plain(d: DistMatrix, mat: RationalMatrix):
+    """`lp._balanced` on the full matrix: the rows i < j of the first of
+    at most `lp._BALANCED_TRIES` balanced pairs whose rows sum to at least
+    0 in every column, every pair of rows ranked (d(w_i,w_j) = d(u,v)
+    first, then least r(w_i) + r(w_j), then row order), else None."""
+    u, v = mat.u, mat.v
+    k = d(u, v)
+    r = [sum(row) for row in d.d]
+    tries = sorted((d(a, b) != k, r[a] + r[b], i, j)
+                   for (i, a), (j, b) in itertools.combinations(enumerate(mat.rows), 2)
+                   if d(u, a) + d(u, b) == k)
+    for *_, i, j in tries[:lp._BALANCED_TRIES]:
+        if min(map(add, mat.entries[i], mat.entries[j])) >= 0:
+            return i, j
+    return None
+
+
+def presolve_plain(d: DistMatrix, mat: RationalMatrix):
+    """The answer that the per-pair head gives the pair of mat before any
+    solve, found on the full matrix: (kind, status, certificate, witness)
+    for a balanced pair, else the first nonnegative row, else the first
+    all-negative column, else the row sums when every column sum is
+    nonnegative; None when no test holds."""
+    m = len(mat.rows)
+    pair = balanced_pair_plain(d, mat)
+    if pair is not None:
+        return "balanced", "infeasible", tuple(int(i in pair) for i in range(m)), None
+    for i, row in enumerate(mat.entries):
+        if min(row) >= 0:
+            return "row", "infeasible", tuple(int(t == i) for t in range(m)), None
+    for x, col in zip(mat.cols, zip(*mat.entries)):
+        if max(col) < 0:
+            return "column", "feasible", None, {x: Fraction(1)}
+    if all(sum(col) >= 0 for col in zip(*mat.entries)):
+        return "row-sum", "infeasible", (1,) * m, None
+    return None
 
 
 def _recording_array_pairs(monkeypatch) -> set[tuple[int, int]]:

@@ -13,7 +13,7 @@ from medgraph.families import (alpha_configuration, beta_configuration,
                                cartesian_product, cycle_graph, halved_cube,
                                hypercube, johnson, path_graph,
                                projective_incidence_graph)
-from medgraph.graph import Graph, all_pairs_distances, build_graph
+from medgraph.graph import DistMatrix, Graph, all_pairs_distances, build_graph
 import medgraph.lp as lp
 from medgraph.lp import (FeasibilityResult, RationalMatrix,
                          alpha_beta_certificate, build_Duv, compute_p,
@@ -24,8 +24,8 @@ from medgraph.medians import Profile, median_set
 from medgraph.metric import Jcirc_set, M_set, interior_interval
 from reference import (_assert_agrees_with_per_pair, _connected_atlas_graphs,
                        _corpus, _gd, _pool_graphs, _random_connected_graphs,
-                       _recording_array_pairs, _relabelled,
-                       lp_feasible_strict_explicit, solve_pair)
+                       _recording_array_pairs, _relabelled, balanced_pair_plain,
+                       lp_feasible_strict_explicit, presolve_plain, solve_pair)
 
 
 def test_build_duv_entries():
@@ -73,15 +73,15 @@ def _random_strict_matrices(count=20000, seed=17):
 
 
 def _pool_lp_matrices():
-    """The D^uv of the benchmark's random pool that the presolve leaves to
-    the simplex."""
+    """The D^uv of the benchmark's random pool that no nonnegative row and
+    no `_presolve` answer decides: the simplex's, balanced pairs aside."""
     for g in _pool_graphs():
         d = all_pairs_distances(g)
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 if d(u, v) >= 2:
                     mat = build_Duv(g, d, u, v)
-                    if lp._presolve(mat) is None:
+                    if all(min(row) < 0 for row in mat.entries) and lp._presolve(mat) is None:
                         yield mat
 
 
@@ -251,25 +251,30 @@ def test_compute_p_solves_each_pair_once(monkeypatch):
     assert calls == [((0, 15), True), ((14, 15), True)]
 
 
-def _recording_builds(monkeypatch):
-    """Record the pair of every D^uv built."""
+def _recording_builds(monkeypatch, g, d):
+    """Record the pair of every full D^uv that the per-pair head builds,
+    the matrices it hands to `_presolve`, each equal to `build_Duv`'s."""
     pairs = []
+    real = lp._presolve
 
-    def recording(g, d, u, v):
-        pairs.append((u, v))
-        return build_Duv(g, d, u, v)
+    def recording(mat):
+        pairs.append((mat.u, mat.v))
+        assert mat == build_Duv(g, d, mat.u, mat.v)
+        return real(mat)
 
-    monkeypatch.setattr(lp, "build_Duv", recording)
+    monkeypatch.setattr(lp, "_presolve", recording)
     return pairs
 
 
 def test_compute_p_stops_the_report_at_its_first_failing_pair(monkeypatch):
     g, d = _gd(cycle_graph(21))
-    builds = _recording_builds(monkeypatch)
+    builds = _recording_builds(monkeypatch, g, d)
     rep = compute_p(g, d)
-    # levels 1..9 each stop at (0, k + 1); the report's band 10..18 stops
-    # at (0, 10), decided at level 9 by a one-vertex witness, and re-solves
-    # it on the matrix built then.  Deciding the whole band made 30 builds.
+    # levels 1..9 each stop at (0, k + 1), a feasible pair, so no balanced
+    # pair and no nonnegative row decides it and its full D^uv is built;
+    # the report's band 10..18 stops at (0, 10), decided at level 9 by a
+    # one-vertex witness, and re-solves it on the matrix built then.
+    # Deciding the whole band made 30 builds.
     assert (rep.p, rep.witness_pair) == (10, (0, 10))
     assert builds == [(0, k) for k in range(2, 11)]
 
@@ -282,13 +287,13 @@ def test_compute_p_re_solves_a_witness_pair_decided_by_its_class(monkeypatch):
     # witness pair's own
     assert [pair for pair, _ in calls] == [(0, 3)]
     assert plain.witness_profile == Profile(dict(solve_pair(g, d, 0, 3).witness))
-    # With the presolve off, each band is scanned in descending pair order
+    # With `_presolve` off, each band is scanned in descending pair order
     # the first time it is asked for, so level 2 decides (3, 6) and the
     # report's scan of the same band meets (0, 3), a pair of the same class
     # under the rotations of C_7.  A feasible answer is never carried over
-    # from another pair: (0, 3) is solved on its own matrix, once, and the
-    # balanced-pair test, which finds no certificate of a feasible pair,
-    # adds no check to the three solves' checks.
+    # from another pair: (0, 3) is solved on its own matrix, once.  The
+    # balanced-pair test and the nonnegative row, which find no certificate
+    # of a feasible pair, add no check to the three solves' checks.
     seen = set()
     band = lp._pairs_in_distance_band
 
@@ -309,7 +314,7 @@ def test_compute_p_re_solves_a_witness_pair_decided_by_its_class(monkeypatch):
         return real(res)
 
     monkeypatch.setattr(lp, "_check_result", recording)
-    builds = _recording_builds(monkeypatch)
+    builds = _recording_builds(monkeypatch, g, d)
     calls.clear()
     rep = compute_p(g, d)
     assert [pair for pair, _ in calls] == builds == checks == [(4, 6), (3, 6), (0, 3)]
@@ -512,71 +517,90 @@ def test_one_vertex_answers_agree_with_the_plain_solve(monkeypatch):
         scans = []
         for gate in (sys.maxsize, 1):
             monkeypatch.setattr(lp, "_BULK_PAIRS", gate)
-            scan, own = lp._pair_verdicts(g, d)
+            scan, own = lp._pair_verdicts(d)
             scans.append((list(scan(2, d.diameter)), own))
         per_pair, own = scans[0]
         _assert_agrees_with_per_pair(g, d, *scans, {t[:2] for t in per_pair})
+        # each answer is the one that `presolve_plain` finds on the full
+        # matrix: a balanced pair, the first nonnegative row, the first
+        # all-negative column, the row sums, in this order
         for u, v, res in per_pair:
             plain = solve_pair(g, d, u, v)
-            one = lp._presolve(plain.matrix)
-            if one is None:
-                kinds["undecided"] += 1     # left to the balanced-pair test and the LP
+            want = presolve_plain(d, plain.matrix)
+            if want is None:
+                kinds["undecided"] += 1     # left to the LP
+                assert (u, v) in own and res.status == plain.status
                 continue
-            row_sum = one.certificate == (1,) * len(plain.matrix.rows)
-            kinds["row-sum" if row_sum else one.status] += 1
-            assert (res.status, res.certificate, res.witness) == \
-                (one.status, one.certificate, one.witness)
+            kind, status, certificate, witness = want
+            kinds[kind] += 1
+            assert (res.status, res.certificate, res.witness) == (status, certificate, witness)
             assert (u, v) not in own
-            assert one.feasible == plain.feasible
-            assert verify_feasibility_result(g, d, u, v, one)
-    assert kinds.keys() == {"feasible", "infeasible", "row-sum", "undecided"}
+            assert res.feasible == plain.feasible
+            assert verify_feasibility_result(g, d, u, v, res)
+    assert kinds.keys() == {"balanced", "row", "column", "row-sum", "undecided"}, kinds
 
 
-def _one(*entries):
-    return lp._presolve(RationalMatrix(
-        entries, tuple(range(len(entries))), tuple(range(len(entries[0]))), 0, 0))
+def _one(monkeypatch, *entries):
+    """The per-pair head's answer on a pair whose D^uv is entries, with no
+    balanced pair: its first nonnegative row, the rows being read in
+    order, else the `_presolve` answer of the full matrix."""
+    m, n = len(entries), len(entries[0])
+    monkeypatch.setattr(lp, "_interior", lambda d, u, v: tuple(range(m)))
+    monkeypatch.setattr(lp, "_balanced", lambda d, r, u, v, rows: None)
+    monkeypatch.setattr(lp, "_Duv_rows", lambda d, u, v, rows: iter(entries))
+    return lp._head(DistMatrix([[0] * n] * n), None, 0, 0)[1]
 
 
-def test_one_vertex_answer_sign_boundaries():
+def test_one_vertex_answer_sign_boundaries(monkeypatch):
     # column 0 holds a 0, so it is no witness, no row is nonnegative, and
     # column 0 sums to -1
-    assert _one((0, -1), (-1, 1)) is None
+    assert _one(monkeypatch, (0, -1), (-1, 1)) is None
     # column 1 is all negative: {1: 1} is the witness
-    assert _one((2, -1), (-3, -2)).witness == {1: Fraction(1)}
+    assert _one(monkeypatch, (2, -1), (-3, -2)).witness == {1: Fraction(1)}
     # each row has one -1 and no column is all negative; both columns sum
     # to 0, so y = 1 is the certificate
-    assert _one((1, -1), (-1, 1)).certificate == (1, 1)
+    assert _one(monkeypatch, (1, -1), (-1, 1)).certificate == (1, 1)
     # column sums 1 and 0: y = 1; column sums 0 and -1: no answer
-    assert _one((2, -1), (-1, 1)).certificate == (1, 1)
-    assert _one((1, -2), (-1, 1)) is None
+    assert _one(monkeypatch, (2, -1), (-1, 1)).certificate == (1, 1)
+    assert _one(monkeypatch, (1, -2), (-1, 1)) is None
     # an all-zero row is a certificate: 0 >= 0 in every column
-    assert _one((-1, 1), (0, 0)).certificate == (0, 1)
+    assert _one(monkeypatch, (-1, 1), (0, 0)).certificate == (0, 1)
+    # the first nonnegative row, though a later row and the row sums hold too
+    assert _one(monkeypatch, (-1, 1), (0, 1), (1, 0)).certificate == (0, 1, 0)
 
 
 def test_one_vertex_answer_is_checked(monkeypatch):
     monkeypatch.setattr(lp, "_check_result", lambda res: False)
     for entries in (((-1, 1), (-1, 0)), ((-1, 1), (0, 0))):
         with pytest.raises(AssertionError, match="one-vertex answer does not verify"):
-            _one(*entries)
+            _one(monkeypatch, *entries)
 
 
 def test_row_sum_answer_is_checked(monkeypatch):
-    real = lp._check_result
+    # every row-sum answer passes through `_checked`: made to check y = 0,
+    # which is no certificate, in place of y = 1, it raises naming the pair
+    real = lp._checked
     rejected = []
 
-    def rejecting_row_sums(res):
-        if res.certificate == (1,) * len(res.matrix.entries):
-            rejected.append(res.matrix.entries)
-            return False
-        return real(res)
+    def rejecting_row_sums(res, source):
+        if source == "row-sum answer":
+            rejected.append((res.matrix.u, res.matrix.v))
+            res = replace(res, certificate=(0,) * len(res.certificate))
+        return real(res, source)
 
-    monkeypatch.setattr(lp, "_check_result", rejecting_row_sums)
+    monkeypatch.setattr(lp, "_checked", rejecting_row_sums)
     with pytest.raises(AssertionError, match="row-sum answer does not verify"):
-        _one((1, -1), (-1, 1))
-    # on a graph: the first pair of the half-cube is decided by its row sums
-    with pytest.raises(AssertionError, match=r"row-sum answer does not verify on pair \(0,"):
-        compute_p(*_gd(halved_cube(6)[0]))
-    assert len(rejected) == 2
+        _one(monkeypatch, (1, -1), (-1, 1))
+    monkeypatch.undo()
+    monkeypatch.setattr(lp, "_checked", rejecting_row_sums)
+    # on a graph: the pair (4, 5) of pool graph 11 is the first pair that
+    # compute_p decides by its row sums: no balanced pair and no
+    # nonnegative row holds, and no column is all negative
+    g, d = _gd(list(_pool_graphs())[11])
+    assert presolve_plain(d, build_Duv(g, d, 4, 5))[0] == "row-sum"
+    with pytest.raises(AssertionError, match=r"row-sum answer does not verify on pair \(4,5\)"):
+        compute_p(g, d)
+    assert rejected == [(0, 0), (4, 5)]
 
 
 # ------------------------------------------------------ the bulk path
@@ -599,10 +623,11 @@ _SIGN_BOUNDARIES = [((0, -1), (-1, 1)), ((2, -1), (-3, -2)), ((1, -1), (-1, 1)),
                     ((1, -1), (-1, 2), (-1, 0))]
 
 
-def test_bulk_tests_agree_with_the_presolve_on_sign_boundaries():
+def test_bulk_tests_agree_with_the_presolve_on_sign_boundaries(monkeypatch):
     # one array of the matrices of test_one_vertex_answer_sign_boundaries
     # and a few more, padded to three rows: each pair gets the certificate
-    # that `_presolve` gives its own matrix, and every answer verifies.  An
+    # that the per-pair head gives its own matrix when no balanced pair
+    # holds, and every answer verifies.  An
     # all-negative column is no certificate: its three pairs are left.  The
     # padding rows add -1 to each column sum, which the row-sum test adds
     # back: ((1, -1), (-1, 1)) sums to (0, 0)
@@ -611,7 +636,7 @@ def test_bulk_tests_agree_with_the_presolve_on_sign_boundaries():
     assert lp._bulk_verified(D, valid, kind, index, index)[kind != lp._NONE].all()
     witnesses = 0
     for entries, k, i in zip(_SIGN_BOUNDARIES, kind.tolist(), index.tolist()):
-        one = _one(*entries)
+        one = _one(monkeypatch, *entries)
         m = len(entries)
         witnesses += bool(one and one.feasible)
         want = None if one is None or one.feasible else (one.status, one.certificate)
@@ -645,22 +670,34 @@ def test_bulk_answer_is_checked(monkeypatch):
     # the bulk twin of test_row_sum_answer_is_checked.  The scan of the
     # band of the half-cube H_7/2 decides its first 31 pairs one by one and
     # the rest in arrays, so pair 31 is the first one decided in an array,
-    # by its row sums
+    # by a balanced pair
     g, d = _gd(halved_cube(7)[0])
     band = list(itertools.islice(lp._pairs_in_distance_band(d, 2, 2), 32))
     u, v = band[31]
+    assert presolve_plain(d, build_Duv(g, d, u, v))[0] == "balanced"
     real = lp._bulk_verified
 
-    def rejecting_row_sums(D, valid, kind, index, other):
-        return real(D, valid, kind, index, other) & (kind != lp._ALL_ROWS)
+    def rejecting(rejected):
+        return lambda D, valid, kind, index, other: \
+            real(D, valid, kind, index, other) & (kind != rejected)
 
-    monkeypatch.setattr(lp, "_bulk_verified", rejecting_row_sums)
+    monkeypatch.setattr(lp, "_bulk_verified", rejecting(lp._PAIR))
     with pytest.raises(AssertionError,
-                       match=rf"row-sum answer does not verify on pair \({u},{v}\)"):
+                       match=rf"balanced answer does not verify on pair \({u},{v}\)"):
         compute_p(g, d)
-    # a wrong answer from the tests is caught by the real check: the row
-    # sums decide the pair, so no row is nonnegative, and row 0 is no
-    # certificate
+    # with every pair in arrays, (4, 5) is the first pair of pool graph 11
+    # that compute_p decides by its row sums
+    g, d = _gd(list(_pool_graphs())[11])
+    monkeypatch.setattr(lp, "_BULK_PAIRS", 1)
+    monkeypatch.setattr(lp, "_bulk_verified", rejecting(lp._ALL_ROWS))
+    with pytest.raises(AssertionError,
+                       match=r"row-sum answer does not verify on pair \(4,5\)"):
+        compute_p(g, d)
+    # a wrong answer from the tests is caught by the real check: the first
+    # pair of band 2 that no balanced pair decides opens the first array of
+    # full rows, and its row 0 is no certificate
+    u, v = next((u, v) for u, v in lp._pairs_in_distance_band(d, 2, 2)
+                if presolve_plain(d, build_Duv(g, d, u, v))[0] != "balanced")
     assert min(build_Duv(g, d, u, v).entries[0]) < 0
     monkeypatch.setattr(lp, "_bulk_verified", real)
     tests = lp._bulk_tests
@@ -679,20 +716,25 @@ def test_bulk_answer_is_checked(monkeypatch):
 def test_compute_p_builds_the_first_31_pairs_and_presolves_the_rest_in_one_stream(
         monkeypatch):
     # H_7/2 and J(8,3) have p = 1, decided by the band 2..2 alone: its
-    # first 31 pairs are built one by one, the rest decided in arrays by a
-    # single `_bulk_presolve`, and none reaches the balanced-pair test, on
-    # either path, or a solve
-    bulk = lp._bulk_presolve
+    # first 31 pairs go one by one to `_head`, the rest to a single
+    # `_bulk_presolve`.  A balanced pair decides every pair of the band,
+    # as `presolve_plain` finds on the full matrices, so on either path no
+    # full D^uv is built, no array of full rows is made, and no pair is
+    # solved
+    head, bulk = lp._head, lp._bulk_presolve
     for g in (halved_cube(7)[0], johnson(8, 3)[0]):
         g, d = _gd(g)
-        builds = _recording_builds(monkeypatch)
-        calls = []
+        band = list(lp._pairs_in_distance_band(d, 2, 2))
+        assert {presolve_plain(d, build_Duv(g, d, u, v))[0] for u, v in band} == {"balanced"}
+        heads, calls = [], []
+        monkeypatch.setattr(lp, "_head", lambda d, r, u, v: (
+            heads.append((u, v)), head(d, r, u, v))[1])
         monkeypatch.setattr(lp, "_bulk_presolve", lambda *a: (
             calls.append(a), bulk(*a))[1])
-        for name in ("_balanced", "_bulk_balanced", "lp_feasible_strict"):
+        for name in ("_presolve", "_bulk_tests", "lp_feasible_strict"):
             monkeypatch.setattr(lp, name, None)
         assert compute_p(g, d).p == 1
-        assert builds == list(itertools.islice(lp._pairs_in_distance_band(d, 2, 2), 31))
+        assert heads == band[:31]
         assert len(calls) == 1
 
 
@@ -706,13 +748,13 @@ def test_a_scan_over_decided_pairs_gives_each_pair_its_own_verdict(monkeypatch):
     for g in _corpus():
         d = all_pairs_distances(g)
         monkeypatch.setattr(lp, "_BULK_PAIRS", sys.maxsize)
-        scan, own = lp._pair_verdicts(g, d)
+        scan, own = lp._pair_verdicts(d)
         per_pair = list(scan(2, d.diameter)), own
         for gate in (sys.maxsize, 32, 1):
             monkeypatch.setattr(lp, "_BULK_PAIRS", gate)
             for stop in (0, 1, 20, 40):
                 arrayed.clear()
-                scan, own = lp._pair_verdicts(g, d)
+                scan, own = lp._pair_verdicts(d)
                 list(itertools.islice(scan(2, d.diameter), stop))
                 _assert_agrees_with_per_pair(
                     g, d, per_pair, (list(scan(2, d.diameter)), own), arrayed)
@@ -748,8 +790,9 @@ def test_balanced_pair_sign_boundaries():
     g, d = _gd(_torus(10))
     r = [sum(row) for row in d.d]
     mat = build_Duv(g, d, 0, 22)
-    assert lp._presolve(mat) is None
-    y = lp._balanced(d, r, mat).certificate
+    assert lp._presolve(mat) is None and all(min(row) < 0 for row in mat.entries)
+    assert lp._balanced(d, r, 0, 22, mat.rows) == (2, 20)
+    y = lp._head(d, r, 0, 22)[1].certificate
     assert [w for w, yi in zip(mat.rows, y) if yi] == [2, 20] and sum(y) == 2
     assert set(map(sum, zip(*(row for row, yi in zip(mat.entries, y) if yi)))) == {0}
     # the pair (1, 3) of this 7-vertex graph has one balanced pair, {2, 6},
@@ -760,7 +803,7 @@ def test_balanced_pair_sign_boundaries():
     mat = build_Duv(g, d, 1, 3)
     assert mat.rows == (2, 6) and d(2, 5) + d(6, 5) == d(1, 5) + d(3, 5) + 1
     assert lp._presolve(mat) is None
-    assert lp._balanced(d, [sum(row) for row in d.d], mat) is None
+    assert lp._balanced(d, [sum(row) for row in d.d], 1, 3, mat.rows) is None
     assert solve_pair(g, d, 1, 3).feasible
 
 
@@ -773,23 +816,25 @@ def _lowered_column_u(entries, u):
 
 def test_a_corrupted_balanced_certificate_raises_on_both_paths(monkeypatch):
     # the balanced-pair test reads the distance table, and its answer is
-    # checked on the matrix: with column u of every D^uv lowered, each
-    # certificate it finds fails that check.  C_10 x C_10 is scanned pair
-    # by pair, then with every pair in arrays.
+    # checked on the two rows it names: with column u of every row of D^uv
+    # but the last that is built lowered, each certificate it finds fails
+    # that check.  C_10 x C_10 is scanned pair by pair, then with every
+    # pair in arrays.
     g, d = _gd(_torus(10))
-    monkeypatch.setattr(lp, "build_Duv", lambda g, d, u, v: replace(
-        mat := build_Duv(g, d, u, v), entries=tuple(_lowered_column_u(mat.entries, u))))
+    rows = lp._Duv_rows
+    monkeypatch.setattr(lp, "_Duv_rows", lambda d, u, v, ws: iter(
+        _lowered_column_u(list(rows(d, u, v, ws)), u)))
     monkeypatch.setattr(lp, "_BULK_PAIRS", sys.maxsize)
     with pytest.raises(AssertionError, match="balanced answer does not verify on pair"):
         compute_p(g, d)
-    monkeypatch.setattr(lp, "build_Duv", build_Duv)
+    monkeypatch.setattr(lp, "_Duv_rows", rows)
     real = lp._bulk_array
 
-    def lowered(dist, us, vs, inside, m):
-        D, ws = real(dist, us, vs, inside, m)
-        for p, (u, count) in enumerate(zip(us.tolist(), inside.sum(axis=1).tolist())):
+    def lowered(dist, us, vs, ws):
+        D = real(dist, us, vs, ws)
+        for p, (u, count) in enumerate(zip(us.tolist(), (ws != us[:, None]).sum(axis=1).tolist())):
             D[p, :count] = _lowered_column_u([tuple(row) for row in D[p, :count]], u)
-        return D, ws
+        return D
 
     monkeypatch.setattr(lp, "_bulk_array", lowered)
     monkeypatch.setattr(lp, "_BULK_PAIRS", 1)
@@ -797,16 +842,106 @@ def test_a_corrupted_balanced_certificate_raises_on_both_paths(monkeypatch):
         compute_p(g, d)
 
 
+def test_balanced_certificates_are_checked_on_the_rows_they_name(monkeypatch):
+    # each balanced answer is checked on rows w1 and w2 of D^uv as
+    # `build_Duv` builds them, and on no other row: per pair, `_checked`
+    # gets the matrix of those two rows and the certificate (1, 1); in
+    # arrays, `_bulk_verified` gets an array of those two rows per pair,
+    # and the stored certificate is e_w1 + e_w2 on the pair's rows
+    g, d = _gd(_relabelled(projective_incidence_graph(3), 2))
+    checked, arrays, last = [], [], []
+    real_checked, real_array, real_verified = lp._checked, lp._bulk_array, lp._bulk_verified
+
+    def recording_checked(res, source):
+        if source == "balanced answer":
+            checked.append(res)
+        return real_checked(res, source)
+
+    def recording_array(dist, us, vs, ws):
+        D = real_array(dist, us, vs, ws)
+        last[:] = us.tolist(), vs.tolist(), D, ws.tolist()
+        return D
+
+    def recording_verified(D, valid, kind, index, other):
+        if len(kind) and (kind == lp._PAIR).all():     # the balanced pairs' check
+            us, vs, array, ws = last
+            assert D is array
+            arrays.append((us, vs, D.tolist(), ws))
+        return real_verified(D, valid, kind, index, other)
+
+    monkeypatch.setattr(lp, "_checked", recording_checked)
+    monkeypatch.setattr(lp, "_bulk_array", recording_array)
+    monkeypatch.setattr(lp, "_bulk_verified", recording_verified)
+    for gate in (sys.maxsize, 1):
+        monkeypatch.setattr(lp, "_BULK_PAIRS", gate)
+        scan, _ = lp._pair_verdicts(d)
+        verdicts = {(u, v): res for u, v, res in scan(2, d.diameter)}
+        named = {}
+        for res in checked:
+            named[res.matrix.u, res.matrix.v] = res.matrix.rows, res.matrix.entries
+            assert res.certificate == (1, 1)
+        for us, vs, D, ws in arrays:
+            for u, v, rows, pair in zip(us, vs, D, ws):
+                named[u, v] = tuple(pair), tuple(map(tuple, rows))
+        assert len(named) > 200, len(named)
+        for (u, v), (pair, rows) in named.items():
+            mat = build_Duv(g, d, u, v)
+            i, j = balanced_pair_plain(d, mat)
+            assert pair == (mat.rows[i], mat.rows[j])
+            assert rows == (mat.entries[i], mat.entries[j])
+            assert verdicts[u, v].certificate == tuple(int(t in (i, j)) for t in range(len(mat.rows)))
+        checked.clear()
+        arrays.clear()
+
+
+_G2_OWN = {(0, 15), (1, 15), (2, 15), (3, 15), (4, 15), (5, 15), (6, 15), (7, 14),
+           (8, 14), (9, 14), (10, 14), (11, 14), (12, 14), (13, 14), (14, 15)}
+
+
+@pytest.mark.parametrize("graph, pair, certificate, own", [
+    (lambda: build_graph(4, [(0, 1), (0, 3), (1, 2)]), (2, 3), (1, 1), set()),
+    (lambda: halved_cube(5)[0], (0, 13), (1, 0, 0, 0, 0, 1), set()),
+    (lambda: projective_incidence_graph(2), (0, 1), (1, 1), _G2_OWN),
+], ids=["P_4-row", "halfH_5-row-sums", "G_2-own"])
+def test_a_balanced_pair_is_stored_before_a_row_or_the_row_sums(
+        monkeypatch, graph, pair, certificate, own):
+    """Both paths try the balanced pairs before any row of D^uv.  On the
+    path 3-0-1-2 the pair (2, 3) has the interior {0, 1}, both rows
+    nonnegative and balanced (d(2,0) + d(2,1) = 3), and it stores
+    e_0 + e_1, where the first nonnegative row stored e_0.  On H_5/2 the
+    pair (0, 13) has six rows, none nonnegative, with nonnegative column
+    sums, and it stores its balanced pair {1, 12}, where the row sums
+    stored y = 1.  Both paths store the same certificate, and own is the
+    scan's at the commit before this order: no pair of the first two, and
+    the 15 feasible pairs of G_2, whose pair (0, 1) the row sums and a
+    balanced pair both certify."""
+    g = graph()
+    d = all_pairs_distances(g)
+    mat = build_Duv(g, d, *pair)
+    assert balanced_pair_plain(d, mat) is not None
+    assert any(min(row) >= 0 for row in mat.entries) or \
+        min(map(sum, zip(*mat.entries))) >= 0
+    scans = []
+    for gate in (sys.maxsize, 1):
+        monkeypatch.setattr(lp, "_BULK_PAIRS", gate)
+        scan, got = lp._pair_verdicts(d)
+        scans.append((list(scan(2, d.diameter)), got))
+        verdict = next(res for u, v, res in scans[-1][0] if (u, v) == pair)
+        assert repr(verdict) == repr(FeasibilityResult("infeasible", certificate=certificate))
+        assert got == own
+    _assert_agrees_with_per_pair(g, d, *scans, {t[:2] for t in scans[0][0]})
+
+
 def test_bulk_and_per_pair_balanced_verdicts_agree(monkeypatch):
-    # the same certificate e_i + e_j from both paths on every pair that the
-    # presolve leaves, with every pair in arrays and with every pair on its
-    # own, on graphs where the balanced-pair test decides many pairs
+    # the same certificate e_i + e_j from both paths on every pair, with
+    # every pair in arrays and with every pair on its own, on graphs where
+    # the balanced-pair test decides many pairs
     found = Counter()
     per_pair, bulk = lp._balanced, lp._bulk_balanced
-    monkeypatch.setattr(lp, "_balanced", lambda d, r, mat: (
-        res := per_pair(d, r, mat), found.update(["per pair"] * (res is not None)))[0])
+    monkeypatch.setattr(lp, "_balanced", lambda *a: (
+        res := per_pair(*a), found.update(["per pair"] * (res is not None)))[0])
     monkeypatch.setattr(lp, "_bulk_balanced", lambda *a: (
-        out := bulk(*a), found.update(["bulk"] * int(out[0].sum())))[0])
+        out := bulk(*a), found.update(["bulk"] * len(out[0])))[0])
     coronene = list(_corpus())[-1]
     for g in (_relabelled(_torus(6), 3), _relabelled(projective_incidence_graph(3), 4),
               _relabelled(coronene, 5)):
@@ -814,7 +949,7 @@ def test_bulk_and_per_pair_balanced_verdicts_agree(monkeypatch):
         scans = []
         for gate in (sys.maxsize, 1):
             monkeypatch.setattr(lp, "_BULK_PAIRS", gate)
-            scan, own = lp._pair_verdicts(g, d)
+            scan, own = lp._pair_verdicts(d)
             scans.append((list(scan(2, d.diameter)), own))
         _assert_agrees_with_per_pair(g, d, *scans, {t[:2] for t in scans[0][0]})
     assert found["per pair"] == found["bulk"] > 100, found
@@ -838,7 +973,7 @@ def test_band_scans_build_no_level_bitsets(monkeypatch):
     # both presolve routes read a pair's interior from the distance rows;
     # P_2048 built 580 MB of level bitsets when `build_Duv` read them
     calls = Counter()
-    for name in ("build_Duv", "_bulk_array"):
+    for name in ("_head", "_bulk_array"):
         real = getattr(lp, name)
         monkeypatch.setattr(lp, name, lambda *a, real=real, name=name: (
             calls.update([name]), real(*a))[1])
@@ -850,7 +985,7 @@ def test_band_scans_build_no_level_bitsets(monkeypatch):
         for p in (1, 2):
             has_Gp_connected_medians(g, d, p)
     # the path's band of distance 2 reaches the per-pair and the bulk paths
-    assert calls["build_Duv"] and calls["_bulk_array"], calls
+    assert calls["_head"] and calls["_bulk_array"], calls
 
 
 def test_the_bulk_table_is_typed_by_the_band_it_serves(monkeypatch):
@@ -871,7 +1006,7 @@ def test_the_bulk_table_is_typed_by_the_band_it_serves(monkeypatch):
         return real(dist, *args)
 
     monkeypatch.setattr(lp, "_bulk_array", recording)
-    scan, _ = lp._pair_verdicts(g, d)
+    scan, _ = lp._pair_verdicts(d)
     assert not any(res.feasible for _, _, res in scan(2, 2))
     assert len(list(itertools.islice(scan(3, 100), 40))) == 40
     assert not any(res.feasible for _, _, res in scan(3, 100))

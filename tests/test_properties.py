@@ -47,7 +47,7 @@ from reference import (_assert_agrees_with_per_pair, _connected_atlas_graphs,
                        _ref_oracle, _relabelled, _to_nx, certificate_holds_dense, geodesic_vertices_via_dag,
                        detect_alpha_configuration_by_table,
                        detect_beta_configuration_by_table,
-                       is_p_connected_pairwise, local_median_set_plain,
+                       is_p_connected_pairwise, local_median_set_plain, presolve_plain,
                        mcs_order_by_scan, median_set_plain, solve_pair)
 
 
@@ -289,13 +289,17 @@ def test_pair_verdicts_match_the_plain_solve(monkeypatch):
     monkeypatch.setattr(lp, "_checked", recording)
     # every pair on the per-pair path, whose presolve and balanced-pair
     # answers pass through `_checked`; the bulk path is held to this one by
-    # test_bulk_and_per_pair_verdicts_agree
+    # test_bulk_and_per_pair_verdicts_agree.  Each answer comes from the
+    # test that `presolve_plain` finds first on the full matrix
+    expected = {"balanced": "balanced answer", "row": "one-vertex answer",
+                "column": "one-vertex answer", "row-sum": "row-sum answer",
+                None: "own solve"}
     monkeypatch.setattr(lp, "_BULK_PAIRS", sys.maxsize)
     kinds = {name: Counter() for name in sets}
     for name, (graphs, lo, hi) in sets.items():
         for g in graphs:
             d = all_pairs_distances(g)
-            scan, own = lp._pair_verdicts(g, d)
+            scan, own = lp._pair_verdicts(d)
             sources.clear()
             for u, v, res in scan(lo, hi or d.diameter):
                 if (u, v) in own:
@@ -303,10 +307,17 @@ def test_pair_verdicts_match_the_plain_solve(monkeypatch):
                 else:   # a checked presolve or balanced-pair answer
                     (kind,) = sources
                 kinds[name][kind] += 1
-                assert res.feasible == solve_pair(g, d, u, v).feasible, (name, u, v)
+                plain = solve_pair(g, d, u, v)
+                assert res.feasible == plain.feasible, (name, u, v)
+                want = presolve_plain(d, plain.matrix)
+                assert kind == expected[want and want[0]], (name, u, v, kind)
                 sources.clear()     # the scan decides the next pair after this
-    for name, count in kinds.items():
-        assert count["row-sum answer"] and count["balanced answer"], (name, count)
+    assert all(count["balanced answer"] for count in kinds.values()), kinds
+    # a balanced pair comes first, so the symmetric graphs take no other
+    # certificate, and the row sums decide few pairs: 20 of the 15,671 pool
+    # pairs at distance 2 or more, none of the atlas bands
+    assert kinds["atlas"]["one-vertex answer"] and kinds["pool"]["one-vertex answer"] \
+        and kinds["pool"]["row-sum answer"], kinds
 
 
 def test_bulk_and_per_pair_verdicts_agree(monkeypatch):
@@ -327,17 +338,17 @@ def test_bulk_and_per_pair_verdicts_agree(monkeypatch):
     arrays = []
     real = lp._bulk_array
 
-    def recording(dist, us, vs, inside, m):
-        D, ws = real(dist, us, vs, inside, m)
+    def recording(dist, us, vs, ws):
+        D = real(dist, us, vs, ws)
         arrays.append((us.tolist(), vs.tolist(), D.tolist(), ws.tolist()))
-        return D, ws
+        return D
 
     monkeypatch.setattr(lp, "_bulk_array", recording)
 
     def scanned(g, d, gate, entries):
         monkeypatch.setattr(lp, "_BULK_PAIRS", gate)
         monkeypatch.setattr(lp, "_BULK_ENTRIES", entries)
-        scan, own = lp._pair_verdicts(g, d)
+        scan, own = lp._pair_verdicts(d)
         return list(scan(2, d.diameter)), own
 
     padded = 0
@@ -349,12 +360,18 @@ def test_bulk_and_per_pair_verdicts_agree(monkeypatch):
         _assert_agrees_with_per_pair(g, d, plain, scanned(g, d, 1, 2 ** 16), every)
         if k < 8 or k >= 8 + 240 + 995:
             _assert_agrees_with_per_pair(g, d, plain, scanned(g, d, 1, 1), every)
+        verdicts = {(u, v): res for u, v, res in plain[0]}
         for us, vs, D, ws in arrays:
             for u, v, rows, row_vertices in zip(us, vs, D, ws):
                 mat = lp.build_Duv(g, d, u, v)
-                m = len(mat.rows)
-                assert tuple(row_vertices[:m]) == mat.rows
-                assert tuple(map(tuple, rows[:m])) == mat.entries
+                # the pair's full D^uv, or the two rows of its balanced
+                # certificate, then padding rows
+                m = sum(w != u for w in row_vertices)
+                named = tuple(row_vertices[:m])
+                assert named == mat.rows or len(named) == 2 and \
+                    verdicts[u, v].certificate == tuple(int(w in named) for w in mat.rows)
+                assert tuple(map(tuple, rows[:m])) == \
+                    tuple(mat.entries[mat.rows.index(w)] for w in named)
                 # a padding row stands for u and is -1 everywhere
                 assert set(row_vertices[m:]) <= {u}
                 assert all(x == -1 for row in rows[m:] for x in row)
