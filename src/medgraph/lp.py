@@ -52,7 +52,7 @@ linear programming", Math. Program. 71):
   to at least 0 for every pi >= 0, so they cannot all be at most -1;
 - a balanced pair (`_balanced`).  With u, v at distance k, write
   a_i = d(u,w_i) and b_i = d(v,w_i) = k - a_i for two interior rows
-  w_1 != w_2; they are balanced when a_1 + a_2 = k, so that b_1 + b_2 = k
+  w_1, w_2; they are balanced when a_1 + a_2 = k, so that b_1 + b_2 = k
   as well.  Rows w_1 and w_2 then sum to
     (b_1 + b_2) d(u,x) + (a_1 + a_2) d(v,x) - k (d(w_1,x) + d(w_2,x))
     = k (d(u,x) + d(v,x) - d(w_1,x) - d(w_2,x)),
@@ -67,73 +67,68 @@ linear programming", Math. Program. 71):
   are the mirror pairs first, then the other balanced pairs, each in order
   of least r(w_1) + r(w_2), ties in row order, and at most
   _BALANCED_TRIES = 8 of them.  The candidates are taken level by level,
-  w_1 at level a <= k/2 of the interval and w_2 at level k - a.
+  w_1 at level a <= k/2 of the interval and w_2 at level k - a.  At the
+  middle level, 2a = k, w_1 = w_2 = w is a candidate too, never a mirror
+  pair.  Its try 2 d(w,x) <= d(u,x) + d(v,x) is exactly "row w is
+  nonnegative", since row w is (k/2)(d(u,x) + d(v,x) - 2 d(w,x)), and the
+  certificate stored is e_w, as for a nonnegative row.  So the pairs of
+  paths, trees and grids with one interior vertex, whose one row is
+  nonnegative, are decided by a try.
 The tests run in the order of their cost.  The balanced pairs come first,
-since they read the distance table alone.  Then the rows of D^uv are built
-in order, and building stops at the first nonnegative row.  Then, on a
-full D^uv, the all-negative column and the row sums (`_presolve`), and the
-LP only when no test holds.  An all-negative column has a negative sum, so
-the row-sum test never takes the place of a one-vertex witness.  On the
-benchmark's random pool, of the 15,671 pairs at distance at least 2, a
-balanced pair decides 4,554, a nonnegative row 1,190, an all-negative
-column 8,029 and the row sums 20, and 1,878 go to the LP.  The first try
-decides every infeasible pair of G_7, G_11 and C_12 x C_12; on the pair
-(0, 22) of C_10 x C_10 it is the two free corners of the 3 x 3 interval,
-and y^T D^uv = 0.
+since they read the distance table alone.  Then (`_unbalanced`) the rows
+of D^uv are built in order, and building stops at the first nonnegative
+row.  Then, on a full D^uv, the all-negative column and the row sums
+(`_presolve`), and the LP only when no test holds.  An all-negative column
+has a negative sum, so the row-sum test never takes the place of a
+one-vertex witness.  On the benchmark's random pool, of the 15,671 pairs at
+distance at least 2, a balanced pair decides 5,722, a nonnegative row 20,
+an all-negative column 8,029 and the row sums 20, and 1,880 go to the LP.
+The first try decides every infeasible pair of G_7, G_11 and C_12 x C_12;
+on the pair (0, 22) of C_10 x C_10 it is the two free corners of the
+3 x 3 interval, and y^T D^uv = 0.
 
 Every answer is an int tuple or a unit witness, and is checked by a
 computation apart from its test on the rows of D^uv it names, each built
 by `build_Duv`'s formula: a zero row adds nothing to y^T D^uv.  A balanced
 pair is checked on rows w_1 and w_2, whose sum must be at least 0 in every
-column, a nonnegative row on itself, and the witness and the row sums on
-the full matrix.  A failed check raises `AssertionError` naming the pair.
+column (twice row w for a midpoint), a nonnegative row on itself, and the
+witness and the row sums on the full matrix.  A failed check raises
+`AssertionError` naming the pair.
 
 A band scan of `_pair_verdicts` streams the pairs it has not decided yet.
 The first _BULK_PAIRS - 1 = 31 of them are decided one by one (`_head`),
 so a scan that fails on one of its first pairs makes no array.  The rest
 go to one `_bulk_presolve` per scan, a block of pairs at a time, on the
-stream's own copy of the distance table.  The arrays give certificates
-only.  `_bulk_balanced` tries the balanced pairs of a whole block,
-enumerated level by level and ranked in one sort; the pairs it decides are
-checked in an array D[pair, row, x] of their two rows each.  The pairs it
-leaves go to arrays of their full D^uv, each pair's rows padded with rows
-of -1 to the longest interior of its array, which changes no test: a
-nonnegative row and the row sums (`_bulk_tests`).  Every answer in an
-array is checked there by a computation of its own, y^T D >= 0
-(`_bulk_verified`).  A pair decided by a certificate gets no
-`RationalMatrix`; every other pair, feasible or not, takes its matrix from
-the array rows and goes on to the LP.  Both callers stop a scan at its
-first feasible pair, so a one-vertex witness in the arrays could spare at
-most one solve per scan; on the random pool it decided one pair, which the
-witness re-solve then solved anyway.  The head keeps its one-vertex
-witness: on a cycle every scan stops within its first pairs, at a pair
-that the witness decides, and with no witness compute_p pays one LP per
-level.  Both paths read a pair's interior from the distance rows, as the
-w != u, v with d(u,w) + d(w,v) = d(u,v).  The head of 31 pairs stays
-because an array costs more than it saves on a short band, such as the
-atlas bands of at most 21 pairs.  Three bounds hold:
+stream's own copy of the distance table.  `_bulk_balanced` tries the
+balanced pairs of a whole block, enumerated level by level and ranked in
+one sort, and the pairs it decides are checked in an array D[pair, row, x]
+of their two rows each.  Each pair it leaves goes to `_unbalanced`, as on
+the head, so a pair's verdict is the same on both paths.  Both paths read
+a pair's interior from the distance rows, as the w != u, v with
+d(u,w) + d(w,v) = d(u,v).  The head of 31 pairs stays because an array
+costs more than it saves on a short band, such as the atlas bands of at
+most 21 pairs.  Three bounds hold:
 - on a pair at distance k, write a = d(u,w) and b = d(v,w), so a + b = k.
   The entry b d(u,x) + a d(v,x) - k d(w,x) is at most 2ab, since
   d(u,x) <= a + d(w,x) and d(v,x) <= b + d(w,x), and at least -2ab, since
   k d(w,x) = b d(w,x) + a d(w,x) <= b (d(u,x) + a) + a (d(v,x) + b); it
-  is 2ab at x = w.  So |entry| <= 2ab <= floor(k^2 / 2).  Each product the
-  array build forms is at most k diam < n k, and every sum, a column sum
-  or y^T D with y in {0, 1}, adds fewer than n entries, so no value the
-  bulk path forms on a band up to distance k exceeds n floor(k^2 / 2), k
-  being the band's top or the diameter if that is smaller.  Each stream
-  copies the table once, into the narrowest of int16, int32 and int64 that
-  holds this bound for its own band, and drops it when the scan ends; no
-  table is kept from one scan to the next, and a copy at n = 256 costs
-  about 2.5 ms.  int64 holds the bound for every graph whose distance table
+  is 2ab at x = w.  So |entry| <= 2ab <= floor(k^2 / 2).  The bulk path
+  forms two rows of D^uv per pair and their sum: each product in a row is
+  at most k diam < n k, and the sum is at most k^2 in size, so no value
+  it forms on a band up to distance k exceeds n floor(k^2 / 2), k being
+  the band's top or the diameter if that is smaller.  Each stream copies
+  the table once, into the narrowest of int16, int32 and int64 that holds
+  this bound for its own band, and drops it when the scan ends; no table
+  is kept from one scan to the next, and a copy at n = 256 costs about
+  2.5 ms.  int64 holds the bound for every graph whose distance table
   fits in memory.  int16 holds band 2 of every graph of at most 16,383
   vertices, and every band of the half-cubes up to 1/2 H_9 and of
   J(10,5);
 - each array holds at most _BULK_ENTRIES = 2^16 entries (128 KB in
-  int16), or one pair's D^uv when that alone is larger.  A block holds
-  _BULK_ENTRIES / 2n pairs, so that the two rows of each fill one array,
-  and its balanced pairs are ranked in chunks of fewer than _BULK_ENTRIES
-  candidates plus one pair's; a pair has fewer candidates than its D^uv
-  has entries;
+  int16): a block holds _BULK_ENTRIES / 2n pairs, so that the two rows of
+  each fill one array, and its balanced pairs are ranked in chunks of
+  fewer than _BULK_ENTRIES candidates plus one pair's; a pair has fewer
+  candidates than its D^uv has entries;
 - the rank of a candidate is one int64, below 2^18 n^2 diam, which holds
   it for every graph of fewer than 2^15 vertices: the distance table of a
   larger one, 2^30 list entries, does not fit in memory.
@@ -148,7 +143,7 @@ alone is feasible iff this one is: a J-column LP would add nothing.
 D^uv depends only on the pair, never on p, so `_pair_verdicts` decides
 each pair at most once, and `compute_p` stops each scan, the report's too,
 at its first failing pair: its solve is the last one, and the bulk path
-has presolved the pairs of that pair's block at most.
+has tried the balanced pairs of that pair's block at most.
 """
 
 from __future__ import annotations
@@ -409,15 +404,23 @@ def _named(mat: RationalMatrix, rows, source: str) -> FeasibilityResult:
 
 def _head(d: DistMatrix, r, u: int, v: int):
     """(mat, res) for the pair (u, v) decided on its own: res is its
-    balanced-pair certificate, else its first nonnegative row, the rows
-    being built in order up to it, each checked on the rows it names, and
-    then mat is None; else mat is its full D^uv and res the `_presolve`
-    answer or None."""
-    rows, cols = _interior(d, u, v), tuple(range(d.n))
+    balanced-pair certificate, checked on the rows it names, and then mat
+    is None; else the `_unbalanced` answer."""
+    rows = _interior(d, u, v)
     pair = _balanced(d, r, u, v, rows)
-    if pair is not None:
-        return None, _named(RationalMatrix(tuple(_Duv_rows(d, u, v, pair)), pair, cols, u, v),
-                            rows, "balanced answer")
+    if pair is None:
+        return _unbalanced(d, u, v, rows)
+    return None, _named(RationalMatrix(tuple(_Duv_rows(d, u, v, pair)), pair,
+                                       tuple(range(d.n)), u, v), rows, "balanced answer")
+
+
+def _unbalanced(d: DistMatrix, u: int, v: int, rows):
+    """(mat, res) for the pair (u, v) whose interior rows no balanced pair
+    decides: res is its first nonnegative row, the rows being built in order
+    up to it, checked on itself, and then mat is None; else mat is its full
+    D^uv and res the `_presolve` answer, or None, which leaves the pair to
+    the LP."""
+    cols = tuple(range(d.n))
     entries = []
     for w, row in zip(rows, _Duv_rows(d, u, v, rows)):
         if min(row) >= 0:
@@ -436,15 +439,14 @@ def verify_feasibility_result(g: Graph, d: DistMatrix, u: int, v: int,
 
 
 def _balanced(d: DistMatrix, r, u: int, v: int, rows):
-    """The first balanced pair (w_1, w_2), w_1 < w_2, of the interior rows
+    """The first balanced pair (w_1, w_2), w_1 <= w_2, of the interior rows
     of D^uv whose try holds, else None.  The candidates are taken level by
-    level, w_1 at distance a from u and w_2 at distance d(u,v) - a, and
-    ranked mirror pairs, d(w_1,w_2) = d(u,v), first, then by least
-    r(w_1) + r(w_2), r being the transmissions, then in row order; at most
-    _BALANCED_TRIES of them are tried.  A try holds when d(w_1,x) + d(w_2,x)
-    <= d(u,x) + d(v,x) for every x; see the module docstring."""
-    if len(rows) < 2:
-        return None
+    level, w_1 at distance a from u and w_2 at distance d(u,v) - a, the
+    midpoint w_1 = w_2 too, and ranked mirror pairs, d(w_1,w_2) = d(u,v),
+    first, then by least r(w_1) + r(w_2), r being the transmissions, then in
+    row order; at most _BALANCED_TRIES of them are tried.  A try holds when
+    d(w_1,x) + d(w_2,x) <= d(u,x) + d(v,x) for every x; see the module
+    docstring."""
     dd = d.d
     du = dd[u]
     k = du[v]
@@ -453,7 +455,7 @@ def _balanced(d: DistMatrix, r, u: int, v: int, rows):
         levels[du[w]].append(w)
     tries = []
     for a in range(1, k // 2 + 1):
-        for w1, w2 in (itertools.combinations(levels[a], 2) if 2 * a == k
+        for w1, w2 in (itertools.combinations_with_replacement(levels[a], 2) if 2 * a == k
                        else itertools.product(levels[a], levels[k - a])):
             if w1 > w2:
                 w1, w2 = w2, w1
@@ -476,12 +478,13 @@ def _pair_verdicts(d: DistMatrix):
     lo <= d(u,v) <= hi in `_pairs_in_distance_band` order.  The pairs not
     yet decided get their matrix and presolve answer from one lazy stream:
     the first _BULK_PAIRS - 1 of them from `_head`, a pair at a time, and
-    the rest from one `_bulk_presolve`, a block of pairs at a time, which
-    copies the distance table for this band and answers with certificates
-    only.  A scan that stops within its first 31 undecided pairs makes no
-    array, and one that stops later has read at most one block of pairs
-    past the pair it stops at.  Scans share only the verdicts, own and the
-    transmissions that order the balanced pairs, summed once.
+    the rest from one `_bulk_presolve`, which copies the distance table for
+    this band, tries the balanced pairs of a block of pairs at a time and
+    gives each pair the answer `_head` gives it.  A scan that stops within
+    its first 31 undecided pairs makes no array, and one that stops later
+    has read at most one block of pairs past the pair it stops at.  Scans
+    share only the verdicts, own and the transmissions that order the
+    balanced pairs, summed once.
 
     A pair's verdict is its presolve answer when it has one, else its own
     solve.  A decided pair is stored without its matrix unless it is
@@ -518,24 +521,22 @@ def _pair_verdicts(d: DistMatrix):
 # The bulk path: see the module docstring.
 _BULK_PAIRS = 32
 _BULK_ENTRIES = 2 ** 16
-_NONE, _ROW, _ALL_ROWS, _PAIR = range(4)     # the certificate kinds of an array
-_SOURCES = (None, "one-vertex", "row-sum", "balanced")
 
 
 def _bulk_presolve(d: DistMatrix, pairs, r, k: int):
     """(mat, res) for each pair of the iterable pairs, in order, the pairs
-    being at distance at most k: res is the pair's checked certificate, or
-    None when no test gives one, and then mat is its D^uv, read from an
-    array, else None.  r holds the transmissions.  The distance table is
-    copied once, when the stream is first read, into the narrowest type that
-    holds the values of a band up to distance k.
+    being at distance at most k, as `_head` gives them: res is the pair's
+    checked balanced-pair certificate and mat None, else the `_unbalanced`
+    answer.  r holds the transmissions.  The distance table is copied once,
+    when the stream is first read, into the narrowest type that holds the
+    values of a band up to distance k.
 
     Pairs are read a block at a time.  The interiors of a block are read
     from the table, as the w != u, v with d(u,w) + d(w,v) = d(u,v), the
-    rows `build_Duv` takes.  Its balanced pairs are tried first
+    rows `build_Duv` takes.  Its balanced pairs are tried at once
     (`_bulk_balanced`), and checked at once in one array of their two rows
-    each; the pairs they leave go to arrays of their full D^uv, each made
-    when its first pair is asked for."""
+    each, whose sum must be at least 0 in every column; each pair they
+    leave goes to `_unbalanced` when it is asked for."""
     import numpy as np
     from .oracle import _dtype
     n = d.n
@@ -550,22 +551,19 @@ def _bulk_presolve(d: DistMatrix, pairs, r, k: int):
         inside[at, us] = inside[at, vs] = False
         found, w1, w2 = _bulk_balanced(dist, r, us, vs, inside, far)
         D = _bulk_array(dist, us[found], vs[found], np.stack((w1, w2), axis=1))
-        ok = _bulk_verified(D, np.ones((len(found), 2), dtype=bool), np.full(len(found), _PAIR),
-                            np.zeros(len(found), dtype=int), np.ones(len(found), dtype=int))
+        ok = D.sum(axis=1).min(axis=1) >= 0
         place = np.cumsum(inside[found], axis=1, dtype=np.int32) - 1   # the row of each vertex
-        i, j = (place[np.arange(len(found)), w] for w in (w1, w2))
-        counts = inside.sum(axis=1).tolist()
-        balanced = {p: (good, i, j, counts[p]) for p, good, i, j in zip(
-            found.tolist(), ok.tolist(), i.tolist(), j.tolist())}
-        arrays = _bulk_arrays(dist, block, us, vs, inside, counts,
-                              [p for p in range(len(block)) if p not in balanced])
-        for p in range(len(block)):
+        at = np.arange(len(found))
+        balanced = {p: (good, i, j, count) for p, good, i, j, count in zip(
+            found.tolist(), ok.tolist(), place[at, w1].tolist(), place[at, w2].tolist(),
+            (place[:, -1] + 1).tolist())}
+        for p, (u, v) in enumerate(block):
             if p not in balanced:
-                yield next(arrays)
+                yield _unbalanced(d, u, v, tuple(np.flatnonzero(inside[p]).tolist()))
                 continue
             good, i, j, count = balanced[p]
             if not good:
-                raise AssertionError("balanced answer does not verify on pair (%d,%d)" % block[p])
+                raise AssertionError(f"balanced answer does not verify on pair ({u},{v})")
             y = [0] * count
             y[i] = y[j] = 1
             yield None, FeasibilityResult("infeasible", certificate=tuple(y))
@@ -574,15 +572,16 @@ def _bulk_presolve(d: DistMatrix, pairs, r, k: int):
 def _bulk_balanced(dist, r, us, vs, inside, far):
     """The tries of `_balanced` on the pairs (us[p], vs[p]) of a block,
     inside marking their interiors and far[p] being d(u,x) + d(v,x): the
-    pairs p that a try decides, ascending, and the w_1 < w_2 of the first
+    pairs p that a try decides, ascending, and the w_1 <= w_2 of the first
     try that holds on each.
 
     The candidates are enumerated level by level: the interior vertices of
     a pair are sorted by their level a = d(u,w), and each with 2a <= k is
-    paired with the run of those at level k - a, only the later ones of its
-    own level when 2a = k.  They are ranked in chunks of pairs that start
-    every _BULK_ENTRIES candidates, and the t-th tries of the pairs still
-    undecided are tested together, one pair of table rows per pair."""
+    paired with the run of those at level k - a, only itself and the later
+    ones of its own level when 2a = k.  They are ranked in chunks of pairs
+    that start every _BULK_ENTRIES candidates, and the t-th tries of the
+    pairs still undecided are tested together, one pair of table rows per
+    pair."""
     import numpy as np
     k = dist[us, vs]
     p, w = (x.astype(np.int32) for x in np.nonzero(inside))
@@ -591,7 +590,7 @@ def _bulk_balanced(dist, r, us, vs, inside, far):
     order = np.argsort(key, kind="stable")  # by pair, then level, then vertex
     key, p, w, a, kp = key[order], p[order], w[order], a[order], kp[order]
     partner = key + kp - 2 * a              # the key of level k - a
-    start = np.where(2 * a == kp, np.arange(len(key)) + 1, np.searchsorted(key, partner))
+    start = np.where(2 * a == kp, np.arange(len(key)), np.searchsorted(key, partner))
     count = np.where(2 * a <= kp, np.searchsorted(key, partner, side="right") - start, 0)
     per_pair = np.bincount(p, count, minlength=len(us)).astype(np.int64)
     offset = np.cumsum(per_pair) - per_pair     # each pair's first candidate
@@ -622,82 +621,12 @@ def _bulk_balanced(dist, r, us, vs, inside, far):
     return found, w1s[found], w2s[found]
 
 
-def _bulk_arrays(dist, block, us, vs, inside, counts, left):
-    """(mat, res) for each pair block[p], p in left, in order, from the
-    certificate tests of its full D^uv in arrays of at most _BULK_ENTRIES
-    entries, each made when its first pair is asked for."""
-    import numpy as np
-    n = dist.shape[1]
-    cols = tuple(range(n))
-    lo = 0
-    while lo < len(left):
-        # the next array: pairs left[lo..hi-1], m rows each, n columns
-        hi, m = lo + 1, counts[left[lo]]
-        while hi < len(left) and (hi + 1 - lo) * max(m, counts[left[hi]]) * n <= _BULK_ENTRIES:
-            m = max(m, counts[left[hi]])
-            hi += 1
-        ps = left[lo:hi]
-        # the row vertices ws[pair, row], u on a padding row: u is never in
-        # its own interior, so the padding rows are the rows of u
-        ws = np.repeat(us[ps, None], m, axis=1)
-        pair, w = np.nonzero(inside[ps])
-        ws[pair, (np.cumsum(inside[ps], axis=1) - 1)[pair, w]] = w
-        D = _bulk_array(dist, us[ps], vs[ps], ws)
-        valid = np.arange(m) < np.array([counts[p] for p in ps])[:, None]
-        kind, index = _bulk_tests(D, valid)
-        ok = _bulk_verified(D, valid, kind, index, index)
-        for q, p, kd, i, good in zip(range(hi - lo), ps, kind.tolist(), index.tolist(),
-                                     ok.tolist()):
-            (u, v), count = block[p], counts[p]
-            if kd == _NONE:
-                yield RationalMatrix(tuple(map(tuple, D[q, :count].tolist())),
-                                     tuple(ws[q, :count].tolist()), cols, u, v), None
-                continue
-            if not good:
-                raise AssertionError(
-                    f"{_SOURCES[kd]} answer does not verify on pair ({u},{v})")
-            y = (1,) * count if kd == _ALL_ROWS else tuple(int(t == i) for t in range(count))
-            yield None, FeasibilityResult("infeasible", certificate=y)
-        lo = hi
-
-
 def _bulk_array(dist, us, vs, ws):
     """D[pair, row, x]: row ws[pair, row] of the D^uv of the pair (u, v) =
-    (us[pair], vs[pair]), by `build_Duv`'s formula, and a row of -1 where
-    the row vertex is u, a padding row."""
+    (us[pair], vs[pair]), by `build_Duv`'s formula."""
     du, dv = dist[us, None], dist[vs, None]
-    D = (dist[vs[:, None], ws, None] * du + dist[us[:, None], ws, None] * dv
-         - dist[us, vs, None, None] * dist[ws])
-    D[ws == us[:, None]] = -1
-    return D
-
-
-def _bulk_tests(D, valid):
-    """The certificate tests of `_presolve` on every pair of an array
-    D[pair, row, x] at once, padding rows being -1 and valid marking the
-    others: (kind, index) per pair, `_ROW` and the first nonnegative row,
-    else `_ALL_ROWS` when every column sum is nonnegative, else `_NONE`."""
-    import numpy as np
-    nonneg = D.min(axis=2) >= 0              # a padding row is negative
-    # each padding row adds -1 to every column sum
-    sums = D.sum(axis=1).min(axis=1) + (~valid).sum(axis=1) >= 0
-    has_row = nonneg.any(axis=1)
-    return np.select([has_row, sums], [_ROW, _ALL_ROWS], _NONE), nonneg.argmax(axis=1)
-
-
-def _bulk_verified(D, valid, kind, index, other):
-    """Whether each pair's certificate verifies on its rows of D, computed
-    apart from the tests: y >= 0, y != 0 and y^T D >= 0, y being 1 on the
-    pair's rows, or e_index + e_other (e_index for a row, whose other is
-    its index)."""
-    import numpy as np
-    at = np.arange(len(D))
-    y = valid & (kind == _ALL_ROWS)[:, None]
-    two = (kind == _ROW) | (kind == _PAIR)
-    for rows in (index, other):
-        y[at[two], rows[two]] = valid[at[two], rows[two]]
-    return (np.einsum("pr,prx->px", y.astype(D.dtype), D).min(axis=1) >= 0) \
-        & y.any(axis=1)
+    return (dist[vs[:, None], ws, None] * du + dist[us[:, None], ws, None] * dv
+            - dist[us, vs, None, None] * dist[ws])
 
 
 def has_Gp_connected_medians(g: Graph, d: DistMatrix, p: int) -> bool:

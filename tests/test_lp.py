@@ -24,7 +24,7 @@ from medgraph.medians import Profile, median_set
 from medgraph.metric import Jcirc_set, M_set, interior_interval
 from reference import (_assert_agrees_with_per_pair, _connected_atlas_graphs,
                        _corpus, _gd, _pool_graphs, _random_connected_graphs,
-                       _recording_array_pairs, _relabelled, balanced_pair_plain,
+                       _relabelled, balanced_pair_plain,
                        lp_feasible_strict_explicit, presolve_plain, solve_pair)
 
 
@@ -512,15 +512,14 @@ def test_one_vertex_answers_agree_with_the_plain_solve(monkeypatch):
     for g in [*_corpus(), *_random_connected_graphs(40), *_connected_atlas_graphs(7)]:
         d = all_pairs_distances(g)
         # every pair at distance 2 or more, in ascending order, each on its
-        # own and then each in an array, where a one-vertex witness is not
-        # tested and its pair is solved
+        # own and then each streamed to the bulk path: the same verdicts
         scans = []
         for gate in (sys.maxsize, 1):
             monkeypatch.setattr(lp, "_BULK_PAIRS", gate)
             scan, own = lp._pair_verdicts(d)
             scans.append((list(scan(2, d.diameter)), own))
         per_pair, own = scans[0]
-        _assert_agrees_with_per_pair(g, d, *scans, {t[:2] for t in per_pair})
+        _assert_agrees_with_per_pair(g, *scans)
         # each answer is the one that `presolve_plain` finds on the full
         # matrix: a balanced pair, the first nonnegative row, the first
         # all-negative column, the row sums, in this order
@@ -541,14 +540,12 @@ def test_one_vertex_answers_agree_with_the_plain_solve(monkeypatch):
 
 
 def _one(monkeypatch, *entries):
-    """The per-pair head's answer on a pair whose D^uv is entries, with no
-    balanced pair: its first nonnegative row, the rows being read in
-    order, else the `_presolve` answer of the full matrix."""
+    """The `_unbalanced` answer on a pair whose D^uv is entries: its first
+    nonnegative row, the rows being read in order, else the `_presolve`
+    answer of the full matrix."""
     m, n = len(entries), len(entries[0])
-    monkeypatch.setattr(lp, "_interior", lambda d, u, v: tuple(range(m)))
-    monkeypatch.setattr(lp, "_balanced", lambda d, r, u, v, rows: None)
     monkeypatch.setattr(lp, "_Duv_rows", lambda d, u, v, rows: iter(entries))
-    return lp._head(DistMatrix([[0] * n] * n), None, 0, 0)[1]
+    return lp._unbalanced(DistMatrix([[0] * n] * n), 0, 0, tuple(range(m)))[1]
 
 
 def test_one_vertex_answer_sign_boundaries(monkeypatch):
@@ -605,111 +602,36 @@ def test_row_sum_answer_is_checked(monkeypatch):
 
 # ------------------------------------------------------ the bulk path
 
-def _bulk_of(*mats):
-    """D[pair, row, x] and the valid-row mask for matrices given as entry
-    tuples, each padded with rows of -1 to the longest, as `_bulk_array`
-    pads them."""
-    import numpy as np
-    m = max(map(len, mats))
-    D = np.full((len(mats), m, len(mats[0][0])), -1, dtype=np.int64)
-    for k, entries in enumerate(mats):
-        D[k, :len(entries)] = entries
-    return D, np.arange(m) < np.array([len(e) for e in mats])[:, None]
-
-
-_SIGN_BOUNDARIES = [((0, -1), (-1, 1)), ((2, -1), (-3, -2)), ((1, -1), (-1, 1)),
-                    ((2, -1), (-1, 1)), ((1, -2), (-1, 1)), ((-1, 1), (0, 0)),
-                    ((-1, 1), (-1, 0)), ((-2, 1),), ((1, 0),),
-                    ((1, -1), (-1, 2), (-1, 0))]
-
-
-def test_bulk_tests_agree_with_the_presolve_on_sign_boundaries(monkeypatch):
-    # one array of the matrices of test_one_vertex_answer_sign_boundaries
-    # and a few more, padded to three rows: each pair gets the certificate
-    # that the per-pair head gives its own matrix when no balanced pair
-    # holds, and every answer verifies.  An
-    # all-negative column is no certificate: its three pairs are left.  The
-    # padding rows add -1 to each column sum, which the row-sum test adds
-    # back: ((1, -1), (-1, 1)) sums to (0, 0)
-    D, valid = _bulk_of(*_SIGN_BOUNDARIES)
-    kind, index = lp._bulk_tests(D, valid)
-    assert lp._bulk_verified(D, valid, kind, index, index)[kind != lp._NONE].all()
-    witnesses = 0
-    for entries, k, i in zip(_SIGN_BOUNDARIES, kind.tolist(), index.tolist()):
-        one = _one(monkeypatch, *entries)
-        m = len(entries)
-        witnesses += bool(one and one.feasible)
-        want = None if one is None or one.feasible else (one.status, one.certificate)
-        assert {lp._NONE: None,
-                lp._ROW: ("infeasible", tuple(int(j == i) for j in range(m))),
-                lp._ALL_ROWS: ("infeasible", (1,) * m)}[k] == want, entries
-    assert witnesses == 3
-
-
-def test_bulk_check_rejects_a_negative_column_sum_and_a_negative_row():
-    # column sums (0, -1) and (1, -1): one negative sum is enough to reject
-    # y = 1; sums (0, 0) hold
-    D, valid = _bulk_of(((1, -1), (-1, 0)), ((2, 0), (-1, -1)), ((1, -1), (-1, 1)))
-    kind = np.array([lp._ALL_ROWS] * 3)
-    index = np.array([0, 0, 0])
-    assert lp._bulk_verified(D, valid, kind, index, index).tolist() == \
-        [False, False, True]
-    # a claimed row must be a valid row of the pair, and nonnegative
-    D, valid = _bulk_of(((1, -1), (-1, 0)), ((2, 0), (-1, -1)), ((-1, 3), (0, 2)),
-                        ((-1, 2), (-2, 1)))
-    kind = np.array([lp._ROW] * 4)
-    index = np.array([1, 0, 1, 1])
-    assert lp._bulk_verified(D, valid, kind, index, index).tolist() == \
-        [False, True, True, False]
-    D, valid = _bulk_of(((1, 1),), ((0, 0), (-1, -1)))
-    index = np.array([1, 0])
-    assert lp._bulk_verified(D, valid, kind[:2], index, index).tolist() == [False, True]
-
-
 def test_bulk_answer_is_checked(monkeypatch):
     # the bulk twin of test_row_sum_answer_is_checked.  The scan of the
     # band of the half-cube H_7/2 decides its first 31 pairs one by one and
-    # the rest in arrays, so pair 31 is the first one decided in an array,
-    # by a balanced pair
+    # the rest in the bulk stream, so pair 31 is the first one streamed,
+    # and a balanced pair decides it.  With every row of each array lowered
+    # by 1, the two rows sum to -2 in column u, and the check rejects them
     g, d = _gd(halved_cube(7)[0])
     band = list(itertools.islice(lp._pairs_in_distance_band(d, 2, 2), 32))
     u, v = band[31]
     assert presolve_plain(d, build_Duv(g, d, u, v))[0] == "balanced"
-    real = lp._bulk_verified
-
-    def rejecting(rejected):
-        return lambda D, valid, kind, index, other: \
-            real(D, valid, kind, index, other) & (kind != rejected)
-
-    monkeypatch.setattr(lp, "_bulk_verified", rejecting(lp._PAIR))
+    real = lp._bulk_array
+    monkeypatch.setattr(lp, "_bulk_array", lambda *a: real(*a) - 1)
     with pytest.raises(AssertionError,
                        match=rf"balanced answer does not verify on pair \({u},{v}\)"):
         compute_p(g, d)
-    # with every pair in arrays, (4, 5) is the first pair of pool graph 11
-    # that compute_p decides by its row sums
+    # with every pair streamed, (4, 5) is the first pair of pool graph 11
+    # that compute_p decides by its row sums, and `_unbalanced` checks it
+    monkeypatch.undo()
+    real_checked = lp._checked
+
+    def rejecting_row_sums(res, source):
+        if source == "row-sum answer":
+            res = replace(res, certificate=(0,) * len(res.certificate))
+        return real_checked(res, source)
+
     g, d = _gd(list(_pool_graphs())[11])
     monkeypatch.setattr(lp, "_BULK_PAIRS", 1)
-    monkeypatch.setattr(lp, "_bulk_verified", rejecting(lp._ALL_ROWS))
+    monkeypatch.setattr(lp, "_checked", rejecting_row_sums)
     with pytest.raises(AssertionError,
                        match=r"row-sum answer does not verify on pair \(4,5\)"):
-        compute_p(g, d)
-    # a wrong answer from the tests is caught by the real check: the first
-    # pair of band 2 that no balanced pair decides opens the first array of
-    # full rows, and its row 0 is no certificate
-    u, v = next((u, v) for u, v in lp._pairs_in_distance_band(d, 2, 2)
-                if presolve_plain(d, build_Duv(g, d, u, v))[0] != "balanced")
-    assert min(build_Duv(g, d, u, v).entries[0]) < 0
-    monkeypatch.setattr(lp, "_bulk_verified", real)
-    tests = lp._bulk_tests
-
-    def claiming_row_0(D, valid):
-        kind, index = tests(D, valid)
-        kind[0], index[0] = lp._ROW, 0
-        return kind, index
-
-    monkeypatch.setattr(lp, "_bulk_tests", claiming_row_0)
-    with pytest.raises(AssertionError,
-                       match=rf"one-vertex answer does not verify on pair \({u},{v}\)"):
         compute_p(g, d)
 
 
@@ -719,32 +641,33 @@ def test_compute_p_builds_the_first_31_pairs_and_presolves_the_rest_in_one_strea
     # first 31 pairs go one by one to `_head`, the rest to a single
     # `_bulk_presolve`.  A balanced pair decides every pair of the band,
     # as `presolve_plain` finds on the full matrices, so on either path no
-    # full D^uv is built, no array of full rows is made, and no pair is
+    # pair reaches `_unbalanced`, no full D^uv is built, and no pair is
     # solved
-    head, bulk = lp._head, lp._bulk_presolve
+    head, bulk, tail = lp._head, lp._bulk_presolve, lp._unbalanced
     for g in (halved_cube(7)[0], johnson(8, 3)[0]):
         g, d = _gd(g)
         band = list(lp._pairs_in_distance_band(d, 2, 2))
         assert {presolve_plain(d, build_Duv(g, d, u, v))[0] for u, v in band} == {"balanced"}
-        heads, calls = [], []
+        heads, calls, tails = [], [], []
         monkeypatch.setattr(lp, "_head", lambda d, r, u, v: (
             heads.append((u, v)), head(d, r, u, v))[1])
         monkeypatch.setattr(lp, "_bulk_presolve", lambda *a: (
             calls.append(a), bulk(*a))[1])
-        for name in ("_presolve", "_bulk_tests", "lp_feasible_strict"):
+        monkeypatch.setattr(lp, "_unbalanced", lambda d, u, v, rows: (
+            tails.append((u, v)), tail(d, u, v, rows))[1])
+        for name in ("_presolve", "lp_feasible_strict"):
             monkeypatch.setattr(lp, name, None)
         assert compute_p(g, d).p == 1
         assert heads == band[:31]
         assert len(calls) == 1
+        assert tails == []
 
 
 def test_a_scan_over_decided_pairs_gives_each_pair_its_own_verdict(monkeypatch):
     # a scan stopped after `stop` pairs, then a scan of the whole band: the
     # second one streams only the pairs the first left undecided, on the
     # per-pair path and, at gates 32 and 1, through the bulk path's
-    # read-ahead.  Each pair gets the verdict of one fresh per-pair scan,
-    # but a feasible pair decided in an array, which is solved
-    arrayed = _recording_array_pairs(monkeypatch)
+    # read-ahead.  Each pair gets the verdict of one fresh per-pair scan
     for g in _corpus():
         d = all_pairs_distances(g)
         monkeypatch.setattr(lp, "_BULK_PAIRS", sys.maxsize)
@@ -753,11 +676,9 @@ def test_a_scan_over_decided_pairs_gives_each_pair_its_own_verdict(monkeypatch):
         for gate in (sys.maxsize, 32, 1):
             monkeypatch.setattr(lp, "_BULK_PAIRS", gate)
             for stop in (0, 1, 20, 40):
-                arrayed.clear()
                 scan, own = lp._pair_verdicts(d)
                 list(itertools.islice(scan(2, d.diameter), stop))
-                _assert_agrees_with_per_pair(
-                    g, d, per_pair, (list(scan(2, d.diameter)), own), arrayed)
+                _assert_agrees_with_per_pair(g, per_pair, (list(scan(2, d.diameter)), own))
 
 
 # ------------------------------------------- balanced-pair certificates
@@ -782,7 +703,7 @@ def test_balanced_pairs_leave_only_feasible_pairs_to_the_simplex(monkeypatch):
         assert len(calls) == solves and all(f for _, f in calls), (g.name, calls)
 
 
-def test_balanced_pair_sign_boundaries():
+def test_balanced_pair_sign_boundaries(monkeypatch):
     # the pair (0, 22) of C_10 x C_10, at distance 4, is left by the
     # presolve and certified by the corners 2 and 20 of its 3 x 3 interval,
     # where every inequality d(w1,x) + d(w2,x) <= d(u,x) + d(v,x) is an
@@ -805,6 +726,25 @@ def test_balanced_pair_sign_boundaries():
     assert lp._presolve(mat) is None
     assert lp._balanced(d, [sum(row) for row in d.d], 1, 3, mat.rows) is None
     assert solve_pair(g, d, 1, 3).feasible
+    # a midpoint w of a pair at even distance k is balanced with itself: its
+    # try 2 d(w,x) <= d(u,x) + d(v,x) is row w of D^uv divided by k/2.  On
+    # P_3 the row of 1 in D^02 is 0 at u and v: the try holds, and both
+    # paths store e_1.  On C_5 it is -1 at x = 3: the try fails, and both
+    # paths store the one-vertex witness {3: 1}
+    for g, row, holds in ((path_graph(3), (0, 2, 0), True),
+                          (cycle_graph(5), (0, 2, 0, -1, -1), False)):
+        g, d = _gd(g)
+        mat = build_Duv(g, d, 0, 2)
+        assert mat.rows == (1,) and mat.entries == (row,)
+        pair = lp._balanced(d, [sum(row) for row in d.d], 0, 2, mat.rows)
+        assert pair == ((1, 1) if holds else None)
+        want = FeasibilityResult("infeasible", certificate=(1,)) if holds else \
+            FeasibilityResult("feasible", witness={3: Fraction(1)}, matrix=mat)
+        for gate in (sys.maxsize, 1):
+            monkeypatch.setattr(lp, "_BULK_PAIRS", gate)
+            scan, own = lp._pair_verdicts(d)
+            assert [res for u, v, res in scan(2, 2) if (u, v) == (0, 2)] == [want]
+            assert not own
 
 
 def _lowered_column_u(entries, u):
@@ -818,39 +758,41 @@ def test_a_corrupted_balanced_certificate_raises_on_both_paths(monkeypatch):
     # the balanced-pair test reads the distance table, and its answer is
     # checked on the two rows it names: with column u of every row of D^uv
     # but the last that is built lowered, each certificate it finds fails
-    # that check.  C_10 x C_10 is scanned pair by pair, then with every
-    # pair in arrays.
-    g, d = _gd(_torus(10))
-    rows = lp._Duv_rows
-    monkeypatch.setattr(lp, "_Duv_rows", lambda d, u, v, ws: iter(
-        _lowered_column_u(list(rows(d, u, v, ws)), u)))
-    monkeypatch.setattr(lp, "_BULK_PAIRS", sys.maxsize)
-    with pytest.raises(AssertionError, match="balanced answer does not verify on pair"):
-        compute_p(g, d)
-    monkeypatch.setattr(lp, "_Duv_rows", rows)
-    real = lp._bulk_array
+    # that check.  Each graph is scanned pair by pair, then with every
+    # pair streamed, where row 0 of each two-row array is lowered.  On P_64
+    # the first pair, (0, 2), is decided by its midpoint 1, whose two rows
+    # are both row 1
+    rows, real = lp._Duv_rows, lp._bulk_array
 
     def lowered(dist, us, vs, ws):
         D = real(dist, us, vs, ws)
-        for p, (u, count) in enumerate(zip(us.tolist(), (ws != us[:, None]).sum(axis=1).tolist())):
-            D[p, :count] = _lowered_column_u([tuple(row) for row in D[p, :count]], u)
+        D[np.arange(len(D)), 0, us] = -1
         return D
 
-    monkeypatch.setattr(lp, "_bulk_array", lowered)
-    monkeypatch.setattr(lp, "_BULK_PAIRS", 1)
-    with pytest.raises(AssertionError, match="balanced answer does not verify on pair"):
-        compute_p(g, d)
+    for g, pair in ((_torus(10), ""), (path_graph(64), r" \(0,2\)")):
+        g, d = _gd(g)
+        monkeypatch.setattr(lp, "_Duv_rows", lambda d, u, v, ws: iter(
+            _lowered_column_u(list(rows(d, u, v, ws)), u)))
+        monkeypatch.setattr(lp, "_BULK_PAIRS", sys.maxsize)
+        with pytest.raises(AssertionError, match="balanced answer does not verify on pair" + pair):
+            compute_p(g, d)
+        monkeypatch.setattr(lp, "_Duv_rows", rows)
+        monkeypatch.setattr(lp, "_bulk_array", lowered)
+        monkeypatch.setattr(lp, "_BULK_PAIRS", 1)
+        with pytest.raises(AssertionError, match="balanced answer does not verify on pair" + pair):
+            compute_p(g, d)
+        monkeypatch.setattr(lp, "_bulk_array", real)
 
 
 def test_balanced_certificates_are_checked_on_the_rows_they_name(monkeypatch):
     # each balanced answer is checked on rows w1 and w2 of D^uv as
     # `build_Duv` builds them, and on no other row: per pair, `_checked`
-    # gets the matrix of those two rows and the certificate (1, 1); in
-    # arrays, `_bulk_verified` gets an array of those two rows per pair,
+    # gets the matrix of those two rows and the certificate (1, 1); in the
+    # bulk stream, `_bulk_array` makes an array of those two rows per pair,
     # and the stored certificate is e_w1 + e_w2 on the pair's rows
     g, d = _gd(_relabelled(projective_incidence_graph(3), 2))
-    checked, arrays, last = [], [], []
-    real_checked, real_array, real_verified = lp._checked, lp._bulk_array, lp._bulk_verified
+    checked, arrays = [], []
+    real_checked, real_array = lp._checked, lp._bulk_array
 
     def recording_checked(res, source):
         if source == "balanced answer":
@@ -859,19 +801,11 @@ def test_balanced_certificates_are_checked_on_the_rows_they_name(monkeypatch):
 
     def recording_array(dist, us, vs, ws):
         D = real_array(dist, us, vs, ws)
-        last[:] = us.tolist(), vs.tolist(), D, ws.tolist()
+        arrays.append((us.tolist(), vs.tolist(), D.tolist(), ws.tolist()))
         return D
-
-    def recording_verified(D, valid, kind, index, other):
-        if len(kind) and (kind == lp._PAIR).all():     # the balanced pairs' check
-            us, vs, array, ws = last
-            assert D is array
-            arrays.append((us, vs, D.tolist(), ws))
-        return real_verified(D, valid, kind, index, other)
 
     monkeypatch.setattr(lp, "_checked", recording_checked)
     monkeypatch.setattr(lp, "_bulk_array", recording_array)
-    monkeypatch.setattr(lp, "_bulk_verified", recording_verified)
     for gate in (sys.maxsize, 1):
         monkeypatch.setattr(lp, "_BULK_PAIRS", gate)
         scan, _ = lp._pair_verdicts(d)
@@ -929,7 +863,7 @@ def test_a_balanced_pair_is_stored_before_a_row_or_the_row_sums(
         verdict = next(res for u, v, res in scans[-1][0] if (u, v) == pair)
         assert repr(verdict) == repr(FeasibilityResult("infeasible", certificate=certificate))
         assert got == own
-    _assert_agrees_with_per_pair(g, d, *scans, {t[:2] for t in scans[0][0]})
+    _assert_agrees_with_per_pair(g, *scans)
 
 
 def test_bulk_and_per_pair_balanced_verdicts_agree(monkeypatch):
@@ -951,8 +885,42 @@ def test_bulk_and_per_pair_balanced_verdicts_agree(monkeypatch):
             monkeypatch.setattr(lp, "_BULK_PAIRS", gate)
             scan, own = lp._pair_verdicts(d)
             scans.append((list(scan(2, d.diameter)), own))
-        _assert_agrees_with_per_pair(g, d, *scans, {t[:2] for t in scans[0][0]})
+        _assert_agrees_with_per_pair(g, *scans)
     assert found["per pair"] == found["bulk"] > 100, found
+
+
+def _random_tree(n, seed):
+    rng = random.Random(seed)
+    return build_graph(n, [(rng.randrange(x), x) for x in range(1, n)])
+
+
+@pytest.mark.parametrize("graph", [
+    lambda: path_graph(64), lambda: _random_tree(200, 3),
+    lambda: cartesian_product(path_graph(8), path_graph(8)),
+], ids=["P_64", "tree_200", "P_8xP_8"])
+def test_a_midpoint_decides_each_pair_with_one_interior_vertex(monkeypatch, graph):
+    """On a path, a tree and a grid every pair takes a balanced try, on the
+    per-pair head as in the bulk stream: compute_p gives p = 1 with no
+    solve and no pair reaches `_unbalanced`, and in a scan of every pair at
+    distance 2 or more each pair whose interior is one vertex w, balanced
+    with itself, stores e_w = (1,)."""
+    g, d = _gd(graph())
+    hits = Counter()
+    per_pair, bulk = lp._balanced, lp._bulk_balanced
+    monkeypatch.setattr(lp, "_balanced", lambda *a: (
+        res := per_pair(*a), hits.update(["per pair"] * (res is not None)))[0])
+    monkeypatch.setattr(lp, "_bulk_balanced", lambda *a: (
+        out := bulk(*a), hits.update(["bulk"] * len(out[0])))[0])
+    for name in ("_unbalanced", "lp_feasible_strict"):
+        monkeypatch.setattr(lp, name, None)
+    assert compute_p(g, d).p == 1
+    scan, own = lp._pair_verdicts(d)
+    verdicts = {(u, v): res for u, v, res in scan(2, d.diameter)}
+    band = list(lp._pairs_in_distance_band(d, 2, 2))
+    assert not own and hits["per pair"] and hits["bulk"]
+    assert hits["per pair"] + hits["bulk"] == len(band) + len(verdicts)
+    single = [(u, v) for u, v in verdicts if len(lp._interior(d, u, v)) == 1]
+    assert single and all(verdicts[pair].certificate == (1,) for pair in single)
 
 
 def test_compute_p_keeps_no_matrix_of_an_infeasible_pair():

@@ -324,11 +324,11 @@ def test_bulk_and_per_pair_verdicts_agree(monkeypatch):
     """Every verdict of a scan of the pairs at distance 2 or more, with
     every pair decided in bulk and with every pair decided on its own: the
     test corpus, the random pool, the atlas, and relabelled half-cube,
-    Johnson, grid-cycle, projective-plane and cycle graphs.  Infeasible
-    verdicts are equal, a feasible pair is solved in bulk, and every array
-    row is the row `build_Duv` builds.  The corpus and the relabelled
-    graphs, whose arrays hold the most pairs, are also decided in arrays of
-    one pair."""
+    Johnson, grid-cycle, projective-plane and cycle graphs.  The verdicts
+    and the own solves are equal, and every array holds, for each of its
+    pairs, the two rows of its balanced certificate as `build_Duv` builds
+    them.  The corpus and the relabelled graphs, whose arrays hold the most
+    pairs, are also decided in arrays of one pair."""
     symmetric = [halved_cube(6)[0], johnson(7, 3)[0],
                  cartesian_product(path_graph(5), cycle_graph(5)),
                  projective_incidence_graph(3), cycle_graph(21)]
@@ -351,33 +351,24 @@ def test_bulk_and_per_pair_verdicts_agree(monkeypatch):
         scan, own = lp._pair_verdicts(d)
         return list(scan(2, d.diameter)), own
 
-    padded = 0
+    midpoints = 0
     for k, g in enumerate(graphs):
         d = all_pairs_distances(g)
         plain = scanned(g, d, sys.maxsize, 2 ** 16)
         assert not arrays
-        every = {t[:2] for t in plain[0]}
-        _assert_agrees_with_per_pair(g, d, plain, scanned(g, d, 1, 2 ** 16), every)
+        _assert_agrees_with_per_pair(g, plain, scanned(g, d, 1, 2 ** 16))
         if k < 8 or k >= 8 + 240 + 995:
-            _assert_agrees_with_per_pair(g, d, plain, scanned(g, d, 1, 1), every)
+            _assert_agrees_with_per_pair(g, plain, scanned(g, d, 1, 1))
         verdicts = {(u, v): res for u, v, res in plain[0]}
         for us, vs, D, ws in arrays:
-            for u, v, rows, row_vertices in zip(us, vs, D, ws):
+            for u, v, rows, named in zip(us, vs, D, ws):
                 mat = lp.build_Duv(g, d, u, v)
-                # the pair's full D^uv, or the two rows of its balanced
-                # certificate, then padding rows
-                m = sum(w != u for w in row_vertices)
-                named = tuple(row_vertices[:m])
-                assert named == mat.rows or len(named) == 2 and \
-                    verdicts[u, v].certificate == tuple(int(w in named) for w in mat.rows)
-                assert tuple(map(tuple, rows[:m])) == \
+                assert verdicts[u, v].certificate == tuple(int(w in named) for w in mat.rows)
+                assert tuple(map(tuple, rows)) == \
                     tuple(mat.entries[mat.rows.index(w)] for w in named)
-                # a padding row stands for u and is -1 everywhere
-                assert set(row_vertices[m:]) <= {u}
-                assert all(x == -1 for row in rows[m:] for x in row)
-                padded += len(rows) > m
+                midpoints += named[0] == named[1]
         arrays.clear()
-    assert padded
+    assert midpoints
 
 
 # ---------------------------------------------- the J(u,v) support lemma
