@@ -6,8 +6,8 @@ integer table den*F_pi, all pairs instead of the local band, a walk of the
 geodesic DAG instead of distance sums, subgraph matching instead of the
 interval condition, the simplex on every pair instead of the shared pair
 verdicts, the phase-1 tableau with its artificial columns stored instead of
-implied, the product y^T M over every row instead of the rows with
-y_i != 0, a search over every pair of a set instead of a walk along the
+implied, the product y^T M over every row instead of the rows a
+certificate names, a search over every pair of a set instead of a walk along the
 distance rows, the alpha/beta finders on the distance table and J°(u,v)
 instead of neighbour bitsets, and maximum-cardinality search by a scan of
 every vertex instead of heaps.
@@ -117,20 +117,17 @@ def presolve_plain(d: DistMatrix, mat: RationalMatrix):
     """The answer that the per-pair head gives the pair of mat before any
     solve, found on the full matrix: (kind, status, certificate, witness)
     for a balanced pair, else the first nonnegative row, else the first
-    all-negative column, else the row sums when every column sum is
-    nonnegative; None when no test holds."""
-    m = len(mat.rows)
+    all-negative column; None when no test holds.  A certificate is 1 on
+    each row vertex it names."""
     pair = balanced_pair_plain(d, mat)
     if pair is not None:
-        return "balanced", "infeasible", tuple(int(i in pair) for i in range(m)), None
-    for i, row in enumerate(mat.entries):
+        return "balanced", "infeasible", {mat.rows[i]: 1 for i in pair}, None
+    for w, row in zip(mat.rows, mat.entries):
         if min(row) >= 0:
-            return "row", "infeasible", tuple(int(t == i) for t in range(m)), None
+            return "row", "infeasible", {w: 1}, None
     for x, col in zip(mat.cols, zip(*mat.entries)):
         if max(col) < 0:
             return "column", "feasible", None, {x: Fraction(1)}
-    if all(sum(col) >= 0 for col in zip(*mat.entries)):
-        return "row-sum", "infeasible", (1,) * m, None
     return None
 
 
@@ -189,9 +186,10 @@ def phase1_explicit(tableau, n_free):
 
 def lp_feasible_strict_explicit(mat: RationalMatrix):
     """`lp.lp_feasible_strict` on the tableau [-M | -I | I | 1] with the
-    artificial columns stored; the certificate is D*y, y_i being 1 minus
-    the reduced cost of artificial i.  Returns the answer, unchecked, and
-    the output of `phase1_explicit`."""
+    artificial columns stored; the certificate holds the nonzero entries of
+    D*y, keyed by row vertex, y_i being 1 minus the reduced cost of
+    artificial i.  Returns the answer, unchecked, and the output of
+    `phase1_explicit`."""
     m, n = len(mat.entries), len(mat.cols)
     rows = [[-x for x in mat.entries[i]]
             + [-1 if k == i else 0 for k in range(m)]
@@ -203,19 +201,20 @@ def lp_feasible_strict_explicit(mat: RationalMatrix):
     if obj[-1] == 0:
         pi = {mat.cols[b]: Fraction(tableau[i][-1], D)
               for i, b in enumerate(basis) if b < n and tableau[i][-1] != 0}
-        return FeasibilityResult("feasible", witness=pi, matrix=mat), phase
-    y = tuple(D - obj[n + m + i] for i in range(m))
-    return FeasibilityResult("infeasible", certificate=y, matrix=mat), phase
+        return FeasibilityResult("feasible", witness=pi), phase
+    y = [D - obj[n + m + i] for i in range(m)]
+    return FeasibilityResult("infeasible", certificate={
+        w: yw for w, yw in zip(mat.rows, y) if yw}), phase
 
 
 def certificate_holds_dense(mat: RationalMatrix, certificate) -> bool:
-    """`lp._check_result` on a certificate, with y^T M summed over every
-    row of every column: y >= 0, y != 0, one entry per row, y^T M >= 0."""
-    if len(certificate) != len(mat.entries):
+    """`lp._check_result` on a certificate {row vertex: y_w}, with y^T M
+    summed over every row of every column: every key a row of mat and every
+    y_w > 0, at least one of them, and y^T M >= 0 for y expanded to one
+    entry per row of mat, 0 on the rows the certificate does not name."""
+    if not certificate or any(w not in mat.rows or yw <= 0 for w, yw in certificate.items()):
         return False
-    y = [Fraction(yi) for yi in certificate]
-    if any(yi < 0 for yi in y) or not any(y):
-        return False
+    y = [Fraction(certificate.get(w, 0)) for w in mat.rows]
     return all(sum(map(mul, y, col)) >= 0 for col in zip(*mat.entries))
 
 

@@ -2,7 +2,6 @@ import itertools
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -51,13 +50,13 @@ def test_build_duv_preconditions():
 def test_lp_feasible_strict_trivial():
     pos = RationalMatrix(((1,),), (0,), (0,), 0, 0)
     res = lp_feasible_strict(pos)
-    assert not res.feasible and res.certificate == (Fraction(1),)
+    assert not res.feasible and res.certificate == {0: 1}
     neg = RationalMatrix(((-1,),), (0,), (0,), 0, 0)
     res = lp_feasible_strict(neg)
     assert res.feasible and res.witness == {0: Fraction(1)}
     # no columns: 0 < 0 fails in every row, and y = 1 certifies it
     res = lp_feasible_strict(RationalMatrix(((), ()), (0, 1), (), 0, 0))
-    assert res.certificate == (Fraction(1), Fraction(1))
+    assert res.certificate == {0: 1, 1: 1}
     # no rows: the empty witness does not verify
     with pytest.raises(AssertionError):
         lp_feasible_strict(RationalMatrix((), (), (0, 1), 0, 0))
@@ -87,7 +86,7 @@ def _pool_lp_matrices():
 
 @pytest.mark.parametrize("matrices, count", [
     (_random_strict_matrices, 20000),
-    (_pool_lp_matrices, 2798),
+    (_pool_lp_matrices, 4242),
 ], ids=["random", "pool"])
 def test_implicit_artificials_pivot_like_the_stored_ones(monkeypatch, matrices, count):
     """The phase 1 with implied artificial columns makes the pivots of the
@@ -131,13 +130,13 @@ def test_verify_rejects_corrupted_witness():
     bad_w = dict(res.witness)
     key = next(iter(bad_w))
     bad_w[key] = -bad_w[key]
-    bad = FeasibilityResult("feasible", witness=bad_w, matrix=res.matrix)
+    bad = FeasibilityResult("feasible", witness=bad_w)
     assert not verify_feasibility_result(g, d, 0, 3, bad)
 
 
 def _ok(status, entries, cols, witness=None, certificate=None):
     mat = RationalMatrix(entries, tuple(range(len(entries))), cols, 0, 0)
-    return lp._check_result(FeasibilityResult(status, witness, certificate, mat))
+    return lp._check_result(mat, FeasibilityResult(status, witness, certificate))
 
 
 def test_check_rejects_bad_witnesses():
@@ -159,17 +158,36 @@ def test_check_rejects_bad_witnesses():
 
 
 def test_check_rejects_bad_certificates():
+    # a certificate is {row vertex: y_w} with every y_w > 0; the rows of m
+    # are the vertices 0, 1, 2
     m = ((1, -1), (0, 2), (1, 1))
     cols = (0, 1)
 
-    def ok(*y):
-        return _ok("infeasible", m, cols, certificate=tuple(map(Fraction, y)))
+    def ok(y):
+        return _ok("infeasible", m, cols, certificate=y)
 
-    assert ok(1, Fraction(1, 2), 0)             # column 1 exactly 0
-    assert not ok(1, Fraction(1, 3), 0)         # column 1 is -1/3
-    assert not ok(1, 1, Fraction(-1, 2))        # columns >= 0, entry < 0
-    assert not ok(0, 0, 0)
-    assert not ok(1, Fraction(1, 2))            # one entry per row
+    half = Fraction(1, 2)
+    assert ok({0: 1, 1: half})                  # column 1 exactly 0
+    assert not ok({0: 1, 1: Fraction(1, 3)})    # column 1 is -1/3
+    assert not ok({0: 1, 1: 1, 2: -half})       # columns >= 0, entry < 0
+    assert not ok({})                           # empty: y = 0
+    assert not ok({0: 1, 1: half, 2: 0})        # columns >= 0, an entry 0
+    assert not ok({0: 1, 1: half, 3: 1})        # 3 is not a row
+    # a balanced certificate holds on its two rows of D^uv and on all of
+    # them, but not on a matrix that lacks one of the two: {2: 1, 20: 1} on
+    # the pair (0, 22) of C_10 x C_10, and {0: 1, 1: 1} on the pair (2, 3)
+    # of the path 3-0-1-2, whose two rows are each nonnegative, so that the
+    # row left would hold on its own
+    for g, (u, v), y in ((_torus(10), (0, 22), {2: 1, 20: 1}),
+                         (build_graph(4, [(0, 1), (0, 3), (1, 2)]), (2, 3), {0: 1, 1: 1})):
+        g, d = _gd(g)
+        full = build_Duv(g, d, u, v)
+        w1, w2 = y
+        for rows in ((w1, w2), full.rows, (w1,), (w2,), (w1, w1)):
+            mat = RationalMatrix(tuple(full.entries[full.rows.index(w)] for w in rows),
+                                 rows, full.cols, u, v)
+            assert lp._check_result(mat, FeasibilityResult("infeasible", certificate=y)) \
+                == (set(y) <= set(rows)), (u, v, rows)
 
 
 def test_pinned_witness_and_certificate():
@@ -182,8 +200,9 @@ def test_pinned_witness_and_certificate():
     g, _ = halved_cube(6)
     d = all_pairs_distances(g)
     assert d(0, 7) == 2
-    res = lp_feasible_strict(build_Duv(g, d, 0, 7))
-    assert res.certificate == (Fraction(1),) * 6
+    mat = build_Duv(g, d, 0, 7)
+    res = lp_feasible_strict(mat)
+    assert len(mat.rows) == 6 and res.certificate == dict.fromkeys(mat.rows, 1)
 
 
 def test_verify_accepts_certificates():
@@ -241,9 +260,8 @@ def test_compute_p_solves_each_pair_once(monkeypatch):
     # the simplex; the one solve is the witness pair's own, where the plain
     # scan made 189
     assert [pair for pair, _ in calls] == [(0, 10)]
-    # no pair of G_2 has a one-vertex answer; the 6 pairs of one class get
-    # y = 1 from their column sums, and every infeasible pair the row sums
-    # leave has a balanced-pair certificate.  The two solves are the two
+    # no pair of G_2 has a one-vertex answer, and every infeasible pair
+    # has a balanced-pair certificate.  The two solves are the two
     # feasible pairs the scan meets, (0, 15) at level 2 and the witness pair
     # (14, 15) of the report, each solved once, where the class key made 3
     calls.clear()
@@ -309,9 +327,9 @@ def test_compute_p_re_solves_a_witness_pair_decided_by_its_class(monkeypatch):
     checks = []
     real = lp._check_result
 
-    def recording(res):
-        checks.append((res.matrix.u, res.matrix.v))
-        return real(res)
+    def recording(mat, res):
+        checks.append((mat.u, mat.v))
+        return real(mat, res)
 
     monkeypatch.setattr(lp, "_check_result", recording)
     builds = _recording_builds(monkeypatch, g, d)
@@ -522,10 +540,11 @@ def test_one_vertex_answers_agree_with_the_plain_solve(monkeypatch):
         _assert_agrees_with_per_pair(g, *scans)
         # each answer is the one that `presolve_plain` finds on the full
         # matrix: a balanced pair, the first nonnegative row, the first
-        # all-negative column, the row sums, in this order
+        # all-negative column, in this order
         for u, v, res in per_pair:
-            plain = solve_pair(g, d, u, v)
-            want = presolve_plain(d, plain.matrix)
+            mat = build_Duv(g, d, u, v)
+            plain = lp_feasible_strict(mat)     # `solve_pair`
+            want = presolve_plain(d, mat)
             if want is None:
                 kinds["undecided"] += 1     # left to the LP
                 assert (u, v) in own and res.status == plain.status
@@ -536,13 +555,13 @@ def test_one_vertex_answers_agree_with_the_plain_solve(monkeypatch):
             assert (u, v) not in own
             assert res.feasible == plain.feasible
             assert verify_feasibility_result(g, d, u, v, res)
-    assert kinds.keys() == {"balanced", "row", "column", "row-sum", "undecided"}, kinds
+    assert kinds.keys() == {"balanced", "row", "column", "undecided"}, kinds
 
 
 def _one(monkeypatch, *entries):
-    """The `_unbalanced` answer on a pair whose D^uv is entries: its first
-    nonnegative row, the rows being read in order, else the `_presolve`
-    answer of the full matrix."""
+    """The `_unbalanced` answer on a pair whose D^uv is entries, its rows
+    the vertices 0, 1, ...: its first nonnegative row, the rows being read
+    in order, else the `_presolve` answer of the full matrix."""
     m, n = len(entries), len(entries[0])
     monkeypatch.setattr(lp, "_Duv_rows", lambda d, u, v, rows: iter(entries))
     return lp._unbalanced(DistMatrix([[0] * n] * n), 0, 0, tuple(range(m)))[1]
@@ -554,60 +573,33 @@ def test_one_vertex_answer_sign_boundaries(monkeypatch):
     assert _one(monkeypatch, (0, -1), (-1, 1)) is None
     # column 1 is all negative: {1: 1} is the witness
     assert _one(monkeypatch, (2, -1), (-3, -2)).witness == {1: Fraction(1)}
-    # each row has one -1 and no column is all negative; both columns sum
-    # to 0, so y = 1 is the certificate
-    assert _one(monkeypatch, (1, -1), (-1, 1)).certificate == (1, 1)
-    # column sums 1 and 0: y = 1; column sums 0 and -1: no answer
-    assert _one(monkeypatch, (2, -1), (-1, 1)).certificate == (1, 1)
+    # each row has one -1 and no column is all negative: no answer, though
+    # both columns sum to 0, so y = 1 is a certificate, which the LP finds
+    assert _one(monkeypatch, (1, -1), (-1, 1)) is None
+    # column sums 1 and 0, and 0 and -1: no answer
+    assert _one(monkeypatch, (2, -1), (-1, 1)) is None
     assert _one(monkeypatch, (1, -2), (-1, 1)) is None
     # an all-zero row is a certificate: 0 >= 0 in every column
-    assert _one(monkeypatch, (-1, 1), (0, 0)).certificate == (0, 1)
-    # the first nonnegative row, though a later row and the row sums hold too
-    assert _one(monkeypatch, (-1, 1), (0, 1), (1, 0)).certificate == (0, 1, 0)
+    assert _one(monkeypatch, (-1, 1), (0, 0)).certificate == {1: 1}
+    # the first nonnegative row, though a later row holds too
+    assert _one(monkeypatch, (-1, 1), (0, 1), (1, 0)).certificate == {1: 1}
 
 
 def test_one_vertex_answer_is_checked(monkeypatch):
-    monkeypatch.setattr(lp, "_check_result", lambda res: False)
+    monkeypatch.setattr(lp, "_check_result", lambda mat, res: False)
     for entries in (((-1, 1), (-1, 0)), ((-1, 1), (0, 0))):
         with pytest.raises(AssertionError, match="one-vertex answer does not verify"):
             _one(monkeypatch, *entries)
 
 
-def test_row_sum_answer_is_checked(monkeypatch):
-    # every row-sum answer passes through `_checked`: made to check y = 0,
-    # which is no certificate, in place of y = 1, it raises naming the pair
-    real = lp._checked
-    rejected = []
-
-    def rejecting_row_sums(res, source):
-        if source == "row-sum answer":
-            rejected.append((res.matrix.u, res.matrix.v))
-            res = replace(res, certificate=(0,) * len(res.certificate))
-        return real(res, source)
-
-    monkeypatch.setattr(lp, "_checked", rejecting_row_sums)
-    with pytest.raises(AssertionError, match="row-sum answer does not verify"):
-        _one(monkeypatch, (1, -1), (-1, 1))
-    monkeypatch.undo()
-    monkeypatch.setattr(lp, "_checked", rejecting_row_sums)
-    # on a graph: the pair (4, 5) of pool graph 11 is the first pair that
-    # compute_p decides by its row sums: no balanced pair and no
-    # nonnegative row holds, and no column is all negative
-    g, d = _gd(list(_pool_graphs())[11])
-    assert presolve_plain(d, build_Duv(g, d, 4, 5))[0] == "row-sum"
-    with pytest.raises(AssertionError, match=r"row-sum answer does not verify on pair \(4,5\)"):
-        compute_p(g, d)
-    assert rejected == [(0, 0), (4, 5)]
-
-
 # ------------------------------------------------------ the bulk path
 
 def test_bulk_answer_is_checked(monkeypatch):
-    # the bulk twin of test_row_sum_answer_is_checked.  The scan of the
-    # band of the half-cube H_7/2 decides its first 31 pairs one by one and
-    # the rest in the bulk stream, so pair 31 is the first one streamed,
-    # and a balanced pair decides it.  With every row of each array lowered
-    # by 1, the two rows sum to -2 in column u, and the check rejects them
+    # the scan of the band of the half-cube H_7/2 decides its first 31
+    # pairs one by one and the rest in the bulk stream, so pair 31 is the
+    # first one streamed, and a balanced pair decides it.  With every row of
+    # each array lowered by 1, the two rows sum to -2 in column u, and the
+    # check rejects them
     g, d = _gd(halved_cube(7)[0])
     band = list(itertools.islice(lp._pairs_in_distance_band(d, 2, 2), 32))
     u, v = band[31]
@@ -616,22 +608,6 @@ def test_bulk_answer_is_checked(monkeypatch):
     monkeypatch.setattr(lp, "_bulk_array", lambda *a: real(*a) - 1)
     with pytest.raises(AssertionError,
                        match=rf"balanced answer does not verify on pair \({u},{v}\)"):
-        compute_p(g, d)
-    # with every pair streamed, (4, 5) is the first pair of pool graph 11
-    # that compute_p decides by its row sums, and `_unbalanced` checks it
-    monkeypatch.undo()
-    real_checked = lp._checked
-
-    def rejecting_row_sums(res, source):
-        if source == "row-sum answer":
-            res = replace(res, certificate=(0,) * len(res.certificate))
-        return real_checked(res, source)
-
-    g, d = _gd(list(_pool_graphs())[11])
-    monkeypatch.setattr(lp, "_BULK_PAIRS", 1)
-    monkeypatch.setattr(lp, "_checked", rejecting_row_sums)
-    with pytest.raises(AssertionError,
-                       match=r"row-sum answer does not verify on pair \(4,5\)"):
         compute_p(g, d)
 
 
@@ -713,9 +689,9 @@ def test_balanced_pair_sign_boundaries(monkeypatch):
     mat = build_Duv(g, d, 0, 22)
     assert lp._presolve(mat) is None and all(min(row) < 0 for row in mat.entries)
     assert lp._balanced(d, r, 0, 22, mat.rows) == (2, 20)
-    y = lp._head(d, r, 0, 22)[1].certificate
-    assert [w for w, yi in zip(mat.rows, y) if yi] == [2, 20] and sum(y) == 2
-    assert set(map(sum, zip(*(row for row, yi in zip(mat.entries, y) if yi)))) == {0}
+    assert lp._head(d, r, 0, 22)[1].certificate == {2: 1, 20: 1}
+    assert set(map(sum, zip(*(row for w, row in zip(mat.rows, mat.entries)
+                              if w in (2, 20))))) == {0}
     # the pair (1, 3) of this 7-vertex graph has one balanced pair, {2, 6},
     # and d(2,5) + d(6,5) = d(1,5) + d(3,5) + 1: no certificate, and the
     # pair is feasible
@@ -738,8 +714,8 @@ def test_balanced_pair_sign_boundaries(monkeypatch):
         assert mat.rows == (1,) and mat.entries == (row,)
         pair = lp._balanced(d, [sum(row) for row in d.d], 0, 2, mat.rows)
         assert pair == ((1, 1) if holds else None)
-        want = FeasibilityResult("infeasible", certificate=(1,)) if holds else \
-            FeasibilityResult("feasible", witness={3: Fraction(1)}, matrix=mat)
+        want = FeasibilityResult("infeasible", certificate={1: 1}) if holds else \
+            FeasibilityResult("feasible", witness={3: Fraction(1)})
         for gate in (sys.maxsize, 1):
             monkeypatch.setattr(lp, "_BULK_PAIRS", gate)
             scan, own = lp._pair_verdicts(d)
@@ -748,20 +724,20 @@ def test_balanced_pair_sign_boundaries(monkeypatch):
 
 
 def _lowered_column_u(entries, u):
-    """entries with column u set to -1 in every row but the last: the sum
-    of any two rows is then negative there, while column u is not all
-    negative and no row becomes nonnegative."""
-    return [row[:u] + (-1,) + row[u + 1:] for row in entries[:-1]] + list(entries[-1:])
+    """entries with column u of the first row set to -1: that row, and its
+    sum with any row, is then negative there, since column u of D^uv is
+    0, and no row becomes nonnegative."""
+    return [row[:u] + (-1,) + row[u + 1:] for row in entries[:1]] + list(entries[1:])
 
 
 def test_a_corrupted_balanced_certificate_raises_on_both_paths(monkeypatch):
     # the balanced-pair test reads the distance table, and its answer is
-    # checked on the two rows it names: with column u of every row of D^uv
-    # but the last that is built lowered, each certificate it finds fails
-    # that check.  Each graph is scanned pair by pair, then with every
-    # pair streamed, where row 0 of each two-row array is lowered.  On P_64
-    # the first pair, (0, 2), is decided by its midpoint 1, whose two rows
-    # are both row 1
+    # checked on the rows it names: with column u of the first row of D^uv
+    # that is built lowered, each certificate it finds fails that check.
+    # Each graph is scanned pair by pair, then with every pair streamed,
+    # where row 0 of each two-row array is lowered.  On P_64 the first
+    # pair, (0, 2), is decided by its midpoint 1: the per-pair check builds
+    # row 1 once, and the array holds it twice
     rows, real = lp._Duv_rows, lp._bulk_array
 
     def lowered(dist, us, vs, ws):
@@ -787,17 +763,18 @@ def test_a_corrupted_balanced_certificate_raises_on_both_paths(monkeypatch):
 def test_balanced_certificates_are_checked_on_the_rows_they_name(monkeypatch):
     # each balanced answer is checked on rows w1 and w2 of D^uv as
     # `build_Duv` builds them, and on no other row: per pair, `_checked`
-    # gets the matrix of those two rows and the certificate (1, 1); in the
-    # bulk stream, `_bulk_array` makes an array of those two rows per pair,
-    # and the stored certificate is e_w1 + e_w2 on the pair's rows
+    # gets the matrix of those rows, one row for a midpoint w1 = w2, and
+    # the certificate {w1: 1, w2: 1}; in the bulk stream, `_bulk_array`
+    # makes an array of the two rows per pair, and the stored certificate
+    # is {w1: 1, w2: 1}
     g, d = _gd(_relabelled(projective_incidence_graph(3), 2))
     checked, arrays = [], []
     real_checked, real_array = lp._checked, lp._bulk_array
 
-    def recording_checked(res, source):
+    def recording_checked(mat, res, source):
         if source == "balanced answer":
-            checked.append(res)
-        return real_checked(res, source)
+            checked.append((mat, res))
+        return real_checked(mat, res, source)
 
     def recording_array(dist, us, vs, ws):
         D = real_array(dist, us, vs, ws)
@@ -811,9 +788,9 @@ def test_balanced_certificates_are_checked_on_the_rows_they_name(monkeypatch):
         scan, _ = lp._pair_verdicts(d)
         verdicts = {(u, v): res for u, v, res in scan(2, d.diameter)}
         named = {}
-        for res in checked:
-            named[res.matrix.u, res.matrix.v] = res.matrix.rows, res.matrix.entries
-            assert res.certificate == (1, 1)
+        for mat, res in checked:
+            named[mat.u, mat.v] = mat.rows, mat.entries
+            assert res.certificate == dict.fromkeys(mat.rows, 1)
         for us, vs, D, ws in arrays:
             for u, v, rows, pair in zip(us, vs, D, ws):
                 named[u, v] = tuple(pair), tuple(map(tuple, rows))
@@ -821,9 +798,10 @@ def test_balanced_certificates_are_checked_on_the_rows_they_name(monkeypatch):
         for (u, v), (pair, rows) in named.items():
             mat = build_Duv(g, d, u, v)
             i, j = balanced_pair_plain(d, mat)
-            assert pair == (mat.rows[i], mat.rows[j])
-            assert rows == (mat.entries[i], mat.entries[j])
-            assert verdicts[u, v].certificate == tuple(int(t in (i, j)) for t in range(len(mat.rows)))
+            y = {mat.rows[i]: 1, mat.rows[j]: 1}
+            assert tuple(dict.fromkeys(pair)) == tuple(y)
+            assert rows == tuple(mat.entries[mat.rows.index(w)] for w in pair)
+            assert verdicts[u, v].certificate == y
         checked.clear()
         arrays.clear()
 
@@ -833,22 +811,23 @@ _G2_OWN = {(0, 15), (1, 15), (2, 15), (3, 15), (4, 15), (5, 15), (6, 15), (7, 14
 
 
 @pytest.mark.parametrize("graph, pair, certificate, own", [
-    (lambda: build_graph(4, [(0, 1), (0, 3), (1, 2)]), (2, 3), (1, 1), set()),
-    (lambda: halved_cube(5)[0], (0, 13), (1, 0, 0, 0, 0, 1), set()),
-    (lambda: projective_incidence_graph(2), (0, 1), (1, 1), _G2_OWN),
-], ids=["P_4-row", "halfH_5-row-sums", "G_2-own"])
+    (lambda: build_graph(4, [(0, 1), (0, 3), (1, 2)]), (2, 3), {0: 1, 1: 1}, set()),
+    (lambda: halved_cube(5)[0], (0, 13), {1: 1, 12: 1}, set()),
+    (lambda: projective_incidence_graph(2), (0, 1), {11: 1, 14: 1}, _G2_OWN),
+], ids=["P_4-row", "halfH_5-column-sums", "G_2-own"])
 def test_a_balanced_pair_is_stored_before_a_row_or_the_row_sums(
         monkeypatch, graph, pair, certificate, own):
     """Both paths try the balanced pairs before any row of D^uv.  On the
     path 3-0-1-2 the pair (2, 3) has the interior {0, 1}, both rows
     nonnegative and balanced (d(2,0) + d(2,1) = 3), and it stores
-    e_0 + e_1, where the first nonnegative row stored e_0.  On H_5/2 the
-    pair (0, 13) has six rows, none nonnegative, with nonnegative column
-    sums, and it stores its balanced pair {1, 12}, where the row sums
-    stored y = 1.  Both paths store the same certificate, and own is the
-    scan's at the commit before this order: no pair of the first two, and
-    the 15 feasible pairs of G_2, whose pair (0, 1) the row sums and a
-    balanced pair both certify."""
+    {0: 1, 1: 1}, where the first nonnegative row stored {0: 1}.  On H_5/2
+    the pair (0, 13) has six rows, none nonnegative, with nonnegative
+    column sums, and it stores its balanced pair {1, 12}, where the row-sum
+    certificate y = 1, which the presolve no longer tries, stored all six
+    rows.  Both paths store the same certificate, and own is the scan's at
+    the commit before this order: no pair of the first two, and the 15
+    feasible pairs of G_2, whose pair (0, 1) the row sums and the balanced
+    pair {11, 14} both certify."""
     g = graph()
     d = all_pairs_distances(g)
     mat = build_Duv(g, d, *pair)
@@ -920,7 +899,8 @@ def test_a_midpoint_decides_each_pair_with_one_interior_vertex(monkeypatch, grap
     assert not own and hits["per pair"] and hits["bulk"]
     assert hits["per pair"] + hits["bulk"] == len(band) + len(verdicts)
     single = [(u, v) for u, v in verdicts if len(lp._interior(d, u, v)) == 1]
-    assert single and all(verdicts[pair].certificate == (1,) for pair in single)
+    assert single and all(verdicts[u, v].certificate == dict.fromkeys(lp._interior(d, u, v), 1)
+                          for u, v in single)
 
 
 def test_compute_p_keeps_no_matrix_of_an_infeasible_pair():
@@ -1016,6 +996,6 @@ def test_the_uniform_witness_weights_every_nonzero_column(matrix, sums, witness)
     if witness is None:
         assert res == simplex
     else:
-        assert res.feasible and res.witness == witness and lp._check_result(res)
+        assert res.feasible and res.witness == witness and lp._check_result(mat, res)
         if len(sums) == 1:      # one row sum: the simplex reaches the same witness
             assert res == simplex

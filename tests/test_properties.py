@@ -193,6 +193,38 @@ def test_p_bounded_by_diameter():
         assert compute_p(g, d).p <= d.diameter
 
 
+def test_product_law():
+    """p(G□H) = max(p(G), p(H)) on 30 seeded products of connected atlas
+    graphs, and on C_n□C_m for n = 5..9 and m = 4..7, where it also equals
+    floor((max(n, m) - 1) / 2), the cycle formula p(C_n) = floor((n - 1)/2).
+
+    Proof sketch.  d((a,b),(x,y)) = d(a,x) + d(b,y), so the median function
+    of a profile pi of G□H is the sum of those of its marginals pi_G and
+    pi_H, and Med(pi) = Med(pi_G) x Med(pi_H).  A product of a
+    G^q-connected and an H^q-connected set is (G□H)^q-connected: move one
+    coordinate at a time, each step of length at most q.  So p(G□H) is at
+    most max(p(G), p(H)).  A profile of G placed on the layer G x {b} has
+    pi_H all on b, so its medians lie in that layer, where distances are
+    those of G: a median set of G that is not G^q-connected stays one that
+    is not (G□H)^q-connected, and p(G□H) >= p(G), and likewise p(H)."""
+    def p(g):
+        return compute_p(g, all_pairs_distances(g)).p
+
+    atlas = list(_connected_atlas_graphs(7))
+    rng = random.Random(2026)
+    above_one = 0
+    for _ in range(30):
+        g, h = rng.choice(atlas), rng.choice(atlas)
+        want = max(p(g), p(h))
+        assert p(cartesian_product(g, h)) == want, (g.name, h.name)
+        above_one += want > 1
+    assert above_one == 24
+    for n in range(5, 10):
+        for m in range(4, 8):
+            assert p(cartesian_product(cycle_graph(n), cycle_graph(m))) \
+                == max(p(cycle_graph(n)), p(cycle_graph(m))) == (max(n, m) - 1) // 2
+
+
 def test_power_graph_distances():
     rng = random.Random(71)
     for _ in range(10):
@@ -238,11 +270,12 @@ def test_strict_lp_result_verifies_on_random_matrices(entries):
     mat = RationalMatrix(tuple(map(tuple, entries)), tuple(range(m)),
                          tuple(range(n)), 0, 0)
     # a verified witness or Farkas certificate is the correct verdict
-    assert _check_result(lp_feasible_strict(mat))
+    assert _check_result(mat, lp_feasible_strict(mat))
 
 
 def test_sparse_certificate_check_equals_the_dense_product():
-    # _check_result sums y^T M over the rows with y_i != 0 only
+    # _check_result sums y^T M over the rows the certificate names only;
+    # the dense reference expands y over every row of the matrix
     rng = random.Random(23)
     accepted = 0
     for k in range(20000):
@@ -257,12 +290,15 @@ def test_sparse_certificate_check_equals_the_dense_product():
             y = [rng.randint(-2, 3) for _ in range(m)]
         else:               # rationals, some zero
             y = [Fraction(rng.randint(0, 3), rng.randint(1, 4)) for _ in range(m)]
+        rows = tuple(rng.sample(range(2 * m), m))
+        cert = {w: yw for w, yw in zip(rows, y) if yw}      # the nonzero entries
         if m and rng.random() < 0.1:
-            y = y[:-1]      # one entry short
-        mat = RationalMatrix(entries, tuple(range(m)), tuple(range(n)), 0, 0)
-        sparse = _check_result(FeasibilityResult("infeasible", certificate=tuple(y),
-                                                 matrix=mat))
-        assert sparse == certificate_holds_dense(mat, y), (entries, y)
+            cert[rng.randrange(2 * m + 1)] = 1      # a key that may be no row
+        if m and rng.random() < 0.1:
+            cert[rng.choice(rows)] = 0              # an entry stored as 0
+        mat = RationalMatrix(entries, rows, tuple(range(n)), 0, 0)
+        sparse = _check_result(mat, FeasibilityResult("infeasible", certificate=cert))
+        assert sparse == certificate_holds_dense(mat, cert), (entries, rows, cert)
         accepted += sparse
     assert accepted > 2000
 
@@ -282,9 +318,9 @@ def test_pair_verdicts_match_the_plain_solve(monkeypatch):
     sources = []
     real = lp._checked
 
-    def recording(res, source):
+    def recording(mat, res, source):
         sources.append(source)
-        return real(res, source)
+        return real(mat, res, source)
 
     monkeypatch.setattr(lp, "_checked", recording)
     # every pair on the per-pair path, whose presolve and balanced-pair
@@ -292,8 +328,7 @@ def test_pair_verdicts_match_the_plain_solve(monkeypatch):
     # test_bulk_and_per_pair_verdicts_agree.  Each answer comes from the
     # test that `presolve_plain` finds first on the full matrix
     expected = {"balanced": "balanced answer", "row": "one-vertex answer",
-                "column": "one-vertex answer", "row-sum": "row-sum answer",
-                None: "own solve"}
+                "column": "one-vertex answer", None: "own solve"}
     monkeypatch.setattr(lp, "_BULK_PAIRS", sys.maxsize)
     kinds = {name: Counter() for name in sets}
     for name, (graphs, lo, hi) in sets.items():
@@ -307,17 +342,21 @@ def test_pair_verdicts_match_the_plain_solve(monkeypatch):
                 else:   # a checked presolve or balanced-pair answer
                     (kind,) = sources
                 kinds[name][kind] += 1
-                plain = solve_pair(g, d, u, v)
+                mat = lp.build_Duv(g, d, u, v)
+                plain = lp_feasible_strict(mat)     # `solve_pair`
                 assert res.feasible == plain.feasible, (name, u, v)
-                want = presolve_plain(d, plain.matrix)
+                want = presolve_plain(d, mat)
                 assert kind == expected[want and want[0]], (name, u, v, kind)
                 sources.clear()     # the scan decides the next pair after this
     assert all(count["balanced answer"] for count in kinds.values()), kinds
     # a balanced pair comes first, so the symmetric graphs take no other
-    # certificate, and the row sums decide few pairs: 20 of the 15,671 pool
-    # pairs at distance 2 or more, none of the atlas bands
-    assert kinds["atlas"]["one-vertex answer"] and kinds["pool"]["one-vertex answer"] \
-        and kinds["pool"]["row-sum answer"], kinds
+    # certificate.  Of the 15,671 pool pairs at distance 2 or more, a
+    # balanced pair decides 5,722, a nonnegative row 20 and an all-negative
+    # column 8,029, and 1,900 are solved: 20 more than when the row-sum
+    # certificate y = 1 was tried after the column
+    assert kinds["atlas"]["one-vertex answer"], kinds
+    assert kinds["pool"] == {"balanced answer": 5722, "one-vertex answer": 20 + 8029,
+                             "own solve": 1900}, kinds
 
 
 def test_bulk_and_per_pair_verdicts_agree(monkeypatch):
@@ -363,7 +402,7 @@ def test_bulk_and_per_pair_verdicts_agree(monkeypatch):
         for us, vs, D, ws in arrays:
             for u, v, rows, named in zip(us, vs, D, ws):
                 mat = lp.build_Duv(g, d, u, v)
-                assert verdicts[u, v].certificate == tuple(int(w in named) for w in mat.rows)
+                assert verdicts[u, v].certificate == dict.fromkeys(named, 1)
                 assert tuple(map(tuple, rows)) == \
                     tuple(mat.entries[mat.rows.index(w)] for w in named)
                 midpoints += named[0] == named[1]
@@ -395,8 +434,8 @@ def test_J_columns_decide_every_pair_like_all_columns():
             for v in range(u + 1, g.n):
                 if d(u, v) < 2:
                     continue
-                res = solve_pair(g, d, u, v)
-                mat = res.matrix
+                mat = lp.build_Duv(g, d, u, v)
+                res = lp_feasible_strict(mat)       # `solve_pair`
                 J = sorted(J_set(g, d, u, v))
                 on_J = RationalMatrix(tuple(tuple(row[x] for x in J)
                                             for row in mat.entries),
