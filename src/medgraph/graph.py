@@ -56,14 +56,27 @@ class Graph:
 
 
 class DistMatrix:
-    """All-pairs hop distances, computed by a bitset BFS from every vertex."""
+    """All-pairs hop distances, built by `all_pairs_distances`.
 
-    __slots__ = ("d", "n", "diameter")
+    Row u is a list of ints, d[u][v] = d(u, v).  On a graph whose
+    distances fit in a byte the rows come from `_lane_distances` and hold
+    CPython's shared small ints; otherwise from one `_bfs` per source,
+    whose rows share one int object per distance."""
+
+    __slots__ = ("d", "n", "_diameter")
 
     def __init__(self, d: list[list[int]]):
         self.d = d
         self.n = len(d)
-        self.diameter = max((max(row) for row in d), default=0)
+        self._diameter = None
+
+    @property
+    def diameter(self) -> int:
+        """The largest distance, found on first read: most readers of the
+        table never ask for it, and the scan reads all n^2 entries."""
+        if self._diameter is None:
+            self._diameter = max(map(max, self.d), default=0)
+        return self._diameter
 
     def __call__(self, u: int, v: int) -> int:
         return self.d[u][v]
@@ -107,12 +120,106 @@ def _bfs(nbr: list[int], source: int, levels: list[int]) -> list[int]:
     return dist
 
 
+def _lane_distances(g: Graph, levels: int) -> list[int]:
+    """Every row of the distance table at once, in byte lanes.
+
+    A set of vertices is a Python int with vertex x in the 8-bit lane x,
+    that is, bit 8x.  The ball B_k(s) = {x : d(s, x) <= k} of every
+    source s grows one level per pass, by one of two recurrences:
+
+    - bottom-up, deg(s) ORs: B_k(s) = B_{k-1}(s) | OR of B_{k-1}(y) over
+      y in N(s);
+    - top-down, one OR per ring vertex: B_k(s) = B_{k-1}(s) | N(R_{k-1}(s)),
+      over the ring R_{k-1}(s) = B_{k-1}(s) minus B_{k-2}(s).
+
+    Both give B_k(s).  A shortest path from s to an x with d(s, x) = k >= 1
+    starts with some y in N(s), and d(y, x) = k - 1; and d(s, x) <= 1 +
+    d(y, x) for every y in N(s): so the bottom-up union holds exactly the x
+    with d(s, x) <= k.  The vertex before x on that path is in R_{k-1}(s),
+    and a neighbour of a vertex of R_{k-1}(s) is at most k from s: so the
+    top-down union holds B_{k-1}(s) and exactly the x with d(s, x) = k.  The
+    neighbours of B_{k-2}(s) lie in B_{k-1}(s) already, so the ring
+    suffices.  As both are exact, each source takes its own recurrence at
+    each level, whichever costs fewer ORs.  Top-down reads its ring one
+    vertex at a time off the top lane, which with the OR costs about 4 ORs
+    a vertex (measured), so it runs when 4 |R_{k-1}(s)| < deg(s): on the
+    sparse rings of a dense vertex, such as the tail of a path hung on a
+    clique.  A narrow source, of degree 8 or less, never reads its ring:
+    taking and counting the ring costs about as much as the few ORs that
+    top-down could save there (measured on Q_6).  No vertex of a row is
+    read one at a time.
+
+    The row of s counts, in lane x, the levels k < ecc(s) whose ball has
+    not reached x, which is d(s, x): the sum of full ^ B_k(s) over those k,
+    where full holds a 1 in every lane.  As B_k(s) is a subset of full, that
+    sum is ecc(s) * full - (B_0(s) + ... + B_{ecc(s)-1}(s)): acc[s] adds
+    one ball a level, and takes the difference when s retires, at the level
+    where its ball is full.  Every lane of either term is at most ecc(s) <=
+    diam <= 2 ecc(0) <= 255, the caller's condition, so no lane carries into
+    the next or borrows from it.  The passes stop after `levels` = 2 ecc(0)
+    levels at most, so no count can pass that bound either.  The balls are
+    freed on return, and the caller reads row s off the bytes of acc[s]."""
+    n, adj = g.n, g.adj
+    nbr = []
+    for a in adj:
+        lanes = bytearray(n)
+        for y in a:
+            lanes[y] = 1
+        nbr.append(int.from_bytes(lanes, "little"))
+    ball = [1 << (x << 3) for x in range(n)]
+    full = int.from_bytes(b"\x01" * n, "little")
+    acc = [0] * n
+    prev = [0] * n   # B_{k-2}(s) of a wide s: R_{k-1}(s) = ball[s] ^ prev[s]
+    # the two kinds of source run in two loops, so a narrow one pays for no
+    # degree test (a source's pass takes about 1 us on the graphs measured)
+    narrow = [s for s in range(n) if len(adj[s]) <= 8]
+    wide = [s for s in range(n) if len(adj[s]) > 8]
+    for k in range(1, levels + 1):
+        if not (narrow or wide):
+            break
+        grown = ball[:]
+        still = []
+        for s in narrow:
+            b = ball[s]
+            for y in adj[s]:
+                b |= ball[y]
+            grown[s] = b
+            if b == full:
+                acc[s] = k * full - acc[s] - ball[s]
+            else:
+                acc[s] += ball[s]
+                still.append(s)
+        narrow, still = still, []
+        for s in wide:
+            b = ball[s]
+            a = adj[s]
+            if 4 * (ring := b ^ prev[s]).bit_count() < len(a):
+                while ring:
+                    x = ring.bit_length() >> 3
+                    b |= nbr[x]
+                    ring ^= 1 << (x << 3)
+            else:
+                for y in a:
+                    b |= ball[y]
+            grown[s] = b
+            if b == full:
+                acc[s] = k * full - acc[s] - ball[s]
+                prev[s] = 0
+            else:
+                acc[s] += ball[s]
+                prev[s] = ball[s]
+                still.append(s)
+        wide = still
+        ball = grown
+    return acc
+
+
 def bfs(g: Graph, source: int) -> list[int]:
     """Hop distances from source; -1 marks a vertex it does not reach.
 
-    One source walks the adjacency lists, in O(n + m) time and memory;
-    `all_pairs_distances` builds neighbour bitsets instead, whose cost,
-    about n^2 / 2 bits on a sparse graph, it spreads over n sources."""
+    One source walks the adjacency lists, in O(n + m) time and memory.
+    `all_pairs_distances` reads the eccentricity of vertex 0 from it to
+    pick how it builds the table."""
     dist = [-1] * g.n
     dist[source] = 0
     frontier = [source]
@@ -139,6 +246,17 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]], name: str = "") -> Gra
 
 
 def all_pairs_distances(g: Graph) -> DistMatrix:
+    """The distance table.  The diameter is at most 2 ecc(0): when that
+    fits in a byte lane, `_lane_distances` grows every source's ball at once;
+    otherwise each source runs `_bfs` on neighbour bitsets."""
+    reach = 2 * max(bfs(g, 0))
+    if reach < 256:
+        # each row is read off its lanes as CPython's shared small ints,
+        # and the lanes are freed as the rows are built
+        lanes = _lane_distances(g, reach)
+        lanes.reverse()
+        return DistMatrix([list(lanes.pop().to_bytes(g.n, "little"))
+                           for _ in range(g.n)])
     nbr = _neighbour_masks(g)
     levels = list(range(g.n))
     return DistMatrix([_bfs(nbr, s, levels) for s in range(g.n)])

@@ -3,7 +3,8 @@ from types import SimpleNamespace
 import pytest
 
 from medgraph.errors import Disconnected, LoopEdge, ParseError
-from medgraph.families import complete_bipartite, cycle_graph, path_graph
+from medgraph.families import (complete_bipartite, cycle_graph, halved_cube,
+                               path_graph, projective_incidence_graph)
 from medgraph.graph import (Graph, all_pairs_distances, bfs, build_graph,
                             power_graph, read_graph, write_graph)
 
@@ -81,11 +82,34 @@ def test_power_graph():
     assert power_graph(g, 1) is g
 
 
+def _clique_with_tails(k: int, *tails: tuple[int, int]) -> Graph:
+    """K_k with a path of `length` vertices hung on clique vertex `at`, for
+    each (at, length) in tails."""
+    edges = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    n = k
+    for at, length in tails:
+        edges += [(at, n)] + [(x, x + 1) for x in range(n, n + length - 1)]
+        n += length
+    return build_graph(n, edges)
+
+
 def test_distances_match_networkx():
     import networkx as nx
     from reference import _recognizer_corpus, _to_nx
     wide = [cycle_graph(41), path_graph(30), complete_bipartite(1, 20)]
-    for g in _recognizer_corpus() + wide:
+    # the table takes byte lanes when 2 ecc(0) < 256, else one _bfs per
+    # source: P_128 (ecc(0) = 127), C_254, halfH_9 and G_11 take lanes,
+    # P_129 (ecc(0) = 128) and P_300 from its middle (ecc(0) = 150, diameter
+    # 299, past a byte) take _bfs
+    lanes = [path_graph(128), path_graph(129), cycle_graph(254),
+             halved_cube(9)[0], projective_incidence_graph(11),
+             build_graph(300, [((x + 150) % 300, (x + 151) % 300)
+                               for x in range(299)])]
+    # dense vertices with sparse rings far out: the lanes grow each source
+    # bottom-up or top-down, level by level
+    lanes += [_clique_with_tails(100, (99, 100)), _clique_with_tails(30, (29, 70)),
+              _clique_with_tails(40, (0, 30), (1, 30))]
+    for g in _recognizer_corpus() + wide + lanes:
         d = all_pairs_distances(g)
         lengths = dict(nx.all_pairs_shortest_path_length(_to_nx(g)))
         assert d.d == [[lengths[u][v] for v in range(g.n)] for u in range(g.n)]
