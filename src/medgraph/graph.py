@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import Disconnected, LoopEdge, ParseError
 
@@ -12,11 +12,13 @@ class Graph:
     """A simple undirected connected graph on vertices 0..n-1.
 
     Adjacency is stored as sorted neighbor lists, plus neighbor sets for
-    O(1) membership tests that are built on first read.  Instances are
-    immutable after construction.
+    O(1) membership tests that are built on first read.  dist0 is the
+    `bfs` row of vertex 0, which the connectivity check reads, and from
+    which the table takes ecc(0) and the bipartite test its 2-colouring.
+    Instances are immutable after construction.
     """
 
-    __slots__ = ("n", "adj", "name", "__dict__")
+    __slots__ = ("n", "adj", "name", "dist0", "__dict__")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], name: str = ""):
         adj_sets: list[set[int]] = [set() for _ in range(n)]
@@ -30,8 +32,9 @@ class Graph:
         self.n = n
         self.adj = [sorted(s) for s in adj_sets]
         self.name = name
-        if n < 1 or -1 in bfs(self, 0):
+        if n < 1 or -1 in (dist0 := bfs(self, 0)):
             raise Disconnected("graph is not connected")
+        self.dist0 = dist0
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
@@ -60,7 +63,7 @@ class DistMatrix:
 
     Row u is a list of ints, d[u][v] = d(u, v).  On a graph whose
     distances fit in a byte the rows come from `_lane_distances` and hold
-    CPython's shared small ints; otherwise from one `_bfs` per source,
+    CPython's shared small ints; otherwise from one `bfs` per source,
     whose rows share one int object per distance."""
 
     __slots__ = ("d", "n", "_diameter")
@@ -83,41 +86,6 @@ class DistMatrix:
 
     def __getitem__(self, u: int) -> list[int]:
         return self.d[u]
-
-
-def _neighbour_masks(g: Graph) -> list[int]:
-    """nbr[u] is N(u) as a Python-int bitset."""
-    nbr = []
-    for a in g.adj:
-        mask = 0
-        for v in a:
-            mask |= 1 << v
-        nbr.append(mask)
-    return nbr
-
-
-def _bfs(nbr: list[int], source: int, levels: list[int]) -> list[int]:
-    """Level-synchronous BFS on neighbour bitsets: the next frontier is the
-    OR of the frontier's neighbour masks, less every vertex already seen.
-    The distance k is stored as levels[k], so rows that share levels share
-    their int objects: CPython caches only the ints up to 256, and each
-    distinct int takes 32 bytes besides the row's 8-byte pointer to it."""
-    dist = [-1] * len(nbr)
-    seen = frontier = 1 << source
-    k = 0
-    while frontier:
-        reach = 0
-        level = levels[k]
-        while frontier:
-            low = frontier & -frontier
-            x = low.bit_length() - 1
-            dist[x] = level
-            reach |= nbr[x]
-            frontier ^= low
-        frontier = reach & ~seen
-        seen |= frontier
-        k += 1
-    return dist
 
 
 def _lane_distances(g: Graph, levels: int) -> list[int]:
@@ -214,23 +182,29 @@ def _lane_distances(g: Graph, levels: int) -> list[int]:
     return acc
 
 
-def bfs(g: Graph, source: int) -> list[int]:
+def bfs(g: Graph, source: int, levels: Sequence[int] | None = None) -> list[int]:
     """Hop distances from source; -1 marks a vertex it does not reach.
 
     One source walks the adjacency lists, in O(n + m) time and memory.
-    `all_pairs_distances` reads the eccentricity of vertex 0 from it to
-    pick how it builds the table."""
+    The distance k is stored as levels[k], range(n + 1) if none is given,
+    so rows that share levels share their int objects: CPython caches only
+    the ints up to 256, and each distinct int takes 32 bytes besides the
+    row's 8-byte pointer to it."""
+    adj = g.adj
+    if levels is None:
+        levels = range(g.n + 1)
     dist = [-1] * g.n
     dist[source] = 0
     frontier = [source]
     k = 0
     while frontier:
         k += 1
+        level = levels[k]
         reach = []
         for x in frontier:
-            for y in g.adj[x]:
+            for y in adj[x]:
                 if dist[y] < 0:
-                    dist[y] = k
+                    dist[y] = level
                     reach.append(y)
         frontier = reach
     return dist
@@ -246,10 +220,11 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]], name: str = "") -> Gra
 
 
 def all_pairs_distances(g: Graph) -> DistMatrix:
-    """The distance table.  The diameter is at most 2 ecc(0): when that
-    fits in a byte lane, `_lane_distances` grows every source's ball at once;
-    otherwise each source runs `_bfs` on neighbour bitsets."""
-    reach = 2 * max(bfs(g, 0))
+    """The distance table.  The diameter is at most 2 ecc(0), read off
+    `g.dist0`: when that fits in a byte lane, `_lane_distances` grows every
+    source's ball at once; otherwise row s is `bfs(g, s)`, every row taking
+    distance k from one shared list of level ints."""
+    reach = 2 * max(g.dist0)
     if reach < 256:
         # each row is read off its lanes as CPython's shared small ints,
         # and the lanes are freed as the rows are built
@@ -257,9 +232,8 @@ def all_pairs_distances(g: Graph) -> DistMatrix:
         lanes.reverse()
         return DistMatrix([list(lanes.pop().to_bytes(g.n, "little"))
                            for _ in range(g.n)])
-    nbr = _neighbour_masks(g)
-    levels = list(range(g.n))
-    return DistMatrix([_bfs(nbr, s, levels) for s in range(g.n)])
+    levels = list(range(g.n + 1))
+    return DistMatrix([bfs(g, s, levels) for s in range(g.n)])
 
 
 def power_graph(g: Graph, p: int) -> Graph:

@@ -20,9 +20,10 @@ TC's is the least failing u, then its first edge; QC's is the
 fails TC; meshedness's is the first failing pair, then the least u that
 fails it.
 
-Modularity, convex balls and the bipartite absolute retracts AND interval
-bitsets, which `metric.interval_masks` builds for one source at a time.
-INC and the QC witness read adjacency lists and distance rows alone.
+Modularity and convex balls AND interval bitsets, which
+`metric.interval_masks` builds for one source at a time.  INC, the QC
+witness and the bipartite absolute retracts read adjacency lists and
+distance rows alone.
 
 Chordality, thickness, IC3/IC4 and the alpha and beta configurations are
 local, and read no distance table.  The distance-2 pairs come from
@@ -47,7 +48,7 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import EmbeddingUnverified, LabelArity, ParseError
-from .graph import DistMatrix, Graph, _data_lines, _neighbour_masks, bfs
+from .graph import DistMatrix, Graph, _data_lines
 from .medians import _pairs_in_distance_band
 from .metric import interval_masks, members
 
@@ -91,6 +92,17 @@ def write_labels(e: LabeledEmbedding) -> str:
     lines = [f"{v}: {','.join(str(i) for i in sorted(e.labels[v]))}"
              for v in sorted(e.labels)]
     return "\n".join(lines) + "\n"
+
+
+def _neighbour_masks(g: Graph) -> list[int]:
+    """nbr[u] is N(u) as a Python-int bitset."""
+    nbr = []
+    for a in g.adj:
+        mask = 0
+        for v in a:
+            mask |= 1 << v
+        nbr.append(mask)
+    return nbr
 
 
 def _second_ring(g: Graph, nbr: list[int], u: int) -> int:
@@ -511,7 +523,7 @@ def is_thick(g: Graph) -> ClassVerdict:
 
 def is_bipartite(g: Graph) -> tuple[bool, list[int] | None]:
     """2-colouring by BFS level parity; it is proper iff g is bipartite."""
-    color = [dist % 2 for dist in bfs(g, 0)]
+    color = [dist % 2 for dist in g.dist0]
     if any(color[a] == color[b] for a, b in g.edges()):
         return False, None
     return True, color
@@ -519,19 +531,38 @@ def is_bipartite(g: Graph) -> tuple[bool, list[int] | None]:
 
 def is_bipartite_absolute_retract(g: Graph, d: DistMatrix) -> ClassVerdict:
     """Bipartite + interval condition: for d(u,v) >= 3 the neighbors of v
-    inside I(u,v) have a second common neighbor in I(u,v)."""
+    inside I(u,v) have a second common neighbor in I(u,v).
+
+    The condition reads u's distance row and the adjacency lists.  With
+    k = d(u,v) >= 3, let near be the neighbours y of v with d(u,y) = k - 1;
+    the pair passes iff some neighbour x of near[0] with d(u,x) = k - 2 is
+    adjacent to every vertex of near.  On a bipartite graph:
+
+    - near is exactly N(v) & I(u,v), since a neighbour y of v lies in
+      I(u,v) iff d(u,y) + 1 = k;
+    - a vertex x != v of I(u,v) adjacent to a vertex y of near lies at
+      level k - 2: d(u,x) = d(u,y) +- 1, as no edge joins two vertices of
+      one level, and at level k, x in I(u,v) would give d(x,v) = 0;
+    - a vertex x at level k - 2 adjacent to a vertex of near is at most 2
+      from v, and at least d(u,v) - d(u,x) = 2, so d(u,x) + d(x,v) = k and
+      x lies in I(u,v).
+
+    So the second common neighbours in I(u,v) are the vertices at level
+    k - 2 adjacent to all of near, and as near is not empty, each is a
+    neighbour of near[0].  The pairs are scanned in the order u, then v,
+    so the witness is the first failing pair."""
     bip, _ = is_bipartite(g)
     if not bip:
         return ClassVerdict("bipartite_absolute_retract", False, ("not_bipartite",))
-    nbr = _neighbour_masks(g)
+    adj, sets = g.adj, g.adj_sets
     for u in range(g.n):
-        row, intervals = d[u], interval_masks(g, d, u)
-        for v in range(g.n):
-            if row[v] < 3:
+        row = d[u]
+        for v, k in enumerate(row):
+            if k < 3:
                 continue
-            iv = intervals[v]
-            near = nbr[v] & iv
-            if not any(nbr[x] & near == near for x in members(iv & ~(1 << v))):
+            near = [y for y in adj[v] if row[y] == k - 1]
+            if not any(row[x] == k - 2 and sets[x].issuperset(near)
+                       for x in adj[near[0]]):
                 return ClassVerdict("bipartite_absolute_retract", False, (u, v))
     return ClassVerdict("bipartite_absolute_retract", True)
 

@@ -8,7 +8,8 @@ interval condition, the simplex on every pair instead of the shared pair
 verdicts, the phase-1 tableau with its artificial columns stored instead of
 implied, the product y^T M over every row instead of the rows a
 certificate names, a search over every pair of a set instead of a walk along the
-distance rows, the alpha/beta finders on the distance table and J°(u,v)
+distance rows, the bipartite absolute retracts on interval bitsets instead
+of one distance row, the alpha/beta finders on the distance table and J°(u,v)
 instead of neighbour bitsets, and maximum-cardinality search by a scan of
 every vertex instead of heaps.
 
@@ -39,8 +40,9 @@ from medgraph.lp import (FeasibilityResult, RationalMatrix, build_Duv,
                          lp_feasible_strict)
 from medgraph.medians import (Profile, VertexFunction, _pairs_in_distance_band,
                               check_WP)
-from medgraph.metric import J_set, Jcirc_set
-from medgraph.recognizers import ClassVerdict, is_modular, personal_neighbor
+from medgraph.metric import J_set, Jcirc_set, interval_masks, members
+from medgraph.recognizers import (ClassVerdict, _neighbour_masks, is_bipartite,
+                                  is_modular, personal_neighbor)
 
 
 def is_p_weakly_peakless_full(g: Graph, d: DistMatrix, f: VertexFunction, p: int) -> bool:
@@ -270,6 +272,25 @@ def absolute_retract_by_extension(g: Graph, d: DistMatrix,
                 return ClassVerdict("absolute_retract_extension", False,
                                     tuple(sorted(a_side | b_side)))
     return ClassVerdict("absolute_retract_extension", True)
+
+
+def bipartite_absolute_retract_by_masks(g: Graph, d: DistMatrix) -> ClassVerdict:
+    """`recognizers.is_bipartite_absolute_retract` on interval bitsets: for
+    d(u,v) >= 3, some x != v of I(u,v) is adjacent to every neighbour of v
+    in I(u,v)."""
+    if not is_bipartite(g)[0]:
+        return ClassVerdict("bipartite_absolute_retract", False, ("not_bipartite",))
+    nbr = _neighbour_masks(g)
+    for u in range(g.n):
+        row, intervals = d[u], interval_masks(g, d, u)
+        for v in range(g.n):
+            if row[v] < 3:
+                continue
+            iv = intervals[v]
+            near = nbr[v] & iv
+            if not any(nbr[x] & near == near for x in members(iv & ~(1 << v))):
+                return ClassVerdict("bipartite_absolute_retract", False, (u, v))
+    return ClassVerdict("bipartite_absolute_retract", True)
 
 
 def _bn_extends(g: Graph, a_side, b_side) -> bool:

@@ -97,14 +97,16 @@ def test_distances_match_networkx():
     import networkx as nx
     from reference import _recognizer_corpus, _to_nx
     wide = [cycle_graph(41), path_graph(30), complete_bipartite(1, 20)]
-    # the table takes byte lanes when 2 ecc(0) < 256, else one _bfs per
+    # the table takes byte lanes when 2 ecc(0) < 256, else one bfs per
     # source: P_128 (ecc(0) = 127), C_254, halfH_9 and G_11 take lanes,
-    # P_129 (ecc(0) = 128) and P_300 from its middle (ecc(0) = 150, diameter
-    # 299, past a byte) take _bfs
+    # P_129 (ecc(0) = 128), P_300 from its middle (ecc(0) = 150, diameter
+    # 299, past a byte) and K_12 with a 130-vertex tail (ecc(0) = 131, a
+    # core of degree 11-12) take bfs
     lanes = [path_graph(128), path_graph(129), cycle_graph(254),
              halved_cube(9)[0], projective_incidence_graph(11),
              build_graph(300, [((x + 150) % 300, (x + 151) % 300)
-                               for x in range(299)])]
+                               for x in range(299)]),
+             _clique_with_tails(12, (11, 130))]
     # dense vertices with sparse rings far out: the lanes grow each source
     # bottom-up or top-down, level by level
     lanes += [_clique_with_tails(100, (99, 100)), _clique_with_tails(30, (29, 70)),

@@ -16,8 +16,7 @@ from medgraph.families import (alpha_configuration, beta_configuration,
                                hypercube, johnson, path_graph,
                                projective_incidence_graph)
 from medgraph.errors import BudgetExceeded, Disconnected
-from medgraph.graph import (_neighbour_masks, all_pairs_distances, build_graph,
-                            power_graph)
+from medgraph.graph import all_pairs_distances, build_graph, power_graph
 from medgraph.lp import (FeasibilityResult, RationalMatrix, _check_result,
                          compute_p, disconnecting_profile,
                          has_Gp_connected_medians, lp_feasible_strict,
@@ -33,7 +32,8 @@ from medgraph.medians import (Profile, VertexFunction, _pairs_in_distance_band,
 from medgraph import lp, oracle
 from medgraph.oracle import brute_force_oracle
 from medgraph.recognizers import (ClassVerdict, _distance_two_pairs,
-                                  _mcs_order, _triangle_violations,
+                                  _mcs_order, _neighbour_masks,
+                                  _triangle_violations,
                                   detect_alpha_configuration,
                                   detect_beta_configuration, has_convex_balls,
                                   induced_squares, is_bipartite, is_bridged,

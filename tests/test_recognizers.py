@@ -1,8 +1,12 @@
+from collections import Counter
+
 import pytest
 
 from medgraph import recognizers
+from medgraph.benzenoid import BenzenoidSpec, benzenoid
 from medgraph.errors import LabelArity
 from medgraph.families import (beta_configuration, bn_hat_graph,
+                               cartesian_product, complete_bipartite,
                                complete_graph, cycle_graph, halved_cube,
                                hypercube, johnson, path_graph, wheel)
 from medgraph.graph import all_pairs_distances, build_graph
@@ -19,7 +23,9 @@ from medgraph.recognizers import (connected_medians_partial_halved_cube,
                                   read_labels, satisfies_ICm, satisfies_INC,
                                   satisfies_PC, satisfies_TPC,
                                   verify_labeled_embedding, write_labels)
-from reference import _gd, absolute_retract_by_extension
+from reference import (_gd, _recognizer_corpus, _relabelled,
+                       absolute_retract_by_extension,
+                       bipartite_absolute_retract_by_masks)
 
 
 # ------------------------------------------------------------------ meshedness
@@ -236,6 +242,25 @@ def test_trees_absolute_retract():
 def test_c6_not_absolute_retract():
     g, d = _gd(cycle_graph(6))
     assert not is_bipartite_absolute_retract(g, d)
+
+
+def test_retract_rows_agree_with_the_interval_masks():
+    # verdict and witness, the first failing pair in scan order, of the
+    # distance-row test equal those of the interval-bitset test
+    coronene = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
+    bipartite = [path_graph(7), cycle_graph(8), bn_hat_graph(3),
+                 bn_hat_graph(4), hypercube(3)[0], complete_bipartite(3, 3),
+                 cartesian_product(path_graph(5), path_graph(5)),
+                 cartesian_product(cycle_graph(6), path_graph(3)),
+                 benzenoid(BenzenoidSpec(frozenset(coronene))).graph]
+    seen = Counter()
+    for g in _recognizer_corpus() + bipartite:
+        for h in (g, _relabelled(g, 1), _relabelled(g, 2)):
+            h, d = _gd(h)
+            got = is_bipartite_absolute_retract(h, d)
+            assert got == bipartite_absolute_retract_by_masks(h, d), h.edges()
+            seen[got.verdict, got.witness == ("not_bipartite",)] += 1
+    assert seen[True, False] >= 100 and seen[False, False] >= 25, seen
 
 
 def test_extension_check_agrees_on_small_graphs():
