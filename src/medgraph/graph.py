@@ -93,29 +93,15 @@ def _lane_distances(g: Graph, levels: int) -> list[int]:
 
     A set of vertices is a Python int with vertex x in the 8-bit lane x,
     that is, bit 8x.  The ball B_k(s) = {x : d(s, x) <= k} of every
-    source s grows one level per pass, by one of two recurrences:
+    source s grows one level per pass, bottom-up, in deg(s) ORs:
 
-    - bottom-up, deg(s) ORs: B_k(s) = B_{k-1}(s) | OR of B_{k-1}(y) over
-      y in N(s);
-    - top-down, one OR per ring vertex: B_k(s) = B_{k-1}(s) | N(R_{k-1}(s)),
-      over the ring R_{k-1}(s) = B_{k-1}(s) minus B_{k-2}(s).
+        B_k(s) = B_{k-1}(s) | OR of B_{k-1}(y) over y in N(s).
 
-    Both give B_k(s).  A shortest path from s to an x with d(s, x) = k >= 1
-    starts with some y in N(s), and d(y, x) = k - 1; and d(s, x) <= 1 +
-    d(y, x) for every y in N(s): so the bottom-up union holds exactly the x
-    with d(s, x) <= k.  The vertex before x on that path is in R_{k-1}(s),
-    and a neighbour of a vertex of R_{k-1}(s) is at most k from s: so the
-    top-down union holds B_{k-1}(s) and exactly the x with d(s, x) = k.  The
-    neighbours of B_{k-2}(s) lie in B_{k-1}(s) already, so the ring
-    suffices.  As both are exact, each source takes its own recurrence at
-    each level, whichever costs fewer ORs.  Top-down reads its ring one
-    vertex at a time off the top lane, which with the OR costs about 4 ORs
-    a vertex (measured), so it runs when 4 |R_{k-1}(s)| < deg(s): on the
-    sparse rings of a dense vertex, such as the tail of a path hung on a
-    clique.  A narrow source, of degree 8 or less, never reads its ring:
-    taking and counting the ring costs about as much as the few ORs that
-    top-down could save there (measured on Q_6).  No vertex of a row is
-    read one at a time.
+    A shortest path from s to an x with d(s, x) = k >= 1 starts with some
+    y in N(s), and d(y, x) = k - 1; and d(s, x) <= 1 + d(y, x) for every y
+    in N(s): so the union holds exactly the x with d(s, x) <= k.  Each pass
+    reads the balls of the previous level and writes the new ones apart, so
+    no source reads a neighbour's ball of the level it is building.
 
     The row of s counts, in lane x, the levels k < ecc(s) whose ball has
     not reached x, which is d(s, x): the sum of full ^ B_k(s) over those k,
@@ -128,26 +114,16 @@ def _lane_distances(g: Graph, levels: int) -> list[int]:
     levels at most, so no count can pass that bound either.  The balls are
     freed on return, and the caller reads row s off the bytes of acc[s]."""
     n, adj = g.n, g.adj
-    nbr = []
-    for a in adj:
-        lanes = bytearray(n)
-        for y in a:
-            lanes[y] = 1
-        nbr.append(int.from_bytes(lanes, "little"))
     ball = [1 << (x << 3) for x in range(n)]
     full = int.from_bytes(b"\x01" * n, "little")
     acc = [0] * n
-    prev = [0] * n   # B_{k-2}(s) of a wide s: R_{k-1}(s) = ball[s] ^ prev[s]
-    # the two kinds of source run in two loops, so a narrow one pays for no
-    # degree test (a source's pass takes about 1 us on the graphs measured)
-    narrow = [s for s in range(n) if len(adj[s]) <= 8]
-    wide = [s for s in range(n) if len(adj[s]) > 8]
+    active = range(n)
     for k in range(1, levels + 1):
-        if not (narrow or wide):
+        if not active:
             break
         grown = ball[:]
         still = []
-        for s in narrow:
+        for s in active:
             b = ball[s]
             for y in adj[s]:
                 b |= ball[y]
@@ -157,27 +133,7 @@ def _lane_distances(g: Graph, levels: int) -> list[int]:
             else:
                 acc[s] += ball[s]
                 still.append(s)
-        narrow, still = still, []
-        for s in wide:
-            b = ball[s]
-            a = adj[s]
-            if 4 * (ring := b ^ prev[s]).bit_count() < len(a):
-                while ring:
-                    x = ring.bit_length() >> 3
-                    b |= nbr[x]
-                    ring ^= 1 << (x << 3)
-            else:
-                for y in a:
-                    b |= ball[y]
-            grown[s] = b
-            if b == full:
-                acc[s] = k * full - acc[s] - ball[s]
-                prev[s] = 0
-            else:
-                acc[s] += ball[s]
-                prev[s] = ball[s]
-                still.append(s)
-        wide = still
+        active = still
         ball = grown
     return acc
 
@@ -222,8 +178,9 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]], name: str = "") -> Gra
 def all_pairs_distances(g: Graph) -> DistMatrix:
     """The distance table.  The diameter is at most 2 ecc(0), read off
     `g.dist0`: when that fits in a byte lane, `_lane_distances` grows every
-    source's ball at once; otherwise row s is `bfs(g, s)`, every row taking
-    distance k from one shared list of level ints."""
+    source's ball at once, each from its neighbours' balls of the level
+    before; otherwise row s is `bfs(g, s)`, every row taking distance k
+    from one shared list of level ints."""
     reach = 2 * max(g.dist0)
     if reach < 256:
         # each row is read off its lanes as CPython's shared small ints,

@@ -3,8 +3,9 @@ from types import SimpleNamespace
 import pytest
 
 from medgraph.errors import Disconnected, LoopEdge, ParseError
-from medgraph.families import (complete_bipartite, cycle_graph, halved_cube,
-                               path_graph, projective_incidence_graph)
+from medgraph.families import (complete_bipartite, complete_graph, cycle_graph,
+                               halved_cube, path_graph,
+                               projective_incidence_graph)
 from medgraph.graph import (Graph, all_pairs_distances, bfs, build_graph,
                             power_graph, read_graph, write_graph)
 
@@ -107,10 +108,12 @@ def test_distances_match_networkx():
              build_graph(300, [((x + 150) % 300, (x + 151) % 300)
                                for x in range(299)]),
              _clique_with_tails(12, (11, 130))]
-    # dense vertices with sparse rings far out: the lanes grow each source
-    # bottom-up or top-down, level by level
+    # dense vertices with sparse rings far out, the slowest lane inputs: a
+    # clique vertex ORs its 99 (29, 39) neighbours' balls at every level
+    # until the tail's far end retires it; and K_64, where every source
+    # retires at level 1 after ORing 63 balls
     lanes += [_clique_with_tails(100, (99, 100)), _clique_with_tails(30, (29, 70)),
-              _clique_with_tails(40, (0, 30), (1, 30))]
+              _clique_with_tails(40, (0, 30), (1, 30)), complete_graph(64)]
     for g in _recognizer_corpus() + wide + lanes:
         d = all_pairs_distances(g)
         lengths = dict(nx.all_pairs_shortest_path_length(_to_nx(g)))

@@ -23,7 +23,8 @@ from medgraph.recognizers import (connected_medians_partial_halved_cube,
                                   read_labels, satisfies_ICm, satisfies_INC,
                                   satisfies_PC, satisfies_TPC,
                                   verify_labeled_embedding, write_labels)
-from reference import (_gd, _recognizer_corpus, _relabelled,
+from reference import (_connected_atlas_graphs, _gd, _pool_graphs,
+                       _recognizer_corpus, _relabelled,
                        absolute_retract_by_extension,
                        bipartite_absolute_retract_by_masks)
 
@@ -103,6 +104,42 @@ def test_modular_fills_interval_rows_only_as_the_scan_reads_them(monkeypatch):
                         lambda g, d, u: rows.append(u) or real(g, d, u))
     assert is_modular(g, d).witness == (0, 1, 2)
     assert rows == [0, 1]
+
+
+def test_modular_iff_bipartite_and_weakly_modular():
+    """G is modular iff it is bipartite and weakly modular, checked on the
+    recognizer corpus, the connected atlas graphs and the random pool.
+
+    Modular means every triple (u, v, w) has a median, a vertex in
+    I(u,v) & I(v,w) & I(u,w).  Modular implies both conditions:
+
+    - bipartite: if not, some edge vw has d(u,v) = d(u,w) for u = 0, as
+      else BFS level parity from 0 is a proper 2-colouring.  A median m of
+      (u, v, w) lies in I(v,w) = {v, w}; m = v needs d(u,v) + 1 = d(u,w),
+      and m = w the mirror, so the triple has none.  The triangle
+      condition (TC) then holds with no edge to test, since it asks about
+      edges vw with d(u,v) = d(u,w);
+    - the quadrangle condition (QC): a failure (u, v, w, z) has d(v,w) = 2,
+      z a common neighbour of v and w, d(u,v) = d(u,w) = k, d(u,z) = k + 1,
+      and no common neighbour x of v and w with d(u,x) = k - 1.  A median
+      of (u, v, w) lies in I(v,w), so it is v, w or a common neighbour x.
+      v needs d(u,v) + 2 = d(u,w), w the mirror, and x needs
+      d(u,x) + 1 = d(u,v) = k, so the triple has none.
+
+    The converse, that a bipartite (so triangle-free) weakly modular graph
+    is modular, is the characterization in Bandelt & Chepoi 2008, "Metric
+    graph theory and geometry: a survey", Contemp. Math. 453; this test
+    checks it on the corpus."""
+    graphs = (_recognizer_corpus() + list(_connected_atlas_graphs())
+              + list(_pool_graphs()))
+    modular = 0
+    for g in graphs:
+        g, d = _gd(g)
+        got = is_modular(g, d).verdict
+        want = is_bipartite(g)[0] and is_weakly_modular(g, d).verdict
+        assert got == want, g.edges()
+        modular += got
+    assert len(graphs) == 1305 and modular == 102, (len(graphs), modular)
 
 
 # ------------------------------------------------------------------- chordality
