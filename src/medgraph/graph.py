@@ -207,14 +207,21 @@ def power_graph(g: Graph, p: int) -> Graph:
 def _data_lines(text: str) -> list[str]:
     """The stripped lines of an input file, blank lines and `#` comments
     dropped."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    return [ln for ln in lines if ln and not ln.startswith("#")]
+    return [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
 
 
 def read_graph(text: str) -> Graph:
     """Parse the text format: first line `n m`, then m lines `u v`.
 
-    Lines starting with `#` are comments.
+    Lines starting with `#` are comments.  The edge lines are read in one
+    pass: the lines are joined with a `;` token after each and split once,
+    and the ends are every third token from the fourth and from the fifth.
+    When there are 3(m + 1) tokens and every end is an int, the m + 1 `;`
+    tokens can only sit at every third place, so every line holds two
+    ints.  The list of lines is dropped before the ends are read, and the
+    graph is built from the two lists of ends, with no list of edge
+    tuples.  A file that fails is read again line by line for the message
+    of its first bad edge line.
     """
     lines = _data_lines(text)
     if not lines:
@@ -229,15 +236,23 @@ def read_graph(text: str) -> Graph:
     # `Graph` allocates n adjacency sets, so a huge n in the header is cheap
     if n < 1 or m < n - 1:
         raise Disconnected("graph is not connected")
-    edges = []
-    for ln in lines[1:]:
-        try:
-            u, v = map(int, ln.split())
-        except ValueError as exc:
-            raise ParseError(f"bad edge line {ln!r}") from exc
-        edges.append((u, v))
+    lines.append("")
+    tokens = " ; ".join(lines).split()      # n m ; u v ; ... u v ;
+    del lines
     try:
-        return build_graph(n, edges)
+        if len(tokens) != 3 * (m + 1):
+            raise ValueError("an edge line does not hold two tokens")
+        us, vs = list(map(int, tokens[3::3])), list(map(int, tokens[4::3]))
+    except ValueError:
+        for ln in _data_lines(text)[1:]:
+            try:
+                u, v = map(int, ln.split())
+            except ValueError as exc:
+                raise ParseError(f"bad edge line {ln!r}") from exc
+        raise
+    del tokens
+    try:
+        return build_graph(n, zip(us, vs))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

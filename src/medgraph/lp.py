@@ -8,8 +8,10 @@ Its tableau is [A | -I | rhs]: the artificial columns are not stored, since
 artificial i is always the negated slack column i, and its reduced cost is
 D minus the slack's (see `_phase1`).  It returns either a witness profile,
 in `Fraction`s, or a Farkas certificate, read from the slack reduced costs
-as the integers D*y: a positive multiple of a certificate is one.  Both are
-re-verified exactly on the full D^uv.  A certificate is sparse: the dict
+as the integers D*y: a positive multiple of a certificate is one.  Its
+tableau holds only the first copy of each distinct nonzero column, and
+its pivots are those on every column (see `lp_feasible_strict`).  Both
+answers are re-verified exactly on the full D^uv.  A certificate is sparse: the dict
 {w: y_w} of its entries y_w > 0, keyed by row vertex.  Its check sums y_w
 times row w over the rows it names only, in every column; a zero row adds
 nothing, so this is the full product y^T D^uv, and a unit certificate
@@ -73,8 +75,10 @@ Program. 71):
 The tests run in the order of their cost.  The balanced pairs come first,
 since they read the distance table alone.  Then (`_unbalanced`) the rows
 of D^uv are built in order, and building stops at the first nonnegative
-row.  Then, on a full D^uv, the all-negative column (`_presolve`), and the
-LP only when no test holds.  On the benchmark's random pool, of the 15,671
+row; the same loop keeps the columns that are negative in every row so
+far, so a full D^uv whose first such column is x takes the witness
+{x: 1}.  Only a pair that no test decides gets a `RationalMatrix`, for
+the LP.  On the benchmark's random pool, of the 15,671
 pairs at distance at least 2, a balanced pair decides 5,722, a nonnegative
 row 20 and an all-negative column 8,029, and 1,900 go to the LP.  The
 row-sum certificate y = 1 would decide 20 of these 1,900 and no pair of
@@ -85,14 +89,20 @@ on the pair (0, 22) of C_10 x C_10 it is the two free corners of the
 3 x 3 interval, and y^T D^uv = 0.
 
 Every answer is a sparse integer certificate or a witness, and no answer
-keeps a matrix.  It is checked by a computation apart from its test,
-`_check_result(mat, res)`, on a matrix mat that holds the rows of D^uv it
-names, each built by `build_Duv`'s formula: a zero row adds nothing to
-y^T D^uv.  A balanced pair is checked on rows w_1 and w_2, whose sum must
-be at least 0 in every column (row w alone for a midpoint), a nonnegative
-row on itself, and the witness on the full matrix.  A certificate that is
-empty, has a y_w <= 0 or names a vertex that is not a row of mat fails
-its check, and a failed check raises `AssertionError` naming the pair.
+keeps a matrix.  It is checked by a computation apart from its test, and
+a failed check raises `AssertionError` naming the pair.  An answer found
+before the LP is checked in integers on the distance table, with no
+`RationalMatrix`.  `_holds` takes a certificate {w: y_w} only when each w
+is an interior row (w != u, v and d(u,w) + d(w,v) = d(u,v)) with
+y_w > 0, and sums y_w times row w, built from the distance rows by
+`_Duv_rows`, the one formula of a row, over the rows it names only: a
+zero row adds nothing to y^T D^uv.  Every column of the sum must be at
+least 0.  A balanced pair is checked on rows w_1 and w_2 (row w alone for
+a midpoint), and a nonnegative row on itself.  The witness {x: 1} is
+checked by reading column x of every row again, each entry at most -1.
+An LP answer is checked on the full D^uv by `_check_result(mat, res)`: a
+certificate that is empty, has a y_w <= 0 or names a vertex that is not a
+row of mat fails it.
 
 A band scan of `_pair_verdicts` streams the pairs it has not decided yet.
 The first _BULK_PAIRS - 1 = 31 of them are decided one by one (`_head`),
@@ -155,7 +165,7 @@ from fractions import Fraction
 from .errors import InteriorTooLarge, WrongDistance
 from .graph import DistMatrix, Graph
 from .medians import (Profile, _pairs_in_distance_band, _require_nonadjacent,
-                      _scaled, median_value)
+                      _scaled)
 from .metric import Jcirc_set, M_set, interior_interval
 
 
@@ -199,11 +209,12 @@ def _interior(d: DistMatrix, u: int, v: int) -> tuple[int, ...]:
 
 def _Duv_rows(d: DistMatrix, u: int, v: int, rows):
     """Row w of D^uv for each w of rows, in order, each built as it is read."""
-    du, dv = d[u], d[v]
+    dd = d.d
+    du, dv = dd[u], dd[v]
     k = du[v]
     for w in rows:
         b, a = dv[w], du[w]
-        yield tuple([b * x + a * y - k * z for x, y, z in zip(du, dv, d[w])])
+        yield tuple([b * x + a * y - k * z for x, y, z in zip(du, dv, dd[w])])
 
 
 def _phase1(tableau, n_free):
@@ -236,7 +247,9 @@ def _phase1(tableau, n_free):
     kept as integers T = D * R, where R is the rational simplex tableau and
     D > 0 the determinant of the current basis.  Pivoting on T[r][e] = piv
     leaves row r as it is and maps every other row, the objective row too,
-    to (piv*T[i][j] - T[i][e]*T[r][j]) // D, then sets D = piv; the division
+    to (piv*T[i][j] - T[i][e]*T[r][j]) // D, then sets D = piv; a row with
+    T[i][e] = 0 becomes piv*T[i][j] // D, and stays as it is when piv = D.
+    The division
     is exact because every entry is a minor of the start matrix bordered by
     the objective row, whose bordered basis also has determinant D.  Signs
     of reduced costs and the cross-multiplied ratio test agree with those
@@ -284,7 +297,10 @@ def _phase1(tableau, n_free):
         for i in range(m + 1):
             if i != leaving:
                 c = entering[i]
-                tableau[i] = [(piv * a - c * b) // D for a, b in zip(tableau[i], prow)]
+                if c:
+                    tableau[i] = [(piv * a - c * b) // D for a, b in zip(tableau[i], prow)]
+                elif piv != D:      # c = 0: the row is scaled by piv / D
+                    tableau[i] = [piv * a // D for a in tableau[i]]
         basis[leaving] = label
         D = piv
 
@@ -301,33 +317,51 @@ def lp_feasible_strict(mat: RationalMatrix) -> FeasibilityResult:
     row vertex, D > 0 being the final basis determinant, which certify the
     same as y.
 
-    A matrix of at least _UNIFORM_ENTRIES entries whose row sums are all
-    negative takes the uniform witness instead: 1/min |s_w| on every
-    column that is not all zero, s_w being the sum of row w; see the
-    module docstring.
+    The tableau keeps only the first copy of each distinct nonzero column
+    of M, and every pivot is the one on all of M.  A zero column has
+    reduced cost 0 at every pivot, since it is 0 in every row of the
+    tableau and the objective row starts as minus its column sum, so it
+    never enters.  A later copy of a column is equal to its first copy in
+    every row, the objective row too, at every pivot, so Bland's rule,
+    which takes the lowest label of negative reduced cost, takes the first
+    copy first, and the later one never enters either.  The kept columns
+    are renumbered in order, and the slacks and artificials all shift down
+    by the number of columns left out, so every comparison of labels in
+    the ratio test is as before.  A column that never enters is never basic, so the witness, D
+    and the certificate are those of the full tableau.
+
+    A matrix of at least _UNIFORM_ENTRIES entries, counted before the
+    reduction, whose row sums are all negative takes the uniform witness
+    instead: 1/min |s_w| on every column that is not all zero, s_w being
+    the sum of row w; see the module docstring.
     """
     entries = mat.entries
     m, n = len(entries), len(mat.cols)
     if m * n >= _UNIFORM_ENTRIES and (top := max(map(sum, entries))) < 0:
         weight = Fraction(1, -top)
-        return _checked(mat, FeasibilityResult("feasible", witness={
-            x: weight for x, col in zip(mat.cols, zip(*entries)) if any(col)}),
-            "uniform witness")
+        res = FeasibilityResult("feasible", witness={
+            x: weight for x, col in zip(mat.cols, zip(*entries)) if any(col)})
+        return _checked(_check_result(mat, res), res, "uniform witness", mat.u, mat.v)
+    first = {}              # each distinct nonzero column: its first index
+    for j, col in enumerate(zip(*entries)):
+        if any(col):
+            first.setdefault(col, j)
+    kept = list(first.values())
+    n = len(kept)
     # columns: pi (0..n-1), slacks (n..n+m-1); the artificials are implicit
-    rows = [[-x for x in entries[i]]
-            + [-1 if k == i else 0 for k in range(m)] + [1]
-            for i in range(m)]
+    rows = [[-x for x in row] + [-1 if k == i else 0 for k in range(m)] + [1]
+            for i, row in enumerate(list(zip(*first)) or [()] * m)]
     tableau, D, basis = _phase1(rows, n)
     obj = tableau[-1]
     if obj[-1] == 0:
         res = FeasibilityResult("feasible", witness={
-            mat.cols[b]: Fraction(tableau[i][-1], D) for i, b in enumerate(basis)
+            mat.cols[kept[b]]: Fraction(tableau[i][-1], D) for i, b in enumerate(basis)
             if b < n and tableau[i][-1] != 0})
     else:
         # obj[n + i] = D * y_i, y_i being the reduced cost of slack column i
         res = FeasibilityResult("infeasible", certificate={
             w: y for w, y in zip(mat.rows, obj[n:n + m]) if y})
-    return _checked(mat, res, "simplex answer")
+    return _checked(_check_result(mat, res), res, "simplex answer", mat.u, mat.v)
 
 
 _UNIFORM_ENTRIES = 256        # the size gate of the uniform witness: see the module docstring
@@ -364,56 +398,69 @@ def _check_result(mat: RationalMatrix, r: FeasibilityResult) -> bool:
     return min(map(sum, zip(*scaled)), default=0) >= 0
 
 
-def _checked(mat: RationalMatrix, res: FeasibilityResult, source: str) -> FeasibilityResult:
-    """res, once `_check_result` accepts it on mat."""
-    if not _check_result(mat, res):
-        raise AssertionError(f"{source} does not verify on pair ({mat.u},{mat.v})")
+def _checked(ok: bool, res: FeasibilityResult, source: str, u: int, v: int) -> FeasibilityResult:
+    """res, once its check ok holds on the pair (u, v)."""
+    if not ok:
+        raise AssertionError(f"{source} does not verify on pair ({u},{v})")
     return res
 
 
-def _presolve(mat: RationalMatrix) -> FeasibilityResult | None:
-    """The witness {x: 1} for the first all-negative column x of a full
-    D^uv that no balanced pair and no nonnegative row decides, checked on
-    it, else None."""
-    neg = range(len(mat.cols))
-    for row in mat.entries:
-        neg = [j for j in neg if row[j] < 0]
-    if neg:
-        return _checked(mat, FeasibilityResult(
-            "feasible", witness={mat.cols[neg[0]]: Fraction(1)}), "one-vertex answer")
-    return None
+def _holds(d: DistMatrix, u: int, v: int, y: dict[int, int]) -> bool:
+    """Whether y = {w: y_w} is a Farkas certificate of the pair (u, v),
+    checked in integers on the rows of D^uv it names: each w an interior
+    row (w != u, v and d(u,w) + d(w,v) = d(u,v)) with y_w > 0, at least
+    one of them, and the sum of y_w times row w (`_Duv_rows`) at least 0
+    in every column."""
+    du, dv = d.d[u], d.d[v]
+    k = du[v]
+    total = None
+    for (w, yw), row in zip(y.items(), _Duv_rows(d, u, v, y)):
+        if w == u or w == v or du[w] + dv[w] != k or yw <= 0:
+            return False
+        row = row if yw == 1 else [yw * x for x in row]
+        total = row if total is None else list(map(operator.add, total, row))
+    return total is not None and min(total) >= 0
 
 
 def _head(d: DistMatrix, r, u: int, v: int):
     """(mat, res) for the pair (u, v) decided on its own: res is its
-    balanced-pair certificate, checked on the rows it names, and then mat
-    is None; else the `_unbalanced` answer."""
-    rows = _interior(d, u, v)
-    pair = _balanced(d, r, u, v, rows)
+    balanced-pair certificate, checked by `_holds`, and then mat is None;
+    else the `_unbalanced` answer."""
+    du = d.d[u]
+    k = du[v]
+    far = list(map(operator.add, du, d.d[v]))
+    rows = [w for w, f in enumerate(far) if f == k]      # I(u,v)
+    rows.remove(u)
+    rows.remove(v)
+    pair = _balanced(d, r, u, v, rows, far)
     if pair is None:
-        return _unbalanced(d, u, v, rows)
+        return _unbalanced(d, u, v, tuple(rows))
     y = dict.fromkeys(pair, 1)     # {w: 1} for a midpoint w = w_1 = w_2
-    mat = RationalMatrix(tuple(_Duv_rows(d, u, v, y)), tuple(y), tuple(range(d.n)), u, v)
-    return None, _checked(mat, FeasibilityResult("infeasible", certificate=y),
-                          "balanced answer")
+    return None, _checked(_holds(d, u, v, y), FeasibilityResult("infeasible", certificate=y),
+                          "balanced answer", u, v)
 
 
 def _unbalanced(d: DistMatrix, u: int, v: int, rows):
     """(mat, res) for the pair (u, v) whose interior rows no balanced pair
-    decides: res is its first nonnegative row, the rows being built in order
-    up to it, checked on itself, and then mat is None; else mat is its full
-    D^uv and res the `_presolve` answer, or None, which leaves the pair to
-    the LP."""
-    cols = tuple(range(d.n))
+    decides.  Its rows of D^uv are built in order, and the columns negative
+    in every row so far are kept.  res is the first nonnegative row {w: 1},
+    checked by `_holds`, else the witness {x: 1} of the first column x
+    negative in every row, checked by reading column x of every row again,
+    and then mat is None.  Else mat is the full D^uv and res is None, which
+    leaves the pair to the LP."""
     entries = []
+    neg = range(d.n)
     for w, row in zip(rows, _Duv_rows(d, u, v, rows)):
         if min(row) >= 0:
-            return None, _checked(RationalMatrix((row,), (w,), cols, u, v),
-                                  FeasibilityResult("infeasible", certificate={w: 1}),
-                                  "one-vertex answer")
+            return None, _checked(_holds(d, u, v, {w: 1}), FeasibilityResult(
+                "infeasible", certificate={w: 1}), "one-vertex answer", u, v)
+        neg = [x for x in neg if row[x] < 0]
         entries.append(row)
-    mat = RationalMatrix(tuple(entries), rows, cols, u, v)
-    return mat, _presolve(mat)
+    if neg:
+        x = neg[0]
+        return None, _checked(all(row[x] <= -1 for row in entries), FeasibilityResult(
+            "feasible", witness={x: Fraction(1)}), "one-vertex answer", u, v)
+    return RationalMatrix(tuple(entries), rows, tuple(range(d.n)), u, v), None
 
 
 def verify_feasibility_result(g: Graph, d: DistMatrix, u: int, v: int,
@@ -422,7 +469,7 @@ def verify_feasibility_result(g: Graph, d: DistMatrix, u: int, v: int,
     return _check_result(build_Duv(g, d, u, v), r)
 
 
-def _balanced(d: DistMatrix, r, u: int, v: int, rows):
+def _balanced(d: DistMatrix, r, u: int, v: int, rows, far):
     """The first balanced pair (w_1, w_2), w_1 <= w_2, of the interior rows
     of D^uv whose try holds, else None.  The candidates are taken level by
     level, w_1 at distance a from u and w_2 at distance d(u,v) - a, the
@@ -430,7 +477,7 @@ def _balanced(d: DistMatrix, r, u: int, v: int, rows):
     first, then by least r(w_1) + r(w_2), r being the transmissions, then in
     row order; at most _BALANCED_TRIES of them are tried.  A try holds when
     d(w_1,x) + d(w_2,x) <= d(u,x) + d(v,x) for every x; see the module
-    docstring."""
+    docstring; far[x] is d(u,x) + d(v,x)."""
     dd = d.d
     du = dd[u]
     k = du[v]
@@ -445,8 +492,7 @@ def _balanced(d: DistMatrix, r, u: int, v: int, rows):
                 w1, w2 = w2, w1
             tries.append((dd[w1][w2] != k, r[w1] + r[w2], w1, w2))
     tries.sort()
-    far = list(map(operator.add, du, dd[v]))
-    for *_, w1, w2 in tries[:_BALANCED_TRIES]:
+    for _, _, w1, w2 in tries[:_BALANCED_TRIES]:
         if all(map(operator.le, map(operator.add, dd[w1], dd[w2]), far)):
             return w1, w2
     return None
@@ -634,18 +680,20 @@ def disconnecting_profile(g: Graph, d: DistMatrix, u: int, v: int,
     Input: integer pi whose median function has every interior vertex of
     I(u,v) strictly above the chord between u and v.  The boost
     mu = k*F(v) + 1 (k = d(u,v), F(v) >= F(u)) makes u and v the unique
-    minima while the relative order elsewhere is preserved.
+    minima while the relative order elsewhere is preserved.  It is
+    computed in ints, and only the `Profile` returned holds `Fraction`s.
     """
-    fu, fv = median_value(g, d, pi, u), median_value(g, d, pi, v)
+    _, ints = _scaled(list(pi.weights.values()))     # den = 1: pi is an integer profile
+    weights = dict(zip(pi.weights, ints))
+    fu, fv = (sum(w * d.d[x][y] for x, w in weights.items()) for y in (u, v))
     if fv < fu:
         u, v = v, u
         fu, fv = fv, fu
     k = d(u, v)
-    eps = fv - fu
     mu = k * fv + 1
-    boosted = {x: k * w for x, w in pi.weights.items()}
-    boosted[u] = boosted.get(u, Fraction(0)) + mu
-    boosted[v] = boosted.get(v, Fraction(0)) + mu + eps
+    boosted = {x: k * w for x, w in weights.items()}
+    boosted[u] = boosted.get(u, 0) + mu
+    boosted[v] = boosted.get(v, 0) + mu + fv - fu
     return Profile(boosted)
 
 

@@ -76,6 +76,44 @@ def test_read_comments_and_errors():
         read_graph("nonsense\n")
 
 
+@pytest.mark.parametrize("text, error, message", [
+    ("", ParseError, "empty graph file"),
+    ("# only a comment\n\n", ParseError, "empty graph file"),
+    ("3 2 1\n0 1\n", ParseError, "bad header line '3 2 1'"),
+    ("3 x\n0 1 2\n", ParseError, "bad header line '3 x'"),
+    ("4 2\n0 1 2\n", ParseError, "expected 2 edge lines, found 1"),
+    ("3 2\n0 1\n1 2\n2 0\n", ParseError, "expected 2 edge lines, found 3"),
+    ("4 2\n0 x\n1 2\n", Disconnected, "graph is not connected"),
+    ("3 2\n0 1 2\n1\n", ParseError, "bad edge line '0 1 2'"),
+    ("2 1\n0 1 0 1 0\n", ParseError, "bad edge line '0 1 0 1 0'"),
+    ("3 2\n0\n1 2 3\n", ParseError, "bad edge line '0'"),
+    ("3 2\n0 1\n; 2\n", ParseError, "bad edge line '; 2'"),
+    ("2 1\n0 1 ;\n", ParseError, "bad edge line '0 1 ;'"),
+    ("3 2\n0 1 # edge\n1 2\n", ParseError, "bad edge line '0 1 # edge'"),
+    ("3 2\n0 5\n1 x\n", ParseError, "bad edge line '1 x'"),
+    ("3 2\n0 5\n1 2\n", ParseError, "edge (0,5) out of range for n=3"),
+    ("3 2\n+0 1_0\n1 2\n", ParseError, "edge (0,10) out of range for n=3"),
+    ("3 2\n1 1\n1 2\n", LoopEdge, "loop at vertex 1"),
+], ids=["empty", "comments-only", "header-three-tokens", "header-before-count",
+        "count-before-bound", "count-over", "bound-before-edges", "three-then-one-token",
+        "five-tokens",
+        "one-then-three-tokens", "separator-token", "trailing-separator", "trailing-comment",
+        "bad-line-before-range", "range", "int-syntax", "loop"])
+def test_read_graph_messages(text, error, message):
+    # each error and the first that applies, in the order header, edge
+    # count, n/m bound, the first bad edge line, then the graph's own:
+    # the edge lines are read in one pass, and a file with a line of other
+    # than two int tokens is read again line by line for the message
+    with pytest.raises(error) as info:
+        read_graph(text)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_read_graph_takes_any_whitespace_between_ends():
+    g = read_graph("3 2\n0\t1\n\n# c\n 1  2 \n")
+    assert (g.n, g.edges()) == (3, [(0, 1), (1, 2)])
+
+
 def test_power_graph():
     g = build_graph(5, [(i, i + 1) for i in range(4)])
     g2 = power_graph(g, 2)

@@ -73,25 +73,62 @@ def _random_strict_matrices(count=20000, seed=17):
 
 def _pool_lp_matrices():
     """The D^uv of the benchmark's random pool that no nonnegative row and
-    no `_presolve` answer decides: the simplex's, balanced pairs aside."""
+    no all-negative column decides: the simplex's, balanced pairs aside."""
     for g in _pool_graphs():
         d = all_pairs_distances(g)
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 if d(u, v) >= 2:
                     mat = build_Duv(g, d, u, v)
-                    if all(min(row) < 0 for row in mat.entries) and lp._presolve(mat) is None:
+                    if all(min(row) < 0 for row in mat.entries) and _no_negative_column(mat):
                         yield mat
 
 
-@pytest.mark.parametrize("matrices, count", [
-    (_random_strict_matrices, 20000),
-    (_pool_lp_matrices, 4242),
-], ids=["random", "pool"])
-def test_implicit_artificials_pivot_like_the_stored_ones(monkeypatch, matrices, count):
-    """The phase 1 with implied artificial columns makes the pivots of the
-    full tableau, also where Bland's rule brings an artificial back: the
-    same basis labels, D and stored columns, and the same answer."""
+def _no_negative_column(mat):
+    return all(max(col) >= 0 for col in zip(*mat.entries))
+
+
+def _kept_columns(mat):
+    """The index of the first copy of each distinct nonzero column of mat,
+    in order: the columns of the simplex's tableau."""
+    first = {}
+    for j, col in enumerate(zip(*mat.entries)):
+        if any(col):
+            first.setdefault(col, j)
+    return list(first.values())
+
+
+def _planted_matrices(count=6000, seed=29):
+    """Seeded random integer matrices of 1-5 rows and 1-5 columns, with
+    1-4 planted columns, each all zero or a copy of another column,
+    inserted at random places."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(1, 5)
+        cols = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(rng.randint(1, 5))]
+        for _ in range(rng.randint(1, 4)):
+            at = rng.randint(0, len(cols))
+            cols.insert(at, [0] * m if rng.random() < 0.3 else list(rng.choice(cols[:at] or cols)))
+        yield RationalMatrix(tuple(zip(*cols)), tuple(range(m)), tuple(range(len(cols))), 0, 0)
+
+
+@pytest.mark.parametrize("matrices, count, with_copies", [
+    (_random_strict_matrices, 20000, 2874),
+    (_pool_lp_matrices, 4242, 4242),
+    (_planted_matrices, 6000, 6000),
+], ids=["random", "pool", "planted"])
+def test_implicit_artificials_pivot_like_the_stored_ones(monkeypatch, matrices, count,
+                                                         with_copies):
+    """The phase 1 with implied artificial columns, on the first copy of
+    each distinct nonzero column, makes the pivots of the full tableau of
+    every column, also where Bland's rule brings an artificial back: the
+    same basis labels, once mapped back to the full tableau's, the same D
+    and the same stored columns, and the same answer.  A kept column j
+    maps to its index in the matrix, and a slack or artificial label to
+    itself plus the number of columns left out.  with_copies of the
+    matrices have a zero or repeated column, every pool and planted one,
+    and in some witnesses of each set a column that has a copy is basic,
+    so a reduction that kept another copy would name another vertex."""
     phases = []
     real = lp._phase1
 
@@ -100,17 +137,24 @@ def test_implicit_artificials_pivot_like_the_stored_ones(monkeypatch, matrices, 
         return phases[-1]
 
     monkeypatch.setattr(lp, "_phase1", recording)
-    solved = reentries = 0
+    solved = reentries = reduced = named = 0
     for mat in matrices():
         res = lp_feasible_strict(mat)
         reference, (t_ref, D_ref, basis_ref, k) = lp_feasible_strict_explicit(mat)
         t, D, basis = phases.pop()
-        stored = len(mat.cols) + len(mat.entries)    # pi and slack columns
-        assert (res, D, basis) == (reference, D_ref, basis_ref)
-        assert t == [row[:stored] + row[-1:] for row in t_ref]
+        kept = _kept_columns(mat)
+        n, dropped = len(mat.cols), len(mat.cols) - len(kept)
+        full = [kept[b] if b < len(kept) else b + dropped for b in basis]
+        assert (res, D, full) == (reference, D_ref, basis_ref)
+        stored = kept + list(range(n, n + len(mat.entries)))    # pi and slack columns
+        assert t == [[row[j] for j in stored] + row[-1:] for row in t_ref]
+        columns = list(zip(*mat.entries))
         solved += 1
         reentries += k
-    assert solved == count and reentries > 0
+        reduced += dropped > 0
+        named += any(columns.count(columns[x]) > 1 for x in res.witness or ())
+    assert (solved, reduced) == (count, with_copies) and reentries > 0 and named > 0, \
+        (solved, reduced, reentries, named)
 
 
 def test_c7_pair_feasible_and_witness_disconnects():
@@ -270,17 +314,27 @@ def test_compute_p_solves_each_pair_once(monkeypatch):
 
 
 def _recording_builds(monkeypatch, g, d):
-    """Record the pair of every full D^uv that the per-pair head builds,
-    the matrices it hands to `_presolve`, each equal to `build_Duv`'s."""
-    pairs = []
-    real = lp._presolve
+    """Record the pair of every full D^uv that `_unbalanced` builds: each
+    pair whose answer is not a nonnegative row, so that every row is
+    built.  The rows it reads from `_Duv_rows` equal `build_Duv`'s."""
+    pairs, built = [], []
+    rows, tail = lp._Duv_rows, lp._unbalanced
 
-    def recording(mat):
-        pairs.append((mat.u, mat.v))
-        assert mat == build_Duv(g, d, mat.u, mat.v)
-        return real(mat)
+    def recording_rows(d, u, v, ws):
+        for row in rows(d, u, v, ws):
+            built.append(row)
+            yield row
 
-    monkeypatch.setattr(lp, "_presolve", recording)
+    def recording(d, u, v, ws):
+        built.clear()
+        mat, res = tail(d, u, v, ws)
+        if res is None or res.feasible:
+            pairs.append((u, v))
+            assert tuple(built) == build_Duv(g, d, u, v).entries
+        return mat, res
+
+    monkeypatch.setattr(lp, "_Duv_rows", recording_rows)
+    monkeypatch.setattr(lp, "_unbalanced", recording)
     return pairs
 
 
@@ -305,7 +359,7 @@ def test_compute_p_re_solves_a_witness_pair_decided_by_its_class(monkeypatch):
     # witness pair's own
     assert [pair for pair, _ in calls] == [(0, 3)]
     assert plain.witness_profile == Profile(dict(solve_pair(g, d, 0, 3).witness))
-    # With `_presolve` off, each band is scanned in descending pair order
+    # With the one-vertex witness off, each band is scanned in descending pair order
     # the first time it is asked for, so level 2 decides (3, 6) and the
     # report's scan of the same band meets (0, 3), a pair of the same class
     # under the rotations of C_7.  A feasible answer is never carried over
@@ -323,7 +377,17 @@ def test_compute_p_re_solves_a_witness_pair_decided_by_its_class(monkeypatch):
         return iter(pairs)
 
     monkeypatch.setattr(lp, "_pairs_in_distance_band", first_time_descending)
-    monkeypatch.setattr(lp, "_presolve", lambda mat: None)
+    builds = []
+
+    def no_witness(d, u, v, rows):
+        # `_unbalanced` with no one-vertex witness: every row is built, none
+        # is nonnegative, and the pair goes to the LP
+        mat = RationalMatrix(tuple(lp._Duv_rows(d, u, v, rows)), rows, tuple(range(d.n)), u, v)
+        assert mat == build_Duv(g, d, u, v) and all(min(row) < 0 for row in mat.entries)
+        builds.append((u, v))
+        return mat, None
+
+    monkeypatch.setattr(lp, "_unbalanced", no_witness)
     checks = []
     real = lp._check_result
 
@@ -332,7 +396,6 @@ def test_compute_p_re_solves_a_witness_pair_decided_by_its_class(monkeypatch):
         return real(mat, res)
 
     monkeypatch.setattr(lp, "_check_result", recording)
-    builds = _recording_builds(monkeypatch, g, d)
     calls.clear()
     rep = compute_p(g, d)
     assert [pair for pair, _ in calls] == builds == checks == [(4, 6), (3, 6), (0, 3)]
@@ -561,9 +624,11 @@ def test_one_vertex_answers_agree_with_the_plain_solve(monkeypatch):
 def _one(monkeypatch, *entries):
     """The `_unbalanced` answer on a pair whose D^uv is entries, its rows
     the vertices 0, 1, ...: its first nonnegative row, the rows being read
-    in order, else the `_presolve` answer of the full matrix."""
+    in order, else the witness of its first all-negative column.  The pair
+    is (0, 0) of an all-zero table, where `_holds` takes every w != 0 for
+    an interior row."""
     m, n = len(entries), len(entries[0])
-    monkeypatch.setattr(lp, "_Duv_rows", lambda d, u, v, rows: iter(entries))
+    monkeypatch.setattr(lp, "_Duv_rows", lambda d, u, v, rows: iter([entries[w] for w in rows]))
     return lp._unbalanced(DistMatrix([[0] * n] * n), 0, 0, tuple(range(m)))[1]
 
 
@@ -586,10 +651,29 @@ def test_one_vertex_answer_sign_boundaries(monkeypatch):
 
 
 def test_one_vertex_answer_is_checked(monkeypatch):
-    monkeypatch.setattr(lp, "_check_result", lambda mat, res: False)
-    for entries in (((-1, 1), (-1, 0)), ((-1, 1), (0, 0))):
-        with pytest.raises(AssertionError, match="one-vertex answer does not verify"):
-            _one(monkeypatch, *entries)
+    # a nonnegative row is checked by `_holds`: made to fail, it raises
+    monkeypatch.setattr(lp, "_holds", lambda d, u, v, y: False)
+    with pytest.raises(AssertionError, match="one-vertex answer does not verify"):
+        _one(monkeypatch, (-1, 1), (0, 0))
+    # a column is checked by reading it again, every entry at most -1.
+    # Entries negative but above -1, which no integer D^uv has, pass the
+    # column's test and fail its check
+    half = Fraction(-1, 2)
+    with pytest.raises(AssertionError, match="one-vertex answer does not verify"):
+        _one(monkeypatch, (half, 1), (half, 0))
+
+
+def test_holds_checks_interior_rows_and_weights():
+    # on the pair (0, 2) of the path 0-1-2-3 the one interior row, of 1,
+    # is (0, 2, 0, 0).  Row 3 of the same formula is (0, 0, 0, 6) and row 0
+    # is all zero, so each is nonnegative, but neither 3 nor u = 0 is an
+    # interior row, and a certificate naming one fails
+    g, d = _gd(path_graph(4))
+    assert list(lp._Duv_rows(d, 0, 2, (1, 3, 0))) == [(0, 2, 0, 0), (0, 0, 0, 6), (0, 0, 0, 0)]
+    for y, ok in (({1: 1}, True), ({1: 2}, True), ({}, False), ({1: 0}, False),
+                  ({1: -1}, False), ({3: 1}, False), ({1: 1, 3: 1}, False),
+                  ({0: 1}, False), ({2: 1}, False)):
+        assert lp._holds(d, 0, 2, y) is ok, y
 
 
 # ------------------------------------------------------ the bulk path
@@ -625,15 +709,16 @@ def test_compute_p_builds_the_first_31_pairs_and_presolves_the_rest_in_one_strea
         band = list(lp._pairs_in_distance_band(d, 2, 2))
         assert {presolve_plain(d, build_Duv(g, d, u, v))[0] for u, v in band} == {"balanced"}
         heads, calls, tails = [], [], []
-        monkeypatch.setattr(lp, "_head", lambda d, r, u, v: (
-            heads.append((u, v)), head(d, r, u, v))[1])
-        monkeypatch.setattr(lp, "_bulk_presolve", lambda *a: (
-            calls.append(a), bulk(*a))[1])
-        monkeypatch.setattr(lp, "_unbalanced", lambda d, u, v, rows: (
-            tails.append((u, v)), tail(d, u, v, rows))[1])
-        for name in ("_presolve", "lp_feasible_strict"):
-            monkeypatch.setattr(lp, name, None)
-        assert compute_p(g, d).p == 1
+        with monkeypatch.context() as m:
+            m.setattr(lp, "_head", lambda d, r, u, v: (
+                heads.append((u, v)), head(d, r, u, v))[1])
+            m.setattr(lp, "_bulk_presolve", lambda *a: (
+                calls.append(a), bulk(*a))[1])
+            m.setattr(lp, "_unbalanced", lambda d, u, v, rows: (
+                tails.append((u, v)), tail(d, u, v, rows))[1])
+            for name in ("RationalMatrix", "lp_feasible_strict"):
+                m.setattr(lp, name, None)
+            assert compute_p(g, d).p == 1
         assert heads == band[:31]
         assert len(calls) == 1
         assert tails == []
@@ -663,6 +748,12 @@ def _torus(n):
     return cartesian_product(cycle_graph(n), cycle_graph(n))
 
 
+def _balanced(d, u, v, rows):
+    """`lp._balanced` on the pair (u, v) of the table d."""
+    return lp._balanced(d, [sum(row) for row in d.d], u, v, rows,
+                        [a + b for a, b in zip(d[u], d[v])])
+
+
 def test_balanced_pairs_leave_only_feasible_pairs_to_the_simplex(monkeypatch):
     # every pair that the presolve leaves and no balanced pair certifies is
     # solved, and on these graphs each of them is feasible: the witness
@@ -687,8 +778,8 @@ def test_balanced_pair_sign_boundaries(monkeypatch):
     g, d = _gd(_torus(10))
     r = [sum(row) for row in d.d]
     mat = build_Duv(g, d, 0, 22)
-    assert lp._presolve(mat) is None and all(min(row) < 0 for row in mat.entries)
-    assert lp._balanced(d, r, 0, 22, mat.rows) == (2, 20)
+    assert _no_negative_column(mat) and all(min(row) < 0 for row in mat.entries)
+    assert _balanced(d, 0, 22, mat.rows) == (2, 20)
     assert lp._head(d, r, 0, 22)[1].certificate == {2: 1, 20: 1}
     assert set(map(sum, zip(*(row for w, row in zip(mat.rows, mat.entries)
                               if w in (2, 20))))) == {0}
@@ -699,8 +790,8 @@ def test_balanced_pair_sign_boundaries(monkeypatch):
                                (3, 4), (3, 6), (4, 5)]))
     mat = build_Duv(g, d, 1, 3)
     assert mat.rows == (2, 6) and d(2, 5) + d(6, 5) == d(1, 5) + d(3, 5) + 1
-    assert lp._presolve(mat) is None
-    assert lp._balanced(d, [sum(row) for row in d.d], 1, 3, mat.rows) is None
+    assert _no_negative_column(mat)
+    assert _balanced(d, 1, 3, mat.rows) is None
     assert solve_pair(g, d, 1, 3).feasible
     # a midpoint w of a pair at even distance k is balanced with itself: its
     # try 2 d(w,x) <= d(u,x) + d(v,x) is row w of D^uv divided by k/2.  On
@@ -712,7 +803,7 @@ def test_balanced_pair_sign_boundaries(monkeypatch):
         g, d = _gd(g)
         mat = build_Duv(g, d, 0, 2)
         assert mat.rows == (1,) and mat.entries == (row,)
-        pair = lp._balanced(d, [sum(row) for row in d.d], 0, 2, mat.rows)
+        pair = _balanced(d, 0, 2, mat.rows)
         assert pair == ((1, 1) if holds else None)
         want = FeasibilityResult("infeasible", certificate={1: 1}) if holds else \
             FeasibilityResult("feasible", witness={3: Fraction(1)})
@@ -762,35 +853,41 @@ def test_a_corrupted_balanced_certificate_raises_on_both_paths(monkeypatch):
 
 def test_balanced_certificates_are_checked_on_the_rows_they_name(monkeypatch):
     # each balanced answer is checked on rows w1 and w2 of D^uv as
-    # `build_Duv` builds them, and on no other row: per pair, `_checked`
-    # gets the matrix of those rows, one row for a midpoint w1 = w2, and
-    # the certificate {w1: 1, w2: 1}; in the bulk stream, `_bulk_array`
-    # makes an array of the two rows per pair, and the stored certificate
-    # is {w1: 1, w2: 1}
+    # `build_Duv` builds them, and on no other row: per pair, a pair that
+    # `_balanced` decides reads `_Duv_rows` once, for those rows, one row
+    # for a midpoint w1 = w2; in the bulk stream, `_bulk_array` makes an
+    # array of the two rows per pair.  The stored certificate is
+    # {w1: 1, w2: 1}
     g, d = _gd(_relabelled(projective_incidence_graph(3), 2))
-    checked, arrays = [], []
-    real_checked, real_array = lp._checked, lp._bulk_array
+    reads, decided, arrays = {}, [], []
+    real_rows, real_balanced, real_array = lp._Duv_rows, lp._balanced, lp._bulk_array
 
-    def recording_checked(mat, res, source):
-        if source == "balanced answer":
-            checked.append((mat, res))
-        return real_checked(mat, res, source)
+    def recording_rows(d, u, v, ws):
+        rows = list(real_rows(d, u, v, ws))
+        reads.setdefault((u, v), []).append((tuple(ws), tuple(rows)))
+        return iter(rows)
+
+    def recording_balanced(d, r, u, v, rows, far):
+        pair = real_balanced(d, r, u, v, rows, far)
+        if pair is not None:
+            decided.append((u, v))
+        return pair
 
     def recording_array(dist, us, vs, ws):
         D = real_array(dist, us, vs, ws)
         arrays.append((us.tolist(), vs.tolist(), D.tolist(), ws.tolist()))
         return D
 
-    monkeypatch.setattr(lp, "_checked", recording_checked)
+    monkeypatch.setattr(lp, "_Duv_rows", recording_rows)
+    monkeypatch.setattr(lp, "_balanced", recording_balanced)
     monkeypatch.setattr(lp, "_bulk_array", recording_array)
     for gate in (sys.maxsize, 1):
         monkeypatch.setattr(lp, "_BULK_PAIRS", gate)
         scan, _ = lp._pair_verdicts(d)
         verdicts = {(u, v): res for u, v, res in scan(2, d.diameter)}
         named = {}
-        for mat, res in checked:
-            named[mat.u, mat.v] = mat.rows, mat.entries
-            assert res.certificate == dict.fromkeys(mat.rows, 1)
+        for u, v in decided:
+            (named[u, v],) = reads[u, v]
         for us, vs, D, ws in arrays:
             for u, v, rows, pair in zip(us, vs, D, ws):
                 named[u, v] = tuple(pair), tuple(map(tuple, rows))
@@ -802,7 +899,8 @@ def test_balanced_certificates_are_checked_on_the_rows_they_name(monkeypatch):
             assert tuple(dict.fromkeys(pair)) == tuple(y)
             assert rows == tuple(mat.entries[mat.rows.index(w)] for w in pair)
             assert verdicts[u, v].certificate == y
-        checked.clear()
+        reads.clear()
+        decided.clear()
         arrays.clear()
 
 

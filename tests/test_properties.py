@@ -193,6 +193,35 @@ def test_p_bounded_by_diameter():
         assert compute_p(g, d).p <= d.diameter
 
 
+def test_feasible_distances_run_from_two_to_p():
+    """On the test corpus, the benchmark's random pool and 40 seeded
+    random graphs, the distances of the feasible pairs are exactly
+    2, 3, ..., p, and so p = max(F, default=1) for the set F of them.
+
+    This is why no test pins the top 2p of `compute_p`'s level band.  A
+    scan of p+1..2p - 1 for p >= 2 gives another p only on a graph whose
+    feasible distances skip from p to 2p, with none at p+1..2p - 1; while
+    F runs from 2 to its largest distance, the band p+1..2p - 1 holds the
+    feasible distance p+1 whenever p+1..2p holds any.  No such graph was
+    found: every one of the 1,443 graphs of the corpus, the pool, the
+    atlas and 200 seeded random graphs has such an F, and so do 86,554
+    seeded G(n,q), tree-plus-edges and cycle-with-chords graphs of 6 to 30
+    vertices.  So the mutant that scans p+1..max(2, 2p - 1) survives this
+    test; only the order of the solves in
+    `test_lp.py::test_compute_p_re_solves_a_witness_pair_decided_by_its_class`
+    sees it."""
+    graphs = [*_corpus(), *_pool_graphs(), *_random_connected_graphs(40, seed=47)]
+    tops = Counter()
+    for g in graphs:
+        d = all_pairs_distances(g)
+        scan, _ = lp._pair_verdicts(d)
+        feasible = {d(u, v) for u, v, res in scan(2, d.diameter) if res.feasible}
+        p = compute_p(g, d).p
+        assert feasible == set(range(2, p + 1)), (g.name, p, sorted(feasible))
+        tops[p] += 1
+    assert len(graphs) == 288 and len(tops) > 3, tops
+
+
 def test_product_law():
     """p(G□H) = max(p(G), p(H)) on 30 seeded products of connected atlas
     graphs, and on C_n□C_m for n = 5..9 and m = 4..7, where it also equals
@@ -315,20 +344,35 @@ def test_pair_verdicts_match_the_plain_solve(monkeypatch):
         "symmetric": (relabelled, 2, None),
     }
     assert [len(graphs) for graphs, _, _ in sets.values()] == [995, 240, 3]
-    sources = []
-    real = lp._checked
+    sources, checks = [], []
+    real_balanced, real_holds, real_tail = lp._balanced, lp._holds, lp._unbalanced
 
-    def recording(mat, res, source):
-        sources.append(source)
-        return real(mat, res, source)
+    def balanced(*args):
+        pair = real_balanced(*args)
+        if pair is not None:
+            sources.append("balanced")
+        return pair
 
-    monkeypatch.setattr(lp, "_checked", recording)
-    # every pair on the per-pair path, whose presolve and balanced-pair
-    # answers pass through `_checked`; the bulk path is held to this one by
+    def holds(d, u, v, y):
+        ok = real_holds(d, u, v, y)
+        checks.append((dict(y), ok))
+        return ok
+
+    def tail(*args):
+        mat, res = real_tail(*args)
+        if res is not None:
+            sources.append("row" if res.certificate else "column")
+        return mat, res
+
+    monkeypatch.setattr(lp, "_balanced", balanced)
+    monkeypatch.setattr(lp, "_holds", holds)
+    monkeypatch.setattr(lp, "_unbalanced", tail)
+    # every pair on the per-pair path, whose answer is a balanced pair or
+    # comes from `_unbalanced`; the bulk path is held to this one by
     # test_bulk_and_per_pair_verdicts_agree.  Each answer comes from the
-    # test that `presolve_plain` finds first on the full matrix
-    expected = {"balanced": "balanced answer", "row": "one-vertex answer",
-                "column": "one-vertex answer", None: "own solve"}
+    # test that `presolve_plain` finds first on the full matrix, and each
+    # certificate is checked by `_holds` once, the column witness inside
+    # `_unbalanced`
     monkeypatch.setattr(lp, "_BULK_PAIRS", sys.maxsize)
     kinds = {name: Counter() for name in sets}
     for name, (graphs, lo, hi) in sets.items():
@@ -336,26 +380,31 @@ def test_pair_verdicts_match_the_plain_solve(monkeypatch):
             d = all_pairs_distances(g)
             scan, own = lp._pair_verdicts(d)
             sources.clear()
+            checks.clear()
             for u, v, res in scan(lo, hi or d.diameter):
                 if (u, v) in own:
                     kind = "own solve"
-                else:   # a checked presolve or balanced-pair answer
+                    assert not sources
+                else:   # a balanced pair or a one-vertex answer
                     (kind,) = sources
                 kinds[name][kind] += 1
+                assert checks == ([(res.certificate, True)] if kind in ("balanced", "row")
+                                  else []), (name, u, v, checks)
                 mat = lp.build_Duv(g, d, u, v)
                 plain = lp_feasible_strict(mat)     # `solve_pair`
                 assert res.feasible == plain.feasible, (name, u, v)
                 want = presolve_plain(d, mat)
-                assert kind == expected[want and want[0]], (name, u, v, kind)
+                assert kind == (want[0] if want else "own solve"), (name, u, v, kind)
                 sources.clear()     # the scan decides the next pair after this
-    assert all(count["balanced answer"] for count in kinds.values()), kinds
+                checks.clear()
+    assert all(count["balanced"] for count in kinds.values()), kinds
     # a balanced pair comes first, so the symmetric graphs take no other
     # certificate.  Of the 15,671 pool pairs at distance 2 or more, a
     # balanced pair decides 5,722, a nonnegative row 20 and an all-negative
     # column 8,029, and 1,900 are solved: 20 more than when the row-sum
     # certificate y = 1 was tried after the column
-    assert kinds["atlas"]["one-vertex answer"], kinds
-    assert kinds["pool"] == {"balanced answer": 5722, "one-vertex answer": 20 + 8029,
+    assert kinds["atlas"]["row"] + kinds["atlas"]["column"], kinds
+    assert kinds["pool"] == {"balanced": 5722, "row": 20, "column": 8029,
                              "own solve": 1900}, kinds
 
 
