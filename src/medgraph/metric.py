@@ -5,20 +5,6 @@ from __future__ import annotations
 from .graph import DistMatrix, Graph
 
 
-def interval_masks(g: Graph, d: DistMatrix, u: int) -> list[int]:
-    """I(u,v) as a bitset for every v, built down u's BFS DAG: I(u,u) = {u},
-    and I(u,v) is v plus the I(u,y) of each neighbour y of v one step closer
-    to u, since a (u,v)-geodesic ends in such a y.  The vertices are taken
-    in order of their distance from u, so each I(u,y) is built first."""
-    row = d[u]
-    masks = [1 << v for v in range(g.n)]
-    for v in sorted(range(g.n), key=row.__getitem__):
-        for y in g.adj[v]:
-            if row[y] < row[v]:
-                masks[v] |= masks[y]
-    return masks
-
-
 def members(mask: int) -> list[int]:
     """The vertices of a bitset in ascending order."""
     out = []

@@ -5,7 +5,11 @@ tuple that the corresponding predicate can re-check.  The witness is the
 first violation in the recognizer's plain scan order, the nested loops of
 its definition.  A fast path may decide from bitsets in another order, but
 it may re-scan only to rebuild that first violation, so the witness never
-depends on which path found it.
+depends on which path found it.  A class decided as a conjunction of other
+recognizers checks them in a fixed order and reports from the first that
+fails: that recognizer's witness (weakly bridged, bridged, convex balls
+when TPC fails), or a violation of the class's own definition built from
+it (modular, and convex balls when INC fails).
 
 Meshedness, the triangle condition (TC) and the quadrangle condition (QC)
 are checked one vertex u at a time, on bitsets over a list of pairs, the
@@ -20,10 +24,10 @@ TC's is the least failing u, then its first edge; QC's is the
 fails TC; meshedness's is the first failing pair, then the least u that
 fails it.
 
-Modularity and convex balls AND interval bitsets, which
-`metric.interval_masks` builds for one source at a time.  INC, the QC
-witness and the bipartite absolute retracts read adjacency lists and
-distance rows alone.
+INC, the QC witness and the bipartite absolute retracts read adjacency
+lists and distance rows alone.  No recognizer builds interval bitsets:
+modularity and convex balls are decided from the conditions that
+characterise them (bipartite and weakly modular; INC and TPC).
 
 Chordality, thickness, IC3/IC4 and the alpha and beta configurations are
 local, and read no distance table.  The distance-2 pairs come from
@@ -40,7 +44,6 @@ the other classes.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import sys
@@ -50,7 +53,7 @@ from dataclasses import dataclass
 from .errors import EmbeddingUnverified, LabelArity, ParseError
 from .graph import DistMatrix, Graph, _data_lines
 from .medians import _pairs_in_distance_band
-from .metric import interval_masks, members
+from .metric import members
 
 
 @dataclass(frozen=True)
@@ -257,19 +260,27 @@ def is_weakly_modular(g: Graph, d: DistMatrix) -> ClassVerdict:
 
 
 def is_modular(g: Graph, d: DistMatrix) -> ClassVerdict:
-    """Every triple has a vertex in all three pairwise intervals.  The
-    `interval_masks` of a vertex are built when the scan first reads them,
-    so a triple that fails early costs a few sources, not n."""
-    n = g.n
-    intervals = functools.cache(lambda u: interval_masks(g, d, u))
-    for u in range(n):
-        Iu = intervals(u)
-        for v in range(u + 1, n):
-            Iuv, Iv = Iu[v], intervals(v)
-            for w in range(v + 1, n):
-                if not Iuv & Iv[w] & Iu[w]:
-                    return ClassVerdict("modular", False, (u, v, w))
-    return ClassVerdict("modular", True)
+    """Every triple (u, v, w) has a median, a vertex in I(u,v) & I(v,w) &
+    I(u,w).  A graph is modular iff it is bipartite and weakly modular
+    (Bandelt & Chepoi 2008, "Metric graph theory and geometry: a survey",
+    Contemp. Math. 453), and a false verdict names a triple with no median:
+
+    - not bipartite: `is_bipartite` names the first edge vw with
+      d(u,v) = d(u,w) for u = 0.  A median m of (u, v, w) lies in
+      I(v,w) = {v, w}; m = v needs d(u,v) + 1 = d(u,w), and m = w the
+      mirror, so the triple has none;
+    - bipartite: TC asks about edges vw with d(u,v) = d(u,w), and there
+      are none, so weak modularity can fail only at QC, with a witness
+      ("QC", u, v, w, z): d(v,w) = 2, d(u,v) = d(u,w) = k, and no common
+      neighbour x of v and w has d(u,x) = k - 1.  A median of (u, v, w)
+      lies in I(v,w), so it is v, w or such an x.  v needs
+      d(u,v) + 2 = d(u,w), w the mirror, and x needs d(u,x) + 1 = k, so
+      the triple has none."""
+    bip = is_bipartite(g)
+    if not bip:
+        return ClassVerdict("modular", False, (0,) + bip.witness)
+    wm = is_weakly_modular(g, d)
+    return ClassVerdict("modular", wm.verdict, wm.witness and wm.witness[1:4])
 
 
 # ------------------------------------------------------------------ chordality
@@ -398,21 +409,36 @@ def is_bridged(g: Graph, d: DistMatrix) -> ClassVerdict:
 # ------------------------------------------------------------- convex balls
 
 def has_convex_balls(g: Graph, d: DistMatrix) -> ClassVerdict:
-    """Every ball is convex.  A false verdict is (v, r, x, y, z): x < y lie
-    in the ball of radius r around v and z is the smallest vertex of I(x,y)
-    outside it.  The ball of radius ecc(v) is all of V, so r stops below.
-    The `interval_masks` of x are built when the scan first reads them."""
-    intervals = functools.cache(lambda x: interval_masks(g, d, x))
-    for v in range(g.n):
-        row = d[v]
-        for r in range(1, max(row)):
-            ball = sum(1 << x for x, k in enumerate(row) if k <= r)
-            for x, y in itertools.combinations(members(ball), 2):
-                outside = intervals(x)[y] & ~ball
-                if outside:
-                    z = (outside & -outside).bit_length() - 1
-                    return ClassVerdict("convex_balls", False, (v, r, x, y, z))
-    return ClassVerdict("convex_balls", True)
+    """Every ball is convex.  By the theorem of Soltan & Chepoi (1983,
+    "Conditions for invariance of set diameters under d-convexification in
+    a graph", Cybernetics 19) and Farber & Jamison (1987, "On local
+    convexity in graphs", Discrete Math. 66), a graph has convex balls iff
+    it satisfies the interval neighbourhood condition (INC: for any two
+    vertices u, v, the neighbours of u in I(u,v) are pairwise adjacent) and
+    the triangle-pentagon condition (TPC: for any vertices v, x, y with
+    d(v,x) = d(v,y) = k and x ~ y, some common neighbour of x and y is at
+    distance k - 1 from v, or some vertex z at distance k - 2 from v closes
+    a pentagon x w z w' y with w ~ x, w' ~ y).  Under INC a pentagon with
+    a chord gives the first alternative: a chord xw' or wy is a common
+    neighbour at distance k - 1, and a chord ww' alone would leave w and y,
+    nonadjacent neighbours of x, in I(x,w').  So `satisfies_TPC`, which
+    asks for an induced pentagon, decides TPC here.
+
+    INC is checked first.  When it fails at (u, v, a, b), with k = d(u,v),
+    a and b lie in the ball of radius k - 1 around v and u lies in
+    I(a,b) = {a, b} plus their common neighbours, outside that ball.  The
+    witness is (v, k - 1, a, b, u), and u is the smallest vertex of I(a,b)
+    outside the ball: any other is a common neighbour x of a and b at
+    distance k from v, so INC fails at (x, v, a, b) too, and the scan of
+    `satisfies_INC` meets the least failing vertex first.  When only TPC
+    fails, its witness ("TPC", v, x, y) is reported."""
+    inc = satisfies_INC(g, d)
+    if not inc:
+        u, v, a, b = inc.witness
+        return ClassVerdict("convex_balls", False, (v, d(u, v) - 1, a, b, u))
+    tpc = satisfies_TPC(g, d)
+    return ClassVerdict("convex_balls", tpc.verdict,
+                        tpc.witness and ("TPC",) + tpc.witness)
 
 
 def satisfies_INC(g: Graph, d: DistMatrix) -> ClassVerdict:
@@ -521,12 +547,15 @@ def is_thick(g: Graph) -> ClassVerdict:
 
 # ------------------------------------------------ bipartite absolute retracts
 
-def is_bipartite(g: Graph) -> tuple[bool, list[int] | None]:
-    """2-colouring by BFS level parity; it is proper iff g is bipartite."""
-    color = [dist % 2 for dist in g.dist0]
-    if any(color[a] == color[b] for a, b in g.edges()):
-        return False, None
-    return True, color
+def is_bipartite(g: Graph) -> ClassVerdict:
+    """The 2-colouring by BFS level parity from vertex 0 is proper iff g is
+    bipartite.  The ends of an edge are at most one level apart, so an edge
+    breaks the colouring iff its ends are at the same distance from 0; the
+    witness is the first such edge (a, b), which closes an odd walk with
+    the two geodesics from 0."""
+    level = g.dist0
+    odd = next(((a, b) for a, b in g.edges() if level[a] == level[b]), None)
+    return ClassVerdict("bipartite", odd is None, odd)
 
 
 def is_bipartite_absolute_retract(g: Graph, d: DistMatrix) -> ClassVerdict:
@@ -551,8 +580,7 @@ def is_bipartite_absolute_retract(g: Graph, d: DistMatrix) -> ClassVerdict:
     k - 2 adjacent to all of near, and as near is not empty, each is a
     neighbour of near[0].  The pairs are scanned in the order u, then v,
     so the witness is the first failing pair."""
-    bip, _ = is_bipartite(g)
-    if not bip:
+    if not is_bipartite(g):
         return ClassVerdict("bipartite_absolute_retract", False, ("not_bipartite",))
     adj, sets = g.adj, g.adj_sets
     for u in range(g.n):

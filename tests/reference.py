@@ -9,7 +9,9 @@ verdicts, the phase-1 tableau with its artificial columns stored instead of
 implied, the product y^T M over every row instead of the rows a
 certificate names, a search over every pair of a set instead of a walk along the
 distance rows, the bipartite absolute retracts on interval bitsets instead
-of one distance row, the alpha/beta finders on the distance table and J°(u,v)
+of one distance row, modularity and convex balls by a scan of every triple
+and of every ball on interval bitsets instead of the conditions that
+characterise them, the alpha/beta finders on the distance table and J°(u,v)
 instead of neighbour bitsets, and maximum-cardinality search by a scan of
 every vertex instead of heaps.
 
@@ -40,7 +42,7 @@ from medgraph.lp import (FeasibilityResult, RationalMatrix, build_Duv,
                          lp_feasible_strict)
 from medgraph.medians import (Profile, VertexFunction, _pairs_in_distance_band,
                               check_WP)
-from medgraph.metric import J_set, Jcirc_set, interval_masks, members
+from medgraph.metric import J_set, Jcirc_set, members
 from medgraph.recognizers import (ClassVerdict, _neighbour_masks, is_bipartite,
                                   is_modular, personal_neighbor)
 
@@ -274,11 +276,60 @@ def absolute_retract_by_extension(g: Graph, d: DistMatrix,
     return ClassVerdict("absolute_retract_extension", True)
 
 
+def interval_masks(g: Graph, d: DistMatrix, u: int) -> list[int]:
+    """I(u,v) as a bitset for every v, built down u's BFS DAG: I(u,u) = {u},
+    and I(u,v) is v plus the I(u,y) of each neighbour y of v one step closer
+    to u, since a (u,v)-geodesic ends in such a y.  The vertices are taken
+    in order of their distance from u, so each I(u,y) is built first."""
+    row = d[u]
+    masks = [1 << v for v in range(g.n)]
+    for v in sorted(range(g.n), key=row.__getitem__):
+        for y in g.adj[v]:
+            if row[y] < row[v]:
+                masks[v] |= masks[y]
+    return masks
+
+
+def modular_by_triple_scan(g: Graph, d: DistMatrix) -> ClassVerdict:
+    """`recognizers.is_modular` by its definition: every triple u < v < w
+    has a vertex in all three pairwise intervals.  A false verdict names
+    the first triple in scan order that has none."""
+    n = g.n
+    intervals = [interval_masks(g, d, u) for u in range(n)]
+    for u in range(n):
+        Iu = intervals[u]
+        for v in range(u + 1, n):
+            Iuv, Iv = Iu[v], intervals[v]
+            for w in range(v + 1, n):
+                if not Iuv & Iv[w] & Iu[w]:
+                    return ClassVerdict("modular", False, (u, v, w))
+    return ClassVerdict("modular", True)
+
+
+def convex_balls_by_ball_scan(g: Graph, d: DistMatrix) -> ClassVerdict:
+    """`recognizers.has_convex_balls` by its definition: every ball is
+    convex.  A false verdict is the first (v, r, x, y, z) in scan order:
+    x < y lie in the ball of radius r around v and z is the smallest vertex
+    of I(x,y) outside it.  The ball of radius ecc(v) is all of V, so r
+    stops below."""
+    intervals = [interval_masks(g, d, x) for x in range(g.n)]
+    for v in range(g.n):
+        row = d[v]
+        for r in range(1, max(row)):
+            ball = sum(1 << x for x, k in enumerate(row) if k <= r)
+            for x, y in itertools.combinations(members(ball), 2):
+                outside = intervals[x][y] & ~ball
+                if outside:
+                    z = (outside & -outside).bit_length() - 1
+                    return ClassVerdict("convex_balls", False, (v, r, x, y, z))
+    return ClassVerdict("convex_balls", True)
+
+
 def bipartite_absolute_retract_by_masks(g: Graph, d: DistMatrix) -> ClassVerdict:
     """`recognizers.is_bipartite_absolute_retract` on interval bitsets: for
     d(u,v) >= 3, some x != v of I(u,v) is adjacent to every neighbour of v
     in I(u,v)."""
-    if not is_bipartite(g)[0]:
+    if not is_bipartite(g):
         return ClassVerdict("bipartite_absolute_retract", False, ("not_bipartite",))
     nbr = _neighbour_masks(g)
     for u in range(g.n):

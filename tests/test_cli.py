@@ -341,7 +341,7 @@ def test_verify_paper_fails_when_a_class_test_accepts_everything(
     # is_bridged calls is_weakly_bridged, so C_4 then passes as bridged, and
     # the bucolic entry tests its factors and products with is_weakly_bridged
     nonmember, others = {
-        "_convex_ball_examples": ("C_6 not CB, witness (0, 2, 1, 4, 3)", ()),
+        "_convex_ball_examples": ("C_6 not CB, witness (3, 2, 1, 5, 0)", ()),
         "_chordal_examples": ("C_4 not chordal", ()),
         "_benzenoid_examples": ("hexagon vertices {0, 3}, at distance 2, not gated", ()),
         "_weakly_bridged_examples": ("W_5- not weakly bridged",

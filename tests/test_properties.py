@@ -22,7 +22,7 @@ from medgraph.lp import (FeasibilityResult, RationalMatrix, _check_result,
                          has_Gp_connected_medians, lp_feasible_strict,
                          verify_feasibility_result, witness_to_profile)
 from medgraph.metric import (J_set, Jcirc_set, interior_interval, interval,
-                             interval_masks, members)
+                             members)
 from medgraph.medians import (Profile, VertexFunction, _pairs_in_distance_band,
                               check_WC, check_WP, is_p_connected,
                               is_p_weakly_peakless, is_unimodal_on_power,
@@ -46,7 +46,7 @@ from reference import (_assert_agrees_with_per_pair, _connected_atlas_graphs,
                        _random_connected_graphs, _recognizer_corpus,
                        _ref_oracle, _relabelled, _to_nx, certificate_holds_dense, geodesic_vertices_via_dag,
                        detect_alpha_configuration_by_table,
-                       detect_beta_configuration_by_table,
+                       detect_beta_configuration_by_table, interval_masks,
                        is_p_connected_pairwise, local_median_set_plain, presolve_plain,
                        mcs_order_by_scan, median_set_plain, solve_pair)
 
@@ -277,13 +277,18 @@ def test_is_bipartite_matches_networkx():
             level = nx.single_source_shortest_path_length(_to_nx(g), 0)
             g = build_graph(g.n, [(a, b) for a, b in g.edges()
                                   if (level[a] - level[b]) % 2])
-        ok, color = is_bipartite(g)
-        assert ok == nx.is_bipartite(_to_nx(g))
-        if ok:
-            assert len(color) == g.n and set(color) <= {0, 1}
-            assert all(color[a] != color[b] for a, b in g.edges())
+        bip = is_bipartite(g)
+        assert bip.verdict == nx.is_bipartite(_to_nx(g))
+        level = nx.single_source_shortest_path_length(_to_nx(g), 0)
+        if bip:
+            # the BFS level parity from 0 is a proper 2-colouring
+            assert bip.witness is None
+            assert all((level[a] - level[b]) % 2 for a, b in g.edges())
         else:
-            assert color is None
+            # the first edge whose ends are equidistant from 0, which
+            # closes an odd walk with their geodesics from 0
+            assert bip.witness == next((a, b) for a, b in g.edges()
+                                       if level[a] == level[b])
 
 
 def _int_matrix(m, n):
@@ -747,15 +752,20 @@ def _ref_is_weakly_modular(g, d):
 
 
 def test_bitset_recognizers_match_definitional_scans():
+    # modular and convex balls are compared on their verdicts alone: their
+    # witnesses come from the conditions that decide them, and
+    # tests/test_recognizers.py re-checks each against its definition
     pairs = {"TC": (_first_triangle_violation, _ref_triangle_condition),
              "weakly_modular": (is_weakly_modular, _ref_is_weakly_modular),
-             "modular": (is_modular, _ref_is_modular),
+             "modular": (lambda g, d: is_modular(g, d).verdict,
+                         lambda g, d: _ref_is_modular(g, d).verdict),
              "meshed": (is_meshed, _ref_is_meshed),
              "PC": (satisfies_PC, _ref_satisfies_PC),
              "TPC": (satisfies_TPC, _ref_satisfies_TPC),
              "weakly_bridged": (is_weakly_bridged, _ref_is_weakly_bridged),
              "bridged": (is_bridged, _ref_is_bridged),
-             "convex_balls": (has_convex_balls, _ref_has_convex_balls),
+             "convex_balls": (lambda g, d: has_convex_balls(g, d).verdict,
+                              lambda g, d: _ref_has_convex_balls(g, d).verdict),
              "INC": (satisfies_INC, _ref_satisfies_INC),
              "thick": (lambda g, d: is_thick(g), _ref_is_thick),
              "IC3": (lambda g, d: satisfies_ICm(g, 3),

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -21,12 +22,43 @@ from medgraph.recognizers import (connected_medians_partial_halved_cube,
                                   is_chordal, is_meshed, is_modular, is_thick,
                                   is_weakly_bridged, is_weakly_modular,
                                   read_labels, satisfies_ICm, satisfies_INC,
-                                  satisfies_PC, satisfies_TPC,
-                                  verify_labeled_embedding, write_labels)
+                                  satisfies_PC, verify_labeled_embedding,
+                                  write_labels)
 from reference import (_connected_atlas_graphs, _gd, _pool_graphs,
                        _recognizer_corpus, _relabelled,
                        absolute_retract_by_extension,
-                       bipartite_absolute_retract_by_masks)
+                       bipartite_absolute_retract_by_masks,
+                       convex_balls_by_ball_scan, modular_by_triple_scan)
+
+
+def _glued_cycles(count, seed=31):
+    """Seeded graphs glued from 3-, 5- and 7-cycles, one to four of them:
+    each cycle after the first shares a vertex or an edge with the graph so
+    far.  A C_7 alone satisfies INC and fails TPC."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        edges, n = [], 1
+        for _ in range(rng.randint(1, 4)):
+            length = rng.choice((3, 5, 7))
+            if edges and rng.random() < 0.5:
+                ends, inner = rng.choice(edges), length - 2
+            else:
+                x = rng.randrange(n)
+                ends, inner = (x, x), length - 1
+            path = [ends[0], *range(n, n + inner), ends[1]]
+            edges += zip(path, path[1:])
+            n += inner
+        graphs.append(build_graph(n, edges))
+    return graphs
+
+
+def _cross_check_corpus():
+    """The recognizer corpus, the connected atlas graphs (C_4..C_7, K_4,
+    W_5, W_6 and J(4,2) among them), the random pool and 200 glued odd
+    cycles."""
+    return (_recognizer_corpus() + list(_connected_atlas_graphs())
+            + list(_pool_graphs()) + _glued_cycles(200))
 
 
 # ------------------------------------------------------------------ meshedness
@@ -94,52 +126,44 @@ def test_modular_examples():
     assert not is_modular(g, d)
 
 
-def test_modular_fills_interval_rows_only_as_the_scan_reads_them(monkeypatch):
-    # the triple (0, 1, 2) of halfH_7 fails, so only the interval rows of 0
-    # and 1 are built, not all 64
+def test_modular_skips_weak_modularity_on_a_non_bipartite_graph(monkeypatch):
+    # vertices 1 and 2 of halfH_7 are adjacent and both at distance 1 from
+    # 0, so the triple (0, 1, 2) fails and no QC pass over the 64 vertices
+    # is run
     g, d = _gd(halved_cube(7)[0])
-    rows = []
-    real = recognizers.interval_masks
-    monkeypatch.setattr(recognizers, "interval_masks",
-                        lambda g, d, u: rows.append(u) or real(g, d, u))
+    monkeypatch.setattr(recognizers, "is_weakly_modular",
+                        lambda g, d: pytest.fail("is_weakly_modular called"))
+    assert is_bipartite(g).witness == (1, 2)
     assert is_modular(g, d).witness == (0, 1, 2)
-    assert rows == [0, 1]
 
 
 def test_modular_iff_bipartite_and_weakly_modular():
-    """G is modular iff it is bipartite and weakly modular, checked on the
-    recognizer corpus, the connected atlas graphs and the random pool.
-
-    Modular means every triple (u, v, w) has a median, a vertex in
-    I(u,v) & I(v,w) & I(u,w).  Modular implies both conditions:
-
-    - bipartite: if not, some edge vw has d(u,v) = d(u,w) for u = 0, as
-      else BFS level parity from 0 is a proper 2-colouring.  A median m of
-      (u, v, w) lies in I(v,w) = {v, w}; m = v needs d(u,v) + 1 = d(u,w),
-      and m = w the mirror, so the triple has none.  The triangle
-      condition (TC) then holds with no edge to test, since it asks about
-      edges vw with d(u,v) = d(u,w);
-    - the quadrangle condition (QC): a failure (u, v, w, z) has d(v,w) = 2,
-      z a common neighbour of v and w, d(u,v) = d(u,w) = k, d(u,z) = k + 1,
-      and no common neighbour x of v and w with d(u,x) = k - 1.  A median
-      of (u, v, w) lies in I(v,w), so it is v, w or a common neighbour x.
-      v needs d(u,v) + 2 = d(u,w), w the mirror, and x needs
-      d(u,x) + 1 = d(u,v) = k, so the triple has none.
-
-    The converse, that a bipartite (so triangle-free) weakly modular graph
-    is modular, is the characterization in Bandelt & Chepoi 2008, "Metric
-    graph theory and geometry: a survey", Contemp. Math. 453; this test
-    checks it on the corpus."""
-    graphs = (_recognizer_corpus() + list(_connected_atlas_graphs())
-              + list(_pool_graphs()))
-    modular = 0
-    for g in graphs:
+    """`is_modular`, decided as bipartite and weakly modular (Bandelt &
+    Chepoi 2008), equals the triple scan of its definition on the
+    cross-check corpus.  Every false verdict names a triple with no median,
+    taken from the first odd edge or from the QC witness, and both branches
+    are reached."""
+    seen = Counter()
+    for g in _cross_check_corpus():
         g, d = _gd(g)
-        got = is_modular(g, d).verdict
-        want = is_bipartite(g)[0] and is_weakly_modular(g, d).verdict
-        assert got == want, g.edges()
-        modular += got
-    assert len(graphs) == 1305 and modular == 102, (len(graphs), modular)
+        got = is_modular(g, d)
+        assert got.verdict == modular_by_triple_scan(g, d).verdict, g.edges()
+        if got:
+            assert got.witness is None
+            seen["modular"] += 1
+            continue
+        u, v, w = got.witness
+        assert not (interval(g, d, u, v) & interval(g, d, v, w)
+                    & interval(g, d, u, w)), (g.edges(), got.witness)
+        bip = is_bipartite(g)
+        if bip:
+            qc = is_weakly_modular(g, d).witness
+            assert qc[0] == "QC" and got.witness == qc[1:4], (g.edges(), qc)
+            seen["QC"] += 1
+        else:
+            assert got.witness == (0,) + bip.witness
+            seen["odd edge"] += 1
+    assert seen == {"modular": 102, "QC": 8, "odd edge": 1395}, seen
 
 
 # ------------------------------------------------------------------- chordality
@@ -202,12 +226,16 @@ def test_convex_balls():
 
 
 def test_convex_balls_witness_is_the_smallest_vertex_outside_the_ball():
-    # I(1,2) = {0, 1, 2, 31, 32} leaves the ball N[0] at 31 and 32; a set of
-    # these five vertices iterates 32 before 31, so the witness must not
-    # come from set order.  Vertices 3..30 are leaves of 0.
+    # INC first fails at u = 0 and v = 31: 0's neighbours 1 and 2 lie in
+    # the ball of radius 1 around 31, and I(1,2) = {0, 1, 2, 31, 32} leaves
+    # it at 0 and 32.  The ball scan meets the ball N[0] first, which
+    # I(1,2) leaves at 31 and 32; a set of these five vertices iterates 32
+    # before 31, so neither witness may come from set order.  Vertices
+    # 3..30 are leaves of 0.
     edges = [(0, k) for k in range(1, 31)] + [(1, 31), (2, 31), (1, 32), (2, 32)]
     g, d = _gd(build_graph(33, edges))
-    assert has_convex_balls(g, d).witness == (0, 1, 1, 2, 31)
+    assert has_convex_balls(g, d).witness == (31, 1, 1, 2, 0)
+    assert convex_balls_by_ball_scan(g, d).witness == (0, 1, 1, 2, 31)
 
 
 def test_bridged_implies_convex_balls_small():
@@ -226,15 +254,47 @@ def test_inc():
     assert satisfies_INC(g, d)
 
 
+def _violates_tpc(g, d, v, x, y):
+    """The edge xy is at distance k >= 2 from v, and neither a common
+    neighbour at k - 1 nor an induced pentagon x w z w' y with d(v,z) =
+    k - 2 closes it."""
+    k = d(v, x)
+    return (g.has_edge(x, y) and d(v, y) == k >= 2
+            and not any(d(v, z) == k - 1 for z in g.adj_sets[x] & g.adj_sets[y])
+            and not any(d(v, z) == k - 2 and w != wp and not g.has_edge(w, wp)
+                        and not g.has_edge(x, wp) and not g.has_edge(w, y)
+                        for w in g.adj[x] for wp in g.adj[y]
+                        for z in g.adj_sets[w] & g.adj_sets[wp]))
+
+
 def test_cb_iff_inc_and_tpc():
-    corpus = [cycle_graph(4), cycle_graph(5), cycle_graph(6),
-              complete_graph(4), wheel(5), wheel(6),
-              johnson(4, 2)[0], beta_configuration(), path_graph(5)]
-    for g in corpus:
+    """`has_convex_balls`, decided as INC and TPC (Soltan & Chepoi 1983;
+    Farber & Jamison 1987), equals the ball scan of its definition on the
+    cross-check corpus.  An INC failure names a ball, two of its vertices
+    and the smallest vertex of their interval outside it; a TPC failure
+    names a violation of TPC on a graph that satisfies INC.  Both branches
+    are reached."""
+    seen = Counter()
+    for g in _cross_check_corpus():
         g, d = _gd(g)
-        cb = bool(has_convex_balls(g, d))
-        split = bool(satisfies_INC(g, d)) and bool(satisfies_TPC(g, d))
-        assert cb == split, g.name
+        got = has_convex_balls(g, d)
+        assert got.verdict == convex_balls_by_ball_scan(g, d).verdict, g.edges()
+        if got:
+            assert got.witness is None
+            seen["cb"] += 1
+        elif got.witness[0] == "TPC":
+            assert satisfies_INC(g, d) and _violates_tpc(g, d, *got.witness[1:]), (
+                g.edges(), got.witness)
+            seen["TPC"] += 1
+        else:
+            v, r, x, y, z = got.witness
+            ball = {w for w in range(g.n) if d(v, w) <= r}
+            assert x in ball and y in ball, (g.edges(), got.witness)
+            assert z == min(interval(g, d, x, y) - ball), (g.edges(), got.witness)
+            seen["INC"] += 1
+    assert seen == {"cb": 452, "TPC": 47, "INC": 1006}, seen
+    g, d = _gd(cycle_graph(7))
+    assert has_convex_balls(g, d).witness == ("TPC", 0, 3, 4)
 
 
 def test_pc_ic_thick_octahedron_family():
@@ -260,10 +320,11 @@ def test_ic_m_parameter():
 # ------------------------------------------------------- bipartite absolute retracts
 
 def test_bipartiteness():
-    ok, color = is_bipartite(cycle_graph(6))
-    assert ok and color is not None
-    ok, color = is_bipartite(cycle_graph(5))
-    assert not ok
+    bip = is_bipartite(cycle_graph(6))
+    assert bip and bip.witness is None
+    # C_5 as 0-1-2-3-4-0: 2 and 3 are both at distance 2 from 0
+    bip = is_bipartite(cycle_graph(5))
+    assert not bip and bip.witness == (2, 3)
 
 
 def test_bn_hat_absolute_retract():
