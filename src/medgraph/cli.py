@@ -155,7 +155,8 @@ def cmd_pvalue(args) -> int:
 # --------------------------------------------------------------- check verb
 
 # A check that reads the distance table builds it; chordal, thick, IC3/IC4
-# (here) and alpha/beta (below) read only neighbour bitsets, and build none.
+# (here) and alpha/beta (below) read only the adjacency lists and sets, and
+# build none: on a 65536-vertex path the six take 52 MB and 2-3 s in all.
 _SIMPLE_CHECKS = {
     "meshed": lambda g: recognizers.is_meshed(g, all_pairs_distances(g)),
     "weakly-modular":

@@ -193,18 +193,10 @@ class FeasibilityResult:
 
 def build_Duv(g: Graph, d: DistMatrix, u: int, v: int) -> RationalMatrix:
     """D^uv entry (w,x) = d(v,w)d(u,x) + d(u,w)d(v,x) - d(u,v)d(w,x), its
-    rows the w != u, v with d(u,w) + d(w,v) = d(u,v), read from the
-    distance rows as `_bulk_presolve` reads them."""
+    rows I°(u,v) in ascending order."""
     _require_nonadjacent(g, u, v)
-    rows = _interior(d, u, v)
+    rows = tuple(sorted(interior_interval(g, d, u, v)))
     return RationalMatrix(tuple(_Duv_rows(d, u, v, rows)), rows, tuple(range(g.n)), u, v)
-
-
-def _interior(d: DistMatrix, u: int, v: int) -> tuple[int, ...]:
-    """I°(u,v), the rows of D^uv: the w != u, v with d(u,w) + d(w,v) = d(u,v)."""
-    du, dv = d[u], d[v]
-    k = du[v]
-    return tuple([w for w, a, b in zip(range(d.n), du, dv) if a and b and a + b == k])
 
 
 def _Duv_rows(d: DistMatrix, u: int, v: int, rows):

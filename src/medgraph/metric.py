@@ -17,14 +17,13 @@ def members(mask: int) -> list[int]:
 
 def interval(g: Graph, d: DistMatrix, u: int, v: int) -> set[int]:
     """I(u,v) = vertices on at least one (u,v)-geodesic: the w with
-    d(u,w) + d(w,v) = d(u,v), read from the distance rows as `build_Duv`
-    reads them."""
+    d(u,w) + d(w,v) = d(u,v), read off the distance rows of u and v."""
     k = d(u, v)
     return {w for w, a, b in zip(range(g.n), d[u], d[v]) if a + b == k}
 
 
 def interior_interval(g: Graph, d: DistMatrix, u: int, v: int) -> set[int]:
-    """I(u,v) minus the endpoints."""
+    """I°(u,v), I(u,v) minus the endpoints: the rows of `lp.build_Duv`."""
     return interval(g, d, u, v) - {u, v}
 
 

@@ -30,16 +30,18 @@ modularity and convex balls are decided from the conditions that
 characterise them (bipartite and weakly modular; INC and TPC).
 
 Chordality, thickness, IC3/IC4 and the alpha and beta configurations are
-local, and read no distance table.  The distance-2 pairs come from
-neighbour bitsets (`_distance_two_pairs`): the second ring of u is the OR
-of N(x) over x in N(u), less N[u].  Every other distance these conditions
-read is at most 3 and lies next to such a pair: an alpha apex a is at
-distance 2 from u and v, so for an interior vertex t, a neighbour of u,
-d(a,t) is 1 if a and t are adjacent, 2 if they have a common neighbour,
-else 3; a vertex that can own a beta personal neighbour is a neighbour of
-the interior, so it is at distance at most 2 from u and from v, and its
-distances are read off N[u] and N[v].  `check` builds the table only for
-the other classes.
+local, and read no distance table, only the adjacency lists and sets.
+`_distance_two_pairs` lists the distance-2 pairs with their common
+neighbours, each u by the cheaper of walking its paths u-x-v and
+intersecting N(u) with N(v) for each later v.  Every other distance these
+conditions read is at most 3 and lies next to such a pair: an alpha apex a
+is at distance 2 from u and v, so for an interior vertex t, a neighbour of
+u, d(a,t) is 1 if a and t are adjacent, 2 if they have a common
+neighbour, else 3; a vertex that can own a beta personal neighbour is a
+neighbour of the interior, so it is at distance at most 2 from u and from
+v, and its distances are read off N[u] and N[v].  On a 65536-vertex path
+the six take 52 MB and 2-3 s in all.  `check` builds the table only
+for the other classes.
 """
 
 from __future__ import annotations
@@ -97,36 +99,35 @@ def write_labels(e: LabeledEmbedding) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _neighbour_masks(g: Graph) -> list[int]:
-    """nbr[u] is N(u) as a Python-int bitset."""
-    nbr = []
-    for a in g.adj:
-        mask = 0
-        for v in a:
-            mask |= 1 << v
-        nbr.append(mask)
-    return nbr
-
-
-def _second_ring(g: Graph, nbr: list[int], u: int) -> int:
-    """The vertices at distance 2 from u: the OR of N(x) over x in N(u),
-    less N[u]."""
-    ring = 0
-    for x in g.adj[u]:
-        ring |= nbr[x]
-    return ring & ~(nbr[u] | 1 << u)
-
-
-def _distance_two_pairs(g: Graph, nbr: list[int]):
+def _distance_two_pairs(g: Graph):
     """(u, v, common) for each pair u < v at distance 2, u ascending, then
     v, the order of `_pairs_in_distance_band(d, 2, 2)`; common is the
-    ascending list of common neighbours, which is I°(u,v).  nbr is
-    `_neighbour_masks(g)`, passed in so that a caller that reads the masks
-    too builds them once: on a path they take n^2/16 bytes."""
-    for u in range(g.n):
-        # -(2 << u) has every bit above u set: the v > u at distance 2
-        for v in members(_second_ring(g, nbr, u) & -(2 << u)):
-            yield u, v, members(nbr[u] & nbr[v])
+    ascending list of common neighbours, which is I°(u,v).
+
+    For each u, the cheaper of two scans, counted off the degrees: walking
+    the paths u-x-v takes the sum of deg(x) over N(u) steps, and since
+    N(u) is walked in ascending order each common list comes out sorted;
+    intersecting N(u) with the neighbourhood of every later non-neighbour v
+    takes n - u set tests.  A path takes the walk at every u but the last
+    few, and K_n the tests, all of them on neighbours of u."""
+    n, adj, sets = g.n, g.adj, g.adj_sets
+    deg = list(map(len, adj))
+    for u in range(n):
+        near = sets[u]
+        # the walk's steps, the sum of deg(x) over N(u), against n - u
+        # tests; the sum is at least deg(u), which settles a dense u unsummed
+        if deg[u] < n - u and sum(map(deg.__getitem__, adj[u])) < n - u:
+            common: dict[int, list[int]] = {}
+            for x in adj[u]:
+                for v in adj[x]:
+                    if v > u and v not in near:
+                        common.setdefault(v, []).append(x)
+            for v in sorted(common):
+                yield u, v, common[v]
+        else:
+            for v in itertools.filterfalse(near.__contains__, range(u + 1, n)):
+                if both := near & sets[v]:
+                    yield u, v, sorted(both)
 
 
 def _pair_levels(g: Graph, d: DistMatrix, pairs: list[tuple[int, int]]):
@@ -490,7 +491,7 @@ def _pentagon_cap(g: Graph, d: DistMatrix, v, x, y, k) -> bool:
 def induced_squares(g: Graph):
     """Induced 4-cycles (v1, v2, v3, v4) with v1 < v3 and v2 < v4."""
     adj = g.adj_sets
-    for v1, v3, common in _distance_two_pairs(g, _neighbour_masks(g)):
+    for v1, v3, common in _distance_two_pairs(g):
         for v2, v4 in itertools.combinations(common, 2):
             if v4 not in adj[v2]:
                 yield (v1, v2, v3, v4)
@@ -521,24 +522,33 @@ def satisfies_PC(g: Graph, d: DistMatrix) -> ClassVerdict:
 def satisfies_ICm(g: Graph, m: int) -> ClassVerdict:
     """Every 2-interval embeds induced into the m-hyperoctahedron: its
     complement must be a matching plus isolated vertices, with at most m
-    pairs consumed overall."""
+    pairs consumed overall.
+
+    The 2-interval of (u, v) is u, v and their k common neighbours, and in
+    its complement u and v are a pair, since both are adjacent to all the
+    others.  So the complement is a matching plus isolated vertices iff no
+    common neighbour is in two of the nonadjacent pairs among the common
+    neighbours, and then, with j such pairs, it consumes 1 + j + (k - 2j)
+    = 1 + k - j pairs.  As j <= k/2, a pair with k > 2m - 2 fails without
+    reading the k(k - 1)/2 pairs of its common neighbours."""
     if m not in (3, 4):
         raise ValueError("m must be 3 or 4")
-    nbr = _neighbour_masks(g)
-    for u, v, common in _distance_two_pairs(g, nbr):
-        verts = nbr[u] & nbr[v] | 1 << u | 1 << v
-        # each vertex's degree in the complement: its non-neighbours in verts
-        comp_deg = [(verts & ~nbr[x]).bit_count() - 1 for x in (u, v, *common)]
-        isolated = comp_deg.count(0)
-        if max(comp_deg) > 1 or sum(comp_deg) // 2 + isolated > m:
-            return ClassVerdict(f"IC{m}", False, (u, v))
+    adj = g.adj_sets
+    for u, v, common in _distance_two_pairs(g):
+        k = len(common)
+        if k <= 2 * m - 2:
+            apart = [x for a, b in itertools.combinations(common, 2)
+                     if b not in adj[a] for x in (a, b)]
+            if len(set(apart)) == len(apart) and 1 + k - len(apart) // 2 <= m:
+                continue
+        return ClassVerdict(f"IC{m}", False, (u, v))
     return ClassVerdict(f"IC{m}", True)
 
 
 def is_thick(g: Graph) -> ClassVerdict:
     """Every distance-2 pair lies in an induced square."""
     adj = g.adj_sets
-    for u, v, common in _distance_two_pairs(g, _neighbour_masks(g)):
+    for u, v, common in _distance_two_pairs(g):
         if not any(b not in adj[a]
                    for a, b in itertools.combinations(common, 2)):
             return ClassVerdict("thick", False, (u, v))
@@ -597,11 +607,11 @@ def is_bipartite_absolute_retract(g: Graph, d: DistMatrix) -> ClassVerdict:
 
 # ------------------------------------------------ alpha/beta configurations
 
-def _small_clique_interiors(g: Graph, nbr: list[int]):
+def _small_clique_interiors(g: Graph):
     """Distance-2 pairs whose interval interior is 2-3 pairwise adjacent
     vertices (hence the pair lies in no induced square)."""
     adj = g.adj_sets
-    for u, v, inner in _distance_two_pairs(g, nbr):
+    for u, v, inner in _distance_two_pairs(g):
         if 2 <= len(inner) <= 3 and all(
                 b in adj[a] for a, b in itertools.combinations(inner, 2)):
             yield u, v, inner
@@ -626,15 +636,14 @@ def detect_beta_configuration(g: Graph):
     (`metric.J_set`), and with d(u,x) <= 1, say, y would be u itself, which
     is not closer than x to v.  So J°(u,v) meets the interior's neighbours
     in the x of exactly one of N[u] and N[v]."""
-    nbr = _neighbour_masks(g)
-    for u, v, inner in _small_clique_interiors(g, nbr):
+    adj = g.adj_sets
+    for u, v, inner in _small_clique_interiors(g):
         if len(inner) != 3:
             continue
-        near = 0
-        for s in inner:
-            near |= nbr[s]
         owners = {}
-        for x in members(near & ((nbr[u] | 1 << u) ^ (nbr[v] | 1 << v))):
+        for x in sorted(adj[inner[0]] | adj[inner[1]] | adj[inner[2]]):
+            if (x == u or x in adj[u]) == (x == v or x in adj[v]):
+                continue
             pn = personal_neighbor(g, inner, x)
             if pn is not None and pn not in owners:
                 owners[pn] = x
@@ -654,19 +663,22 @@ def detect_alpha_configuration(g: Graph):
     vertices, type 2 is apex[t], apex[w] and a tail on {t, w}, and type 3
     an apex for each interior vertex.  Types are tried in that order.
 
-    No distance table is read.  The candidate apexes are the second rings
-    of u and v ANDed, and an interior vertex t is a neighbour of u, so a
-    candidate a is at distance at most 3 from t: 1 if a and t are adjacent,
-    2 if they have a common neighbour, else 3.
+    No distance table is read.  The candidate apexes are the vertices in
+    the second rings of both u and v, and an interior vertex t is a
+    neighbour of u, so a candidate a is at distance at most 3 from t: 1 if
+    a and t are adjacent, 2 if they have a common neighbour, else 3.
     """
     adj = g.adj_sets
-    nbr = _neighbour_masks(g)
+
+    def ring(w: int) -> set[int]:
+        """The vertices at distance 2 from w."""
+        return set().union(*(adj[x] for x in g.adj[w])) - adj[w] - {w}
 
     def dist(a: int, t: int) -> int:
-        return 1 if nbr[a] >> t & 1 else 2 if nbr[a] & nbr[t] else 3
+        return 1 if t in adj[a] else 3 if adj[a].isdisjoint(adj[t]) else 2
 
-    for u, v, inner in _small_clique_interiors(g, nbr):
-        around = members(_second_ring(g, nbr, u) & _second_ring(g, nbr, v))
+    for u, v, inner in _small_clique_interiors(g):
+        around = sorted(ring(u) & ring(v))
         apex = {t: next((a for a in around if dist(a, t) == 3 and all(
             dist(a, s) == 2 for s in inner if s != t)), None) for t in inner}
         tails = [b for b in sorted(adj[u] | adj[v]) if b not in inner]

@@ -12,7 +12,7 @@ distance rows, the bipartite absolute retracts on interval bitsets instead
 of one distance row, modularity and convex balls by a scan of every triple
 and of every ball on interval bitsets instead of the conditions that
 characterise them, the alpha/beta finders on the distance table and J°(u,v)
-instead of neighbour bitsets, and maximum-cardinality search by a scan of
+instead of adjacency sets, and maximum-cardinality search by a scan of
 every vertex instead of heaps.
 
 It also holds each graph corpus and helper that more than one test module
@@ -43,8 +43,8 @@ from medgraph.lp import (FeasibilityResult, RationalMatrix, build_Duv,
 from medgraph.medians import (Profile, VertexFunction, _pairs_in_distance_band,
                               check_WP)
 from medgraph.metric import J_set, Jcirc_set, members
-from medgraph.recognizers import (ClassVerdict, _neighbour_masks, is_bipartite,
-                                  is_modular, personal_neighbor)
+from medgraph.recognizers import (ClassVerdict, is_bipartite, is_modular,
+                                  personal_neighbor)
 
 
 def is_p_weakly_peakless_full(g: Graph, d: DistMatrix, f: VertexFunction, p: int) -> bool:
@@ -331,7 +331,7 @@ def bipartite_absolute_retract_by_masks(g: Graph, d: DistMatrix) -> ClassVerdict
     in I(u,v)."""
     if not is_bipartite(g):
         return ClassVerdict("bipartite_absolute_retract", False, ("not_bipartite",))
-    nbr = _neighbour_masks(g)
+    nbr = [sum(1 << x for x in a) for a in g.adj]     # N(u) as a bitset
     for u in range(g.n):
         row, intervals = d[u], interval_masks(g, d, u)
         for v in range(g.n):

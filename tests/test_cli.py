@@ -173,8 +173,8 @@ _TABLE_FREE = ("chordal", "thick", "ic3", "ic4", "alpha", "beta")
 
 def test_check_builds_the_distance_table_only_for_the_classes_that_read_it(
         tmp_path, capsys, monkeypatch):
-    # the six classes above read neighbour bitsets alone; the other ten
-    # build the table once
+    # the six classes above read the adjacency lists and sets alone; the
+    # other ten build the table once
     real = graph.all_pairs_distances
     calls = []
 

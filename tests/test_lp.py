@@ -996,8 +996,8 @@ def test_a_midpoint_decides_each_pair_with_one_interior_vertex(monkeypatch, grap
     band = list(lp._pairs_in_distance_band(d, 2, 2))
     assert not own and hits["per pair"] and hits["bulk"]
     assert hits["per pair"] + hits["bulk"] == len(band) + len(verdicts)
-    single = [(u, v) for u, v in verdicts if len(lp._interior(d, u, v)) == 1]
-    assert single and all(verdicts[u, v].certificate == dict.fromkeys(lp._interior(d, u, v), 1)
+    single = [(u, v) for u, v in verdicts if len(interior_interval(g, d, u, v)) == 1]
+    assert single and all(verdicts[u, v].certificate == dict.fromkeys(interior_interval(g, d, u, v), 1)
                           for u, v in single)
 
 

@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from medgraph.benzenoid import BenzenoidSpec, benzenoid
 from medgraph.families import (alpha_configuration, beta_configuration,
-                               cartesian_product, cycle_graph, halved_cube,
-                               hypercube, johnson, path_graph,
-                               projective_incidence_graph)
+                               cartesian_product, complete_graph,
+                               cycle_graph, halved_cube, hypercube, johnson,
+                               path_graph, projective_incidence_graph)
 from medgraph.errors import BudgetExceeded, Disconnected
 from medgraph.graph import all_pairs_distances, build_graph, power_graph
 from medgraph.lp import (FeasibilityResult, RationalMatrix, _check_result,
@@ -32,8 +32,7 @@ from medgraph.medians import (Profile, VertexFunction, _pairs_in_distance_band,
 from medgraph import lp, oracle
 from medgraph.oracle import brute_force_oracle
 from medgraph.recognizers import (ClassVerdict, _distance_two_pairs,
-                                  _mcs_order, _neighbour_masks,
-                                  _triangle_violations,
+                                  _mcs_order, _triangle_violations,
                                   detect_alpha_configuration,
                                   detect_beta_configuration, has_convex_balls,
                                   induced_squares, is_bipartite, is_bridged,
@@ -848,12 +847,20 @@ def _random_trees_with_chords(count, seed=1):
 
 
 def test_distance_two_pairs_are_the_band_scan_of_the_table():
-    # a second ring that kept N[u], or pairs with v < u, would differ here
-    for g in [*_recognizer_corpus(), *_classify_corpus()]:
+    # pairs with v < u or v in N[u], or a common list out of order, would
+    # differ here.  Each u walks the paths u-x-v or intersects N(u) with
+    # every later N(v), whichever is cheaper: K_n and the clique of a clique
+    # with a tail take the intersections, a long path the walk, and Q_8 and
+    # the classify corpus both
+    clique_with_tail = build_graph(30, [*itertools.combinations(range(20), 2),
+                                        *((i, i + 1) for i in range(19, 29))])
+    for g in [*_recognizer_corpus(), *_classify_corpus(), complete_graph(40),
+              clique_with_tail, _relabelled(clique_with_tail, 1),
+              _relabelled(path_graph(300), 2), hypercube(8)[0]]:
         d = all_pairs_distances(g)
         want = [(u, v, sorted(g.adj_sets[u] & g.adj_sets[v]))
                 for u, v in _pairs_in_distance_band(d, 2, 2)]
-        assert list(_distance_two_pairs(g, _neighbour_masks(g))) == want, g.edges()
+        assert list(_distance_two_pairs(g)) == want, g.edges()
 
 
 def test_alpha_and_beta_finders_match_the_table_reading_finders():
