@@ -61,14 +61,15 @@ class Graph:
 class DistMatrix:
     """All-pairs hop distances, built by `all_pairs_distances`.
 
-    Row u is a list of ints, d[u][v] = d(u, v).  On a graph whose
-    distances fit in a byte the rows come from `_lane_distances` and hold
-    CPython's shared small ints; otherwise from one `bfs` per source,
-    whose rows share one int object per distance."""
+    Row u is a sequence of ints, d[u][v] = d(u, v).  On a graph whose
+    distances fit in a byte the rows are the `bytes` read off
+    `_lane_distances`, n bytes a row; otherwise they are lists from one
+    `bfs` per source, whose rows share one int object per distance.
+    `array` gives the table to numpy."""
 
     __slots__ = ("d", "n", "_diameter")
 
-    def __init__(self, d: list[list[int]]):
+    def __init__(self, d: list[bytes] | list[list[int]]):
         self.d = d
         self.n = len(d)
         self._diameter = None
@@ -84,8 +85,19 @@ class DistMatrix:
     def __call__(self, u: int, v: int) -> int:
         return self.d[u][v]
 
-    def __getitem__(self, u: int) -> list[int]:
+    def __getitem__(self, u: int) -> bytes | list[int]:
         return self.d[u]
+
+    def array(self, dtype):
+        """The table as a new n x n numpy array of dtype.  Byte rows are
+        read as one buffer (`np.frombuffer`), with no int object made per
+        entry.  numpy is imported here, so a program that never calls
+        this does not load it."""
+        import numpy as np
+        if isinstance(self.d[0], bytes):
+            table = np.frombuffer(b"".join(self.d), np.uint8).reshape(self.n, self.n)
+            return table.astype(dtype)
+        return np.array(self.d, dtype=dtype)
 
 
 def _lane_distances(g: Graph, levels: int) -> list[int]:
@@ -179,16 +191,15 @@ def all_pairs_distances(g: Graph) -> DistMatrix:
     """The distance table.  The diameter is at most 2 ecc(0), read off
     `g.dist0`: when that fits in a byte lane, `_lane_distances` grows every
     source's ball at once, each from its neighbours' balls of the level
-    before; otherwise row s is `bfs(g, s)`, every row taking distance k
-    from one shared list of level ints."""
+    before, and row s is kept as the n bytes of its lanes; otherwise row s
+    is `bfs(g, s)`, every row taking distance k from one shared list of
+    level ints."""
     reach = 2 * max(g.dist0)
     if reach < 256:
-        # each row is read off its lanes as CPython's shared small ints,
-        # and the lanes are freed as the rows are built
+        # the lanes are freed as the rows are built
         lanes = _lane_distances(g, reach)
         lanes.reverse()
-        return DistMatrix([list(lanes.pop().to_bytes(g.n, "little"))
-                           for _ in range(g.n)])
+        return DistMatrix([lanes.pop().to_bytes(g.n, "little") for _ in range(g.n)])
     levels = list(range(g.n + 1))
     return DistMatrix([bfs(g, s, levels) for s in range(g.n)])
 

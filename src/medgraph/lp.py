@@ -560,7 +560,7 @@ def _bulk_presolve(d: DistMatrix, pairs, r, k: int):
     import numpy as np
     from .oracle import _dtype
     n = d.n
-    dist = np.array(d.d, dtype=_dtype(n * (k * k // 2)))    # see the module docstring
+    dist = d.array(_dtype(n * (k * k // 2)))     # see the module docstring
     r = np.array(r, dtype=np.int64)
     step = max(1, _BULK_ENTRIES // (2 * n))     # pairs read at once: two rows each fill an array
     while block := list(itertools.islice(pairs, step)):

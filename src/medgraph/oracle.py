@@ -103,8 +103,7 @@ def brute_force_oracle(g: Graph, d: DistMatrix, p: int, max_weight: int):
                 f"{total} profiles exceed the budget of {_BUDGET}")
     if not pairs:
         return None
-    dist = np.array(d.d, dtype=_dtype(
-        max_weight * max(map(len, supports)) * d.diameter))
+    dist = d.array(_dtype(max_weight * max(map(len, supports)) * d.diameter))
     near = dist <= p                       # closed p-balls, used for both tests
     # slots[k, x] is the k-th vertex of the closed p-ball of x, padded with
     # x: a stable argsort of ~near puts each ball first, in ascending order

@@ -499,18 +499,22 @@ def induced_squares(g: Graph):
 
 def satisfies_PC(g: Graph, d: DistMatrix) -> ClassVerdict:
     """d(u,v1)+d(u,v3) = d(u,v2)+d(u,v4) on every induced square.  Each
-    distance row is packed into one int, one field per vertex wide enough
-    for 2 diam, so a sum of two packed rows carries nothing from field to
-    field, and two such sums are equal iff the rows agree entrywise.  The
-    rows are packed at the first square, and u is looked up in the lists
-    only on a failure."""
+    distance row is packed into one int P(row) = sum of row[x] B^x, one
+    field of B = 2^8, 2^16 or 2^64 per vertex, the narrowest that holds
+    one distance; a byte row is packed as it stands.  This is exact.  On
+    an induced square v1v2v3v4, v1 and v2 are adjacent, so |d(u,v1) -
+    d(u,v2)| <= 1, and |d(u,v3) - d(u,v4)| <= 1 alike, for every u.  So
+    P(v1) + P(v3) - P(v2) - P(v4) = sum of e_x B^x with every e_x in
+    [-2, 2].  As |e_x| < B, the lowest nonzero e_x B^x is no multiple of
+    B^(x+1), so that sum is 0 exactly when every e_x is: the two sums are
+    equal exactly when the rows agree.  The rows are packed at the first
+    square, and u is looked up in the rows only on a failure."""
     packed = None
     for sq in induced_squares(g):
         if packed is None:
-            top = 2 * d.diameter
+            top = d.diameter
             code = "B" if top < 1 << 8 else "H" if top < 1 << 16 else "Q"
-            packed = [int.from_bytes(array(code, row).tobytes(), sys.byteorder)
-                      for row in d.d]
+            packed = [int.from_bytes(array(code, row), sys.byteorder) for row in d.d]
         v1, v2, v3, v4 = sq
         if packed[v1] + packed[v3] != packed[v2] + packed[v4]:
             u = next(u for u, (a, b, c, e) in enumerate(zip(d[v1], d[v3], d[v2], d[v4]))

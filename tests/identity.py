@@ -9,17 +9,18 @@ Run it in two checkouts and `diff` the outputs: every line that differs
 names an input whose output changed.  pytest does not collect this file.
 It prints four groups of lines, in this order:
 
-- `compute_p` on 1,377 graphs: the test corpus under 6 labellings (the
+- `compute_p` on 1,380 graphs: the test corpus under 6 labellings (the
   built one and seeds 1..5), the 240 graphs of the benchmark's random pool,
   the 995 connected atlas graphs, 60 seeded random graphs, G_3 under the
   ten relabellings of its pinned `pvalue` test, G_5, G_7, the odd cycles
-  C_25..C_63, C_9xC_10 and C_10xC_10;
-- `recognizers/...`: the 17 recognizer outputs of `RECOGNIZERS` on 2,506
+  C_25..C_63, C_9xC_10, C_10xC_10 and the three tables of
+  `reference._long_tables`, with list rows and with byte rows;
+- `recognizers/...`: the 17 recognizer outputs of `RECOGNIZERS` on 2,512
   instances: the 995 connected atlas graphs, the 240 pool graphs, the six
   graphs of the benchmark's classify corpus, the eight of its
-  pvalue-families corpus and the three alpha and one beta configurations,
-  each as given and relabelled once (`_relabelled`, the graph's index as
-  the seed);
+  pvalue-families corpus, the three alpha and one beta configurations and
+  the three graphs of `_long_tables`, each as given and relabelled once
+  (`_relabelled`, the graph's index as the seed);
 - `sets/...`: the sorted `interval` of every ordered pair and the sorted
   `J_set` of every pair u != v, on each of those instances with at most 14
   vertices and on the 60 seeded random graphs;
@@ -34,8 +35,9 @@ from pathlib import Path
 
 sys.path[:0] = [str(Path(__file__).resolve().parents[1] / "src")]
 
-from reference import (_connected_atlas_graphs, _corpus, _pool_graphs,  # noqa: E402
-                       _random_connected_graphs, _relabelled)
+from reference import (_connected_atlas_graphs, _corpus,  # noqa: E402
+                       _long_tables, _pool_graphs, _random_connected_graphs,
+                       _relabelled)
 
 from medgraph import recognizers as rec  # noqa: E402
 from medgraph.benzenoid import BenzenoidSpec, benzenoid  # noqa: E402
@@ -82,10 +84,11 @@ def inputs():
         yield f"C_{n}", cycle_graph(n)
     for n in (9, 10):
         yield f"C_{n}xC_10", cartesian_product(cycle_graph(n), cycle_graph(10))
+    yield from _long_tables()
 
 
 def recognizer_inputs():
-    """(label, graph) for the 1,253 graphs of the recognizer lines, each
+    """(label, graph) for the 1,256 graphs of the recognizer lines, each
     followed by its relabelled copy."""
     coronene = benzenoid(BenzenoidSpec(frozenset(CORONENE))).graph
     classify = [hypercube(6)[0], halved_cube(7)[0], johnson(8, 3)[0],
@@ -94,7 +97,8 @@ def recognizer_inputs():
     configurations = [*map(alpha_configuration, (1, 2, 3)), beta_configuration()]
     groups = (("atlas", _connected_atlas_graphs(7)), ("pool", _pool_graphs()),
               ("classify", classify), ("families", _corpus()),
-              ("configurations", configurations))
+              ("configurations", configurations),
+              ("tables", [g for _, g in _long_tables()]))
     index = 0
     for prefix, graphs in groups:
         for i, g in enumerate(graphs):

@@ -33,8 +33,9 @@ import numpy as np
 from medgraph.benzenoid import BenzenoidSpec, benzenoid
 from medgraph.errors import BudgetExceeded
 from medgraph.families import (alpha_configuration, beta_configuration,
-                               bn_graph, cartesian_product, cycle_graph,
-                               halved_cube, hypercube, johnson, path_graph,
+                               bn_graph, cartesian_product,
+                               complete_bipartite, cycle_graph, halved_cube,
+                               hypercube, johnson, path_graph,
                                projective_incidence_graph)
 from medgraph.graph import DistMatrix, Graph, all_pairs_distances, build_graph
 import medgraph.lp as lp
@@ -430,7 +431,7 @@ def _ref_oracle(g, d, p, max_weight, budget):
     G^p-connectivity check.  Both must report the same first (pair,
     profile)."""
     n = g.n
-    dist = np.array(d.d, dtype=np.int64)
+    dist = d.array(np.int64)
     near = dist <= p
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
              if p + 1 <= d(u, v) <= 2 * p]
@@ -515,6 +516,26 @@ def _relabelled(g, seed):
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
     return build_graph(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+
+
+def _swapped(g, a, b):
+    """g with the labels a and b exchanged."""
+    swap = {a: b, b: a}
+    return build_graph(g.n, [(swap.get(x, x), swap.get(y, y)) for x, y in g.edges()])
+
+
+def _long_tables():
+    """(label, graph) for three tables on both sides of the byte lanes:
+    P_300 relabelled, whose 2 ecc(0) >= 256 puts it past the lanes;
+    P_200 x K_2 with vertex 0 mid-ladder, a lane table of diameter 200; and
+    K_{2,3} with a 130-vertex path hung on vertex 0, relabelled so that
+    vertex 0 sits mid-path (n = 135, 2 ecc(0) = 136, diameter 132), a lane
+    table of odd width whose 2 diam passes a byte."""
+    tail = [(0, 5)] + [(x, x + 1) for x in range(5, 134)]
+    k23_tail = build_graph(135, complete_bipartite(2, 3).edges() + tail)
+    yield "P_300/relabelled", _relabelled(path_graph(300), 300)
+    yield "P_200xK_2/mid", _swapped(cartesian_product(path_graph(200), path_graph(2)), 0, 200)
+    yield "K_2,3+P_130/mid", _swapped(k23_tail, 0, 70)
 
 
 def _recognizer_corpus():

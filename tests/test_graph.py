@@ -155,7 +155,8 @@ def test_distances_match_networkx():
     for g in _recognizer_corpus() + wide + lanes:
         d = all_pairs_distances(g)
         lengths = dict(nx.all_pairs_shortest_path_length(_to_nx(g)))
-        assert d.d == [[lengths[u][v] for v in range(g.n)] for u in range(g.n)]
+        assert [list(row) for row in d.d] == [[lengths[u][v] for v in range(g.n)]
+                                              for u in range(g.n)]
     # bfs marks unreached vertices -1, which the connectivity check reads;
     # Graph rejects this disconnected input, so bfs gets its n and adj bare
     halves = SimpleNamespace(n=5, adj=[[1], [0], [3], [2], []])

@@ -13,9 +13,11 @@ from hypothesis import given, settings, strategies as st
 from medgraph.benzenoid import BenzenoidSpec, benzenoid
 from medgraph.families import (alpha_configuration, beta_configuration,
                                cartesian_product, complete_graph,
-                               cycle_graph, halved_cube, hypercube, johnson,
-                               path_graph, projective_incidence_graph)
-from medgraph.errors import BudgetExceeded, Disconnected
+                               cycle_graph, gated_amalgam, halved_cube,
+                               hypercube, johnson, path_graph,
+                               projective_incidence_graph)
+from medgraph.errors import (BudgetExceeded, Disconnected, NotGated,
+                             NotInducedIso)
 from medgraph.graph import all_pairs_distances, build_graph, power_graph
 from medgraph.lp import (FeasibilityResult, RationalMatrix, _check_result,
                          compute_p, disconnecting_profile,
@@ -251,6 +253,35 @@ def test_product_law():
         for m in range(4, 8):
             assert p(cartesian_product(cycle_graph(n), cycle_graph(m))) \
                 == max(p(cycle_graph(n)), p(cycle_graph(m))) == (max(n, m) - 1) // 2
+
+
+def test_gated_amalgam_law_along_an_edge():
+    """p of a gated amalgam is the larger p of its parts, on 200 seeded
+    amalgams of connected atlas graphs on at most 6 vertices and the cycles
+    C_3..C_13, glued along an edge of each (`gated_amalgam`).  A cut
+    vertex is a gated vertex, where the law is proved (ROADMAP, p block by
+    block); along a gated edge it is a conjecture, and a disagreement here
+    is a counterexample to it.  A draw whose edge is not gated in its host,
+    such as an edge of a triangle or of an odd cycle, is drawn again."""
+    def p(g):
+        return compute_p(g, all_pairs_distances(g)).p
+
+    parts = list(_connected_atlas_graphs(6)) + [cycle_graph(n) for n in range(3, 14)]
+    rng = random.Random(207)
+    glued = above_one = 0
+    while glued < 200:
+        g1, g2 = rng.choice(parts), rng.choice(parts)
+        e1, e2 = rng.choice(g1.edges()), rng.choice(g2.edges())
+        try:
+            g = gated_amalgam(g1, g2, dict(enumerate(e1)),
+                              dict(enumerate(rng.sample(e2, 2))))
+        except (NotGated, NotInducedIso):
+            continue
+        want = max(p(g1), p(g2))
+        assert p(g) == want, (g1.edges(), e1, g2.edges(), e2)
+        glued += 1
+        above_one += want > 1
+    assert above_one == 112, above_one
 
 
 def test_power_graph_distances():
@@ -1025,7 +1056,7 @@ def test_J_set_matches_its_definition_on_masks_wider_than_a_word():
     checked = 0
     for g, sources in cases:
         d = all_pairs_distances(g)
-        dist = np.array(d.d)
+        dist = d.array(np.int64)
         for u in sources:
             masks = interval_masks(g, d, u)
             for v in range(g.n):

@@ -24,8 +24,8 @@ from medgraph.recognizers import (connected_medians_partial_halved_cube,
                                   read_labels, satisfies_ICm, satisfies_INC,
                                   satisfies_PC, verify_labeled_embedding,
                                   write_labels)
-from reference import (_connected_atlas_graphs, _gd, _pool_graphs,
-                       _recognizer_corpus, _relabelled,
+from reference import (_connected_atlas_graphs, _gd, _long_tables,
+                       _pool_graphs, _recognizer_corpus, _relabelled,
                        absolute_retract_by_extension,
                        bipartite_absolute_retract_by_masks,
                        convex_balls_by_ball_scan, modular_by_triple_scan)
@@ -306,6 +306,23 @@ def test_pc_ic_thick_octahedron_family():
     assert satisfies_PC(g, d)
     assert satisfies_ICm(g, 4)
     assert is_thick(g)
+
+
+def test_pc_on_a_byte_table_whose_doubled_diameter_passes_a_byte():
+    # K_{2,3} with a 130-vertex path hung on a vertex, vertex 0 mid-path:
+    # a lane table, n = 135 bytes a row, of diameter 132.  satisfies_PC
+    # packs a row one distance a field; a field that held 2 diam = 264
+    # would take two bytes, and a byte row of odd length is no whole number
+    # of such fields.  The witness is the first square, then its least u,
+    # as a plain scan of every u on every square finds it.
+    g = dict(_long_tables())["K_2,3+P_130/mid"]
+    d = all_pairs_distances(g)
+    assert (g.n, 2 * max(g.dist0), d.diameter) == (135, 136, 132)
+    assert isinstance(d[0], bytes)
+    plain = next((u,) + sq for sq in induced_squares(g) for u in range(g.n)
+                 if d(u, sq[0]) + d(u, sq[2]) != d(u, sq[1]) + d(u, sq[3]))
+    verdict = satisfies_PC(g, d)
+    assert not verdict and verdict.witness == plain == (4, 1, 2, 70, 3)
 
 
 def test_path_not_thick():
