@@ -104,43 +104,36 @@ An LP answer is checked on the full D^uv by `_check_result(mat, res)`: a
 certificate that is empty, has a y_w <= 0 or names a vertex that is not a
 row of mat fails it.
 
-A band scan of `_pair_verdicts` streams the pairs it has not decided yet.
-The first _BULK_PAIRS - 1 = 31 of them are decided one by one (`_head`),
-so a scan that fails on one of its first pairs makes no array.  The rest
-go to one `_bulk_presolve` per scan, a block of pairs at a time, on the
-stream's own copy of the distance table.  `_bulk_balanced` tries the
-balanced pairs of a whole block, enumerated level by level and ranked in
-one sort, and the pairs it decides are checked in an array D[pair, row, x]
-of their two rows each.  Each pair it leaves goes to `_unbalanced`, as on
-the head, so a pair's verdict is the same on both paths.  Both paths read
-a pair's interior from the distance rows, as the w != u, v with
-d(u,w) + d(w,v) = d(u,v).  The head of 31 pairs stays because an array
-costs more than it saves on a short band, such as the atlas bands of at
-most 21 pairs.  Three bounds hold:
-- on a pair at distance k, write a = d(u,w) and b = d(v,w), so a + b = k.
-  The entry b d(u,x) + a d(v,x) - k d(w,x) is at most 2ab, since
-  d(u,x) <= a + d(w,x) and d(v,x) <= b + d(w,x), and at least -2ab, since
-  k d(w,x) = b d(w,x) + a d(w,x) <= b (d(u,x) + a) + a (d(v,x) + b); it
-  is 2ab at x = w.  So |entry| <= 2ab <= floor(k^2 / 2).  The bulk path
-  forms two rows of D^uv per pair and their sum: each product in a row is
-  at most k diam < n k, and the sum is at most k^2 in size, so no value
-  it forms on a band up to distance k exceeds n floor(k^2 / 2), k being
-  the band's top or the diameter if that is smaller.  Each stream copies
-  the table once, into the narrowest of int16, int32 and int64 that holds
-  this bound for its own band, and drops it when the scan ends; no table
-  is kept from one scan to the next, and a copy at n = 256 costs about
-  2.5 ms.  int64 holds the bound for every graph whose distance table
-  fits in memory.  int16 holds band 2 of every graph of at most 16,383
-  vertices, and every band of the half-cubes up to 1/2 H_9 and of
-  J(10,5);
-- each array holds at most _BULK_ENTRIES = 2^16 entries (128 KB in
-  int16): a block holds _BULK_ENTRIES / 2n pairs, so that the two rows of
-  each fill one array, and its balanced pairs are ranked in chunks of
-  fewer than _BULK_ENTRIES candidates plus one pair's; a pair has fewer
-  candidates than its D^uv has entries;
-- the rank of a candidate is one int64, below 2^18 n^2 diam, which holds
-  it for every graph of fewer than 2^15 vertices: the distance table of a
-  larger one, 2^30 list entries, does not fit in memory.
+A band scan of `_pair_verdicts` reads only the rows of orbit roots.  An
+automorphism sigma keeps distances, so row sigma(w), column sigma(x) of
+D^{sigma(u) sigma(v)} is entry (w, x) of D^uv: the rows and columns are
+permuted, and (u, v) and (sigma(u), sigma(v)) have the same verdict.
+Let rho < u be the least vertex of u's orbit, its root, and sigma an
+automorphism that maps u to rho.  A pair (u, v), u < v, then has the
+same verdict as (rho, sigma(v)), which lies in the row of rho or of
+sigma(v) < rho, an earlier row; by induction every pair has a pair of
+equal verdict and distance in the row of a root, at or before it in the
+scan's order.  So a band has a failing pair iff a root's row has one, and
+its first failing pair lies in a root's row: `compute_p` and
+`has_Gp_connected_medians` skip every other row and find the same p and
+the same witness pair.  The automorphisms come from
+`symmetry.automorphisms`, each checked on every edge, so a weak or failed
+search costs time, never a verdict.  The search runs only on a graph with
+at least _ORBIT_PAIRS = 128 pairs at distance 2 or more, whose every
+transmission r(w) is shared by another vertex.  On a graph with fewer such
+pairs a search costs more than scanning them: each of the 995 connected
+atlas graphs has at most 21, and on G_2, with 85, the search took 0.27 ms
+and cut the pairs decided from 21 to about 9, yet a `pvalue` job took
+2.0-2.2 ms with it and 2.0 ms without.  The transmissions are shared in
+none of the 240 graphs of the benchmark's random pool and in every graph
+of its family corpus.  With neither gate the search made the pool's
+`compute_p` 8% slower and the atlas bands' `has_Gp_connected_medians` at
+p = 1, 2 2.4 times slower.
+Vertex 0 is always a root, so the search runs when a scan first moves
+past row 0, and a scan that stops within row 0, as every scan of an odd
+cycle does, makes none.  Each pair a scan reads is decided pair by pair
+(`_head`), its interior read from the distance rows as the w != u, v
+with d(u,w) + d(w,v) = d(u,v).
 
 D^uv has a column for every vertex, though a violating profile pi can
 always be moved onto J(u,v).  With F the median function of pi and w inside
@@ -151,17 +144,18 @@ stays violated.  The moves end on J(u,v), so the LP on the J(u,v) columns
 alone is feasible iff this one is: a J-column LP would add nothing.
 D^uv depends only on the pair, never on p, so `_pair_verdicts` decides
 each pair at most once, and `compute_p` stops each scan, the report's too,
-at its first failing pair: its solve is the last one, and the bulk path
-has tried the balanced pairs of that pair's block at most.
+at its first failing pair: its decision is the last one.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import symmetry
 from .errors import InteriorTooLarge, WrongDistance
 from .graph import DistMatrix, Graph
 from .medians import (Profile, _pairs_in_distance_band, _require_nonadjacent,
@@ -492,162 +486,65 @@ def _balanced(d: DistMatrix, r, u: int, v: int, rows, far):
 _BALANCED_TRIES = 8           # balanced pairs tried per pair: see the module docstring
 
 
-def _pair_verdicts(d: DistMatrix):
+def _pair_verdicts(g: Graph, d: DistMatrix):
     """The band scan of one graph, and the set of the pairs it gave their
     own solve.
 
     scan(lo, hi) yields (u, v, verdict) for the pairs of the band
-    lo <= d(u,v) <= hi in `_pairs_in_distance_band` order.  The pairs not
-    yet decided get their matrix and presolve answer from one lazy stream:
-    the first _BULK_PAIRS - 1 of them from `_head`, a pair at a time, and
-    the rest from one `_bulk_presolve`, which copies the distance table for
-    this band, tries the balanced pairs of a block of pairs at a time and
-    gives each pair the answer `_head` gives it.  A scan that stops within
-    its first 31 undecided pairs makes no array, and one that stops later
-    has read at most one block of pairs past the pair it stops at.  Scans
-    share only the verdicts, own and the transmissions that order the
-    balanced pairs, summed once.
-
-    A pair's verdict is its presolve answer when it has one, else its own
-    solve; neither holds a matrix.
+    lo <= d(u,v) <= hi in `_pairs_in_distance_band` order, in the rows u
+    that are the roots of their orbits: every row, unless the graph has at
+    least _ORBIT_PAIRS pairs at distance 2 or more and every transmission is
+    shared by another vertex.  Then the first scan to move past row 0
+    searches for automorphisms (`symmetry.automorphisms`), and the rows of the
+    vertices that are not the least of their orbit are skipped: whether a
+    band has a failing pair, and its first one, are read off the roots'
+    rows (see the module docstring).  A pair's verdict is its presolve
+    answer when it has one, else its own solve; neither holds a matrix.
+    Scans share the verdicts, own, the orbits and the transmissions that
+    order the balanced pairs, summed once.
     """
     verdicts: dict[tuple[int, int], FeasibilityResult] = {}
     own: set[tuple[int, int]] = set()
     r = [sum(row) for row in d.d]       # the transmissions
+    search = g.n * (g.n - 1) // 2 - g.num_edges() >= _ORBIT_PAIRS and \
+        min(Counter(r).values()) > 1
+    root = None
 
-    def decide(u: int, v: int, mat, res) -> FeasibilityResult:
-        """The verdict of (u, v) from its matrix mat and presolve answer
-        res, stored."""
+    def decide(u: int, v: int) -> FeasibilityResult:
+        """The verdict of (u, v), stored."""
+        mat, res = _head(d, r, u, v)
         if res is None:
             res = lp_feasible_strict(mat)
             own.add((u, v))
         verdicts[u, v] = res
         return res
 
+    def roots():
+        """The rows a scan reads, each as the scan reaches it: every row, or
+        from row 1 on, once automorphisms are searched, the orbit roots'."""
+        nonlocal search, root
+        for u in range(g.n):
+            if u == 1 and search:
+                search = False
+                root = symmetry.orbit_roots(g.n, symmetry.automorphisms(g, d, r))
+            if root is None or root[u] == u:
+                yield u
+
     def scan(lo: int, hi: int):
-        band, pairs = itertools.tee(_pairs_in_distance_band(d, lo, hi))
-        new = (pair for pair in pairs if pair not in verdicts)
-        head = (_head(d, r, u, v) for u, v in itertools.islice(new, _BULK_PAIRS - 1))
-        answers = itertools.chain(head, _bulk_presolve(d, new, r, min(hi, d.diameter)))
-        # new may be read ahead of band, but only this loop adds to
-        # verdicts, each pair when it reaches it: the answers stay in step
-        for u, v in band:
-            res = verdicts.get((u, v))
-            yield u, v, res if res is not None else decide(u, v, *next(answers))
+        for u, v in _pairs_in_distance_band(d, lo, hi, roots()):
+            yield u, v, verdicts.get((u, v)) or decide(u, v)
 
     return scan, own
 
 
-# The bulk path: see the module docstring.
-_BULK_PAIRS = 32
-_BULK_ENTRIES = 2 ** 16
-
-
-def _bulk_presolve(d: DistMatrix, pairs, r, k: int):
-    """(mat, res) for each pair of the iterable pairs, in order, the pairs
-    being at distance at most k, as `_head` gives them: res is the pair's
-    checked balanced-pair certificate and mat None, else the `_unbalanced`
-    answer.  r holds the transmissions.  The distance table is copied once,
-    when the stream is first read, into the narrowest type that holds the
-    values of a band up to distance k.
-
-    Pairs are read a block at a time.  The interiors of a block are read
-    from the table, as the w != u, v with d(u,w) + d(w,v) = d(u,v), the
-    rows `build_Duv` takes.  Its balanced pairs are tried at once
-    (`_bulk_balanced`), and checked at once in one array of their two rows
-    each, whose sum must be at least 0 in every column; each pair they
-    leave goes to `_unbalanced` when it is asked for."""
-    import numpy as np
-    from .oracle import _dtype
-    n = d.n
-    dist = d.array(_dtype(n * (k * k // 2)))     # see the module docstring
-    r = np.array(r, dtype=np.int64)
-    step = max(1, _BULK_ENTRIES // (2 * n))     # pairs read at once: two rows each fill an array
-    while block := list(itertools.islice(pairs, step)):
-        us, vs = np.array(block).T
-        at = np.arange(len(block))
-        far = dist[us] + dist[vs]
-        inside = far == far[at, us, None]
-        inside[at, us] = inside[at, vs] = False
-        found, w1, w2 = _bulk_balanced(dist, r, us, vs, inside, far)
-        D = _bulk_array(dist, us[found], vs[found], np.stack((w1, w2), axis=1))
-        ok = D.sum(axis=1).min(axis=1) >= 0
-        balanced = dict(zip(found.tolist(), zip(ok.tolist(), w1.tolist(), w2.tolist())))
-        for p, (u, v) in enumerate(block):
-            if p not in balanced:
-                yield _unbalanced(d, u, v, tuple(np.flatnonzero(inside[p]).tolist()))
-                continue
-            good, *pair = balanced[p]
-            if not good:
-                raise AssertionError(f"balanced answer does not verify on pair ({u},{v})")
-            yield None, FeasibilityResult("infeasible", certificate=dict.fromkeys(pair, 1))
-
-
-def _bulk_balanced(dist, r, us, vs, inside, far):
-    """The tries of `_balanced` on the pairs (us[p], vs[p]) of a block,
-    inside marking their interiors and far[p] being d(u,x) + d(v,x): the
-    pairs p that a try decides, ascending, and the w_1 <= w_2 of the first
-    try that holds on each.
-
-    The candidates are enumerated level by level: the interior vertices of
-    a pair are sorted by their level a = d(u,w), and each with 2a <= k is
-    paired with the run of those at level k - a, only itself and the later
-    ones of its own level when 2a = k.  They are ranked in chunks of pairs
-    that start every _BULK_ENTRIES candidates, and the t-th tries of the
-    pairs still undecided are tested together, one pair of table rows per
-    pair."""
-    import numpy as np
-    k = dist[us, vs]
-    p, w = (x.astype(np.int32) for x in np.nonzero(inside))
-    a, kp = dist[us[p], w], k[p]
-    key = p * (int(k.max()) + 1) + a
-    order = np.argsort(key, kind="stable")  # by pair, then level, then vertex
-    key, p, w, a, kp = key[order], p[order], w[order], a[order], kp[order]
-    partner = key + kp - 2 * a              # the key of level k - a
-    start = np.where(2 * a == kp, np.arange(len(key)), np.searchsorted(key, partner))
-    count = np.where(2 * a <= kp, np.searchsorted(key, partner, side="right") - start, 0)
-    per_pair = np.bincount(p, count, minlength=len(us)).astype(np.int64)
-    offset = np.cumsum(per_pair) - per_pair     # each pair's first candidate
-    cut = np.flatnonzero(np.diff(offset // _BULK_ENTRIES, prepend=-1)).tolist()
-    n, top = len(dist), 2 * int(r.max()) + 1
-    w1s, w2s = np.full(len(us), -1), np.full(len(us), -1)
-    for plo, phi in itertools.pairwise(cut + [len(us)]):    # the pairs of a chunk
-        lo, hi = np.searchsorted(p, (plo, phi)).tolist()    # and their entries
-        left = np.repeat(np.arange(lo, hi), count[lo:hi])
-        pp, w1, w2 = p[left], w[left], w[np.arange(len(left)) + np.repeat(
-            start[lo:hi] - np.cumsum(count[lo:hi]) + count[lo:hi], count[lo:hi])]
-        del left
-        w1, w2 = np.minimum(w1, w2), np.maximum(w1, w2)
-        # one int64 key per candidate, below 2^18 n^2 diam: pair, mirror
-        # pairs first, then r(w_1) + r(w_2), then w_1 and w_2
-        rank = np.argsort((((pp * np.int64(2) + (dist[w1, w2] != k[pp])) * top
-                            + r[w1] + r[w2]) * n + w1) * n + w2)
-        w1, w2 = w1[rank], w2[rank]
-        first, size = offset[plo:phi] - offset[plo], per_pair[plo:phi]
-        for t in range(_BALANCED_TRIES):
-            q = np.flatnonzero((size > t) & (w1s[plo:phi] < 0))
-            if not len(q):
-                break
-            at = first[q] + t
-            held = (dist[w1[at]] + dist[w2[at]] <= far[plo + q]).all(axis=1)
-            w1s[plo + q[held]], w2s[plo + q[held]] = w1[at[held]], w2[at[held]]
-    found = np.flatnonzero(w1s >= 0)
-    return found, w1s[found], w2s[found]
-
-
-def _bulk_array(dist, us, vs, ws):
-    """D[pair, row, x]: row ws[pair, row] of the D^uv of the pair (u, v) =
-    (us[pair], vs[pair]), by `build_Duv`'s formula."""
-    du, dv = dist[us, None], dist[vs, None]
-    return (dist[vs[:, None], ws, None] * du + dist[us[:, None], ws, None] * dv
-            - dist[us, vs, None, None] * dist[ws])
+_ORBIT_PAIRS = 128      # pairs at distance 2 or more before automorphisms are searched
 
 
 def has_Gp_connected_medians(g: Graph, d: DistMatrix, p: int) -> bool:
     """p(G) <= p iff no pair in the band p+1 <= d(u,v) <= 2p is feasible."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    scan, _ = _pair_verdicts(d)
+    scan, _ = _pair_verdicts(g, d)
     return not any(res.feasible for _, _, res in scan(p + 1, 2 * p))
 
 
@@ -700,12 +597,13 @@ def compute_p(g: Graph, d: DistMatrix) -> PValueReport:
     band of p-1 is then scanned in ascending pair order up to its first
     failing pair, the witness pair, whose verdict is its own solve.
 
-    Pairs are decided by `_pair_verdicts`.  A feasible verdict is a
-    one-vertex witness or the pair's own solve; in the first case the
-    witness pair is solved again, on `build_Duv`'s matrix, the one its
-    witness was found on.
+    Pairs are decided by `_pair_verdicts`, which reads the rows of orbit
+    roots only; the first failing pair of a band lies in one of them.  A
+    feasible verdict is a one-vertex witness or the pair's own solve; in
+    the first case the witness pair is solved again, on `build_Duv`'s
+    matrix, the one its witness was found on.
     """
-    scan, own = _pair_verdicts(d)
+    scan, own = _pair_verdicts(g, d)
     p = 1
     while True:
         k = next((d(u, v) for u, v, res in scan(p + 1, 2 * p) if res.feasible), None)

@@ -138,9 +138,11 @@ def check_WP(g: Graph, d: DistMatrix, f: VertexFunction, u: int, v: int) -> bool
     return False
 
 
-def _pairs_in_distance_band(d: DistMatrix, lo: int, hi: int):
-    """The pairs u < v with lo <= d(u,v) <= hi, u ascending, then v."""
-    for u, row in enumerate(d.d):
+def _pairs_in_distance_band(d: DistMatrix, lo: int, hi: int, rows=None):
+    """The pairs u < v with lo <= d(u,v) <= hi, u ascending, then v; u runs
+    over rows, an ascending iterable read one row at a time, if it is given."""
+    for u in range(d.n) if rows is None else rows:
+        row = d.d[u]
         for v in range(u + 1, len(row)):
             if lo <= row[v] <= hi:
                 yield u, v

@@ -39,6 +39,7 @@ from medgraph.families import (alpha_configuration, beta_configuration,
                                projective_incidence_graph)
 from medgraph.graph import DistMatrix, Graph, all_pairs_distances, build_graph
 import medgraph.lp as lp
+from medgraph import symmetry
 from medgraph.lp import (FeasibilityResult, RationalMatrix, build_Duv,
                          lp_feasible_strict)
 from medgraph.medians import (Profile, VertexFunction, _pairs_in_distance_band,
@@ -134,6 +135,13 @@ def presolve_plain(d: DistMatrix, mat: RationalMatrix):
         if max(col) < 0:
             return "column", "feasible", None, {x: Fraction(1)}
     return None
+
+
+def orbits_off(monkeypatch) -> None:
+    """Turn the orbit search of `lp._pair_verdicts` off: it finds no
+    automorphism, and a scan reads every row.  The plain scan that the
+    orbit scan is checked against."""
+    monkeypatch.setattr(symmetry, "automorphisms", lambda g, d, r: [])
 
 
 def _assert_agrees_with_per_pair(g: Graph, per_pair, scanned) -> None:

@@ -1,10 +1,8 @@
 import itertools
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from medgraph.errors import InteriorTooLarge, WrongDistance
@@ -14,6 +12,7 @@ from medgraph.families import (alpha_configuration, beta_configuration,
                                projective_incidence_graph)
 from medgraph.graph import DistMatrix, Graph, all_pairs_distances, build_graph
 import medgraph.lp as lp
+from medgraph import symmetry
 from medgraph.lp import (FeasibilityResult, RationalMatrix,
                          alpha_beta_certificate, build_Duv, compute_p,
                          disconnecting_profile, has_Gp_connected_medians,
@@ -24,7 +23,8 @@ from medgraph.metric import Jcirc_set, M_set, interior_interval
 from reference import (_assert_agrees_with_per_pair, _connected_atlas_graphs,
                        _corpus, _gd, _pool_graphs, _random_connected_graphs,
                        _relabelled, balanced_pair_plain,
-                       lp_feasible_strict_explicit, presolve_plain, solve_pair)
+                       lp_feasible_strict_explicit, orbits_off, presolve_plain,
+                       solve_pair)
 
 
 def test_build_duv_entries():
@@ -369,8 +369,8 @@ def test_compute_p_re_solves_a_witness_pair_decided_by_its_class(monkeypatch):
     seen = set()
     band = lp._pairs_in_distance_band
 
-    def first_time_descending(d, lo, hi):
-        pairs = list(band(d, lo, hi))
+    def first_time_descending(d, lo, hi, rows):
+        pairs = list(band(d, lo, hi, rows))
         if (lo, hi) not in seen:
             seen.add((lo, hi))
             pairs.reverse()
@@ -589,22 +589,16 @@ def test_compute_p_matches_the_plain_scan():
 
 
 def test_one_vertex_answers_agree_with_the_plain_solve(monkeypatch):
+    # with the orbit search off every pair at distance 2 or more is decided
+    # on its own, in ascending order: each answer is the one that
+    # `presolve_plain` finds on the full matrix, a balanced pair, the first
+    # nonnegative row, the first all-negative column, in this order
+    orbits_off(monkeypatch)
     kinds = Counter()
     for g in [*_corpus(), *_random_connected_graphs(40), *_connected_atlas_graphs(7)]:
         d = all_pairs_distances(g)
-        # every pair at distance 2 or more, in ascending order, each on its
-        # own and then each streamed to the bulk path: the same verdicts
-        scans = []
-        for gate in (sys.maxsize, 1):
-            monkeypatch.setattr(lp, "_BULK_PAIRS", gate)
-            scan, own = lp._pair_verdicts(d)
-            scans.append((list(scan(2, d.diameter)), own))
-        per_pair, own = scans[0]
-        _assert_agrees_with_per_pair(g, *scans)
-        # each answer is the one that `presolve_plain` finds on the full
-        # matrix: a balanced pair, the first nonnegative row, the first
-        # all-negative column, in this order
-        for u, v, res in per_pair:
+        scan, own = lp._pair_verdicts(g, d)
+        for u, v, res in scan(2, d.diameter):
             mat = build_Duv(g, d, u, v)
             plain = lp_feasible_strict(mat)     # `solve_pair`
             want = presolve_plain(d, mat)
@@ -676,70 +670,53 @@ def test_holds_checks_interior_rows_and_weights():
         assert lp._holds(d, 0, 2, y) is ok, y
 
 
-# ------------------------------------------------------ the bulk path
+# -------------------------------------------- the rows of orbit roots
 
-def test_bulk_answer_is_checked(monkeypatch):
-    # the scan of the band of the half-cube H_7/2 decides its first 31
-    # pairs one by one and the rest in the bulk stream, so pair 31 is the
-    # first one streamed, and a balanced pair decides it.  With every row of
-    # each array lowered by 1, the two rows sum to -2 in column u, and the
-    # check rejects them
-    g, d = _gd(halved_cube(7)[0])
-    band = list(itertools.islice(lp._pairs_in_distance_band(d, 2, 2), 32))
-    u, v = band[31]
-    assert presolve_plain(d, build_Duv(g, d, u, v))[0] == "balanced"
-    real = lp._bulk_array
-    monkeypatch.setattr(lp, "_bulk_array", lambda *a: real(*a) - 1)
-    with pytest.raises(AssertionError,
-                       match=rf"balanced answer does not verify on pair \({u},{v}\)"):
-        compute_p(g, d)
-
-
-def test_compute_p_builds_the_first_31_pairs_and_presolves_the_rest_in_one_stream(
-        monkeypatch):
-    # H_7/2 and J(8,3) have p = 1, decided by the band 2..2 alone: its
-    # first 31 pairs go one by one to `_head`, the rest to a single
-    # `_bulk_presolve`.  A balanced pair decides every pair of the band,
-    # as `presolve_plain` finds on the full matrices, so on either path no
-    # pair reaches `_unbalanced`, no full D^uv is built, and no pair is
-    # solved
-    head, bulk, tail = lp._head, lp._bulk_presolve, lp._unbalanced
+def test_compute_p_decides_only_row_0_of_a_vertex_transitive_graph(monkeypatch):
+    # H_7/2 and J(8,3) are vertex-transitive, and p = 1 is decided by the
+    # band 2..2 alone.  Vertex 0 is the root of the one orbit, so the scan
+    # reads row 0 alone: `_head` decides its pairs (0, w), each once.  A
+    # balanced pair decides each, as `presolve_plain` finds on the full
+    # matrices, so no pair reaches `_unbalanced`, no full D^uv is built and
+    # no pair is solved
+    head, tail = lp._head, lp._unbalanced
     for g in (halved_cube(7)[0], johnson(8, 3)[0]):
         g, d = _gd(g)
-        band = list(lp._pairs_in_distance_band(d, 2, 2))
-        assert {presolve_plain(d, build_Duv(g, d, u, v))[0] for u, v in band} == {"balanced"}
-        heads, calls, tails = [], [], []
+        row = [(0, w) for w in range(1, g.n) if d(0, w) == 2]
+        assert {presolve_plain(d, build_Duv(g, d, u, v))[0] for u, v in row} == {"balanced"}
+        heads, tails = [], []
         with monkeypatch.context() as m:
             m.setattr(lp, "_head", lambda d, r, u, v: (
                 heads.append((u, v)), head(d, r, u, v))[1])
-            m.setattr(lp, "_bulk_presolve", lambda *a: (
-                calls.append(a), bulk(*a))[1])
             m.setattr(lp, "_unbalanced", lambda d, u, v, rows: (
                 tails.append((u, v)), tail(d, u, v, rows))[1])
             for name in ("RationalMatrix", "lp_feasible_strict"):
                 m.setattr(lp, name, None)
             assert compute_p(g, d).p == 1
-        assert heads == band[:31]
-        assert len(calls) == 1
+        assert heads == row
         assert tails == []
 
 
 def test_a_scan_over_decided_pairs_gives_each_pair_its_own_verdict(monkeypatch):
     # a scan stopped after `stop` pairs, then a scan of the whole band: the
-    # second one streams only the pairs the first left undecided, on the
-    # per-pair path and, at gates 32 and 1, through the bulk path's
-    # read-ahead.  Each pair gets the verdict of one fresh per-pair scan
+    # second one decides only the pairs the first left undecided, and each
+    # pair gets the verdict of one fresh scan.  The scan reads the rows of
+    # orbit roots alone, and on them it gives every pair the verdict of the
+    # plain scan, with the orbit search off
     for g in _corpus():
         d = all_pairs_distances(g)
-        monkeypatch.setattr(lp, "_BULK_PAIRS", sys.maxsize)
-        scan, own = lp._pair_verdicts(d)
-        per_pair = list(scan(2, d.diameter)), own
-        for gate in (sys.maxsize, 32, 1):
-            monkeypatch.setattr(lp, "_BULK_PAIRS", gate)
-            for stop in (0, 1, 20, 40):
-                scan, own = lp._pair_verdicts(d)
-                list(itertools.islice(scan(2, d.diameter), stop))
-                _assert_agrees_with_per_pair(g, per_pair, (list(scan(2, d.diameter)), own))
+        scan, own = lp._pair_verdicts(g, d)
+        fresh = list(scan(2, d.diameter)), own
+        for stop in (0, 1, 20, 40):
+            scan, own = lp._pair_verdicts(g, d)
+            list(itertools.islice(scan(2, d.diameter), stop))
+            _assert_agrees_with_per_pair(g, fresh, (list(scan(2, d.diameter)), own))
+        rows = {u for u, _, _ in fresh[0]}
+        with monkeypatch.context() as m:
+            orbits_off(m)
+            scan, own = lp._pair_verdicts(g, d)
+            plain = [t for t in scan(2, d.diameter) if t[0] in rows]
+            _assert_agrees_with_per_pair(g, (plain, {(u, v) for u, v in own if u in rows}), fresh)
 
 
 # ------------------------------------------- balanced-pair certificates
@@ -795,9 +772,9 @@ def test_balanced_pair_sign_boundaries(monkeypatch):
     assert solve_pair(g, d, 1, 3).feasible
     # a midpoint w of a pair at even distance k is balanced with itself: its
     # try 2 d(w,x) <= d(u,x) + d(v,x) is row w of D^uv divided by k/2.  On
-    # P_3 the row of 1 in D^02 is 0 at u and v: the try holds, and both
-    # paths store e_1.  On C_5 it is -1 at x = 3: the try fails, and both
-    # paths store the one-vertex witness {3: 1}
+    # P_3 the row of 1 in D^02 is 0 at u and v: the try holds, and the scan
+    # stores e_1.  On C_5 it is -1 at x = 3: the try fails, and the scan
+    # stores the one-vertex witness {3: 1}
     for g, row, holds in ((path_graph(3), (0, 2, 0), True),
                           (cycle_graph(5), (0, 2, 0, -1, -1), False)):
         g, d = _gd(g)
@@ -807,11 +784,9 @@ def test_balanced_pair_sign_boundaries(monkeypatch):
         assert pair == ((1, 1) if holds else None)
         want = FeasibilityResult("infeasible", certificate={1: 1}) if holds else \
             FeasibilityResult("feasible", witness={3: Fraction(1)})
-        for gate in (sys.maxsize, 1):
-            monkeypatch.setattr(lp, "_BULK_PAIRS", gate)
-            scan, own = lp._pair_verdicts(d)
-            assert [res for u, v, res in scan(2, 2) if (u, v) == (0, 2)] == [want]
-            assert not own
+        scan, own = lp._pair_verdicts(g, d)
+        assert [res for u, v, res in scan(2, 2) if (u, v) == (0, 2)] == [want]
+        assert not own
 
 
 def _lowered_column_u(entries, u):
@@ -825,42 +800,37 @@ def test_a_corrupted_balanced_certificate_raises_on_both_paths(monkeypatch):
     # the balanced-pair test reads the distance table, and its answer is
     # checked on the rows it names: with column u of the first row of D^uv
     # that is built lowered, each certificate it finds fails that check.
-    # Each graph is scanned pair by pair, then with every pair streamed,
-    # where row 0 of each two-row array is lowered.  On P_64 the first
-    # pair, (0, 2), is decided by its midpoint 1: the per-pair check builds
-    # row 1 once, and the array holds it twice
-    rows, real = lp._Duv_rows, lp._bulk_array
-
-    def lowered(dist, us, vs, ws):
-        D = real(dist, us, vs, ws)
-        D[np.arange(len(D)), 0, us] = -1
-        return D
-
-    for g, pair in ((_torus(10), ""), (path_graph(64), r" \(0,2\)")):
+    # The two paths are a pair of row 0, decided before any search, and a
+    # pair decided after the search: with the rows of u >= 1 lowered, the
+    # scan of P_64 gets past row 0, searches, finds the mirror i -> 63 - i,
+    # and raises on (1, 3), the first pair of row 1, the row of the root of
+    # the orbit {1, 62}.  On P_64 each pair is decided by its midpoint,
+    # balanced with itself: the check builds that one row
+    rows = lp._Duv_rows
+    search = symmetry.automorphisms
+    for g, first, pair in ((_torus(10), 0, ""), (path_graph(64), 0, r" \(0,2\)"),
+                           (path_graph(64), 1, r" \(1,3\)")):
         g, d = _gd(g)
-        monkeypatch.setattr(lp, "_Duv_rows", lambda d, u, v, ws: iter(
-            _lowered_column_u(list(rows(d, u, v, ws)), u)))
-        monkeypatch.setattr(lp, "_BULK_PAIRS", sys.maxsize)
+        found = []
+        monkeypatch.setattr(lp, "_Duv_rows", lambda d, u, v, ws, first=first: iter(
+            _lowered_column_u(list(rows(d, u, v, ws)), u) if u >= first else rows(d, u, v, ws)))
+        monkeypatch.setattr(symmetry, "automorphisms", lambda *a: (
+            out := search(*a), found.append(len(out)))[0])
         with pytest.raises(AssertionError, match="balanced answer does not verify on pair" + pair):
             compute_p(g, d)
-        monkeypatch.setattr(lp, "_Duv_rows", rows)
-        monkeypatch.setattr(lp, "_bulk_array", lowered)
-        monkeypatch.setattr(lp, "_BULK_PAIRS", 1)
-        with pytest.raises(AssertionError, match="balanced answer does not verify on pair" + pair):
-            compute_p(g, d)
-        monkeypatch.setattr(lp, "_bulk_array", real)
+        assert found == ([1] if first else []), found
 
 
 def test_balanced_certificates_are_checked_on_the_rows_they_name(monkeypatch):
     # each balanced answer is checked on rows w1 and w2 of D^uv as
-    # `build_Duv` builds them, and on no other row: per pair, a pair that
-    # `_balanced` decides reads `_Duv_rows` once, for those rows, one row
-    # for a midpoint w1 = w2; in the bulk stream, `_bulk_array` makes an
-    # array of the two rows per pair.  The stored certificate is
-    # {w1: 1, w2: 1}
+    # `build_Duv` builds them, and on no other row: a pair that `_balanced`
+    # decides reads `_Duv_rows` once, for those rows, one row for a
+    # midpoint w1 = w2.  The stored certificate is {w1: 1, w2: 1}.  With
+    # the orbit search off, every pair is decided on its own
+    orbits_off(monkeypatch)
     g, d = _gd(_relabelled(projective_incidence_graph(3), 2))
-    reads, decided, arrays = {}, [], []
-    real_rows, real_balanced, real_array = lp._Duv_rows, lp._balanced, lp._bulk_array
+    reads, decided = {}, []
+    real_rows, real_balanced = lp._Duv_rows, lp._balanced
 
     def recording_rows(d, u, v, ws):
         rows = list(real_rows(d, u, v, ws))
@@ -873,35 +843,19 @@ def test_balanced_certificates_are_checked_on_the_rows_they_name(monkeypatch):
             decided.append((u, v))
         return pair
 
-    def recording_array(dist, us, vs, ws):
-        D = real_array(dist, us, vs, ws)
-        arrays.append((us.tolist(), vs.tolist(), D.tolist(), ws.tolist()))
-        return D
-
     monkeypatch.setattr(lp, "_Duv_rows", recording_rows)
     monkeypatch.setattr(lp, "_balanced", recording_balanced)
-    monkeypatch.setattr(lp, "_bulk_array", recording_array)
-    for gate in (sys.maxsize, 1):
-        monkeypatch.setattr(lp, "_BULK_PAIRS", gate)
-        scan, _ = lp._pair_verdicts(d)
-        verdicts = {(u, v): res for u, v, res in scan(2, d.diameter)}
-        named = {}
-        for u, v in decided:
-            (named[u, v],) = reads[u, v]
-        for us, vs, D, ws in arrays:
-            for u, v, rows, pair in zip(us, vs, D, ws):
-                named[u, v] = tuple(pair), tuple(map(tuple, rows))
-        assert len(named) > 200, len(named)
-        for (u, v), (pair, rows) in named.items():
-            mat = build_Duv(g, d, u, v)
-            i, j = balanced_pair_plain(d, mat)
-            y = {mat.rows[i]: 1, mat.rows[j]: 1}
-            assert tuple(dict.fromkeys(pair)) == tuple(y)
-            assert rows == tuple(mat.entries[mat.rows.index(w)] for w in pair)
-            assert verdicts[u, v].certificate == y
-        reads.clear()
-        decided.clear()
-        arrays.clear()
+    scan, _ = lp._pair_verdicts(g, d)
+    verdicts = {(u, v): res for u, v, res in scan(2, d.diameter)}
+    assert len(decided) > 200, len(decided)
+    for u, v in decided:
+        ((pair, rows),) = reads[u, v]
+        mat = build_Duv(g, d, u, v)
+        i, j = balanced_pair_plain(d, mat)
+        y = {mat.rows[i]: 1, mat.rows[j]: 1}
+        assert tuple(dict.fromkeys(pair)) == tuple(y)
+        assert rows == tuple(mat.entries[mat.rows.index(w)] for w in pair)
+        assert verdicts[u, v].certificate == y
 
 
 _G2_OWN = {(0, 15), (1, 15), (2, 15), (3, 15), (4, 15), (5, 15), (6, 15), (7, 14),
@@ -915,55 +869,31 @@ _G2_OWN = {(0, 15), (1, 15), (2, 15), (3, 15), (4, 15), (5, 15), (6, 15), (7, 14
 ], ids=["P_4-row", "halfH_5-column-sums", "G_2-own"])
 def test_a_balanced_pair_is_stored_before_a_row_or_the_row_sums(
         monkeypatch, graph, pair, certificate, own):
-    """Both paths try the balanced pairs before any row of D^uv.  On the
+    """The scan tries the balanced pairs before any row of D^uv.  On the
     path 3-0-1-2 the pair (2, 3) has the interior {0, 1}, both rows
     nonnegative and balanced (d(2,0) + d(2,1) = 3), and it stores
     {0: 1, 1: 1}, where the first nonnegative row stored {0: 1}.  On H_5/2
     the pair (0, 13) has six rows, none nonnegative, with nonnegative
     column sums, and it stores its balanced pair {1, 12}, where the row-sum
     certificate y = 1, which the presolve no longer tries, stored all six
-    rows.  Both paths store the same certificate, and own is the scan's at
-    the commit before this order: no pair of the first two, and the 15
-    feasible pairs of G_2, whose pair (0, 1) the row sums and the balanced
-    pair {11, 14} both certify."""
+    rows.  Each pair is in row 0, which the scan always reads, and it
+    stores the same certificate with the orbit search on.  With it off,
+    own is the scan's at the commit before this order: no pair of the
+    first two, and the 15 feasible pairs of G_2, whose pair (0, 1) the row
+    sums and the balanced pair {11, 14} both certify."""
     g = graph()
     d = all_pairs_distances(g)
     mat = build_Duv(g, d, *pair)
     assert balanced_pair_plain(d, mat) is not None
     assert any(min(row) >= 0 for row in mat.entries) or \
         min(map(sum, zip(*mat.entries))) >= 0
-    scans = []
-    for gate in (sys.maxsize, 1):
-        monkeypatch.setattr(lp, "_BULK_PAIRS", gate)
-        scan, got = lp._pair_verdicts(d)
-        scans.append((list(scan(2, d.diameter)), got))
-        verdict = next(res for u, v, res in scans[-1][0] if (u, v) == pair)
+    for search in (True, False):
+        if not search:
+            orbits_off(monkeypatch)
+        scan, got = lp._pair_verdicts(g, d)
+        verdict = {(u, v): res for u, v, res in scan(2, d.diameter)}[pair]
         assert repr(verdict) == repr(FeasibilityResult("infeasible", certificate=certificate))
-        assert got == own
-    _assert_agrees_with_per_pair(g, *scans)
-
-
-def test_bulk_and_per_pair_balanced_verdicts_agree(monkeypatch):
-    # the same certificate e_i + e_j from both paths on every pair, with
-    # every pair in arrays and with every pair on its own, on graphs where
-    # the balanced-pair test decides many pairs
-    found = Counter()
-    per_pair, bulk = lp._balanced, lp._bulk_balanced
-    monkeypatch.setattr(lp, "_balanced", lambda *a: (
-        res := per_pair(*a), found.update(["per pair"] * (res is not None)))[0])
-    monkeypatch.setattr(lp, "_bulk_balanced", lambda *a: (
-        out := bulk(*a), found.update(["bulk"] * len(out[0])))[0])
-    coronene = list(_corpus())[-1]
-    for g in (_relabelled(_torus(6), 3), _relabelled(projective_incidence_graph(3), 4),
-              _relabelled(coronene, 5)):
-        d = all_pairs_distances(g)
-        scans = []
-        for gate in (sys.maxsize, 1):
-            monkeypatch.setattr(lp, "_BULK_PAIRS", gate)
-            scan, own = lp._pair_verdicts(d)
-            scans.append((list(scan(2, d.diameter)), own))
-        _assert_agrees_with_per_pair(g, *scans)
-    assert found["per pair"] == found["bulk"] > 100, found
+    assert got == own
 
 
 def _random_tree(n, seed):
@@ -976,31 +906,25 @@ def _random_tree(n, seed):
     lambda: cartesian_product(path_graph(8), path_graph(8)),
 ], ids=["P_64", "tree_200", "P_8xP_8"])
 def test_a_midpoint_decides_each_pair_with_one_interior_vertex(monkeypatch, graph):
-    """On a path, a tree and a grid every pair takes a balanced try, on the
-    per-pair head as in the bulk stream: compute_p gives p = 1 with no
-    solve and no pair reaches `_unbalanced`, and in a scan of every pair at
-    distance 2 or more each pair whose interior is one vertex w, balanced
-    with itself, stores e_w = (1,)."""
+    """On a path, a tree and a grid every pair takes a balanced try:
+    compute_p gives p = 1 with no solve, no pair reaches `_unbalanced`, and
+    every `_balanced` call finds a pair.  In a scan of every pair at
+    distance 2 or more of the roots' rows, each pair whose interior is one
+    vertex w, balanced with itself, stores e_w = (1,)."""
     g, d = _gd(graph())
     hits = Counter()
-    per_pair, bulk = lp._balanced, lp._bulk_balanced
+    per_pair = lp._balanced
     monkeypatch.setattr(lp, "_balanced", lambda *a: (
-        res := per_pair(*a), hits.update(["per pair"] * (res is not None)))[0])
-    monkeypatch.setattr(lp, "_bulk_balanced", lambda *a: (
-        out := bulk(*a), hits.update(["bulk"] * len(out[0])))[0])
+        res := per_pair(*a), hits.update([res is not None]))[0])
     for name in ("_unbalanced", "lp_feasible_strict"):
         monkeypatch.setattr(lp, name, None)
     assert compute_p(g, d).p == 1
-    scan, own = lp._pair_verdicts(d)
+    scan, own = lp._pair_verdicts(g, d)
     verdicts = {(u, v): res for u, v, res in scan(2, d.diameter)}
-    band = list(lp._pairs_in_distance_band(d, 2, 2))
-    assert not own and hits["per pair"] and hits["bulk"]
-    assert hits["per pair"] + hits["bulk"] == len(band) + len(verdicts)
+    assert not own and hits[True] and not hits[False]
     single = [(u, v) for u, v in verdicts if len(interior_interval(g, d, u, v)) == 1]
     assert single and all(verdicts[u, v].certificate == dict.fromkeys(interior_interval(g, d, u, v), 1)
                           for u, v in single)
-
-
 def test_compute_p_keeps_no_matrix_of_an_infeasible_pair():
     import tracemalloc
     g, d = _gd(halved_cube(7)[0])
@@ -1016,50 +940,15 @@ def test_compute_p_keeps_no_matrix_of_an_infeasible_pair():
 
 
 def test_band_scans_build_no_level_bitsets(monkeypatch):
-    # both presolve routes read a pair's interior from the distance rows;
-    # P_2048 built 580 MB of level bitsets when `build_Duv` read them
+    # a band scan reads a pair's interior from the distance rows, never from
+    # `interior_interval`, the interval of `build_Duv`; P_2048 built 580 MB
+    # of level bitsets when `build_Duv` read them
     calls = Counter()
-    for name in ("_head", "_bulk_array"):
-        real = getattr(lp, name)
-        monkeypatch.setattr(lp, name, lambda *a, real=real, name=name: (
-            calls.update([name]), real(*a))[1])
-    for g in (cycle_graph(21), projective_incidence_graph(3),
-              halved_cube(7)[0], path_graph(300)):
-        calls.clear()
-        d = all_pairs_distances(g)
-        compute_p(g, d)
-        for p in (1, 2):
-            has_Gp_connected_medians(g, d, p)
-    # the path's band of distance 2 reaches the per-pair and the bulk paths
-    assert calls["_head"] and calls["_bulk_array"], calls
+    real = lp._head
+    monkeypatch.setattr(lp, "_head", lambda *a: (calls.update(["_head"]), real(*a))[1])
 
-
-def test_the_bulk_table_is_typed_by_the_band_it_serves(monkeypatch):
-    # A band up to distance k holds values of at most n floor(k^2 / 2): 130
-    # on band 2 of P_65, so int16, where the former bound 3 n diam^2 took
-    # int32.  A band up to the diameter, 64, needs int32.  Each stream makes
-    # its own table: a rescan of (3, 100), stopped after 40 pairs, makes a
-    # new one, typed by that band, not the one of the first scan.
-    from medgraph.oracle import _dtype
-    g = path_graph(65)
-    d = all_pairs_distances(g)
-    tables = []
-    real = lp._bulk_array
-
-    def recording(dist, *args):
-        if not any(t is dist for t in tables):
-            tables.append(dist)
-        return real(dist, *args)
-
-    monkeypatch.setattr(lp, "_bulk_array", recording)
-    scan, _ = lp._pair_verdicts(d)
-    assert not any(res.feasible for _, _, res in scan(2, 2))
-    assert len(list(itertools.islice(scan(3, 100), 40))) == 40
-    assert not any(res.feasible for _, _, res in scan(3, 100))
-    assert [t.dtype for t in tables] == [np.int16, np.int32, np.int32]
-    # the int16/int32 boundary of the bound
-    assert [_dtype(bound) for bound in (32767, 32768)] == [np.int16, np.int32]
-
+    def no_bitsets(*args):
+        raise AssertionError("interior_interval called")
 
 # ------------------------------------------------- the uniform witness
 

@@ -1,7 +1,6 @@
 """Randomized cross-checks between independent implementations."""
 import itertools
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -31,7 +30,7 @@ from medgraph.medians import (Profile, VertexFunction, _pairs_in_distance_band,
                               level_set, local_median_set_p,
                               local_minima_on_power, median_function,
                               median_set, median_value)
-from medgraph import lp, oracle
+from medgraph import lp, oracle, symmetry
 from medgraph.oracle import brute_force_oracle
 from medgraph.recognizers import (ClassVerdict, _distance_two_pairs,
                                   _mcs_order, _triangle_violations,
@@ -49,7 +48,8 @@ from reference import (_assert_agrees_with_per_pair, _connected_atlas_graphs,
                        detect_alpha_configuration_by_table,
                        detect_beta_configuration_by_table, interval_masks,
                        is_p_connected_pairwise, local_median_set_plain, presolve_plain,
-                       mcs_order_by_scan, median_set_plain, solve_pair)
+                       mcs_order_by_scan, median_set_plain, solve_pair,
+                       orbits_off)
 
 
 def _random_profile(rng, n):
@@ -215,7 +215,7 @@ def test_feasible_distances_run_from_two_to_p():
     tops = Counter()
     for g in graphs:
         d = all_pairs_distances(g)
-        scan, _ = lp._pair_verdicts(d)
+        scan, _ = lp._pair_verdicts(g, d)
         feasible = {d(u, v) for u, v, res in scan(2, d.diameter) if res.feasible}
         p = compute_p(g, d).p
         assert feasible == set(range(2, p + 1)), (g.name, p, sorted(feasible))
@@ -258,11 +258,17 @@ def test_product_law():
 def test_gated_amalgam_law_along_an_edge():
     """p of a gated amalgam is the larger p of its parts, on 200 seeded
     amalgams of connected atlas graphs on at most 6 vertices and the cycles
-    C_3..C_13, glued along an edge of each (`gated_amalgam`).  A cut
-    vertex is a gated vertex, where the law is proved (ROADMAP, p block by
-    block); along a gated edge it is a conjecture, and a disagreement here
-    is a counterexample to it.  A draw whose edge is not gated in its host,
-    such as an edge of a triangle or of an odd cycle, is drawn again."""
+    C_3..C_13, glued along an edge of each (`gated_amalgam`).  The law
+    holds along any gated set S, a cut vertex or a gated edge alike
+    (ROADMAP, item 3, "p(G) part by part"): each part is convex, so a pair
+    of one part has the same interior rows in G, and a column x beyond S
+    is the column of its gate g(x), since d(y, x) = d(y, g(x)) + d(g(x), x)
+    for every y of the part; and a cross pair u, v, with gates g(u), g(v)
+    at distances alpha and beta, has the Farkas certificate
+    {g(u): beta, g(v): alpha}, or {g: 1} when the gates agree.  So the
+    feasible pairs of G are those of its parts.  A draw whose edge is not
+    gated in its host, such as an edge of a triangle or of an odd cycle, is
+    drawn again."""
     def p(g):
         return compute_p(g, all_pairs_distances(g)).p
 
@@ -402,18 +408,16 @@ def test_pair_verdicts_match_the_plain_solve(monkeypatch):
     monkeypatch.setattr(lp, "_balanced", balanced)
     monkeypatch.setattr(lp, "_holds", holds)
     monkeypatch.setattr(lp, "_unbalanced", tail)
-    # every pair on the per-pair path, whose answer is a balanced pair or
-    # comes from `_unbalanced`; the bulk path is held to this one by
-    # test_bulk_and_per_pair_verdicts_agree.  Each answer comes from the
-    # test that `presolve_plain` finds first on the full matrix, and each
-    # certificate is checked by `_holds` once, the column witness inside
-    # `_unbalanced`
-    monkeypatch.setattr(lp, "_BULK_PAIRS", sys.maxsize)
+    # Each pair takes the answer of the test that `presolve_plain` finds
+    # first on the full matrix, and each certificate is checked by `_holds`
+    # once, the column witness inside `_unbalanced`.  The symmetric graphs'
+    # scans read the rows of orbit roots alone; the atlas and the pool
+    # never search for automorphisms
     kinds = {name: Counter() for name in sets}
     for name, (graphs, lo, hi) in sets.items():
         for g in graphs:
             d = all_pairs_distances(g)
-            scan, own = lp._pair_verdicts(d)
+            scan, own = lp._pair_verdicts(g, d)
             sources.clear()
             checks.clear()
             for u, v, res in scan(lo, hi or d.diameter):
@@ -434,64 +438,59 @@ def test_pair_verdicts_match_the_plain_solve(monkeypatch):
                 checks.clear()
     assert all(count["balanced"] for count in kinds.values()), kinds
     # a balanced pair comes first, so the symmetric graphs take no other
-    # certificate.  Of the 15,671 pool pairs at distance 2 or more, a
-    # balanced pair decides 5,722, a nonnegative row 20 and an all-negative
-    # column 8,029, and 1,900 are solved: 20 more than when the row-sum
-    # certificate y = 1 was tried after the column
+    # certificate.  Their scans read the roots' rows alone, 16, 22 and 31
+    # of their 256, 385 and 300 pairs at distance 2 or more.  Of the 15,671
+    # pool pairs at distance 2 or more, a balanced pair decides 5,722, a
+    # nonnegative row 20 and an all-negative column 8,029, and 1,900 are
+    # solved: 20 more than when the row-sum certificate y = 1 was tried
+    # after the column
+    assert sum(kinds["symmetric"].values()) == 16 + 22 + 31, kinds
     assert kinds["atlas"]["row"] + kinds["atlas"]["column"], kinds
     assert kinds["pool"] == {"balanced": 5722, "row": 20, "column": 8029,
                              "own solve": 1900}, kinds
 
 
-def test_bulk_and_per_pair_verdicts_agree(monkeypatch):
-    """Every verdict of a scan of the pairs at distance 2 or more, with
-    every pair decided in bulk and with every pair decided on its own: the
-    test corpus, the random pool, the atlas, and relabelled half-cube,
-    Johnson, grid-cycle, projective-plane and cycle graphs.  The verdicts
-    and the own solves are equal, and every array holds, for each of its
-    pairs, the two rows of its balanced certificate as `build_Duv` builds
-    them.  The corpus and the relabelled graphs, whose arrays hold the most
-    pairs, are also decided in arrays of one pair."""
-    symmetric = [halved_cube(6)[0], johnson(7, 3)[0],
-                 cartesian_product(path_graph(5), cycle_graph(5)),
-                 projective_incidence_graph(3), cycle_graph(21)]
+def test_orbit_and_plain_verdicts_agree(monkeypatch):
+    """A scan of the pairs at distance 2 or more with the orbit search on
+    reads the rows of orbit roots and gives each pair there the verdict of
+    the plain scan, with the search off; and the first failing pair of
+    every band k..2k, the one that `compute_p` stops at, is the plain
+    scan's: on the test corpus, the random pool, the atlas, the tori
+    C_n x C_n for n = 6..10, G_2, G_3, G_5, J(6,3), J(7,3), 1/2 H_6 and
+    1/2 H_7, all relabelled.  The size gate is lowered to 0 pairs, so that
+    every graph whose transmissions are all shared searches, atlas graphs
+    too."""
+    symmetric = [*(cartesian_product(cycle_graph(n), cycle_graph(n)) for n in range(6, 11)),
+                 *map(projective_incidence_graph, (2, 3, 5)), johnson(6, 3)[0],
+                 johnson(7, 3)[0], halved_cube(6)[0], halved_cube(7)[0]]
     graphs = [*_corpus(), *_pool_graphs(), *_connected_atlas_graphs(7),
               *(_relabelled(g, 11) for g in symmetric)]
-    assert len(graphs) == 8 + 240 + 995 + 5
-    arrays = []
-    real = lp._bulk_array
-
-    def recording(dist, us, vs, ws):
-        D = real(dist, us, vs, ws)
-        arrays.append((us.tolist(), vs.tolist(), D.tolist(), ws.tolist()))
-        return D
-
-    monkeypatch.setattr(lp, "_bulk_array", recording)
-
-    def scanned(g, d, gate, entries):
-        monkeypatch.setattr(lp, "_BULK_PAIRS", gate)
-        monkeypatch.setattr(lp, "_BULK_ENTRIES", entries)
-        scan, own = lp._pair_verdicts(d)
-        return list(scan(2, d.diameter)), own
-
-    midpoints = 0
+    assert len(graphs) == 8 + 240 + 995 + 12
+    monkeypatch.setattr(lp, "_ORBIT_PAIRS", 0)
+    search = symmetry.automorphisms
+    searched = Counter()
     for k, g in enumerate(graphs):
         d = all_pairs_distances(g)
-        plain = scanned(g, d, sys.maxsize, 2 ** 16)
-        assert not arrays
-        _assert_agrees_with_per_pair(g, plain, scanned(g, d, 1, 2 ** 16))
-        if k < 8 or k >= 8 + 240 + 995:
-            _assert_agrees_with_per_pair(g, plain, scanned(g, d, 1, 1))
-        verdicts = {(u, v): res for u, v, res in plain[0]}
-        for us, vs, D, ws in arrays:
-            for u, v, rows, named in zip(us, vs, D, ws):
-                mat = lp.build_Duv(g, d, u, v)
-                assert verdicts[u, v].certificate == dict.fromkeys(named, 1)
-                assert tuple(map(tuple, rows)) == \
-                    tuple(mat.entries[mat.rows.index(w)] for w in named)
-                midpoints += named[0] == named[1]
-        arrays.clear()
-    assert midpoints
+        with monkeypatch.context() as m:
+            orbits_off(m)
+            scan, own = lp._pair_verdicts(g, d)
+            plain = list(scan(2, d.diameter))
+            first = [next((t[:2] for t in scan(q, 2 * q) if t[2].feasible), None)
+                     for q in range(2, d.diameter + 1)]
+        found = []
+        monkeypatch.setattr(symmetry, "automorphisms", lambda *a: (
+            out := search(*a), found.append(out))[0])
+        scan, got_own = lp._pair_verdicts(g, d)
+        got = list(scan(2, d.diameter))
+        rows = {u for u, _, _ in got}
+        _assert_agrees_with_per_pair(g, ([t for t in plain if t[0] in rows],
+                                         {(u, v) for u, v in own if u in rows}), (got, got_own))
+        assert [next((t[:2] for t in scan(q, 2 * q) if t[2].feasible), None)
+                for q in range(2, d.diameter + 1)] == first, g.name
+        searched["corpus" if k < 8 else "pool" if k < 248 else "atlas" if k < 1243
+                 else "symmetric"] += bool(found and found[0])
+    # the pool's transmissions are never all shared; 154 atlas graphs search
+    assert searched == {"corpus": 8, "pool": 0, "atlas": 154, "symmetric": 12}, searched
 
 
 # ---------------------------------------------- the J(u,v) support lemma
