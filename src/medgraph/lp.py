@@ -119,21 +119,27 @@ its first failing pair lies in a root's row: `compute_p` and
 the same witness pair.  The automorphisms come from
 `symmetry.automorphisms`, each checked on every edge, so a weak or failed
 search costs time, never a verdict.  The search runs only on a graph with
-at least _ORBIT_PAIRS = 128 pairs at distance 2 or more, whose every
-transmission r(w) is shared by another vertex.  On a graph with fewer such
-pairs a search costs more than scanning them: each of the 995 connected
-atlas graphs has at most 21, and on G_2, with 85, the search took 0.27 ms
-and cut the pairs decided from 21 to about 9, yet a `pvalue` job took
-2.0-2.2 ms with it and 2.0 ms without.  The transmissions are shared in
-none of the 240 graphs of the benchmark's random pool and in every graph
-of its family corpus.  With neither gate the search made the pool's
-`compute_p` 8% slower and the atlas bands' `has_Gp_connected_medians` at
-p = 1, 2 2.4 times slower.
+at least _ORBIT_PAIRS = 32 pairs at distance 2 or more, whose every
+transmission r(w) is shared by another vertex.  Each of the 995 connected
+atlas graphs has at most 21 such pairs, and on them a search costs more
+than scanning them: with the transmission gate alone, 148 atlas graphs
+search, the atlas bands' `has_Gp_connected_medians` at p = 1, 2 took
+79.6 ms against 64.5 ms, and the benchmark's `oracle-atlas` `job_s.p50`
+0.446 ms against 0.422 ms, higher in 12 of 12 rotating runs.  A gate at
+128 pairs, which keeps G_2 (85 pairs) from searching, measured the same
+as 32 on `pvalue-families`, `pvalue-random` and `oracle-atlas`.  The
+transmissions are shared in none of the 240 graphs of the benchmark's
+random pool and in every graph of its family corpus.  With neither gate
+the search made the pool's `compute_p` 7% slower and the atlas bands 1.9
+times slower.
 Vertex 0 is always a root, so the search runs when a scan first moves
 past row 0, and a scan that stops within row 0, as every scan of an odd
-cycle does, makes none.  Each pair a scan reads is decided pair by pair
-(`_head`), its interior read from the distance rows as the w != u, v
-with d(u,w) + d(w,v) = d(u,v).
+cycle does, or whose band lies past the diameter, makes none.  A graph
+that passes both gates, has no symmetry and has no failing pair in row 0
+pays for a search that saves nothing, bounded by the search's budget (see
+`symmetry`): about 13 ms on the Latin square graph of 64 vertices.  Each
+pair a scan reads is decided pair by pair (`_head`), its interior read
+from the distance rows as the w != u, v with d(u,w) + d(w,v) = d(u,v).
 
 D^uv has a column for every vertex, though a violating profile pi can
 always be moved onto J(u,v).  With F the median function of pi and w inside
@@ -526,18 +532,20 @@ def _pair_verdicts(g: Graph, d: DistMatrix):
         for u in range(g.n):
             if u == 1 and search:
                 search = False
-                root = symmetry.orbit_roots(g.n, symmetry.automorphisms(g, d, r))
+                root = symmetry.automorphisms(g, d, r)[1]
             if root is None or root[u] == u:
                 yield u
 
     def scan(lo: int, hi: int):
+        if lo > d.diameter:     # no pair, and no row to move past: no search
+            return
         for u, v in _pairs_in_distance_band(d, lo, hi, roots()):
             yield u, v, verdicts.get((u, v)) or decide(u, v)
 
     return scan, own
 
 
-_ORBIT_PAIRS = 128      # pairs at distance 2 or more before automorphisms are searched
+_ORBIT_PAIRS = 32       # pairs at distance 2 or more before automorphisms are searched
 
 
 def has_Gp_connected_medians(g: Graph, d: DistMatrix, p: int) -> bool:

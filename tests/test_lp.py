@@ -815,7 +815,7 @@ def test_a_corrupted_balanced_certificate_raises_on_both_paths(monkeypatch):
         monkeypatch.setattr(lp, "_Duv_rows", lambda d, u, v, ws, first=first: iter(
             _lowered_column_u(list(rows(d, u, v, ws)), u) if u >= first else rows(d, u, v, ws)))
         monkeypatch.setattr(symmetry, "automorphisms", lambda *a: (
-            out := search(*a), found.append(len(out)))[0])
+            out := search(*a), found.append(len(out[0])))[0])
         with pytest.raises(AssertionError, match="balanced answer does not verify on pair" + pair):
             compute_p(g, d)
         assert found == ([1] if first else []), found
@@ -925,6 +925,8 @@ def test_a_midpoint_decides_each_pair_with_one_interior_vertex(monkeypatch, grap
     single = [(u, v) for u, v in verdicts if len(interior_interval(g, d, u, v)) == 1]
     assert single and all(verdicts[u, v].certificate == dict.fromkeys(interior_interval(g, d, u, v), 1)
                           for u, v in single)
+
+
 def test_compute_p_keeps_no_matrix_of_an_infeasible_pair():
     import tracemalloc
     g, d = _gd(halved_cube(7)[0])
@@ -942,13 +944,26 @@ def test_compute_p_keeps_no_matrix_of_an_infeasible_pair():
 def test_band_scans_build_no_level_bitsets(monkeypatch):
     # a band scan reads a pair's interior from the distance rows, never from
     # `interior_interval`, the interval of `build_Duv`; P_2048 built 580 MB
-    # of level bitsets when `build_Duv` read them
+    # of level bitsets when `build_Duv` read them.  The one D^uv that
+    # compute_p builds is its witness pair's, when the scan decided that
+    # pair without its own solve
     calls = Counter()
-    real = lp._head
-    monkeypatch.setattr(lp, "_head", lambda *a: (calls.update(["_head"]), real(*a))[1])
+    real_head, real_interval = lp._head, lp.interior_interval
+    monkeypatch.setattr(lp, "_head", lambda *a: (calls.update(["_head"]), real_head(*a))[1])
+    monkeypatch.setattr(lp, "interior_interval", lambda g, d, u, v: (
+        calls.update([(u, v)]), real_interval(g, d, u, v))[1])
+    for g in (cycle_graph(21), projective_incidence_graph(3),
+              halved_cube(7)[0], path_graph(300)):
+        d = all_pairs_distances(g)
+        calls.clear()
+        report = compute_p(g, d)
+        assert calls["_head"] and set(calls) <= {"_head", report.witness_pair}, (g.n, calls)
+        assert calls[report.witness_pair] <= 1, (g.n, calls)
+        for p in (1, 2):
+            calls.clear()
+            has_Gp_connected_medians(g, d, p)
+            assert set(calls) == {"_head"}, (g.n, p, calls)
 
-    def no_bitsets(*args):
-        raise AssertionError("interior_interval called")
 
 # ------------------------------------------------- the uniform witness
 

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 
 import networkx as nx
@@ -11,14 +12,14 @@ from medgraph.families import (cartesian_product, cycle_graph, halved_cube,
                                johnson, path_graph, projective_incidence_graph)
 from medgraph.graph import all_pairs_distances, build_graph
 from reference import (_connected_atlas_graphs, _corpus, _pool_graphs,
-                       _relabelled)
+                       _relabelled, orbits_off)
 
 
 def _roots(g):
     """The least vertex of each vertex's orbit under the automorphisms that
     the search finds on g."""
     d = all_pairs_distances(g)
-    return symmetry.orbit_roots(g.n, symmetry.automorphisms(g, d, [sum(row) for row in d.d]))
+    return symmetry.automorphisms(g, d, [sum(row) for row in d.d])[1]
 
 
 def _is_automorphism(g, sigma):
@@ -58,24 +59,31 @@ def test_the_search_finds_the_vertex_orbits_of_the_families(graph, count):
         assert sum(x == rho for x, rho in enumerate(roots)) == count
 
 
-def test_orbit_roots_name_each_orbit_by_its_least_vertex():
-    """orbit_roots gives each vertex the least vertex of its orbit under the
-    group that the permutations generate, not only under each one: on 12
-    points, (0 5)(1 2) and (5 9)(2 3 4) join {0, 5, 9} and {1, 2, 3, 4}.
-    On the corpus every root is the least vertex of a class of vertices
-    that automorphisms map onto each other."""
+def test_the_roots_name_each_orbit_by_its_least_vertex():
+    """The search's union-find names each class by its least vertex under
+    the group that the permutations generate, not only under each one: on
+    12 points, (0 5)(1 2) and (5 9)(2 3 4) join {0, 5, 9} and {1, 2, 3, 4}.
+    On the corpus, relabelled too, the roots returned are the least vertex
+    of each orbit of the automorphisms returned, found by closing each
+    vertex under them."""
     a = list(range(12))
     a[0], a[5], a[1], a[2] = 5, 0, 2, 1
     b = list(range(12))
     b[5], b[9], b[2], b[3], b[4] = 9, 5, 3, 4, 2
-    assert symmetry.orbit_roots(12, [a, b]) == [0, 1, 1, 1, 1, 0, 6, 7, 8, 0, 10, 11]
-    assert symmetry.orbit_roots(3, []) == [0, 1, 2]
-    for g in _corpus():
+    root = list(range(12))
+    for sigma in (a, b):
+        symmetry._merge(root, sigma)
+    assert [symmetry._find(root, x) for x in range(12)] == [0, 1, 1, 1, 1, 0, 6, 7, 8, 0, 10, 11]
+    for g in (h for g in _corpus() for h in (g, _relabelled(g, 5))):
         d = all_pairs_distances(g)
-        gens = symmetry.automorphisms(g, d, [sum(row) for row in d.d])
-        roots = symmetry.orbit_roots(g.n, gens)
-        assert all(roots[x] <= x and roots[roots[x]] == roots[x] for x in range(g.n))
-        assert all(roots[sigma[x]] == roots[x] for sigma in gens for x in range(g.n))
+        gens, roots = symmetry.automorphisms(g, d, [sum(row) for row in d.d])
+        for x in range(g.n):
+            orbit, todo = {x}, [x]
+            while todo:
+                y = todo.pop()
+                todo += [sigma[y] for sigma in gens if sigma[y] not in orbit]
+                orbit.update(todo)
+            assert roots[x] == min(orbit), (g.name, x)
 
 
 def test_every_automorphism_found_maps_edges_onto_edges():
@@ -96,7 +104,7 @@ def test_every_automorphism_found_maps_edges_onto_edges():
     searched = 0
     for g in graphs:
         d = all_pairs_distances(g)
-        gens = symmetry.automorphisms(g, d, [sum(row) for row in d.d])
+        gens, _ = symmetry.automorphisms(g, d, [sum(row) for row in d.d])
         assert all(_is_automorphism(g, sigma) for sigma in gens), g.edges()
         searched += bool(gens)
     assert searched > 500, searched
@@ -118,10 +126,78 @@ def test_a_search_past_its_budget_costs_no_verdict(monkeypatch):
     d = all_pairs_distances(g)
     want = lp.compute_p(g, d)
     monkeypatch.setattr(symmetry, "_WORK_PER_VERTEX", 0)
-    assert not symmetry.automorphisms(g, d, [sum(row) for row in d.d])
+    assert symmetry.automorphisms(g, d, [sum(row) for row in d.d]) == ([], list(range(g.n)))
     assert lp.compute_p(g, d) == want
     calls = []
-    monkeypatch.setattr(symmetry, "automorphisms", lambda *a: calls.append(a) or [])
+    monkeypatch.setattr(symmetry, "automorphisms", lambda *a: calls.append(a))
     for h in _pool_graphs():
         lp.compute_p(h, all_pairs_distances(h))
     assert not calls
+
+
+def _latin_square_graph(k, seed):
+    """The Latin square graph of a random Latin square of order k: its k^2
+    cells, two adjacent when they share their row, their column or their
+    symbol, a strongly regular graph SRG(k^2, 3(k-1), k, 6).  The square is
+    filled cell by cell, each with a symbol that its row and column lack,
+    tried in a seeded random order, backtracking when none is left."""
+    rng = random.Random(seed)
+    square = {}
+
+    def fill(cell):
+        if cell == k * k:
+            return True
+        i, j = divmod(cell, k)
+        used = {square[i, c] for c in range(j)} | {square[r, j] for r in range(i)}
+        symbols = [s for s in range(k) if s not in used]
+        rng.shuffle(symbols)
+        for square[i, j] in symbols:
+            if fill(cell + 1):
+                return True
+        return False
+
+    assert fill(0)
+    cells = [(i, j, square[i, j]) for i in range(k) for j in range(k)]
+    return build_graph(k * k, [(a, b) for a, b in itertools.combinations(range(k * k), 2)
+                               if sum(map(operator.eq, cells[a], cells[b])) == 1])
+
+
+def test_a_rigid_regular_graph_of_diameter_2_is_decided_no_slower(monkeypatch):
+    """On a regular graph of diameter 2 every transmission is 2(n - 1) less
+    the degree, so both gates of the search pass once the graph has
+    _ORBIT_PAIRS pairs at distance 2.  On the Latin square graphs of random
+    squares of order 7 and 8 and on random 20-regular graphs of 50
+    vertices the search, given its whole budget, finds no automorphism.
+    compute_p stops at the first pair of row 0, which is feasible, and the
+    band 3..4 past the diameter holds no pair, so compute_p makes no search
+    and takes no longer than with the search off, best of 5 runs each.
+    With the whole budget spent, a search took 16 ms on the order 8 graph."""
+    import time
+
+    def best(g, d):
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            report = lp.compute_p(g, d)
+            times.append(time.perf_counter() - start)
+        return report, min(times)
+
+    graphs = [_latin_square_graph(7, 1), _latin_square_graph(8, 2)]
+    for seed in (1, 2):
+        h = nx.random_regular_graph(20, 50, seed=seed)
+        graphs.append(build_graph(50, list(h.edges())))
+    search = symmetry.automorphisms
+    for g in graphs:
+        d = all_pairs_distances(g)
+        r = [sum(row) for row in d.d]
+        assert d.diameter == 2 and len(set(r)) == 1
+        assert g.n * (g.n - 1) // 2 - g.num_edges() >= lp._ORBIT_PAIRS
+        assert search(g, d, r) == ([], list(range(g.n)))
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(symmetry, "automorphisms", lambda *a: calls.append(a) or search(*a))
+            on, t_on = best(g, d)
+            orbits_off(m)
+            off, t_off = best(g, d)
+        assert not calls and on == off and on.witness_pair[0] == 0
+        assert t_on <= 1.5 * t_off, (g.n, t_on, t_off)
