@@ -121,15 +121,16 @@ the same witness pair.  The automorphisms come from
 search costs time, never a verdict.  The search runs only on a graph with
 at least _ORBIT_PAIRS = 32 pairs at distance 2 or more, whose every
 transmission r(w) is shared by another vertex.  Each of the 995 connected
-atlas graphs has at most 21 such pairs, and on them a search costs more
-than scanning them: with the transmission gate alone, 148 atlas graphs
-search, the atlas bands' `has_Gp_connected_medians` at p = 1, 2 took
-79.6 ms against 64.5 ms, and the benchmark's `oracle-atlas` `job_s.p50`
-0.446 ms against 0.422 ms, higher in 12 of 12 rotating runs.  A gate at
-128 pairs, which keeps G_2 (85 pairs) from searching, measured the same
-as 32 on `pvalue-families`, `pvalue-random` and `oracle-atlas`.  The
-transmissions are shared in none of the 240 graphs of the benchmark's
-random pool and in every graph of its family corpus.  With neither gate
+atlas graphs has at most 15 such pairs (a tree of 7 vertices: 21 - 6), and
+on them a search costs more than scanning them: with the transmission gate
+alone, 156 atlas graphs search, the atlas bands'
+`has_Gp_connected_medians` at p = 1, 2 took 79.6 ms against 64.5 ms, and
+the benchmark's `oracle-atlas` `job_s.p50` 0.446 ms against 0.422 ms,
+higher in 12 of 12 rotating runs.  A gate at 128 pairs, which keeps G_2
+(85 pairs) from searching, measured the same as 32 on `pvalue-families`,
+`pvalue-random` and `oracle-atlas`.  The transmissions are shared in
+none of the 240 graphs of the benchmark's random pool and in every graph
+of its family corpus.  With neither gate
 the search made the pool's `compute_p` 7% slower and the atlas bands 1.9
 times slower.
 Vertex 0 is always a root, so the search runs when a scan first moves

@@ -13,13 +13,10 @@ An ordered partition of the vertices is a list of cells.  It is refined by
 a key on the vertices: each cell splits into the runs of equal key, in
 increasing key order, and the trace records the key and size of each part.
 Two ordered partitions that go through the same refinements with equal
-traces stay matched cell by cell.  The keys are distance rows: when a
-vertex is alone in its cell, every cell splits by the distance to it.  A
-level that individualizes a vertex and splits no other cell by distance
-rows goes on with neighbour colours, the cells of the neighbours as a
-sorted tuple, each time with the rows of the new singletons, until a round
-splits nothing.  On the paper's families distance rows reach a discrete
-partition in a few levels.  The rows of the singletons a row makes count:
+traces stay matched cell by cell.  The keys are the distance rows alone:
+when a vertex is alone in its cell, every cell splits by the distance to
+it.  On the paper's families distance rows reach a discrete partition in
+a few levels.  The rows of the singletons a row makes count:
 on the projective planes G_q any two points are at distance 2, so the rows
 of the points split no cell of points, but the line through two
 individualized points is alone in its cell, and its row splits off the
@@ -44,17 +41,18 @@ failed search, and all searches of one graph share a budget of
 _WORK_PER_VERTEX * n^2 work units: a graph that asks for more keeps the
 automorphisms found so far, and their orbits.  A unit is one step of the
 search: a cell passed or a vertex keyed by a distance row in a
-refinement, a neighbour read by a neighbour-colour key, and each of the
-2m adjacency entries that a leaf's edge check reads.  So the budget
-bounds the time:
+refinement, and each of the 2m adjacency entries that a leaf's edge check
+reads.  So the budget bounds the time:
 a unit took 90-350 ns on every graph measured, the families and the
 Latin square graphs SRG(k^2, 3(k-1), k, 6) of random squares alike, and
 a search that spends the whole budget on the one of 64 vertices takes
-13 ms.  The families of the paper spend at most 8.1 n^2 units (1/2 H_6
-as labelled; 1/2 H_5 6.6 n^2) and at most 5.5 n^2 on every other one,
-relabelled or not; the Latin square graphs, where the search finds no
-automorphism and backtracks through the matched cells, asked for
-15-710 n^2.
+13 ms.  The families of the paper spend at most 7.6 n^2 units (1/2 H_6
+as labelled; 1/2 H_5 5.9 n^2) and at most 5.2 n^2 on every other one,
+relabelled or not; the complete multipartite graphs K_8,8, K_3,5 and
+K_4,4,4 spend 6.8-9.1 n^2, and K_6,10 15.6 n^2, near the budget.  The
+Latin square graphs, where the search finds no automorphism and
+backtracks through the matched cells, asked for 10-450 n^2 on squares of
+order 5 to 8.
 """
 
 from __future__ import annotations
@@ -85,37 +83,15 @@ def automorphisms(g: Graph, d: DistMatrix, r) -> tuple[list[list[int]], list[int
     def refine(cells, fixed, i):
         """(cells, fixed, trace): cells refined by the distance row of each
         vertex of fixed from index i on, the singletons this makes joining
-        fixed; by neighbour colours too when no row splits a cell."""
+        fixed."""
         trace = []
-        by_rows = neighbours = False
-        while cells:
-            row = i < len(fixed)
-            if row:
-                key = rows[fixed[i]].__getitem__
-                i += 1
-            elif by_rows and not neighbours:
-                break
-            else:
-                neighbours = True
-                colour = [0] * n
-                for c, x in enumerate(fixed):
-                    colour[x] = c
-                for c, cell in enumerate(cells, len(fixed)):
-                    for z in cell:
-                        colour[z] = c
-
-                def key(z):
-                    work[0] -= len(adj[z])
-                    return tuple(sorted(map(colour.__getitem__, adj[z])))
-            trace.append(row)
-            parts = _split(cells, key, trace, work)
-            if parts is None:
-                if row:
-                    continue
-                break
-            cells, singles = parts
-            fixed += singles
-            by_rows = by_rows or row
+        while cells and i < len(fixed):
+            trace.append(None)      # one marker per row: which row made each split
+            parts = _split(cells, rows[fixed[i]].__getitem__, trace, work)
+            i += 1
+            if parts is not None:
+                cells, singles = parts
+                fixed += singles
         return cells, fixed, trace
 
     def individualize(cells, fixed, c, x):

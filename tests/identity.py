@@ -9,12 +9,14 @@ Run it in two checkouts and `diff` the outputs: every line that differs
 names an input whose output changed.  pytest does not collect this file.
 It prints four groups of lines, in this order:
 
-- `compute_p` on 1,380 graphs: the test corpus under 6 labellings (the
+- `compute_p` on 1,580 graphs: the test corpus under 6 labellings (the
   built one and seeds 1..5), the 240 graphs of the benchmark's random pool,
-  the 995 connected atlas graphs, 60 seeded random graphs, G_3 under the
-  ten relabellings of its pinned `pvalue` test, G_5, G_7, the odd cycles
-  C_25..C_63, C_9xC_10, C_10xC_10 and the three tables of
-  `reference._long_tables`, with list rows and with byte rows;
+  the 995 connected atlas graphs, 60 seeded random graphs, 200 seeded
+  random 3- and 4-regular graphs that pass both gates of the orbit search
+  (`gated_regular_graphs`), G_3 under the ten relabellings of its pinned
+  `pvalue` test, G_5, G_7, the odd cycles C_25..C_63, C_9xC_10, C_10xC_10
+  and the three tables of `reference._long_tables`, with list rows and
+  with byte rows;
 - `recognizers/...`: the 17 recognizer outputs of `RECOGNIZERS` on 2,512
   instances: the 995 connected atlas graphs, the 240 pool graphs, the six
   graphs of the benchmark's classify corpus, the eight of its
@@ -30,8 +32,12 @@ It prints four groups of lines, in this order:
 from __future__ import annotations
 
 import hashlib
+import random
 import sys
+from collections import Counter
 from pathlib import Path
+
+import networkx as nx
 
 sys.path[:0] = [str(Path(__file__).resolve().parents[1] / "src")]
 
@@ -45,8 +51,8 @@ from medgraph.families import (alpha_configuration, beta_configuration,  # noqa:
                                cartesian_product, cycle_graph, halved_cube,
                                hypercube, johnson, path_graph,
                                projective_incidence_graph)
-from medgraph.graph import all_pairs_distances  # noqa: E402
-from medgraph.lp import compute_p  # noqa: E402
+from medgraph.graph import all_pairs_distances, build_graph  # noqa: E402
+from medgraph.lp import _ORBIT_PAIRS, compute_p  # noqa: E402
 from medgraph.metric import J_set, interval  # noqa: E402
 from medgraph.oracle import brute_force_oracle  # noqa: E402
 
@@ -64,6 +70,26 @@ RECOGNIZERS = (
     rec.satisfies_INC, rec.is_modular)
 
 
+def gated_regular_graphs(count, seed=4):
+    """count seeded random 3- and 4-regular graphs of 11 to 30 vertices
+    that pass both gates of `compute_p`'s orbit search: at least
+    _ORBIT_PAIRS pairs at distance 2 or more, and every transmission shared.
+    About two in five search, their scans moving past row 0; on a few of
+    the smaller ones the search finds only some of the orbits."""
+    rng = random.Random(seed)
+    while count:
+        k = rng.choice((3, 4))
+        n = rng.randrange(10, 31, 2 if k == 3 else 1)
+        h = nx.random_regular_graph(k, n, seed=rng.randrange(2**31))
+        if not nx.is_connected(h):
+            continue
+        g = build_graph(n, list(h.edges()))
+        r = Counter(map(sum, all_pairs_distances(g).d))
+        if n * (n - 1) // 2 - g.num_edges() >= _ORBIT_PAIRS and min(r.values()) > 1:
+            count -= 1
+            yield g
+
+
 def inputs():
     """(label, graph) for every input of `compute_p`, in a fixed order."""
     for g in _corpus():
@@ -72,7 +98,8 @@ def inputs():
             yield f"corpus/{g.name}/{seed}", _relabelled(g, seed)
     for prefix, graphs in (("pool", _pool_graphs()),
                            ("atlas", _connected_atlas_graphs(7)),
-                           ("random", _random_connected_graphs(60))):
+                           ("random", _random_connected_graphs(60)),
+                           ("regular", gated_regular_graphs(200))):
         for i, g in enumerate(graphs):
             yield f"{prefix}/{i}", g
     g3 = projective_incidence_graph(3)

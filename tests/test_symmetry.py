@@ -8,8 +8,9 @@ import pytest
 import medgraph.lp as lp
 from medgraph import symmetry
 from medgraph.benzenoid import BenzenoidSpec, benzenoid
-from medgraph.families import (cartesian_product, cycle_graph, halved_cube,
-                               johnson, path_graph, projective_incidence_graph)
+from medgraph.families import (cartesian_product, complete_bipartite, cycle_graph,
+                               halved_cube, johnson, path_graph,
+                               projective_incidence_graph)
 from medgraph.graph import all_pairs_distances, build_graph
 from reference import (_connected_atlas_graphs, _corpus, _pool_graphs,
                        _relabelled, orbits_off)
@@ -43,8 +44,12 @@ _CORONENE = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
     (lambda: halved_cube(6)[0], 1),
     (lambda: johnson(7, 3)[0], 1),
     (lambda: cartesian_product(cycle_graph(16), cycle_graph(16)), 1),
+    (lambda: complete_bipartite(8, 8), 1),
+    (lambda: complete_bipartite(3, 5), 2),
+    (lambda: build_graph(12, [(a, b) for a, b in itertools.combinations(range(12), 2)
+                              if a % 3 != b % 3]), 1),
 ], ids=["C_21", "G_3", "G_5", "G_7", "G_11", "P_5xC_5", "coronene", "halfH_6",
-        "J(7,3)", "C_16xC_16"])
+        "J(7,3)", "C_16xC_16", "K_8,8", "K_3,5", "K_4,4,4"])
 def test_the_search_finds_the_vertex_orbits_of_the_families(graph, count):
     """The vertex orbits of the paper's families, as labelled and
     relabelled: the cycles, the tori, the half-cubes and the Johnson graphs
@@ -52,7 +57,10 @@ def test_the_search_finds_the_vertex_orbits_of_the_families(graph, count):
     duality of the plane, and its two added vertices; P_5 x C_5 and
     coronene have three.  On G_q the rows of the points tell no two points
     apart, and the search needs the rows of the lines that the points it
-    individualizes make singletons."""
+    individualizes make singletons.  The complete multipartite graphs
+    K_8,8 and K_4,4,4 are vertex-transitive and K_3,5 has its two sides:
+    there the row of an individualized vertex splits off only its own
+    part."""
     g = graph()
     for h in (g, _relabelled(g, 13)):
         roots = _roots(h)
