@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -148,6 +150,33 @@ def _lane_distances(g: Graph, levels: int) -> list[int]:
         active = still
         ball = grown
     return acc
+
+
+def packed_row(row: bytes | Sequence[int], size: int) -> int:
+    """The values of row as one int, value i in the size-byte field i, that
+    is, the sum of row[i] 2^(8 size i).  Each value must fit in
+    min(size, 8) bytes.  A byte row is read as its values, one a byte: an
+    `array` of any code but 'B' made from a `bytes` row would read its raw
+    bytes as wider values.  A list row goes through the `array` of its
+    field size, up to 8 bytes.  Wider fields are filled by slice
+    assignment, byte j of every value to byte j of its field."""
+    if isinstance(row, bytes):
+        raw, step = row, 1
+    else:
+        step = min(size, 8)
+        items = array(_FIELD_CODES[step], row)
+        if sys.byteorder == "big":
+            items.byteswap()
+        raw = items.tobytes()
+    if step == size:
+        return int.from_bytes(raw, "little")
+    fields = bytearray(size * len(row))
+    for j in range(step):
+        fields[j::size] = raw[j::step]
+    return int.from_bytes(fields, "little")
+
+
+_FIELD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}     # `array` code of each field size
 
 
 def bfs(g: Graph, source: int, levels: Sequence[int] | None = None) -> list[int]:

@@ -94,15 +94,45 @@ a failed check raises `AssertionError` naming the pair.  An answer found
 before the LP is checked in integers on the distance table, with no
 `RationalMatrix`.  `_holds` takes a certificate {w: y_w} only when each w
 is an interior row (w != u, v and d(u,w) + d(w,v) = d(u,v)) with
-y_w > 0, and sums y_w times row w, built from the distance rows by
-`_Duv_rows`, the one formula of a row, over the rows it names only: a
-zero row adds nothing to y^T D^uv.  Every column of the sum must be at
-least 0.  A balanced pair is checked on rows w_1 and w_2 (row w alone for
-a midpoint), and a nonnegative row on itself.  The witness {x: 1} is
+y_w > 0, and forms y^T D^uv over the rows it names only, a zero row
+adding nothing.  Row w is d(v,w) P_u + d(u,w) P_v - k P_w, P_z being
+the distance row of z and k = d(u,v), the one formula of a row
+(`_lane_sum`); by linearity y^T D^uv = B P_u + A P_v - k (sum of
+y_w P_w), with A = sum of y_w d(u,w) and B = sum of y_w d(v,w).  This is
+not the balanced try's P_u + P_v - P_w1 - P_w2: the check forms the rows of
+D^uv themselves.  Every column of the sum must be at least 0.  A
+balanced pair is checked on rows w_1 and w_2 (row w alone for a
+midpoint), and a nonnegative row on itself.  The witness {x: 1} is
 checked by reading column x of every row again, each entry at most -1.
 An LP answer is checked on the full D^uv by `_check_result(mat, res)`: a
 certificate that is empty, has a y_w <= 0 or names a vertex that is not a
 row of mat fails it.
+
+The distance rows a pair reads are packed (`_Lanes`), the word-parallel
+technique of Lamport 1975 ("Multiple byte processing with full-word
+instructions", CACM 18): P_z is one int, the sum of d(z,x) 2^(Lx), lane
+x holding d(z,x) in an L-bit field.  A sum of integer multiples of
+packed rows is, as an int, X = sum of e_x 2^(Lx), e_x being the same sum
+of the rows' entries x.  If -2^(L-1) <= e_x < 2^(L-1) for every x, then
+X + T, T holding 2^(L-1) in every lane, holds e_x + 2^(L-1), in [0,
+2^L), in lane x with no carry between lanes, and the top bit of lane x
+is set iff e_x >= 0: one masked test reads the sign of every column.
+The lanes are wide enough.  With D the diameter, entry x of row w lies
+between -k D and (d(v,w) + d(u,w)) D, which is k D on an interior row
+and at most 2 D^2 on any; so y^T D^uv on interior rows lies within (sum
+of y_w) k D <= (sum of y_w) D^2 of 0, the try's far - P_w1 - P_w2, far =
+P_u + P_v, within 2D, and far - k ONES (ONES holding 1 in every lane) in
+[0, 2D - k].  A scan forms only these, with the sum of y_w at most 2, so
+every value is within 2 D^2 of 0, and L is the least multiple of 32 with
+2 D^2 < 2^(L-1): 32 bits for every byte table (D <= 255, 2 D^2 =
+130,050) and 64 for any diameter below 2^31, every table `gen` allows.
+A certificate whose (sum of y_w) k D does not fit is summed on its rows
+packed again in lanes that hold it.  `_head` reads I(u,v) off far: its
+lanes of far - k ONES that are 0, none being below 0 by the triangle
+inequality, are those below 0 once ONES more is taken away, read from
+the lowest lane up.  `_unbalanced` keeps the columns negative in every
+row so far as a mask of top bits.  Rows are unpacked into tuples only
+for a pair left to the LP and for `build_Duv`.
 
 A band scan of `_pair_verdicts` reads only the rows of orbit roots.  An
 automorphism sigma keeps distances, so row sigma(w), column sigma(x) of
@@ -157,14 +187,15 @@ at its first failing pair: its decision is the last one.
 from __future__ import annotations
 
 import itertools
-import operator
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import symmetry
 from .errors import InteriorTooLarge, WrongDistance
-from .graph import DistMatrix, Graph
+from .graph import DistMatrix, Graph, packed_row
 from .medians import (Profile, _pairs_in_distance_band, _require_nonadjacent,
                       _scaled)
 from .metric import Jcirc_set, M_set, interior_interval
@@ -194,20 +225,85 @@ class FeasibilityResult:
 
 def build_Duv(g: Graph, d: DistMatrix, u: int, v: int) -> RationalMatrix:
     """D^uv entry (w,x) = d(v,w)d(u,x) + d(u,w)d(v,x) - d(u,v)d(w,x), its
-    rows I°(u,v) in ascending order."""
+    rows I°(u,v) in ascending order, each unpacked from its lanes."""
     _require_nonadjacent(g, u, v)
     rows = tuple(sorted(interior_interval(g, d, u, v)))
-    return RationalMatrix(tuple(_Duv_rows(d, u, v, rows)), rows, tuple(range(g.n)), u, v)
+    lanes = _Lanes(d)
+    return RationalMatrix(tuple(lanes.unpack(_lane_sum(lanes, u, v, ((w, 1),))) for w in rows),
+                          rows, tuple(range(g.n)), u, v)
 
 
-def _Duv_rows(d: DistMatrix, u: int, v: int, rows):
-    """Row w of D^uv for each w of rows, in order, each built as it is read."""
-    dd = d.d
-    du, dv = dd[u], dd[v]
-    k = du[v]
-    for w in rows:
-        b, a = dv[w], du[w]
-        yield tuple([b * x + a * y - k * z for x, y, z in zip(du, dv, dd[w])])
+class _Lanes(dict):
+    """The distance rows of the table d, each packed into one int on first
+    read: lanes[w] is P_w, lane x of it holding d(w,x) in the L-bit field
+    x.  An int X = sum of e_x 2^(Lx) made by adding and scaling packed rows
+    is exact, and so are its lanes, while every -2^(L-1) <= e_x < 2^(L-1).
+    L is the least multiple of 32 with bound < 2^(L-1), bound being the
+    largest |e_x| that the caller forms (see the module docstring)."""
+
+    __slots__ = ("d", "bits", "ones", "tops")
+
+    def __init__(self, d: DistMatrix, bound: int | None = None):
+        super().__init__()
+        self.d = d
+        if bound is None:       # a sum of two rows of D^uv: see the module docstring
+            bound = 2 * d.diameter ** 2
+        self.bits = 32 * (bound.bit_length() // 32 + 1)
+        self.ones = int.from_bytes((1).to_bytes(self.bits // 8, "little") * d.n, "little")
+        self.tops = self.ones << (self.bits - 1)     # the top bit of every lane
+
+    def __missing__(self, w: int) -> int:
+        row = self[w] = packed_row(self.d.d[w], self.bits // 8)
+        return row
+
+    def signs(self, x: int) -> int:
+        """The top bit of each lane of x that is at least 0.  x + tops holds
+        e_x + 2^(L-1) in lane x, in [0, 2^L), so no lane carries into the
+        next, and its top bit is set iff e_x >= 0."""
+        return (x + self.tops) & self.tops
+
+    def zeros(self, x: int) -> list[int]:
+        """The lanes of x that are 0, ascending, every lane of x being in
+        [0, 2^(L-1)): those of x - ones below 0."""
+        z = self.tops ^ self.signs(x - self.ones)
+        out = []
+        while z:
+            low = z & -z
+            out.append(low.bit_length() // self.bits - 1)
+            z ^= low
+        return out
+
+    def lane(self, x: int, i: int) -> int:
+        """Lane i of x."""
+        half = 1 << (self.bits - 1)
+        return ((x + self.tops) >> (self.bits * i) & ((half << 1) - 1)) - half
+
+    def unpack(self, x: int) -> tuple[int, ...]:
+        """Every lane of x, in order.  With the top bit of each lane of
+        x + tops flipped, each lane is its e_x in L-bit two's complement."""
+        size = self.bits // 8
+        items = array(_SIGNED_CODES[size], ((x + self.tops) ^ self.tops).to_bytes(
+            size * self.d.n, "little"))
+        if sys.byteorder == "big":
+            items.byteswap()
+        return tuple(items)
+
+
+_SIGNED_CODES = {4: "i", 8: "q"}     # `array` code of a signed lane of 32 or 64 bits
+
+
+def _lane_sum(lanes: _Lanes, u: int, v: int, y) -> int:
+    """The sum of y_w times row w of D^uv over the pairs (w, y_w) of y, in
+    lanes.  Row w is d(v,w) P_u + d(u,w) P_v - d(u,v) P_w, the one formula
+    of a row, so the sum is B P_u + A P_v - d(u,v) (sum of y_w P_w), with
+    A = sum of y_w d(u,w) and B = sum of y_w d(v,w)."""
+    du, dv = lanes.d.d[u], lanes.d.d[v]
+    a = b = total = 0
+    for w, yw in y:
+        a += yw * du[w]
+        b += yw * dv[w]
+        total += yw * lanes[w]
+    return b * lanes[u] + a * lanes[v] - du[v] * total
 
 
 def _phase1(tableau, n_free):
@@ -398,62 +494,67 @@ def _checked(ok: bool, res: FeasibilityResult, source: str, u: int, v: int) -> F
     return res
 
 
-def _holds(d: DistMatrix, u: int, v: int, y: dict[int, int]) -> bool:
+def _holds(lanes: _Lanes, u: int, v: int, y: dict[int, int]) -> bool:
     """Whether y = {w: y_w} is a Farkas certificate of the pair (u, v),
     checked in integers on the rows of D^uv it names: each w an interior
     row (w != u, v and d(u,w) + d(w,v) = d(u,v)) with y_w > 0, at least
-    one of them, and the sum of y_w times row w (`_Duv_rows`) at least 0
-    in every column."""
+    one of them, and y^T D^uv (`_lane_sum`) at least 0 in every lane.  A
+    sum whose bound (sum of y_w) d(u,v) diam does not fit the lanes is
+    formed on the rows packed again in lanes that hold it."""
+    d = lanes.d
     du, dv = d.d[u], d.d[v]
     k = du[v]
-    total = None
-    for (w, yw), row in zip(y.items(), _Duv_rows(d, u, v, y)):
-        if w == u or w == v or du[w] + dv[w] != k or yw <= 0:
-            return False
-        row = row if yw == 1 else [yw * x for x in row]
-        total = row if total is None else list(map(operator.add, total, row))
-    return total is not None and min(total) >= 0
+    if not y or any(w == u or w == v or du[w] + dv[w] != k or yw <= 0 for w, yw in y.items()):
+        return False
+    bound = sum(y.values()) * k * d.diameter
+    if bound >= 1 << (lanes.bits - 1):
+        lanes = _Lanes(d, bound)
+    return lanes.signs(_lane_sum(lanes, u, v, y.items())) == lanes.tops
 
 
-def _head(d: DistMatrix, r, u: int, v: int):
+def _head(lanes: _Lanes, r, u: int, v: int):
     """(mat, res) for the pair (u, v) decided on its own: res is its
     balanced-pair certificate, checked by `_holds`, and then mat is None;
-    else the `_unbalanced` answer."""
-    du = d.d[u]
-    k = du[v]
-    far = list(map(operator.add, du, d.d[v]))
-    rows = [w for w, f in enumerate(far) if f == k]      # I(u,v)
+    else the `_unbalanced` answer.  I(u,v) is read off far = P_u + P_v:
+    the lanes of far - d(u,v) ONES that are 0, no lane of it being below 0
+    by the triangle inequality."""
+    far = lanes[u] + lanes[v]
+    rows = lanes.zeros(far - lanes.d.d[u][v] * lanes.ones)      # I(u,v)
     rows.remove(u)
     rows.remove(v)
-    pair = _balanced(d, r, u, v, rows, far)
+    pair = _balanced(lanes, r, u, v, rows, far)
     if pair is None:
-        return _unbalanced(d, u, v, tuple(rows))
+        return _unbalanced(lanes, u, v, tuple(rows))
     y = dict.fromkeys(pair, 1)     # {w: 1} for a midpoint w = w_1 = w_2
-    return None, _checked(_holds(d, u, v, y), FeasibilityResult("infeasible", certificate=y),
+    return None, _checked(_holds(lanes, u, v, y), FeasibilityResult("infeasible", certificate=y),
                           "balanced answer", u, v)
 
 
-def _unbalanced(d: DistMatrix, u: int, v: int, rows):
+def _unbalanced(lanes: _Lanes, u: int, v: int, rows):
     """(mat, res) for the pair (u, v) whose interior rows no balanced pair
     decides.  Its rows of D^uv are built in order, and the columns negative
-    in every row so far are kept.  res is the first nonnegative row {w: 1},
-    checked by `_holds`, else the witness {x: 1} of the first column x
-    negative in every row, checked by reading column x of every row again,
-    and then mat is None.  Else mat is the full D^uv and res is None, which
-    leaves the pair to the LP."""
+    in every row so far are kept, as the top bits of neg.  res is the first
+    nonnegative row {w: 1}, checked by `_holds`, else the witness {x: 1} of
+    the first column x negative in every row, checked by reading column x
+    of every row again, and then mat is None.  Else mat is the full D^uv,
+    its rows unpacked, and res is None, which leaves the pair to the LP."""
+    tops = lanes.tops
     entries = []
-    neg = range(d.n)
-    for w, row in zip(rows, _Duv_rows(d, u, v, rows)):
-        if min(row) >= 0:
-            return None, _checked(_holds(d, u, v, {w: 1}), FeasibilityResult(
+    neg = tops
+    for w in rows:
+        row = _lane_sum(lanes, u, v, ((w, 1),))
+        signs = lanes.signs(row)
+        if signs == tops:
+            return None, _checked(_holds(lanes, u, v, {w: 1}), FeasibilityResult(
                 "infeasible", certificate={w: 1}), "one-vertex answer", u, v)
-        neg = [x for x in neg if row[x] < 0]
+        neg &= tops ^ signs
         entries.append(row)
     if neg:
-        x = neg[0]
-        return None, _checked(all(row[x] <= -1 for row in entries), FeasibilityResult(
+        x = (neg & -neg).bit_length() // lanes.bits - 1
+        return None, _checked(all(lanes.lane(row, x) <= -1 for row in entries), FeasibilityResult(
             "feasible", witness={x: Fraction(1)}), "one-vertex answer", u, v)
-    return RationalMatrix(tuple(entries), rows, tuple(range(d.n)), u, v), None
+    return RationalMatrix(tuple(map(lanes.unpack, entries)), rows, tuple(range(lanes.d.n)),
+                          u, v), None
 
 
 def verify_feasibility_result(g: Graph, d: DistMatrix, u: int, v: int,
@@ -462,16 +563,17 @@ def verify_feasibility_result(g: Graph, d: DistMatrix, u: int, v: int,
     return _check_result(build_Duv(g, d, u, v), r)
 
 
-def _balanced(d: DistMatrix, r, u: int, v: int, rows, far):
+def _balanced(lanes: _Lanes, r, u: int, v: int, rows, far):
     """The first balanced pair (w_1, w_2), w_1 <= w_2, of the interior rows
     of D^uv whose try holds, else None.  The candidates are taken level by
     level, w_1 at distance a from u and w_2 at distance d(u,v) - a, the
     midpoint w_1 = w_2 too, and ranked mirror pairs, d(w_1,w_2) = d(u,v),
     first, then by least r(w_1) + r(w_2), r being the transmissions, then in
     row order; at most _BALANCED_TRIES of them are tried.  A try holds when
-    d(w_1,x) + d(w_2,x) <= d(u,x) + d(v,x) for every x; see the module
-    docstring; far[x] is d(u,x) + d(v,x)."""
-    dd = d.d
+    d(w_1,x) + d(w_2,x) <= d(u,x) + d(v,x) for every x, that is, when no
+    lane of far - P_w1 - P_w2 is below 0; see the module docstring; far is
+    P_u + P_v."""
+    dd = lanes.d.d
     du = dd[u]
     k = du[v]
     levels = [[] for _ in range(k)]
@@ -485,8 +587,9 @@ def _balanced(d: DistMatrix, r, u: int, v: int, rows, far):
                 w1, w2 = w2, w1
             tries.append((dd[w1][w2] != k, r[w1] + r[w2], w1, w2))
     tries.sort()
+    tops = lanes.tops
     for _, _, w1, w2 in tries[:_BALANCED_TRIES]:
-        if all(map(operator.le, map(operator.add, dd[w1], dd[w2]), far)):
+        if lanes.signs(far - lanes[w1] - lanes[w2]) == tops:
             return w1, w2
     return None
 
@@ -513,13 +616,14 @@ def _pair_verdicts(g: Graph, d: DistMatrix):
     verdicts: dict[tuple[int, int], FeasibilityResult] = {}
     own: set[tuple[int, int]] = set()
     r = [sum(row) for row in d.d]       # the transmissions
+    lanes = _Lanes(d)
     search = g.n * (g.n - 1) // 2 - g.num_edges() >= _ORBIT_PAIRS and \
         min(Counter(r).values()) > 1
     root = None
 
     def decide(u: int, v: int) -> FeasibilityResult:
         """The verdict of (u, v), stored."""
-        mat, res = _head(d, r, u, v)
+        mat, res = _head(lanes, r, u, v)
         if res is None:
             res = lp_feasible_strict(mat)
             own.add((u, v))

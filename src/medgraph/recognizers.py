@@ -48,12 +48,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import sys
-from array import array
 from dataclasses import dataclass
 
 from .errors import EmbeddingUnverified, LabelArity, ParseError
-from .graph import DistMatrix, Graph, _data_lines
+from .graph import DistMatrix, Graph, _data_lines, packed_row
 from .medians import _pairs_in_distance_band
 from .metric import members
 
@@ -499,9 +497,10 @@ def induced_squares(g: Graph):
 
 def satisfies_PC(g: Graph, d: DistMatrix) -> ClassVerdict:
     """d(u,v1)+d(u,v3) = d(u,v2)+d(u,v4) on every induced square.  Each
-    distance row is packed into one int P(row) = sum of row[x] B^x, one
-    field of B = 2^8, 2^16 or 2^64 per vertex, the narrowest that holds
-    one distance; a byte row is packed as it stands.  This is exact.  On
+    distance row is packed into one int P(row) = sum of row[x] B^x
+    (`packed_row`), one unsigned field of B = 2^8, 2^16 or 2^64 per
+    vertex, the narrowest that holds one distance; a byte row is packed as
+    it stands.  This is exact.  On
     an induced square v1v2v3v4, v1 and v2 are adjacent, so |d(u,v1) -
     d(u,v2)| <= 1, and |d(u,v3) - d(u,v4)| <= 1 alike, for every u.  So
     P(v1) + P(v3) - P(v2) - P(v4) = sum of e_x B^x with every e_x in
@@ -513,8 +512,8 @@ def satisfies_PC(g: Graph, d: DistMatrix) -> ClassVerdict:
     for sq in induced_squares(g):
         if packed is None:
             top = d.diameter
-            code = "B" if top < 1 << 8 else "H" if top < 1 << 16 else "Q"
-            packed = [int.from_bytes(array(code, row), sys.byteorder) for row in d.d]
+            size = 1 if top < 1 << 8 else 2 if top < 1 << 16 else 8
+            packed = [packed_row(row, size) for row in d.d]
         v1, v2, v3, v4 = sq
         if packed[v1] + packed[v3] != packed[v2] + packed[v4]:
             u = next(u for u, (a, b, c, e) in enumerate(zip(d[v1], d[v3], d[v2], d[v4]))

@@ -5,15 +5,16 @@ slower route: F_pi summed in `Fraction`s at each vertex instead of the
 integer table den*F_pi, all pairs instead of the local band, a walk of the
 geodesic DAG instead of distance sums, subgraph matching instead of the
 interval condition, the simplex on every pair instead of the shared pair
-verdicts, the phase-1 tableau with its artificial columns stored instead of
-implied, the product y^T M over every row instead of the rows a
-certificate names, a search over every pair of a set instead of a walk along the
-distance rows, the bipartite absolute retracts on interval bitsets instead
-of one distance row, modularity and convex balls by a scan of every triple
-and of every ball on interval bitsets instead of the conditions that
-characterise them, the alpha/beta finders on the distance table and J°(u,v)
-instead of adjacency sets, and maximum-cardinality search by a scan of
-every vertex instead of heaps.
+verdicts, the rows of D^uv as lists instead of lanes of one int, the
+phase-1 tableau with its artificial columns stored instead of implied, the
+product y^T M over every row instead of the rows a certificate names, a
+search over every pair of a set instead of a walk along the distance rows,
+the bipartite absolute retracts on interval bitsets instead of one distance
+row, modularity and convex balls by a scan of every triple and of every
+ball on interval bitsets instead of the conditions that characterise them,
+the alpha/beta finders on the distance table and J°(u,v) instead of
+adjacency sets, and maximum-cardinality search by a scan of every vertex
+instead of heaps.
 
 It also holds each graph corpus and helper that more than one test module
 uses, so that no test module imports another.
@@ -98,6 +99,29 @@ def solve_pair(g: Graph, d: DistMatrix, u: int, v: int) -> FeasibilityResult:
     """Decide D^uv pi < 0, pi >= 0 with the simplex alone; feasible iff some
     profile violates WC at (u,v).  The plain route of `lp._pair_verdicts`."""
     return lp_feasible_strict(build_Duv(g, d, u, v))
+
+
+def Duv_rows_plain(d: DistMatrix, u: int, v: int, rows) -> list[tuple[int, ...]]:
+    """Row w of D^uv for each w of rows, entry x being d(v,w) d(u,x) +
+    d(u,w) d(v,x) - d(u,v) d(w,x), one list comprehension over the columns.
+    The plain route of `lp._lane_sum` on one row."""
+    dd = d.d
+    du, dv = dd[u], dd[v]
+    k = du[v]
+    return [tuple([dv[w] * x + du[w] * y - k * z for x, y, z in zip(du, dv, dd[w])])
+            for w in rows]
+
+
+def holds_plain(d: DistMatrix, u: int, v: int, y: dict[int, int]) -> bool:
+    """`lp._holds` on the rows of `Duv_rows_plain`: each w of y an interior
+    row with y_w > 0, at least one, and the sum of y_w times row w at least
+    0 in every column."""
+    du, dv = d.d[u], d.d[v]
+    k = du[v]
+    if not y or any(w == u or w == v or du[w] + dv[w] != k or yw <= 0 for w, yw in y.items()):
+        return False
+    rows = Duv_rows_plain(d, u, v, y)
+    return min(map(sum, zip(*([yw * e for e in row] for yw, row in zip(y.values(), rows))))) >= 0
 
 
 def balanced_pair_plain(d: DistMatrix, mat: RationalMatrix):

@@ -7,7 +7,7 @@ from medgraph.families import (complete_bipartite, complete_graph, cycle_graph,
                                halved_cube, path_graph,
                                projective_incidence_graph)
 from medgraph.graph import (Graph, all_pairs_distances, bfs, build_graph,
-                            power_graph, read_graph, write_graph)
+                            packed_row, power_graph, read_graph, write_graph)
 
 
 def test_build_and_distances():
@@ -23,6 +23,19 @@ def test_distance_rows_share_their_ints():
     d = all_pairs_distances(path_graph(300))
     assert d.d[0][280] == d.d[1][281] == 280
     assert d.d[0][280] is d.d[1][281]
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 8, 12, 16])
+def test_a_packed_row_holds_each_value_in_its_field(size):
+    # value i of the row in bytes size i .. size (i + 1) - 1, for a byte
+    # row read as values, one a byte, not as raw bytes of wider values,
+    # and for a list row, whose values fill up to 8 bytes of each field
+    values = [0, 1, 7, 200, 255, 3]
+    want = sum(x << 8 * size * i for i, x in enumerate(values))
+    assert packed_row(bytes(values), size) == packed_row(values, size) == want
+    if size >= 2:
+        wide = [0, 2**(8 * min(size, 8)) - 1, 256, 5]
+        assert packed_row(wide, size) == sum(x << 8 * size * i for i, x in enumerate(wide))
 
 
 def test_neighbour_sets_are_built_on_first_read():

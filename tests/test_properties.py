@@ -394,8 +394,8 @@ def test_pair_verdicts_match_the_plain_solve(monkeypatch):
             sources.append("balanced")
         return pair
 
-    def holds(d, u, v, y):
-        ok = real_holds(d, u, v, y)
+    def holds(lanes, u, v, y):
+        ok = real_holds(lanes, u, v, y)
         checks.append((dict(y), ok))
         return ok
 
