@@ -58,11 +58,6 @@ def _load_graph(path: str):
 
 # ----------------------------------------------------------------- gen verb
 
-# the parameters of the families that families.generate does not build
-_GEN_OWN_PARAMS = {"benzenoid": (), "beta_configuration": (),
-                   "alpha_configuration": ("type",), "projective_plane": ("q",)}
-
-
 def cmd_gen(args) -> int:
     start = time.monotonic()
     params = {}
@@ -73,21 +68,14 @@ def cmd_gen(args) -> int:
         if key in params:
             raise ParseError(f"parameter {key!r} is given twice")
         params[key] = int(val)
-    if args.family in _GEN_OWN_PARAMS:
-        families.check_names(args.family, params, _GEN_OWN_PARAMS[args.family])
-    labels = None
-    if args.family == "benzenoid":
+    if args.family == "benzenoid":      # the one family built from a file
+        if params:
+            raise ParseError(f"benzenoid takes no parameter {min(params)}")
         if not args.benzenoid_spec:
             raise ParseError("benzenoid needs --benzenoid-spec")
         with open(args.benzenoid_spec) as fh:
             spec = bz.read_benzenoid_spec(fh.read())
-        g = bz.benzenoid(spec).graph
-    elif args.family == "beta_configuration":
-        g = families.beta_configuration()
-    elif args.family == "alpha_configuration":
-        g = families.alpha_configuration(params.get("type", 1))
-    elif args.family == "projective_plane":
-        g = families.projective_incidence_graph(params.get("q", 2))
+        g, labels = bz.benzenoid(spec).graph, None
     else:
         g, labels = families.generate(families.FamilySpec(args.family, params))
     if args.labels and labels is None:
@@ -154,9 +142,14 @@ def cmd_pvalue(args) -> int:
 
 # --------------------------------------------------------------- check verb
 
+def _detected(name: str, found) -> recognizers.ClassVerdict:
+    """The verdict of a detector that returns a configuration or None."""
+    return recognizers.ClassVerdict(name, found is not None, found)
+
+
 # A check that reads the distance table builds it; chordal, thick, IC3/IC4
-# (here) and alpha/beta (below) read only the adjacency lists and sets, and
-# build none: on a 65536-vertex path the six take 52 MB and 2-3 s in all.
+# and alpha/beta read only the adjacency lists and sets, and build none: on
+# a 65536-vertex path the six take 52 MB and 2-3 s in all.
 _SIMPLE_CHECKS = {
     "meshed": lambda g: recognizers.is_meshed(g, all_pairs_distances(g)),
     "weakly-modular":
@@ -175,6 +168,10 @@ _SIMPLE_CHECKS = {
     "thick": lambda g: recognizers.is_thick(g),
     "bipartite-absolute-retract": lambda g:
         recognizers.is_bipartite_absolute_retract(g, all_pairs_distances(g)),
+    "alpha": lambda g:
+        _detected("alpha_configuration", recognizers.detect_alpha_configuration(g)),
+    "beta": lambda g:
+        _detected("beta_configuration", recognizers.detect_beta_configuration(g)),
 }
 
 
@@ -184,16 +181,6 @@ def cmd_check(args) -> int:
     name = args.cls
     if name in _SIMPLE_CHECKS:
         verdict = _SIMPLE_CHECKS[name](g)
-        result = {"class": verdict.name, "verdict": verdict.verdict,
-                  "witness": verdict.witness}
-    elif name == "alpha":
-        found = recognizers.detect_alpha_configuration(g)
-        result = {"class": "alpha_configuration", "verdict": found is not None,
-                  "witness": found}
-    elif name == "beta":
-        found = recognizers.detect_beta_configuration(g)
-        result = {"class": "beta_configuration", "verdict": found is not None,
-                  "witness": found}
     elif name in ("partial-johnson", "partial-halved-cube"):
         if not args.embedding:
             raise ParseError(f"{name} needs --embedding")
@@ -204,12 +191,11 @@ def cmd_check(args) -> int:
               if target == "johnson"
               else recognizers.connected_medians_partial_halved_cube)
         verdict = fn(g, all_pairs_distances(g), emb)
-        result = {"class": verdict.name, "verdict": verdict.verdict,
-                  "witness": verdict.witness}
     else:
         raise UnknownClass(f"unknown class {name!r}")
-    _report("check", {"class": name, "graph": args.graph}, result, start)
-    return 0 if result["verdict"] else 1
+    _report("check", {"class": name, "graph": args.graph}, {
+        "class": verdict.name, "verdict": verdict.verdict, "witness": verdict.witness}, start)
+    return 0 if verdict.verdict else 1
 
 
 # -------------------------------------------------------- verify-paper verb

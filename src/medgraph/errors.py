@@ -61,10 +61,6 @@ class DisconnectedHexagons(MedgraphError):
     pass
 
 
-class ConstraintsUnsatisfiable(MedgraphError):
-    pass
-
-
 class UnknownClass(MedgraphError):
     pass
 

@@ -7,11 +7,10 @@ import itertools
 from dataclasses import dataclass, field
 from math import comb
 
-from .errors import (ConstraintsUnsatisfiable, NotGated, NotInducedIso,
-                     NotPrime, ParameterOutOfRange)
+from .errors import NotGated, NotInducedIso, NotPrime, ParameterOutOfRange
 from .graph import Graph, all_pairs_distances, build_graph
-from .metric import interior_interval, is_gated_set
-from .recognizers import LabeledEmbedding, detect_alpha_configuration
+from .metric import is_gated_set
+from .recognizers import LabeledEmbedding
 
 
 @dataclass(frozen=True)
@@ -35,21 +34,19 @@ def _bounded(name: str, n: int, m: int) -> None:
             f"{MAX_VERTICES} vertices and {MAX_EDGES} edges")
 
 
-def check_names(family: str, params: dict, names) -> None:
-    """Reject a parameter that the family does not take."""
-    unknown = sorted(set(params) - set(names))
+def _need(spec: FamilySpec, defaults: dict[str, int | None]) -> list[int]:
+    """The values of the parameters in `defaults`, the only ones the family
+    takes, each given or its default; a parameter whose default is None
+    must be given."""
+    unknown = sorted(set(spec.params) - set(defaults))
     if unknown:
-        raise ParameterOutOfRange(f"{family} takes no parameter {unknown[0]}")
-
-
-def _need(spec: FamilySpec, *names: str) -> list[int]:
-    """The values of `names`, the only parameters the family takes."""
-    check_names(spec.family, spec.params, names)
+        raise ParameterOutOfRange(f"{spec.family} takes no parameter {unknown[0]}")
     out = []
-    for name in names:
-        if name not in spec.params:
+    for name, default in defaults.items():
+        value = spec.params.get(name, default)
+        if value is None:
             raise ParameterOutOfRange(f"{spec.family} needs parameter {name}")
-        out.append(spec.params[name])
+        out.append(value)
     return out
 
 
@@ -184,35 +181,6 @@ def bn_hat_graph(n: int) -> Graph:
     return build_graph(2 * n + 2, edges, name=f"B^_{n}")
 
 
-_FAMILIES = {
-    "path": (path_graph, ("n",)),
-    "cycle": (cycle_graph, ("n",)),
-    "complete": (complete_graph, ("n",)),
-    "complete_bipartite": (complete_bipartite, ("n", "m")),
-    "hyperoctahedron": (hyperoctahedron, ("m",)),
-    "wheel": (wheel, ("n",)),
-    "broken_wheel": (lambda n: wheel(n, broken=True), ("n",)),
-    "propeller": (propeller, ()),
-    "k4_minus": (k4_minus, ()),
-    "k33_minus": (k33_minus, ()),
-    "hypercube": (hypercube, ("n",)),
-    "halved_cube": (halved_cube, ("n",)),
-    "johnson": (johnson, ("n", "k")),
-    "bn": (bn_graph, ("n",)),
-    "bn_hat": (bn_hat_graph, ("n",)),
-}
-
-
-def generate(spec: FamilySpec) -> tuple[Graph, LabeledEmbedding | None]:
-    if spec.family not in _FAMILIES:
-        raise ParameterOutOfRange(f"unknown family {spec.family!r}")
-    fn, names = _FAMILIES[spec.family]
-    out = fn(*_need(spec, *names))
-    if isinstance(out, tuple):
-        return out
-    return out, None
-
-
 def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     """Vertex (i, j) becomes i * n2 + j."""
     n2 = g2.n
@@ -312,8 +280,7 @@ def alpha_configuration(config_type: int) -> Graph:
 
     Each apex vertex gets three private helpers: one linking it to u, one
     to v, and one to its two near interior vertices; helpers stay clear of
-    the roles that would realize a smaller type.  The construction is
-    validated against the definition before being returned.
+    the roles that would realize a smaller type.
     """
     if config_type not in (1, 2, 3):
         raise ParameterOutOfRange("alpha-configuration type must be 1, 2, or 3")
@@ -321,7 +288,6 @@ def alpha_configuration(config_type: int) -> Graph:
     edges = [(u, s), (u, t), (u, w), (v, s), (v, t), (v, w),
              (s, t), (s, w), (t, w)]
     nxt = 5
-    apexes = []
 
     def add_apex(near1, near2):
         nonlocal nxt
@@ -329,8 +295,6 @@ def alpha_configuration(config_type: int) -> Graph:
         nxt += 4
         edges.extend([(apex, hu), (apex, hv), (apex, hx),
                       (hu, u), (hv, v), (hx, near1), (hx, near2)])
-        apexes.append(apex)
-        return apex
 
     if config_type == 1:
         add_apex(s, w)                       # far from t
@@ -347,25 +311,36 @@ def alpha_configuration(config_type: int) -> Graph:
         add_apex(s, w)                       # a1, far from t
         add_apex(s, t)                       # a2, far from w
         add_apex(t, w)                       # a3, far from s
-    g = build_graph(nxt, sorted(edges), name=f"alpha_type{config_type}")
-    _validate_alpha(g, config_type, apexes)
-    return g
+    return build_graph(nxt, sorted(edges), name=f"alpha_type{config_type}")
 
 
-def _validate_alpha(g: Graph, config_type: int, apexes) -> None:
-    d = all_pairs_distances(g)
-    u, v = 0, 1
-    inner = sorted(interior_interval(g, d, u, v))
-    if d(u, v) != 2 or inner != [2, 3, 4]:
-        raise ConstraintsUnsatisfiable("interval interior is not {s,t,w}")
-    fars = {1: [3], 2: [3, 4], 3: [3, 4, 2]}[config_type]
-    for apex, far in zip(apexes, fars):
-        near = [x for x in inner if x != far]
-        if not (d(apex, u) == d(apex, v) == 2 and d(apex, far) == 3
-                and all(d(apex, x) == 2 for x in near)):
-            raise ConstraintsUnsatisfiable(
-                f"apex {apex} misses its distance pattern")
-    found = detect_alpha_configuration(g)
-    if found is None or found[0] != config_type:
-        raise ConstraintsUnsatisfiable(
-            f"built graph detects as {found and found[0]}, wanted {config_type}")
+_FAMILIES = {     # each family's generator and its parameters, with their defaults
+    "path": (path_graph, {"n": None}),
+    "cycle": (cycle_graph, {"n": None}),
+    "complete": (complete_graph, {"n": None}),
+    "complete_bipartite": (complete_bipartite, {"n": None, "m": None}),
+    "hyperoctahedron": (hyperoctahedron, {"m": None}),
+    "wheel": (wheel, {"n": None}),
+    "broken_wheel": (lambda n: wheel(n, broken=True), {"n": None}),
+    "propeller": (propeller, {}),
+    "k4_minus": (k4_minus, {}),
+    "k33_minus": (k33_minus, {}),
+    "hypercube": (hypercube, {"n": None}),
+    "halved_cube": (halved_cube, {"n": None}),
+    "johnson": (johnson, {"n": None, "k": None}),
+    "bn": (bn_graph, {"n": None}),
+    "bn_hat": (bn_hat_graph, {"n": None}),
+    "projective_plane": (projective_incidence_graph, {"q": 2}),
+    "alpha_configuration": (alpha_configuration, {"type": 1}),
+    "beta_configuration": (beta_configuration, {}),
+}
+
+
+def generate(spec: FamilySpec) -> tuple[Graph, LabeledEmbedding | None]:
+    if spec.family not in _FAMILIES:
+        raise ParameterOutOfRange(f"unknown family {spec.family!r}")
+    fn, defaults = _FAMILIES[spec.family]
+    out = fn(*_need(spec, defaults))
+    if isinstance(out, tuple):
+        return out
+    return out, None

@@ -8,14 +8,12 @@ Its tableau is [A | -I | rhs]: the artificial columns are not stored, since
 artificial i is always the negated slack column i, and its reduced cost is
 D minus the slack's (see `_phase1`).  It returns either a witness profile,
 in `Fraction`s, or a Farkas certificate, read from the slack reduced costs
-as the integers D*y: a positive multiple of a certificate is one.  Its
-tableau holds only the first copy of each distinct nonzero column, and
-its pivots are those on every column (see `lp_feasible_strict`).  Both
-answers are re-verified exactly on the full D^uv.  A certificate is sparse: the dict
-{w: y_w} of its entries y_w > 0, keyed by row vertex.  Its check sums y_w
-times row w over the rows it names only, in every column; a zero row adds
-nothing, so this is the full product y^T D^uv, and a unit certificate
-costs O(n), not O(mn).
+as the integers D*y: a positive multiple of a certificate is one.  Both
+answers are re-verified exactly on the full D^uv.  A certificate is
+sparse: the dict {w: y_w} of its entries y_w > 0, keyed by row vertex.
+Its check sums y_w times row w over the rows it names only, in every
+column; a zero row adds nothing, so this is the full product y^T D^uv,
+and a unit certificate costs O(n), not O(mn).
 `lp_feasible_strict` is the module's one LP: the alpha/beta weights of
 `alpha_beta_certificate` are read from its answer on the alternative
 system, so both of their outcomes are certified the same way.
@@ -198,7 +196,7 @@ from .errors import InteriorTooLarge, WrongDistance
 from .graph import DistMatrix, Graph, packed_row
 from .medians import (Profile, _pairs_in_distance_band, _require_nonadjacent,
                       _scaled)
-from .metric import Jcirc_set, M_set, interior_interval
+from .metric import Jcirc_set, M_set, interior_interval, members
 
 
 @dataclass(frozen=True)
@@ -265,13 +263,7 @@ class _Lanes(dict):
     def zeros(self, x: int) -> list[int]:
         """The lanes of x that are 0, ascending, every lane of x being in
         [0, 2^(L-1)): those of x - ones below 0."""
-        z = self.tops ^ self.signs(x - self.ones)
-        out = []
-        while z:
-            low = z & -z
-            out.append(low.bit_length() // self.bits - 1)
-            z ^= low
-        return out
+        return [i // self.bits for i in members(self.tops ^ self.signs(x - self.ones))]
 
     def lane(self, x: int, i: int) -> int:
         """Lane i of x."""
@@ -406,23 +398,10 @@ def lp_feasible_strict(mat: RationalMatrix) -> FeasibilityResult:
     row vertex, D > 0 being the final basis determinant, which certify the
     same as y.
 
-    The tableau keeps only the first copy of each distinct nonzero column
-    of M, and every pivot is the one on all of M.  A zero column has
-    reduced cost 0 at every pivot, since it is 0 in every row of the
-    tableau and the objective row starts as minus its column sum, so it
-    never enters.  A later copy of a column is equal to its first copy in
-    every row, the objective row too, at every pivot, so Bland's rule,
-    which takes the lowest label of negative reduced cost, takes the first
-    copy first, and the later one never enters either.  The kept columns
-    are renumbered in order, and the slacks and artificials all shift down
-    by the number of columns left out, so every comparison of labels in
-    the ratio test is as before.  A column that never enters is never basic, so the witness, D
-    and the certificate are those of the full tableau.
-
-    A matrix of at least _UNIFORM_ENTRIES entries, counted before the
-    reduction, whose row sums are all negative takes the uniform witness
-    instead: 1/min |s_w| on every column that is not all zero, s_w being
-    the sum of row w; see the module docstring.
+    A matrix of at least _UNIFORM_ENTRIES entries whose row sums are all
+    negative takes the uniform witness instead: 1/min |s_w| on every column
+    that is not all zero, s_w being the sum of row w; see the module
+    docstring.
     """
     entries = mat.entries
     m, n = len(entries), len(mat.cols)
@@ -431,20 +410,14 @@ def lp_feasible_strict(mat: RationalMatrix) -> FeasibilityResult:
         res = FeasibilityResult("feasible", witness={
             x: weight for x, col in zip(mat.cols, zip(*entries)) if any(col)})
         return _checked(_check_result(mat, res), res, "uniform witness", mat.u, mat.v)
-    first = {}              # each distinct nonzero column: its first index
-    for j, col in enumerate(zip(*entries)):
-        if any(col):
-            first.setdefault(col, j)
-    kept = list(first.values())
-    n = len(kept)
     # columns: pi (0..n-1), slacks (n..n+m-1); the artificials are implicit
     rows = [[-x for x in row] + [-1 if k == i else 0 for k in range(m)] + [1]
-            for i, row in enumerate(list(zip(*first)) or [()] * m)]
+            for i, row in enumerate(entries)]
     tableau, D, basis = _phase1(rows, n)
     obj = tableau[-1]
     if obj[-1] == 0:
         res = FeasibilityResult("feasible", witness={
-            mat.cols[kept[b]]: Fraction(tableau[i][-1], D) for i, b in enumerate(basis)
+            mat.cols[b]: Fraction(tableau[i][-1], D) for i, b in enumerate(basis)
             if b < n and tableau[i][-1] != 0})
     else:
         # obj[n + i] = D * y_i, y_i being the reduced cost of slack column i
@@ -669,24 +642,19 @@ class PValueReport:
     disconnecting_profile: Profile | None = None     # integer profile, Med disconnected in G^{p-1}
 
 
-def witness_to_profile(witness: dict[int, Fraction]) -> Profile:
-    """Scale a rational LP witness to an integer profile."""
-    _, weights = _scaled(list(witness.values()))
-    return Profile(dict(zip(witness, weights)))
-
-
 def disconnecting_profile(g: Graph, d: DistMatrix, u: int, v: int,
-                          pi: Profile) -> Profile:
+                          witness: dict[int, Fraction]) -> Profile:
     """Integer profile pi+ with median set exactly {u, v}.
 
-    Input: integer pi whose median function has every interior vertex of
-    I(u,v) strictly above the chord between u and v.  The boost
-    mu = k*F(v) + 1 (k = d(u,v), F(v) >= F(u)) makes u and v the unique
-    minima while the relative order elsewhere is preserved.  It is
+    Input: the LP's witness, a rational profile whose median function has
+    every interior vertex of I(u,v) strictly above the chord between u and
+    v.  It is scaled here to integers, which scales F and keeps that.  The
+    boost mu = k*F(v) + 1 (k = d(u,v), F(v) >= F(u)) makes u and v the
+    unique minima while the relative order elsewhere is preserved.  It is
     computed in ints, and only the `Profile` returned holds `Fraction`s.
     """
-    _, ints = _scaled(list(pi.weights.values()))     # den = 1: pi is an integer profile
-    weights = dict(zip(pi.weights, ints))
+    _, ints = _scaled(list(witness.values()))
+    weights = dict(zip(witness, ints))
     fu, fv = (sum(w * d.d[x][y] for x, w in weights.items()) for y in (u, v))
     if fv < fu:
         u, v = v, u
@@ -732,8 +700,7 @@ def compute_p(g: Graph, d: DistMatrix) -> PValueReport:
         p=p,
         witness_pair=(u, v),
         witness_profile=Profile(dict(res.witness)),
-        disconnecting_profile=disconnecting_profile(g, d, u, v,
-                                                    witness_to_profile(res.witness)),
+        disconnecting_profile=disconnecting_profile(g, d, u, v, res.witness),
     )
 
 

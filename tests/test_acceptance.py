@@ -14,8 +14,7 @@ import pytest
 from medgraph import cli
 from medgraph.families import halved_cube, hypercube
 from medgraph.graph import all_pairs_distances, power_graph
-from medgraph.lp import (compute_p, disconnecting_profile,
-                         has_Gp_connected_medians, witness_to_profile)
+from medgraph.lp import compute_p, disconnecting_profile, has_Gp_connected_medians
 from medgraph.medians import (VertexFunction, is_p_connected, is_p_isometric,
                               is_p_weakly_peakless, is_unimodal_on_power,
                               level_set, median_set)
@@ -159,8 +158,7 @@ def test_criterion_10_lp_oracle_equivalence(mark):
                         res = solve_pair(g, d, u, v)
                         if not res.feasible:
                             continue
-                        base = witness_to_profile(res.witness)
-                        pi = disconnecting_profile(g, d, u, v, base)
+                        pi = disconnecting_profile(g, d, u, v, res.witness)
                         med = median_set(g, d, pi)
                         if med == {u, v} and not is_p_connected(g, d, med, p):
                             rep_ok = True

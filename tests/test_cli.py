@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 import medgraph
 from medgraph import cli, graph
 from medgraph.cli import main
-from medgraph.families import (alpha_configuration, beta_configuration,
-                               cycle_graph, johnson, projective_incidence_graph)
+from medgraph.families import (FamilySpec, alpha_configuration,
+                               beta_configuration, cycle_graph, generate,
+                               johnson, projective_incidence_graph)
 from medgraph.graph import write_graph
 from medgraph.recognizers import ClassVerdict, write_labels
 
@@ -186,7 +187,7 @@ def test_check_builds_the_distance_table_only_for_the_classes_that_read_it(
 
     monkeypatch.setattr(graph, "all_pairs_distances", table)
     monkeypatch.setattr(cli, "all_pairs_distances", table)
-    classes = [*cli._SIMPLE_CHECKS, "alpha", "beta"]
+    classes = list(cli._SIMPLE_CHECKS)
     hits = set()
     for g in (beta_configuration(), alpha_configuration(1), cycle_graph(6)):
         gpath = tmp_path / "g.graph"
@@ -229,6 +230,35 @@ def test_gen_benzenoid(tmp_path, capsys):
     code, rep = _run(capsys, "gen", "benzenoid", "-o", str(gpath),
                      "--benzenoid-spec", str(spec))
     assert code == 0 and rep["result"]["n"] == 10
+
+
+def test_gen_defaults_and_messages(tmp_path, capsys):
+    # q and type default to 2 and 1; families.generate builds the three
+    # families gen takes no spec file for
+    for family, param in (("projective_plane", "q=2"), ("alpha_configuration", "type=1")):
+        defaulted, explicit = tmp_path / "defaulted.graph", tmp_path / "explicit.graph"
+        assert main(["gen", family, "-o", str(defaulted)]) == 0
+        assert main(["gen", family, param, "-o", str(explicit)]) == 0
+        assert defaulted.read_text() == explicit.read_text()
+    assert defaulted.read_text() == write_graph(alpha_configuration(1))
+    for family, params, want in (
+            ("projective_plane", {}, projective_incidence_graph(2)),
+            ("projective_plane", {"q": 3}, projective_incidence_graph(3)),
+            ("alpha_configuration", {"type": 3}, alpha_configuration(3)),
+            ("beta_configuration", {}, beta_configuration())):
+        g, labels = generate(FamilySpec(family, params))
+        assert write_graph(g) == write_graph(want) and labels is None, family
+    capsys.readouterr()
+    out = tmp_path / "none.graph"
+    for argv, message in (
+            (["benzenoid", "n=1"], "benzenoid takes no parameter n"),
+            (["projective_plane", "n=3"], "projective_plane takes no parameter n"),
+            (["beta_configuration", "type=1"], "beta_configuration takes no parameter type"),
+            (["alpha_configuration", "type=4"], "alpha-configuration type must be 1, 2, or 3"),
+            (["projective_plane", "q=4"], "4 is not prime")):
+        assert main(["gen", *argv, "-o", str(out)]) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
 
 def test_graph_roundtrip_is_byte_identical(tmp_path, capsys):
@@ -438,7 +468,7 @@ def test_every_check_class_answers_on_one_and_two_vertices(tmp_path, capsys,
     epath.write_text(labels)
     embedded = ["--embedding", str(epath), "-k", "2"]
     argvs = [["check", cls, str(gpath)]
-             for cls in (*cli._SIMPLE_CHECKS, "alpha", "beta")]
+             for cls in cli._SIMPLE_CHECKS]
     argvs += [["check", cls, str(gpath), *embedded]
               for cls in ("partial-johnson", "partial-halved-cube")]
     for argv in argvs:
@@ -468,7 +498,7 @@ _FAMILIES = ["path", "cycle", "complete", "complete_bipartite", "hyperoctahedron
              "wheel", "hypercube", "halved_cube", "johnson", "bn", "benzenoid",
              "projective_plane", "alpha_configuration", "beta_configuration",
              "nonesuch"]
-_CLASSES = [*cli._SIMPLE_CHECKS, "alpha", "beta", "partial-johnson",
+_CLASSES = [*cli._SIMPLE_CHECKS, "partial-johnson",
             "partial-halved-cube", "nonesuch"]
 _argv = st.one_of(
     st.tuples(st.just("gen"), st.sampled_from(_FAMILIES),

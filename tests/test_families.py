@@ -21,6 +21,7 @@ from medgraph.families import (MAX_VERTICES, FamilySpec,
                                path_graph, projective_incidence_graph,
                                propeller, wheel)
 from medgraph.graph import all_pairs_distances
+from medgraph.metric import interior_interval
 from medgraph.recognizers import verify_labeled_embedding
 from reference import _to_nx
 
@@ -150,6 +151,20 @@ def test_alpha_configuration_sizes():
         alpha_configuration(4)
 
 
+def test_alpha_configuration_distances():
+    # u, v = 0, 1 at distance 2 with interior s, t, w = 2, 3, 4; apex i,
+    # vertex 5 + 4i, is at distance 2 from u and v, 3 from its far interior
+    # vertex and 2 from the other two
+    for config_type, fars in ((1, [3]), (2, [3, 4]), (3, [3, 4, 2])):
+        g = alpha_configuration(config_type)
+        d = all_pairs_distances(g)
+        assert d(0, 1) == 2 and sorted(interior_interval(g, d, 0, 1)) == [2, 3, 4]
+        for i, far in enumerate(fars):
+            apex = 5 + 4 * i
+            assert [d(apex, x) for x in range(5)] == [2, 2] + [
+                3 if x == far else 2 for x in (2, 3, 4)], (config_type, apex)
+
+
 # (family, params) just over a bound: more than MAX_VERTICES vertices or
 # MAX_EDGES edges, while the next smaller parameter is within both bounds
 _OVER_THE_BOUNDS = [
@@ -178,10 +193,7 @@ def test_generators_reject_sizes_over_the_bounds_before_allocating():
             "out = []\n"
             "for family, params in json.loads(sys.argv[1]):\n"
             "    try:\n"
-            "        if family == 'projective_plane':\n"
-            "            families.projective_incidence_graph(params['q'])\n"
-            "        else:\n"
-            "            families.generate(families.FamilySpec(family, params))\n"
+            "        families.generate(families.FamilySpec(family, params))\n"
             "        out.append('built')\n"
             "    except Exception as exc:\n"
             "        out.append(f'{type(exc).__name__}: {exc}')\n"
@@ -208,8 +220,5 @@ def test_size_bounds_count_the_graph_they_guard(monkeypatch, family, params):
     checked = []
     monkeypatch.setattr(families, "_bounded",
                         lambda name, n, m: checked.append((n, m)))
-    if family == "projective_plane":
-        g = projective_incidence_graph(params["q"])
-    else:
-        g = generate(FamilySpec(family, params))[0]
+    g = generate(FamilySpec(family, params))[0]
     assert checked == [(g.n, g.num_edges())]

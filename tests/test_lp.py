@@ -16,8 +16,7 @@ from medgraph import symmetry
 from medgraph.lp import (FeasibilityResult, RationalMatrix,
                          alpha_beta_certificate, build_Duv, compute_p,
                          disconnecting_profile, has_Gp_connected_medians,
-                         lp_feasible_strict, verify_feasibility_result,
-                         witness_to_profile)
+                         lp_feasible_strict, verify_feasibility_result)
 from medgraph.medians import Profile, median_set
 from medgraph.metric import Jcirc_set, M_set, interior_interval
 from reference import (Duv_rows_plain, _assert_agrees_with_per_pair,
@@ -91,7 +90,7 @@ def _no_negative_column(mat):
 
 def _kept_columns(mat):
     """The index of the first copy of each distinct nonzero column of mat,
-    in order: the columns of the simplex's tableau."""
+    in order: fewer than its columns iff mat has a zero or repeated one."""
     first = {}
     for j, col in enumerate(zip(*mat.entries)):
         if any(col):
@@ -120,16 +119,14 @@ def _planted_matrices(count=6000, seed=29):
 ], ids=["random", "pool", "planted"])
 def test_implicit_artificials_pivot_like_the_stored_ones(monkeypatch, matrices, count,
                                                          with_copies):
-    """The phase 1 with implied artificial columns, on the first copy of
-    each distinct nonzero column, makes the pivots of the full tableau of
-    every column, also where Bland's rule brings an artificial back: the
-    same basis labels, once mapped back to the full tableau's, the same D
-    and the same stored columns, and the same answer.  A kept column j
-    maps to its index in the matrix, and a slack or artificial label to
-    itself plus the number of columns left out.  with_copies of the
-    matrices have a zero or repeated column, every pool and planted one,
-    and in some witnesses of each set a column that has a copy is basic,
-    so a reduction that kept another copy would name another vertex."""
+    """The phase 1 with implied artificial columns makes the pivots of the
+    full tableau that stores them, also where Bland's rule brings an
+    artificial back: the same basis labels, the same D, the same stored
+    columns (the full tableau's without its artificial ones), and the same
+    answer.  with_copies of the matrices have a zero or repeated column,
+    every pool and planted one, and in some witnesses of each set a column
+    that has a copy is basic: Bland's rule enters the first copy of a
+    column, which the reference names too, and never a zero column."""
     phases = []
     real = lp._phase1
 
@@ -143,16 +140,13 @@ def test_implicit_artificials_pivot_like_the_stored_ones(monkeypatch, matrices, 
         res = lp_feasible_strict(mat)
         reference, (t_ref, D_ref, basis_ref, k) = lp_feasible_strict_explicit(mat)
         t, D, basis = phases.pop()
-        kept = _kept_columns(mat)
-        n, dropped = len(mat.cols), len(mat.cols) - len(kept)
-        full = [kept[b] if b < len(kept) else b + dropped for b in basis]
-        assert (res, D, full) == (reference, D_ref, basis_ref)
-        stored = kept + list(range(n, n + len(mat.entries)))    # pi and slack columns
-        assert t == [[row[j] for j in stored] + row[-1:] for row in t_ref]
+        assert (res, D, basis) == (reference, D_ref, basis_ref)
+        stored = len(mat.cols) + len(mat.entries)       # pi and slack columns
+        assert t == [row[:stored] + row[-1:] for row in t_ref]
         columns = list(zip(*mat.entries))
         solved += 1
         reentries += k
-        reduced += dropped > 0
+        reduced += len(_kept_columns(mat)) < len(mat.cols)
         named += any(columns.count(columns[x]) > 1 for x in res.witness or ())
     assert (solved, reduced) == (count, with_copies) and reentries > 0 and named > 0, \
         (solved, reduced, reentries, named)
@@ -164,7 +158,7 @@ def test_c7_pair_feasible_and_witness_disconnects():
     res = lp_feasible_strict(mat)
     assert res.feasible
     assert verify_feasibility_result(g, d, 0, 3, res)
-    plus = disconnecting_profile(g, d, 0, 3, witness_to_profile(res.witness))
+    plus = disconnecting_profile(g, d, 0, 3, res.witness)
     assert all(w.denominator == 1 for w in plus.weights.values())
     assert median_set(g, d, plus) == {0, 3}
 
@@ -588,8 +582,7 @@ def test_compute_p_matches_the_plain_scan():
         u, v, own = failures[0]
         assert rep.witness_pair == (u, v)
         assert rep.witness_profile == Profile(dict(own.witness))
-        assert rep.disconnecting_profile == disconnecting_profile(
-            g, d, u, v, witness_to_profile(own.witness))
+        assert rep.disconnecting_profile == disconnecting_profile(g, d, u, v, own.witness)
 
 
 def test_one_vertex_answers_agree_with_the_plain_solve(monkeypatch):

@@ -21,7 +21,7 @@ from medgraph.graph import all_pairs_distances, build_graph, power_graph
 from medgraph.lp import (FeasibilityResult, RationalMatrix, _check_result,
                          compute_p, disconnecting_profile,
                          has_Gp_connected_medians, lp_feasible_strict,
-                         verify_feasibility_result, witness_to_profile)
+                         verify_feasibility_result)
 from medgraph.metric import (J_set, Jcirc_set, interior_interval, interval,
                              members)
 from medgraph.medians import (Profile, VertexFunction, _pairs_in_distance_band,
@@ -178,7 +178,7 @@ def test_disconnecting_profiles_split_medians():
                 continue
             failing += 1
             assert verify_feasibility_result(g, d, u, v, res)
-            pi = disconnecting_profile(g, d, u, v, witness_to_profile(res.witness))
+            pi = disconnecting_profile(g, d, u, v, res.witness)
             med = median_set(g, d, pi)
             assert med == {u, v}
             assert not is_p_connected(g, d, med, q)
