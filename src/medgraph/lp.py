@@ -60,14 +60,15 @@ Program. 71):
   most both a_1 + a_2 and b_1 + b_2, which sum to 2k.  Summing the
   inequality over x shows that r(w_1) + r(w_2) <= r(u) + r(v) is needed,
   r(w) being the transmission, the sum of w's distance row.  So the tries
-  are the mirror pairs first, then the other balanced pairs, each in order
-  of least r(w_1) + r(w_2), ties in row order, and at most
+  are the mirror pairs first, then the other balanced pairs of two
+  vertices, then the midpoints w_1 = w_2 (below), each group in order of
+  least r(w_1) + r(w_2), ties in row order, and at most
   _BALANCED_TRIES = 8 of them.  The candidates are taken level by level,
   w_1 at level a <= k/2 of the interval and w_2 at level k - a.  At the
   middle level, 2a = k, w_1 = w_2 = w is a candidate too, never a mirror
   pair.  Its try 2 d(w,x) <= d(u,x) + d(v,x) is exactly "row w is
   nonnegative", since row w is (k/2)(d(u,x) + d(v,x) - 2 d(w,x)), and the
-  certificate stored is {w: 1}, as for a nonnegative row.  So the pairs of
+  certificate is {w: 1}, as for a nonnegative row.  So the pairs of
   paths, trees and grids with one interior vertex, whose one row is
   nonnegative, are decided by a try.
 The tests run in the order of their cost.  The balanced pairs come first,
@@ -77,9 +78,9 @@ row; the same loop keeps the columns that are negative in every row so
 far, so a full D^uv whose first such column is x takes the witness
 {x: 1}.  Only a pair that no test decides gets a `RationalMatrix`, for
 the LP.  On the benchmark's random pool, of the 15,671
-pairs at distance at least 2, a balanced pair decides 5,722, a nonnegative
-row 20 and an all-negative column 8,029, and 1,900 go to the LP.  The
-row-sum certificate y = 1 would decide 20 of these 1,900 and no pair of
+pairs at distance at least 2, a balanced pair decides 5,723, a nonnegative
+row 21 and an all-negative column 8,029, and 1,898 go to the LP.  The
+row-sum certificate y = 1 would decide 20 of these 1,898 and no pair of
 the atlas bands or of the test corpus, for a pass over every full D^uv,
 so it is not tried.
 The first try decides every infeasible pair of G_7, G_11 and C_12 x C_12;
@@ -177,9 +178,9 @@ I(u,v), moving weight omega from z to a neighbour closer to both u and v
 exactly d(u,v)*omega and d(u,v)F(w) by at most that, so each violated row
 stays violated.  The moves end on J(u,v), so the LP on the J(u,v) columns
 alone is feasible iff this one is: a J-column LP would add nothing.
-D^uv depends only on the pair, never on p, so `_pair_verdicts` decides
-each pair at most once, and `compute_p` stops each scan, the report's too,
-at its first failing pair: its decision is the last one.
+D^uv depends only on the pair, never on p, and `compute_p` scans each
+distance once, up to its first failing pair, so it decides each pair at
+most once.
 """
 
 from __future__ import annotations
@@ -541,8 +542,9 @@ def _balanced(lanes: _Lanes, r, u: int, v: int, rows, far):
     of D^uv whose try holds, else None.  The candidates are taken level by
     level, w_1 at distance a from u and w_2 at distance d(u,v) - a, the
     midpoint w_1 = w_2 too, and ranked mirror pairs, d(w_1,w_2) = d(u,v),
-    first, then by least r(w_1) + r(w_2), r being the transmissions, then in
-    row order; at most _BALANCED_TRIES of them are tried.  A try holds when
+    first, then the other pairs of two vertices, then the midpoints, each
+    group by least r(w_1) + r(w_2), r being the transmissions, then in row
+    order; at most _BALANCED_TRIES of them are tried.  A try holds when
     d(w_1,x) + d(w_2,x) <= d(u,x) + d(v,x) for every x, that is, when no
     lane of far - P_w1 - P_w2 is below 0; see the module docstring; far is
     P_u + P_v."""
@@ -558,10 +560,10 @@ def _balanced(lanes: _Lanes, r, u: int, v: int, rows, far):
                        else itertools.product(levels[a], levels[k - a])):
             if w1 > w2:
                 w1, w2 = w2, w1
-            tries.append((dd[w1][w2] != k, r[w1] + r[w2], w1, w2))
+            tries.append((dd[w1][w2] != k, w1 == w2, r[w1] + r[w2], w1, w2))
     tries.sort()
     tops = lanes.tops
-    for _, _, w1, w2 in tries[:_BALANCED_TRIES]:
+    for *_, w1, w2 in tries[:_BALANCED_TRIES]:
         if lanes.signs(far - lanes[w1] - lanes[w2]) == tops:
             return w1, w2
     return None
@@ -570,10 +572,9 @@ _BALANCED_TRIES = 8           # balanced pairs tried per pair: see the module do
 
 
 def _pair_verdicts(g: Graph, d: DistMatrix):
-    """The band scan of one graph, and the set of the pairs it gave their
-    own solve.
+    """The band scan of one graph.
 
-    scan(lo, hi) yields (u, v, verdict) for the pairs of the band
+    scan(lo, hi) yields (u, v, verdict, solved) for the pairs of the band
     lo <= d(u,v) <= hi in `_pairs_in_distance_band` order, in the rows u
     that are the roots of their orbits: every row, unless the graph has at
     least _ORBIT_PAIRS pairs at distance 2 or more and every transmission is
@@ -581,27 +582,17 @@ def _pair_verdicts(g: Graph, d: DistMatrix):
     searches for automorphisms (`symmetry.automorphisms`), and the rows of the
     vertices that are not the least of their orbit are skipped: whether a
     band has a failing pair, and its first one, are read off the roots'
-    rows (see the module docstring).  A pair's verdict is its presolve
-    answer when it has one, else its own solve; neither holds a matrix.
-    Scans share the verdicts, own, the orbits and the transmissions that
-    order the balanced pairs, summed once.
+    rows (see the module docstring).  Each pair is decided as the scan
+    reaches it: its verdict is its presolve answer when it has one, else
+    its own solve, and solved says which; neither holds a matrix.  Scans
+    share the orbits and the transmissions that order the balanced pairs,
+    summed once.
     """
-    verdicts: dict[tuple[int, int], FeasibilityResult] = {}
-    own: set[tuple[int, int]] = set()
     r = [sum(row) for row in d.d]       # the transmissions
     lanes = _Lanes(d)
     search = g.n * (g.n - 1) // 2 - g.num_edges() >= _ORBIT_PAIRS and \
         min(Counter(r).values()) > 1
     root = None
-
-    def decide(u: int, v: int) -> FeasibilityResult:
-        """The verdict of (u, v), stored."""
-        mat, res = _head(lanes, r, u, v)
-        if res is None:
-            res = lp_feasible_strict(mat)
-            own.add((u, v))
-        verdicts[u, v] = res
-        return res
 
     def roots():
         """The rows a scan reads, each as the scan reaches it: every row, or
@@ -618,9 +609,10 @@ def _pair_verdicts(g: Graph, d: DistMatrix):
         if lo > d.diameter:     # no pair, and no row to move past: no search
             return
         for u, v in _pairs_in_distance_band(d, lo, hi, roots()):
-            yield u, v, verdicts.get((u, v)) or decide(u, v)
+            mat, res = _head(lanes, r, u, v)
+            yield u, v, res or lp_feasible_strict(mat), res is None
 
-    return scan, own
+    return scan
 
 
 _ORBIT_PAIRS = 32       # pairs at distance 2 or more before automorphisms are searched
@@ -630,8 +622,8 @@ def has_Gp_connected_medians(g: Graph, d: DistMatrix, p: int) -> bool:
     """p(G) <= p iff no pair in the band p+1 <= d(u,v) <= 2p is feasible."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    scan, _ = _pair_verdicts(g, d)
-    return not any(res.feasible for _, _, res in scan(p + 1, 2 * p))
+    scan = _pair_verdicts(g, d)
+    return not any(t[2].feasible for t in scan(p + 1, 2 * p))
 
 
 @dataclass(frozen=True)
@@ -670,31 +662,33 @@ def disconnecting_profile(g: Graph, d: DistMatrix, u: int, v: int,
 def compute_p(g: Graph, d: DistMatrix) -> PValueReport:
     """Smallest p such that every median set is connected in G^p.
 
-    A pair's verdict does not depend on p, and a failing (feasible) pair at
-    distance k lies in the band p+1 <= d(u,v) <= 2p of every level
-    ceil(k/2) <= p <= k-1.  So a level's scan stops at its first failing
-    pair and the scan goes on at p = k; the first level with no failing
-    pair is p.  Terminates by p = diameter, where the band is empty.  The
-    band of p-1 is then scanned in ascending pair order up to its first
-    failing pair, the witness pair, whose verdict is its own solve.
+    p(G) <= p iff no pair in the band p+1 <= d(u,v) <= 2p is feasible (the
+    local-to-global theorem), and a feasible pair at distance k gives a
+    profile whose median set {u, v} is not connected in G^(k-1)
+    (`disconnecting_profile`).  So p(G) is the largest distance of a
+    feasible pair, or 1.  The distances k = 2, 3, ... are scanned one at a
+    time while k <= 2p, each up to its first feasible pair, which sets
+    p = k, so no pair is decided twice.
 
-    Pairs are decided by `_pair_verdicts`, which reads the rows of orbit
-    roots only; the first failing pair of a band lies in one of them.  A
-    feasible verdict is a one-vertex witness or the pair's own solve; in
-    the first case the witness pair is solved again, on `build_Duv`'s
-    matrix, the one its witness was found on.
+    That pair at distance p is the witness pair.  Every feasible pair lies
+    at distance at most p, so it is also the first feasible pair of the
+    band p..2p-2 in ascending pair order.  Pairs are decided by
+    `_pair_verdicts`, on the rows of orbit roots, where the first failing
+    pair of a distance lies.  A witness pair decided by a one-vertex
+    witness, not by its own solve, is solved on `build_Duv`'s matrix.
     """
-    scan, own = _pair_verdicts(g, d)
-    p = 1
-    while True:
-        k = next((d(u, v) for u, v, res in scan(p + 1, 2 * p) if res.feasible), None)
-        if k is None:
-            break
-        p = k
-    if p == 1:
+    scan = _pair_verdicts(g, d)
+    p, hit, k = 1, None, 2
+    while k <= 2 * p:
+        for t in scan(k, k):
+            if t[2].feasible:
+                p, hit = k, t
+                break
+        k += 1
+    if hit is None:
         return PValueReport(p=p)
-    u, v, res = next(t for t in scan(p, 2 * p - 2) if t[2].feasible)
-    if (u, v) not in own:
+    u, v, res, solved = hit
+    if not solved:
         res = lp_feasible_strict(build_Duv(g, d, u, v))
     return PValueReport(
         p=p,

@@ -128,12 +128,13 @@ def balanced_pair_plain(d: DistMatrix, mat: RationalMatrix):
     """`lp._balanced` on the full matrix: the rows i <= j of the first of
     at most `lp._BALANCED_TRIES` balanced pairs whose rows sum to at least
     0 in every column, every pair of rows ranked, each row with itself when
-    2 d(u,w_i) = d(u,v) too (d(w_i,w_j) = d(u,v) first, then least
-    r(w_i) + r(w_j), then row order), else None."""
+    2 d(u,w_i) = d(u,v) too (d(w_i,w_j) = d(u,v) first, then two rows
+    before a row with itself, then least r(w_i) + r(w_j), then row order),
+    else None."""
     u, v = mat.u, mat.v
     k = d(u, v)
     r = [sum(row) for row in d.d]
-    tries = sorted((d(a, b) != k, r[a] + r[b], i, j)
+    tries = sorted((d(a, b) != k, a == b, r[a] + r[b], i, j)
                    for (i, a), (j, b) in itertools.combinations_with_replacement(
                        enumerate(mat.rows), 2)
                    if d(u, a) + d(u, b) == k)
@@ -170,13 +171,12 @@ def orbits_off(monkeypatch) -> None:
 
 def _assert_agrees_with_per_pair(g: Graph, per_pair, scanned) -> None:
     """A scan against the per-pair scan of the same band, each given as its
-    list of (u, v, verdict) and its own set: the same pairs in the same
-    order, every verdict `repr`-equal, and the same own solves."""
-    (want, own_want), (got, own) = per_pair, scanned
-    assert [t[:2] for t in got] == [t[:2] for t in want]
-    for (u, v, a), (_, _, b) in zip(want, got):
+    list of (u, v, verdict, solved): the same pairs in the same order, every
+    verdict `repr`-equal, and the same own solves."""
+    assert [t[:2] for t in scanned] == [t[:2] for t in per_pair]
+    for (u, v, a, own_want), (_, _, b, own) in zip(per_pair, scanned):
         assert repr(b) == repr(a), (g.name, u, v)
-    assert own == own_want, g.name
+        assert own == own_want, (g.name, u, v)
 
 
 def phase1_explicit(tableau, n_free):

@@ -301,11 +301,39 @@ def test_compute_p_solves_each_pair_once(monkeypatch):
     assert [pair for pair, _ in calls] == [(0, 10)]
     # no pair of G_2 has a one-vertex answer, and every infeasible pair
     # has a balanced-pair certificate.  The two solves are the two
-    # feasible pairs the scan meets, (0, 15) at level 2 and the witness pair
-    # (14, 15) of the report, each solved once, where the class key made 3
+    # feasible pairs the scan meets, (0, 15), where the scan of distance 2
+    # stops, and the witness pair (14, 15), where that of distance 3 stops,
+    # each solved once, where the class key made 3
     calls.clear()
     assert compute_p(*_gd(projective_incidence_graph(2))).p == 3
     assert calls == [((0, 15), True), ((14, 15), True)]
+
+
+def test_compute_p_decides_no_pair_twice(monkeypatch):
+    """compute_p scans each distance once, up to its first feasible pair,
+    and takes its witness pair from that scan, so `_head` meets no pair
+    twice: on the test corpus, the random pool, the atlas, and relabelled
+    tori C_n x C_n for n = 6..10, G_2, G_3, G_5, 1/2 H_6 and J(7,3), whose
+    scans read the rows of orbit roots.  A second scan of the band
+    p..2p-2 for the witness pair would decide the pairs at distance p up to
+    it again."""
+    heads = []
+    real = lp._head
+    monkeypatch.setattr(lp, "_head", lambda lanes, r, u, v: (
+        heads.append((u, v)), real(lanes, r, u, v))[1])
+    symmetric = [*(_torus(n) for n in range(6, 11)),
+                 *map(projective_incidence_graph, (2, 3, 5)), halved_cube(6)[0],
+                 johnson(7, 3)[0]]
+    graphs = [*_corpus(), *_pool_graphs(), *_connected_atlas_graphs(7),
+              *(_relabelled(g, 11) for g in symmetric)]
+    assert len(graphs) == 8 + 240 + 995 + 10
+    witnesses = 0
+    for g in graphs:
+        heads.clear()
+        rep = compute_p(*_gd(g))
+        assert len(set(heads)) == len(heads), (g.name, heads)
+        witnesses += rep.witness_pair in heads
+    assert witnesses == 751 + 8, witnesses     # the graphs with p >= 2
 
 
 def _recording_builds(monkeypatch, g, d):
@@ -339,11 +367,11 @@ def test_compute_p_stops_the_report_at_its_first_failing_pair(monkeypatch):
     g, d = _gd(cycle_graph(21))
     builds = _recording_builds(monkeypatch, g, d)
     rep = compute_p(g, d)
-    # levels 1..9 each stop at (0, k + 1), a feasible pair, so no balanced
-    # pair and no nonnegative row decides it and its full D^uv is built;
-    # the report's band 10..18 stops at (0, 10), decided at level 9 by a
-    # one-vertex witness, and re-solves it on the matrix built then.
-    # Deciding the whole band made 30 builds.
+    # the scan of each distance k = 2..10 stops at (0, k), a feasible pair,
+    # so no balanced pair and no nonnegative row decides it and its full
+    # D^uv is built; the witness pair (0, 10), decided by a one-vertex
+    # witness, is solved again on `build_Duv`'s matrix.  Deciding the whole
+    # band made 30 builds.
     assert (rep.p, rep.witness_pair) == (10, (0, 10))
     assert builds == [(0, k) for k in range(2, 11)]
 
@@ -356,24 +384,25 @@ def test_compute_p_re_solves_a_witness_pair_decided_by_its_class(monkeypatch):
     # witness pair's own
     assert [pair for pair, _ in calls] == [(0, 3)]
     assert plain.witness_profile == Profile(dict(solve_pair(g, d, 0, 3).witness))
-    # With the one-vertex witness off, each band is scanned in descending pair order
-    # the first time it is asked for, so level 2 decides (3, 6) and the
-    # report's scan of the same band meets (0, 3), a pair of the same class
-    # under the rotations of C_7.  A feasible answer is never carried over
-    # from another pair: (0, 3) is solved on its own matrix, once.  The
+    # With the one-vertex witness on, as here, the scan decides the witness
+    # pair (0, 3) by the witness {x: 1}, and compute_p solves it once more,
+    # exactly once, on the matrix that `build_Duv` builds for it
+    built, solved = [], []
+    real_build, recording = lp.build_Duv, lp.lp_feasible_strict
+    monkeypatch.setattr(lp, "build_Duv", lambda *a: (built.append(real_build(*a)), built[-1])[1])
+    monkeypatch.setattr(lp, "lp_feasible_strict", lambda mat: (
+        solved.append(mat), recording(mat))[1])
+    calls.clear()
+    assert compute_p(g, d) == plain
+    assert [pair for pair, _ in calls] == [(0, 3)]
+    assert len(built) == len(solved) == 1 and solved[0] is built[0]
+    assert built[0] == build_Duv(g, d, 0, 3)
+    # With it off, every pair that no balanced pair certifies goes to the
+    # LP: the scan of distance 2 stops at (0, 2) and that of distance 3 at
+    # (0, 3), each solved on its own matrix in the scan.  The witness's
+    # verdict is that solve, with no second solve and no `build_Duv`.  The
     # balanced-pair test and the nonnegative row, which find no certificate
-    # of a feasible pair, add no check to the three solves' checks.
-    seen = set()
-    band = lp._pairs_in_distance_band
-
-    def first_time_descending(d, lo, hi, rows):
-        pairs = list(band(d, lo, hi, rows))
-        if (lo, hi) not in seen:
-            seen.add((lo, hi))
-            pairs.reverse()
-        return iter(pairs)
-
-    monkeypatch.setattr(lp, "_pairs_in_distance_band", first_time_descending)
+    # of a feasible pair, add no check to the two solves' checks.
     builds = []
 
     def no_witness(lanes, u, v, rows):
@@ -389,15 +418,16 @@ def test_compute_p_re_solves_a_witness_pair_decided_by_its_class(monkeypatch):
     checks = []
     real = lp._check_result
 
-    def recording(mat, res):
+    def recording_checks(mat, res):
         checks.append((mat.u, mat.v))
         return real(mat, res)
 
-    monkeypatch.setattr(lp, "_check_result", recording)
+    monkeypatch.setattr(lp, "_check_result", recording_checks)
     calls.clear()
+    built.clear()
     rep = compute_p(g, d)
-    assert [pair for pair, _ in calls] == builds == checks == [(4, 6), (3, 6), (0, 3)]
-    assert all(feasible for _, feasible in calls)
+    assert [pair for pair, _ in calls] == builds == checks == [(0, 2), (0, 3)]
+    assert all(feasible for _, feasible in calls) and not built
     assert (rep.p, rep.witness_pair) == (plain.p, plain.witness_pair) == (3, (0, 3))
     assert rep.witness_profile == plain.witness_profile
     assert rep.disconnecting_profile == plain.disconnecting_profile
@@ -594,19 +624,18 @@ def test_one_vertex_answers_agree_with_the_plain_solve(monkeypatch):
     kinds = Counter()
     for g in [*_corpus(), *_random_connected_graphs(40), *_connected_atlas_graphs(7)]:
         d = all_pairs_distances(g)
-        scan, own = lp._pair_verdicts(g, d)
-        for u, v, res in scan(2, d.diameter):
+        for u, v, res, solved in lp._pair_verdicts(g, d)(2, d.diameter):
             mat = build_Duv(g, d, u, v)
             plain = lp_feasible_strict(mat)     # `solve_pair`
             want = presolve_plain(d, mat)
             if want is None:
                 kinds["undecided"] += 1     # left to the LP
-                assert (u, v) in own and res.status == plain.status
+                assert solved and res.status == plain.status
                 continue
             kind, status, certificate, witness = want
             kinds[kind] += 1
             assert (res.status, res.certificate, res.witness) == (status, certificate, witness)
-            assert (u, v) not in own
+            assert not solved
             assert res.feasible == plain.feasible
             assert verify_feasibility_result(g, d, u, v, res)
     assert kinds.keys() == {"balanced", "row", "column", "undecided"}, kinds
@@ -786,24 +815,23 @@ def test_compute_p_decides_only_row_0_of_a_vertex_transitive_graph(monkeypatch):
 
 def test_a_scan_over_decided_pairs_gives_each_pair_its_own_verdict(monkeypatch):
     # a scan stopped after `stop` pairs, then a scan of the whole band: the
-    # second one decides only the pairs the first left undecided, and each
-    # pair gets the verdict of one fresh scan.  The scan reads the rows of
-    # orbit roots alone, and on them it gives every pair the verdict of the
-    # plain scan, with the orbit search off
+    # second one decides every pair again, the orbit search having run or
+    # not in the first, and each pair gets the verdict and the solved flag
+    # of one fresh scan.  The scan reads the rows of orbit roots alone, and
+    # on them it gives every pair the verdict of the plain scan, with the
+    # orbit search off
     for g in _corpus():
         d = all_pairs_distances(g)
-        scan, own = lp._pair_verdicts(g, d)
-        fresh = list(scan(2, d.diameter)), own
+        fresh = list(lp._pair_verdicts(g, d)(2, d.diameter))
         for stop in (0, 1, 20, 40):
-            scan, own = lp._pair_verdicts(g, d)
+            scan = lp._pair_verdicts(g, d)
             list(itertools.islice(scan(2, d.diameter), stop))
-            _assert_agrees_with_per_pair(g, fresh, (list(scan(2, d.diameter)), own))
-        rows = {u for u, _, _ in fresh[0]}
+            _assert_agrees_with_per_pair(g, fresh, list(scan(2, d.diameter)))
+        rows = {t[0] for t in fresh}
         with monkeypatch.context() as m:
             orbits_off(m)
-            scan, own = lp._pair_verdicts(g, d)
-            plain = [t for t in scan(2, d.diameter) if t[0] in rows]
-            _assert_agrees_with_per_pair(g, (plain, {(u, v) for u, v in own if u in rows}), fresh)
+            plain = [t for t in lp._pair_verdicts(g, d)(2, d.diameter) if t[0] in rows]
+            _assert_agrees_with_per_pair(g, plain, fresh)
 
 
 # ------------------------------------------- balanced-pair certificates
@@ -860,8 +888,8 @@ def test_balanced_pair_sign_boundaries(monkeypatch):
     # a midpoint w of a pair at even distance k is balanced with itself: its
     # try 2 d(w,x) <= d(u,x) + d(v,x) is row w of D^uv divided by k/2.  On
     # P_3 the row of 1 in D^02 is 0 at u and v: the try holds, and the scan
-    # stores e_1.  On C_5 it is -1 at x = 3: the try fails, and the scan
-    # stores the one-vertex witness {3: 1}
+    # gives e_1.  On C_5 it is -1 at x = 3: the try fails, and the scan
+    # gives the one-vertex witness {3: 1}, neither of them a solve
     for g, row, holds in ((path_graph(3), (0, 2, 0), True),
                           (cycle_graph(5), (0, 2, 0, -1, -1), False)):
         g, d = _gd(g)
@@ -871,9 +899,9 @@ def test_balanced_pair_sign_boundaries(monkeypatch):
         assert pair == ((1, 1) if holds else None)
         want = FeasibilityResult("infeasible", certificate={1: 1}) if holds else \
             FeasibilityResult("feasible", witness={3: Fraction(1)})
-        scan, own = lp._pair_verdicts(g, d)
-        assert [res for u, v, res in scan(2, 2) if (u, v) == (0, 2)] == [want]
-        assert not own
+        scan = lp._pair_verdicts(g, d)
+        assert [(res, solved) for u, v, res, solved in scan(2, 2) if (u, v) == (0, 2)] \
+            == [(want, False)]
 
 
 def test_a_corrupted_balanced_certificate_raises_on_both_paths(monkeypatch):
@@ -907,8 +935,8 @@ def test_balanced_certificates_are_checked_on_the_rows_they_name(monkeypatch):
     # `build_Duv` builds them, and on no other row: a pair that `_balanced`
     # decides calls `_lane_sum` once, on y = {w1: 1, w2: 1}, {w1: 1} for a
     # midpoint w1 = w2, and the sum it forms, unpacked, is the sum of
-    # those rows.  The stored certificate is y.  With the orbit search
-    # off, every pair is decided on its own
+    # those rows.  The certificate the scan gives is y.  With the orbit
+    # search off, every pair is decided on its own
     orbits_off(monkeypatch)
     g, d = _gd(_relabelled(projective_incidence_graph(3), 2))
     reads, decided = {}, []
@@ -928,8 +956,7 @@ def test_balanced_certificates_are_checked_on_the_rows_they_name(monkeypatch):
 
     monkeypatch.setattr(lp, "_lane_sum", recording_sum)
     monkeypatch.setattr(lp, "_balanced", recording_balanced)
-    scan, _ = lp._pair_verdicts(g, d)
-    verdicts = {(u, v): res for u, v, res in scan(2, d.diameter)}
+    verdicts = {(u, v): res for u, v, res, _ in lp._pair_verdicts(g, d)(2, d.diameter)}
     monkeypatch.setattr(lp, "_lane_sum", real_sum)
     assert len(decided) > 200, len(decided)
     for u, v in decided:
@@ -955,16 +982,16 @@ def test_a_balanced_pair_is_stored_before_a_row_or_the_row_sums(
         monkeypatch, graph, pair, certificate, own):
     """The scan tries the balanced pairs before any row of D^uv.  On the
     path 3-0-1-2 the pair (2, 3) has the interior {0, 1}, both rows
-    nonnegative and balanced (d(2,0) + d(2,1) = 3), and it stores
-    {0: 1, 1: 1}, where the first nonnegative row stored {0: 1}.  On H_5/2
+    nonnegative and balanced (d(2,0) + d(2,1) = 3), and it gets
+    {0: 1, 1: 1}, where the first nonnegative row gave {0: 1}.  On H_5/2
     the pair (0, 13) has six rows, none nonnegative, with nonnegative
-    column sums, and it stores its balanced pair {1, 12}, where the row-sum
-    certificate y = 1, which the presolve no longer tries, stored all six
+    column sums, and it gets its balanced pair {1, 12}, where the row-sum
+    certificate y = 1, which the presolve no longer tries, named all six
     rows.  Each pair is in row 0, which the scan always reads, and it
-    stores the same certificate with the orbit search on.  With it off,
-    own is the scan's at the commit before this order: no pair of the
-    first two, and the 15 feasible pairs of G_2, whose pair (0, 1) the row
-    sums and the balanced pair {11, 14} both certify."""
+    gets the same certificate with the orbit search on.  With it off,
+    the pairs the scan solves are the scan's at the commit before this
+    order: no pair of the first two, and the 15 feasible pairs of G_2, whose
+    pair (0, 1) the row sums and the balanced pair {11, 14} both certify."""
     g = graph()
     d = all_pairs_distances(g)
     mat = build_Duv(g, d, *pair)
@@ -974,10 +1001,10 @@ def test_a_balanced_pair_is_stored_before_a_row_or_the_row_sums(
     for search in (True, False):
         if not search:
             orbits_off(monkeypatch)
-        scan, got = lp._pair_verdicts(g, d)
-        verdict = {(u, v): res for u, v, res in scan(2, d.diameter)}[pair]
+        got = list(lp._pair_verdicts(g, d)(2, d.diameter))
+        verdict = {(u, v): res for u, v, res, _ in got}[pair]
         assert repr(verdict) == repr(FeasibilityResult("infeasible", certificate=certificate))
-    assert got == own
+    assert {(u, v) for u, v, _, solved in got if solved} == own
 
 
 def _random_tree(n, seed):
@@ -994,7 +1021,8 @@ def test_a_midpoint_decides_each_pair_with_one_interior_vertex(monkeypatch, grap
     compute_p gives p = 1 with no solve, no pair reaches `_unbalanced`, and
     every `_balanced` call finds a pair.  In a scan of every pair at
     distance 2 or more of the roots' rows, each pair whose interior is one
-    vertex w, balanced with itself, stores e_w = (1,)."""
+    vertex w, balanced with itself, gets e_w = (1,), and no pair is
+    solved."""
     g, d = _gd(graph())
     hits = Counter()
     per_pair = lp._balanced
@@ -1003,9 +1031,9 @@ def test_a_midpoint_decides_each_pair_with_one_interior_vertex(monkeypatch, grap
     for name in ("_unbalanced", "lp_feasible_strict"):
         monkeypatch.setattr(lp, name, None)
     assert compute_p(g, d).p == 1
-    scan, own = lp._pair_verdicts(g, d)
-    verdicts = {(u, v): res for u, v, res in scan(2, d.diameter)}
-    assert not own and hits[True] and not hits[False]
+    got = list(lp._pair_verdicts(g, d)(2, d.diameter))
+    verdicts = {(u, v): res for u, v, res, _ in got}
+    assert not any(solved for *_, solved in got) and hits[True] and not hits[False]
     single = [(u, v) for u, v in verdicts if len(interior_interval(g, d, u, v)) == 1]
     assert single and all(verdicts[u, v].certificate == dict.fromkeys(interior_interval(g, d, u, v), 1)
                           for u, v in single)

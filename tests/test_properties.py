@@ -199,24 +199,22 @@ def test_feasible_distances_run_from_two_to_p():
     random graphs, the distances of the feasible pairs are exactly
     2, 3, ..., p, and so p = max(F, default=1) for the set F of them.
 
-    This is why no test pins the top 2p of `compute_p`'s level band.  A
-    scan of p+1..2p - 1 for p >= 2 gives another p only on a graph whose
-    feasible distances skip from p to 2p, with none at p+1..2p - 1; while
-    F runs from 2 to its largest distance, the band p+1..2p - 1 holds the
-    feasible distance p+1 whenever p+1..2p holds any.  No such graph was
+    This is why no test pins the top 2p of `compute_p`'s scan, which reads
+    distance k while k <= 2p.  Stopping after 2p - 1 for p >= 2 gives
+    another p only on a graph whose feasible distances skip from p to 2p,
+    with none at p+1..2p - 1; while F runs from 2 to its largest distance,
+    distance p+1 is feasible whenever any of p+1..2p is.  No such graph was
     found: every one of the 1,443 graphs of the corpus, the pool, the
     atlas and 200 seeded random graphs has such an F, and so do 86,554
     seeded G(n,q), tree-plus-edges and cycle-with-chords graphs of 6 to 30
-    vertices.  So the mutant that scans p+1..max(2, 2p - 1) survives this
-    test; only the order of the solves in
-    `test_lp.py::test_compute_p_re_solves_a_witness_pair_decided_by_its_class`
-    sees it."""
+    vertices.  So the mutant whose loop runs while k <= max(2, 2p - 1)
+    survives every test; only the number of pairs it decides differs."""
     graphs = [*_corpus(), *_pool_graphs(), *_random_connected_graphs(40, seed=47)]
     tops = Counter()
     for g in graphs:
         d = all_pairs_distances(g)
-        scan, _ = lp._pair_verdicts(g, d)
-        feasible = {d(u, v) for u, v, res in scan(2, d.diameter) if res.feasible}
+        feasible = {d(u, v) for u, v, res, _ in lp._pair_verdicts(g, d)(2, d.diameter)
+                    if res.feasible}
         p = compute_p(g, d).p
         assert feasible == set(range(2, p + 1)), (g.name, p, sorted(feasible))
         tops[p] += 1
@@ -417,11 +415,11 @@ def test_pair_verdicts_match_the_plain_solve(monkeypatch):
     for name, (graphs, lo, hi) in sets.items():
         for g in graphs:
             d = all_pairs_distances(g)
-            scan, own = lp._pair_verdicts(g, d)
+            scan = lp._pair_verdicts(g, d)
             sources.clear()
             checks.clear()
-            for u, v, res in scan(lo, hi or d.diameter):
-                if (u, v) in own:
+            for u, v, res, solved in scan(lo, hi or d.diameter):
+                if solved:
                     kind = "own solve"
                     assert not sources
                 else:   # a balanced pair or a one-vertex answer
@@ -440,14 +438,15 @@ def test_pair_verdicts_match_the_plain_solve(monkeypatch):
     # a balanced pair comes first, so the symmetric graphs take no other
     # certificate.  Their scans read the roots' rows alone, 16, 22 and 31
     # of their 256, 385 and 300 pairs at distance 2 or more.  Of the 15,671
-    # pool pairs at distance 2 or more, a balanced pair decides 5,722, a
-    # nonnegative row 20 and an all-negative column 8,029, and 1,900 are
+    # pool pairs at distance 2 or more, a balanced pair decides 5,723, a
+    # nonnegative row 21 and an all-negative column 8,029, and 1,898 are
     # solved: 20 more than when the row-sum certificate y = 1 was tried
-    # after the column
+    # after the column.  Midpoints ranked by 2r(w) among the pairs of two
+    # vertices gave 5,722, 20 and 1,900
     assert sum(kinds["symmetric"].values()) == 16 + 22 + 31, kinds
     assert kinds["atlas"]["row"] + kinds["atlas"]["column"], kinds
-    assert kinds["pool"] == {"balanced": 5722, "row": 20, "column": 8029,
-                             "own solve": 1900}, kinds
+    assert kinds["pool"] == {"balanced": 5723, "row": 21, "column": 8029,
+                             "own solve": 1898}, kinds
 
 
 def test_orbit_and_plain_verdicts_agree(monkeypatch):
@@ -473,18 +472,17 @@ def test_orbit_and_plain_verdicts_agree(monkeypatch):
         d = all_pairs_distances(g)
         with monkeypatch.context() as m:
             orbits_off(m)
-            scan, own = lp._pair_verdicts(g, d)
+            scan = lp._pair_verdicts(g, d)
             plain = list(scan(2, d.diameter))
             first = [next((t[:2] for t in scan(q, 2 * q) if t[2].feasible), None)
                      for q in range(2, d.diameter + 1)]
         found = []
         monkeypatch.setattr(symmetry, "automorphisms", lambda *a: (
             out := search(*a), found.append(out))[0])
-        scan, got_own = lp._pair_verdicts(g, d)
+        scan = lp._pair_verdicts(g, d)
         got = list(scan(2, d.diameter))
-        rows = {u for u, _, _ in got}
-        _assert_agrees_with_per_pair(g, ([t for t in plain if t[0] in rows],
-                                         {(u, v) for u, v in own if u in rows}), (got, got_own))
+        rows = {t[0] for t in got}
+        _assert_agrees_with_per_pair(g, [t for t in plain if t[0] in rows], got)
         assert [next((t[:2] for t in scan(q, 2 * q) if t[2].feasible), None)
                 for q in range(2, d.diameter + 1)] == first, g.name
         searched["corpus" if k < 8 else "pool" if k < 248 else "atlas" if k < 1243
